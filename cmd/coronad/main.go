@@ -55,7 +55,7 @@ func run(args []string) error {
 		syncMode    = fs.String("sync", "interval", "log durability: never | interval | always")
 		stateless   = fs.Bool("stateless", false, "run the sequencer-only baseline (no state, no log)")
 		autoReduce  = fs.Int("auto-reduce", 8192, "state-log reduction threshold in events (0: disabled)")
-		fanout      = fs.Int("fanout-shards", 0, "fanout worker shards for off-lock delivery (0: GOMAXPROCS-derived, negative: inline fanout under the group lock)")
+		fanout      = fs.Int("fanout-shards", 0, "fanout worker shards for off-lock delivery (0: GOMAXPROCS-derived)")
 		debugAddr   = fs.String("debug-addr", "", "HTTP debug listen address serving /metrics, /healthz, /trace, /debug/pprof/ (empty: disabled)")
 		contention  = fs.Bool("contention-profile", false, "record mutex and blocking profiles, served at /debug/pprof/mutex and /debug/pprof/block (adds sampling overhead)")
 		replicas    = fs.Int("replicas", 0, "replication floor the placement manager maintains per group (replicated roles; 0: default 2)")

@@ -1,11 +1,12 @@
-// Fixture "fanout": the off-lock delivery pipeline's lock shapes. The
-// group critical section is sequence+apply+push; the push takes a ring
-// credit and wakes a shard worker, both as select-with-default, so they
-// are legal under the engine read lock + group mutex. Blocking for ring
-// space (backpressure) happens only after both locks are released. The
-// seeded violations (// want) are the shapes the pipeline must never
-// regress to: waiting for a credit, handing work to a shard, or feeding
-// the error reporter with a blocking channel op while a lock is held.
+// Fixture "fanout": the multicast path's lock shapes. A run of events is
+// sequenced, applied and pushed under one engine read-lock + group-mutex
+// hold; the push takes a ring credit and wakes a shard worker, and the
+// run's acks enter the sender's pump, all as select-with-default, so they
+// are legal under the locks. Blocking for ring space (backpressure)
+// happens only after both locks are released. The seeded violations
+// (// want) are the shapes the path must never regress to: waiting for a
+// credit, handing work to a shard, acknowledging, or feeding the error
+// reporter with a blocking channel op while a lock is held.
 // The package is named core because lockhold scopes itself to the engine
 // packages by name.
 package core
@@ -28,6 +29,7 @@ type Engine struct {
 	s       *shard
 	reports chan string
 	stopped chan struct{}
+	pump    chan uint64
 }
 
 // tryAcquire is the hot-path credit take: select-with-default, legal under
@@ -51,17 +53,30 @@ func (e *Engine) push() {
 	}
 }
 
-// bcastConforming is the pipeline's critical section: credit, sequence,
-// push — nothing that blocks — then the backpressure wait strictly after
-// both locks are released.
-func (e *Engine) bcastConforming() {
+// ackRun enqueues a run's acks on the sender's pump, admitting the prefix
+// that fits: select-with-default, legal under the engine read lock.
+func (e *Engine) ackRun(reqIDs []uint64) {
+	for _, id := range reqIDs {
+		select {
+		case e.pump <- id:
+		default:
+			return
+		}
+	}
+}
+
+// runConforming is the path's critical section: credit, sequence the run,
+// push, acknowledge — nothing that blocks — then the backpressure wait
+// strictly after both locks are released.
+func (e *Engine) runConforming(reqIDs []uint64) {
 	e.mu.RLock()
-	e.gmu.Lock()
 	ok := e.tryAcquire()
 	if ok {
+		e.gmu.Lock()
 		e.push()
+		e.gmu.Unlock()
+		e.ackRun(reqIDs)
 	}
-	e.gmu.Unlock()
 	e.mu.RUnlock()
 	if !ok {
 		// Off-lock backpressure wait: blocking is fine here.
@@ -112,6 +127,16 @@ func (e *Engine) blockingWake() {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	e.s.wake <- struct{}{} // want `channel send while "e\.mu" is held`
+}
+
+// blockingAcks acknowledges a run with bare sends while the group mutex is
+// held: one slow sender connection would stall the whole group.
+func (e *Engine) blockingAcks(reqIDs []uint64) {
+	e.gmu.Lock()
+	for _, id := range reqIDs {
+		e.pump <- id // want `channel send while "e\.gmu" is held`
+	}
+	e.gmu.Unlock()
 }
 
 // blockingReport feeds the error reporter with a bare send under the

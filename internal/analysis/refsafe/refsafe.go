@@ -4,10 +4,9 @@
 // The protocol (documented on transport.SharedFrame): NewSharedFrame
 // returns a frame holding one reference; Pump.SendShared transfers one
 // reference on success and none on failure, so the caller must Release on
-// the rejection path; SendSharedBatch is all-or-nothing and
-// SendSharedRun admits a prefix, so both leave the unsent suffix's
-// references with the caller. A missed Release leaks a pooled buffer; an
-// extra one frees a frame another pump is still writing.
+// the rejection path; SendSharedRun admits a prefix and leaves the unsent
+// suffix's references with the caller. A missed Release leaks a pooled
+// buffer; an extra one frees a frame another pump is still writing.
 //
 // The checker is annotation-driven. A function taking a frame parameter
 // declares its side of the contract in its doc comment:
@@ -28,10 +27,9 @@
 //   - the error result of SendShared must be checked, and the rejection
 //     branch must keep or release the frame — discarding the error
 //     leaks the frame whenever the pump is over quota;
-//   - the error result of SendSharedBatch/SendSharedRun must be checked
-//     and the rejection branch must release elements of the batch slice
-//     (indexed, by range, or by delegating the slice to a //corona:owns
-//     callee);
+//   - the error result of SendSharedRun must be checked and the
+//     rejection branch must release the unadmitted elements of the
+//     run's slice by index;
 //   - releasing a parameter not annotated //corona:owns gives away a
 //     reference the function does not hold.
 //
@@ -226,9 +224,8 @@ type pendingSend struct {
 	pos    token.Pos
 }
 
-// pendingBatch is an unresolved SendSharedBatch/SendSharedRun: once the
-// error variable is checked, the rejection branch must release elements
-// of the slice.
+// pendingBatch is an unresolved SendSharedRun: once the error variable is
+// checked, the rejection branch must release elements of the slice.
 type pendingBatch struct {
 	errObj   types.Object
 	sliceObj types.Object
@@ -607,7 +604,7 @@ func (c *checker) walkAssign(pkg *analysis.Package, e *env, s *ast.AssignStmt) {
 			if name, ok := c.intrinsicSend(pkg, call); ok {
 				var errExpr ast.Expr
 				switch name {
-				case "SendShared", "SendSharedBatch":
+				case "SendShared":
 					if len(s.Lhs) == 1 {
 						errExpr = s.Lhs[0]
 					}
@@ -744,7 +741,7 @@ func (c *checker) recordSend(pkg *analysis.Package, e *env, call *ast.CallExpr, 
 			return
 		}
 		st.pending = &pendingSend{errObj: errObj, pos: call.Pos()}
-	case "SendSharedBatch", "SendSharedRun":
+	case "SendSharedRun":
 		obj := identObj(pkg, arg)
 		if obj == nil || errObj == nil {
 			return
@@ -902,55 +899,19 @@ func (c *checker) escapeCaptured(pkg *analysis.Package, e *env, fn ast.Node) {
 }
 
 // releasesSlice reports whether the rejection-branch subtree releases
-// elements of the batch slice: fs[i].Release(), a range over fs whose
-// body releases, or delegating fs to a //corona:owns callee.
+// elements of the run's slice by index (fs[k].Release()) — the only form
+// that can skip the admitted prefix, which already belongs to the pump.
 func (c *checker) releasesSlice(pkg *analysis.Package, node ast.Node, sliceObj types.Object) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
-				if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
-					if identObj(pkg, ix.X) == sliceObj {
-						found = true
-						return false
-					}
-				}
-			}
-			modes := c.calleeModes(pkg, n)
-			for i, a := range n.Args {
-				if identObj(pkg, a) == sliceObj && modes[i] == modeOwns {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
+				if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok && identObj(pkg, ix.X) == sliceObj {
 					found = true
-					return false
 				}
 			}
-		case *ast.RangeStmt:
-			if identObj(pkg, n.X) != sliceObj {
-				return true
-			}
-			v, _ := ast.Unparen(n.Value).(*ast.Ident)
-			if v == nil {
-				return true
-			}
-			vobj := pkg.Info.Defs[v]
-			ast.Inspect(n.Body, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" {
-					if identObj(pkg, sel.X) == vobj && vobj != nil {
-						found = true
-						return false
-					}
-				}
-				return true
-			})
 		}
-		return true
+		return !found
 	})
 	return found
 }
@@ -993,14 +954,14 @@ func (c *checker) frameMethod(pkg *analysis.Package, call *ast.CallExpr) (types.
 	return obj, sel.Sel.Name
 }
 
-// intrinsicSend matches Pump.SendShared / SendSharedBatch / SendSharedRun.
+// intrinsicSend matches Pump.SendShared / SendSharedRun.
 func (c *checker) intrinsicSend(pkg *analysis.Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "SendShared", "SendSharedBatch", "SendSharedRun":
+	case "SendShared", "SendSharedRun":
 	default:
 		return "", false
 	}

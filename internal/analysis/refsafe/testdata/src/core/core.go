@@ -213,23 +213,7 @@ func (s *Session) perIterClean(bs [][]byte) {
 	}
 }
 
-// --- batch admission ------------------------------------------------------
-
-// flushGood releases every frame when the all-or-nothing enqueue rejects.
-func (s *Session) flushGood(fs []*transport.SharedFrame) {
-	if err := s.pump.SendSharedBatch(fs, false); err != nil {
-		for _, f := range fs {
-			f.Release()
-		}
-	}
-}
-
-// flushBad bails out of the rejection branch without releasing anything.
-func (s *Session) flushBad(fs []*transport.SharedFrame) {
-	if err := s.pump.SendSharedBatch(fs, true); err != nil { // want `SendSharedBatch rejection path must release the unsent frames of "fs"`
-		return
-	}
-}
+// --- run admission -------------------------------------------------------
 
 // runGood releases the unadmitted suffix after prefix admission.
 func (s *Session) runGood(fs []*transport.SharedFrame) {
@@ -241,30 +225,31 @@ func (s *Session) runGood(fs []*transport.SharedFrame) {
 	}
 }
 
+// runBad bails out of the rejection branch without releasing anything.
+func (s *Session) runBad(fs []*transport.SharedFrame) {
+	if _, err := s.pump.SendSharedRun(fs, true); err != nil { // want `SendSharedRun rejection path must release the unsent frames of "fs"`
+		return
+	}
+}
+
 // runDiscard ignores prefix admission entirely.
 func (s *Session) runDiscard(fs []*transport.SharedFrame) {
 	s.pump.SendSharedRun(fs, false) // want `SendSharedRun error discarded: the rejection path leaks`
 }
 
-// batchUnchecked stores the error and walks away.
-func (s *Session) batchUnchecked(fs []*transport.SharedFrame) error {
-	err := s.pump.SendSharedBatch(fs, false) // want `SendSharedBatch error unchecked: rejected frames leak`
+// runUnchecked stores the error and walks away.
+func (s *Session) runUnchecked(fs []*transport.SharedFrame) error {
+	_, err := s.pump.SendSharedRun(fs, false) // want `SendSharedRun error unchecked: rejected frames leak`
 	return err
 }
 
-// delegated hands the batch to an owning callee on rejection.
-func (s *Session) delegated(fs []*transport.SharedFrame) {
-	if err := s.pump.SendSharedBatch(fs, false); err != nil {
-		releaseAll(fs)
-	}
-}
-
-// releaseAll consumes every frame of the batch.
-//
-//corona:owns fs
-func releaseAll(fs []*transport.SharedFrame) {
-	for _, f := range fs {
-		f.Release()
+// runReleaseAll keeps the all-or-nothing habit: it releases the whole slice
+// on rejection, the admitted prefix — now the pump's — included.
+func (s *Session) runReleaseAll(fs []*transport.SharedFrame) {
+	if _, err := s.pump.SendSharedRun(fs, false); err != nil { // want `SendSharedRun rejection path must release the unsent frames of "fs"`
+		for _, f := range fs {
+			f.Release()
+		}
 	}
 }
 

@@ -30,6 +30,4 @@ type Pump struct{ closed bool }
 
 func (p *Pump) SendShared(f *SharedFrame, high bool) error { return nil }
 
-func (p *Pump) SendSharedBatch(fs []*SharedFrame, high bool) error { return nil }
-
 func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) { return len(fs), nil }

@@ -13,12 +13,11 @@ import (
 )
 
 // FanoutConfig parameterizes the wide-group fanout sweep: one sender
-// blasting into a single group whose membership grows 8 → 1024, measured
-// once with the off-lock sharded pipeline and once with the inline
-// fanout-under-lock baseline (FanoutShards < 0). The experiment isolates
-// what the sharded pipeline buys: the group critical section should stay
-// flat as the receiver set grows, because delivery moved off-lock; the
-// inline baseline's lock hold grows linearly with members by construction.
+// blasting into a single group whose membership grows 8 → 1024. The
+// experiment checks what the off-lock sharded pipeline promises: the group
+// critical section stays flat as the receiver set grows, because delivery
+// runs off-lock. (The inline fanout-under-lock baseline it was first
+// measured against is gone; its rows are recorded in EXPERIMENTS.md A8.)
 type FanoutConfig struct {
 	// Members are the group sizes to measure (default 8, 64, 256, 1024).
 	// One member is the blasting sender (excluded from delivery); the
@@ -36,13 +35,10 @@ type FanoutConfig struct {
 	PumpDepth int
 }
 
-// FanoutPoint is one (members, mode) measurement.
+// FanoutPoint is the measurement at one group size.
 type FanoutPoint struct {
 	// Members is the group size (sender included).
 	Members int
-	// Mode is "sharded" (off-lock pipeline, default shard width) or
-	// "inline" (fanout under the group lock, FanoutShards = -1).
-	Mode string
 	// MsgsPerSec is the sequencing rate at the sender.
 	MsgsPerSec float64
 	// DeliveredKBps is the aggregate delivery rate across all receivers.
@@ -55,19 +51,16 @@ type FanoutPoint struct {
 	// queued for the group lock.
 	LockWaitP99Ns int64
 	// OfflockP99Ns summarizes engine.fanout_offlock_ns: ring-push to
-	// last-shard-drained latency (sharded mode only).
+	// last-shard-drained latency.
 	OfflockP99Ns int64
 	// RingWaits counts backpressure stalls on a full fanout ring.
 	RingWaits uint64
 	// AvgShardBatch is the mean entries drained per shard wakeup.
 	AvgShardBatch float64
-	// DeliveredSpeedup is this point's DeliveredKBps over the inline
-	// baseline at the same member count (1.0 for inline rows).
-	DeliveredSpeedup float64
 }
 
-// RunFanout measures the sweep, a fresh server per (members, mode) point
-// so one point's queue residue cannot bleed into the next.
+// RunFanout measures the sweep, a fresh server per point so one point's
+// queue residue cannot bleed into the next.
 func RunFanout(cfg FanoutConfig) ([]FanoutPoint, error) {
 	if len(cfg.Members) == 0 {
 		cfg.Members = []int{8, 64, 256, 1024}
@@ -86,31 +79,18 @@ func RunFanout(cfg FanoutConfig) ([]FanoutPoint, error) {
 	}
 	var out []FanoutPoint
 	for _, members := range cfg.Members {
-		inline, err := runFanoutPoint(cfg, members, -1)
+		pt, err := runFanoutPoint(cfg, members)
 		if err != nil {
-			return out, fmt.Errorf("members=%d inline: %w", members, err)
+			return out, fmt.Errorf("members=%d: %w", members, err)
 		}
-		inline.DeliveredSpeedup = 1
-		sharded, err := runFanoutPoint(cfg, members, 0)
-		if err != nil {
-			return out, fmt.Errorf("members=%d sharded: %w", members, err)
-		}
-		if inline.DeliveredKBps > 0 {
-			sharded.DeliveredSpeedup = sharded.DeliveredKBps / inline.DeliveredKBps
-		}
-		out = append(out, inline, sharded)
+		out = append(out, pt)
 	}
 	return out, nil
 }
 
-func runFanoutPoint(cfg FanoutConfig, members, shards int) (FanoutPoint, error) {
-	mode := "sharded"
-	if shards < 0 {
-		mode = "inline"
-	}
+func runFanoutPoint(cfg FanoutConfig, members int) (FanoutPoint, error) {
 	srv, err := core.NewServer(core.Config{Engine: core.EngineConfig{
 		Logger:              quietLogger(),
-		FanoutShards:        shards,
 		PumpDepth:           cfg.PumpDepth,
 		AutoReduceThreshold: 4096,
 	}})
@@ -176,7 +156,7 @@ func runFanoutPoint(cfg FanoutConfig, members, shards int) (FanoutPoint, error) 
 	payload := make([]byte, cfg.MsgSize)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	before := srv.Engine().Stats()
+	before := srv.Engine().Metrics().Snapshot()
 	start := time.Now()
 	for p := 0; p < cfg.Pipeline; p++ {
 		wg.Add(1)
@@ -198,15 +178,13 @@ func runFanoutPoint(cfg FanoutConfig, members, shards int) (FanoutPoint, error) 
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
-	after := srv.Engine().Stats()
 	metrics := srv.Engine().Metrics().Snapshot()
 
-	msgs := after.Bcasts - before.Bcasts
-	delivered := after.Delivered - before.Delivered
+	msgs := metrics.Counters["engine.bcasts"] - before.Counters["engine.bcasts"]
+	delivered := metrics.Counters["engine.delivered"] - before.Counters["engine.delivered"]
 	secs := elapsed.Seconds()
 	pt := FanoutPoint{
 		Members:       members,
-		Mode:          mode,
 		MsgsPerSec:    float64(msgs) / secs,
 		DeliveredKBps: float64(delivered) * float64(cfg.MsgSize) / 1024 / secs,
 		RingWaits:     metrics.Counters["engine.fanout_backpressure_waits"],
@@ -221,19 +199,18 @@ func runFanoutPoint(cfg FanoutConfig, members, shards int) (FanoutPoint, error) 
 	return pt, nil
 }
 
-// PrintFanout renders the wide-group sweep table, inline and sharded rows
-// interleaved per member count so the lock-hold contrast reads directly.
+// PrintFanout renders the wide-group sweep table.
 func PrintFanout(w io.Writer, points []FanoutPoint, cfg FanoutConfig) {
 	fmt.Fprintf(w, "Wide-group fanout: 1 sender, %d B messages, pipeline %d, GOMAXPROCS=%d\n",
 		cfg.MsgSize, cfg.Pipeline, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-8s %-8s %-10s %-12s %-11s %-11s %-11s %-11s %-9s %-8s %-8s\n",
-		"members", "mode", "msgs/s", "delivKB/s", "hold p50", "hold p99", "wait p99", "offlck p99", "ringwait", "shbatch", "speedup")
+	fmt.Fprintf(w, "%-8s %-10s %-12s %-11s %-11s %-11s %-11s %-9s %-8s\n",
+		"members", "msgs/s", "delivKB/s", "hold p50", "hold p99", "wait p99", "offlck p99", "ringwait", "shbatch")
 	for _, p := range points {
-		fmt.Fprintf(w, "%-8d %-8s %-10.0f %-12.0f %-11s %-11s %-11s %-11s %-9d %-8.1f %-8.2f\n",
-			p.Members, p.Mode, p.MsgsPerSec, p.DeliveredKBps,
+		fmt.Fprintf(w, "%-8d %-10.0f %-12.0f %-11s %-11s %-11s %-11s %-9d %-8.1f\n",
+			p.Members, p.MsgsPerSec, p.DeliveredKBps,
 			nsCell(p.LockHoldP50Ns), nsCell(p.LockHoldP99Ns),
 			nsCell(p.LockWaitP99Ns), nsCell(p.OfflockP99Ns),
-			p.RingWaits, p.AvgShardBatch, p.DeliveredSpeedup)
+			p.RingWaits, p.AvgShardBatch)
 	}
 }
 

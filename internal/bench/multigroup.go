@@ -145,7 +145,6 @@ func runMultigroupPoint(cfg MultigroupConfig, groups int, dir string) (Multigrou
 	payload := make([]byte, cfg.MsgSize)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	before := srv.Engine().Stats()
 	metricsBefore := srv.Engine().Metrics().Snapshot()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
@@ -175,12 +174,11 @@ func runMultigroupPoint(cfg MultigroupConfig, groups int, dir string) (Multigrou
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
-	after := srv.Engine().Stats()
 	metricsAfter := srv.Engine().Metrics().Snapshot()
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 
-	msgs := after.Bcasts - before.Bcasts
+	msgs := metricsAfter.Counters["engine.bcasts"] - metricsBefore.Counters["engine.bcasts"]
 	secs := elapsed.Seconds()
 	p := MultigroupPoint{
 		Groups:       groups,

@@ -136,7 +136,6 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	payload := make([]byte, cfg.MsgSize)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	before := srv.Engine().Stats()
 	metricsBefore := srv.Engine().Metrics().Snapshot()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
@@ -167,13 +166,12 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
-	after := srv.Engine().Stats()
 	metricsAfter := srv.Engine().Metrics().Snapshot()
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 
-	msgs := after.Bcasts - before.Bcasts
-	delivered := after.Delivered - before.Delivered
+	msgs := metricsAfter.Counters["engine.bcasts"] - metricsBefore.Counters["engine.bcasts"]
+	delivered := metricsAfter.Counters["engine.delivered"] - metricsBefore.Counters["engine.delivered"]
 	secs := elapsed.Seconds()
 	res := ThroughputResult{
 		IngestedKBps:  float64(msgs) * float64(cfg.MsgSize) / 1024 / secs,

@@ -912,11 +912,15 @@ func (s *Server) releaseDirected(group string) {
 }
 
 // loadReport snapshots this server's load for the coordinator's placement
-// tracker. Stats reads are plain atomic loads, so this is safe on the
-// heartbeat path.
+// tracker. A metrics snapshot is plain atomic loads — no engine lock — so
+// this is safe on the heartbeat path.
 func (s *Server) loadReport() wire.LoadReport {
-	st := s.engine.Stats()
-	return wire.LoadReport{Groups: st.Groups, Sessions: st.Sessions, Bcasts: st.Bcasts}
+	m := s.engine.Metrics().Snapshot()
+	return wire.LoadReport{
+		Groups:   uint64(m.Gauges["engine.groups"]),
+		Sessions: uint64(m.Gauges["engine.sessions"]),
+		Bcasts:   m.Counters["engine.bcasts"],
+	}
 }
 
 // becomeBackup answers a coordinator backup designation: acquire the group

@@ -773,7 +773,7 @@ func TestAutoReduce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := srv.Engine().Stats().Reductions; n == 0 {
+	if n := srv.Engine().Metrics().Snapshot().Counters["engine.reductions"]; n == 0 {
 		t.Error("auto-reduction never fired")
 	}
 	// State must still be complete.
@@ -911,8 +911,7 @@ func TestManyClientsFanout(t *testing.T) {
 			}
 		}
 	}
-	stats := srv.Engine().Stats()
-	if stats.Delivered < uint64(n*msgs) {
-		t.Errorf("Delivered = %d, want >= %d", stats.Delivered, n*msgs)
+	if delivered := srv.Engine().Metrics().Snapshot().Counters["engine.delivered"]; delivered < uint64(n*msgs) {
+		t.Errorf("engine.delivered = %d, want >= %d", delivered, n*msgs)
 	}
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,40 +29,35 @@ func newFaultEngine(t *testing.T, dir string, fs *faultfs.FS) *Engine {
 	return e
 }
 
-// applyDeferred sequences one event with a deferred ack and returns the
-// commit outcome the sender would see: nil for a BcastAck, the commit
-// error for a CodeNotDurable nack.
-func applyDeferred(t *testing.T, e *Engine, group, data string) error {
+// applyDeferred multicasts one event from a SyncAlways sender and returns
+// the commit outcome that sender sees: nil for a BcastAck, the nack's text
+// for a CodeNotDurable error.
+func applyDeferred(t *testing.T, e *Engine, c *rigClient, data string) error {
 	t.Helper()
-	done := make(chan error, 1)
-	e.mu.RLock()
-	g, ok := e.reg.Get(group)
-	if !ok {
-		e.mu.RUnlock()
-		t.Fatal("group missing")
-	}
-	grt := e.groups[group]
-	grt.mu.Lock()
-	if e.fanout != nil && !grt.ring.tryAcquire() {
-		grt.mu.Unlock()
-		e.mu.RUnlock()
-		t.Fatal("fanout ring full")
-	}
-	ev := wire.Event{Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(data)}
-	ev.Seq, ev.Time = e.seqr.Next(group)
-	deferred := e.applyAndFanout(group, g, grt, ev, true, func(err error) { done <- err })
-	grt.mu.Unlock()
-	e.mu.RUnlock()
-	if !deferred {
-		t.Fatal("SyncAlways ack not deferred to the commit callback")
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(5 * time.Second):
-		t.Fatal("commit callback never ran")
+	c.mu.Lock()
+	id := uint64(len(c.acks) + len(c.nacks) + 1)
+	c.mu.Unlock()
+	e.HandleMessage(c.sess, bcast(id, wire.EventUpdate, true, data))
+	waitFor(t, "commit outcome", func() bool { return c.replied(id) })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nack, nacked := c.nacks[id]
+	if !nacked {
 		return nil
 	}
+	if nack.Code != wire.CodeNotDurable {
+		t.Fatalf("multicast refused with %v: %s", nack.Code, nack.Text)
+	}
+	return errors.New(nack.Text)
+}
+
+// joinWriter registers the SyncAlways sender the degraded tests multicast
+// from.
+func joinWriter(t *testing.T, e *Engine) *rigClient {
+	t.Helper()
+	c := newRigClient(t, e, "writer")
+	c.join(t, e, "g", wire.RolePrincipal)
+	return c
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -86,19 +82,20 @@ func TestHonestNackOnCommitFailure(t *testing.T) {
 	if err := e.CreateGroupDirect("g", true, []wire.Object{{ID: "o", Data: []byte("base|")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := applyDeferred(t, e, "g", "pre|"); err != nil {
+	w := joinWriter(t, e)
+	if err := applyDeferred(t, e, w, "pre|"); err != nil {
 		t.Fatalf("healthy commit nacked: %v", err)
 	}
 
 	fs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: 1, Err: errors.New("transient fsync fault")})
-	if err := applyDeferred(t, e, "g", "lost|"); err == nil {
+	if err := applyDeferred(t, e, w, "lost|"); err == nil {
 		t.Fatal("commit with failing fsync was acked")
 	}
 
 	// The event after the failure is acked — and must survive restart even
 	// though the nacked event burned a sequence number (the floor
 	// checkpoint covers the gap).
-	if err := applyDeferred(t, e, "g", "post|"); err != nil {
+	if err := applyDeferred(t, e, w, "post|"); err != nil {
 		t.Fatalf("commit after transient fault nacked: %v", err)
 	}
 	if e.Degraded() {
@@ -135,14 +132,15 @@ func TestDegradedEntryAndRecovery(t *testing.T) {
 	if err := e.CreateGroupDirect("g", true, []wire.Object{{ID: "o", Data: []byte("base|")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := applyDeferred(t, e, "g", "pre|"); err != nil {
+	w := joinWriter(t, e)
+	if err := applyDeferred(t, e, w, "pre|"); err != nil {
 		t.Fatalf("healthy commit nacked: %v", err)
 	}
 
 	// Sticky fsync fault: the first failed batch seals and rolls, the
 	// floor checkpoint's commit then fails on the fresh segment — terminal.
 	fs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: -1, Err: errors.New("medium error")})
-	if err := applyDeferred(t, e, "g", "doomed|"); err == nil {
+	if err := applyDeferred(t, e, w, "doomed|"); err == nil {
 		t.Fatal("commit with failing fsync was acked")
 	}
 	waitFor(t, "degraded entry", e.Degraded)
@@ -155,7 +153,7 @@ func TestDegradedEntryAndRecovery(t *testing.T) {
 
 	// Still serving (memory-only): multicasts sequence and apply, but a
 	// SyncAlways sender keeps getting honest nacks.
-	if err := applyDeferred(t, e, "g", "memory|"); !errors.Is(err, wal.ErrLogFailed) {
+	if err := applyDeferred(t, e, w, "memory|"); err == nil || !strings.Contains(err.Error(), wal.ErrLogFailed.Error()) {
 		t.Fatalf("degraded commit outcome = %v, want ErrLogFailed", err)
 	}
 
@@ -169,7 +167,7 @@ func TestDegradedEntryAndRecovery(t *testing.T) {
 	if _, healthy := e.Metrics().CheckHealth(); !healthy {
 		t.Fatal("healthz red after recovery")
 	}
-	if err := applyDeferred(t, e, "g", "after|"); err != nil {
+	if err := applyDeferred(t, e, w, "after|"); err != nil {
 		t.Fatalf("commit after recovery nacked: %v", err)
 	}
 	if err := e.Close(); err != nil {
@@ -202,7 +200,7 @@ func TestDegradedShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: -1, Err: errors.New("dead disk")})
-	_ = applyDeferred(t, e, "g", "x|")
+	_ = applyDeferred(t, e, joinWriter(t, e), "x|")
 	waitFor(t, "degraded entry", e.Degraded)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

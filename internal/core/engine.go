@@ -87,9 +87,7 @@ type EngineConfig struct {
 	PriorityOf func(group string) Priority
 	// FanoutShards sets the width of the off-lock delivery pipeline: the
 	// number of fanout workers the receiver sets are sharded over. 0
-	// picks a default from GOMAXPROCS; negative disables the pipeline
-	// and fans out under the group mutex (the pre-pipeline lock shape,
-	// kept for A/B benchmarking).
+	// picks a default from GOMAXPROCS; negative is a configuration error.
 	FanoutShards int
 	// Metrics is the registry the engine hangs its instruments on.
 	// cmd/coronad passes obs.Default so they show up at -debug-addr;
@@ -161,9 +159,9 @@ type walLog interface {
 // Locking protocol. e.mu guards the registries (reg, states, groups,
 // sessions, locks, nextClient, closed). Operations that mutate them — group
 // create/delete, join/leave, session add/drop, lock ops, log reduction —
-// take it in write mode. The multicast path (handleBcast, ApplyDistribute,
-// ApplyEvents) takes it in read mode plus the target group's mutex from
-// its groupRuntime, so multicasts to disjoint groups run in parallel while
+// take it in write mode. The multicast path (multicast.go) takes it in read
+// mode plus the target group's mutex from its groupRuntime, so multicasts
+// to disjoint groups run in parallel while
 // any write-mode operation still excludes every multicast (which is what
 // makes JoinAck-before-Deliver and snapshot consistency trivial). Order:
 // e.mu before a group mutex; a group mutex is only ever held together with
@@ -188,8 +186,7 @@ type Engine struct {
 	nextClient uint64
 	closed     bool
 
-	// fanout is the off-lock delivery pool, nil when FanoutShards < 0
-	// (inline fanout under the group mutex). stopped is closed by Close
+	// fanout is the off-lock delivery pool. stopped is closed by Close
 	// and wakes senders blocked on a full fanout ring. reporter owns the
 	// single error-logging goroutine the locked paths enqueue to.
 	fanout   *fanoutPool
@@ -207,8 +204,8 @@ type Engine struct {
 	lowLSN map[string]uint64
 
 	// Instruments live outside e.mu: all counters are atomic, so the
-	// multicast hot path and Stats pollers never contend on the engine
-	// lock (the old mutex-guarded stat fields did).
+	// multicast hot path and metrics pollers never contend on the engine
+	// lock.
 	metrics           *obs.Registry
 	mBcasts           *obs.Counter
 	mDelivered        *obs.Counter
@@ -241,26 +238,12 @@ type Engine struct {
 	hDeliveryBatch    *obs.Histogram
 }
 
-// Stats is a snapshot of engine counters.
-//
-// Deprecated: Stats mirrors a fixed subset of the engine's instruments
-// for compatibility. New code should read Metrics().Snapshot(), which
-// also carries the latency histograms.
-type Stats struct {
-	Sessions  uint64
-	Groups    uint64
-	Bcasts    uint64
-	Delivered uint64
-	// Dropped counts sessions whose connection failed mid-send (slow
-	// consumers over quota and crashed clients caught during fanout).
-	Dropped uint64
-	// Reductions counts state-log reductions performed.
-	Reductions uint64
-}
-
 // NewEngine builds an engine and, when a directory is configured, recovers
 // the persistent groups from the stable-storage log.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
+	if cfg.FanoutShards < 0 {
+		return nil, fmt.Errorf("core: FanoutShards %d is negative", cfg.FanoutShards)
+	}
 	if cfg.ServerID == 0 {
 		cfg.ServerID = 1
 	}
@@ -318,9 +301,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		hDeliveryBatch:    metrics.Histogram("engine.delivery_batch_size"),
 	}
 	e.reporter = newErrReporter(e.log, e.mLogDrops)
-	if w := fanoutWidth(cfg.FanoutShards); w > 0 {
-		e.fanout = newFanoutPool(e, w)
-	}
+	e.fanout = newFanoutPool(e, fanoutWidth(cfg.FanoutShards))
 	if cfg.Dir != "" && !cfg.Stateless {
 		l, err := wal.Open(wal.Options{
 			Dir: cfg.Dir, Sync: cfg.Sync,
@@ -397,9 +378,7 @@ func (e *Engine) Close() error {
 	for _, s := range sessions {
 		s.close()
 	}
-	if e.fanout != nil {
-		e.fanout.close()
-	}
+	e.fanout.close()
 	// Wait out the degraded-mode reopen loop before touching the log: it
 	// may be mid-swap of e.wal. closed is set, so it exits promptly.
 	e.bg.Wait()
@@ -419,22 +398,6 @@ func (e *Engine) Stateless() bool { return e.cfg.Stateless }
 
 // ServerID returns the engine's server identity.
 func (e *Engine) ServerID() uint64 { return e.cfg.ServerID }
-
-// Stats returns a snapshot of the engine counters. It reads only atomic
-// instruments — no engine lock — so polling it never contends with the
-// multicast path.
-//
-// Deprecated: read Metrics().Snapshot() for the full instrument set.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Sessions:   uint64(e.gSessions.Load()),
-		Groups:     uint64(e.gGroups.Load()),
-		Bcasts:     e.mBcasts.Load(),
-		Delivered:  e.mDelivered.Load(),
-		Dropped:    e.mDropped.Load(),
-		Reductions: e.mReduced.Load(),
-	}
-}
 
 // newClientID composes a globally unique client ID from the server ID and a
 // local counter. Caller holds e.mu.
@@ -640,35 +603,13 @@ func (e *Engine) failSession(s *Session, reason error) {
 }
 
 // fanoutWidth resolves the FanoutShards setting: 0 means a GOMAXPROCS-
-// derived default, negative means inline fanout (width 0), and explicit
-// widths are clamped to maxFanoutShards.
+// derived default between 2 and 8, and explicit widths are clamped to
+// maxFanoutShards.
 func fanoutWidth(configured int) int {
-	w := configured
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w < 2 {
-			w = 2
-		}
-		if w > 8 {
-			w = 8
-		}
+	if configured == 0 {
+		return min(max(runtime.GOMAXPROCS(0), 2), 8)
 	}
-	if w < 0 {
-		return 0
-	}
-	if w > maxFanoutShards {
-		return maxFanoutShards
-	}
-	return w
-}
-
-// snapWidth is the number of buckets receiver snapshots are built with:
-// the pool width, or one when fanout runs inline.
-func (e *Engine) snapWidth() int {
-	if e.fanout == nil {
-		return 1
-	}
-	return e.fanout.width()
+	return min(configured, maxFanoutShards)
 }
 
 // ensureGroupRuntime returns the group's runtime, creating it (with an
@@ -677,9 +618,9 @@ func (e *Engine) snapWidth() int {
 func (e *Engine) ensureGroupRuntime(name string) *groupRuntime {
 	grt := e.groups[name]
 	if grt == nil {
-		grt = &groupRuntime{snap: &fanoutSnap{buckets: make([][]fanoutTarget, e.snapWidth())}}
-		if e.fanout != nil {
-			grt.ring = newFanoutRing()
+		grt = &groupRuntime{
+			ring: newFanoutRing(),
+			snap: &fanoutSnap{buckets: make([][]fanoutTarget, e.fanout.width())},
 		}
 		e.groups[name] = grt
 	}
@@ -698,7 +639,7 @@ func (e *Engine) rebuildFanoutLocked(name string) {
 	if grt == nil {
 		return
 	}
-	w := e.snapWidth()
+	w := e.fanout.width()
 	snap := &fanoutSnap{buckets: make([][]fanoutTarget, w)}
 	if g, ok := e.reg.Get(name); ok {
 		for _, id := range g.MemberIDs() {
@@ -777,13 +718,7 @@ func (e *Engine) recordLockHold(holdNs int64, n int) {
 // must come after every Deliver the member is still owed. Caller holds
 // e.mu in write mode, which orders the push after every earlier fanout
 // push and before every later one. Control entries bypass ring credits.
-// In inline mode (no pipeline) the reply is enqueued directly, which is
-// already ordered because inline fanout happens under the same locks.
 func (e *Engine) sendControlLocked(s *Session, msg wire.Message, high bool) {
-	if e.fanout == nil {
-		s.sendShared(transport.NewSharedFrame(msg), high)
-		return
-	}
 	ent := newFanoutEntry()
 	ent.frame = transport.NewSharedFrame(msg)
 	ent.targets = append(ent.targets, fanoutTarget{id: s.ID, sess: s})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/bits"
 	"sort"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"corona/internal/transport"
+	"corona/internal/wire"
 )
 
 // This file implements the off-lock delivery pipeline: the group critical
@@ -40,7 +40,7 @@ import (
 // therefore cannot outrun delivery.
 
 // fanoutRingCap bounds each group's in-flight fanout entries (an entry is
-// one event or one ingest batch). A var, not a const, so tests can shrink
+// one run of events). A var, not a const, so tests can shrink
 // it to drive the backpressure path deterministically.
 var fanoutRingCap = 256
 
@@ -57,8 +57,13 @@ const maxFanoutShards = 32
 // pointer, and the pointed-to snapshot is immutable.
 type groupRuntime struct {
 	mu   sync.Mutex
-	ring *fanoutRing // nil when the engine runs inline fanout
+	ring *fanoutRing
 	snap *fanoutSnap
+	// fanoutRun's scratch, guarded by mu: the run's applied events, the
+	// senders it excludes, and one excluded sender's filtered view.
+	evs  []wire.Event
+	excl []uint64
+	own  []wire.Event
 	// floorPending dedupes the floor checkpoint a failed commit schedules
 	// to re-establish the group's durability floor (degraded.go).
 	floorPending bool
@@ -144,7 +149,7 @@ func (sn *fanoutSnap) has(id uint64) bool {
 	return i < len(b) && b[i].id == id
 }
 
-// specialFrame is a per-receiver replacement frame inside a batch entry: a
+// specialFrame is a per-receiver replacement frame inside an entry: a
 // receiver that sent sender-exclusive events of the run gets its filtered
 // frame instead of the shared one (nil frame: it gets nothing).
 type specialFrame struct {
@@ -164,9 +169,8 @@ type fanoutEntry struct {
 	snap *fanoutSnap
 	ring *fanoutRing // credit returned at finalize; nil for control entries
 
-	frame   *transport.SharedFrame
-	events  uint32 // events per shared frame, for the delivered counter
-	excl    uint64 // session to skip (sender-exclusive), 0 = none
+	frame   *transport.SharedFrame // nil when every receiver has a special
+	events  uint32                 // events per shared frame, for the delivered counter
 	special []specialFrame
 
 	// targets, when non-nil, routes a control frame (LeaveAck, membership
@@ -183,9 +187,6 @@ type fanoutEntry struct {
 // frameFor picks the frame the receiver gets from a deliver entry, nil for
 // none.
 func (ent *fanoutEntry) frameFor(id uint64) (*transport.SharedFrame, uint32) {
-	if ent.excl == id {
-		return nil, 0
-	}
 	for i := range ent.special {
 		if ent.special[i].id == id {
 			return ent.special[i].frame, ent.special[i].events
@@ -299,7 +300,7 @@ func recycleFanoutEntry(ent *fanoutEntry) {
 		ent.targets[i] = fanoutTarget{}
 	}
 	ent.snap, ent.ring, ent.frame = nil, nil, nil
-	ent.events, ent.excl = 0, 0
+	ent.events = 0
 	ent.special = ent.special[:0]
 	ent.targets = nil
 	ent.high = false
@@ -439,21 +440,13 @@ func (sh *fanoutShard) deliverRun(run []*fanoutEntry) {
 		if len(frames) == 0 {
 			continue
 		}
-		admitted, err := t.sess.pump.SendSharedRun(frames, high)
+		admitted := t.sess.sendSharedRun(frames, high)
 		var delivered uint64
 		for k := 0; k < admitted; k++ {
 			delivered += uint64(counts[k])
 			e.hDeliveryBatch.Record(int64(counts[k]))
 		}
 		e.mDelivered.Add(delivered)
-		if err != nil {
-			for k := admitted; k < len(frames); k++ {
-				frames[k].Release()
-			}
-			if !errors.Is(err, transport.ErrPumpClosed) {
-				go e.failSession(t.sess, err)
-			}
-		}
 	}
 	for _, ent := range run {
 		sh.pool.complete(ent)

@@ -209,30 +209,12 @@ func TestFanoutSnapshotRebuild(t *testing.T) {
 	}
 }
 
-func TestInlineModeHasNoPool(t *testing.T) {
-	e, err := NewEngine(EngineConfig{FanoutShards: -1, Logger: quietTestLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.fanout != nil {
-		t.Fatal("inline mode built a fanout pool")
-	}
-	if err := e.CreateGroupDirect("g", false, nil); err != nil {
-		t.Fatal(err)
-	}
-	e.mu.RLock()
-	grt := e.groups["g"]
-	e.mu.RUnlock()
-	if grt.ring != nil {
-		t.Fatal("inline mode built a fanout ring")
-	}
-	if len(grt.snap.buckets) != 1 {
-		t.Fatalf("inline snapshot width = %d, want 1", len(grt.snap.buckets))
-	}
-	// The pipeline-shaped entry points still work.
-	if err := e.ApplyDistribute("g", distEvent(1), true, 0); err != nil {
-		t.Fatal(err)
+// TestNegativeFanoutShardsRejected: the inline-fanout mode is gone, and its
+// old spelling is a configuration error rather than a silent default.
+func TestNegativeFanoutShardsRejected(t *testing.T) {
+	if e, err := NewEngine(EngineConfig{FanoutShards: -1, Logger: quietTestLogger()}); err == nil {
+		e.Close()
+		t.Fatal("NewEngine accepted FanoutShards = -1")
 	}
 }
 

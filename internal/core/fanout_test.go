@@ -15,9 +15,9 @@ import (
 
 // These tests pin the ordering contract of the off-lock fanout pipeline:
 // group total order and per-sender FIFO at every receiver — including slow
-// ones — and no delivery after a leave is acknowledged. Each runs against
-// both the sharded pipeline and the inline baseline (FanoutShards < 0), so
-// the two lock shapes are held to the same contract.
+// ones — and no delivery after a leave is acknowledged. Each runs at two
+// pipeline widths, so receivers spread over several shards and receivers
+// sharing one are held to the same contract.
 
 // orderSink records deliveries and verifies ordering invariants.
 type orderSink struct {
@@ -85,9 +85,9 @@ func checkOrdering(t *testing.T, who string, evs []wire.Event) {
 }
 
 func fanoutModes() map[string]int {
-	// 4 shards forces multi-shard fanout even on small CI hosts; -1 is the
-	// inline fanout-under-lock baseline.
-	return map[string]int{"sharded": 4, "inline": -1}
+	// 4 shards forces multi-shard fanout even on small CI hosts; 1 puts
+	// every receiver behind the same worker.
+	return map[string]int{"sharded": 4, "one-shard": 1}
 }
 
 func TestFanoutOrderingStress(t *testing.T) {

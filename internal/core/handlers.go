@@ -12,18 +12,20 @@ import (
 	"corona/internal/wire"
 )
 
-// HandleMessage dispatches one client request. Bcast is included: in a
-// single server it is sequenced locally; when Hooks.Forward is set it is
-// validated and forwarded to the coordinator. Replies flow through the
-// session's pump. Unknown or malformed requests earn an ErrorMsg, never a
-// disconnect, so one buggy client request cannot kill a session silently.
+// HandleMessage dispatches one client request. Bcast is included — a run of
+// one on the multicast path (multicast.go): in a single server it is
+// sequenced locally; when Hooks.Forward is set it is validated and
+// forwarded to the coordinator. Replies flow through the session's pump.
+// Unknown or malformed requests earn an ErrorMsg, never a disconnect, so
+// one buggy client request cannot kill a session silently. Requests of one
+// session are handled one at a time, on its read goroutine.
 func (e *Engine) HandleMessage(s *Session, msg wire.Message) {
 	if e.cfg.Hooks.Intercept != nil && e.cfg.Hooks.Intercept(s, msg) {
 		return
 	}
 	switch m := msg.(type) {
 	case *wire.Bcast:
-		e.handleBcast(s, m)
+		e.bcastRun(s, []*wire.Bcast{m})
 	case *wire.Join:
 		e.handleJoin(s, m)
 	case *wire.Leave:
@@ -43,16 +45,16 @@ func (e *Engine) HandleMessage(s *Session, msg wire.Message) {
 	case *wire.ReduceLog:
 		e.handleReduceLog(s, m)
 	case *wire.Ping:
-		s.send(&wire.Pong{Nonce: m.Nonce})
+		s.Send(&wire.Pong{Nonce: m.Nonce})
 	case *wire.Pong:
 		// Heartbeat reply; nothing to do.
 	default:
-		s.send(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: fmt.Sprintf("unexpected %s", msg.Kind())})
+		s.Send(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: fmt.Sprintf("unexpected %s", msg.Kind())})
 	}
 }
 
 func (s *Session) sendErr(reqID uint64, code wire.ErrCode, text string) {
-	s.send(&wire.ErrorMsg{RequestID: reqID, Code: code, Text: text})
+	s.Send(&wire.ErrorMsg{RequestID: reqID, Code: code, Text: text})
 }
 
 // errCode maps membership errors onto protocol codes.
@@ -80,7 +82,7 @@ func (e *Engine) handleCreate(s *Session, m *wire.CreateGroup) {
 		s.sendErr(m.RequestID, errCode(err), err.Error())
 		return
 	}
-	s.send(&wire.CreateGroupAck{RequestID: m.RequestID})
+	s.Send(&wire.CreateGroupAck{RequestID: m.RequestID})
 }
 
 // createLocked registers a group and its initial state. Caller holds e.mu.
@@ -126,7 +128,7 @@ func (e *Engine) handleDelete(s *Session, m *wire.DeleteGroup) {
 	e.cleanupGroupLocked(m.Group)
 	e.syncGroupsGauge()
 	e.metrics.Event("core", fmt.Sprintf("group %q deleted", m.Group))
-	s.send(&wire.DeleteGroupAck{RequestID: m.RequestID})
+	s.Send(&wire.DeleteGroupAck{RequestID: m.RequestID})
 }
 
 // DeleteGroupDirect removes a group without a client session (replicated
@@ -342,433 +344,13 @@ func (e *Engine) handleGetMembership(s *Session, m *wire.GetMembership) {
 		s.sendErr(m.RequestID, wire.CodeNoSuchGroup, "no such group")
 		return
 	}
-	s.send(&wire.MembershipInfo{RequestID: m.RequestID, Group: m.Group, Members: e.membersLocked(m.Group, g)})
+	s.Send(&wire.MembershipInfo{RequestID: m.RequestID, Group: m.Group, Members: e.membersLocked(m.Group, g)})
 }
 
 func (e *Engine) handleListGroups(s *Session, m *wire.ListGroups) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	s.send(&wire.GroupList{RequestID: m.RequestID, Groups: e.reg.Names()})
-}
-
-func (e *Engine) handleBcast(s *Session, m *wire.Bcast) {
-	// Fast path: validate, sequence, and push the fanout entry under one
-	// read-lock span. Done is false only when the group's fanout ring was
-	// full — then wait for a delivery slot off-lock (no engine lock held,
-	// so deliveries and unrelated groups proceed) and retry.
-	e.mu.RLock()
-	ring, done := e.bcastLocked(s, m, nil)
-	e.mu.RUnlock()
-	for !done {
-		var credit *fanoutRing
-		switch e.waitFanoutSpace(ring) {
-		case waitGot:
-			credit = ring
-		case waitRetry:
-			// Ring closed (group deleted/migrated mid-wait); revalidate.
-		case waitStopped:
-			s.sendErr(m.RequestID, wire.CodeInternal, "server shutting down")
-			return
-		}
-		e.mu.RLock()
-		ring, done = e.bcastLocked(s, m, credit)
-		e.mu.RUnlock()
-	}
-}
-
-// bcastLocked runs one Bcast attempt under e.mu (read mode). credit, when
-// non-nil, is a fanout-ring slot the caller already holds; bcastLocked takes
-// ownership and either uses it (if it belongs to the group's current ring)
-// or releases it. Returns done=false with the ring to wait on when the ring
-// was full; every other outcome (success or client error) returns done=true.
-func (e *Engine) bcastLocked(s *Session, m *wire.Bcast, credit *fanoutRing) (*fanoutRing, bool) {
-	g, ok := e.reg.Get(m.Group)
-	if !ok {
-		e.releaseCredit(credit)
-		s.sendErr(m.RequestID, wire.CodeNoSuchGroup, "no such group")
-		return nil, true
-	}
-	if !g.Has(s.ID) {
-		e.releaseCredit(credit)
-		s.sendErr(m.RequestID, wire.CodeNotMember, "only members may multicast")
-		return nil, true
-	}
-	if !m.EvKind.Valid() {
-		e.releaseCredit(credit)
-		s.sendErr(m.RequestID, wire.CodeBadRequest, "invalid event kind")
-		return nil, true
-	}
-	if mi, ok := g.Member(s.ID); ok && mi.Role == wire.RoleObserver {
-		e.releaseCredit(credit)
-		s.sendErr(m.RequestID, wire.CodeDenied, "observers may not modify shared state")
-		return nil, true
-	}
-
-	ev := wire.Event{
-		Kind:     m.EvKind,
-		ObjectID: m.ObjectID,
-		Data:     m.Data,
-		Sender:   s.ID,
-	}
-
-	if e.cfg.Hooks.Forward != nil {
-		// Replicated service: the coordinator sequences; the ack is
-		// sent when the event returns via ApplyDistribute.
-		e.releaseCredit(credit)
-		if err := e.cfg.Hooks.Forward(m.Group, ev, m.SenderInclusive, m.RequestID); err != nil {
-			s.sendErr(m.RequestID, wire.CodeInternal, err.Error())
-		}
-		return nil, true
-	}
-
-	// Reserve the delivery slot before entering the critical section so a
-	// full ring never blocks while the group mutex is held.
-	grt := e.groups[m.Group]
-	if e.fanout != nil {
-		if credit != grt.ring {
-			e.releaseCredit(credit)
-			if !grt.ring.tryAcquire() {
-				return grt.ring, false
-			}
-		}
-	} else {
-		e.releaseCredit(credit)
-	}
-
-	// Sequence, apply, and enqueue the fanout under the group's own mutex:
-	// bcasts into disjoint groups proceed in parallel, while this group's
-	// total order stays serialized. The critical section is now
-	// sequence+apply+persist-enqueue+ring-push — delivery runs off-lock.
-	waitStart := time.Now()
-	grt.mu.Lock()
-	e.hLockWait.Record(time.Since(waitStart).Nanoseconds())
-	e.hIngestBatch.Record(1)
-	holdStart := time.Now()
-	ev.Seq, ev.Time = e.seqr.Next(m.Group)
-	ackDeferred := e.applyAndFanout(m.Group, g, grt, ev, m.SenderInclusive, func(err error) {
-		if err != nil {
-			e.mBcastNacks.Inc()
-			s.sendErr(m.RequestID, wire.CodeNotDurable, "multicast delivered but not durable: "+err.Error())
-			return
-		}
-		s.send(&wire.BcastAck{RequestID: m.RequestID, Seq: ev.Seq})
-	})
-	grt.mu.Unlock()
-	e.hLockHold.Record(time.Since(holdStart).Nanoseconds())
-	if !ackDeferred {
-		s.send(&wire.BcastAck{RequestID: m.RequestID, Seq: ev.Seq})
-	}
-	return nil, true
-}
-
-// applyAndFanout folds a sequenced event into the group state, enqueues the
-// delivery on the group's fanout ring (sharded mode) or fans it out inline
-// (baseline mode), and queues the event record for group commit. The fanout
-// runs in parallel with disk logging (paper §6): receivers may see an event
-// whose record a crash then loses — the paper accepts losing the latest
-// unflushed updates. When onCommit is non-nil and the engine defers
-// acknowledgement until durability (SyncAlways on a persistent group), the
-// callback is handed to the WAL group-commit writer — invoked with nil once
-// the record is durable, or with the commit error for an honest nack — and
-// applyAndFanout reports true; otherwise the caller acknowledges
-// immediately.
-//
-// Caller holds e.mu (read mode suffices) and the group's mutex. In sharded
-// mode the caller has already acquired one credit of grt.ring; applyAndFanout
-// owns it from here — the pushed entry carries it to the fanout worker's
-// finalize, and every non-push outcome releases it.
-//
-// The Deliver frame is encoded here, under the group mutex: ev.Data may
-// alias the sender connection's read buffer, which is reused as soon as the
-// sender's next request is read — so the bytes must be serialized before the
-// critical section ends (zero-copy ingest contract, DESIGN §4).
-func (e *Engine) applyAndFanout(name string, g *membership.Group, grt *groupRuntime, ev wire.Event, senderInclusive bool, onCommit func(err error)) (ackDeferred bool) {
-	start := time.Now()
-	defer func() { e.hFanout.Record(time.Since(start).Nanoseconds()) }()
-	e.mBcasts.Inc()
-	st := e.getState(name)
-	if st != nil {
-		if err := st.Apply(ev); err != nil {
-			// A sequencing bug; keep serving. Callers hold e.mu and the
-			// group mutex, where blocking log I/O is forbidden (lockhold):
-			// the counter and trace ring carry the in-band signal and the
-			// loud slog line runs from the reporter's goroutine.
-			e.mApplyErrors.Inc()
-			e.metrics.Event("core", fmt.Sprintf("apply failed: group=%s seq=%d: %v", name, ev.Seq, err))
-			e.reporter.report("apply failed", name, ev.Seq, err)
-			if e.fanout != nil {
-				e.releaseCredit(grt.ring)
-			}
-			return false
-		}
-	}
-
-	high := false
-	if e.cfg.PriorityOf != nil {
-		high = e.cfg.PriorityOf(name) == PriorityHigh
-	}
-	snap := grt.snap
-	recv := snap.size
-	if !senderInclusive && snap.has(ev.Sender) {
-		recv--
-	}
-	if e.fanout == nil {
-		e.fanoutInline(name, snap, ev, senderInclusive, high, recv)
-	} else if recv == 0 {
-		e.releaseCredit(grt.ring)
-	} else {
-		ent := newFanoutEntry()
-		ent.snap = snap
-		ent.ring = grt.ring
-		ent.frame = transport.NewSharedFrame(&wire.Deliver{Group: name, Event: ev})
-		ent.events = 1
-		if !senderInclusive {
-			ent.excl = ev.Sender
-		}
-		ent.high = high
-		if !e.fanout.push(ent) {
-			// Pool shutting down: nothing to deliver to anyway.
-			recycleFanoutEntry(ent)
-			e.releaseCredit(grt.ring)
-		}
-	}
-
-	if st != nil {
-		ackDeferred = e.persistEvent(name, g.Persistent, ev, onCommit)
-		// The checkpoint record a reduction appends enters the commit
-		// queue after the event record above, preserving log order.
-		if t := e.cfg.AutoReduceThreshold; t > 0 && st.HistoryLen() > t {
-			e.reduceLocked(name, g, st, 0)
-		}
-	}
-	return ackDeferred
-}
-
-// fanoutInline is the pre-pipeline baseline (FanoutShards < 0): fan the
-// delivery out to every receiver while the group mutex is held. Kept for
-// A/B benchmarking of lock-hold scaling. Caller holds e.mu and grt.mu.
-func (e *Engine) fanoutInline(name string, snap *fanoutSnap, ev wire.Event, senderInclusive bool, high bool, recv int) {
-	if recv == 0 {
-		return
-	}
-	frame := transport.NewSharedFrame(&wire.Deliver{Group: name, Event: ev})
-	for _, bucket := range snap.buckets {
-		for _, t := range bucket {
-			if t.id == ev.Sender && !senderInclusive {
-				continue
-			}
-			frame.Retain()
-			t.sess.sendShared(frame, high)
-			e.mDelivered.Inc()
-		}
-	}
-	e.hDeliveryBatch.Record(1)
-	frame.Release()
-}
-
-// ErrSeqGap reports that a distributed event skipped ahead of the replica's
-// expected sequence number; the replicated frontend reacts by fetching the
-// missing suffix from a peer (the paper's crash-recovery retrieval of lost
-// updates).
-var ErrSeqGap = errors.New("core: distributed event leaves a sequence gap")
-
-// ApplyDistribute applies a coordinator-sequenced event on a replica server
-// and fans it out to local members. When the sender is local and reqID is
-// non-zero the pending BcastAck completes here. Events at or below the
-// replica's high-water mark are duplicates and are dropped silently (the
-// sender still gets its ack); events beyond it return ErrSeqGap.
-func (e *Engine) ApplyDistribute(group string, ev wire.Event, senderInclusive bool, reqID uint64) error {
-	e.mu.RLock()
-	ring, done, err := e.applyDistributeLocked(group, ev, senderInclusive, reqID, nil)
-	e.mu.RUnlock()
-	for !done {
-		var credit *fanoutRing
-		switch e.waitFanoutSpace(ring) {
-		case waitGot:
-			credit = ring
-		case waitRetry:
-		case waitStopped:
-			return ErrEngineClosed
-		}
-		e.mu.RLock()
-		ring, done, err = e.applyDistributeLocked(group, ev, senderInclusive, reqID, credit)
-		e.mu.RUnlock()
-	}
-	return err
-}
-
-// applyDistributeLocked is one ApplyDistribute attempt under e.mu (read
-// mode). Credit ownership follows bcastLocked: a non-nil credit is consumed
-// or released here; done=false means the ring was full and the caller should
-// wait on it off-lock and retry.
-func (e *Engine) applyDistributeLocked(group string, ev wire.Event, senderInclusive bool, reqID uint64, credit *fanoutRing) (*fanoutRing, bool, error) {
-	g, ok := e.reg.Get(group)
-	if !ok {
-		e.releaseCredit(credit)
-		return nil, true, fmt.Errorf("%w: %q", membership.ErrNoSuchGroup, group)
-	}
-	grt := e.groups[group]
-	held := (*fanoutRing)(nil)
-	if e.fanout != nil {
-		if credit != grt.ring {
-			e.releaseCredit(credit)
-			if !grt.ring.tryAcquire() {
-				return grt.ring, false, nil
-			}
-		}
-		held = grt.ring
-	} else {
-		e.releaseCredit(credit)
-	}
-	grt.mu.Lock()
-	holdStart := time.Now()
-	if st := e.getState(group); st != nil {
-		// Read the high-water mark once while the group mutex is held:
-		// the return arguments below are evaluated after the Unlock, so a
-		// direct st.NextSeq() there would race with a concurrent apply.
-		next := st.NextSeq()
-		switch {
-		case ev.Seq < next:
-			grt.mu.Unlock()
-			e.releaseCredit(held)
-			e.ackDistributedLocked(ev, reqID)
-			return nil, true, nil
-		case ev.Seq > next:
-			grt.mu.Unlock()
-			e.releaseCredit(held)
-			return nil, true, fmt.Errorf("%w: got %d, want %d", ErrSeqGap, ev.Seq, next)
-		}
-	}
-	e.seqr.Observe(group, ev.Seq)
-	// The replicated path acknowledges inline: the coordinator already
-	// ordered the event, and the paper's ack contract binds durability to
-	// the sender's own server only for the single-server SyncAlways path.
-	e.applyAndFanout(group, g, grt, ev, senderInclusive, nil)
-	grt.mu.Unlock()
-	e.hLockHold.Record(time.Since(holdStart).Nanoseconds())
-	e.ackDistributedLocked(ev, reqID)
-	return nil, true, nil
-}
-
-// ackDistributedLocked completes a local sender's pending BcastAck. Caller
-// holds e.mu (read mode suffices).
-func (e *Engine) ackDistributedLocked(ev wire.Event, reqID uint64) {
-	if reqID == 0 {
-		return
-	}
-	if sender, ok := e.sessions[ev.Sender]; ok {
-		sender.send(&wire.BcastAck{RequestID: reqID, Seq: ev.Seq})
-	}
-}
-
-// ApplyEvents folds a caught-up event suffix into a replica (after an
-// ErrSeqGap fetch). Events already applied are skipped. The suffix is
-// chunked so the pre-acquired fanout credits per chunk stay well under the
-// ring capacity — a catch-up larger than the ring would otherwise deadlock
-// against its own undrained entries.
-func (e *Engine) ApplyEvents(group string, events []wire.Event) error {
-	for len(events) > 0 {
-		n := len(events)
-		if n > maxIngestBatch {
-			n = maxIngestBatch
-		}
-		if err := e.applyEventsChunk(group, events[:n]); err != nil {
-			return err
-		}
-		events = events[n:]
-	}
-	return nil
-}
-
-// acquireFanoutCredits reserves n delivery slots on the group's fanout ring
-// before the caller takes any engine lock, blocking off-lock as needed.
-// Returns how many credits were acquired and the ring they belong to; the
-// caller owns them. Inline mode acquires nothing.
-func (e *Engine) acquireFanoutCredits(group string, n int) (int, *fanoutRing, error) {
-	if e.fanout == nil {
-		return 0, nil, nil
-	}
-	e.mu.RLock()
-	grt, ok := e.groups[group]
-	e.mu.RUnlock()
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %q", membership.ErrNoSuchGroup, group)
-	}
-	ring := grt.ring
-	got := 0
-	for got < n {
-		if ring.tryAcquire() {
-			got++
-			continue
-		}
-		switch e.waitFanoutSpace(ring) {
-		case waitGot:
-			got++
-		case waitRetry:
-			// Ring closed under us: the group was deleted or migrated.
-			for ; got > 0; got-- {
-				ring.release()
-			}
-			return 0, nil, fmt.Errorf("%w: %q", membership.ErrNoSuchGroup, group)
-		case waitStopped:
-			for ; got > 0; got-- {
-				ring.release()
-			}
-			return 0, nil, ErrEngineClosed
-		}
-	}
-	return got, ring, nil
-}
-
-// applyEventsChunk applies one bounded slice of a catch-up suffix. Credits
-// for the whole chunk are acquired up front (off-lock); if the group's ring
-// changed identity before the locks were taken the credits belong to a dead
-// ring and the acquisition restarts.
-func (e *Engine) applyEventsChunk(group string, events []wire.Event) error {
-	for {
-		credits, ring, err := e.acquireFanoutCredits(group, len(events))
-		if err != nil {
-			return err
-		}
-		e.mu.RLock()
-		g, ok := e.reg.Get(group)
-		if !ok {
-			e.mu.RUnlock()
-			for ; credits > 0; credits-- {
-				ring.release()
-			}
-			return fmt.Errorf("%w: %q", membership.ErrNoSuchGroup, group)
-		}
-		grt := e.groups[group]
-		if e.fanout != nil && grt.ring != ring {
-			e.mu.RUnlock()
-			for ; credits > 0; credits-- {
-				ring.release()
-			}
-			continue
-		}
-		grt.mu.Lock()
-		st := e.getState(group)
-		used := 0
-		if st != nil {
-			for _, ev := range events {
-				if ev.Seq < st.NextSeq() {
-					continue
-				}
-				e.seqr.Observe(group, ev.Seq)
-				// applyAndFanout consumes one credit per call in
-				// sharded mode (push or release on its error paths).
-				e.applyAndFanout(group, g, grt, ev, true, nil)
-				used++
-			}
-		}
-		grt.mu.Unlock()
-		e.mu.RUnlock()
-		for ; credits > used; credits-- {
-			ring.release()
-		}
-		return nil
-	}
+	s.Send(&wire.GroupList{RequestID: m.RequestID, Groups: e.reg.Names()})
 }
 
 func (e *Engine) handleLockAcquire(s *Session, m *wire.LockAcquire) {
@@ -783,7 +365,7 @@ func (e *Engine) handleLockAcquire(s *Session, m *wire.LockAcquire) {
 	if queued {
 		return // reply comes later as a granted LockReply
 	}
-	s.send(&wire.LockReply{RequestID: m.RequestID, Granted: granted, Holder: holder})
+	s.Send(&wire.LockReply{RequestID: m.RequestID, Granted: granted, Holder: holder})
 }
 
 func (e *Engine) handleLockRelease(s *Session, m *wire.LockRelease) {
@@ -794,7 +376,7 @@ func (e *Engine) handleLockRelease(s *Session, m *wire.LockRelease) {
 		s.sendErr(m.RequestID, wire.CodeLockHeld, err.Error())
 		return
 	}
-	s.send(&wire.LockReply{RequestID: m.RequestID, Granted: false, Holder: 0})
+	s.Send(&wire.LockReply{RequestID: m.RequestID, Granted: false, Holder: 0})
 	if grant != nil {
 		e.sendGrantsLocked([]locks.Grant{*grant})
 	}
@@ -814,7 +396,7 @@ func (e *Engine) handleReduceLog(s *Session, m *wire.ReduceLog) {
 		return
 	}
 	trimmed := e.reduceLocked(m.Group, g, st, m.UpToSeq)
-	s.send(&wire.ReduceLogAck{RequestID: m.RequestID, BaseSeq: st.BaseSeq(), Trimmed: uint64(trimmed)})
+	s.Send(&wire.ReduceLogAck{RequestID: m.RequestID, BaseSeq: st.BaseSeq(), Trimmed: uint64(trimmed)})
 }
 
 // reduceLocked trims a group's history and queues the checkpoint record.

@@ -23,24 +23,18 @@ func newDiskEngine(t *testing.T, dir string) *Engine {
 	return e
 }
 
+// applyLocal feeds n sequenced events through the multicast path, the way
+// a replica receives them from the coordinator.
 func applyLocal(t *testing.T, e *Engine, group string, n int, data string) {
 	t.Helper()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	g, ok := e.reg.Get(group)
-	if !ok {
-		t.Fatal("group missing")
-	}
-	grt := e.groups[group]
-	grt.mu.Lock()
-	defer grt.mu.Unlock()
 	for i := 0; i < n; i++ {
-		if e.fanout != nil && !grt.ring.tryAcquire() {
-			t.Fatal("fanout ring full")
+		e.mu.RLock()
+		next := e.getState(group).NextSeq()
+		e.mu.RUnlock()
+		ev := wire.Event{Seq: next, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(data)}
+		if err := e.ApplyDistribute(group, ev, true, 0); err != nil {
+			t.Fatal(err)
 		}
-		ev := wire.Event{Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(data)}
-		ev.Seq, ev.Time = e.seqr.Next(group)
-		e.applyAndFanout(group, g, grt, ev, true, nil)
 	}
 }
 

@@ -160,7 +160,7 @@ func Handshake(e *Engine, conn *transport.Conn) (*Session, error) {
 		_ = conn.WriteMessage(&wire.ErrorMsg{RequestID: hello.RequestID, Code: wire.CodeShuttingDown, Text: err.Error()})
 		return nil, err
 	}
-	sess.send(&wire.HelloAck{RequestID: hello.RequestID, ClientID: sess.ID, ServerID: e.ServerID()})
+	sess.Send(&wire.HelloAck{RequestID: hello.RequestID, ClientID: sess.ID, ServerID: e.ServerID()})
 	return sess, nil
 }
 
@@ -171,7 +171,7 @@ func Handshake(e *Engine, conn *transport.Conn) (*Session, error) {
 // After every blocking read the loop greedily drains whatever frames the
 // connection has already buffered (never touching the socket, so an idle
 // client keeps the single-message latency), collecting consecutive Bcasts
-// into a run that dispatchBcasts hands to the engine as same-group batches.
+// into a stretch that dispatchBcasts hands to the engine as same-group runs.
 // Any non-Bcast flushes the run first, preserving the exact arrival order.
 func ServeSession(e *Engine, sess *Session, conn *transport.Conn) {
 	crashed := true

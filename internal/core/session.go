@@ -23,11 +23,12 @@ type Session struct {
 	conn   *transport.Conn
 	pump   *transport.Pump
 
-	// Ingest-batching scratch, owned by the session's read goroutine:
-	// reused across bcastBatch calls so steady-state batching allocates
-	// no per-batch bookkeeping.
-	batchEntries []batchEntry
-	ackFrames    []*transport.SharedFrame
+	// run is the session's multicast-path scratch, owned by its read
+	// goroutine and reused across bcastRun calls so steady-state ingest
+	// allocates no per-run bookkeeping. Behind a pointer so that writing
+	// it per message does not bounce the cache line the fanout workers
+	// read the fields above from.
+	run *run
 
 	closeOnce sync.Once
 }
@@ -46,6 +47,7 @@ func (e *Engine) AddSession(conn *transport.Conn, name string) (*Session, error)
 		engine: e,
 		conn:   conn,
 		pump:   transport.NewPump(conn, e.cfg.PumpDepth),
+		run:    new(run),
 	}
 	e.sessions[s.ID] = s
 	e.gSessions.Set(int64(len(e.sessions)))
@@ -124,11 +126,9 @@ func (e *Engine) dropGroupLocked(name string) {
 func (e *Engine) cleanupGroupLocked(name string) {
 	delete(e.states, name)
 	if grt := e.groups[name]; grt != nil {
-		if grt.ring != nil {
-			// Wake senders blocked on the ring; they revalidate and
-			// observe the group gone.
-			grt.ring.close()
-		}
+		// Wake senders blocked on the ring; they revalidate and observe
+		// the group gone.
+		grt.ring.close()
 		delete(e.groups, name)
 	}
 	e.lsnMu.Lock()
@@ -138,7 +138,7 @@ func (e *Engine) cleanupGroupLocked(name string) {
 	orphans := e.locks.DropGroup(name)
 	for _, o := range orphans {
 		if s, ok := e.sessions[o.Client]; ok {
-			s.send(&wire.ErrorMsg{RequestID: o.Token, Code: wire.CodeNoSuchGroup, Text: "group deleted"})
+			s.Send(&wire.ErrorMsg{RequestID: o.Token, Code: wire.CodeNoSuchGroup, Text: "group deleted"})
 		}
 	}
 	e.persistDelete(name)
@@ -148,7 +148,7 @@ func (e *Engine) cleanupGroupLocked(name string) {
 func (e *Engine) sendGrantsLocked(grants []locks.Grant) {
 	for _, g := range grants {
 		if s, ok := e.sessions[g.Client]; ok {
-			s.send(&wire.LockReply{RequestID: g.Token, Granted: true, Holder: g.Client})
+			s.Send(&wire.LockReply{RequestID: g.Token, Granted: true, Holder: g.Client})
 		}
 	}
 }
@@ -160,12 +160,11 @@ func (e *Engine) notifySubscribersLocked(g *membership.Group, change wire.Member
 }
 
 // notifySubsLocked routes a membership notify to every subscribed local
-// member except one (0: no exception). Under the pipeline the notify rides
-// the fanout shards as a control entry: the caller holds e.mu in write mode,
-// which excludes every multicast, so the notify lands strictly between the
-// deliveries sequenced before and after the membership change — subscribers
-// observe notifies consistently ordered against the event stream. Inline
-// mode enqueues directly, which is already so ordered.
+// member except one (0: no exception). The notify rides the fanout shards
+// as a control entry: the caller holds e.mu in write mode, which excludes
+// every multicast, so the notify lands strictly between the deliveries
+// sequenced before and after the membership change — subscribers observe
+// notifies consistently ordered against the event stream.
 func (e *Engine) notifySubsLocked(g *membership.Group, change wire.MembershipChange, member wire.MemberInfo, except uint64) {
 	var targets []fanoutTarget
 	for _, id := range g.Subscribers() {
@@ -185,19 +184,17 @@ func (e *Engine) notifySubsLocked(g *membership.Group, change wire.MembershipCha
 		Member: member,
 		Count:  uint32(g.Size()),
 	})
-	if e.fanout != nil {
-		ent := newFanoutEntry()
-		ent.frame = frame
-		ent.targets = targets
-		if e.fanout.push(ent) {
-			return
-		}
-		// Pool closing: fall through to direct sends (recycle without
-		// touching the frame or the caller's slice).
-		ent.frame = nil
-		ent.targets = nil
-		recycleFanoutEntry(ent)
+	ent := newFanoutEntry()
+	ent.frame = frame
+	ent.targets = targets
+	if e.fanout.push(ent) {
+		return
 	}
+	// Pool closing: fall through to direct sends (recycle without touching
+	// the frame or the caller's slice).
+	ent.frame = nil
+	ent.targets = nil
+	recycleFanoutEntry(ent)
 	for _, t := range targets {
 		frame.Retain()
 		t.sess.sendShared(frame, false)
@@ -234,43 +231,34 @@ func (s *Session) Send(msg wire.Message) {
 	s.sendShared(f, false)
 }
 
-// send is the package-internal alias of Send.
-func (s *Session) send(msg wire.Message) { s.Send(msg) }
-
 // sendShared enqueues a pooled frame, consuming one of its references even
-// on failure. A closed pump is a no-op: deferred WAL acknowledgements can
-// race session teardown, and "client already gone" is not a new failure.
+// on failure: sendSharedRun for a run of one.
 //
 //corona:owns f
 func (s *Session) sendShared(f *transport.SharedFrame, high bool) {
-	if err := s.pump.SendShared(f, high); err != nil {
-		f.Release()
-		if errors.Is(err, transport.ErrPumpClosed) {
-			return
-		}
-		go s.engine.failSession(s, err)
-	}
+	s.sendSharedRun([]*transport.SharedFrame{f}, high)
 }
 
-// sendSharedBatch enqueues a run of pooled frames with one pump mutex
-// acquisition, consuming one reference per frame even on failure. Same
-// failure semantics as sendShared: a closed pump is a quiet no-op, any
-// other error fails the session off this goroutine.
+// sendSharedRun enqueues an ordered run of pooled frames with one pump
+// mutex acquisition, consuming one reference per frame even on failure, and
+// reports how many the pump admitted. The pump keeps the prefix that fits
+// and an overflow fails the session off this goroutine, so the torn suffix
+// is never missed. A closed pump is a no-op: deferred WAL acknowledgements
+// and residual deliveries can race session teardown, and "client already
+// gone" is not a new failure.
 //
 //corona:owns fs
-func (s *Session) sendSharedBatch(fs []*transport.SharedFrame, high bool) {
-	if len(fs) == 0 {
-		return
-	}
-	if err := s.pump.SendSharedBatch(fs, high); err != nil {
-		for _, f := range fs {
-			f.Release()
+func (s *Session) sendSharedRun(fs []*transport.SharedFrame, high bool) int {
+	admitted, err := s.pump.SendSharedRun(fs, high)
+	if err != nil {
+		for k := admitted; k < len(fs); k++ {
+			fs[k].Release()
 		}
-		if errors.Is(err, transport.ErrPumpClosed) {
-			return
+		if !errors.Is(err, transport.ErrPumpClosed) {
+			go s.engine.failSession(s, err)
 		}
-		go s.engine.failSession(s, err)
 	}
+	return admitted
 }
 
 // close closes the connection, unblocking the read loop.

@@ -59,6 +59,10 @@ func TestSlowClientDroppedNotGroup(t *testing.T) {
 		if _, err := sender.BcastState("g", "o", payload, false); err != nil {
 			t.Fatal(err)
 		}
+		// A healthy member is one that keeps up: hold the sender to half a
+		// queue ahead of it, or on a small host the acked-at-sequencing
+		// sender outruns the healthy reader's 16-frame queue as well.
+		healthy.wait(t, i-7)
 	}
 
 	// The healthy member got every message.
@@ -71,12 +75,12 @@ func TestSlowClientDroppedNotGroup(t *testing.T) {
 	// The slow client was disconnected for falling behind.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		stats := srv.Engine().Stats()
-		if stats.Dropped >= 1 {
+		counters := srv.Engine().Metrics().Snapshot().Counters
+		if counters["engine.dropped"] >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slow client never dropped (stats %+v)", stats)
+			t.Fatalf("slow client never dropped (counters %v)", counters)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

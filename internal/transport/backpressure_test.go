@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"corona/internal/wire"
 )
 
 // TestPumpBackpressureObservable fills a pump feeding a reader that
@@ -23,18 +25,18 @@ func TestPumpBackpressureObservable(t *testing.T) {
 
 	// Frames big enough that the conn's 64 KiB write buffer fills and
 	// the writer goroutine blocks on the unread pipe, so the queue
-	// backs up until Send fails fast with ErrPumpOverflow.
-	frame := make([]byte, 32<<10)
+	// backs up until the send fails fast with ErrPumpOverflow.
+	msg := &wire.Bcast{Data: make([]byte, 32<<10)}
 	var stalled bool
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		err := p.Send(frame)
+		err := p.SendMessage(msg)
 		if errors.Is(err, ErrPumpOverflow) {
 			stalled = true
 			break
 		}
 		if err != nil {
-			t.Fatalf("Send: %v", err)
+			t.Fatalf("SendMessage: %v", err)
 		}
 	}
 	if !stalled {

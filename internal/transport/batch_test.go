@@ -9,87 +9,6 @@ import (
 	"corona/internal/wire"
 )
 
-func TestSendSharedBatchInOrder(t *testing.T) {
-	client, server := tcpPair(t)
-	pump := NewPump(client, 64)
-	defer pump.Close()
-
-	const n = 48
-	fs := make([]*SharedFrame, 0, n)
-	for i := 0; i < n; i++ {
-		fs = append(fs, NewSharedFrame(&wire.Ping{Nonce: uint64(i)}))
-	}
-	if err := pump.SendSharedBatch(fs, false); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		got, err := server.ReadMessage()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if p := got.(*wire.Ping); p.Nonce != uint64(i) {
-			t.Fatalf("out of order: got %d, want %d", p.Nonce, i)
-		}
-	}
-}
-
-func TestSendSharedBatchAllOrNothing(t *testing.T) {
-	client, server := tcpPair(t)
-	pump := NewPump(client, 4)
-	defer pump.Close()
-
-	// A batch larger than the whole queue can never fit: it must fail
-	// without enqueuing ANY of its frames.
-	big := make([]*SharedFrame, 8)
-	for i := range big {
-		big[i] = NewSharedFrame(&wire.Ping{Nonce: uint64(100 + i)})
-	}
-	if err := pump.SendSharedBatch(big, false); !errors.Is(err, ErrPumpOverflow) {
-		t.Fatalf("oversized batch: got %v, want ErrPumpOverflow", err)
-	}
-	for _, f := range big {
-		f.Release() // rejected batch stays owned by the caller
-	}
-
-	// The failed batch must not have consumed slots or emitted frames: a
-	// small batch still fits and only its nonces appear on the wire.
-	small := []*SharedFrame{
-		NewSharedFrame(&wire.Ping{Nonce: 0}),
-		NewSharedFrame(&wire.Ping{Nonce: 1}),
-		NewSharedFrame(&wire.Ping{Nonce: 2}),
-	}
-	if err := pump.SendSharedBatch(small, false); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(small); i++ {
-		got, err := server.ReadMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := got.(*wire.Ping)
-		if p.Nonce != uint64(i) {
-			t.Fatalf("got nonce %d, want %d (leak from rejected batch?)", p.Nonce, i)
-		}
-	}
-}
-
-func TestSendSharedBatchAfterClose(t *testing.T) {
-	client, _ := tcpPair(t)
-	pump := NewPump(client, 4)
-	pump.Close()
-
-	fs := []*SharedFrame{
-		NewSharedFrame(&wire.Ping{Nonce: 1}),
-		NewSharedFrame(&wire.Ping{Nonce: 2}),
-	}
-	if err := pump.SendSharedBatch(fs, false); !errors.Is(err, ErrPumpClosed) {
-		t.Fatalf("got %v, want ErrPumpClosed", err)
-	}
-	for _, f := range fs {
-		f.Release()
-	}
-}
-
 func TestSendMessagePooledPath(t *testing.T) {
 	client, server := tcpPair(t)
 	pump := NewPump(client, 16)

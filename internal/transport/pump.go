@@ -11,26 +11,6 @@ import (
 // server gives up on it.
 const DefaultPumpDepth = 1024
 
-// pumpItem is one queued frame: either a caller-owned raw slice or a
-// reference-counted pooled frame that the pump releases once written.
-type pumpItem struct {
-	raw    []byte
-	shared *SharedFrame
-}
-
-func (it pumpItem) bytes() []byte {
-	if it.shared != nil {
-		return it.shared.Bytes()
-	}
-	return it.raw
-}
-
-func (it pumpItem) release() {
-	if it.shared != nil {
-		it.shared.Release()
-	}
-}
-
 // Pump asynchronously writes frames to a connection through a bounded
 // queue. A server creates one Pump per client so that fanning a multicast
 // out to N members costs one non-blocking enqueue per member, and a stalled
@@ -40,12 +20,13 @@ func (it pumpItem) release() {
 // preserves the total order the sequencer established.
 type Pump struct {
 	conn *Conn
-	ch   chan pumpItem
-	// hi is the priority lane (see SendPriority): the writer drains it
-	// before the normal lane, so traffic of high-priority groups
-	// overtakes queued bulk traffic on the same connection. This is the
-	// scheduling half of the paper's QoS-adaptive server (§5.3).
-	hi chan pumpItem
+	ch   chan *SharedFrame
+	// hi is the priority lane: the writer drains it before the normal
+	// lane, so traffic of high-priority groups overtakes queued bulk
+	// traffic on the same connection. Ordering within a lane is preserved;
+	// cross-lane ordering intentionally is not. This is the scheduling
+	// half of the paper's QoS-adaptive server (§5.3).
+	hi chan *SharedFrame
 
 	mu     sync.Mutex
 	closed bool
@@ -66,114 +47,36 @@ func NewPump(conn *Conn, depth int) *Pump {
 	}
 	p := &Pump{
 		conn: conn,
-		ch:   make(chan pumpItem, depth),
-		hi:   make(chan pumpItem, hiDepth),
+		ch:   make(chan *SharedFrame, depth),
+		hi:   make(chan *SharedFrame, hiDepth),
 		done: make(chan struct{}),
 	}
 	go p.run()
 	return p
 }
 
-// Send enqueues a pre-encoded frame on the normal lane. It never blocks:
-// if the queue is full it returns ErrPumpOverflow, and the caller should
-// treat the receiver as failed. The frame must not be modified after Send
-// returns nil.
-func (p *Pump) Send(frame []byte) error {
-	return p.enqueue(pumpItem{raw: frame}, false)
-}
-
-// SendPriority enqueues a frame on the requested lane. High-priority
-// frames are written before any queued normal-lane frames. Ordering within
-// a lane is preserved; cross-lane ordering intentionally is not.
-func (p *Pump) SendPriority(frame []byte, high bool) error {
-	return p.enqueue(pumpItem{raw: frame}, high)
-}
-
-// SendShared enqueues a pooled frame. On success the pump owns one of the
+// SendShared enqueues a pooled frame on the normal lane, or on the
+// priority lane when high is set: SendSharedRun for a run of one. It never
+// blocks: if the lane is full it returns ErrPumpOverflow, and the caller
+// should treat the receiver as failed. On success the pump owns one of the
 // frame's references and releases it after the write; on error the caller
 // keeps its reference and must release it.
 func (p *Pump) SendShared(f *SharedFrame, high bool) error {
-	return p.enqueue(pumpItem{shared: f}, high)
+	_, err := p.SendSharedRun([]*SharedFrame{f}, high)
+	return err
 }
 
-func (p *Pump) enqueue(it pumpItem, high bool) error {
+// SendSharedRun enqueues an ordered run of pooled frames on one lane under
+// a single mutex acquisition, admitting the longest prefix that fits. It
+// returns how many frames were admitted; the pump owns one reference per
+// admitted frame, the caller keeps its references to the rest. A run that
+// does not fit is torn at the overflow point, which is order-safe — the
+// admitted prefix is written in order — and the overflow fails the receiver
+// anyway.
+func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
 	// The enqueue happens under the mutex so it cannot race a concurrent
 	// close of the channel; the select never blocks, so the critical
 	// section stays short.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		if p.err != nil {
-			return p.err
-		}
-		return ErrPumpClosed
-	}
-	ch := p.ch
-	if high {
-		ch = p.hi
-	}
-	select {
-	case ch <- it:
-		pumpEnqueued.Inc()
-		pumpDepth.Add(1)
-		return nil
-	default:
-		pumpStalls.Inc()
-		return ErrPumpOverflow
-	}
-}
-
-// SendSharedBatch enqueues a run of pooled frames on one lane under a
-// single mutex acquisition, preserving order. Admission is all-or-nothing:
-// when the lane cannot take every frame nothing is enqueued and the call
-// returns ErrPumpOverflow, so a batch is never torn. On success the pump
-// owns one reference per frame; on error the caller keeps its references
-// and must release them.
-func (p *Pump) SendSharedBatch(fs []*SharedFrame, high bool) error {
-	if len(fs) == 0 {
-		return nil
-	}
-	if len(fs) == 1 {
-		return p.SendShared(fs[0], high)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		if p.err != nil {
-			return p.err
-		}
-		return ErrPumpClosed
-	}
-	ch := p.ch
-	if high {
-		ch = p.hi
-	}
-	// Only the writer removes from the channel, so a free-slot count taken
-	// under the mutex can only grow before the sends below; none of them
-	// can block.
-	if cap(ch)-len(ch) < len(fs) {
-		pumpStalls.Inc()
-		return ErrPumpOverflow
-	}
-	for _, f := range fs {
-		ch <- pumpItem{shared: f}
-	}
-	pumpEnqueued.Add(uint64(len(fs)))
-	pumpDepth.Add(int64(len(fs)))
-	return nil
-}
-
-// SendSharedRun enqueues a run of pooled frames on one lane under a single
-// mutex acquisition, admitting the longest prefix that fits. It returns how
-// many frames were admitted; the pump owns one reference per admitted frame,
-// the caller keeps its references to the rest. Unlike SendSharedBatch the
-// run is torn at the overflow point rather than rejected whole — the fanout
-// pipeline uses it to deliver an ordered run where a partial prefix is
-// order-safe and the overflow fails the receiver anyway.
-func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
-	if len(fs) == 0 {
-		return 0, nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -186,11 +89,9 @@ func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
 	if high {
 		ch = p.hi
 	}
-	n := 0
-	for _, f := range fs {
+	for n, f := range fs {
 		select {
-		case ch <- pumpItem{shared: f}:
-			n++
+		case ch <- f:
 		default:
 			pumpStalls.Inc()
 			pumpEnqueued.Add(uint64(n))
@@ -198,9 +99,9 @@ func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
 			return n, ErrPumpOverflow
 		}
 	}
-	pumpEnqueued.Add(uint64(n))
-	pumpDepth.Add(int64(n))
-	return n, nil
+	pumpEnqueued.Add(uint64(len(fs)))
+	pumpDepth.Add(int64(len(fs)))
+	return len(fs), nil
 }
 
 // SendMessage marshals msg into a pooled frame and enqueues it on the
@@ -242,13 +143,13 @@ func (p *Pump) run() {
 		// The priority lane is drained first whenever it has frames.
 		if hi != nil {
 			select {
-			case it, ok := <-hi:
+			case f, ok := <-hi:
 				if !ok {
 					hi = nil
 					continue
 				}
 				pumpDepth.Add(-1)
-				if !p.writeOne(it) {
+				if !p.writeOne(f) {
 					return
 				}
 				continue
@@ -256,22 +157,22 @@ func (p *Pump) run() {
 			}
 		}
 		select {
-		case it, ok := <-hi: // blocks forever once hi is nil
+		case f, ok := <-hi: // blocks forever once hi is nil
 			if !ok {
 				hi = nil
 				continue
 			}
 			pumpDepth.Add(-1)
-			if !p.writeOne(it) {
+			if !p.writeOne(f) {
 				return
 			}
-		case it, ok := <-normal:
+		case f, ok := <-normal:
 			if !ok {
 				normal = nil
 				continue
 			}
 			pumpDepth.Add(-1)
-			if !p.writeOne(it) {
+			if !p.writeOne(f) {
 				return
 			}
 		}
@@ -279,11 +180,14 @@ func (p *Pump) run() {
 	_ = p.conn.flush()
 }
 
-// writeOne writes a frame, flushing when both lanes have momentarily gone
-// empty so bursts share one syscall. It reports false after a write error.
-func (p *Pump) writeOne(it pumpItem) bool {
-	err := p.conn.writeFrameNoFlush(it.bytes())
-	it.release()
+// writeOne writes a frame the pump owns and releases it, flushing when both
+// lanes have momentarily gone empty so bursts share one syscall. It reports
+// false after a write error.
+//
+//corona:owns f
+func (p *Pump) writeOne(f *SharedFrame) bool {
+	err := p.conn.writeFrameNoFlush(f.Bytes())
+	f.Release()
 	if err != nil {
 		p.fail(err)
 		return false
@@ -311,12 +215,12 @@ func (p *Pump) fail(err error) {
 		close(p.hi)
 	}
 	p.mu.Unlock()
-	for it := range p.ch { // discard
-		it.release()
+	for f := range p.ch { // discard
+		f.Release()
 		pumpDepth.Add(-1)
 	}
-	for it := range p.hi {
-		it.release()
+	for f := range p.hi {
+		f.Release()
 		pumpDepth.Add(-1)
 	}
 }

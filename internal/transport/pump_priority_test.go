@@ -7,6 +7,17 @@ import (
 	"corona/internal/wire"
 )
 
+// sendHigh enqueues msg on the pump's priority lane, the way the engine
+// does: a pooled frame, released by the sender when the pump rejects it.
+func sendHigh(p *Pump, msg wire.Message) error {
+	f := NewSharedFrame(msg)
+	if err := p.SendShared(f, true); err != nil {
+		f.Release()
+		return err
+	}
+	return nil
+}
+
 // TestPumpPriorityOvertakes verifies the QoS lane: a high-priority frame
 // enqueued behind a backlog of normal frames is written before the
 // backlog's tail.
@@ -20,20 +31,15 @@ func TestPumpPriorityOvertakes(t *testing.T) {
 	const normals = 64
 	payload := make([]byte, 32<<10)
 	for i := 0; i < normals; i++ {
-		frame := EncodeFrame(nil, &wire.Deliver{
+		msg := &wire.Deliver{
 			Group: "bulk",
 			Event: wire.Event{Seq: uint64(i + 1), Kind: wire.EventUpdate, ObjectID: "o", Data: payload},
-		})
-		for {
-			err := pump.Send(frame)
-			if err == nil {
-				break
-			}
+		}
+		for pump.SendMessage(msg) != nil {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	hi := EncodeFrame(nil, &wire.Ping{Nonce: 777})
-	if err := pump.SendPriority(hi, true); err != nil {
+	if err := sendHigh(pump, &wire.Ping{Nonce: 777}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +72,7 @@ func TestPumpPriorityLaneOrdering(t *testing.T) {
 	defer pump.Close()
 
 	for i := 0; i < 10; i++ {
-		if err := pump.SendPriority(EncodeFrame(nil, &wire.Ping{Nonce: uint64(i)}), true); err != nil {
+		if err := sendHigh(pump, &wire.Ping{Nonce: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,10 +91,10 @@ func TestPumpPriorityLaneOrdering(t *testing.T) {
 func TestPumpCloseDrainsBothLanes(t *testing.T) {
 	client, server := tcpPair(t)
 	pump := NewPump(client, 64)
-	if err := pump.Send(EncodeFrame(nil, &wire.Ping{Nonce: 1})); err != nil {
+	if err := pump.SendMessage(&wire.Ping{Nonce: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pump.SendPriority(EncodeFrame(nil, &wire.Ping{Nonce: 2}), true); err != nil {
+	if err := sendHigh(pump, &wire.Ping{Nonce: 2}); err != nil {
 		t.Fatal(err)
 	}
 	pump.Close()

@@ -24,8 +24,8 @@ func TestSendSharedRunPartialAdmission(t *testing.T) {
 
 	// Wedge the writer: a frame larger than the connection's write buffer
 	// blocks against the unread pipe, so nothing drains the normal lane.
-	if err := p.Send(make([]byte, 256<<10)); err != nil {
-		t.Fatalf("Send: %v", err)
+	if err := p.SendMessage(&wire.Bcast{Data: make([]byte, 256<<10)}); err != nil {
+		t.Fatalf("SendMessage: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -69,34 +69,47 @@ func TestSendSharedRunPartialAdmission(t *testing.T) {
 	extra.Release()
 }
 
-// TestSendSharedRunFullAdmission checks the happy path delivers every frame
-// in order.
-func TestSendSharedRunFullAdmission(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
+// TestSendSharedRunInOrder checks the happy path: a run that fits is
+// admitted whole and written in order.
+func TestSendSharedRunInOrder(t *testing.T) {
+	client, server := tcpPair(t)
+	pump := NewPump(client, 64)
+	defer pump.Close()
 
-	p := NewPump(NewConn(server), 16)
-	defer p.Close()
-
-	frames := make([]*SharedFrame, 3)
-	for i := range frames {
-		frames[i] = NewSharedFrame(&wire.Ping{Nonce: uint64(i + 1)})
+	const n = 48
+	fs := make([]*SharedFrame, 0, n)
+	for i := 0; i < n; i++ {
+		fs = append(fs, NewSharedFrame(&wire.Ping{Nonce: uint64(i)}))
 	}
-	admitted, err := p.SendSharedRun(frames, false)
-	if admitted != len(frames) || err != nil {
+	if admitted, err := pump.SendSharedRun(fs, false); admitted != n || err != nil {
 		t.Fatalf("admitted=%d err=%v", admitted, err)
 	}
-
-	rc := NewConn(client)
-	for i := 1; i <= 3; i++ {
-		msg, err := rc.ReadMessage()
+	for i := 0; i < n; i++ {
+		got, err := server.ReadMessage()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("read %d: %v", i, err)
 		}
-		ping, ok := msg.(*wire.Ping)
-		if !ok || ping.Nonce != uint64(i) {
-			t.Fatalf("frame %d: got %#v", i, msg)
+		if p := got.(*wire.Ping); p.Nonce != uint64(i) {
+			t.Fatalf("out of order: got %d, want %d", p.Nonce, i)
 		}
 	}
-	client.Close()
+}
+
+// TestSendSharedRunAfterClose: a cleanly closed pump admits nothing and
+// leaves every reference with the caller.
+func TestSendSharedRunAfterClose(t *testing.T) {
+	client, _ := tcpPair(t)
+	pump := NewPump(client, 4)
+	pump.Close()
+
+	fs := []*SharedFrame{
+		NewSharedFrame(&wire.Ping{Nonce: 1}),
+		NewSharedFrame(&wire.Ping{Nonce: 2}),
+	}
+	if admitted, err := pump.SendSharedRun(fs, false); admitted != 0 || !errors.Is(err, ErrPumpClosed) {
+		t.Fatalf("admitted=%d err=%v, want 0, ErrPumpClosed", admitted, err)
+	}
+	for _, f := range fs {
+		f.Release()
+	}
 }

@@ -175,9 +175,8 @@ func TestPumpDeliversInOrder(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		frame := EncodeFrame(nil, &wire.Ping{Nonce: uint64(i)})
 		for {
-			err := pump.Send(frame)
+			err := pump.SendMessage(&wire.Ping{Nonce: uint64(i)})
 			if err == nil {
 				break
 			}
@@ -199,17 +198,16 @@ func TestPumpDeliversInOrder(t *testing.T) {
 }
 
 func TestPumpOverflow(t *testing.T) {
-	// A receiver that never reads: queue fills, Send reports overflow.
+	// A receiver that never reads: queue fills, the send reports overflow.
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	pump := NewPump(NewConn(a), 4)
 	defer pump.Close()
 
-	frame := EncodeFrame(nil, &wire.Ping{Nonce: 1})
 	var overflowed bool
 	for i := 0; i < 100; i++ {
-		if err := pump.Send(frame); errors.Is(err, ErrPumpOverflow) {
+		if err := pump.SendMessage(&wire.Ping{Nonce: 1}); errors.Is(err, ErrPumpOverflow) {
 			overflowed = true
 			break
 		}
@@ -229,10 +227,9 @@ func TestPumpFailsOnWriteError(t *testing.T) {
 	pump := NewPump(NewConn(a), 4)
 	defer a.Close()
 
-	frame := EncodeFrame(nil, &wire.Ping{Nonce: 1})
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := pump.Send(frame); err != nil && !errors.Is(err, ErrPumpOverflow) {
+		if err := pump.SendMessage(&wire.Ping{Nonce: 1}); err != nil && !errors.Is(err, ErrPumpOverflow) {
 			return // pump reported the write failure
 		}
 		time.Sleep(time.Millisecond)
@@ -244,7 +241,7 @@ func TestPumpSendAfterClose(t *testing.T) {
 	client, _ := tcpPair(t)
 	pump := NewPump(client, 4)
 	pump.Close()
-	if err := pump.Send(EncodeFrame(nil, &wire.Ping{})); !errors.Is(err, ErrPumpClosed) {
+	if err := pump.SendMessage(&wire.Ping{}); !errors.Is(err, ErrPumpClosed) {
 		t.Errorf("got %v, want ErrPumpClosed", err)
 	}
 }
@@ -254,7 +251,7 @@ func TestPumpCloseDrains(t *testing.T) {
 	pump := NewPump(client, 64)
 	const n = 32
 	for i := 0; i < n; i++ {
-		if err := pump.Send(EncodeFrame(nil, &wire.Ping{Nonce: uint64(i)})); err != nil {
+		if err := pump.SendMessage(&wire.Ping{Nonce: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -61,17 +61,18 @@ echo "== bench smoke (compile + one iteration)"
 go test -run NONE -bench . -benchtime 1x ./... >/dev/null
 
 echo "== batch ingest smoke"
-# Short table1 blast: pipelined clients drive the greedy drain, BcastBatch,
-# and the pooled DeliverBatch fanout end to end on every gate run.
+# Short table1 blast: pipelined clients drive the greedy drain, multi-event
+# runs on the multicast path, and the pooled DeliverBatch fanout end to end
+# on every gate run.
 go run ./cmd/corona-bench -experiment table1 -duration 200ms >/dev/null
 
 echo "== multigroup smoke"
 go run ./cmd/corona-bench -experiment multigroup -groups 1,2 -per-group 1 -duration 200ms >/dev/null
 
 echo "== fanout smoke"
-# Short wide-group sweep: the off-lock sharded pipeline and the inline
-# baseline both deliver under a fanout wider than the shard count, so the
-# credit protocol, the COW snapshot, and run delivery run end to end.
+# Short wide-group sweep: the off-lock sharded pipeline delivers under a
+# fanout wider than the shard count, so the credit protocol, the COW
+# snapshot, and run delivery run end to end.
 go run ./cmd/corona-bench -experiment fanout -fanout-members 8,32 -duration 200ms >/dev/null
 
 echo "== jointransfer smoke"

@@ -177,9 +177,9 @@ func TestSoakChurn(t *testing.T) {
 	// Dropped counts fanout writes that hit crashed actors — expected
 	// here; the auditor invariants above prove no surviving member lost
 	// anything.
-	stats := srv.Engine().Stats()
+	counters := srv.Engine().Metrics().Snapshot().Counters
 	t.Logf("soak: %d multicasts across %d groups, %d reductions, %d crashed sessions reaped",
-		sent.Load(), groups, stats.Reductions, stats.Dropped)
+		sent.Load(), groups, counters["engine.reductions"], counters["engine.dropped"])
 }
 
 func groupName(g int) string { return fmt.Sprintf("soak-%d", g) }
