@@ -2,7 +2,7 @@
 // both sides.
 //
 // Decode functions annotated //corona:aliases-input (Decoder.Bytes,
-// decodeObjectsAlias, DecodeTransferPayload, …) return slices that alias
+// decodeObjectsAlias, decodeTransferPayload, …) return slices that alias
 // the caller's input buffer. Callers therefore must treat the results as
 // borrowed: the analyzer flags
 //
@@ -130,7 +130,7 @@ func (w *walker) walk(body *ast.BlockStmt) {
 }
 
 func (w *walker) assign(a *ast.AssignStmt) {
-	// Multi-value form: x, y, err := DecodeTransferPayload(data) taints
+	// Multi-value form: x, y, err := decodeTransferPayload(data) taints
 	// every non-error result.
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
 		if org := w.callOrigin(a.Rhs[0]); org != "" {

@@ -1,5 +1,6 @@
 // Package state is a cowsafe fixture mirroring the real COW shapes:
-// live Group state captured into Transfer views that alias its buffers.
+// live Group state captured into Transfer and Checkpointed views that alias
+// its buffers.
 package state
 
 type Event struct {
@@ -109,50 +110,49 @@ func (g *Group) allowedExample(id string, data []byte) {
 	g.objects[id] = data
 }
 
-// --- checkpoint shapes (the migration driver's capture) -------------------
+// --- the checkpoint image (the one view every whole-group reader takes) ---
 
-// Checkpoint mirrors the O(1) checkpoint the migration driver streams: a
-// full captured image whose buffers alias the live group.
-type Checkpoint struct {
-	objects map[string][]byte //corona:cow-view
-	events  []Event           //corona:cow-view
-	nextSeq uint64            // plain metadata: free to mutate
+type Object struct {
+	ID   string
+	Data []byte
 }
 
-func (g *Group) captureCheckpoint() *Checkpoint {
-	cp := &Checkpoint{objects: make(map[string][]byte), nextSeq: g.nextSeq}
+// Checkpointed mirrors state.Checkpointed: exported slices whose elements'
+// Data alias the live group's buffers.
+type Checkpointed struct {
+	Objects []Object //corona:cow-view
+	History []Event  //corona:cow-view
+	NextSeq uint64   // plain metadata: free to mutate
+}
+
+func (g *Group) checkpoint() Checkpointed {
+	objs := make([]Object, 0, len(g.objects))
 	for id, data := range g.objects {
-		cp.objects[id] = data // sharing INTO the checkpoint is the point: fine
+		objs = append(objs, Object{ID: id, Data: data}) // sharing INTO the image is the point: fine
 	}
-	cp.events = g.history // full-image alias: fine
-	return cp
+	return Checkpointed{NextSeq: g.nextSeq, Objects: objs, History: g.history[:len(g.history):len(g.history)]}
 }
 
-// streamChunks is the migration sender: it may read and re-slice the
-// captured buffers freely — only writes are forbidden.
-func (cp *Checkpoint) streamChunks(send func([]byte)) {
-	for _, data := range cp.objects {
-		for len(data) > 0 {
-			n := len(data)
-			if n > 4 {
-				n = 4
-			}
-			send(data[:n])
-			data = data[n:]
+// encode is a reader of the image (a WAL record, a replica transfer, a
+// migration stream): it may read and re-slice the shared buffers freely —
+// only writes are forbidden.
+func (cp Checkpointed) encode(send func([]byte)) {
+	for _, o := range cp.Objects {
+		for data := o.Data; len(data) > 0; data = data[min(len(data), 4):] {
+			send(data[:min(len(data), 4)])
 		}
 	}
 }
 
-func (cp *Checkpoint) redactInPlace(id string) {
-	buf := cp.objects[id]
-	for i := range buf {
-		buf[i] = 0 // want `write into captured COW view buffer`
+func (cp *Checkpointed) redactInPlace(i int, src []byte) {
+	cp.Objects[i].Data[0] = 0 // want `write into captured COW view buffer`
+	cp.History[i].Data[0] = 0 // want `write into captured COW view buffer`
+	for _, o := range cp.Objects {
+		buf := o.Data
+		buf[0] = 0 // want `write into captured COW view buffer`
 	}
-}
-
-func (cp *Checkpoint) normalize(src []byte) {
-	copy(cp.events[0].Data, src) // want `copy into captured COW view buffer`
-	cp.nextSeq++                 // unmarked metadata: fine
+	copy(cp.History[0].Data, src) // want `copy into captured COW view buffer`
+	cp.NextSeq++                  // unmarked metadata: fine
 }
 
 func cloneBytes(b []byte) []byte {

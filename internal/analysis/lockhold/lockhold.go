@@ -13,7 +13,7 @@
 // stream outside it), it rejects operations that can block — channel
 // sends and receives (unless in a select with a default), selects without
 // a default, time.Sleep, file and network I/O, log/fmt output, and the
-// WAL's synchronous Append/Barrier — whether they appear directly in the
+// WAL's synchronous Barrier/Sync/Close — whether they appear directly in the
 // span or anywhere in the static call graph below it. Calls through
 // interfaces are resolved against every implementation in the analyzed
 // program, so a committer hidden behind an interface is not a blind spot;
@@ -558,12 +558,12 @@ func stdBlocking(fn *types.Func) *reason {
 			return mk("wait")
 		}
 	}
-	// The WAL's synchronous entry points are blocking by contract (file
-	// write + fsync / barrier wait), independent of whether their bodies
-	// are analyzed here.
+	// The WAL's synchronous entry points are blocking by contract (barrier
+	// wait, fsync, drain), independent of whether their bodies are analyzed
+	// here. Records are written by AppendAsync, a non-blocking enqueue.
 	if pkg.Name() == "wal" {
 		switch name {
-		case "Append", "Barrier", "Sync", "Close":
+		case "Barrier", "Sync", "Close":
 			return mk("WAL I/O")
 		}
 	}

@@ -131,13 +131,13 @@ type joined struct {
 	lastSeq uint64 // highest delivered or transferred seq
 }
 
-// pendingTransfer reassembles one streamed state transfer: the header ack,
-// the chunk bytes received so far, and the live deliveries held back until
+// pendingTransfer is one streamed state transfer in flight: the header ack,
+// the assembler taking its chunks, and the live deliveries held back until
 // TransferDone so the application sees the transferred state strictly
 // before the events that follow it.
 type pendingTransfer struct {
 	ack      *wire.JoinAck
-	buf      []byte
+	asm      wire.TransferAssembler
 	buffered []wire.Event
 }
 
@@ -404,9 +404,9 @@ func (c *Client) bufferDelivery(group string, ev wire.Event) bool {
 	return true
 }
 
-// transferChunk appends one chunk to the group's reassembly buffer. Chunks
-// arrive in offset order on the connection; a gap means a protocol bug, and
-// the join fails rather than delivering corrupt state.
+// transferChunk feeds one chunk to the group's assembler. Chunks arrive in
+// offset order on the connection; a gap means a protocol bug, and the join
+// fails rather than delivering corrupt state.
 func (c *Client) transferChunk(m *wire.TransferChunk) {
 	c.mu.Lock()
 	t, ok := c.transfers[m.Group]
@@ -414,19 +414,14 @@ func (c *Client) transferChunk(m *wire.TransferChunk) {
 		c.mu.Unlock()
 		return
 	}
-	if uint64(len(t.buf)) != m.Offset {
+	if err := t.asm.Add(m.Offset, m.Total, m.Data); err != nil {
 		delete(c.transfers, m.Group)
-		reqID, have := t.ack.RequestID, len(t.buf)
 		c.mu.Unlock()
-		c.completeRequest(&wire.ErrorMsg{RequestID: reqID, Code: wire.CodeInternal,
-			Text: fmt.Sprintf("transfer chunk for %q at offset %d, want %d", m.Group, m.Offset, have)})
+		c.completeRequest(&wire.ErrorMsg{RequestID: t.ack.RequestID, Code: wire.CodeInternal,
+			Text: fmt.Sprintf("transfer for %q: %v", m.Group, err)})
 		return
 	}
-	if t.buf == nil && m.Total <= wire.MaxFrame {
-		t.buf = make([]byte, 0, m.Total)
-	}
-	t.buf = append(t.buf, m.Data...)
-	received := uint64(len(t.buf))
+	received := t.asm.Received()
 	c.mu.Unlock()
 	if c.cfg.OnTransferProgress != nil {
 		c.cfg.OnTransferProgress(m.Group, received, m.Total)
@@ -448,24 +443,13 @@ func (c *Client) transferDone(m *wire.TransferDone) {
 		return
 	}
 	ack := t.ack
-	if uint64(len(t.buf)) != m.Bytes {
-		c.completeRequest(&wire.ErrorMsg{RequestID: ack.RequestID, Code: wire.CodeInternal,
-			Text: fmt.Sprintf("transfer for %q truncated: %d of %d bytes", m.Group, len(t.buf), m.Bytes)})
-		return
-	}
-	objs, evs, err := wire.DecodeTransferPayload(t.buf)
+	var err error
+	ack.Objects, ack.Events, err = t.asm.Finish(m.Bytes)
 	if err != nil {
-		c.completeRequest(&wire.ErrorMsg{RequestID: ack.RequestID, Code: wire.CodeInternal, Text: err.Error()})
+		c.completeRequest(&wire.ErrorMsg{RequestID: ack.RequestID, Code: wire.CodeInternal,
+			Text: fmt.Sprintf("transfer for %q: %v", m.Group, err)})
 		return
 	}
-	// The reassembly buffer t.buf belongs to this transfer alone;
-	// DecodeTransferPayload's contract hands its ownership to the
-	// results, so retaining the aliases in the ack is the intended
-	// zero-copy completion.
-	//lint:allow aliasretain t.buf ownership transfers to the decoded results
-	ack.Objects = objs
-	//lint:allow aliasretain t.buf ownership transfers to the decoded results
-	ack.Events = evs
 	ack.Streaming = false
 	// Install the resume cursor before flushing so the buffered events
 	// advance it; Join merges rather than clobbers this entry.

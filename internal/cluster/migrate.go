@@ -44,8 +44,8 @@ func (s *Server) runMigrationOut(m *wire.SMigrate) {
 // migrateOut captures the replica and streams it to the target, returning
 // the payload bytes sent.
 func (s *Server) migrateOut(m *wire.SMigrate) (uint64, error) {
-	persistent, tr, digest, ok := s.engine.CaptureMigration(m.Group)
-	if !ok {
+	persistent, cp, ok := s.engine.GroupImage(m.Group)
+	if !ok || s.engine.Stateless() {
 		return 0, fmt.Errorf("cluster: no replica of %q to migrate", m.Group)
 	}
 	members, _ := s.mirror.lookup(m.Group)
@@ -56,11 +56,11 @@ func (s *Server) migrateOut(m *wire.SMigrate) (uint64, error) {
 	}
 	defer conn.Close()
 
-	stream := wire.NewTransferStream(tr.Objects(), tr.Events())
+	stream := wire.NewTransferStream(cp.Objects, cp.History)
 	offer := &wire.SMigrateOffer{
 		RequestID: m.RequestID, SourceID: s.cfg.ID, Group: m.Group,
-		Persistent: persistent, BaseSeq: tr.BaseSeq(), NextSeq: tr.NextSeq(),
-		Digest: digest, Total: stream.Total(), Members: members,
+		Persistent: persistent, BaseSeq: cp.BaseSeq, NextSeq: cp.NextSeq,
+		Digest: cp.Digest, Total: stream.Total(), Members: members,
 	}
 	if err := conn.WriteMessage(offer); err != nil {
 		return 0, err
@@ -77,7 +77,7 @@ func (s *Server) migrateOut(m *wire.SMigrate) (uint64, error) {
 			return stream.Total() - stream.Remaining(), err
 		}
 	}
-	if err := conn.WriteMessage(&wire.SMigrateCutover{RequestID: m.RequestID, NextSeq: tr.NextSeq(), Digest: digest}); err != nil {
+	if err := conn.WriteMessage(&wire.SMigrateCutover{RequestID: m.RequestID, NextSeq: cp.NextSeq, Digest: cp.Digest}); err != nil {
 		return stream.Total(), err
 	}
 
@@ -141,7 +141,7 @@ func (s *Server) handleMigrateIn(conn *transport.Conn, offer *wire.SMigrateOffer
 // record, installs the replica, and registers interest. The returned value
 // is the replica's next expected sequence number.
 func (s *Server) receiveMigration(conn *transport.Conn, offer *wire.SMigrateOffer) (uint64, error) {
-	buf := make([]byte, 0, offer.Total)
+	var asm wire.TransferAssembler
 	var cut *wire.SMigrateCutover
 	for cut == nil {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
@@ -151,24 +151,20 @@ func (s *Server) receiveMigration(conn *transport.Conn, offer *wire.SMigrateOffe
 		}
 		switch m := msg.(type) {
 		case *wire.SMigrateChunk:
-			if m.Offset != uint64(len(buf)) {
-				return 0, fmt.Errorf("cluster: migration chunk at offset %d, want %d", m.Offset, len(buf))
+			if err := asm.Add(m.Offset, offer.Total, m.Data); err != nil {
+				return 0, err
 			}
-			buf = append(buf, m.Data...)
 		case *wire.SMigrateCutover:
 			cut = m
 		default:
 			return 0, fmt.Errorf("cluster: unexpected migration message %s", msg.Kind())
 		}
 	}
-	if uint64(len(buf)) != offer.Total {
-		return 0, fmt.Errorf("cluster: migration payload %d bytes, offer said %d", len(buf), offer.Total)
-	}
 	if cut.NextSeq != offer.NextSeq || cut.Digest != offer.Digest {
 		return 0, fmt.Errorf("cluster: cutover (seq %d, digest %x) does not match offer (seq %d, digest %x)",
 			cut.NextSeq, cut.Digest, offer.NextSeq, offer.Digest)
 	}
-	objects, events, err := wire.DecodeTransferPayload(buf)
+	objects, events, err := asm.Finish(offer.Total)
 	if err != nil {
 		return 0, err
 	}
@@ -198,5 +194,5 @@ func (s *Server) receiveMigration(conn *transport.Conn, offer *wire.SMigrateOffe
 	// as ordinary distributes, and the engine's gap check guarantees the
 	// hand-off is seamless — deliveries on this replica stay gapless.
 	s.catchUp(offer.Group)
-	return s.nextSeqOf(offer.Group), nil
+	return s.engine.NextSeq(offer.Group), nil
 }

@@ -649,7 +649,7 @@ func (s *Server) catchUp(group string) {
 			}
 		}
 		var img state.Checkpointed
-		_, _, img, err = s.fetchState(group, s.nextSeqOf(group))
+		_, _, img, err = s.fetchState(group, s.engine.NextSeq(group))
 		if err != nil {
 			continue
 		}
@@ -662,15 +662,6 @@ func (s *Server) catchUp(group string) {
 		return
 	}
 	s.log.Warn("catch-up failed", "group", group, "err", err)
-}
-
-func (s *Server) nextSeqOf(group string) uint64 {
-	for _, g := range s.engine.SeqReport() {
-		if g.Group == group {
-			return g.NextSeq
-		}
-	}
-	return 1
 }
 
 // handleRemoteMemberUpdate folds a membership change from another server

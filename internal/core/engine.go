@@ -490,11 +490,17 @@ func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpoint
 	return nil
 }
 
-// GroupImage exports a group's checkpoint image for replica transfer. The
-// second result reports whether the group exists.
+// GroupImage exports a group's image — objects, retained history, digest —
+// the one export every reader of a whole group takes: replica transfer,
+// migration, divergence forks. It is taken like a multicast, under the read
+// lock plus the group's mutex, in O(#objects): the image is a view sharing
+// the live buffers (see state.Checkpoint), so the caller may encode or
+// stream it concurrently with new updates but must never write through it.
+// ok reports whether the group exists; a stateless engine's image carries
+// only the sequence number.
 func (e *Engine) GroupImage(name string) (persistent bool, cp state.Checkpointed, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	g, exists := e.reg.Get(name)
 	if !exists {
 		return false, state.Checkpointed{}, false
@@ -503,48 +509,48 @@ func (e *Engine) GroupImage(name string) (persistent bool, cp state.Checkpointed
 	if st == nil {
 		return g.Persistent, state.Checkpointed{NextSeq: e.seqr.Peek(name)}, true
 	}
+	grt := e.groups[name]
+	grt.mu.Lock()
+	defer grt.mu.Unlock()
 	return g.Persistent, st.Checkpoint(), true
 }
 
-// CaptureMigration exports a COW view of a group's full replica image for
-// live migration: objects, retained history, and digest, shared with the
-// live state under the Transfer COW invariants. The critical section is
-// O(#objects), not O(bytes), so capturing never stalls the group's apply
-// path; the caller streams the view concurrently with new updates. ok is
-// false for unknown or stateless groups (nothing to migrate).
-func (e *Engine) CaptureMigration(name string) (persistent bool, tr state.Transfer, digest uint64, ok bool) {
+// EventsSince exports the retained event suffix of a group from seq
+// onwards, for incremental replica catch-up: the shared view a resuming
+// client's join captures, under the same locks as GroupImage. A cursor past
+// the replica's own next sequence number yields an empty suffix. ok is false
+// when the suffix is no longer retained and a full image is required.
+func (e *Engine) EventsSince(name string, from uint64) (events []wire.Event, nextSeq uint64, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	g, exists := e.reg.Get(name)
-	if !exists {
-		return false, state.Transfer{}, 0, false
-	}
 	st := e.getState(name)
 	if st == nil {
-		return false, state.Transfer{}, 0, false
+		return nil, 0, false
 	}
 	grt := e.groups[name]
 	grt.mu.Lock()
-	tr, digest = st.CaptureCheckpoint()
-	grt.mu.Unlock()
-	return g.Persistent, tr, digest, true
-}
-
-// EventsSince exports the retained event suffix of a group from seq
-// onwards, for incremental replica catch-up. ok is false when the suffix
-// is no longer retained and a full image is required.
-func (e *Engine) EventsSince(name string, from uint64) (events []wire.Event, nextSeq uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.getState(name)
-	if st == nil {
-		return nil, 0, false
-	}
-	events, err := st.Resume(from)
+	defer grt.mu.Unlock()
+	tr, err := st.Capture(wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: min(from, st.NextSeq())})
 	if err != nil {
 		return nil, 0, false
 	}
-	return events, st.NextSeq(), true
+	return tr.Events(), tr.NextSeq(), true
+}
+
+// NextSeq returns one group's sequencing high-water mark — the number its
+// next event carries, as SeqReport would report it — without walking the
+// registry or excluding the server's multicasts. 1 for an unknown group.
+func (e *Engine) NextSeq(name string) uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	next := e.seqr.Peek(name)
+	if st := e.getState(name); st != nil {
+		grt := e.groups[name]
+		grt.mu.Lock()
+		next = max(next, st.NextSeq())
+		grt.mu.Unlock()
+	}
+	return next
 }
 
 // SeqReport returns every group's sequencing high-water mark, used by a

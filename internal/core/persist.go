@@ -23,16 +23,15 @@ const (
 // ErrEngineClosed is returned by operations on a closed engine.
 var ErrEngineClosed = errors.New("core: engine closed")
 
+// The record bodies are wire's own encodings of an event, an object list
+// and an event list — the ones the transfer payload and the replica-state
+// messages use — so stable storage has no codec of its own to drift.
+
 func encodeEventRecord(group string, ev wire.Event) []byte {
 	e := wire.NewEncoder(make([]byte, 0, 64+len(ev.Data)))
 	e.PutByte(recEvent)
 	e.PutString(group)
-	e.PutUvarint(ev.Seq)
-	e.PutByte(byte(ev.Kind))
-	e.PutString(ev.ObjectID)
-	e.PutBytes(ev.Data)
-	e.PutUvarint(ev.Sender)
-	e.PutVarint(ev.Time)
+	ev.Encode(e)
 	return e.Bytes()
 }
 
@@ -40,11 +39,7 @@ func encodeCreateRecord(group string, initial []wire.Object) []byte {
 	e := wire.NewEncoder(nil)
 	e.PutByte(recCreate)
 	e.PutString(group)
-	e.PutUvarint(uint64(len(initial)))
-	for _, o := range initial {
-		e.PutString(o.ID)
-		e.PutBytes(o.Data)
-	}
+	wire.EncodeObjects(e, initial)
 	return e.Bytes()
 }
 
@@ -55,6 +50,8 @@ func encodeDeleteRecord(group string) []byte {
 	return e.Bytes()
 }
 
+// encodeCheckpointRecord encodes straight from the image, which may be a
+// view sharing the live buffers: the record is the one copy of the payload.
 func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
 	e := wire.NewEncoder(nil)
 	e.PutByte(recCheckpoint)
@@ -62,48 +59,9 @@ func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
 	e.PutUvarint(cp.BaseSeq)
 	e.PutUvarint(cp.NextSeq)
 	e.PutUint64(cp.Digest)
-	e.PutUvarint(uint64(len(cp.Objects)))
-	for _, o := range cp.Objects {
-		e.PutString(o.ID)
-		e.PutBytes(o.Data)
-	}
-	e.PutUvarint(uint64(len(cp.History)))
-	for _, ev := range cp.History {
-		e.PutUvarint(ev.Seq)
-		e.PutByte(byte(ev.Kind))
-		e.PutString(ev.ObjectID)
-		e.PutBytes(ev.Data)
-		e.PutUvarint(ev.Sender)
-		e.PutVarint(ev.Time)
-	}
+	wire.EncodeObjects(e, cp.Objects)
+	wire.EncodeEvents(e, cp.History)
 	return e.Bytes()
-}
-
-func decodeObjectList(d *wire.Decoder) ([]wire.Object, error) {
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	objs := make([]wire.Object, 0, n)
-	for i := uint64(0); i < n; i++ {
-		objs = append(objs, wire.Object{ID: d.String(), Data: d.ByteCopy()})
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return objs, nil
-}
-
-func decodeEventBody(d *wire.Decoder) (wire.Event, error) {
-	ev := wire.Event{
-		Seq:      d.Uvarint(),
-		Kind:     wire.EventKind(d.Byte()),
-		ObjectID: d.String(),
-		Data:     d.ByteCopy(),
-		Sender:   d.Uvarint(),
-		Time:     d.Varint(),
-	}
-	return ev, d.Err()
 }
 
 // recover rebuilds the persistent groups from the stable-storage log.
@@ -125,8 +83,8 @@ func (e *Engine) recover() error {
 		}
 		switch tag {
 		case recCreate:
-			initial, err := decodeObjectList(d)
-			if err != nil {
+			initial := wire.DecodeObjects(d)
+			if err := d.Err(); err != nil {
 				return fmt.Errorf("core: wal create %d: %w", lsn, err)
 			}
 			// Replayed deletes may precede a re-create; replace.
@@ -148,8 +106,8 @@ func (e *Engine) recover() error {
 			delete(e.groups, group)
 			e.seqr.Drop(group)
 		case recEvent:
-			ev, err := decodeEventBody(d)
-			if err != nil {
+			ev := wire.DecodeEvent(d)
+			if err := d.Err(); err != nil {
 				return fmt.Errorf("core: wal event %d: %w", lsn, err)
 			}
 			st, ok := e.states[group]
@@ -171,22 +129,12 @@ func (e *Engine) recover() error {
 				return fmt.Errorf("core: wal event %d: %w", lsn, err)
 			}
 		case recCheckpoint:
-			cp := state.Checkpointed{BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64()}
-			objs, err := decodeObjectList(d)
-			if err != nil {
-				return fmt.Errorf("core: wal checkpoint %d: %w", lsn, err)
+			cp := state.Checkpointed{
+				BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64(),
+				Objects: wire.DecodeObjects(d), History: wire.DecodeEvents(d),
 			}
-			cp.Objects = objs
-			n := d.Uvarint()
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("core: wal checkpoint %d: %w", lsn, err)
-			}
-			for i := uint64(0); i < n; i++ {
-				ev, err := decodeEventBody(d)
-				if err != nil {
-					return fmt.Errorf("core: wal checkpoint %d: %w", lsn, err)
-				}
-				cp.History = append(cp.History, ev)
 			}
 			st, err := state.RestoreMaterialized(cp)
 			if err != nil {
@@ -319,9 +267,10 @@ func (e *Engine) persistDelete(group string) {
 
 // persistCheckpoint queues a checkpoint image; the commit callback advances
 // the group's low-water LSN and garbage-collects log segments no group
-// needs anymore. The checkpoint is taken now, under the caller's lock, so
-// the image is consistent with the log position. Caller holds the group's
-// mutex (or e.mu in write mode).
+// needs anymore. The image is taken and encoded now, under the caller's
+// lock, so the record is consistent with the log position and is the only
+// copy made of the group's bytes. Caller holds the group's mutex (or e.mu in
+// write mode).
 func (e *Engine) persistCheckpoint(group string, st *state.Group) {
 	if e.wal == nil {
 		return

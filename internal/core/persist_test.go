@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"corona/internal/state"
@@ -252,8 +254,15 @@ func TestEventsSince(t *testing.T) {
 	if !ok || next != 6 || len(events) != 3 || events[0].Seq != 3 {
 		t.Fatalf("EventsSince = %v %d %v", events, next, ok)
 	}
+	// A requester ahead of this replica gets an empty suffix, not a full image.
+	if events, next, ok := e.EventsSince("g", 99); !ok || next != 6 || len(events) != 0 {
+		t.Fatalf("EventsSince past the end = %v %d %v", events, next, ok)
+	}
 	if _, _, ok := e.EventsSince("missing", 1); ok {
 		t.Fatal("EventsSince found a missing group")
+	}
+	if got, none := e.NextSeq("g"), e.NextSeq("missing"); got != 6 || none != 1 {
+		t.Fatalf("NextSeq = %d (missing group: %d), want 6 (1)", got, none)
 	}
 }
 
@@ -290,5 +299,62 @@ func TestApplyDistributeGapAndDuplicate(t *testing.T) {
 	_, cp, _ := e.GroupImage("g")
 	if cp.NextSeq != 6 {
 		t.Fatalf("NextSeq = %d", cp.NextSeq)
+	}
+}
+
+// TestRecordFormatPin pins the stable-storage record encodings byte for byte.
+// The literals were generated once, before the record bodies moved onto
+// wire's object/event codec, and must never change: a log written by any
+// earlier build has to recover under this one and vice versa. The encoders
+// must reproduce them, and a log holding exactly these records must recover
+// to the state they describe.
+func TestRecordFormatPin(t *testing.T) {
+	ev300 := wire.Event{Seq: 300, Kind: wire.EventUpdate, ObjectID: "doc", Data: []byte("hello"), Sender: 1<<40 | 7, Time: 1700000000123456789}
+	ev299 := wire.Event{Seq: 299, Kind: wire.EventState, ObjectID: "doc", Data: []byte("v1"), Sender: 3, Time: -5}
+	cp := state.Checkpointed{BaseSeq: 298, NextSeq: 300, Digest: 0xDEADBEEFCAFEF00D,
+		Objects: []wire.Object{{ID: "a", Data: []byte("alpha")}, {ID: "doc", Data: []byte("v1")}},
+		History: []wire.Event{ev299}}
+	records := []struct {
+		name string
+		got  []byte
+		hex  string
+	}{
+		{"create", encodeCreateRecord("g/1", []wire.Object{{ID: "a", Data: []byte("alpha")}, {ID: "empty"}}),
+			"0203672f3102016105616c70686105656d70747900"},
+		{"checkpoint", encodeCheckpointRecord("g/1", cp),
+			"0403672f31aa02ac02deadbeefcafef00d02016105616c70686103646f6302763101ab020103646f630276310309"},
+		{"event", encodeEventRecord("g/1", ev300),
+			"0103672f31ac020203646f630568656c6c6f878080808020aab4aed8c7bfce972f"},
+	}
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if got := hex.EncodeToString(r.got); got != r.hex {
+			t.Errorf("%s record = %s, pinned %s", r.name, got, r.hex)
+		}
+		pinned, err := hex.DecodeString(r.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendAsync(pinned, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, got, ok := newDiskEngine(t, dir).GroupImage("g/1")
+	if !ok {
+		t.Fatal("pinned log recovered no group")
+	}
+	want := state.Checkpointed{BaseSeq: 298, NextSeq: 301, Digest: state.DigestEvent(cp.Digest, ev300),
+		Objects: []wire.Object{{ID: "a", Data: []byte("alpha")}, {ID: "doc", Data: []byte("v1hello")}},
+		History: []wire.Event{ev299, ev300}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned log recovered\n %+v\nwant\n %+v", got, want)
 	}
 }

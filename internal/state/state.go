@@ -31,8 +31,9 @@ var (
 	// ErrStaleSeq is returned by Apply when an event's sequence number is
 	// not the next expected one.
 	ErrStaleSeq = errors.New("state: event sequence out of order")
-	// ErrSeqGap is returned by Resume when the requested suffix predates
-	// the group's checkpoint and can no longer be served incrementally.
+	// ErrSeqGap is returned by a TransferResume capture when the requested
+	// suffix predates the group's checkpoint and can no longer be served
+	// incrementally.
 	ErrSeqGap = errors.New("state: requested sequence precedes checkpoint")
 )
 
@@ -102,22 +103,6 @@ func NewInitial(initial []wire.Object) *Group {
 	return g
 }
 
-// Restore rebuilds a group state from a snapshot taken at baseSeq plus the
-// event suffix that follows it. It is used by WAL recovery, replica state
-// transfer, and reconnecting clients.
-func Restore(baseSeq uint64, objects []wire.Object, events []wire.Event) (*Group, error) {
-	g := &Group{objects: make(map[string][]byte, len(objects)), baseSeq: baseSeq, nextSeq: baseSeq + 1}
-	for _, o := range objects {
-		g.objects[o.ID] = cloneBytes(o.Data)
-	}
-	for _, ev := range events {
-		if err := g.Apply(ev); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // NextSeq returns the sequence number the next event must carry.
 func (g *Group) NextSeq() uint64 { return g.nextSeq }
 
@@ -177,9 +162,19 @@ func (g *Group) Object(id string) ([]byte, bool) {
 // Objects returns a copy of the full object set, sorted by ID for
 // deterministic wire encoding and tests.
 func (g *Group) Objects() []wire.Object {
-	out := make([]wire.Object, 0, len(g.objects))
-	for id, data := range g.objects {
-		out = append(out, wire.Object{ID: id, Data: cloneBytes(data)})
+	out := sortedView(g.objects)
+	for i := range out {
+		out[i].Data = cloneBytes(out[i].Data)
+	}
+	return out
+}
+
+// sortedView lists m's objects by ID. The Data slices are m's own buffers,
+// shared, not copied.
+func sortedView(m map[string][]byte) []wire.Object {
+	out := make([]wire.Object, 0, len(m))
+	for id, data := range m {
+		out = append(out, wire.Object{ID: id, Data: data})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -231,12 +226,7 @@ func (t Transfer) Objects() []wire.Object {
 	if len(t.objects) == 0 {
 		return nil
 	}
-	out := make([]wire.Object, 0, len(t.objects))
-	for id, data := range t.objects {
-		out = append(out, wire.Object{ID: id, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortedView(t.objects)
 }
 
 // Events returns the captured event suffix, shared with the live history;
@@ -302,61 +292,6 @@ func (g *Group) Capture(policy wire.TransferPolicy) (Transfer, error) {
 	return t, nil
 }
 
-// CaptureCheckpoint takes an O(1)-in-bytes view of the full replica image —
-// every object plus the entire retained history — together with the running
-// digest, for live replica migration. The same COW contract as Capture
-// applies: the view shares the group's live buffers, the caller must hold
-// whatever lock serializes Apply while capturing, and afterwards treats the
-// view as read-only while streaming it. Unlike Checkpoint, nothing is
-// cloned, so a migration's lock-held critical section stays constant-time
-// no matter how large the group state is.
-func (g *Group) CaptureCheckpoint() (Transfer, uint64) {
-	t := Transfer{
-		objects: make(map[string][]byte, len(g.objects)),
-		events:  g.history,
-		baseSeq: g.baseSeq,
-		nextSeq: g.nextSeq,
-	}
-	for id, data := range g.objects {
-		t.objects[id] = data
-		t.bytes += uint64(len(id) + len(data))
-	}
-	for _, ev := range t.events {
-		t.bytes += uint64(len(ev.ObjectID) + len(ev.Data))
-	}
-	return t, g.digest
-}
-
-// Snapshot materializes a state transfer under the given policy (paper
-// §3.2, customized state transfer). It returns deep copies of the snapshot
-// objects and event suffix, and the base sequence number the objects
-// incorporate. Prefer Capture, which shares buffers instead of cloning.
-//
-// For TransferResume, ErrSeqGap means the requested suffix has been
-// reduced away; the caller should fall back to a full transfer.
-func (g *Group) Snapshot(policy wire.TransferPolicy) (objects []wire.Object, events []wire.Event, baseSeq uint64, err error) {
-	t, err := g.Capture(policy)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for _, o := range t.Objects() {
-		objects = append(objects, wire.Object{ID: o.ID, Data: cloneBytes(o.Data)})
-	}
-	return objects, cloneEvents(t.events), t.baseSeq, nil
-}
-
-// Resume returns a copy of every retained event with Seq >= from. It
-// returns ErrSeqGap when from <= baseSeq (the suffix was reduced away),
-// unless the group has never been reduced and from addresses the full
-// history.
-func (g *Group) Resume(from uint64) ([]wire.Event, error) {
-	if from <= g.baseSeq {
-		return nil, fmt.Errorf("%w: from %d, checkpoint %d", ErrSeqGap, from, g.baseSeq)
-	}
-	idx := sort.Search(len(g.history), func(i int) bool { return g.history[i].Seq >= from })
-	return cloneEvents(g.history[idx:]), nil
-}
-
 // Reduce performs state-log reduction: every history event with
 // Seq <= upToSeq is discarded and the checkpoint base advances to upToSeq.
 // The materialized objects are untouched — they already incorporate the
@@ -377,32 +312,43 @@ func (g *Group) Reduce(upToSeq uint64) (trimmed int) {
 	return trimmed
 }
 
-// Checkpoint captures the complete in-memory state for persistence: the
-// checkpoint base, the materialized objects (which incorporate every
-// applied event), and the retained history suffix. RestoreMaterialized
-// reverses it exactly, so a server can persist a checkpoint record, drop
-// the WAL prefix, and recover without replaying folded events.
+// Checkpoint takes the group's image at its current sequence number: the
+// materialized objects (which incorporate every applied event), the whole
+// retained history, and the running digest. It is the one image of a group —
+// what stable storage records at a log reduction, what a replica installs,
+// and what a migration streams. Like Capture it is a view, O(#objects) and
+// independent of state bytes: Objects[i].Data and History share the live
+// buffers under the COW contract documented on Transfer, so the caller must
+// hold whatever lock serializes Apply while taking it and may read it, but
+// never write through it, afterwards. RestoreMaterialized clones on install,
+// so checkpoint → restore yields an isolated group.
 func (g *Group) Checkpoint() Checkpointed {
 	return Checkpointed{
 		BaseSeq: g.baseSeq,
 		NextSeq: g.nextSeq,
 		Digest:  g.digest,
-		Objects: g.Objects(),
-		History: g.History(),
+		Objects: sortedView(g.objects),
+		// Capacity clamped: an append to the view must not land in the
+		// live backing array.
+		History: g.history[:len(g.history):len(g.history)],
 	}
 }
 
-// Checkpointed is the serializable image of a Group produced by Checkpoint.
+// Checkpointed is the image of a Group produced by Checkpoint, or decoded
+// from a checkpoint record or a replica transfer for RestoreMaterialized.
 type Checkpointed struct {
 	BaseSeq uint64
 	NextSeq uint64
 	Digest  uint64
-	Objects []wire.Object
-	History []wire.Event
+	// Objects is sorted by ID; the Data slices may be shared live buffers.
+	Objects []wire.Object //corona:cow-view
+	// History holds the events in (BaseSeq, NextSeq), oldest first; it may
+	// be the group's own history slice.
+	History []wire.Event //corona:cow-view
 }
 
-// RestoreMaterialized rebuilds a group from a Checkpoint image. Unlike
-// Restore, the history events are NOT re-applied to the objects — the
+// RestoreMaterialized rebuilds a group from a Checkpoint image, cloning
+// every buffer. The history events are NOT re-applied to the objects — the
 // objects already incorporate them.
 func RestoreMaterialized(cp Checkpointed) (*Group, error) {
 	g := &Group{
@@ -427,10 +373,6 @@ func RestoreMaterialized(cp Checkpointed) (*Group, error) {
 	}
 	return g, nil
 }
-
-// History returns a copy of the retained history (oldest first). Intended
-// for tests and replica transfer.
-func (g *Group) History() []wire.Event { return cloneEvents(g.history) }
 
 func cloneBytes(b []byte) []byte {
 	if len(b) == 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,22 @@ func mustApply(t *testing.T, g *Group, events ...wire.Event) {
 			t.Fatalf("Apply(%d): %v", e.Seq, err)
 		}
 	}
+}
+
+// capture takes a transfer view under policy and returns its three parts.
+func capture(t *testing.T, g *Group, policy wire.TransferPolicy) ([]wire.Object, []wire.Event, uint64) {
+	t.Helper()
+	tr, err := g.Capture(policy)
+	if err != nil {
+		t.Fatalf("Capture(%v): %v", policy.Mode, err)
+	}
+	return tr.Objects(), tr.Events(), tr.BaseSeq()
+}
+
+// resume is the TransferResume capture every incremental reader takes.
+func resume(g *Group, from uint64) ([]wire.Event, error) {
+	tr, err := g.Capture(wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: from})
+	return tr.Events(), err
 }
 
 func TestStateOverrides(t *testing.T) {
@@ -87,16 +104,13 @@ func TestNewInitial(t *testing.T) {
 	}
 }
 
-func TestSnapshotFull(t *testing.T) {
+func TestCaptureFull(t *testing.T) {
 	g := New()
 	mustApply(t, g,
 		ev(1, wire.EventState, "b", "bb"),
 		ev(2, wire.EventState, "a", "aa"),
 	)
-	objs, events, base, err := g.Snapshot(wire.FullTransfer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	objs, events, base := capture(t, g, wire.FullTransfer)
 	if len(events) != 0 || base != 2 {
 		t.Fatalf("events %d, base %d", len(events), base)
 	}
@@ -106,15 +120,12 @@ func TestSnapshotFull(t *testing.T) {
 	}
 }
 
-func TestSnapshotLastN(t *testing.T) {
+func TestCaptureLastN(t *testing.T) {
 	g := New()
 	for i := uint64(1); i <= 10; i++ {
 		mustApply(t, g, ev(i, wire.EventUpdate, "o", fmt.Sprintf("u%d", i)))
 	}
-	_, events, base, err := g.Snapshot(wire.TransferPolicy{Mode: wire.TransferLastN, LastN: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, events, base := capture(t, g, wire.TransferPolicy{Mode: wire.TransferLastN, LastN: 3})
 	if len(events) != 3 || events[0].Seq != 8 || events[2].Seq != 10 {
 		t.Fatalf("events = %+v", events)
 	}
@@ -122,63 +133,60 @@ func TestSnapshotLastN(t *testing.T) {
 		t.Fatalf("base = %d, want 7", base)
 	}
 	// Asking for more than exists returns everything.
-	_, events, base, err = g.Snapshot(wire.TransferPolicy{Mode: wire.TransferLastN, LastN: 99})
-	if err != nil || len(events) != 10 || base != 0 {
-		t.Fatalf("lastN overshoot: %d events, base %d, err %v", len(events), base, err)
+	_, events, base = capture(t, g, wire.TransferPolicy{Mode: wire.TransferLastN, LastN: 99})
+	if len(events) != 10 || base != 0 {
+		t.Fatalf("lastN overshoot: %d events, base %d", len(events), base)
 	}
 }
 
-func TestSnapshotObjects(t *testing.T) {
+func TestCaptureObjects(t *testing.T) {
 	g := New()
 	mustApply(t, g,
 		ev(1, wire.EventState, "a", "aa"),
 		ev(2, wire.EventState, "b", "bb"),
 	)
-	objs, _, _, err := g.Snapshot(wire.TransferPolicy{Mode: wire.TransferObjects, Objects: []string{"b", "missing"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	objs, _, _ := capture(t, g, wire.TransferPolicy{Mode: wire.TransferObjects, Objects: []string{"b", "missing"}})
 	if len(objs) != 1 || objs[0].ID != "b" {
 		t.Fatalf("objects = %#v", objs)
 	}
 }
 
-func TestSnapshotNone(t *testing.T) {
+func TestCaptureNone(t *testing.T) {
 	g := New()
 	mustApply(t, g, ev(1, wire.EventState, "a", "aa"))
-	objs, events, base, err := g.Snapshot(wire.TransferPolicy{Mode: wire.TransferNone})
-	if err != nil || objs != nil || events != nil || base != 1 {
-		t.Fatalf("none transfer: %v %v %d %v", objs, events, base, err)
+	objs, events, base := capture(t, g, wire.TransferPolicy{Mode: wire.TransferNone})
+	if objs != nil || events != nil || base != 1 {
+		t.Fatalf("none transfer: %v %v %d", objs, events, base)
 	}
 }
 
-func TestSnapshotInvalidMode(t *testing.T) {
+func TestCaptureInvalidMode(t *testing.T) {
 	g := New()
-	if _, _, _, err := g.Snapshot(wire.TransferPolicy{Mode: 0}); err == nil {
+	if _, err := g.Capture(wire.TransferPolicy{Mode: 0}); err == nil {
 		t.Error("invalid mode accepted")
 	}
 }
 
-func TestResume(t *testing.T) {
+func TestCaptureResume(t *testing.T) {
 	g := New()
 	for i := uint64(1); i <= 5; i++ {
 		mustApply(t, g, ev(i, wire.EventUpdate, "o", "x"))
 	}
-	events, err := g.Resume(3)
+	events, err := resume(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 3 || events[0].Seq != 3 {
 		t.Fatalf("resume(3) = %+v", events)
 	}
-	// Resume past the end is an empty suffix, not an error.
-	events, err = g.Resume(6)
+	// Resume from the next sequence number is an empty suffix, not an error.
+	events, err = resume(g, 6)
 	if err != nil || len(events) != 0 {
 		t.Fatalf("resume(6) = %v, %v", events, err)
 	}
 	// Resume under the checkpoint fails with ErrSeqGap.
 	g.Reduce(3)
-	if _, err := g.Resume(2); !errors.Is(err, ErrSeqGap) {
+	if _, err := resume(g, 2); !errors.Is(err, ErrSeqGap) {
 		t.Errorf("resume under checkpoint: %v", err)
 	}
 }
@@ -217,16 +225,20 @@ func TestReduce(t *testing.T) {
 	mustApply(t, g, ev(11, wire.EventUpdate, "o", "z"))
 }
 
-func TestRestoreAppliesSuffix(t *testing.T) {
-	objs := []wire.Object{{ID: "o", Data: []byte("base")}}
-	events := []wire.Event{
-		ev(6, wire.EventUpdate, "o", "+6"),
-		ev(7, wire.EventUpdate, "o", "+7"),
-	}
-	g, err := Restore(5, objs, events)
+// TestRestoreThenApplySuffix is how a replica or a recovering server rebuilds
+// a group from an image taken at baseSeq plus the events that follow it.
+func TestRestoreThenApplySuffix(t *testing.T) {
+	g, err := RestoreMaterialized(Checkpointed{
+		BaseSeq: 5, NextSeq: 6,
+		Objects: []wire.Object{{ID: "o", Data: []byte("base")}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustApply(t, g,
+		ev(6, wire.EventUpdate, "o", "+6"),
+		ev(7, wire.EventUpdate, "o", "+7"),
+	)
 	data, _ := g.Object("o")
 	if string(data) != "base+6+7" {
 		t.Fatalf("restored object = %q", data)
@@ -237,8 +249,12 @@ func TestRestoreAppliesSuffix(t *testing.T) {
 }
 
 func TestRestoreRejectsGappySuffix(t *testing.T) {
-	if _, err := Restore(5, nil, []wire.Event{ev(9, wire.EventUpdate, "o", "x")}); err == nil {
-		t.Error("gappy suffix accepted")
+	g, err := RestoreMaterialized(Checkpointed{BaseSeq: 5, NextSeq: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Apply(ev(9, wire.EventUpdate, "o", "x")); !errors.Is(err, ErrStaleSeq) {
+		t.Errorf("gappy suffix: %v, want ErrStaleSeq", err)
 	}
 }
 
@@ -289,19 +305,42 @@ func TestRestoreMaterializedZero(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsolation(t *testing.T) {
-	g := New()
-	mustApply(t, g, ev(1, wire.EventState, "o", "orig"))
-	objs, _, _, _ := g.Snapshot(wire.FullTransfer)
-	objs[0].Data[0] = 'X'
-	data, _ := g.Object("o")
-	if string(data) != "orig" {
-		t.Error("snapshot aliases internal state")
+// TestRestoreIsolation: the image may be a shared view, so isolation is the
+// installer's job — a restored group owns every buffer, whatever happens to
+// the image or to the group it was taken from afterwards.
+func TestRestoreIsolation(t *testing.T) {
+	src := New()
+	mustApply(t, src, ev(1, wire.EventState, "o", "orig"), ev(2, wire.EventUpdate, "p", "hist"))
+	fromView, err := RestoreMaterialized(src.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, src, ev(3, wire.EventState, "o", "later"), ev(4, wire.EventUpdate, "p", "+more"))
+
+	// A decoded image's buffers belong to whoever decoded it; scribbling on
+	// them after the install must not reach the installed group.
+	decoded := Checkpointed{NextSeq: 3,
+		Objects: []wire.Object{{ID: "o", Data: []byte("orig")}, {ID: "p", Data: []byte("hist")}},
+		History: []wire.Event{ev(1, wire.EventState, "o", "orig"), ev(2, wire.EventUpdate, "p", "hist")}}
+	fromDecoded, err := RestoreMaterialized(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded.Objects[0].Data[0] = 'X'
+	decoded.History[1].Data[0] = 'X'
+
+	for _, g := range []*Group{fromView, fromDecoded} {
+		if data, _ := g.Object("o"); string(data) != "orig" {
+			t.Errorf("restored object = %q: restore aliases its image", data)
+		}
+		if h := g.Checkpoint().History; string(h[1].Data) != "hist" {
+			t.Errorf("restored history = %q: restore aliases its image", h[1].Data)
+		}
 	}
 	// Object() must also return a copy.
+	data, _ := fromView.Object("o")
 	data[0] = 'Y'
-	again, _ := g.Object("o")
-	if string(again) != "orig" {
+	if again, _ := fromView.Object("o"); string(again) != "orig" {
 		t.Error("Object aliases internal state")
 	}
 }
@@ -454,10 +493,11 @@ func TestQuickLastNPlusBaseRebuild(t *testing.T) {
 			})
 		}
 		full := replayAll(events)
-		_, suffix, base, err := full.Snapshot(wire.TransferPolicy{Mode: wire.TransferLastN, LastN: uint32(n)})
+		tr, err := full.Capture(wire.TransferPolicy{Mode: wire.TransferLastN, LastN: uint32(n)})
 		if err != nil {
 			return false
 		}
+		suffix, base := tr.Events(), tr.BaseSeq()
 		// Rebuild: replay the prefix up to base, then apply the suffix.
 		prefix := replayAll(events[:base])
 		for _, e := range suffix {
@@ -487,7 +527,7 @@ func BenchmarkApplyUpdate1000(b *testing.B) {
 	}
 }
 
-func TestSnapshotObjectsAfterReduce(t *testing.T) {
+func TestCaptureObjectsAfterReduce(t *testing.T) {
 	g := New()
 	mustApply(t, g,
 		ev(1, wire.EventState, "a", "A"),
@@ -495,9 +535,9 @@ func TestSnapshotObjectsAfterReduce(t *testing.T) {
 		ev(3, wire.EventState, "b", "B"),
 	)
 	g.Reduce(0)
-	objs, events, base, err := g.Snapshot(wire.TransferPolicy{Mode: wire.TransferObjects, Objects: []string{"a"}})
-	if err != nil || len(events) != 0 {
-		t.Fatalf("err=%v events=%d", err, len(events))
+	objs, events, base := capture(t, g, wire.TransferPolicy{Mode: wire.TransferObjects, Objects: []string{"a"}})
+	if len(events) != 0 {
+		t.Fatalf("events=%d", len(events))
 	}
 	if base != 3 || len(objs) != 1 || string(objs[0].Data) != "A+" {
 		t.Fatalf("objs=%+v base=%d", objs, base)
@@ -505,7 +545,7 @@ func TestSnapshotObjectsAfterReduce(t *testing.T) {
 }
 
 // TestQuickResumeEqualsSuffix: for any history and any valid resume point,
-// Resume returns exactly the suffix of the full event sequence.
+// a resume capture is exactly the suffix of the full event sequence.
 func TestQuickResumeEqualsSuffix(t *testing.T) {
 	f := func(datas [][]byte, fromRaw uint8) bool {
 		if len(datas) > 30 {
@@ -520,8 +560,8 @@ func TestQuickResumeEqualsSuffix(t *testing.T) {
 			}
 			all = append(all, e)
 		}
-		from := uint64(fromRaw)%uint64(len(datas)+2) + 1
-		got, err := g.Resume(from)
+		from := uint64(fromRaw)%uint64(len(datas)+1) + 1 // 1 … nextSeq
+		got, err := resume(g, from)
 		if err != nil {
 			return false
 		}
@@ -612,59 +652,6 @@ func TestCaptureLastNStableUnderReduce(t *testing.T) {
 	}
 }
 
-// TestCaptureSnapshotParity: Snapshot is a deep-cloning wrapper over
-// Capture; both must agree for every policy.
-func TestCaptureSnapshotParity(t *testing.T) {
-	build := func() *Group {
-		g := New()
-		mustApply(t, g,
-			ev(1, wire.EventState, "x", "one"),
-			ev(2, wire.EventState, "y", "two"),
-			ev(3, wire.EventUpdate, "x", "+three"),
-		)
-		return g
-	}
-	policies := []wire.TransferPolicy{
-		{Mode: wire.TransferFull},
-		{Mode: wire.TransferLastN, LastN: 2},
-		{Mode: wire.TransferObjects, Objects: []string{"y"}},
-		{Mode: wire.TransferNone},
-		{Mode: wire.TransferResume, FromSeq: 2},
-	}
-	for _, p := range policies {
-		g := build()
-		tr, err := g.Capture(p)
-		if err != nil {
-			t.Fatalf("%v: Capture: %v", p.Mode, err)
-		}
-		objs, evs, base, err := g.Snapshot(p)
-		if err != nil {
-			t.Fatalf("%v: Snapshot: %v", p.Mode, err)
-		}
-		if base != tr.BaseSeq() {
-			t.Errorf("%v: baseSeq %d vs %d", p.Mode, base, tr.BaseSeq())
-		}
-		cobjs := tr.Objects()
-		if len(objs) != len(cobjs) {
-			t.Fatalf("%v: %d objects vs %d", p.Mode, len(objs), len(cobjs))
-		}
-		for i := range objs {
-			if objs[i].ID != cobjs[i].ID || !bytes.Equal(objs[i].Data, cobjs[i].Data) {
-				t.Errorf("%v: object %d differs: %+v vs %+v", p.Mode, i, objs[i], cobjs[i])
-			}
-		}
-		cevs := tr.Events()
-		if len(evs) != len(cevs) {
-			t.Fatalf("%v: %d events vs %d", p.Mode, len(evs), len(cevs))
-		}
-		for i := range evs {
-			if evs[i].Seq != cevs[i].Seq || !bytes.Equal(evs[i].Data, cevs[i].Data) {
-				t.Errorf("%v: event %d differs", p.Mode, i)
-			}
-		}
-	}
-}
-
 func TestCaptureResumeGap(t *testing.T) {
 	g := New()
 	mustApply(t, g,
@@ -705,27 +692,22 @@ func TestCaptureResumeBeyondNextSeq(t *testing.T) {
 	}
 }
 
-func TestCaptureCheckpointRoundTrip(t *testing.T) {
+func TestCheckpointRoundTrip(t *testing.T) {
 	g := New()
 	mustApply(t, g,
 		ev(1, wire.EventState, "a", "base"),
 		ev(2, wire.EventUpdate, "a", "+u"),
 		ev(3, wire.EventState, "b", "other"),
 	)
-	tr, digest := g.CaptureCheckpoint()
-	if digest != g.Digest() {
-		t.Fatalf("digest = %x, group %x", digest, g.Digest())
+	cp := g.Checkpoint()
+	if cp.Digest != g.Digest() || cp.NextSeq != g.NextSeq() || cp.BaseSeq != g.BaseSeq() {
+		t.Fatalf("image (base %d, next %d, digest %x) != group (%d, %d, %x)",
+			cp.BaseSeq, cp.NextSeq, cp.Digest, g.BaseSeq(), g.NextSeq(), g.Digest())
 	}
-	if tr.NextSeq() != g.NextSeq() {
-		t.Fatalf("NextSeq = %d, group %d", tr.NextSeq(), g.NextSeq())
+	if len(cp.History) != 3 || len(cp.Objects) != 2 || cp.Objects[0].ID != "a" || cp.Objects[1].ID != "b" {
+		t.Fatalf("image = %+v", cp)
 	}
-	if tr.PayloadBytes() == 0 {
-		t.Fatal("PayloadBytes = 0 for non-empty capture")
-	}
-	restored, err := RestoreMaterialized(Checkpointed{
-		BaseSeq: tr.BaseSeq(), NextSeq: tr.NextSeq(), Digest: digest,
-		Objects: tr.Objects(), History: tr.Events(),
-	})
+	restored, err := RestoreMaterialized(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,37 +715,83 @@ func TestCaptureCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored (seq %d, digest %x) != source (seq %d, digest %x)",
 			restored.NextSeq(), restored.Digest(), g.NextSeq(), g.Digest())
 	}
-	for _, id := range []string{"a", "b"} {
-		want, _ := g.Object(id)
-		got, ok := restored.Object(id)
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("object %q = %q, want %q", id, got, want)
-		}
+	if !reflect.DeepEqual(restored.Objects(), g.Objects()) {
+		t.Fatalf("restored objects = %+v, want %+v", restored.Objects(), g.Objects())
 	}
 }
 
-func TestCaptureCheckpointStableUnderMutation(t *testing.T) {
+// TestCheckpointStableUnderMutation is the COW contract for the full image:
+// it shares the live buffers, and nothing applied or reduced after it was
+// taken may show through.
+func TestCheckpointStableUnderMutation(t *testing.T) {
 	g := New()
-	mustApply(t, g, ev(1, wire.EventState, "o", "v1"))
-	tr, digest := g.CaptureCheckpoint()
-
-	// Mutations after capture must not leak into the captured image.
-	mustApply(t, g, ev(2, wire.EventState, "o", "v2"))
-	if tr.NextSeq() != 2 {
-		t.Fatalf("capture NextSeq moved to %d", tr.NextSeq())
+	mustApply(t, g,
+		ev(1, wire.EventState, "o", "v1"),
+		ev(2, wire.EventState, "log", "l|"),
+	)
+	cp := g.Checkpoint()
+	mustApply(t, g,
+		ev(3, wire.EventState, "o", "v2"),
+		ev(4, wire.EventUpdate, "log", "more"),
+		ev(5, wire.EventState, "new", "n"),
+	)
+	g.Reduce(0)
+	if cp.NextSeq != 3 || len(cp.History) != 2 || cp.History[1].Seq != 2 {
+		t.Fatalf("image moved: next %d, history %+v", cp.NextSeq, cp.History)
 	}
-	objs := tr.Objects()
-	if len(objs) != 1 || string(objs[0].Data) != "v1" {
-		t.Fatalf("captured objects mutated: %+v", objs)
+	want := []wire.Object{{ID: "log", Data: []byte("l|")}, {ID: "o", Data: []byte("v1")}}
+	if !reflect.DeepEqual(cp.Objects, want) {
+		t.Fatalf("image objects = %+v, want %+v", cp.Objects, want)
 	}
-	restored, err := RestoreMaterialized(Checkpointed{
-		BaseSeq: tr.BaseSeq(), NextSeq: tr.NextSeq(), Digest: digest,
-		Objects: tr.Objects(), History: tr.Events(),
-	})
+	restored, err := RestoreMaterialized(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Digest() != digest {
-		t.Fatalf("restored digest %x, capture said %x", restored.Digest(), digest)
+	if restored.Digest() != cp.Digest {
+		t.Fatalf("restored digest %x, image said %x", restored.Digest(), cp.Digest)
+	}
+	// An append to the view must not land in the live history's backing
+	// array (the group has spare capacity there after Apply's appends).
+	g2 := New()
+	mustApply(t, g2, ev(1, wire.EventState, "o", "a"), ev(2, wire.EventState, "o", "b"), ev(3, wire.EventState, "o", "c"))
+	view := g2.Checkpoint().History
+	_ = append(view, ev(99, wire.EventState, "o", "stray"))
+	mustApply(t, g2, ev(4, wire.EventState, "o", "d"))
+	if h := g2.Checkpoint().History; h[3].Seq != 4 {
+		t.Fatalf("append to a view reached the live history: %+v", h[3])
+	}
+}
+
+// TestCheckpointAllocatesNoStateBytes: the image of a group holding 8 MiB of
+// objects and 1,000 retained events is a view — it allocates the object index
+// and nothing proportional to the state.
+func TestCheckpointAllocatesNoStateBytes(t *testing.T) {
+	g := New()
+	seq := uint64(0)
+	for i := 0; i < 8; i++ {
+		seq++
+		mustApply(t, g, wire.Event{Seq: seq, Kind: wire.EventState, ObjectID: fmt.Sprintf("o%d", i), Data: make([]byte, 1<<20)})
+	}
+	g.Reduce(0)
+	for i := 0; i < 1000; i++ {
+		seq++
+		mustApply(t, g, wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "log", Data: make([]byte, 256)})
+	}
+	stateBytes := uint64(8<<20 + 1000*256)
+	var sink Checkpointed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { sink = g.Checkpoint() })
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	if len(sink.Objects) != 9 || len(sink.History) != 1000 {
+		t.Fatalf("image has %d objects, %d events", len(sink.Objects), len(sink.History))
+	}
+	if perRun > stateBytes/100 {
+		t.Fatalf("Checkpoint allocates %d bytes per image of %d state bytes (>1%%)", perRun, stateBytes)
+	}
+	if allocs > 8 {
+		t.Fatalf("Checkpoint makes %.0f allocations, want a handful (the object index)", allocs)
 	}
 }

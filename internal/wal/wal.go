@@ -402,42 +402,6 @@ func (l *Log) failedError() error {
 	return l.failErr
 }
 
-// Append writes one record and returns its LSN. Durability depends on the
-// sync policy: with SyncAlways the record is on disk when Append returns.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordSize {
-		return 0, ErrRecordTooLarge
-	}
-	start := time.Now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.failed {
-		return 0, l.failErr
-	}
-	lsn, err := l.writeRecordLocked(payload)
-	if err != nil {
-		l.commitFailedLocked(err)
-		return 0, err
-	}
-	if l.opts.Sync == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			l.commitFailedLocked(err)
-			return 0, err
-		}
-	}
-	if l.size >= l.opts.SegmentSize {
-		if err := l.roll(); err != nil {
-			l.commitFailedLocked(err)
-			return 0, err
-		}
-	}
-	walAppendNs.Record(time.Since(start).Nanoseconds())
-	return lsn, nil
-}
-
 // writeRecordLocked buffers one record and assigns its LSN. Caller holds
 // l.mu.
 func (l *Log) writeRecordLocked(payload []byte) (uint64, error) {
@@ -651,7 +615,7 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// NextLSN returns the LSN the next Append will produce.
+// NextLSN returns the LSN the next committed record will get.
 func (l *Log) NextLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

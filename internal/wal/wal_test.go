@@ -24,6 +24,22 @@ func openTest(t *testing.T, opts Options) *Log {
 	return l
 }
 
+// Append is the synchronous form the tests write with: AppendAsync plus a
+// wait for the commit callback, so the group-commit writer is the only path
+// that writes records. With SyncAlways the record is on disk on return.
+func (l *Log) Append(payload []byte) (uint64, error) {
+	type result struct {
+		lsn uint64
+		err error
+	}
+	done := make(chan result, 1)
+	if err := l.AppendAsync(payload, func(lsn uint64, err error) { done <- result{lsn, err} }); err != nil {
+		return 0, err
+	}
+	r := <-done
+	return r.lsn, r.err
+}
+
 func appendN(t *testing.T, l *Log, n int, tag string) {
 	t.Helper()
 	for i := 0; i < n; i++ {

@@ -75,7 +75,7 @@ func (m *CreateGroup) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
 	e.PutString(m.Group)
 	e.PutBool(m.Persistent)
-	encodeObjects(e, m.Initial)
+	EncodeObjects(e, m.Initial)
 }
 
 // Decode implements Message.
@@ -83,7 +83,7 @@ func (m *CreateGroup) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
 	m.Group = d.String()
 	m.Persistent = d.Bool()
-	m.Initial = decodeObjects(d)
+	m.Initial = DecodeObjects(d)
 	return d.Err()
 }
 
@@ -218,8 +218,8 @@ func (m *JoinAck) Encode(e *Encoder) {
 	e.PutString(m.Group)
 	e.PutUvarint(m.NextSeq)
 	e.PutUvarint(m.BaseSeq)
-	encodeObjects(e, m.Objects)
-	encodeEvents(e, m.Events)
+	EncodeObjects(e, m.Objects)
+	EncodeEvents(e, m.Events)
 	encodeMembers(e, m.Members)
 	e.PutBool(m.Streaming)
 }
@@ -230,8 +230,8 @@ func (m *JoinAck) Decode(d *Decoder) error {
 	m.Group = d.String()
 	m.NextSeq = d.Uvarint()
 	m.BaseSeq = d.Uvarint()
-	m.Objects = decodeObjects(d)
-	m.Events = decodeEvents(d)
+	m.Objects = DecodeObjects(d)
+	m.Events = DecodeEvents(d)
 	m.Members = decodeMembers(d)
 	m.Streaming = d.Bool()
 	return d.Err()
@@ -240,7 +240,7 @@ func (m *JoinAck) Decode(d *Decoder) error {
 // TransferChunk carries one contiguous slice of a streamed state-transfer
 // payload. The concatenation of all chunks for a join, in offset order, is
 // the standard encoding of the transfer's objects followed by its events
-// (see DecodeTransferPayload). Chunks for one join arrive in order on the
+// (see TransferAssembler). Chunks for one join arrive in order on the
 // member's connection.
 type TransferChunk struct {
 	// RequestID echoes the Join that opened the transfer.
@@ -499,13 +499,13 @@ func (*Deliver) Kind() Kind { return KindDeliver }
 // Encode implements Message.
 func (m *Deliver) Encode(e *Encoder) {
 	e.PutString(m.Group)
-	m.Event.encode(e)
+	m.Event.Encode(e)
 }
 
 // Decode implements Message.
 func (m *Deliver) Decode(d *Decoder) error {
 	m.Group = d.String()
-	m.Event = decodeEvent(d)
+	m.Event = DecodeEvent(d)
 	return d.Err()
 }
 
@@ -525,13 +525,13 @@ func (*DeliverBatch) Kind() Kind { return KindDeliverBatch }
 // Encode implements Message.
 func (m *DeliverBatch) Encode(e *Encoder) {
 	e.PutString(m.Group)
-	encodeEvents(e, m.Events)
+	EncodeEvents(e, m.Events)
 }
 
 // Decode implements Message.
 func (m *DeliverBatch) Decode(d *Decoder) error {
 	m.Group = d.String()
-	m.Events = decodeEvents(d)
+	m.Events = DecodeEvents(d)
 	return d.Err()
 }
 

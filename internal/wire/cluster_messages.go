@@ -103,7 +103,7 @@ func (*SForward) Kind() Kind { return KindSForward }
 func (m *SForward) Encode(e *Encoder) {
 	e.PutUvarint(m.Origin)
 	e.PutString(m.Group)
-	m.Event.encode(e)
+	m.Event.Encode(e)
 	e.PutBool(m.SenderInclusive)
 	e.PutUvarint(m.RequestID)
 }
@@ -112,7 +112,7 @@ func (m *SForward) Encode(e *Encoder) {
 func (m *SForward) Decode(d *Decoder) error {
 	m.Origin = d.Uvarint()
 	m.Group = d.String()
-	m.Event = decodeEvent(d)
+	m.Event = DecodeEvent(d)
 	m.SenderInclusive = d.Bool()
 	m.RequestID = d.Uvarint()
 	return d.Err()
@@ -138,7 +138,7 @@ func (*SDistribute) Kind() Kind { return KindSDistribute }
 // Encode implements Message.
 func (m *SDistribute) Encode(e *Encoder) {
 	e.PutString(m.Group)
-	m.Event.encode(e)
+	m.Event.Encode(e)
 	e.PutBool(m.SenderInclusive)
 	e.PutUvarint(m.Origin)
 	e.PutUvarint(m.RequestID)
@@ -147,7 +147,7 @@ func (m *SDistribute) Encode(e *Encoder) {
 // Decode implements Message.
 func (m *SDistribute) Decode(d *Decoder) error {
 	m.Group = d.String()
-	m.Event = decodeEvent(d)
+	m.Event = DecodeEvent(d)
 	m.SenderInclusive = d.Bool()
 	m.Origin = d.Uvarint()
 	m.RequestID = d.Uvarint()
@@ -406,8 +406,8 @@ func (m *SStateResponse) Encode(e *Encoder) {
 	e.PutUvarint(m.BaseSeq)
 	e.PutUvarint(m.NextSeq)
 	e.PutUint64(m.Digest)
-	encodeObjects(e, m.Objects)
-	encodeEvents(e, m.Events)
+	EncodeObjects(e, m.Objects)
+	EncodeEvents(e, m.Events)
 	encodeMembers(e, m.Members)
 }
 
@@ -420,8 +420,8 @@ func (m *SStateResponse) Decode(d *Decoder) error {
 	m.BaseSeq = d.Uvarint()
 	m.NextSeq = d.Uvarint()
 	m.Digest = d.Uint64()
-	m.Objects = decodeObjects(d)
-	m.Events = decodeEvents(d)
+	m.Objects = DecodeObjects(d)
+	m.Events = DecodeEvents(d)
 	m.Members = decodeMembers(d)
 	return d.Err()
 }
@@ -447,7 +447,7 @@ func (m *SGroupOp) Encode(e *Encoder) {
 	e.PutByte(byte(m.Op))
 	e.PutString(m.Group)
 	e.PutBool(m.Persistent)
-	encodeObjects(e, m.Initial)
+	EncodeObjects(e, m.Initial)
 }
 
 // Decode implements Message.
@@ -457,7 +457,7 @@ func (m *SGroupOp) Decode(d *Decoder) error {
 	m.Op = GroupOpKind(d.Byte())
 	m.Group = d.String()
 	m.Persistent = d.Bool()
-	m.Initial = decodeObjects(d)
+	m.Initial = DecodeObjects(d)
 	return d.Err()
 }
 

@@ -55,12 +55,12 @@ func FuzzTransferPayload(f *testing.F) {
 	f.Add([]byte{2, 1, 'a', 3, 1, 2, 3, 1, 'b', 0})   // truncated
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 0, 0}) // huge count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		objs, evs, err := DecodeTransferPayload(data)
+		objs, evs, err := decodeTransferPayload(data)
 		if err != nil {
 			return
 		}
 		re := encodePayload(t, objs, evs, 16)
-		objs2, evs2, err := DecodeTransferPayload(re)
+		objs2, evs2, err := decodeTransferPayload(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v", err)
 		}
@@ -178,7 +178,7 @@ func FuzzTransferStream(f *testing.F) {
 			{Seq: 2, Kind: EventUpdate, ObjectID: "x", Data: objData, Time: int64(chunk)},
 		}
 		payload := encodePayload(t, objects, events, chunk)
-		objs2, evs2, err := DecodeTransferPayload(payload)
+		objs2, evs2, err := decodeTransferPayload(payload)
 		if err != nil {
 			t.Fatalf("decode of streamed payload failed: %v", err)
 		}

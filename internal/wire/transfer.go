@@ -114,16 +114,53 @@ func (s *TransferStream) Next(max int) (chunk []byte, offset uint64) {
 	return s.buf, offset
 }
 
-// DecodeTransferPayload decodes a reassembled transfer payload into its
-// objects and events. It is the inverse of draining a TransferStream.
-//
-// Object and event Data alias data: the caller hands over ownership of the
-// buffer. The payload of a large transfer is decoded exactly once, so
-// copying it out again would double the join's allocation volume for no
-// benefit.
+// TransferAssembler is the inverse of TransferStream: it takes the chunks
+// of one streamed payload in offset order and decodes the reassembled bytes.
+// It hides the payload format and the allocation bound from the receivers
+// (a joining client, a migration target), which keep only their own
+// bookkeeping. The zero value is ready to use.
+type TransferAssembler struct {
+	buf []byte
+}
+
+// Add appends the chunk that starts at offset; a chunk that does not start
+// where the previous one ended is an error (chunks travel in order on one
+// connection, so a gap is a protocol fault, never reordering). total is the
+// sender's announced payload size. It only sizes the buffer up front, and
+// only while it is a size one frame could carry: a corrupt or hostile
+// announcement allocates nothing, and a larger payload grows by append.
+func (a *TransferAssembler) Add(offset, total uint64, data []byte) error {
+	if offset != uint64(len(a.buf)) {
+		return fmt.Errorf("wire: transfer chunk at offset %d, want %d", offset, len(a.buf))
+	}
+	if a.buf == nil && total <= MaxFrame {
+		a.buf = make([]byte, 0, total)
+	}
+	a.buf = append(a.buf, data...)
+	return nil
+}
+
+// Received returns the payload bytes assembled so far.
+func (a *TransferAssembler) Received() uint64 { return uint64(len(a.buf)) }
+
+// Finish checks that exactly total bytes arrived and decodes them. The
+// assembler's buffer belongs to this one transfer, and Finish hands its
+// ownership to the results: their Data slices share it, uncopied (a large
+// payload is decoded exactly once), and the assembler is spent.
+func (a *TransferAssembler) Finish(total uint64) ([]Object, []Event, error) {
+	if uint64(len(a.buf)) != total {
+		return nil, nil, fmt.Errorf("wire: transfer truncated: %d of %d bytes", len(a.buf), total)
+	}
+	buf := a.buf
+	a.buf = nil
+	return decodeTransferPayload(buf)
+}
+
+// decodeTransferPayload decodes a reassembled transfer payload into its
+// objects and events; object and event Data alias data.
 //
 // corona:aliases-input — and corona:zerocopy on the decode path itself.
-func DecodeTransferPayload(data []byte) ([]Object, []Event, error) {
+func decodeTransferPayload(data []byte) ([]Object, []Event, error) {
 	d := NewDecoder(data)
 	objs := decodeObjectsAlias(d)
 	evs := decodeEventsAlias(d)

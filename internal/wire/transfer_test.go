@@ -11,8 +11,8 @@ import (
 // byte for byte: objects then events, standard framing.
 func referencePayload(objs []Object, evs []Event) []byte {
 	e := NewEncoder(nil)
-	encodeObjects(e, objs)
-	encodeEvents(e, evs)
+	EncodeObjects(e, objs)
+	EncodeEvents(e, evs)
 	return e.Bytes()
 }
 
@@ -58,9 +58,9 @@ func TestTransferStreamMatchesInlineEncoding(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("max %d: stream output differs from inline encoding", max)
 		}
-		gotObjs, gotEvs, err := DecodeTransferPayload(got)
+		gotObjs, gotEvs, err := decodeTransferPayload(got)
 		if err != nil {
-			t.Fatalf("max %d: DecodeTransferPayload: %v", max, err)
+			t.Fatalf("max %d: decodeTransferPayload: %v", max, err)
 		}
 		if !reflect.DeepEqual(gotObjs, objs) {
 			t.Errorf("max %d: objects differ: %+v", max, gotObjs)
@@ -74,7 +74,7 @@ func TestTransferStreamMatchesInlineEncoding(t *testing.T) {
 func TestTransferStreamEmpty(t *testing.T) {
 	s := NewTransferStream(nil, nil)
 	got := drain(t, s, TransferChunkSize)
-	objs, evs, err := DecodeTransferPayload(got)
+	objs, evs, err := decodeTransferPayload(got)
 	if err != nil || objs != nil || evs != nil {
 		t.Fatalf("empty payload decoded to %v, %v, %v", objs, evs, err)
 	}
@@ -98,11 +98,70 @@ func TestTransferStreamSharesData(t *testing.T) {
 
 func TestDecodeTransferPayloadErrors(t *testing.T) {
 	good := referencePayload([]Object{{ID: "o", Data: []byte("data")}}, nil)
-	if _, _, err := DecodeTransferPayload(good[:len(good)-2]); err == nil {
+	if _, _, err := decodeTransferPayload(good[:len(good)-2]); err == nil {
 		t.Error("truncated payload decoded without error")
 	}
-	if _, _, err := DecodeTransferPayload(append(good, 0xFF)); err == nil {
+	if _, _, err := decodeTransferPayload(append(good, 0xFF)); err == nil {
 		t.Error("payload with trailing bytes decoded without error")
+	}
+}
+
+// TestTransferAssemblerInvertsStream: every chunking of a stream reassembles
+// to the objects and events it was built from.
+func TestTransferAssemblerInvertsStream(t *testing.T) {
+	objs := []Object{{ID: "a", Data: bytes.Repeat([]byte("A"), 300)}, {ID: "empty"}}
+	evs := []Event{{Seq: 9, Kind: EventUpdate, ObjectID: "a", Data: []byte("tail"), Sender: 2, Time: 77}}
+	for _, max := range []int{1, 13, 1 << 20} {
+		s := NewTransferStream(objs, evs)
+		var a TransferAssembler
+		for {
+			chunk, off := s.Next(max)
+			if chunk == nil {
+				break
+			}
+			if err := a.Add(off, s.Total(), chunk); err != nil {
+				t.Fatalf("max %d: Add(%d): %v", max, off, err)
+			}
+		}
+		if a.Received() != s.Total() {
+			t.Fatalf("max %d: Received = %d, want %d", max, a.Received(), s.Total())
+		}
+		gotObjs, gotEvs, err := a.Finish(s.Total())
+		if err != nil || !reflect.DeepEqual(gotObjs, objs) || !reflect.DeepEqual(gotEvs, evs) {
+			t.Fatalf("max %d: Finish = %+v, %+v, %v", max, gotObjs, gotEvs, err)
+		}
+	}
+}
+
+func TestTransferAssemblerRejectsGapAndTruncation(t *testing.T) {
+	payload := referencePayload([]Object{{ID: "o", Data: []byte("data")}}, nil)
+	var a TransferAssembler
+	if err := a.Add(3, uint64(len(payload)), payload[3:]); err == nil {
+		t.Error("chunk past a gap accepted")
+	}
+	if err := a.Add(0, uint64(len(payload)), payload[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Add(0, uint64(len(payload)), payload[:4]); err == nil {
+		t.Error("replayed chunk accepted")
+	}
+	if _, _, err := a.Finish(uint64(len(payload))); err == nil {
+		t.Error("truncated payload finished without error")
+	}
+}
+
+// TestTransferAssemblerBoundsPreallocation: the announced total comes off the
+// wire unvalidated; one no frame could carry must not size an allocation.
+func TestTransferAssemblerBoundsPreallocation(t *testing.T) {
+	var a TransferAssembler
+	if err := a.Add(0, 1<<62, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if cap(a.buf) > 64 {
+		t.Fatalf("hostile total preallocated %d bytes", cap(a.buf))
+	}
+	if _, _, err := a.Finish(1 << 62); err == nil {
+		t.Error("payload short of its announced total finished without error")
 	}
 }
 

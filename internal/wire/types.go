@@ -55,7 +55,9 @@ type Event struct {
 	Time int64
 }
 
-func (ev Event) encode(e *Encoder) {
+// Encode appends the event's standard encoding — the one every message,
+// transfer payload and stable-storage record that carries an event uses.
+func (ev Event) Encode(e *Encoder) {
 	e.PutUvarint(ev.Seq)
 	e.PutByte(byte(ev.Kind))
 	e.PutString(ev.ObjectID)
@@ -64,7 +66,9 @@ func (ev Event) encode(e *Encoder) {
 	e.PutVarint(ev.Time)
 }
 
-func decodeEvent(d *Decoder) Event {
+// DecodeEvent is the inverse of Event.Encode; Data is copied out of the
+// decoder's buffer.
+func DecodeEvent(d *Decoder) Event {
 	return Event{
 		Seq:      d.Uvarint(),
 		Kind:     EventKind(d.Byte()),
@@ -75,14 +79,16 @@ func decodeEvent(d *Decoder) Event {
 	}
 }
 
-func encodeEvents(e *Encoder, evs []Event) {
+// EncodeEvents appends a count-prefixed event list.
+func EncodeEvents(e *Encoder, evs []Event) {
 	e.PutUvarint(uint64(len(evs)))
 	for i := range evs {
-		evs[i].encode(e)
+		evs[i].Encode(e)
 	}
 }
 
-func decodeEvents(d *Decoder) []Event {
+// DecodeEvents is the inverse of EncodeEvents (nil for an empty list).
+func DecodeEvents(d *Decoder) []Event {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
 		return nil
@@ -93,7 +99,7 @@ func decodeEvents(d *Decoder) []Event {
 	}
 	evs := make([]Event, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		evs = append(evs, decodeEvent(d))
+		evs = append(evs, DecodeEvent(d))
 	}
 	return evs
 }
@@ -115,14 +121,16 @@ func decodeObject(d *Decoder) Object {
 	return Object{ID: d.String(), Data: d.ByteCopy()}
 }
 
-func encodeObjects(e *Encoder, objs []Object) {
+// EncodeObjects appends a count-prefixed object list.
+func EncodeObjects(e *Encoder, objs []Object) {
 	e.PutUvarint(uint64(len(objs)))
 	for i := range objs {
 		objs[i].encode(e)
 	}
 }
 
-func decodeObjects(d *Decoder) []Object {
+// DecodeObjects is the inverse of EncodeObjects (nil for an empty list).
+func DecodeObjects(d *Decoder) []Object {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
 		return nil

@@ -60,26 +60,22 @@ done
 echo "== bench smoke (compile + one iteration)"
 go test -run NONE -bench . -benchtime 1x ./... >/dev/null
 
-echo "== batch ingest smoke"
-# Short table1 blast: pipelined clients drive the greedy drain, multi-event
-# runs on the multicast path, and the pooled DeliverBatch fanout end to end
-# on every gate run.
-go run ./cmd/corona-bench -experiment table1 -duration 200ms >/dev/null
-
-echo "== multigroup smoke"
-go run ./cmd/corona-bench -experiment multigroup -groups 1,2 -per-group 1 -duration 200ms >/dev/null
-
-echo "== fanout smoke"
-# Short wide-group sweep: the off-lock sharded pipeline delivers under a
-# fanout wider than the shard count, so the credit protocol, the COW
-# snapshot, and run delivery run end to end.
-go run ./cmd/corona-bench -experiment fanout -fanout-members 8,32 -duration 200ms >/dev/null
-
-echo "== jointransfer smoke"
-go run ./cmd/corona-bench -experiment jointransfer -jt-sizes 1 -jt-joins 1 -duration 200ms >/dev/null
-
-echo "== placement smoke"
-go run ./cmd/corona-bench -experiment placement -pl-state 1 -pl-groups 2 >/dev/null
+echo "== corona-bench smokes (one build, five experiments)"
+# One link instead of five `go run`s. table1: pipelined clients drive the
+# greedy drain, multi-event runs on the multicast path and the pooled
+# DeliverBatch fanout end to end. fanout: the off-lock sharded pipeline
+# delivers under a fanout wider than the shard count, so the credit
+# protocol, the COW snapshot and run delivery run end to end.
+go build -o .bin/corona-bench ./cmd/corona-bench
+for smoke in \
+	"table1 -duration 200ms" \
+	"multigroup -groups 1,2 -per-group 1 -duration 200ms" \
+	"fanout -fanout-members 8,32 -duration 200ms" \
+	"jointransfer -jt-sizes 1 -jt-joins 1 -duration 200ms" \
+	"placement -pl-state 1 -pl-groups 2"; do
+	# shellcheck disable=SC2086 # the experiment's flags are meant to split
+	./.bin/corona-bench -experiment $smoke >/dev/null
+done
 
 echo "== chaos smoke (race)"
 # The storage-fault acceptance test: one seeded chaos arc — fsync fault,
