@@ -107,6 +107,9 @@ type interest struct {
 // groupMeta is the coordinator's registry entry for one group.
 type groupMeta struct {
 	persistent bool
+	// noInitial records a create that carried no initial objects: until the
+	// first event is sequenced such a group provably has no state.
+	noInitial bool
 	// interest maps server ID to that server's stake.
 	interest map[uint64]*interest
 	// members is the global membership, in join order.
@@ -133,12 +136,6 @@ func newGroupMeta(persistent bool) *groupMeta {
 	}
 }
 
-// statePending tracks one proxied state request.
-type statePending struct {
-	origin    uint64
-	requestID uint64
-}
-
 // Coordinator is the sequencing hub of a replicated Corona service.
 type Coordinator struct {
 	cfg CoordinatorConfig
@@ -158,8 +155,6 @@ type Coordinator struct {
 	nextBoot      uint64
 	groups        map[string]*groupMeta
 	seqr          *seq.Sequencer
-	pending       map[uint64]statePending
-	nextProxy     uint64
 	migrations    map[string]*migrationRec
 	nextMigration uint64
 	closed        bool
@@ -206,7 +201,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		peers:      make(map[uint64]*peer),
 		groups:     make(map[string]*groupMeta),
 		seqr:       seq.New(cfg.Now),
-		pending:    make(map[uint64]statePending),
 		place:      placement.NewTracker(cfg.Now),
 		policy:     placement.Policy{Replicas: cfg.Placement.Replicas},
 		migrations: make(map[string]*migrationRec),
@@ -512,8 +506,6 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 		c.handleGroupOp(p, m)
 	case *wire.SStateRequest:
 		c.handleStateRequest(p, m)
-	case *wire.SStateResponse:
-		c.handleStateResponse(m)
 	case *wire.SHeartbeat:
 		// lastSeen already bumped. A non-zero Time is the echo of one
 		// of our own heartbeats: its age against our clock is the
@@ -705,7 +697,14 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 			ack.Code = wire.CodeGroupExists
 			ack.Text = fmt.Sprintf("group %q exists", m.Group)
 		} else {
-			c.groups[m.Group] = newGroupMeta(m.Persistent)
+			// The origin installs the group before its client is acked, so
+			// it is the holder from the instant the create is ordered: a
+			// state request always has a source, however late the origin's
+			// own interest report arrives.
+			meta := newGroupMeta(m.Persistent)
+			meta.noInitial = len(m.Initial) == 0
+			meta.interest[p.info.ID] = &interest{backup: true}
+			c.groups[m.Group] = meta
 		}
 	case wire.GroupOpDelete:
 		if _, exists := c.groups[m.Group]; !exists {
@@ -746,84 +745,45 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 	p.send(ack)
 }
 
-// handleStateRequest serves a replica-acquisition request: the coordinator
-// answers empty groups directly and proxies the rest to a server that holds
-// the state.
+// handleStateRequest tells a server where a group's state lives. The
+// coordinator never originates state: the requester pulls the image from the
+// named replica over a direct peer connection.
 func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
+	resp := &wire.SStateResponse{RequestID: m.RequestID, Group: m.Group, Code: wire.CodeNoSuchGroup}
 	c.mu.Lock()
-	meta, ok := c.groups[m.Group]
-	if !ok {
-		c.mu.Unlock()
-		p.send(&wire.SStateResponse{RequestID: m.RequestID, Group: m.Group, OK: false})
-		return
-	}
-	// Choose a source replica other than the requester, preferring the
-	// post-divergence authority when one is recorded.
-	var source *peer
-	if meta.authority != 0 && meta.authority != p.info.ID {
-		if sp, ok := c.peers[meta.authority]; ok {
-			source = sp
-		}
-	}
-	if source == nil {
-		for id, in := range meta.interest {
-			if id == p.info.ID || in.pending || (in.members == 0 && !in.backup) {
-				continue
-			}
-			if sp, ok := c.peers[id]; ok {
-				source = sp
-				break
-			}
-		}
-	}
-	if source == nil {
-		// No replica anywhere: the group exists but is empty. Answer
-		// directly from the registry.
-		resp := &wire.SStateResponse{
-			RequestID:  m.RequestID,
-			Group:      m.Group,
-			OK:         true,
-			Persistent: meta.persistent,
-			NextSeq:    c.seqr.Peek(m.Group),
-			Members:    append([]wire.MemberInfo(nil), meta.members...),
-		}
-		if resp.NextSeq == 0 {
-			resp.NextSeq = 1
-		}
-		resp.BaseSeq = resp.NextSeq - 1
-		c.mu.Unlock()
-		p.send(resp)
-		return
-	}
-	c.nextProxy++
-	proxyID := c.nextProxy
-	c.pending[proxyID] = statePending{origin: p.info.ID, requestID: m.RequestID}
-	c.mu.Unlock()
-
-	source.send(&wire.SStateRequest{RequestID: proxyID, Group: m.Group, FromSeq: m.FromSeq})
-}
-
-// handleStateResponse relays a proxied state response back to the
-// requesting server, annotated with the global membership.
-func (c *Coordinator) handleStateResponse(m *wire.SStateResponse) {
-	c.mu.Lock()
-	pend, ok := c.pending[m.RequestID]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.pending, m.RequestID)
-	origin, live := c.peers[pend.origin]
 	if meta, ok := c.groups[m.Group]; ok {
-		m.Members = append([]wire.MemberInfo(nil), meta.members...)
-		m.Persistent = meta.persistent
+		resp.Code = wire.CodeUnknown
+		resp.Persistent = meta.persistent
+		resp.NextSeq = c.seqr.Peek(m.Group)
+		// Choose a source replica other than the requester, preferring the
+		// post-divergence authority when one is recorded.
+		source, live := c.peers[meta.authority]
+		if !live || source == p {
+			source = nil
+			for id, in := range meta.interest {
+				if id == p.info.ID || in.pending || (in.members == 0 && !in.backup) {
+					continue
+				}
+				if sp, ok := c.peers[id]; ok {
+					source = sp
+					break
+				}
+			}
+		}
+		switch {
+		case source != nil:
+			resp.OK = true
+			resp.SourceID, resp.SourceAddr = source.info.ID, source.info.Addr
+		case meta.noInitial && resp.NextSeq == 1:
+			// No replica anywhere and nothing to lose: created without
+			// initial objects, never sequenced. The requester starts it
+			// empty. A group that may hold state gets no invented image;
+			// the requester asks again until a holder is back.
+			resp.OK = true
+		}
 	}
-	m.RequestID = pend.requestID
 	c.mu.Unlock()
-
-	if live {
-		origin.send(m)
-	}
+	p.send(resp)
 }
 
 // handleSeqReport folds a server's high-water marks into the sequencer —

@@ -21,7 +21,8 @@ import (
 // top of the list" — so k+1 servers tolerate k simultaneous crashes.
 
 // peerAcceptLoop serves this server's peer listener: election probes from
-// candidates, and (after a promotion) registrations from the other servers.
+// candidates, replica pulls from servers acquiring a group this one holds,
+// and (after a promotion) registrations from the other servers.
 func (s *Server) peerAcceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -39,6 +40,8 @@ func (s *Server) peerAcceptLoop() {
 
 func (s *Server) servePeerConn(conn *transport.Conn) {
 	defer conn.Close()
+	// Whoever dials must say what it wants within the request budget.
+	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
 	msg, err := conn.ReadMessage()
 	if err != nil {
 		return
@@ -52,11 +55,12 @@ func (s *Server) servePeerConn(conn *transport.Conn) {
 			_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "not the coordinator"})
 			return
 		}
+		_ = conn.SetReadDeadline(time.Time{})
 		coord.ServeRegistration(conn, m) // blocks for the link's life
 	case *wire.SElect:
 		s.handleElectionProbe(conn, m)
-	case *wire.SMigrateOffer:
-		s.handleMigrateIn(conn, m)
+	case *wire.SStateRequest:
+		s.serveState(conn, m)
 	default:
 		s.log.Warn("unexpected peer-listener message", "kind", msg.Kind().String())
 	}

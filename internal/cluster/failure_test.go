@@ -198,38 +198,6 @@ func TestServerReconnectsAfterLinkCut(t *testing.T) {
 	}
 }
 
-// TestSequenceGapHealed drives the catch-up path directly: a server misses
-// distributed events (its link was down during sequencing) and must fetch
-// the missing suffix when the next event reveals the gap.
-func TestSequenceGapHealed(t *testing.T) {
-	tc := startCluster(t, 2)
-	sinkB := newSink()
-	a := dialTo(t, tc.servers[0], "a", nil)
-	b := dialTo(t, tc.servers[1], "b", sinkB)
-	if err := a.CreateGroup("g", false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Join("g", client.JoinOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Join("g", client.JoinOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Inject a gap artificially: apply an event far ahead through the
-	// distribute path on server B's engine.
-	for i := 0; i < 3; i++ {
-		if _, err := a.BcastUpdate("g", "o", []byte{byte(i)}, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events := sinkB.wait(t, 3)
-	for i, ev := range events {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("seq[%d] = %d", i, ev.Seq)
-		}
-	}
-}
-
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)

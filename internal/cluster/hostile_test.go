@@ -1,64 +1,192 @@
 package cluster_test
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"corona/internal/client"
+	"corona/internal/cluster"
 	"corona/internal/transport"
 	"corona/internal/wire"
 )
 
-// TestHostileMigrateOfferDoesNotCrashServer: the peer listener takes frames
-// from whoever dials it, and an SMigrateOffer's Total is an unvalidated
-// uint64. Sizing the reassembly buffer from it used to panic the process
-// (makeslice: cap out of range). The offer must be refused — an
-// SMigrateResult{OK: false} or a closed connection — and the server must keep
-// serving its clients.
-func TestHostileMigrateOfferDoesNotCrashServer(t *testing.T) {
-	tc := startCluster(t, 1)
-	srv := tc.servers[0]
-
-	conn, err := transport.Dial(srv.PeerAddr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	offer := &wire.SMigrateOffer{RequestID: 1, SourceID: 99, Group: "ghost", NextSeq: 1, Total: 1 << 62}
-	if err := conn.WriteMessage(offer); err != nil {
-		t.Fatal(err)
-	}
-	// No chunks: the cutover ends the stream far short of the announced size.
-	if err := conn.WriteMessage(&wire.SMigrateCutover{RequestID: 1, NextSeq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if reply, err := conn.ReadMessage(); err == nil {
-		res, ok := reply.(*wire.SMigrateResult)
-		if !ok || res.OK {
-			t.Fatalf("hostile offer answered with %#v, want SMigrateResult{OK: false}", reply)
-		}
-	}
-	if srv.Engine().HasGroup("ghost") {
-		t.Fatal("hostile offer installed a group")
-	}
-
-	// Still serving.
+// stillServing fails unless the server creates a group, joins two clients and
+// delivers a multicast between them.
+func stillServing(t *testing.T, srv *cluster.Server, group string) {
+	t.Helper()
 	sk := newSink()
 	a := dialTo(t, srv, "a", nil)
 	b := dialTo(t, srv, "b", sk)
-	if err := a.CreateGroup("g", false, nil); err != nil {
+	if err := a.CreateGroup(group, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []*client.Client{a, b} {
-		if _, err := c.Join("g", client.JoinOptions{}); err != nil {
+		if _, err := c.Join(group, client.JoinOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.BcastUpdate("g", "o", []byte("still here"), false); err != nil {
+	if _, err := a.BcastUpdate(group, "o", []byte("still here"), false); err != nil {
 		t.Fatal(err)
 	}
 	if evs := sk.wait(t, 1); string(evs[0].Data) != "still here" {
-		t.Fatalf("delivery after hostile offer = %q", evs[0].Data)
+		t.Fatalf("delivery after hostile peer = %q", evs[0].Data)
 	}
+}
+
+// TestHostileSourceInstallsNothing: a server pulls a replica from whatever
+// address the coordinator names, and every field of the stream it reads is
+// unvalidated input. A fake server registers, creates a group (so the
+// coordinator names it as the only source), and answers each pull with a
+// broken stream: an offer announcing 1<<62 bytes (sizing the reassembly
+// buffer from it used to panic with makeslice: cap out of range), a cutover
+// that contradicts the offer, a chunk that skips bytes. The pulling server
+// must install nothing, fail the joining client, and keep serving.
+func TestHostileSourceInstallsNothing(t *testing.T) {
+	tc := startCluster(t, 1)
+	srv := tc.servers[0]
+
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	payload := []byte("0123456789")
+	streams := [][]wire.Message{
+		{&wire.SMigrateOffer{NextSeq: 1, Total: 1 << 62}, &wire.SMigrateCutover{NextSeq: 1}},
+		{&wire.SMigrateOffer{NextSeq: 5, Digest: 7}, &wire.SMigrateCutover{NextSeq: 5, Digest: 8}},
+		{
+			&wire.SMigrateOffer{NextSeq: 1, Total: 20},
+			&wire.SMigrateChunk{Offset: 0, Data: payload},
+			&wire.SMigrateChunk{Offset: 15, Data: payload[:5]},
+			&wire.SMigrateCutover{NextSeq: 1},
+		},
+	}
+	var pulls atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := conn.ReadMessage(); err == nil {
+				n := int(pulls.Add(1)) - 1
+				for _, m := range streams[n%len(streams)] {
+					_ = conn.WriteMessage(m)
+				}
+			}
+			conn.Close()
+		}
+	}()
+
+	// The fake server's coordinator link: register, create "ghost".
+	link, err := transport.Dial(tc.coord.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	for _, m := range []wire.Message{
+		&wire.SHello{RequestID: 1, ServerID: 99, Addr: ln.Addr().String()},
+		&wire.SGroupOp{RequestID: 2, Origin: 99, Op: wire.GroupOpCreate, Group: "ghost", Initial: []wire.Object{{ID: "o", Data: []byte("x")}}},
+	} {
+		if err := link.WriteMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() { // stay registered: drain the link, echo the heartbeats
+		for {
+			msg, err := link.ReadMessage()
+			if err != nil {
+				return
+			}
+			if hb, ok := msg.(*wire.SHeartbeat); ok {
+				_ = link.WriteMessage(&wire.SHeartbeat{ServerID: 99, Epoch: hb.Epoch, Time: hb.Time})
+			}
+		}
+	}()
+	waitFor(t, 5*time.Second, func() bool { return tc.coord.HasGroup("ghost") })
+
+	victim := dialTo(t, srv, "victim", nil)
+	if _, err := victim.Join("ghost", client.JoinOptions{}); err == nil {
+		t.Fatal("join over a hostile source succeeded")
+	}
+	if n := pulls.Load(); n < int64(len(streams)) {
+		t.Fatalf("only %d of %d hostile streams were pulled", n, len(streams))
+	}
+	if srv.Engine().HasGroup("ghost") {
+		t.Fatal("a hostile stream installed a group")
+	}
+	stillServing(t, srv, "g")
+}
+
+// TestHostilePullerIsRefused: the peer listener takes frames from whoever
+// dials it. A pull of a group the server does not hold gets one refusal frame
+// and a closed connection — whatever else the puller sent; a peer that dials
+// and says nothing is dropped after RequestTimeout, so no goroutine stays
+// blocked on it.
+func TestHostilePullerIsRefused(t *testing.T) {
+	tc := startCluster(t, 0)
+	srv, err := cluster.NewServer(cluster.ServerConfig{
+		ID: 2, CoordinatorAddr: tc.coord.Addr(), DisableElection: true,
+		RequestTimeout: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	tc.servers = append(tc.servers, srv)
+
+	pull := func(garbage bool) (wire.Message, error) {
+		conn, err := transport.Dial(srv.PeerAddr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.WriteMessage(&wire.SStateRequest{Group: "ghost", FromSeq: 1 << 62}); err != nil {
+			t.Fatal(err)
+		}
+		if garbage {
+			_ = conn.WriteFrame([]byte("\xff garbage after the first frame"))
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := conn.ReadMessage()
+		if err == nil {
+			if _, err := conn.ReadMessage(); err == nil {
+				t.Fatal("connection still open after the refusal")
+			}
+		}
+		return reply, err
+	}
+	reply, err := pull(false)
+	if err != nil {
+		t.Fatalf("pull of an unknown group: %v, want a refusal frame", err)
+	}
+	if refusal, ok := reply.(*wire.ErrorMsg); !ok || !strings.Contains(refusal.Text, "ghost") {
+		t.Fatalf("pull of an unknown group answered with %#v", reply)
+	}
+	// Unread garbage may turn the close into a reset that overtakes the
+	// refusal; either way the puller gets nothing else.
+	if reply, err := pull(true); err == nil {
+		if _, ok := reply.(*wire.ErrorMsg); !ok {
+			t.Fatalf("pull followed by garbage answered with %#v", reply)
+		}
+	}
+
+	silent, err := transport.Dial(srv.PeerAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	_ = silent.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := silent.ReadMessage(); err == nil {
+		t.Fatal("silent peer was sent a frame")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("silent peer held for %v, want about RequestTimeout (300ms)", d)
+	}
+	stillServing(t, srv, "g")
 }

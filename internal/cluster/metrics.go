@@ -35,9 +35,10 @@ var (
 	// directing a server to acquire a replica it does not hold.
 	clusterBackupReassigns = obs.Default.Counter("cluster.backup_reassigns")
 	// clusterSeqGaps counts sequence gaps replicas detected on the
-	// distribute path (each triggers a catch-up fetch).
+	// distribute path (each triggers a catch-up pull).
 	clusterSeqGaps = obs.Default.Counter("cluster.seq_gaps")
-	// clusterCatchups counts completed catch-up fetches.
+	// clusterCatchups counts catch-ups that applied or installed what the
+	// replica was missing.
 	clusterCatchups = obs.Default.Counter("cluster.catchups")
 
 	// Placement / live migration.
@@ -50,9 +51,9 @@ var (
 	// clusterMigrationNs is the coordinator-observed migration duration
 	// (SMigrate sent to SMigrated received).
 	clusterMigrationNs = obs.Default.Histogram("cluster.migration_ns")
-	// clusterMigrateOutNs / clusterMigrateInNs are the server-side stream
-	// durations (capture-to-ack on the source, offer-to-install on the
-	// target).
+	// clusterMigrateOutNs / clusterMigrateInNs are the two ends of every
+	// replica stream, migration or not: capture to last write on the
+	// serving side, dial to verified cutover on the pulling side.
 	clusterMigrateOutNs = obs.Default.Histogram("cluster.migrate_out_ns")
 	clusterMigrateInNs  = obs.Default.Histogram("cluster.migrate_in_ns")
 	// clusterReplicasReleased counts directed releases of surplus

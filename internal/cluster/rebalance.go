@@ -4,8 +4,9 @@ package cluster
 // reports piggybacked on server heartbeats into a placement.Tracker, and on
 // every rebalance tick diffs each group's replica set against the
 // policy-desired set (internal/placement), executing the resulting actions:
-// designations through the ordinary backup path, migrations through the
-// live migration driver (migrate.go), and releases as directed un-interest.
+// designations through the ordinary backup path, migrations as an
+// acquisition at the target followed by a release at the source
+// (migrate.go), and releases as directed un-interest.
 
 import (
 	"fmt"
@@ -99,18 +100,30 @@ func (c *Coordinator) MigrateGroup(group string, from, to uint64) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: migration endpoints %d→%d not live", from, to)
 	}
-	c.nextMigration++
-	req := &wire.SMigrate{RequestID: c.nextMigration, Group: group, TargetID: to, TargetAddr: dst.info.Addr}
-	c.migrations[group] = &migrationRec{id: req.RequestID, from: from, to: to, started: c.cfg.Now()}
+	req := c.startMigrationLocked(group, meta, src, dst)
 	c.mu.Unlock()
 
-	clusterMigrationsStarted.Inc()
 	c.log.Info("migration started", "group", group, "from", from, "to", to)
-	src.send(req)
+	dst.send(req)
 	return nil
 }
 
-// handleMigrated retires an in-flight migration record.
+// startMigrationLocked records an in-flight migration and builds the order
+// for its target: acquire the replica from src. Caller holds c.mu.
+func (c *Coordinator) startMigrationLocked(group string, meta *groupMeta, src, dst *peer) *wire.SMigrate {
+	c.nextMigration++
+	c.migrations[group] = &migrationRec{id: c.nextMigration, from: src.info.ID, to: dst.info.ID, started: c.cfg.Now()}
+	clusterMigrationsStarted.Inc()
+	return &wire.SMigrate{RequestID: c.nextMigration, Source: wire.SStateResponse{
+		Group: group, OK: true, Persistent: meta.persistent, NextSeq: c.seqr.Peek(group),
+		SourceID: src.info.ID, SourceAddr: src.info.Addr,
+	}}
+}
+
+// handleMigrated retires an in-flight migration record. The target holds
+// the replica now, so a successful migration ends with the directed release
+// of the source; a source whose clients joined meanwhile refuses it and the
+// migration degrades to a copy.
 func (c *Coordinator) handleMigrated(m *wire.SMigrated) {
 	c.mu.Lock()
 	rec, ok := c.migrations[m.Group]
@@ -119,18 +132,21 @@ func (c *Coordinator) handleMigrated(m *wire.SMigrated) {
 		return // superseded or timed out; already accounted for
 	}
 	delete(c.migrations, m.Group)
-	started := rec.started
+	src := c.peers[rec.from]
 	c.mu.Unlock()
 
-	if m.OK {
-		clusterMigrationsDone.Inc()
-		clusterMigrationBytes.Add(int64(m.Bytes))
-		if d := c.cfg.Now().Sub(started).Nanoseconds(); plausibleLatency(d) {
-			clusterMigrationNs.Record(d)
-		}
-	} else {
+	if !m.OK {
 		clusterMigrationsFailed.Inc()
-		c.log.Warn("migration failed", "group", m.Group, "from", m.SourceID, "to", m.TargetID, "reason", m.Text)
+		c.log.Warn("migration failed", "group", m.Group, "from", rec.from, "to", rec.to, "reason", m.Text)
+		return
+	}
+	clusterMigrationsDone.Inc()
+	clusterMigrationBytes.Add(int64(m.Bytes))
+	if d := c.cfg.Now().Sub(rec.started).Nanoseconds(); plausibleLatency(d) {
+		clusterMigrationNs.Record(d)
+	}
+	if src != nil {
+		src.send(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false})
 	}
 }
 
@@ -285,13 +301,8 @@ func (c *Coordinator) rebalance() {
 					continue
 				}
 				budget--
-				c.nextMigration++
-				c.migrations[name] = &migrationRec{id: c.nextMigration, from: act.From, to: act.Server, started: now}
-				clusterMigrationsStarted.Inc()
 				launched = append(launched, migNote{name, act.From, act.Server})
-				sends = append(sends, sendCmd{src, &wire.SMigrate{
-					RequestID: c.nextMigration, Group: name, TargetID: act.Server, TargetAddr: dst.info.Addr,
-				}})
+				sends = append(sends, sendCmd{dst, c.startMigrationLocked(name, meta, src, dst)})
 			case placement.Release:
 				p, live := c.peers[act.Server]
 				if !live {

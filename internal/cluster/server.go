@@ -269,8 +269,8 @@ func (s *Server) failPendingLocked() {
 // a fast test cluster or a WAN deployment scales every deadline
 // coherently. The defaults reproduce the old literals.
 
-// peerDialTimeout bounds dialing a coordinator or registration target
-// (default 2s).
+// peerDialTimeout bounds dialing a coordinator, a registration target or
+// a replica source (default 2s).
 func (s *Server) peerDialTimeout() time.Duration { return 4 * s.cfg.ElectionBackoff }
 
 // registerTimeout bounds the wait for a registration ack (default 5s).
@@ -382,7 +382,7 @@ func (s *Server) reRegisterState() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.catchUp(group)
+			s.catchUp(group, true)
 		}()
 	}
 }
@@ -542,8 +542,6 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 		s.completeOp(m.RequestID, m)
 	case *wire.SGroupsReport:
 		s.completeOp(m.RequestID, m)
-	case *wire.SStateRequest:
-		s.serveStateRequest(m)
 	case *wire.SServerList:
 		s.mu.Lock()
 		s.servers = m.Servers
@@ -575,12 +573,12 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 		})
 	case *wire.SInterest:
 		// Coordinator-to-server interest is a backup designation;
-		// un-interest is a directed release of a surplus replica.
+		// un-interest is a directed release of a replica.
 		if m.Interested && m.Backup {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.becomeBackup(m.Group)
+				s.becomeBackup(m.Group, nil)
 			}()
 		} else if !m.Interested {
 			s.wg.Add(1)
@@ -593,7 +591,7 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.runMigrationOut(m)
+			s.becomeBackup(m.Source.Group, m)
 		}()
 	case *wire.SDivergence:
 		s.wg.Add(1)
@@ -607,7 +605,7 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 }
 
 // handleDistribute applies one sequenced event; a sequence gap triggers a
-// catch-up fetch of the missed suffix.
+// catch-up pull of the missed suffix.
 func (s *Server) handleDistribute(m *wire.SDistribute) {
 	if d := time.Now().UnixNano() - m.Event.Time; plausibleLatency(d) {
 		clusterDistributeNs.Record(d)
@@ -626,7 +624,7 @@ func (s *Server) handleDistribute(m *wire.SDistribute) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.catchUp(m.Group)
+			s.catchUp(m.Group, false)
 			// Re-apply the event that revealed the gap.
 			_ = s.engine.ApplyDistribute(m.Group, m.Event, m.SenderInclusive, reqID)
 		}()
@@ -635,33 +633,19 @@ func (s *Server) handleDistribute(m *wire.SDistribute) {
 	s.log.Warn("distribute failed", "group", m.Group, "err", err)
 }
 
-// catchUp fetches and applies the event suffix this replica is missing.
-// Transient failures (e.g. a designated backup that has not finished its
-// own acquisition yet) are retried briefly.
-func (s *Server) catchUp(group string) {
-	var err error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(time.Duration(attempt) * 100 * time.Millisecond):
-			}
-		}
-		var img state.Checkpointed
-		_, _, img, err = s.fetchState(group, s.engine.NextSeq(group))
-		if err != nil {
-			continue
-		}
-		if len(img.History) > 0 {
-			if applyErr := s.engine.ApplyEvents(group, img.History); applyErr != nil {
-				s.log.Warn("catch-up apply failed", "group", group, "err", applyErr)
-			}
-		}
-		clusterCatchups.Inc()
+// catchUp brings a replica this server holds level with a source: the
+// events it missed, or the source's whole image when those were reduced
+// away meanwhile. sealed is for a replica that may see no later traffic to
+// reveal what it lacks: it ends holding everything sequenced before the
+// call. A gap on the distribute path instead takes what a holder has now —
+// waiting would only let more gaps pile up behind it, and the next
+// distribute asks again.
+func (s *Server) catchUp(group string, sealed bool) {
+	if _, err := s.acquire(group, nil, false, sealed); err != nil {
+		s.log.Warn("catch-up failed", "group", group, "err", err)
 		return
 	}
-	s.log.Warn("catch-up failed", "group", group, "err", err)
+	clusterCatchups.Inc()
 }
 
 // handleRemoteMemberUpdate folds a membership change from another server
@@ -674,7 +658,7 @@ func (s *Server) handleRemoteMemberUpdate(m *wire.SMemberUpdate) {
 // applyGroupOp installs a coordinator-ordered group create/delete. Creates
 // reach only the origin server, which becomes the group's initial replica
 // holder (a standing backup, so the state survives even before any member
-// joins and state fetches have a source).
+// joins and replica pulls have a source).
 func (s *Server) applyGroupOp(m *wire.SGroupOp) {
 	switch m.Op {
 	case wire.GroupOpCreate:
@@ -700,52 +684,7 @@ func (s *Server) applyGroupOp(m *wire.SGroupOp) {
 	}
 }
 
-// serveStateRequest answers a proxied replica-acquisition request with this
-// server's copy of the group.
-func (s *Server) serveStateRequest(m *wire.SStateRequest) {
-	resp := &wire.SStateResponse{RequestID: m.RequestID, Group: m.Group}
-	if m.FromSeq > 0 {
-		if events, nextSeq, ok := s.engine.EventsSince(m.Group, m.FromSeq); ok {
-			resp.OK = true
-			resp.Events = events
-			resp.NextSeq = nextSeq
-			resp.BaseSeq = m.FromSeq - 1
-			s.sendToCoordinator(resp)
-			return
-		}
-		// Suffix unavailable; fall through to a full image.
-	}
-	persistent, cp, ok := s.engine.GroupImage(m.Group)
-	if ok {
-		resp.OK = true
-		resp.Persistent = persistent
-		resp.BaseSeq = cp.BaseSeq
-		resp.NextSeq = cp.NextSeq
-		resp.Digest = cp.Digest
-		resp.Objects = cp.Objects
-		resp.Events = cp.History
-	}
-	s.sendToCoordinator(resp)
-}
-
 // ---- coordinated requests ----
-
-// newOp registers a pending coordinated operation.
-func (s *Server) newOp() (uint64, chan wire.Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, nil, ErrServerClosed
-	}
-	if !s.linkUp {
-		return 0, nil, ErrNoCoordinator
-	}
-	s.nextReq++
-	id := s.nextReq
-	ch := make(chan wire.Message, 1)
-	s.pendingOps[id] = ch
-	return id, ch, nil
-}
 
 func (s *Server) completeOp(id uint64, msg wire.Message) {
 	s.mu.Lock()
@@ -759,42 +698,49 @@ func (s *Server) completeOp(id uint64, msg wire.Message) {
 	}
 }
 
-func (s *Server) abandonOp(id uint64) {
+// request runs one coordinated operation: it sends the message build makes
+// for a fresh request ID and waits for the coordinator's reply.
+func (s *Server) request(build func(id uint64) wire.Message) (wire.Message, error) {
+	s.mu.Lock()
+	if s.closed || !s.linkUp {
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return nil, ErrServerClosed
+		}
+		return nil, ErrNoCoordinator
+	}
+	s.nextReq++
+	id := s.nextReq
+	ch := make(chan wire.Message, 1)
+	s.pendingOps[id] = ch
+	s.mu.Unlock()
+
+	err := ErrNoCoordinator
+	if s.sendToCoordinator(build(id)) {
+		t := time.NewTimer(s.cfg.RequestTimeout)
+		defer t.Stop()
+		select {
+		case msg, ok := <-ch:
+			if !ok {
+				return nil, ErrServerClosed
+			}
+			return msg, nil
+		case <-t.C:
+			err = errOpTimeout
+		case <-s.stop:
+			err = ErrServerClosed
+		}
+	}
 	s.mu.Lock()
 	delete(s.pendingOps, id)
 	s.mu.Unlock()
-}
-
-// awaitOp waits for a coordinated operation's reply.
-func (s *Server) awaitOp(id uint64, ch chan wire.Message) (wire.Message, error) {
-	t := time.NewTimer(s.cfg.RequestTimeout)
-	defer t.Stop()
-	select {
-	case msg, ok := <-ch:
-		if !ok {
-			return nil, ErrServerClosed
-		}
-		return msg, nil
-	case <-t.C:
-		s.abandonOp(id)
-		return nil, errOpTimeout
-	case <-s.stop:
-		s.abandonOp(id)
-		return nil, ErrServerClosed
-	}
+	return nil, err
 }
 
 // listGroupsGlobal queries the coordinator's group registry.
 func (s *Server) listGroupsGlobal() ([]string, error) {
-	id, ch, err := s.newOp()
-	if err != nil {
-		return nil, err
-	}
-	if !s.sendToCoordinator(&wire.SGroupsQuery{RequestID: id}) {
-		s.abandonOp(id)
-		return nil, ErrNoCoordinator
-	}
-	msg, err := s.awaitOp(id, ch)
+	msg, err := s.request(func(id uint64) wire.Message { return &wire.SGroupsQuery{RequestID: id} })
 	if err != nil {
 		return nil, err
 	}
@@ -807,19 +753,12 @@ func (s *Server) listGroupsGlobal() ([]string, error) {
 
 // groupOp runs a coordinator-ordered group create/delete.
 func (s *Server) groupOp(op wire.GroupOpKind, group string, persistent bool, initial []wire.Object) (*wire.SGroupOpAck, error) {
-	id, ch, err := s.newOp()
-	if err != nil {
-		return nil, err
-	}
-	ok := s.sendToCoordinator(&wire.SGroupOp{
-		RequestID: id, Origin: s.cfg.ID, Op: op,
-		Group: group, Persistent: persistent, Initial: initial,
+	msg, err := s.request(func(id uint64) wire.Message {
+		return &wire.SGroupOp{
+			RequestID: id, Origin: s.cfg.ID, Op: op,
+			Group: group, Persistent: persistent, Initial: initial,
+		}
 	})
-	if !ok {
-		s.abandonOp(id)
-		return nil, ErrNoCoordinator
-	}
-	msg, err := s.awaitOp(id, ch)
 	if err != nil {
 		return nil, err
 	}
@@ -830,70 +769,145 @@ func (s *Server) groupOp(op wire.GroupOpKind, group string, persistent bool, ini
 	return ack, nil
 }
 
-// fetchState acquires a group image (or suffix from fromSeq) through the
-// coordinator.
-func (s *Server) fetchState(group string, fromSeq uint64) (persistent bool, members []wire.MemberInfo, cp state.Checkpointed, err error) {
-	id, ch, err := s.newOp()
+// locate asks the coordinator where a group's state lives.
+func (s *Server) locate(group string) (*wire.SStateResponse, error) {
+	msg, err := s.request(func(id uint64) wire.Message { return &wire.SStateRequest{RequestID: id, Group: group} })
 	if err != nil {
-		return false, nil, state.Checkpointed{}, err
-	}
-	if !s.sendToCoordinator(&wire.SStateRequest{RequestID: id, Group: group, FromSeq: fromSeq}) {
-		s.abandonOp(id)
-		return false, nil, state.Checkpointed{}, ErrNoCoordinator
-	}
-	msg, err := s.awaitOp(id, ch)
-	if err != nil {
-		return false, nil, state.Checkpointed{}, err
+		return nil, err
 	}
 	resp, isResp := msg.(*wire.SStateResponse)
-	if !isResp {
-		return false, nil, state.Checkpointed{}, fmt.Errorf("cluster: unexpected state reply %s", msg.Kind())
+	switch {
+	case !isResp:
+		return nil, fmt.Errorf("cluster: unexpected state reply %s", msg.Kind())
+	case resp.OK:
+		return resp, nil
+	case resp.Code == wire.CodeNoSuchGroup:
+		return nil, fmt.Errorf("%w: %q", errUnknownGroup, group)
+	default:
+		return nil, fmt.Errorf("cluster: no live replica of %q", group)
 	}
-	if !resp.OK {
-		return false, nil, state.Checkpointed{}, fmt.Errorf("cluster: group %q unavailable", group)
-	}
-	cp = state.Checkpointed{
-		BaseSeq: resp.BaseSeq,
-		NextSeq: resp.NextSeq,
-		Digest:  resp.Digest,
-		Objects: resp.Objects,
-		History: resp.Events,
-	}
-	return resp.Persistent, resp.Members, cp, nil
 }
 
-// acquireGroup makes this server a replica of an existing group: fetch the
-// state through the coordinator, install it, seed the membership mirror,
-// and register interest.
+// acquireAttempts bounds acquire's locate-and-pull loop; the waits between
+// attempts grow by 100 ms, so a replica is given up on after about a second.
+const acquireAttempts = 5
+
+// acquire brings the local replica of a group level with a source replica:
+// ask the coordinator where the state lives (unless given already says — a
+// migration), pull what is missing from that server, install it. A server
+// without the group adopts the whole image; one that holds it applies the
+// events past its own high-water mark, or adopts the image when the source
+// has reduced those away; rewind installs the image over whatever is held
+// (divergence rollback). A sealed acquisition installs nothing below the
+// sequencer's mark of the first answer: the replica ends up holding
+// everything sequenced before the acquisition began, some of which may
+// still have been in flight to the source when it captured. Transient
+// failures — no live holder, a source still acquiring the group itself or
+// behind the mark, a broken stream — are retried; an unknown group is final.
+// It returns the payload bytes of the pull that succeeded.
+func (s *Server) acquire(group string, given *wire.SStateResponse, rewind, sealed bool) (bytes uint64, err error) {
+	// A replica held at the outset is only ever brought forward: if it is
+	// given up meanwhile (a directed release, a delete), the acquisition
+	// ends rather than install the group again.
+	held := s.engine.HasGroup(group)
+	var mark uint64
+	for attempt := 0; attempt < acquireAttempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-s.stop:
+				return 0, ErrServerClosed
+			case <-time.After(time.Duration(attempt) * 100 * time.Millisecond):
+			}
+		}
+		loc := given
+		if loc == nil {
+			loc, err = s.locate(group)
+		}
+		if loc != nil {
+			if sealed && mark == 0 {
+				mark = loc.NextSeq
+			}
+			bytes, err = s.pullFrom(loc, mark, held, rewind)
+		}
+		if err == nil || errors.Is(err, errUnknownGroup) || errors.Is(err, ErrServerClosed) {
+			break
+		}
+	}
+	return bytes, err
+}
+
+// pullFrom is one attempt of acquire against a located source.
+func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bool) (uint64, error) {
+	group := loc.Group
+	var fromSeq uint64
+	if held && !rewind {
+		fromSeq = s.engine.NextSeq(group)
+	}
+	// A group with no source provably has no state: it starts empty.
+	got := pulled{Checkpointed: state.Checkpointed{NextSeq: 1}}
+	var err error
+	if loc.SourceID != 0 {
+		if got, err = s.pullState(loc.SourceAddr, group, fromSeq); err != nil {
+			return 0, err
+		}
+	}
+	if got.NextSeq < mark {
+		return 0, fmt.Errorf("cluster: source %d of %q is at seq %d, behind the sequencer's mark %d", loc.SourceID, group, got.NextSeq, mark)
+	}
+	holds := s.engine.HasGroup(group)
+	if held && !holds {
+		return 0, fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group)
+	}
+	// What was pulled may continue what is held — the suffix asked for, or
+	// an image pulled while a racing acquisition installed the group. It is
+	// then applied as events, so local members are delivered every one;
+	// adopting the image instead would silently skip them.
+	continues := got.BaseSeq < fromSeq || holds && got.BaseSeq < s.engine.NextSeq(group)
+	switch {
+	case rewind:
+		err = s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed)
+	case continues:
+		return got.bytes, s.engine.ApplyEvents(group, got.History)
+	default:
+		// Adopt, don't force-install: if a racing path (another join, a
+		// migration) already produced a replica at or past this image's
+		// sequence, rewinding it would re-deliver events to members.
+		var adopted bool
+		if adopted, err = s.engine.AdoptGroup(group, loc.Persistent, got.Checkpointed); !adopted || held {
+			return got.bytes, err
+		}
+	}
+	if err == nil {
+		s.mirror.seed(group, got.members)
+	}
+	return got.bytes, err
+}
+
+// acquireGroup makes this server a replica of an existing group for a
+// joining client, and registers interest.
 func (s *Server) acquireGroup(group string) error {
-	persistent, members, cp, err := s.fetchState(group, 0)
-	if err != nil {
+	if _, err := s.acquire(group, nil, false, true); err != nil {
 		return err
 	}
-	// Adopt, don't force-install: if a racing path (another join, an
-	// inbound migration) already produced a replica at or past this
-	// image's sequence, rewinding it would re-deliver events to members.
-	if _, err := s.engine.AdoptGroup(group, persistent, cp); err != nil {
-		return err
-	}
-	s.mirror.seed(group, members)
-	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true, Members: 0})
+	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true})
 	return nil
 }
 
-// releaseDirected answers a coordinator-directed release of a surplus
-// replica during rebalancing. The release is refused (by re-raising
-// interest) when local members still use the replica.
+// releaseDirected answers a coordinator-directed release of a replica: a
+// surplus one during rebalancing, or the source's after a migration. The
+// backup designation ends either way; the release itself is refused (by
+// re-raising interest) when local members still use the replica, so a
+// migration whose source gained members meanwhile degrades to a copy.
 func (s *Server) releaseDirected(group string) {
+	s.mu.Lock()
+	delete(s.backups, group)
+	s.mu.Unlock()
 	if n := s.engine.LocalMembers(group); n > 0 {
 		s.sendToCoordinator(&wire.SInterest{
 			ServerID: s.cfg.ID, Group: group, Interested: true, Members: uint64(n),
 		})
 		return
 	}
-	s.mu.Lock()
-	delete(s.backups, group)
-	s.mu.Unlock()
 	s.mirror.drop(group)
 	if err := s.engine.DeleteGroupDirect(group); err != nil {
 		s.log.Debug("directed release skipped", "group", group, "err", err)
@@ -914,30 +928,50 @@ func (s *Server) loadReport() wire.LoadReport {
 	}
 }
 
-// becomeBackup answers a coordinator backup designation: acquire the group
-// (if needed) and confirm the backup interest.
-func (s *Server) becomeBackup(group string) {
+// becomeBackup answers a coordinator designation: acquire the group (if
+// needed), confirm the backup interest, and heal the acquisition window. A
+// migration (mig non-nil) is the same designation with the source named by
+// the coordinator, and its outcome reported back.
+func (s *Server) becomeBackup(group string, mig *wire.SMigrate) {
 	s.mu.Lock()
 	s.backups[group] = true
 	s.mu.Unlock()
-	if !s.engine.HasGroup(group) {
-		if err := s.acquireGroup(group); err != nil {
-			s.log.Warn("backup acquisition failed", "group", group, "err", err)
-			return
-		}
+	var loc *wire.SStateResponse
+	if mig != nil {
+		loc = &mig.Source
 	}
-	s.sendToCoordinator(&wire.SInterest{
-		ServerID: s.cfg.ID, Group: group, Interested: true,
-		Members: uint64(s.engine.LocalMembers(group)), Backup: true,
-	})
-	// Heal the acquisition window: events sequenced between the state
-	// fetch and the interest registration above were neither in the image
-	// nor distributed here, and with no later traffic the gap check would
-	// never expose them. The interest registration and this fetch travel
-	// the same link in order, so everything sequenced before the fetch is
-	// fetchable and everything after is distributed.
-	s.catchUp(group)
-	s.log.Info("backup replica installed", "group", group)
+	var bytes uint64
+	var err error
+	if !s.engine.HasGroup(group) {
+		bytes, err = s.acquire(group, loc, false, true)
+	}
+	if err != nil {
+		s.mu.Lock()
+		delete(s.backups, group)
+		s.mu.Unlock()
+		s.log.Warn("backup acquisition failed", "group", group, "err", err)
+	} else {
+		s.sendToCoordinator(&wire.SInterest{
+			ServerID: s.cfg.ID, Group: group, Interested: true,
+			Members: uint64(s.engine.LocalMembers(group)), Backup: true,
+		})
+		// Heal the acquisition window: events sequenced between the image's
+		// capture and the interest registration above were neither in the
+		// image nor distributed here, and with no later traffic the gap
+		// check would never expose them. The registration and the catch-up's
+		// locate travel the same link in order, so everything sequenced
+		// after the locator's mark is distributed here, and the catch-up
+		// does not finish below the mark.
+		s.catchUp(group, true)
+		s.log.Info("backup replica installed", "group", group, "bytes", bytes)
+	}
+	if mig != nil {
+		res := &wire.SMigrated{RequestID: mig.RequestID, Group: group, OK: err == nil, Bytes: bytes}
+		if err != nil {
+			res.Text = err.Error()
+		}
+		s.sendToCoordinator(res)
+	}
 }
 
 // settleDivergence applies a coordinator divergence instruction to a local
@@ -975,22 +1009,16 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 	}
 }
 
-// rollbackGroup discards the local replica's history and re-fetches the
-// authoritative state through the coordinator. Local members stay joined;
-// their applications must refresh their materialized copies (the paper
-// leaves post-partition repair "implemented in the client code").
+// rollbackGroup discards the local replica's history and re-acquires the
+// authoritative state. Local members stay joined; their applications must
+// refresh their materialized copies (the paper leaves post-partition repair
+// "implemented in the client code").
 func (s *Server) rollbackGroup(group string) {
-	persistent, members, cp, err := s.fetchState(group, 0)
-	if err != nil {
-		s.log.Warn("rollback fetch failed", "group", group, "err", err)
+	if _, err := s.acquire(group, nil, true, true); err != nil {
+		s.log.Warn("rollback failed", "group", group, "err", err)
 		return
 	}
-	if err := s.engine.InstallGroup(group, persistent, cp); err != nil {
-		s.log.Warn("rollback install failed", "group", group, "err", err)
-		return
-	}
-	s.mirror.seed(group, members)
-	s.log.Info("replica rolled back to authoritative state", "group", group, "next-seq", cp.NextSeq)
+	s.log.Info("replica rolled back to authoritative state", "group", group, "next-seq", s.engine.NextSeq(group))
 }
 
 // ---- engine hooks ----
@@ -1113,15 +1141,12 @@ var errUnknownGroup = errors.New("cluster: no such group")
 // coordinator when permitted.
 func (s *Server) ensureGroup(group string, createIfMissing bool) error {
 	err := s.acquireGroup(group)
-	if err == nil {
-		return nil
+	if !createIfMissing || !errors.Is(err, errUnknownGroup) {
+		return err
 	}
-	if !createIfMissing {
-		return fmt.Errorf("%w: %q", errUnknownGroup, group)
-	}
-	ack, opErr := s.groupOp(wire.GroupOpCreate, group, false, nil)
-	if opErr != nil {
-		return opErr
+	ack, err := s.groupOp(wire.GroupOpCreate, group, false, nil)
+	if err != nil {
+		return err
 	}
 	if !ack.OK && ack.Code != wire.CodeGroupExists {
 		return fmt.Errorf("cluster: create %q: %s", group, ack.Text)

@@ -347,13 +347,17 @@ func (m *SElectReply) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SStateRequest asks a peer for a group's state so the requester can become
-// a replica (a server gaining its first local member, or an elected backup).
+// SStateRequest asks for a group's state, in two steps. Sent to the
+// coordinator it asks only where the state lives, and is answered by an
+// SStateResponse. Sent to that server's peer listener it pulls the state
+// itself, and is answered by the replica stream (SMigrateOffer,
+// SMigrateChunk..., SMigrateCutover) or refused with an ErrorMsg.
 type SStateRequest struct {
 	RequestID uint64
 	Group     string
-	// FromSeq requests only events after FromSeq when the requester
-	// already holds a prefix; 0 requests a snapshot.
+	// FromSeq asks a source for the events from FromSeq on, when the
+	// requester already holds the prefix; 0 asks for the whole image. The
+	// coordinator ignores it.
 	FromSeq uint64
 }
 
@@ -375,23 +379,26 @@ func (m *SStateRequest) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SStateResponse answers SStateRequest with a snapshot and/or event suffix.
-// The coordinator, which relays the response, annotates it with the group's
-// registration and global membership so the requester can serve joins
-// immediately.
+// SStateResponse is the coordinator's answer to SStateRequest: where a
+// group's state lives, never the state. The requester pulls it from the
+// named server.
 type SStateResponse struct {
-	RequestID  uint64
-	Group      string
+	RequestID uint64
+	Group     string
+	// OK is false when the group is unknown (Code is CodeNoSuchGroup) or
+	// no live server holds it right now (any other Code: ask again).
 	OK         bool
+	Code       ErrCode
 	Persistent bool
-	BaseSeq    uint64
-	NextSeq    uint64
-	// Digest is the source replica's history digest at NextSeq-1.
-	Digest  uint64
-	Objects []Object
-	Events  []Event
-	// Members is the coordinator's global membership view of the group.
-	Members []MemberInfo
+	// NextSeq is the sequencer's high-water mark for the group when the
+	// answer was made. Events up to it may still be in flight to the
+	// source; a requester that ends a pull below it pulls again.
+	NextSeq uint64
+	// SourceID and SourceAddr name a server holding a replica and its peer
+	// listener. SourceID 0 with OK means the group provably has no state
+	// yet: the requester starts it empty at sequence 1.
+	SourceID   uint64
+	SourceAddr string
 }
 
 // Kind implements Message.
@@ -402,13 +409,11 @@ func (m *SStateResponse) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
 	e.PutString(m.Group)
 	e.PutBool(m.OK)
+	e.PutUvarint(uint64(m.Code))
 	e.PutBool(m.Persistent)
-	e.PutUvarint(m.BaseSeq)
 	e.PutUvarint(m.NextSeq)
-	e.PutUint64(m.Digest)
-	EncodeObjects(e, m.Objects)
-	EncodeEvents(e, m.Events)
-	encodeMembers(e, m.Members)
+	e.PutUvarint(m.SourceID)
+	e.PutString(m.SourceAddr)
 }
 
 // Decode implements Message.
@@ -416,13 +421,11 @@ func (m *SStateResponse) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
 	m.Group = d.String()
 	m.OK = d.Bool()
+	m.Code = ErrCode(d.Uvarint())
 	m.Persistent = d.Bool()
-	m.BaseSeq = d.Uvarint()
 	m.NextSeq = d.Uvarint()
-	m.Digest = d.Uint64()
-	m.Objects = DecodeObjects(d)
-	m.Events = DecodeEvents(d)
-	m.Members = decodeMembers(d)
+	m.SourceID = d.Uvarint()
+	m.SourceAddr = d.String()
 	return d.Err()
 }
 

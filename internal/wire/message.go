@@ -67,7 +67,6 @@ const (
 	KindSMigrateOffer
 	KindSMigrateChunk
 	KindSMigrateCutover
-	KindSMigrateResult
 	KindSMigrated
 )
 
@@ -124,7 +123,6 @@ var kindNames = map[Kind]string{
 	KindSMigrateOffer:    "SMigrateOffer",
 	KindSMigrateChunk:    "SMigrateChunk",
 	KindSMigrateCutover:  "SMigrateCutover",
-	KindSMigrateResult:   "SMigrateResult",
 	KindSMigrated:        "SMigrated",
 }
 
@@ -200,7 +198,6 @@ var factories = map[Kind]func() Message{
 	KindSMigrateOffer:    func() Message { return new(SMigrateOffer) },
 	KindSMigrateChunk:    func() Message { return new(SMigrateChunk) },
 	KindSMigrateCutover:  func() Message { return new(SMigrateCutover) },
-	KindSMigrateResult:   func() Message { return new(SMigrateResult) },
 	KindSMigrated:        func() Message { return new(SMigrated) },
 }
 

@@ -1,12 +1,12 @@
 package wire
 
-// This file defines the live group-migration messages (placement subsystem):
-// the coordinator directs a source server to stream one group replica to a
-// target server over a direct peer connection, reusing the chunked
-// state-transfer encoding so the move is zero-copy on the source and
-// bounded-memory on the wire. Deliveries stay gapless because the target
-// installs the streamed image, registers interest, and heals the seq window
-// between capture and registration through the ordinary catch-up path.
+// This file defines the replica stream and the placement messages around it.
+// A group's state crosses between servers one way: the server that needs it
+// dials the peer listener of a server that holds it, sends an SStateRequest,
+// and reads SMigrateOffer, SMigrateChunk..., SMigrateCutover — the chunked
+// state-transfer encoding, so the move is zero-copy on the source and
+// bounded-memory on the wire. A live migration is the same pull, started at
+// the target by the coordinator's SMigrate and reported with SMigrated.
 
 // LoadReport is a server's lightweight load summary, piggybacked on every
 // server→coordinator SHeartbeat so the placement manager can weigh servers
@@ -37,15 +37,14 @@ func decodeLoadReport(d *Decoder) LoadReport {
 	}
 }
 
-// SMigrate directs a source server to stream one of its group replicas to a
-// target server (coordinator → source).
+// SMigrate directs a target server to acquire a replica from a named source
+// (coordinator → target). It carries a locator answer, so the target pulls
+// without asking where.
 type SMigrate struct {
 	RequestID uint64
-	Group     string
-	TargetID  uint64
-	// TargetAddr is the target's peer listener address; the source dials
-	// it directly so the bulk transfer never transits the coordinator.
-	TargetAddr string
+	// Source is what the coordinator would answer the target's own
+	// SStateRequest, with the source fixed to the migration's origin.
+	Source SStateResponse
 }
 
 // Kind implements Message.
@@ -54,37 +53,31 @@ func (*SMigrate) Kind() Kind { return KindSMigrate }
 // Encode implements Message.
 func (m *SMigrate) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.TargetID)
-	e.PutString(m.TargetAddr)
+	m.Source.Encode(e)
 }
 
 // Decode implements Message.
 func (m *SMigrate) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.TargetID = d.Uvarint()
-	m.TargetAddr = d.String()
-	return d.Err()
+	return m.Source.Decode(d)
 }
 
-// SMigrateOffer opens a migration stream on the target's peer listener
-// (source → target). It carries the captured image's bounds so the target
-// can verify the reassembled payload before installing it.
+// SMigrateOffer opens a replica stream (source → puller). It carries the
+// captured image's bounds so the puller can verify the reassembled payload
+// before installing it, and — as a JoinAck does for a client — the group's
+// membership. BaseSeq at or past the requested FromSeq means the source sent
+// its whole image; below it, the payload is only the events after BaseSeq.
 type SMigrateOffer struct {
-	RequestID uint64
-	SourceID  uint64
-	Group     string
-	// Persistent mirrors the group's registration flag.
-	Persistent bool
-	BaseSeq    uint64
-	NextSeq    uint64
-	// Digest is the source replica's history digest at NextSeq-1.
+	BaseSeq uint64
+	NextSeq uint64
+	// Digest is the source replica's history digest at NextSeq-1 (zero on
+	// an event suffix, whose digest the receiving replica chains itself).
 	Digest uint64
 	// Total is the transfer payload size in bytes.
 	Total uint64
-	// Members is the source's view of the group's global membership, so
-	// the target can seed its member mirror before serving joins.
+	// Members is the source's view of the group's global membership, which
+	// includes its own members as of the capture; the puller seeds its
+	// member mirror from it before serving joins.
 	Members []MemberInfo
 }
 
@@ -93,10 +86,6 @@ func (*SMigrateOffer) Kind() Kind { return KindSMigrateOffer }
 
 // Encode implements Message.
 func (m *SMigrateOffer) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.SourceID)
-	e.PutString(m.Group)
-	e.PutBool(m.Persistent)
 	e.PutUvarint(m.BaseSeq)
 	e.PutUvarint(m.NextSeq)
 	e.PutUint64(m.Digest)
@@ -106,10 +95,6 @@ func (m *SMigrateOffer) Encode(e *Encoder) {
 
 // Decode implements Message.
 func (m *SMigrateOffer) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.SourceID = d.Uvarint()
-	m.Group = d.String()
-	m.Persistent = d.Bool()
 	m.BaseSeq = d.Uvarint()
 	m.NextSeq = d.Uvarint()
 	m.Digest = d.Uint64()
@@ -118,10 +103,9 @@ func (m *SMigrateOffer) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SMigrateChunk carries one chunk of the migration payload (source →
-// target), encoded exactly like a client TransferChunk payload.
+// SMigrateChunk carries one chunk of the stream's payload (source → puller),
+// encoded exactly like a client TransferChunk payload.
 type SMigrateChunk struct {
-	RequestID uint64
 	// Offset is this chunk's starting byte position within the payload.
 	Offset uint64
 	// Data aliases the decode buffer: it is valid only until the
@@ -136,29 +120,26 @@ func (*SMigrateChunk) Kind() Kind { return KindSMigrateChunk }
 
 // Encode implements Message.
 func (m *SMigrateChunk) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
 	e.PutUvarint(m.Offset)
 	e.PutBytes(m.Data)
 }
 
 // Decode implements Message.
 func (m *SMigrateChunk) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
 	m.Offset = d.Uvarint()
 	//lint:allow aliasretain Data documents the aliasing contract: valid until the next read, appended immediately
 	m.Data = d.Bytes()
 	return d.Err()
 }
 
-// SMigrateCutover terminates the migration stream (source → target). It
-// repeats the image's sequence high-water mark and digest so the target can
+// SMigrateCutover terminates the replica stream (source → puller). It
+// repeats the image's sequence high-water mark and digest so the puller can
 // prove the reassembled state is exactly the captured image before cutting
-// over; events sequenced after NextSeq-1 reach the target through the
-// ordinary distribute/catch-up path, keeping per-group order gapless.
+// over; events sequenced after NextSeq-1 reach it through the ordinary
+// distribute/catch-up path, keeping per-group order gapless.
 type SMigrateCutover struct {
-	RequestID uint64
-	NextSeq   uint64
-	Digest    uint64
+	NextSeq uint64
+	Digest  uint64
 }
 
 // Kind implements Message.
@@ -166,65 +147,27 @@ func (*SMigrateCutover) Kind() Kind { return KindSMigrateCutover }
 
 // Encode implements Message.
 func (m *SMigrateCutover) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
 	e.PutUvarint(m.NextSeq)
 	e.PutUint64(m.Digest)
 }
 
 // Decode implements Message.
 func (m *SMigrateCutover) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
 	m.NextSeq = d.Uvarint()
 	m.Digest = d.Uint64()
 	return d.Err()
 }
 
-// SMigrateResult reports the target's install outcome back over the
-// migration connection (target → source).
-type SMigrateResult struct {
-	RequestID uint64
-	OK        bool
-	Text      string
-	// NextSeq is the target replica's next expected sequence number after
-	// install (and any catch-up it has already run).
-	NextSeq uint64
-}
-
-// Kind implements Message.
-func (*SMigrateResult) Kind() Kind { return KindSMigrateResult }
-
-// Encode implements Message.
-func (m *SMigrateResult) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutBool(m.OK)
-	e.PutString(m.Text)
-	e.PutUvarint(m.NextSeq)
-}
-
-// Decode implements Message.
-func (m *SMigrateResult) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.OK = d.Bool()
-	m.Text = d.String()
-	m.NextSeq = d.Uvarint()
-	return d.Err()
-}
-
-// SMigrated reports a finished migration to the coordinator (source →
+// SMigrated reports a finished migration to the coordinator (target →
 // coordinator), successful or not, so the placement manager can retire its
-// in-flight record.
+// in-flight record and, on success, direct the source to release.
 type SMigrated struct {
 	RequestID uint64
 	Group     string
-	SourceID  uint64
-	TargetID  uint64
 	OK        bool
 	Text      string
-	// Bytes is the payload volume streamed to the target.
+	// Bytes is the payload volume pulled from the source.
 	Bytes uint64
-	// Released reports whether the source dropped its replica after the
-	// move; it keeps the replica when local members joined mid-stream.
-	Released bool
 }
 
 // Kind implements Message.
@@ -234,23 +177,17 @@ func (*SMigrated) Kind() Kind { return KindSMigrated }
 func (m *SMigrated) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
 	e.PutString(m.Group)
-	e.PutUvarint(m.SourceID)
-	e.PutUvarint(m.TargetID)
 	e.PutBool(m.OK)
 	e.PutString(m.Text)
 	e.PutUvarint(m.Bytes)
-	e.PutBool(m.Released)
 }
 
 // Decode implements Message.
 func (m *SMigrated) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
 	m.Group = d.String()
-	m.SourceID = d.Uvarint()
-	m.TargetID = d.Uvarint()
 	m.OK = d.Bool()
 	m.Text = d.String()
 	m.Bytes = d.Uvarint()
-	m.Released = d.Bool()
 	return d.Err()
 }

@@ -117,7 +117,7 @@ func (s *TransferStream) Next(max int) (chunk []byte, offset uint64) {
 // TransferAssembler is the inverse of TransferStream: it takes the chunks
 // of one streamed payload in offset order and decodes the reassembled bytes.
 // It hides the payload format and the allocation bound from the receivers
-// (a joining client, a migration target), which keep only their own
+// (a joining client, a server pulling a replica), which keep only their own
 // bookkeeping. The zero value is ready to use.
 type TransferAssembler struct {
 	buf []byte

@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"math"
+	"os"
 	"reflect"
+	"regexp"
 	"testing"
 	"testing/quick"
 )
@@ -32,102 +34,149 @@ func sampleEvent(seq uint64) Event {
 	}
 }
 
+// clientRoundTrips and clusterRoundTrips are the round-trip samples of the
+// two kind ranges. Together they must hold every registered kind
+// (TestRoundTripTablesCoverEveryKind), so a message cannot lose its sample
+// and stay on the wire.
+var clientRoundTrips = []Message{
+	&Hello{RequestID: 1, Proto: ProtocolVersion, Name: "alice"},
+	&HelloAck{RequestID: 1, ClientID: 7, ServerID: 3},
+	&CreateGroup{RequestID: 2, Group: "g", Persistent: true, Initial: []Object{{ID: "o1", Data: []byte("x")}, {ID: "o2"}}},
+	&CreateGroupAck{RequestID: 2},
+	&DeleteGroup{RequestID: 3, Group: "g"},
+	&DeleteGroupAck{RequestID: 3},
+	&Join{
+		RequestID: 4, Group: "g",
+		Policy: TransferPolicy{Mode: TransferObjects, Objects: []string{"a", "b"}},
+		Role:   RoleObserver, Notify: true, CreateIfMissing: true,
+	},
+	&Join{RequestID: 5, Group: "g", Policy: TransferPolicy{Mode: TransferLastN, LastN: 10}, Role: RolePrincipal},
+	&Join{RequestID: 6, Group: "g", Policy: TransferPolicy{Mode: TransferResume, FromSeq: 99}, Role: RolePrincipal},
+	&JoinAck{
+		RequestID: 4, Group: "g", NextSeq: 11, BaseSeq: 5,
+		Objects: []Object{{ID: "a", Data: []byte("aa")}},
+		Events:  []Event{sampleEvent(6), sampleEvent(7)},
+		Members: []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
+	},
+	&JoinAck{
+		RequestID: 5, Group: "g", NextSeq: 100, BaseSeq: 99,
+		Members:   []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
+		Streaming: true,
+	},
+	&TransferChunk{RequestID: 5, Group: "g", Offset: 512, Total: 4096, Data: []byte("chunkbytes")},
+	&TransferDone{RequestID: 5, Group: "g", Bytes: 4096},
+	&Leave{RequestID: 8, Group: "g"},
+	&LeaveAck{RequestID: 8},
+	&GetMembership{RequestID: 9, Group: "g"},
+	&MembershipInfo{RequestID: 9, Group: "g", Members: []MemberInfo{{ClientID: 2, Name: "bob", Role: RoleObserver}}},
+	&MembershipNotify{Group: "g", Change: MemberCrashed, Member: MemberInfo{ClientID: 2, Name: "bob", Role: RoleObserver}, Count: 3},
+	&Bcast{RequestID: 10, Group: "g", EvKind: EventState, ObjectID: "o", Data: []byte("payload"), SenderInclusive: true},
+	&BcastAck{RequestID: 10, Seq: 77},
+	&Deliver{Group: "g", Event: sampleEvent(77)},
+	&LockAcquire{RequestID: 11, Group: "g", Name: "cursor", Wait: true},
+	&LockRelease{RequestID: 12, Group: "g", Name: "cursor"},
+	&LockReply{RequestID: 11, Granted: false, Holder: 9},
+	&ReduceLog{RequestID: 13, Group: "g", UpToSeq: 50},
+	&ReduceLogAck{RequestID: 13, BaseSeq: 50, Trimmed: 49},
+	&ListGroups{RequestID: 14},
+	&GroupList{RequestID: 14, Groups: []string{"g", "h"}},
+	&Ping{Nonce: 123},
+	&Pong{Nonce: 123},
+	&DeliverBatch{Group: "g", Events: []Event{sampleEvent(77), sampleEvent(78)}},
+	&ErrorMsg{RequestID: 15, Code: CodeNoSuchGroup, Text: "no such group"},
+}
+
 func TestRoundTripClientMessages(t *testing.T) {
-	msgs := []Message{
-		&Hello{RequestID: 1, Proto: ProtocolVersion, Name: "alice"},
-		&HelloAck{RequestID: 1, ClientID: 7, ServerID: 3},
-		&CreateGroup{RequestID: 2, Group: "g", Persistent: true, Initial: []Object{{ID: "o1", Data: []byte("x")}, {ID: "o2"}}},
-		&CreateGroupAck{RequestID: 2},
-		&DeleteGroup{RequestID: 3, Group: "g"},
-		&DeleteGroupAck{RequestID: 3},
-		&Join{
-			RequestID: 4, Group: "g",
-			Policy: TransferPolicy{Mode: TransferObjects, Objects: []string{"a", "b"}},
-			Role:   RoleObserver, Notify: true, CreateIfMissing: true,
-		},
-		&Join{RequestID: 5, Group: "g", Policy: TransferPolicy{Mode: TransferLastN, LastN: 10}, Role: RolePrincipal},
-		&Join{RequestID: 6, Group: "g", Policy: TransferPolicy{Mode: TransferResume, FromSeq: 99}, Role: RolePrincipal},
-		&JoinAck{
-			RequestID: 4, Group: "g", NextSeq: 11, BaseSeq: 5,
-			Objects: []Object{{ID: "a", Data: []byte("aa")}},
-			Events:  []Event{sampleEvent(6), sampleEvent(7)},
-			Members: []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
-		},
-		&JoinAck{
-			RequestID: 5, Group: "g", NextSeq: 100, BaseSeq: 99,
-			Members:   []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
-			Streaming: true,
-		},
-		&TransferChunk{RequestID: 5, Group: "g", Offset: 512, Total: 4096, Data: []byte("chunkbytes")},
-		&TransferDone{RequestID: 5, Group: "g", Bytes: 4096},
-		&Leave{RequestID: 8, Group: "g"},
-		&LeaveAck{RequestID: 8},
-		&GetMembership{RequestID: 9, Group: "g"},
-		&MembershipInfo{RequestID: 9, Group: "g", Members: []MemberInfo{{ClientID: 2, Name: "bob", Role: RoleObserver}}},
-		&MembershipNotify{Group: "g", Change: MemberCrashed, Member: MemberInfo{ClientID: 2, Name: "bob", Role: RoleObserver}, Count: 3},
-		&Bcast{RequestID: 10, Group: "g", EvKind: EventState, ObjectID: "o", Data: []byte("payload"), SenderInclusive: true},
-		&BcastAck{RequestID: 10, Seq: 77},
-		&Deliver{Group: "g", Event: sampleEvent(77)},
-		&LockAcquire{RequestID: 11, Group: "g", Name: "cursor", Wait: true},
-		&LockRelease{RequestID: 12, Group: "g", Name: "cursor"},
-		&LockReply{RequestID: 11, Granted: false, Holder: 9},
-		&ReduceLog{RequestID: 13, Group: "g", UpToSeq: 50},
-		&ReduceLogAck{RequestID: 13, BaseSeq: 50, Trimmed: 49},
-		&ListGroups{RequestID: 14},
-		&GroupList{RequestID: 14, Groups: []string{"g", "h"}},
-		&Ping{Nonce: 123},
-		&Pong{Nonce: 123},
-		&ErrorMsg{RequestID: 15, Code: CodeNoSuchGroup, Text: "no such group"},
-	}
-	for _, m := range msgs {
+	for _, m := range clientRoundTrips {
 		roundTrip(t, m)
 	}
 }
 
+var clusterRoundTrips = []Message{
+	&SHello{RequestID: 1, ServerID: 2, Addr: "127.0.0.1:9000", Epoch: 3},
+	&SHelloAck{
+		RequestID: 1, CoordinatorID: 1, Epoch: 3, BootOrder: 2,
+		Servers: []ServerInfo{{ID: 1, Addr: "a", BootOrder: 0}, {ID: 2, Addr: "b", BootOrder: 1}},
+	},
+	&SForward{Origin: 2, Group: "g", Event: sampleEvent(0), SenderInclusive: true, RequestID: 4},
+	&SDistribute{Group: "g", Event: sampleEvent(8), SenderInclusive: false, Origin: 2, RequestID: 4},
+	&SInterest{ServerID: 2, Group: "g", Interested: true, Members: 5, Backup: true},
+	&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3, Name: "c", Role: RolePrincipal}},
+	&SHeartbeat{ServerID: 2, Epoch: 3, Time: 42, Load: LoadReport{Groups: 4, Sessions: 17, Bcasts: 8192}},
+	&SServerList{CoordinatorID: 1, Epoch: 3, Servers: []ServerInfo{{ID: 1, Addr: "a"}}},
+	&SElect{CandidateID: 2, Epoch: 4, Addr: "127.0.0.1:9001"},
+	&SElectReply{VoterID: 3, CandidateID: 2, Epoch: 4, Ack: true},
+	&SStateRequest{RequestID: 5, Group: "g", FromSeq: 10},
+	&SStateResponse{
+		RequestID: 5, Group: "g", OK: true, Persistent: true,
+		NextSeq: 12, SourceID: 3, SourceAddr: "127.0.0.1:9002",
+	},
+	&SStateResponse{RequestID: 5, Group: "g", Code: CodeNoSuchGroup},
+	&SGroupOp{RequestID: 6, Origin: 2, Op: GroupOpCreate, Group: "g", Persistent: true, Initial: []Object{{ID: "o"}}},
+	&SGroupOpAck{RequestID: 6, OK: false, Code: CodeGroupExists, Text: "exists"},
+	&SSeqQuery{RequestID: 7, Epoch: 4},
+	&SSeqReport{RequestID: 7, ServerID: 2, Groups: []GroupSeq{{Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Members: 2}}},
+	&SDivergence{Group: "g", Resolution: ResolutionFork, ForkName: "g.fork-2"},
+	&SDivergence{Group: "g", Resolution: ResolutionRollback},
+	&SGroupsQuery{RequestID: 8},
+	&SGroupsReport{RequestID: 8, Groups: []string{"a", "b"}},
+	&SMigrate{RequestID: 9, Source: SStateResponse{
+		Group: "g", OK: true, Persistent: true,
+		NextSeq: 12, SourceID: 3, SourceAddr: "127.0.0.1:9002",
+	}},
+	&SMigrateOffer{
+		BaseSeq: 5, NextSeq: 12, Digest: 0xFEED, Total: 4096,
+		Members: []MemberInfo{{ClientID: 9, Name: "m", Role: RolePrincipal}},
+	},
+	&SMigrateChunk{Offset: 256, Data: []byte("migratebytes")},
+	&SMigrateCutover{NextSeq: 12, Digest: 0xFEED},
+	&SMigrated{RequestID: 9, Group: "g", OK: true, Bytes: 4096},
+	&SMigrated{RequestID: 9, Group: "g", Text: "digest mismatch"},
+}
+
 func TestRoundTripClusterMessages(t *testing.T) {
-	msgs := []Message{
-		&SHello{RequestID: 1, ServerID: 2, Addr: "127.0.0.1:9000", Epoch: 3},
-		&SHelloAck{
-			RequestID: 1, CoordinatorID: 1, Epoch: 3, BootOrder: 2,
-			Servers: []ServerInfo{{ID: 1, Addr: "a", BootOrder: 0}, {ID: 2, Addr: "b", BootOrder: 1}},
-		},
-		&SForward{Origin: 2, Group: "g", Event: sampleEvent(0), SenderInclusive: true, RequestID: 4},
-		&SDistribute{Group: "g", Event: sampleEvent(8), SenderInclusive: false, Origin: 2, RequestID: 4},
-		&SInterest{ServerID: 2, Group: "g", Interested: true, Members: 5, Backup: true},
-		&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3, Name: "c", Role: RolePrincipal}},
-		&SHeartbeat{ServerID: 2, Epoch: 3, Time: 42, Load: LoadReport{Groups: 4, Sessions: 17, Bcasts: 8192}},
-		&SServerList{CoordinatorID: 1, Epoch: 3, Servers: []ServerInfo{{ID: 1, Addr: "a"}}},
-		&SElect{CandidateID: 2, Epoch: 4, Addr: "127.0.0.1:9001"},
-		&SElectReply{VoterID: 3, CandidateID: 2, Epoch: 4, Ack: true},
-		&SStateRequest{RequestID: 5, Group: "g", FromSeq: 10},
-		&SStateResponse{
-			RequestID: 5, Group: "g", OK: true, Persistent: true, BaseSeq: 5, NextSeq: 12, Digest: 99,
-			Objects: []Object{{ID: "o", Data: []byte("s")}},
-			Events:  []Event{sampleEvent(10), sampleEvent(11)},
-			Members: []MemberInfo{{ClientID: 9, Name: "m", Role: RolePrincipal}},
-		},
-		&SGroupOp{RequestID: 6, Origin: 2, Op: GroupOpCreate, Group: "g", Persistent: true, Initial: []Object{{ID: "o"}}},
-		&SGroupOpAck{RequestID: 6, OK: false, Code: CodeGroupExists, Text: "exists"},
-		&SSeqQuery{RequestID: 7, Epoch: 4},
-		&SSeqReport{RequestID: 7, ServerID: 2, Groups: []GroupSeq{{Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Members: 2}}},
-		&SDivergence{Group: "g", Resolution: ResolutionFork, ForkName: "g.fork-2"},
-		&SDivergence{Group: "g", Resolution: ResolutionRollback},
-		&SGroupsQuery{RequestID: 8},
-		&SGroupsReport{RequestID: 8, Groups: []string{"a", "b"}},
-		&SMigrate{RequestID: 9, Group: "g", TargetID: 4, TargetAddr: "127.0.0.1:9002"},
-		&SMigrateOffer{
-			RequestID: 9, SourceID: 3, Group: "g", Persistent: true,
-			BaseSeq: 5, NextSeq: 12, Digest: 0xFEED, Total: 4096,
-			Members: []MemberInfo{{ClientID: 9, Name: "m", Role: RolePrincipal}},
-		},
-		&SMigrateChunk{RequestID: 9, Offset: 256, Data: []byte("migratebytes")},
-		&SMigrateCutover{RequestID: 9, NextSeq: 12, Digest: 0xFEED},
-		&SMigrateResult{RequestID: 9, OK: true, NextSeq: 12},
-		&SMigrateResult{RequestID: 9, OK: false, Text: "digest mismatch"},
-		&SMigrated{RequestID: 9, Group: "g", SourceID: 3, TargetID: 4, OK: true, Bytes: 4096, Released: true},
-	}
-	for _, m := range msgs {
+	for _, m := range clusterRoundTrips {
 		roundTrip(t, m)
+	}
+}
+
+// TestRoundTripTablesCoverEveryKind keeps the two tables honest: each holds
+// only its own range, and between them every kind in factories has a sample.
+func TestRoundTripTablesCoverEveryKind(t *testing.T) {
+	sampled := make(map[Kind]bool)
+	for _, m := range clientRoundTrips {
+		if m.Kind() >= KindSHello {
+			t.Errorf("client table holds server kind %s", m.Kind())
+		}
+		sampled[m.Kind()] = true
+	}
+	for _, m := range clusterRoundTrips {
+		if m.Kind() < KindSHello {
+			t.Errorf("cluster table holds client kind %s", m.Kind())
+		}
+		sampled[m.Kind()] = true
+	}
+	for k := range factories {
+		if !sampled[k] {
+			t.Errorf("kind %s has no round-trip sample", k)
+		}
+	}
+	if len(kindNames) != len(factories) {
+		t.Errorf("kindNames has %d entries, factories %d", len(kindNames), len(factories))
+	}
+}
+
+// TestProtocolDocNamesEveryServerKind: PROTOCOL.md is the wire reference, so
+// every server↔server message must at least be named there.
+func TestProtocolDocNamesEveryServerKind(t *testing.T) {
+	doc, err := os.ReadFile("../../PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range kindNames {
+		if k >= KindSHello && !regexp.MustCompile(`\b`+name+`\b`).Match(doc) {
+			t.Errorf("PROTOCOL.md never mentions %s", name)
+		}
 	}
 }
 

@@ -83,11 +83,12 @@ echo "== chaos smoke (race)"
 # ordering, and replay audits on. -count=1 defeats the cache.
 go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
 
-echo "== rebalance churn (race)"
-# The live-migration acceptance test: gapless deliveries and identical
+echo "== replica acquisition and rebalance churn (race)"
+# The replica-stream acceptance tests: gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
-# crashes mid-churn. -count=1 defeats the cache so the race detector
-# really runs it on every gate.
-go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad' ./internal/cluster >/dev/null
+# crashes mid-churn; a join right after a create never gets an invented
+# image; a replica behind a log reduction heals. -count=1 defeats the
+# cache so the race detector really runs them on every gate.
+go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction' ./internal/cluster >/dev/null
 
 echo "OK"
