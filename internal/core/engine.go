@@ -316,8 +316,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			l.Close()
 			return nil, fmt.Errorf("core: recover: %w", err)
 		}
-		e.finishRecover()
-		e.syncGroupsGauge()
 	}
 	// Health probes: /healthz goes red while the engine cannot make
 	// SyncAlways durability promises.
@@ -469,11 +467,25 @@ func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpoint
 	if err != nil {
 		return fmt.Errorf("core: install %q: %w", name, err)
 	}
+	e.registerLocked(name, persistent, st)
+	if persistent {
+		e.persistCheckpoint(name, st)
+	}
+	return nil
+}
+
+// registerLocked is the one way a group enters the engine, whether created
+// (createLocked), installed from a replica image (installLocked) or rebuilt
+// from the log (recover). It sets the registry entry (an existing one keeps
+// its members), the group's runtime and fanout snapshot, its shared state
+// (none in a stateless engine) and the sequencer's mark at st's next
+// sequence number, which rewinds a mark that is ahead. It logs nothing:
+// each caller persists what its path needs. Caller holds e.mu in write mode.
+func (e *Engine) registerLocked(name string, persistent bool, st *state.Group) {
 	if _, ok := e.reg.Get(name); !ok {
-		if _, err := e.reg.Create(name, persistent, wire.MemberInfo{}); err != nil {
-			return err
-		}
-		e.syncGroupsGauge()
+		// Cannot fail: the name is free, and the zero creator bypasses
+		// the session manager.
+		_, _ = e.reg.Create(name, persistent, wire.MemberInfo{})
 	}
 	e.ensureGroupRuntime(name)
 	e.rebuildFanoutLocked(name)
@@ -481,13 +493,10 @@ func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpoint
 		e.states[name] = st
 	}
 	e.seqr.Drop(name)
-	if cp.NextSeq > 1 {
-		e.seqr.Observe(name, cp.NextSeq-1)
+	if next := st.NextSeq(); next > 1 {
+		e.seqr.Observe(name, next-1)
 	}
-	if persistent {
-		e.persistCheckpoint(name, st)
-	}
-	return nil
+	e.syncGroupsGauge()
 }
 
 // GroupImage exports a group's image — objects, retained history, digest —

@@ -93,13 +93,8 @@ func (e *Engine) createLocked(name string, persistent bool, initial []wire.Objec
 	if _, err := e.reg.Create(name, persistent, creator); err != nil {
 		return err
 	}
-	if !e.cfg.Stateless {
-		e.states[name] = state.NewInitial(initial)
-	}
-	e.ensureGroupRuntime(name)
-	e.rebuildFanoutLocked(name)
+	e.registerLocked(name, persistent, state.NewInitial(initial))
 	e.persistCreate(name, persistent, initial)
-	e.syncGroupsGauge()
 	e.metrics.Event("core", fmt.Sprintf("group %q created (persistent=%v)", name, persistent))
 	return nil
 }

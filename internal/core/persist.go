@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"corona/internal/state"
 	"corona/internal/wal"
@@ -64,103 +68,192 @@ func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
 	return e.Bytes()
 }
 
-// recover rebuilds the persistent groups from the stable-storage log.
-// Called from NewEngine before any session exists; the lock is contention-
-// free and taken only to keep one access discipline on the log pointer.
+// recover rebuilds the persistent groups from the stable-storage log, in
+// two steps. The log is a set of independent per-group streams interleaved
+// by LSN, and groups are independent ordering domains, so only the split
+// is serial: one wal.Replay pass sorts each record to its group, keeping
+// the group's last create or checkpoint and the events after it (a delete
+// drops the group). Then the groups are rebuilt concurrently, each by one
+// worker that sees only its own records, and installed in one write-lock
+// section. A record a later create, checkpoint or delete of its group
+// supersedes, or an event of a group with neither, never reaches the
+// recovered state and is not decoded; wal still checks its CRC. Called
+// from NewEngine before any session exists.
 func (e *Engine) recover() error {
 	e.mu.RLock()
 	l := e.wal
 	e.mu.RUnlock()
-	return l.Replay(0, func(lsn uint64, payload []byte) error {
+	live := make(map[string]*groupLog)
+	replayErr := l.Replay(0, func(lsn uint64, payload []byte) error {
 		if len(payload) == 0 {
 			return errors.New("core: empty wal record")
 		}
 		d := wire.NewDecoder(payload[1:])
-		tag := payload[0]
 		group := d.String()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("core: wal record %d: %w", lsn, err)
 		}
-		switch tag {
-		case recCreate:
-			initial := wire.DecodeObjects(d)
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("core: wal create %d: %w", lsn, err)
-			}
-			// Replayed deletes may precede a re-create; replace.
-			if _, ok := e.reg.Get(group); ok {
-				_ = e.reg.Delete(group, wire.MemberInfo{})
-			}
-			if _, err := e.reg.Create(group, true, wire.MemberInfo{}); err != nil {
-				return err
-			}
-			e.states[group] = state.NewInitial(initial)
-			e.setLowLSN(group, lsn)
-			e.ensureGroupRuntime(group)
+		body := payload[len(payload)-d.Remaining():]
+		switch tag := payload[0]; tag {
+		case recCreate, recCheckpoint:
+			live[group] = &groupLog{name: group, baseLSN: lsn, baseTag: tag, base: append([]byte(nil), body...)}
 		case recDelete:
-			_ = e.reg.Delete(group, wire.MemberInfo{})
-			delete(e.states, group)
-			e.lsnMu.Lock()
-			delete(e.lowLSN, group)
-			e.lsnMu.Unlock()
-			delete(e.groups, group)
-			e.seqr.Drop(group)
+			delete(live, group)
 		case recEvent:
-			ev := wire.DecodeEvent(d)
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("core: wal event %d: %w", lsn, err)
+			if gl := live[group]; gl != nil {
+				gl.add(lsn, body)
 			}
-			st, ok := e.states[group]
-			if !ok {
-				// Event for a group deleted later in the log, or
-				// logged before a checkpoint that follows; skip.
-				return nil
-			}
-			if ev.Seq != st.NextSeq() {
-				// Behind: already covered by a checkpoint. Ahead: a failed
-				// batch burned the intervening LSNs, so this record cannot
-				// apply over the gap — it is restored instead by the floor
-				// checkpoint the engine enqueued behind the failure (its
-				// history covers every event sequenced before it, this one
-				// included).
-				return nil
-			}
-			if err := st.Apply(ev); err != nil {
-				return fmt.Errorf("core: wal event %d: %w", lsn, err)
-			}
-		case recCheckpoint:
-			cp := state.Checkpointed{
-				BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64(),
-				Objects: wire.DecodeObjects(d), History: wire.DecodeEvents(d),
-			}
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("core: wal checkpoint %d: %w", lsn, err)
-			}
-			st, err := state.RestoreMaterialized(cp)
-			if err != nil {
-				return fmt.Errorf("core: wal checkpoint %d: %w", lsn, err)
-			}
-			if _, ok := e.reg.Get(group); !ok {
-				if _, err := e.reg.Create(group, true, wire.MemberInfo{}); err != nil {
-					return err
-				}
-			}
-			e.states[group] = st
-			e.setLowLSN(group, lsn)
-			e.ensureGroupRuntime(group)
 		default:
 			return fmt.Errorf("core: unknown wal record tag %d at %d", tag, lsn)
 		}
 		return nil
 	})
+
+	groups := make([]*groupLog, 0, len(live))
+	for _, gl := range live {
+		groups = append(groups, gl)
+	}
+	buildGroups(groups)
+
+	// Every record a worker saw precedes the one the split stopped at, so
+	// the lowest failing LSN is a worker's when any worker failed.
+	var first *groupLog
+	for _, gl := range groups {
+		if gl.err != nil && (first == nil || gl.errLSN < first.errLSN) {
+			first = gl
+		}
+	}
+	if first != nil {
+		return first.err
+	}
+	if replayErr != nil {
+		return replayErr
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, gl := range groups {
+		e.registerLocked(gl.name, true, gl.st)
+		// The base record is the oldest one the group needs.
+		e.lsnMu.Lock()
+		e.lowLSN[gl.name] = gl.baseLSN
+		e.lsnMu.Unlock()
+	}
+	return nil
 }
 
-// finishRecover seeds the sequencer from the recovered states. Called once
-// after recover.
-func (e *Engine) finishRecover() {
-	for name, st := range e.states {
-		e.seqr.Observe(name, st.NextSeq()-1)
+// recoverChunk sizes the chunks a group's event records are copied into
+// during recovery's split: one allocation per 256 KiB of log instead of one
+// per record, and no re-copy as a stream grows, which one doubling slice
+// per group would pay.
+const recoverChunk = 256 << 10
+
+// groupLog is one group's stream as recovery's split leaves it, and then
+// what its rebuild made of it.
+type groupLog struct {
+	name    string
+	baseLSN uint64
+	baseTag byte   // recCreate or recCheckpoint
+	base    []byte // the base record's body, after tag and group name
+	// events holds the event records after the base, in LSN order, each
+	// packed as uvarint LSN, uvarint length, body.
+	events [][]byte
+
+	st     *state.Group
+	err    error
+	errLSN uint64 // the record err is about
+}
+
+// add copies one event record's body into the stream.
+func (gl *groupLog) add(lsn uint64, body []byte) {
+	need := 2*binary.MaxVarintLen64 + len(body)
+	n := len(gl.events)
+	if n == 0 || cap(gl.events[n-1])-len(gl.events[n-1]) < need {
+		gl.events = append(gl.events, make([]byte, 0, max(recoverChunk, need)))
+		n++
 	}
+	c := binary.AppendUvarint(gl.events[n-1], lsn)
+	c = binary.AppendUvarint(c, uint64(len(body)))
+	gl.events[n-1] = append(c, body...)
+}
+
+// buildGroups rebuilds every group on min(GOMAXPROCS, #groups) workers,
+// which take the next unbuilt group from a shared index.
+func buildGroups(groups []*groupLog) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(groups)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(groups)); i = next.Add(1) - 1 {
+				gl := groups[i]
+				gl.st, gl.errLSN, gl.err = gl.build()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// build rebuilds the group: its base record's state, then each event record
+// in order, releasing the stream's chunks as it goes. It reports the LSN of
+// the record that failed, if one did.
+func (gl *groupLog) build() (*state.Group, uint64, error) {
+	st, err := gl.restoreBase()
+	gl.base = nil
+	if err != nil {
+		return nil, gl.baseLSN, err
+	}
+	for i, c := range gl.events {
+		gl.events[i] = nil
+		d := wire.NewDecoder(c)
+		for d.Remaining() > 0 {
+			lsn := d.Uvarint()
+			rec := wire.NewDecoder(d.Bytes())
+			// The event's Data aliases the chunk; Apply copies it.
+			ev := wire.DecodeEventAlias(rec)
+			if err := rec.Err(); err != nil {
+				return nil, lsn, fmt.Errorf("core: wal event %d: %w", lsn, err)
+			}
+			if ev.Seq != st.NextSeq() {
+				// Behind: already covered by the base checkpoint. Ahead: a
+				// failed batch burned the intervening LSNs, so this record
+				// cannot apply over the gap — it is restored instead by the
+				// floor checkpoint the engine enqueued behind the failure
+				// (its history covers every event sequenced before it, this
+				// one included), which is then this group's base.
+				continue
+			}
+			if err := st.Apply(ev); err != nil {
+				return nil, lsn, fmt.Errorf("core: wal event %d: %w", lsn, err)
+			}
+		}
+	}
+	return st, 0, nil
+}
+
+// restoreBase decodes the group's base record into a fresh state.
+func (gl *groupLog) restoreBase() (*state.Group, error) {
+	d := wire.NewDecoder(gl.base)
+	if gl.baseTag == recCreate {
+		initial := wire.DecodeObjects(d)
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("core: wal create %d: %w", gl.baseLSN, err)
+		}
+		return state.NewInitial(initial), nil
+	}
+	cp := state.Checkpointed{
+		BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64(),
+		Objects: wire.DecodeObjects(d), History: wire.DecodeEvents(d),
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("core: wal checkpoint %d: %w", gl.baseLSN, err)
+	}
+	st, err := state.RestoreMaterialized(cp)
+	if err != nil {
+		return nil, fmt.Errorf("core: wal checkpoint %d: %w", gl.baseLSN, err)
+	}
+	return st, nil
 }
 
 // All persist* helpers queue their record with wal.AppendAsync; the WAL's

@@ -180,6 +180,24 @@ func decodeObjectsAlias(d *Decoder) []Object {
 	return objs
 }
 
+// DecodeEventAlias is DecodeEvent with Data aliasing the decoder's buffer,
+// for callers that own the buffer outright: transfer reassembly, and log
+// recovery, whose state.Apply takes the one copy.
+//
+// corona:aliases-input — and corona:zerocopy: recovery and the join
+// transfer decode every event through it; a defensive copy here is a
+// second copy of every byte they restore.
+func DecodeEventAlias(d *Decoder) Event {
+	return Event{
+		Seq:      d.Uvarint(),
+		Kind:     EventKind(d.Byte()),
+		ObjectID: d.String(),
+		Data:     bytesAlias(d),
+		Sender:   d.Uvarint(),
+		Time:     d.Varint(),
+	}
+}
+
 // decodeEventsAlias is decodeEvents with Data aliasing the decoder's
 // buffer; for callers that own the buffer outright (transfer reassembly).
 //
@@ -196,14 +214,7 @@ func decodeEventsAlias(d *Decoder) []Event {
 	}
 	evs := make([]Event, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		evs = append(evs, Event{
-			Seq:      d.Uvarint(),
-			Kind:     EventKind(d.Byte()),
-			ObjectID: d.String(),
-			Data:     bytesAlias(d),
-			Sender:   d.Uvarint(),
-			Time:     d.Varint(),
-		})
+		evs = append(evs, DecodeEventAlias(d))
 	}
 	return evs
 }

@@ -83,6 +83,14 @@ echo "== chaos smoke (race)"
 # ordering, and replay audits on. -count=1 defeats the cache.
 go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
 
+echo "== cold recovery (race)"
+# The parallel-recovery acceptance tests: a seeded log (reduction, delete,
+# re-create, a lost fsync batch) recovers to the writer's images at
+# GOMAXPROCS 1 and 4; opening writes nothing; a broken log is reported at
+# its lowest failing LSN whichever worker finds it; a superseded record is
+# not decoded. -count=1 so the race detector sees the workers every gate.
+go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded' ./internal/core >/dev/null
+
 echo "== replica acquisition and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
