@@ -110,6 +110,15 @@ type JoinOptions struct {
 }
 
 // JoinResult is the state transfer delivered with a successful join.
+//
+// Its buffers belong to the caller: nothing in the client reads or writes
+// them after Join returns, so the caller may keep or modify them without
+// copying (view.View.ApplyJoin adopts the objects' Data). An inline transfer
+// decodes every object and event into its own buffer. A streamed one
+// decodes them in place from the single reassembled payload: the Data
+// slices are adjacent regions of one buffer, each capped at its own length
+// so an append to one reallocates it instead of overwriting the next, and
+// the payload stays allocated while any of them is reachable.
 type JoinResult struct {
 	Group string
 	// Objects is the snapshot part of the transfer (full or per-object).

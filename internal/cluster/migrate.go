@@ -46,10 +46,9 @@ func (s *Server) serveState(conn *transport.Conn, req *wire.SStateRequest) {
 		if chunk == nil {
 			break
 		}
-		// WriteMessage encodes the chunk into the frame before returning,
-		// so reusing the stream's chunk buffer on the next iteration is
-		// safe.
-		err = conn.WriteMessage(&wire.SMigrateChunk{Offset: off, Data: chunk})
+		// The chunk's segments are the image's own buffers; encoding the
+		// frame is the one copy.
+		err = conn.WriteMessage(&wire.SMigrateChunk{Offset: off, Segments: chunk})
 	}
 	if err == nil {
 		err = conn.WriteMessage(&wire.SMigrateCutover{NextSeq: cp.NextSeq, Digest: cp.Digest})

@@ -263,7 +263,9 @@ func (e *Engine) handleJoin(s *Session, m *wire.Join) {
 // are copy-on-write stable, so concurrent multicasts proceed untouched. A
 // window of transferWindow chunks is kept in flight, each slot returned by
 // the frame's final release (written or discarded by the pump), which
-// bounds both pump occupancy and transfer memory.
+// bounds both pump occupancy and transfer memory. Each chunk is encoded
+// straight from the capture's buffers into its pooled frame, the payload's
+// one copy on this side.
 func (e *Engine) streamTransfer(s *Session, reqID uint64, group string, tr state.Transfer) {
 	stream := wire.NewTransferStream(tr.Objects(), tr.Events())
 	total := stream.Total()
@@ -274,10 +276,10 @@ func (e *Engine) streamTransfer(s *Session, reqID uint64, group string, tr state
 			break
 		}
 		window <- struct{}{}
-		n := int64(len(chunk))
+		n := int64(chunk.Len())
 		e.gTransferInflight.Add(n)
 		f := transport.NewSharedFrameFinal(
-			&wire.TransferChunk{RequestID: reqID, Group: group, Offset: off, Total: total, Data: chunk},
+			&wire.TransferChunk{RequestID: reqID, Group: group, Offset: off, Total: total, Segments: chunk},
 			func() {
 				e.gTransferInflight.Add(-n)
 				<-window

@@ -58,6 +58,15 @@ func New() *View {
 // ApplyJoin installs a join-time state transfer: snapshot objects first,
 // then the event suffix. It accepts the result of any transfer policy,
 // including the resume results of client.Reconnect.
+//
+// The view takes ownership of res.Objects' Data buffers instead of copying
+// them (a JoinResult's buffers are the caller's, see client.JoinResult): the
+// caller must not touch them afterwards. Each adopted buffer is capped at
+// its length, so the first update to an object reallocates it and can never
+// write into a neighbour that shares its backing array. The cost is
+// retention: a streamed join's objects share one payload buffer, and a
+// replaced object keeps its region of it alive until every object adopted
+// from that payload has been replaced.
 func (v *View) ApplyJoin(res *client.JoinResult) error {
 	if res == nil {
 		return errors.New("view: nil join result")
@@ -70,7 +79,7 @@ func (v *View) ApplyJoin(res *client.JoinResult) error {
 		if len(res.Objects) > 0 {
 			v.objects = make(map[string][]byte, len(res.Objects))
 			for _, o := range res.Objects {
-				v.objects[o.ID] = append([]byte(nil), o.Data...)
+				v.objects[o.ID] = o.Data[:len(o.Data):len(o.Data)]
 			}
 		}
 		v.lastSeq = res.BaseSeq

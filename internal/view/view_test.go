@@ -139,11 +139,78 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// packedResult builds a join result the way a streamed join delivers one:
+// the objects encoded into one payload, reassembled, and decoded in place,
+// so every Data is a region of the same buffer.
+func packedResult(t *testing.T, objs []wire.Object, nextSeq uint64) *client.JoinResult {
+	t.Helper()
+	e := wire.NewEncoder(nil)
+	wire.EncodeObjects(e, objs)
+	wire.EncodeEvents(e, nil)
+	payload := e.Bytes()
+	var asm wire.TransferAssembler
+	if err := asm.Add(0, uint64(len(payload)), payload); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := asm.Finish(uint64(len(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &client.JoinResult{Objects: got, BaseSeq: nextSeq - 1, NextSeq: nextSeq}
+}
+
+// TestApplyJoinAdoptsIsolated: ApplyJoin keeps the result's buffers rather
+// than copying them, and objects sharing one backing array with spare
+// capacity still change independently.
+func TestApplyJoinAdoptsIsolated(t *testing.T) {
+	buf := append(make([]byte, 0, 64), "aaaabbbb"...)
+	v := New()
+	err := v.ApplyJoin(&client.JoinResult{
+		Objects: []wire.Object{{ID: "a", Data: buf[0:4]}, {ID: "b", Data: buf[4:8]}},
+		BaseSeq: 1, NextSeq: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &v.objects["a"][0] != &buf[0] {
+		t.Fatal("ApplyJoin copied the object instead of adopting it")
+	}
+	check := func(id, want string) {
+		t.Helper()
+		if got, _ := v.Get(id); string(got) != want {
+			t.Fatalf("%s = %q, want %q", id, got, want)
+		}
+	}
+	if err := v.ApplyEvent(ev(2, wire.EventUpdate, "a", "++++")); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "aaaa++++")
+	check("b", "bbbb")
+	if err := v.ApplyEvent(ev(3, wire.EventState, "a", "AA")); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "AA")
+	check("b", "bbbb")
+	if string(buf) != "aaaabbbb" {
+		t.Fatalf("the adopted buffer was written: %q", buf)
+	}
+	got, _ := v.Get("b")
+	got[0] = 'X'
+	for _, o := range v.Objects() {
+		o.Data[0] = 'Y'
+	}
+	check("a", "AA")
+	check("b", "bbbb")
+}
+
 // TestQuickViewMatchesServerState is the lockstep property: a view applying
 // the same event stream as a server-side state.Group materializes the same
-// objects, regardless of the event mix.
+// objects, regardless of the event mix. The view starts from zero to three
+// initial objects packed into one buffer, as a streamed join hands them over;
+// steps address five objects, so o3 and o4 are always created by an event and
+// o0..o2 are too whenever the join carried fewer objects.
 func TestQuickViewMatchesServerState(t *testing.T) {
-	f := func(steps []struct {
+	f := func(initial [][]byte, steps []struct {
 		Update bool
 		Obj    uint8
 		Data   []byte
@@ -151,9 +218,14 @@ func TestQuickViewMatchesServerState(t *testing.T) {
 		if len(steps) > 50 {
 			steps = steps[:50]
 		}
-		server := state.New()
+		initial = initial[:len(initial)%4]
+		objs := make([]wire.Object, len(initial))
+		for i, data := range initial {
+			objs[i] = wire.Object{ID: fmt.Sprintf("o%d", i), Data: data}
+		}
+		server := state.NewInitial(objs)
 		v := New()
-		if err := v.ApplyJoin(&client.JoinResult{NextSeq: 1}); err != nil {
+		if err := v.ApplyJoin(packedResult(t, objs, 1)); err != nil {
 			return false
 		}
 		for i, s := range steps {
@@ -163,7 +235,7 @@ func TestQuickViewMatchesServerState(t *testing.T) {
 			}
 			e := wire.Event{
 				Seq: uint64(i + 1), Kind: kind,
-				ObjectID: fmt.Sprintf("o%d", s.Obj%3), Data: s.Data,
+				ObjectID: fmt.Sprintf("o%d", s.Obj%5), Data: s.Data,
 			}
 			if err := server.Apply(e); err != nil {
 				return false

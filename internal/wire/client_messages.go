@@ -251,11 +251,17 @@ type TransferChunk struct {
 	// Total is the payload size in bytes, repeated in every chunk so
 	// progress can be reported from any of them.
 	Total uint64
-	// Data aliases the decode buffer: it is valid only until the
-	// connection's next read. The receiver appends it to its reassembly
-	// buffer immediately, so a per-chunk defensive copy would only double
-	// the transfer's allocation volume.
+	// Data is the chunk's bytes as decoded. It aliases the decode buffer:
+	// it is valid only until the connection's next read. The receiver
+	// appends it to its reassembly buffer immediately, so a per-chunk
+	// defensive copy would only double the transfer's allocation volume.
 	Data []byte
+	// Segments, when non-nil, is encoded in place of Data: the chunk as a
+	// TransferStream produced it, pieces of the shared payload buffers that
+	// the frame gathers into one byte string (the sender's one copy). The
+	// wire bytes are those of Data set to the concatenation; decoding
+	// always yields Data.
+	Segments Segments
 }
 
 // Kind implements Message.
@@ -267,7 +273,17 @@ func (m *TransferChunk) Encode(e *Encoder) {
 	e.PutString(m.Group)
 	e.PutUvarint(m.Offset)
 	e.PutUvarint(m.Total)
-	e.PutBytes(m.Data)
+	putChunkData(e, m.Data, m.Segments)
+}
+
+// putChunkData writes a chunk body: segs when the writer framed the chunk
+// straight from a TransferStream, data otherwise.
+func putChunkData(e *Encoder, data []byte, segs Segments) {
+	if segs != nil {
+		e.PutSegments(segs)
+		return
+	}
+	e.PutBytes(data)
 }
 
 // Decode implements Message.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Codec limits. MaxFrame bounds a whole encoded message; the transport layer
@@ -92,6 +93,18 @@ func (e *Encoder) PutUint64(v uint64) {
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutUvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// PutSegments appends segs as one length-prefixed byte string: the bytes
+// PutBytes writes for their concatenation, without concatenating them
+// first. The encoder's buffer is the one copy.
+func (e *Encoder) PutSegments(segs Segments) {
+	n := segs.Len()
+	e.PutUvarint(uint64(n))
+	e.buf = slices.Grow(e.buf, n)
+	for _, s := range segs {
+		e.buf = append(e.buf, s...)
+	}
 }
 
 // PutString appends a length-prefixed string.

@@ -6,7 +6,9 @@ import (
 )
 
 // encodePayload drains a fresh TransferStream over the given payload into
-// one contiguous buffer — the canonical transfer encoding.
+// one contiguous buffer — the canonical transfer encoding. Along the way it
+// checks that each chunk's frames, built from its segments, are the frames
+// of the gathered bytes.
 func encodePayload(t testing.TB, objects []Object, events []Event, chunk int) []byte {
 	t.Helper()
 	s := NewTransferStream(objects, events)
@@ -19,12 +21,42 @@ func encodePayload(t testing.TB, objects []Object, events []Event, chunk int) []
 		if off != uint64(len(out)) {
 			t.Fatalf("chunk offset %d, want %d", off, len(out))
 		}
-		out = append(out, c...)
+		data := bytes.Join(c, nil)
+		sameFrame(t, &TransferChunk{Group: "g", Offset: off, Total: s.Total(), Segments: c},
+			&TransferChunk{Group: "g", Offset: off, Total: s.Total(), Data: data})
+		sameFrame(t, &SMigrateChunk{Offset: off, Segments: c}, &SMigrateChunk{Offset: off, Data: data})
+		out = append(out, data...)
 	}
 	if uint64(len(out)) != s.Total() {
 		t.Fatalf("drained %d bytes, Total() = %d", len(out), s.Total())
 	}
 	return out
+}
+
+// sameFrame fails unless a chunk message framed from segments marshals to
+// the bytes of the same message carrying the gathered Data, and marshals to
+// them again the second time (encoding is pure).
+func sameFrame(t testing.TB, segmented, gathered Message) {
+	t.Helper()
+	a := Marshal(nil, segmented)
+	if b := Marshal(nil, gathered); !bytes.Equal(a, b) {
+		t.Fatalf("%s from segments differs from the gathered frame:\n %x\n %x", segmented.Kind(), a, b)
+	}
+	if again := Marshal(nil, segmented); !bytes.Equal(again, a) {
+		t.Fatalf("%s: encoding twice gave different bytes", segmented.Kind())
+	}
+}
+
+// splitAt cuts data into segments whose lengths are the bytes of cuts, in
+// turn, with the rest as the last segment; a zero is an empty segment.
+func splitAt(data, cuts []byte) Segments {
+	var segs Segments
+	for _, c := range cuts {
+		n := min(int(c), len(data))
+		segs = append(segs, data[:n])
+		data = data[n:]
+	}
+	return append(segs, data)
 }
 
 func payloadsEqual(a0 []Object, e0 []Event, a1 []Object, e1 []Event) bool {
@@ -81,7 +113,7 @@ func encodePayloadSeed() []byte {
 		if c == nil {
 			return out
 		}
-		out = append(out, c...)
+		out = append(out, bytes.Join(c, nil)...)
 	}
 }
 
@@ -127,13 +159,15 @@ func FuzzDeliverBatch(f *testing.F) {
 
 // FuzzTransferChunk round-trips arbitrary bytes through the framed
 // message codec; frames that decode as TransferChunk must re-encode to a
-// frame that decodes identically.
+// frame that decodes identically. The fuzzer also picks how the chunk's
+// bytes split into segments (cuts), and the frames built from those
+// segments must be the frames of the gathered bytes.
 func FuzzTransferChunk(f *testing.F) {
 	seed := Marshal(nil, &TransferChunk{RequestID: 9, Group: "g", Offset: 128, Total: 4096, Data: []byte("chunkchunk")})
-	f.Add(seed)
-	f.Add(Marshal(nil, &TransferChunk{Group: ""}))
-	f.Add([]byte{byte(KindTransferChunk), 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(seed, []byte{3, 0, 4})
+	f.Add(Marshal(nil, &TransferChunk{Group: ""}), []byte{})
+	f.Add([]byte{byte(KindTransferChunk), 0, 0, 0}, []byte{1})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		msg, err := Unmarshal(data)
 		if err != nil {
 			return
@@ -142,6 +176,9 @@ func FuzzTransferChunk(f *testing.F) {
 		if !ok {
 			return
 		}
+		segs := splitAt(c.Data, cuts)
+		sameFrame(t, &TransferChunk{RequestID: c.RequestID, Group: c.Group, Offset: c.Offset, Total: c.Total, Segments: segs}, c)
+		sameFrame(t, &SMigrateChunk{Offset: c.Offset, Segments: segs}, &SMigrateChunk{Offset: c.Offset, Data: c.Data})
 		re := Marshal(nil, c)
 		msg2, err := Unmarshal(re)
 		if err != nil {
@@ -156,8 +193,9 @@ func FuzzTransferChunk(f *testing.F) {
 }
 
 // FuzzTransferStream builds a structured payload from fuzzed inputs,
-// streams it at a fuzzed chunk size, reassembles, and checks the decode
-// matches the input payload exactly.
+// streams it at a fuzzed chunk size (which picks where chunks cut the
+// segments), checks every chunk's frames against the gathered bytes,
+// reassembles, and checks the decode matches the input payload exactly.
 func FuzzTransferStream(f *testing.F) {
 	f.Add([]byte("objdata"), []byte("evdata"), uint8(3), 7)
 	f.Add([]byte{}, []byte{0xff}, uint8(1), 1)

@@ -108,11 +108,14 @@ func (m *SMigrateOffer) Decode(d *Decoder) error {
 type SMigrateChunk struct {
 	// Offset is this chunk's starting byte position within the payload.
 	Offset uint64
-	// Data aliases the decode buffer: it is valid only until the
-	// connection's next read. The receiver appends it to its reassembly
-	// buffer immediately, so a per-chunk defensive copy would only double
-	// the transfer's allocation volume.
+	// Data is the chunk's bytes as decoded. It aliases the decode buffer:
+	// it is valid only until the connection's next read. The receiver
+	// appends it to its reassembly buffer immediately, so a per-chunk
+	// defensive copy would only double the transfer's allocation volume.
 	Data []byte
+	// Segments, when non-nil, is encoded in place of Data, exactly as in
+	// TransferChunk.
+	Segments Segments
 }
 
 // Kind implements Message.
@@ -121,7 +124,7 @@ func (*SMigrateChunk) Kind() Kind { return KindSMigrateChunk }
 // Encode implements Message.
 func (m *SMigrateChunk) Encode(e *Encoder) {
 	e.PutUvarint(m.Offset)
-	e.PutBytes(m.Data)
+	putChunkData(e, m.Data, m.Segments)
 }
 
 // Decode implements Message.

@@ -8,6 +8,21 @@ import "fmt"
 // negligible against the payload.
 const TransferChunkSize = 256 << 10
 
+// Segments is one byte string held as a list of slices, in order. On the
+// wire it is indistinguishable from the concatenation (Encoder.PutSegments),
+// so a writer can frame shared buffers without gathering them first. The
+// slices are read, never written.
+type Segments [][]byte
+
+// Len returns the length of the concatenation.
+func (s Segments) Len() int {
+	n := 0
+	for _, b := range s {
+		n += len(b)
+	}
+	return n
+}
+
 // TransferStream incrementally encodes a state-transfer payload — the
 // standard encoding of objects followed by events, exactly as a non-streamed
 // JoinAck would carry them — without ever materializing the whole payload or
@@ -15,25 +30,28 @@ const TransferChunkSize = 256 << 10
 // small header segments (counts, IDs, length prefixes) built once into a
 // private buffer, interleaved with the caller's data slices, which are
 // shared, not copied. Building a stream is therefore O(#objects + #events)
-// regardless of payload bytes.
+// regardless of payload bytes, and draining it copies nothing either: the
+// frame a chunk is encoded into is the payload's one copy on the sending
+// side.
 //
 // The caller must not mutate the objects' or events' Data buffers while the
-// stream is live. A state.Transfer provides exactly that guarantee.
+// stream or any chunk it produced is live. A state.Transfer provides exactly
+// that guarantee.
 type TransferStream struct {
 	segs  [][]byte
 	pos   int // current segment
 	off   int // consumed bytes of segs[pos]
 	total uint64
 	sent  uint64
-	buf   []byte // reusable chunk buffer
 }
 
 // NewTransferStream returns a stream over the given payload. The Data
-// slices of objects and events are shared until the stream is drained.
+// slices of objects and events are shared until the stream and its chunks
+// are dropped.
 //
 // corona:zerocopy — the stream interleaves the shared buffers into chunks
-// without cloning the payload (Next's bounded chunk buffer is the only
-// copy); adding defensive copies here regresses PR 3's O(1) capture.
+// without cloning the payload (encoding a chunk into its frame is the only
+// copy); adding defensive copies here regresses the O(1) capture.
 func NewTransferStream(objects []Object, events []Event) *TransferStream {
 	e := NewEncoder(nil)
 	// cuts[i] is the header-buffer offset at which shared[i] interleaves.
@@ -90,28 +108,43 @@ func (s *TransferStream) Total() uint64 { return s.total }
 func (s *TransferStream) Remaining() uint64 { return s.total - s.sent }
 
 // Next produces the next chunk of at most max bytes, together with its
-// starting offset. It returns a nil chunk once the stream is drained. The
-// returned slice is reused by the following Next call; the caller must
-// consume (or copy) it first.
-func (s *TransferStream) Next(max int) (chunk []byte, offset uint64) {
+// starting offset, or a nil chunk once the stream is drained. The chunk is a
+// list of sub-slices of the stream's header buffer and of the caller's
+// shared Data buffers: Next copies no payload byte, and a chunk stays valid
+// after later Next calls for as long as those buffers do. Frame it with
+// TransferChunk.Segments or SMigrateChunk.Segments; encoding the frame is
+// the one copy.
+//
+// corona:zerocopy — a chunk buffer here would be a second copy of every
+// byte a join or a replica pull sends.
+func (s *TransferStream) Next(max int) (chunk Segments, offset uint64) {
 	if max <= 0 || s.sent == s.total {
 		return nil, s.sent
 	}
 	offset = s.sent
-	s.buf = s.buf[:0]
-	for len(s.buf) < max && s.pos < len(s.segs) {
-		seg := s.segs[s.pos][s.off:]
-		if n := max - len(s.buf); n < len(seg) {
-			s.buf = append(s.buf, seg[:n]...)
-			s.off += n
-		} else {
-			s.buf = append(s.buf, seg...)
-			s.pos++
-			s.off = 0
+	first, skip := s.pos, s.off
+	for n := 0; n < max && s.pos < len(s.segs); {
+		rest := len(s.segs[s.pos]) - s.off
+		if room := max - n; room < rest {
+			s.off += room
+			break
 		}
+		n += rest
+		s.pos++
+		s.off = 0
 	}
-	s.sent += uint64(len(s.buf))
-	return s.buf, offset
+	end := s.pos
+	if s.off > 0 {
+		end++ // the chunk ends inside segment s.pos
+	}
+	chunk = make(Segments, end-first)
+	copy(chunk, s.segs[first:end])
+	if s.off > 0 {
+		chunk[len(chunk)-1] = chunk[len(chunk)-1][:s.off]
+	}
+	chunk[0] = chunk[0][skip:]
+	s.sent += uint64(chunk.Len())
+	return chunk, offset
 }
 
 // TransferAssembler is the inverse of TransferStream: it takes the chunks
@@ -145,8 +178,10 @@ func (a *TransferAssembler) Received() uint64 { return uint64(len(a.buf)) }
 
 // Finish checks that exactly total bytes arrived and decodes them. The
 // assembler's buffer belongs to this one transfer, and Finish hands its
-// ownership to the results: their Data slices share it, uncopied (a large
-// payload is decoded exactly once), and the assembler is spent.
+// ownership to the results: their Data slices share it, uncopied (Add's
+// copy is the payload's one copy on the receiving side), and the assembler
+// is spent. Each Data is capped at its own length, so appending to one
+// reallocates it rather than overwriting the next.
 func (a *TransferAssembler) Finish(total uint64) ([]Object, []Event, error) {
 	if uint64(len(a.buf)) != total {
 		return nil, nil, fmt.Errorf("wire: transfer truncated: %d of %d bytes", len(a.buf), total)

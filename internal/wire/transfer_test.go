@@ -27,10 +27,12 @@ func drain(t *testing.T, s *TransferStream, max int) []byte {
 		if off != uint64(len(out)) {
 			t.Fatalf("chunk offset %d, want %d", off, len(out))
 		}
-		if len(chunk) > max {
-			t.Fatalf("chunk of %d bytes exceeds max %d", len(chunk), max)
+		if chunk.Len() > max {
+			t.Fatalf("chunk of %d bytes exceeds max %d", chunk.Len(), max)
 		}
-		out = append(out, chunk...)
+		for _, seg := range chunk {
+			out = append(out, seg...)
+		}
 	}
 	if s.Remaining() != 0 {
 		t.Fatalf("Remaining = %d after drain", s.Remaining())
@@ -96,6 +98,113 @@ func TestTransferStreamSharesData(t *testing.T) {
 	}
 }
 
+// TestTransferChunksOutliveNext: Next keeps no chunk buffer, so every chunk
+// of a drained stream still holds its bytes, and the bytes of a large object
+// are its own buffer, not a copy.
+func TestTransferChunksOutliveNext(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 4096)
+	objs := []Object{{ID: "o", Data: big}, {ID: "p", Data: []byte("tail")}}
+	s := NewTransferStream(objs, nil)
+	var chunks []Segments
+	for {
+		chunk, _ := s.Next(1000)
+		if chunk == nil {
+			break
+		}
+		chunks = append(chunks, chunk)
+	}
+	var got []byte
+	for _, c := range chunks {
+		got = append(got, bytes.Join(c, nil)...)
+	}
+	if !bytes.Equal(got, referencePayload(objs, nil)) {
+		t.Fatal("chunks changed after later Next calls")
+	}
+	if seg := chunks[1][0]; &seg[0] != &big[1000-len(chunks[0][0])] {
+		t.Fatal("second chunk does not point into the object's buffer")
+	}
+}
+
+// TestChunkFramesFromSegmentsMatchGatheredBytes pins the wire bytes: a chunk
+// framed from a stream's segments encodes exactly as the same chunk with Data
+// set to their concatenation, for both chunk messages, and encoding twice
+// gives the same bytes.
+func TestChunkFramesFromSegmentsMatchGatheredBytes(t *testing.T) {
+	if got, want := Marshal(nil, &TransferChunk{RequestID: 1, Group: "g", Offset: 2, Total: 3,
+		Segments: Segments{[]byte("ab"), nil, []byte("c")}}),
+		[]byte{byte(KindTransferChunk), 1, 1, 'g', 2, 3, 3, 'a', 'b', 'c'}; !bytes.Equal(got, want) {
+		t.Fatalf("TransferChunk frame = %x, want %x", got, want)
+	}
+	if got, want := Marshal(nil, &SMigrateChunk{Offset: 2, Segments: Segments{[]byte("ab"), []byte("c")}}),
+		[]byte{byte(KindSMigrateChunk), 2, 3, 'a', 'b', 'c'}; !bytes.Equal(got, want) {
+		t.Fatalf("SMigrateChunk frame = %x, want %x", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(34))
+	blob := make([]byte, 3000)
+	rng.Read(blob)
+	// The objects and events overlap in one buffer; "long"'s length, 300,
+	// takes a two-byte varint.
+	objs := []Object{
+		{ID: "long", Data: blob[:300]},
+		{ID: "mid", Data: blob[100:1700]},
+		{ID: "empty"},
+		{ID: "tail", Data: blob[2990:]},
+	}
+	evs := []Event{
+		{Seq: 7, Kind: EventState, ObjectID: "mid", Data: blob[50:2050], Sender: 3, Time: 99},
+		{Seq: 8, Kind: EventUpdate, ObjectID: "tail", Sender: 4, Time: -1},
+	}
+	want := referencePayload(objs, evs)
+	prefixAt := 1 + 1 + len("long") // object count, ID length, ID
+	if want[prefixAt]&0x80 == 0 {
+		t.Fatalf("byte %d is not the first of a multi-byte length prefix", prefixAt)
+	}
+	// prefixAt+1 ends the first chunk between the two prefix bytes.
+	for _, max := range []int{prefixAt + 1, 1, 5, 64, 1000, TransferChunkSize} {
+		s := NewTransferStream(objs, evs)
+		var got []byte
+		for {
+			chunk, off := s.Next(max)
+			if chunk == nil {
+				break
+			}
+			data := bytes.Join(chunk, nil)
+			if len(data) != min(max, int(s.Total()-off)) {
+				t.Fatalf("max %d: chunk at %d has %d bytes", max, off, len(data))
+			}
+			sameFrame(t, &TransferChunk{RequestID: 11, Group: "g", Offset: off, Total: s.Total(), Segments: chunk},
+				&TransferChunk{RequestID: 11, Group: "g", Offset: off, Total: s.Total(), Data: data})
+			sameFrame(t, &SMigrateChunk{Offset: off, Segments: chunk}, &SMigrateChunk{Offset: off, Data: data})
+			got = append(got, data...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("max %d: chunks do not concatenate to the payload", max)
+		}
+	}
+}
+
+// TestFinishClipsEachData: the decoded Data slices share the reassembled
+// buffer, so each must end its capacity at its own length.
+func TestFinishClipsEachData(t *testing.T) {
+	objs := []Object{{ID: "a", Data: []byte("first")}, {ID: "b", Data: []byte("second")}}
+	evs := []Event{{Seq: 1, Kind: EventUpdate, ObjectID: "a", Data: []byte("ev")}}
+	payload := referencePayload(objs, evs)
+	var a TransferAssembler
+	if err := a.Add(0, uint64(len(payload)), payload); err != nil {
+		t.Fatal(err)
+	}
+	gotObjs, gotEvs, err := a.Finish(uint64(len(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(gotObjs[0].Data, "XXXXXXXXXXXXXXXX"...)
+	_ = append(gotObjs[1].Data, "XXXXXXXXXXXXXXXX"...)
+	if string(gotObjs[1].Data) != "second" || gotEvs[0].Seq != 1 || string(gotEvs[0].Data) != "ev" {
+		t.Fatalf("an append to one object overwrote its neighbours: %q, %+v", gotObjs[1].Data, gotEvs[0])
+	}
+}
+
 func TestDecodeTransferPayloadErrors(t *testing.T) {
 	good := referencePayload([]Object{{ID: "o", Data: []byte("data")}}, nil)
 	if _, _, err := decodeTransferPayload(good[:len(good)-2]); err == nil {
@@ -119,7 +228,7 @@ func TestTransferAssemblerInvertsStream(t *testing.T) {
 			if chunk == nil {
 				break
 			}
-			if err := a.Add(off, s.Total(), chunk); err != nil {
+			if err := a.Add(off, s.Total(), bytes.Join(chunk, nil)); err != nil {
 				t.Fatalf("max %d: Add(%d): %v", max, off, err)
 			}
 		}

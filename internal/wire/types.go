@@ -148,7 +148,9 @@ func DecodeObjects(d *Decoder) []Object {
 
 // bytesAlias reads a length-prefixed byte string aliasing the decoder's
 // buffer, normalized to nil when empty so alias and copy decodes produce
-// identical values.
+// identical values. Its capacity is clipped to its length: the strings of
+// one buffer sit back to back, and an append to one must reallocate, not
+// write over the next.
 //
 // corona:aliases-input
 func bytesAlias(d *Decoder) []byte {
@@ -156,7 +158,7 @@ func bytesAlias(d *Decoder) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	return b
+	return b[:len(b):len(b)]
 }
 
 // decodeObjectsAlias is decodeObjects with Data aliasing the decoder's

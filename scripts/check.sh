@@ -52,6 +52,13 @@ go test -race -count=1 ./internal/analysis/... >/dev/null
 echo "== go test -race -short"
 go test -race -short ./...
 
+echo "== join copies (no race)"
+# A full join copies the state once per side: chunks are encoded straight
+# from the group's buffers, and the joiner's view adopts the reassembled
+# payload. The allocation guard skips itself under -race, so it runs here
+# uninstrumented, with the test that streamed objects do not overlap.
+go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap' ./internal/client >/dev/null
+
 echo "== fuzz smoke (3s per wire decode target)"
 for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire >/dev/null
