@@ -21,6 +21,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"corona/internal/wire"
@@ -60,32 +61,6 @@ type Group struct {
 	// expose divergence (paper §4.2: the last globally consistent state
 	// is identified from checkpoints and sequence numbers).
 	digest uint64
-}
-
-// DigestEvent folds one event into a history digest. The chain is
-// FNV-1a-style and deterministic across replicas: every sequencer and
-// replica computing the chain over the same events gets the same value.
-func DigestEvent(digest uint64, ev wire.Event) uint64 {
-	const prime = 1099511628211
-	mix := func(h uint64, b byte) uint64 {
-		return (h ^ uint64(b)) * prime
-	}
-	h := digest
-	if h == 0 {
-		h = 14695981039346656037 // FNV offset basis
-	}
-	for i := 0; i < 8; i++ {
-		h = mix(h, byte(ev.Seq>>(8*i)))
-	}
-	h = mix(h, byte(ev.Kind))
-	for i := 0; i < len(ev.ObjectID); i++ {
-		h = mix(h, ev.ObjectID[i])
-	}
-	h = mix(h, 0) // separator between ID and data
-	for _, b := range ev.Data {
-		h = mix(h, b)
-	}
-	return h
 }
 
 // New returns an empty group state expecting its first event at sequence 1.
@@ -140,11 +115,20 @@ func (g *Group) Digest() uint64 { return g.digest }
 // event installs a fresh buffer (never writes into the old one), and an
 // update only appends — bytes below any previously captured length are
 // never rewritten, so captured views stay stable without cloning.
+//
+// An update that does not fit the object's capacity first moves the object
+// to a fresh buffer of capacity 2·len + len(update) (cloneGrow). An object
+// built by n appends is therefore copied O(log n) times, and its capacity
+// never exceeds 2·len + len(last update) plus the allocator's size-class
+// rounding.
 func (g *Group) applyToObjects(ev wire.Event) {
 	switch ev.Kind {
 	case wire.EventState:
 		g.objects[ev.ObjectID] = cloneBytes(ev.Data)
 	case wire.EventUpdate:
+		if obj := g.objects[ev.ObjectID]; len(ev.Data) > cap(obj)-len(obj) {
+			g.objects[ev.ObjectID] = cloneGrow(obj, len(ev.Data))
+		}
 		g.objects[ev.ObjectID] = append(g.objects[ev.ObjectID], ev.Data...)
 	}
 }
@@ -381,6 +365,13 @@ func cloneBytes(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// cloneGrow returns a copy of b in a fresh buffer of capacity 2·len(b) + n,
+// rounded up to the allocator's size class.
+func cloneGrow(b []byte, n int) []byte {
+	// Clipped, so Grow must reallocate and sizes the buffer from len alone.
+	return slices.Grow(slices.Clip(b), len(b)+n)
 }
 
 func cloneEvent(ev wire.Event) wire.Event {

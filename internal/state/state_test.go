@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -391,25 +393,105 @@ func TestDigestTracksHistory(t *testing.T) {
 	}
 }
 
+// TestDigestEventSensitivity: every digested field changes the value, and so
+// does where the object ID ends and the data begins — object IDs are arbitrary
+// bytes on the wire, NUL included.
 func TestDigestEventSensitivity(t *testing.T) {
 	base := wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("d")}
-	d0 := DigestEvent(0, base)
 	variants := []wire.Event{
+		base,
 		{Seq: 2, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("d")},
+		{Seq: 1 << 56, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("d")},
 		{Seq: 1, Kind: wire.EventState, ObjectID: "o", Data: []byte("d")},
+		{Seq: 1, Kind: 0, ObjectID: "o", Data: []byte("d")},
 		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "p", Data: []byte("d")},
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o\x00", Data: []byte("d")},
 		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("e")},
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("d\x00")},
+		// The ID/data boundary: the same bytes split two ways.
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "a\x00", Data: nil},
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "a", Data: []byte{0}},
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "", Data: []byte("od")},
+		{Seq: 1, Kind: wire.EventUpdate, ObjectID: "od", Data: nil},
 	}
+	seen := map[uint64]int{}
 	for i, v := range variants {
-		if DigestEvent(0, v) == d0 {
-			t.Errorf("variant %d collides with base", i)
+		d := DigestEvent(0, v)
+		if j, dup := seen[d]; dup {
+			t.Errorf("variant %d (%+v) collides with variant %d (%+v): %x", i, v, j, variants[j], d)
 		}
+		seen[d] = i
+	}
+	// The previous chain value is folded too.
+	if DigestEvent(1, base) == DigestEvent(0, base) {
+		t.Error("chain ignores the previous digest")
 	}
 	// Chaining order matters.
-	a := DigestEvent(DigestEvent(0, base), variants[0])
-	b := DigestEvent(DigestEvent(0, variants[0]), base)
+	a := DigestEvent(DigestEvent(0, base), variants[1])
+	b := DigestEvent(DigestEvent(0, variants[1]), base)
 	if a == b {
 		t.Error("chain is order-insensitive")
+	}
+}
+
+// TestDigestGolden pins the digest. Its values are stored in checkpoint
+// records and compared between servers, so a change here is a format change:
+// logs and peers from before it carry digests this build cannot match.
+func TestDigestGolden(t *testing.T) {
+	// xxHash64's reference vectors, seed 0: the empty input, the tail-only
+	// path, and inputs long enough for the 32-byte stripes.
+	for _, v := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xef46db3751d8e999},
+		{"abc", 0x44bc2cf5ad770999},
+		{"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1},
+		{"Call me Ishmael. Some years ago--never mind how long precisely-", 0x02a2e85470d6fd96},
+	} {
+		if got := xxh64(v.in, 0); got != v.want {
+			t.Errorf("xxh64(%q) = %016x, want %016x", v.in, got, v.want)
+		}
+		if got := xxh64([]byte(v.in), 0); got != v.want {
+			t.Errorf("xxh64([]byte(%q)) = %016x, want %016x", v.in, got, v.want)
+		}
+	}
+
+	data := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i)
+		}
+		return b
+	}
+	// One chain across every tail shape of the data, then an object ID
+	// longer than the digest's 9-byte header buffer and than one stripe.
+	chain := []struct {
+		ev   wire.Event
+		want uint64
+	}{
+		{wire.Event{Seq: 1, Kind: wire.EventState, ObjectID: "o", Data: data(0)}, 0x2c45eb888ae2f0f8},
+		{wire.Event{Seq: 2, Kind: wire.EventUpdate, ObjectID: "o", Data: data(1)}, 0xd5a98f11324f7e55},
+		{wire.Event{Seq: 3, Kind: wire.EventUpdate, ObjectID: "o", Data: data(7)}, 0x85ea71eb390b78ea},
+		{wire.Event{Seq: 4, Kind: wire.EventUpdate, ObjectID: "o", Data: data(8)}, 0xeb7a28af19949c74},
+		{wire.Event{Seq: 5, Kind: wire.EventState, ObjectID: "p", Data: data(31)}, 0x54afe6023faa4f0c},
+		{wire.Event{Seq: 6, Kind: wire.EventUpdate, ObjectID: "p", Data: data(32)}, 0xa66452c6be56f6e5},
+		{wire.Event{Seq: 7, Kind: wire.EventUpdate, ObjectID: "p", Data: data(33)}, 0x7b3d2a4cd7a1699a},
+		{wire.Event{Seq: 8, Kind: wire.EventUpdate, ObjectID: "obj-1a2b", Data: data(1000)}, 0xe909cd4215a569cd},
+		{wire.Event{Seq: 1 << 40, Kind: wire.EventState, ObjectID: strings.Repeat("long/object/id/", 10), Data: data(5)}, 0x45f99c7867d3b2be},
+	}
+	d := uint64(0)
+	for i, c := range chain {
+		d = DigestEvent(d, c.ev)
+		if d != c.want {
+			t.Errorf("chain[%d] (seq %d, %d B) = %#016x, want %#016x", i, c.ev.Seq, len(c.ev.Data), d, c.want)
+		}
+	}
+	// Sender and Time are not digested.
+	e := chain[0].ev
+	e.Sender, e.Time = 42, 1700000000123456789
+	if DigestEvent(0, e) != chain[0].want {
+		t.Error("DigestEvent folds Sender or Time")
 	}
 }
 
@@ -512,18 +594,121 @@ func TestQuickLastNPlusBaseRebuild(t *testing.T) {
 	}
 }
 
+// BenchmarkApplyUpdate1000 applies the benchmark workload's event shape
+// (benchmark/gen.go): eight objects, each taking fifteen 1000 B updates and
+// then one 1000 B state that replaces them.
 func BenchmarkApplyUpdate1000(b *testing.B) {
+	const objects, cycle, size = 8, 16, 1000
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("obj-%04x", i)
+	}
+	data := make([]byte, size)
 	g := New()
-	data := make([]byte, 1000)
+	b.SetBytes(size)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := wire.Event{Seq: uint64(i + 1), Kind: wire.EventState, ObjectID: "o", Data: data}
+		e := wire.Event{Seq: uint64(i + 1), Kind: wire.EventUpdate, ObjectID: ids[i/cycle%objects], Data: data}
+		if i%cycle == cycle-1 {
+			e.Kind = wire.EventState
+		}
 		if err := g.Apply(e); err != nil {
 			b.Fatal(err)
 		}
 		if g.HistoryLen() > 1024 {
 			g.Reduce(0)
 		}
+	}
+}
+
+var digestSink uint64
+
+func BenchmarkDigestEvent(b *testing.B) {
+	e := wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "obj-0001", Data: make([]byte, 1000)}
+	b.SetBytes(int64(len(e.Data)))
+	d := uint64(0)
+	for i := 0; i < b.N; i++ {
+		d = DigestEvent(d, e)
+	}
+	digestSink = d
+}
+
+// appendStream applies one 1000 B state and then 1023 updates of 1000 B to
+// object "o" of g, which must expect sequence 1, and calls step, if not nil,
+// with the object's buffer after each event.
+func appendStream(t testing.TB, g *Group, step func(obj []byte)) {
+	data := make([]byte, 1000)
+	for i := 0; i < 1024; i++ {
+		e := wire.Event{Seq: uint64(i + 1), Kind: wire.EventUpdate, ObjectID: "o", Data: data}
+		if i == 0 {
+			e.Kind = wire.EventState
+		}
+		if err := g.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		if step != nil {
+			step(g.objects["o"])
+		}
+	}
+}
+
+// TestUpdateGrowthIsGeometric: an object built by appends is reallocated
+// O(log n) times, and its spare capacity stays within one length plus one
+// update (and the allocator's size-class rounding: at most an eighth below
+// 32 KiB, one 8 KiB page above).
+func TestUpdateGrowthIsGeometric(t *testing.T) {
+	reallocs, lastCap := 0, -1
+	appendStream(t, New(), func(obj []byte) {
+		if cap(obj) != lastCap {
+			reallocs++
+			lastCap = cap(obj)
+		}
+		limit := 2*len(obj) + 1000
+		if cap(obj) > limit+limit/8+8<<10 {
+			t.Fatalf("len %d: cap %d exceeds 2·len + len(update) = %d", len(obj), cap(obj), limit)
+		}
+	})
+	if reallocs > 12 {
+		t.Fatalf("1024 appends of 1000 B reallocated the object %d times, want ≤ 12", reallocs)
+	}
+	t.Logf("1024 appends of 1000 B: %d object buffers", reallocs)
+}
+
+// TestApplyAllocations is Apply's allocation budget: the history's copy of the
+// event, plus an object buffer only when an update does not fit.
+func TestApplyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations blur the budget")
+	}
+	g := New()
+	mustApply(t, g, ev(1, wire.EventState, "o", strings.Repeat("x", 1000)), ev(2, wire.EventUpdate, "o", strings.Repeat("y", 1000)))
+	// The update grew the object to room for at least 1000 more bytes;
+	// the 101 updates below take 808. Growing the history slice is not
+	// what is measured.
+	g.history = slices.Grow(g.history, 200)
+	capBefore := cap(g.objects["o"])
+	small := []byte("12345678")
+	allocs := testing.AllocsPerRun(100, func() {
+		mustApply(t, g, wire.Event{Seq: g.NextSeq(), Kind: wire.EventUpdate, ObjectID: "o", Data: small})
+	})
+	if cap(g.objects["o"]) != capBefore {
+		t.Fatalf("object grew from cap %d to %d: the updates did not fit", capBefore, cap(g.objects["o"]))
+	}
+	if allocs != 1 {
+		t.Errorf("an update that fits allocates %.0f times, want 1 (the history clone)", allocs)
+	}
+
+	// AllocsPerRun runs the stream once to warm up, then once measured.
+	groups := []*Group{New(), New()}
+	for _, g := range groups {
+		g.history = make([]wire.Event, 0, 1024)
+	}
+	allocs = testing.AllocsPerRun(1, func() {
+		appendStream(t, groups[0], nil)
+		groups = groups[1:]
+	})
+	if allocs > 1024+12 {
+		t.Errorf("a 1024-event append stream allocates %.0f times, want ≤ 1024 history clones + 12 object buffers", allocs)
 	}
 }
 
@@ -622,6 +807,36 @@ func TestCaptureStableUnderMutation(t *testing.T) {
 	}
 	if got, want := tr.PayloadBytes(), uint64(len("a")+len("alpha")+len("b")+len("beta|")); got != want {
 		t.Errorf("PayloadBytes = %d, want %d", got, want)
+	}
+
+	// Appends inside the object's spare capacity write into the buffer a
+	// view shares, beyond the view's length; appends across a growth move
+	// the object. Neither may show through a view taken before them.
+	appends := []struct {
+		data  string
+		grows bool
+	}{{"+grows-now|", true}, {"+fits", false}, {"+grows-again|", true}, {"+", false}}
+	var views []Transfer
+	var wants []string
+	for i, a := range appends {
+		view, err := g.Capture(wire.FullTransfer)
+		if err != nil {
+			t.Fatalf("Capture: %v", err)
+		}
+		views = append(views, view)
+		wants = append(wants, string(g.objects["b"]))
+		before := cap(g.objects["b"])
+		mustApply(t, g, ev(g.NextSeq(), wire.EventUpdate, "b", a.data))
+		if grew := cap(g.objects["b"]) != before; grew != a.grows {
+			t.Fatalf("append %d (%q) grew the object: %v, want %v", i, a.data, grew, a.grows)
+		}
+	}
+	for i, view := range views {
+		for _, o := range view.Objects() {
+			if o.ID == "b" && string(o.Data) != wants[i] {
+				t.Errorf("view %d: b = %q, want %q", i, o.Data, wants[i])
+			}
+		}
 	}
 }
 
@@ -749,6 +964,28 @@ func TestCheckpointStableUnderMutation(t *testing.T) {
 	}
 	if restored.Digest() != cp.Digest {
 		t.Fatalf("restored digest %x, image said %x", restored.Digest(), cp.Digest)
+	}
+
+	// Images taken before appends that fit the spare capacity and before
+	// appends that grow the object keep their bytes either way.
+	var images []Checkpointed
+	var wants []string
+	for i, a := range []struct {
+		data  string
+		grows bool
+	}{{"+", false}, {"+grows-now|", true}, {"+fits", false}, {"+grows-again|", true}} {
+		images = append(images, g.Checkpoint())
+		wants = append(wants, string(g.objects["log"]))
+		before := cap(g.objects["log"])
+		mustApply(t, g, ev(g.NextSeq(), wire.EventUpdate, "log", a.data))
+		if grew := cap(g.objects["log"]) != before; grew != a.grows {
+			t.Fatalf("append %d (%q) grew the object: %v, want %v", i, a.data, grew, a.grows)
+		}
+	}
+	for i, img := range images {
+		if got := string(img.Objects[0].Data); img.Objects[0].ID != "log" || got != wants[i] {
+			t.Errorf("image %d: %s = %q, want log = %q", i, img.Objects[0].ID, got, wants[i])
+		}
 	}
 	// An append to the view must not land in the live history's backing
 	// array (the group has spare capacity there after Apply's appends).

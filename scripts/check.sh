@@ -52,12 +52,14 @@ go test -race -count=1 ./internal/analysis/... >/dev/null
 echo "== go test -race -short"
 go test -race -short ./...
 
-echo "== join copies (no race)"
+echo "== allocation budgets (no race)"
 # A full join copies the state once per side: chunks are encoded straight
 # from the group's buffers, and the joiner's view adopts the reassembled
-# payload. The allocation guard skips itself under -race, so it runs here
-# uninstrumented, with the test that streamed objects do not overlap.
-go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap' ./internal/client >/dev/null
+# payload. An applied update allocates only the history's copy of it unless
+# the object must grow, and growth is geometric. The allocation guards skip
+# themselves under -race, so they run here uninstrumented, with the test that
+# streamed objects do not overlap.
+go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations' ./internal/client ./internal/state >/dev/null
 
 echo "== fuzz smoke (3s per wire decode target)"
 for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
