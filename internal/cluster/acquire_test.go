@@ -9,6 +9,7 @@ package cluster_test
 import (
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,24 +178,43 @@ func TestReplicaHealsAcrossLogReduction(t *testing.T) {
 // relayDropping relays framed messages between a dialing server and target,
 // except coordinator→server messages drop says to lose.
 func relayDropping(t *testing.T, target string, drop func(wire.Message) bool) string {
+	return relayEditing(t, target, func(m wire.Message) []wire.Message {
+		if drop(m) {
+			return nil
+		}
+		return []wire.Message{m}
+	})
+}
+
+// relayEditing relays framed messages between a dialing server and target.
+// Each coordinator→server message is replaced by what edit returns for it,
+// written back to back in one write: nothing drops or holds the message
+// back, several release what was held.
+func relayEditing(t *testing.T, target string, edit func(wire.Message) []wire.Message) string {
 	t.Helper()
 	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	pipe := func(from, to *transport.Conn, drop func(wire.Message) bool) {
+	pipe := func(from, to *transport.Conn, edit func(wire.Message) []wire.Message) {
 		defer from.Close()
 		defer to.Close()
+		var frames []byte
 		for {
 			msg, err := from.ReadMessage()
 			if err != nil {
 				return
 			}
-			if drop != nil && drop(msg) {
-				continue
+			out := []wire.Message{msg}
+			if edit != nil {
+				out = edit(msg)
 			}
-			if to.WriteMessage(msg) != nil {
+			frames = frames[:0]
+			for _, m := range out {
+				frames = transport.EncodeFrame(frames, m)
+			}
+			if len(frames) > 0 && to.WriteFrame(frames) != nil {
 				return
 			}
 		}
@@ -211,7 +231,7 @@ func relayDropping(t *testing.T, target string, drop func(wire.Message) bool) st
 				continue
 			}
 			go pipe(down, up, nil)
-			go pipe(up, down, drop)
+			go pipe(up, down, edit)
 		}
 	}()
 	return ln.Addr().String()
@@ -264,6 +284,161 @@ func TestSequenceGapHealed(t *testing.T) {
 	})
 	if got := groupObject(t, sb, "g", "o"); got != "abc" {
 		t.Fatalf("B's object = %q, want abc", got)
+	}
+}
+
+// TestOneCatchUpPerGap loses seq 2 of group g on its way to server B and
+// holds seqs 3–11 back until seq 12 has been read, then writes 3–12 back to
+// back: a burst of ten events behind one gap. B must heal the gap with one
+// catch-up, the ten events waiting behind it rather than each starting its
+// own, and deliver every event to its member exactly once, in order. Seq 13
+// is held until the catch-up's locate answer reaches the relay and written
+// just before it, so it arrives while the catch-up is in flight and must
+// wait behind it too.
+func TestOneCatchUpPerGap(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	// Relay state; only the relay's coordinator→B pipe touches it.
+	var (
+		burst []wire.Message // seqs 3–11
+		tail  []wire.Message // seq 13, then the catch-up's locate answer
+		gap   bool           // seqs 3–12 were written to B
+	)
+	var lost atomic.Bool
+	release := func() []wire.Message {
+		if len(tail) < 2 {
+			return nil
+		}
+		out := tail
+		tail = nil
+		return out
+	}
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), func(m wire.Message) []wire.Message {
+		switch m := m.(type) {
+		case *wire.SDistribute:
+			switch seq := m.Event.Seq; {
+			case m.Group != "g":
+			case seq == 2:
+				lost.Store(true)
+				return nil
+			case seq >= 3 && seq <= 11:
+				burst = append(burst, m)
+				return nil
+			case seq == 12:
+				gap = true
+				return append(burst, m)
+			case seq == 13:
+				tail = append([]wire.Message{m}, tail...)
+				return release()
+			}
+		case *wire.SStateResponse:
+			if m.Group == "g" && gap {
+				gap = false
+				tail = append(tail, m)
+				return release()
+			}
+		}
+		return []wire.Message{m}
+	}))
+	counter := func(name string) uint64 { return obs.Default.Snapshot().Counters[name] }
+
+	warm := counter("cluster.catchups")
+	sinkB := newSink()
+	ca := dialTo(t, a, "a", nil)
+	cb := dialTo(t, b, "b", sinkB)
+	if err := ca.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*client.Client{ca, cb} {
+		if _, err := c.Join("g", client.JoinOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ca.BcastUpdate("g", "o", []byte{'a'}, false); err != nil {
+		t.Fatal(err)
+	}
+	sinkB.wait(t, 1)
+	// Warm-up: B is the group's designated second replica, and its backup
+	// designation ends with a catch-up of its own.
+	waitFor(t, 10*time.Second, func() bool { return counter("cluster.catchups") > warm })
+
+	caught, gaps := counter("cluster.catchups"), counter("cluster.seq_gaps")
+	for i := 1; i < 13; i++ {
+		if _, err := ca.BcastUpdate("g", "o", []byte{byte('a' + i)}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertContiguous(t, sinkB.wait(t, 13), 1)
+	if !lost.Load() {
+		t.Fatal("the relay never dropped seq 2: the gap path did not run")
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		ma, mb := seqMark(t, a, "g"), seqMark(t, b, "g")
+		return mb.NextSeq == 14 && ma.NextSeq == mb.NextSeq && ma.Digest == mb.Digest
+	})
+	// A catch-up is counted once it returns: let any still in flight land.
+	time.Sleep(250 * time.Millisecond)
+	if n := counter("cluster.catchups") - caught; n != 1 {
+		t.Fatalf("%d catch-ups for one lost event, want 1", n)
+	}
+	if n := counter("cluster.seq_gaps") - gaps; n != 1 {
+		t.Fatalf("%d sequence gaps detected for one lost event, want 1", n)
+	}
+	if got := len(sinkB.wait(t, 13)); got != 13 {
+		t.Fatalf("B's member was delivered %d events, want 13", got)
+	}
+}
+
+// TestDistributesArriveInSequenceOrder has two servers forward one group's
+// multicasts concurrently and records the order in which a third server's
+// coordinator link carries them. A group's events must arrive in sequence
+// order: a replica takes any gap for a lost event and waits for a catch-up.
+func TestDistributesArriveInSequenceOrder(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	c := tc.startServerVia(t, tc.coord.Addr())
+	var mu sync.Mutex
+	var seqs []uint64
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), func(m wire.Message) []wire.Message {
+		if d, ok := m.(*wire.SDistribute); ok && d.Group == "g" {
+			mu.Lock()
+			seqs = append(seqs, d.Event.Seq)
+			mu.Unlock()
+		}
+		return []wire.Message{m}
+	}))
+	sinkB := newSink()
+	senders := []*client.Client{dialTo(t, a, "a1", nil), dialTo(t, a, "a2", nil), dialTo(t, c, "c1", nil), dialTo(t, c, "c2", nil)}
+	if err := senders[0].CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range append(senders, dialTo(t, b, "b", sinkB)) {
+		if _, err := cl.Join("g", client.JoinOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const per = 300
+	var wg sync.WaitGroup
+	for _, cl := range senders {
+		wg.Add(1)
+		go func(cl *client.Client) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := cl.BcastUpdate("g", "o", []byte{byte(i)}, true); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	sinkB.wait(t, len(senders)*per)
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] <= seqs[i-1] {
+			t.Fatalf("B's link carried seq %d after seq %d", seqs[i], seqs[i-1])
+		}
 	}
 }
 

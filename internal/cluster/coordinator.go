@@ -539,7 +539,10 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 }
 
 // handleForward sequences one multicast and distributes it to every
-// interested server.
+// interested server. The distribute is enqueued on every target's pump
+// under the same c.mu hold that numbers it, so each link carries a group's
+// events in sequence order: a replica's gap is then always a lost event,
+// never two forwards racing to their pumps, and it waits for one catch-up.
 func (c *Coordinator) handleForward(m *wire.SForward) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
@@ -561,23 +564,24 @@ func (c *Coordinator) handleForward(m *wire.SForward) {
 		Origin:          m.Origin,
 		RequestID:       m.RequestID,
 	}
-	targets := make([]*peer, 0, len(meta.interest))
-	for id := range meta.interest {
-		if p, ok := c.peers[id]; ok {
-			targets = append(targets, p)
-		}
-	}
-	c.mu.Unlock()
-
 	f := transport.NewSharedFrame(dist)
-	for _, p := range targets {
+	var failed []*peer
+	for id := range meta.interest {
+		p, ok := c.peers[id]
+		if !ok {
+			continue
+		}
 		f.Retain()
 		if err := p.pump.SendShared(f, false); err != nil {
 			f.Release()
-			_ = p.conn.Close()
+			failed = append(failed, p)
 		}
 	}
+	c.mu.Unlock()
 	f.Release()
+	for _, p := range failed {
+		_ = p.conn.Close() // read loop notices and deregisters
+	}
 }
 
 // handleInterest records a server's stake in a group and keeps the

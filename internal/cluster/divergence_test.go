@@ -6,6 +6,7 @@ import (
 
 	"corona/internal/client"
 	"corona/internal/cluster"
+	"corona/internal/core"
 	"corona/internal/faultnet"
 	"corona/internal/wire"
 )
@@ -98,9 +99,9 @@ func (h *divergenceHarness) partitionAndDiverge(t *testing.T, authData, divData 
 	}
 	// B's side evolves separately (as if a minority coordinator had
 	// sequenced it during the partition).
-	err := h.b.Engine().ApplyDistribute("g", wire.Event{
+	_, err := h.b.Engine().ApplyDistributed("g", []core.DistEvent{{Event: wire.Event{
 		Seq: 3, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(divData),
-	}, true, 0)
+	}, SenderInclusive: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,13 @@ type Server struct {
 	pendingOps map[uint64]chan wire.Message
 	nextReq    uint64
 	backups    map[string]bool
-	promoted   *Coordinator
-	linkUp     bool
-	closed     bool
+	// parked holds, per group with a gap catch-up in flight, the
+	// distributed events that arrived behind the gap, in arrival order; a
+	// group is a key exactly while its catch-up runs (healGap).
+	parked   map[string][]core.DistEvent
+	promoted *Coordinator
+	linkUp   bool
+	closed   bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -138,6 +142,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		coordAddr:    cfg.CoordinatorAddr,
 		pendingOps:   make(map[uint64]chan wire.Message),
 		backups:      make(map[string]bool),
+		parked:       make(map[string][]core.DistEvent),
 		coordChanged: make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 	}
@@ -382,7 +387,7 @@ func (s *Server) reRegisterState() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.catchUp(group, true)
+			s.catchUp(group)
 		}()
 	}
 }
@@ -440,28 +445,28 @@ func (s *Server) linkLoop() {
 	}
 }
 
-// maxDistributeBatch caps how many sequenced events the link's read loop
-// coalesces into one ApplyDistributeBatch call.
-const maxDistributeBatch = 64
-
 // readLink consumes messages from the coordinator until the link errors.
 // Frames already buffered on the link are drained greedily — without
-// waiting — so a burst of same-group SDistributes is applied under one
-// lock acquisition with one fanout frame per member, mirroring the
-// client-facing ingest batcher.
+// waiting — so a burst of same-group SDistributes becomes one run, applied
+// under one lock acquisition with one fanout frame per member, mirroring the
+// client-facing ingest batcher. A run of one is a run like any other: every
+// run goes to distribute.
 //
-// Replicated ingest rides the engine's delivery pipeline: ApplyDistribute
-// and ApplyDistributeBatch block here, off every engine lock, when the
-// target group's fanout ring is full. Stalling this read loop is the
-// intended backpressure propagation — the link's TCP window fills and the
-// coordinator's sends slow to the rate the local receivers can absorb,
-// instead of the server buffering sequenced-but-undeliverable events
-// without bound.
+// Replicated ingest rides the engine's delivery pipeline: ApplyDistributed
+// blocks here, off every engine lock, when the target group's fanout ring
+// is full. Stalling this read loop is the intended backpressure propagation
+// — the link's TCP window fills and the coordinator's sends slow to the
+// rate the local receivers can absorb, instead of the server buffering
+// sequenced-but-undeliverable events without bound.
 func (s *Server) readLink(link *transport.Conn) {
-	var run []*wire.SDistribute
+	var group string
+	var run []core.DistEvent // scratch, reused for every run
 	flush := func() {
-		s.dispatchDistributes(run)
-		run = run[:0]
+		if len(run) > 0 {
+			s.distribute(group, run)
+			clear(run)
+			run = run[:0]
+		}
 	}
 	for {
 		msg, err := link.ReadMessage()
@@ -475,13 +480,15 @@ func (s *Server) readLink(link *transport.Conn) {
 				break
 			}
 			if d, ok := msg.(*wire.SDistribute); ok {
-				if len(run) > 0 && run[len(run)-1].Group != d.Group {
+				if d.Group != group {
 					flush()
+					group = d.Group
 				}
-				run = append(run, d)
-				if len(run) >= maxDistributeBatch {
-					flush()
+				reqID := uint64(0)
+				if d.Origin == s.cfg.ID {
+					reqID = d.RequestID
 				}
+				run = append(run, core.DistEvent{Event: d.Event, SenderInclusive: d.SenderInclusive, ReqID: reqID})
 			} else {
 				flush()
 				s.handleCoordinatorMessage(msg)
@@ -491,47 +498,87 @@ func (s *Server) readLink(link *transport.Conn) {
 	}
 }
 
-// dispatchDistributes applies a drained run of same-group SDistributes as
-// one batch. Any error — a sequence gap, or a group this replica does not
-// host yet — falls back to the per-message path from the first unconsumed
-// item on, which owns the catch-up logic.
-func (s *Server) dispatchDistributes(ms []*wire.SDistribute) {
-	if len(ms) == 0 {
-		return
-	}
-	if len(ms) == 1 {
-		s.handleDistribute(ms[0])
-		return
-	}
+// distribute applies one drained run of a group's SDistributes. While the
+// group's gap catch-up is in flight the run is parked behind it instead, so
+// no run overtakes another; a run that stops at a gap parks its unconsumed
+// suffix and starts the group's one catch-up. The run is the caller's
+// scratch: whatever is parked is copied.
+func (s *Server) distribute(group string, run []core.DistEvent) {
 	now := time.Now().UnixNano()
-	items := make([]core.DistEvent, 0, len(ms))
-	for _, m := range ms {
-		reqID := uint64(0)
-		if m.Origin == s.cfg.ID {
-			reqID = m.RequestID
-		}
-		items = append(items, core.DistEvent{Event: m.Event, SenderInclusive: m.SenderInclusive, ReqID: reqID})
-	}
-	consumed, err := s.engine.ApplyDistributeBatch(ms[0].Group, items)
-	// The consumed prefix is done; the fallback below records its own
-	// samples, so only the prefix is sampled here.
-	for _, m := range ms[:consumed] {
-		if d := now - m.Event.Time; plausibleLatency(d) {
+	for i := range run {
+		if d := now - run[i].Event.Time; plausibleLatency(d) {
 			clusterDistributeNs.Record(d)
 		}
 	}
-	if err == nil {
+	s.mu.Lock()
+	parked, healing := s.parked[group]
+	if healing {
+		s.parked[group] = append(parked, run...)
+	}
+	s.mu.Unlock()
+	if healing {
 		return
 	}
-	for _, m := range ms[consumed:] {
-		s.handleDistribute(m)
+	consumed, err := s.engine.ApplyDistributed(group, run)
+	switch {
+	case err == nil:
+	case errors.Is(err, core.ErrSeqGap):
+		clusterSeqGaps.Inc()
+		s.log.Warn("sequence gap; catching up", "group", group, "seq", run[consumed].Event.Seq)
+		s.mu.Lock()
+		s.parked[group] = append([]core.DistEvent(nil), run[consumed:]...)
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go s.healGap(group)
+	default:
+		s.log.Warn("distribute failed", "group", group, "err", err)
+	}
+}
+
+// healGap is a group's one gap catch-up. It brings the replica level with a
+// holder, then applies what the link parked meanwhile through the same
+// entrance, in arrival order; the duplicates among it are skipped there. A
+// further gap among the parked events is healed the same way. When a
+// catch-up fails, what is parked is dropped, as is a run whose group is
+// gone: the next distribute reveals the gap again and asks anew.
+func (s *Server) healGap(group string) {
+	defer s.wg.Done()
+	healed := s.catchUp(group)
+	for {
+		s.mu.Lock()
+		parked := s.parked[group]
+		s.parked[group] = nil
+		if len(parked) == 0 {
+			delete(s.parked, group)
+		}
+		s.mu.Unlock()
+		if len(parked) == 0 {
+			return
+		}
+		consumed, err := s.engine.ApplyDistributed(group, parked)
+		switch {
+		case err == nil:
+		case errors.Is(err, core.ErrSeqGap) && healed:
+			// Another event was lost further on: its successors stay
+			// parked, ahead of whatever arrived since.
+			clusterSeqGaps.Inc()
+			s.mu.Lock()
+			s.parked[group] = append(parked[consumed:], s.parked[group]...)
+			s.mu.Unlock()
+			healed = s.catchUp(group)
+		default:
+			s.mu.Lock()
+			dropped := len(parked) - consumed + len(s.parked[group])
+			delete(s.parked, group)
+			s.mu.Unlock()
+			s.log.Warn("parked events dropped", "group", group, "events", dropped, "err", err)
+			return
+		}
 	}
 }
 
 func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 	switch m := msg.(type) {
-	case *wire.SDistribute:
-		s.handleDistribute(m)
 	case *wire.SMemberUpdate:
 		s.handleRemoteMemberUpdate(m)
 	case *wire.SGroupOp:
@@ -604,48 +651,18 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 	}
 }
 
-// handleDistribute applies one sequenced event; a sequence gap triggers a
-// catch-up pull of the missed suffix.
-func (s *Server) handleDistribute(m *wire.SDistribute) {
-	if d := time.Now().UnixNano() - m.Event.Time; plausibleLatency(d) {
-		clusterDistributeNs.Record(d)
-	}
-	reqID := uint64(0)
-	if m.Origin == s.cfg.ID {
-		reqID = m.RequestID
-	}
-	err := s.engine.ApplyDistribute(m.Group, m.Event, m.SenderInclusive, reqID)
-	if err == nil {
-		return
-	}
-	if errors.Is(err, core.ErrSeqGap) {
-		clusterSeqGaps.Inc()
-		s.log.Warn("sequence gap; catching up", "group", m.Group, "seq", m.Event.Seq)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.catchUp(m.Group, false)
-			// Re-apply the event that revealed the gap.
-			_ = s.engine.ApplyDistribute(m.Group, m.Event, m.SenderInclusive, reqID)
-		}()
-		return
-	}
-	s.log.Warn("distribute failed", "group", m.Group, "err", err)
-}
-
 // catchUp brings a replica this server holds level with a source: the
 // events it missed, or the source's whole image when those were reduced
-// away meanwhile. sealed is for a replica that may see no later traffic to
-// reveal what it lacks: it ends holding everything sequenced before the
-// call. A gap on the distribute path instead takes what a holder has now —
-// waiting would only let more gaps pile up behind it, and the next
-// distribute asks again.
-func (s *Server) catchUp(group string, sealed bool) {
-	if _, err := s.acquire(group, nil, false, sealed); err != nil {
+// away meanwhile. The replica ends holding everything sequenced before the
+// call, so a gap in front of any event already received is closed. It
+// reports whether the catch-up succeeded.
+func (s *Server) catchUp(group string) bool {
+	if _, err := s.acquire(group, nil, false); err != nil {
 		s.log.Warn("catch-up failed", "group", group, "err", err)
-		return
+		return false
 	}
 	clusterCatchups.Inc()
+	return true
 }
 
 // handleRemoteMemberUpdate folds a membership change from another server
@@ -798,14 +815,14 @@ const acquireAttempts = 5
 // without the group adopts the whole image; one that holds it applies the
 // events past its own high-water mark, or adopts the image when the source
 // has reduced those away; rewind installs the image over whatever is held
-// (divergence rollback). A sealed acquisition installs nothing below the
+// (divergence rollback). An acquisition installs nothing below the
 // sequencer's mark of the first answer: the replica ends up holding
 // everything sequenced before the acquisition began, some of which may
 // still have been in flight to the source when it captured. Transient
 // failures — no live holder, a source still acquiring the group itself or
 // behind the mark, a broken stream — are retried; an unknown group is final.
 // It returns the payload bytes of the pull that succeeded.
-func (s *Server) acquire(group string, given *wire.SStateResponse, rewind, sealed bool) (bytes uint64, err error) {
+func (s *Server) acquire(group string, given *wire.SStateResponse, rewind bool) (bytes uint64, err error) {
 	// A replica held at the outset is only ever brought forward: if it is
 	// given up meanwhile (a directed release, a delete), the acquisition
 	// ends rather than install the group again.
@@ -824,7 +841,7 @@ func (s *Server) acquire(group string, given *wire.SStateResponse, rewind, seale
 			loc, err = s.locate(group)
 		}
 		if loc != nil {
-			if sealed && mark == 0 {
+			if mark == 0 {
 				mark = loc.NextSeq
 			}
 			bytes, err = s.pullFrom(loc, mark, held, rewind)
@@ -859,25 +876,23 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 		return 0, fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group)
 	}
 	// What was pulled may continue what is held — the suffix asked for, or
-	// an image pulled while a racing acquisition installed the group. It is
-	// then applied as events, so local members are delivered every one;
-	// adopting the image instead would silently skip them.
-	continues := got.BaseSeq < fromSeq || holds && got.BaseSeq < s.engine.NextSeq(group)
-	switch {
-	case rewind:
-		err = s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed)
-	case continues:
-		return got.bytes, s.engine.ApplyEvents(group, got.History)
-	default:
-		// Adopt, don't force-install: if a racing path (another join, a
-		// migration) already produced a replica at or past this image's
-		// sequence, rewinding it would re-deliver events to members.
-		var adopted bool
-		if adopted, err = s.engine.AdoptGroup(group, loc.Persistent, got.Checkpointed); !adopted || held {
-			return got.bytes, err
+	// an image pulled while a racing acquisition installed the group. Unless
+	// rewinding, it is then applied as a caught-up run, so local members are
+	// delivered every event; installing the image instead would silently
+	// skip them.
+	if !rewind && (got.BaseSeq < fromSeq || holds && got.BaseSeq < s.engine.NextSeq(group)) {
+		run := make([]core.DistEvent, len(got.History))
+		for i, ev := range got.History {
+			run[i] = core.DistEvent{Event: ev, SenderInclusive: true}
 		}
+		_, err = s.engine.ApplyDistributed(group, run)
+		return got.bytes, err
 	}
-	if err == nil {
+	// Without rewind, an image at or behind a replica that a racing path
+	// (another join, a migration) already produced is not installed:
+	// rewinding it would re-deliver events to members.
+	installed, err := s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed, rewind)
+	if installed && (rewind || !held) {
 		s.mirror.seed(group, got.members)
 	}
 	return got.bytes, err
@@ -886,7 +901,7 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 // acquireGroup makes this server a replica of an existing group for a
 // joining client, and registers interest.
 func (s *Server) acquireGroup(group string) error {
-	if _, err := s.acquire(group, nil, false, true); err != nil {
+	if _, err := s.acquire(group, nil, false); err != nil {
 		return err
 	}
 	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true})
@@ -943,7 +958,7 @@ func (s *Server) becomeBackup(group string, mig *wire.SMigrate) {
 	var bytes uint64
 	var err error
 	if !s.engine.HasGroup(group) {
-		bytes, err = s.acquire(group, loc, false, true)
+		bytes, err = s.acquire(group, loc, false)
 	}
 	if err != nil {
 		s.mu.Lock()
@@ -962,7 +977,7 @@ func (s *Server) becomeBackup(group string, mig *wire.SMigrate) {
 		// locate travel the same link in order, so everything sequenced
 		// after the locator's mark is distributed here, and the catch-up
 		// does not finish below the mark.
-		s.catchUp(group, true)
+		s.catchUp(group)
 		s.log.Info("backup replica installed", "group", group, "bytes", bytes)
 	}
 	if mig != nil {
@@ -987,7 +1002,7 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 			if err != nil {
 				s.log.Warn("fork create failed", "group", m.Group, "fork", m.ForkName, "err", err)
 			} else if ack.OK || ack.Code == wire.CodeGroupExists {
-				if err := s.engine.InstallGroup(m.ForkName, persistent, cp); err != nil {
+				if _, err := s.engine.InstallGroup(m.ForkName, persistent, cp, true); err != nil {
 					s.log.Warn("fork install failed", "fork", m.ForkName, "err", err)
 				} else {
 					s.mirror.seed(m.ForkName, nil)
@@ -1014,7 +1029,7 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 // refresh their materialized copies (the paper leaves post-partition repair
 // "implemented in the client code").
 func (s *Server) rollbackGroup(group string) {
-	if _, err := s.acquire(group, nil, true, true); err != nil {
+	if _, err := s.acquire(group, nil, true); err != nil {
 		s.log.Warn("rollback failed", "group", group, "err", err)
 		return
 	}

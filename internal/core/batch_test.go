@@ -216,9 +216,9 @@ func TestSingleBcastLatencyGuard(t *testing.T) {
 }
 
 // TestApplyDistributeBatchDupAndGap exercises the replica half of ingest
-// batching directly: duplicates are consumed and acknowledged, fresh events
-// sequence in order, and the first gap stops consumption with ErrSeqGap so
-// the caller's catch-up path takes over.
+// batching directly through ApplyDistributed: duplicates are consumed and
+// acknowledged, fresh events sequence in order, and the first gap stops
+// consumption with ErrSeqGap so the caller's catch-up path takes over.
 func TestApplyDistributeBatchDupAndGap(t *testing.T) {
 	srv := startServer(t, core.Config{})
 	e := srv.Engine()
@@ -236,7 +236,7 @@ func TestApplyDistributeBatchDupAndGap(t *testing.T) {
 		for _, s := range seqs {
 			items = append(items, mk(s))
 		}
-		return e.ApplyDistributeBatch("d", items)
+		return e.ApplyDistributed("d", items)
 	}
 	nextSeq := func() uint64 {
 		t.Helper()

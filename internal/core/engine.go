@@ -115,7 +115,7 @@ const (
 type Hooks struct {
 	// Forward, when set, routes a validated Bcast to the coordinator for
 	// sequencing instead of sequencing locally. The BcastAck to the
-	// sender is deferred until the event returns via ApplyDistribute.
+	// sender is deferred until the event returns via ApplyDistributed.
 	Forward func(group string, ev wire.Event, senderInclusive bool, reqID uint64) error
 	// OnMembershipChange reports a local join/leave/crash so the
 	// coordinator can maintain the global view.
@@ -431,28 +431,19 @@ func (e *Engine) LocalMembers(name string) int {
 	return g.Size()
 }
 
-// InstallGroup registers a group received from a peer replica, replacing
-// any existing registration and local state. The checkpoint image is
-// installed verbatim: the sequence counter is reset to the image's, so a
-// rollback after divergence really rewinds (existing local members are
-// kept).
-func (e *Engine) InstallGroup(name string, persistent bool, cp state.Checkpointed) error {
+// InstallGroup is the replica's one entrance for a group image received
+// from a peer: it replaces the registration's state (existing local members
+// are kept) and resets the sequence counter to the image's. Without rewind
+// an image that does not advance the local replica — one at or behind it —
+// is not installed, so racing installers (a migration stream and a
+// concurrent join-driven acquisition) can both run to completion without
+// rewinding the replica, which would re-apply sequenced events and deliver
+// duplicates to local members. rewind installs the image whatever is held,
+// as a divergence rollback must. installed reports whether it was.
+func (e *Engine) InstallGroup(name string, persistent bool, cp state.Checkpointed, rewind bool) (installed bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.installLocked(name, persistent, cp)
-}
-
-// AdoptGroup installs a replica image only when it advances the local
-// replica: an existing state at or beyond cp.NextSeq is kept as is. Racing
-// installers (a migration stream and a concurrent join-driven acquisition)
-// can therefore both run to completion without ever rewinding the replica —
-// a rewind would re-apply sequenced events and deliver duplicates to local
-// members. Divergence rollback, which rewinds deliberately, keeps using
-// InstallGroup. The first result reports whether the image was installed.
-func (e *Engine) AdoptGroup(name string, persistent bool, cp state.Checkpointed) (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if st := e.getState(name); st != nil && st.NextSeq() >= cp.NextSeq {
+	if st := e.getState(name); !rewind && st != nil && st.NextSeq() >= cp.NextSeq {
 		return false, nil
 	}
 	if err := e.installLocked(name, persistent, cp); err != nil {
@@ -461,7 +452,7 @@ func (e *Engine) AdoptGroup(name string, persistent bool, cp state.Checkpointed)
 	return true, nil
 }
 
-// installLocked is InstallGroup under e.mu.
+// installLocked is InstallGroup's install, under e.mu.
 func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpointed) error {
 	st, err := state.RestoreMaterialized(cp)
 	if err != nil {
@@ -592,12 +583,6 @@ func (e *Engine) SeqReport() []wire.GroupSeq {
 		out = append(out, gs)
 	}
 	return out
-}
-
-// ObserveSeq raises a group's sequencer high-water mark (coordinator
-// recovery). The sequencer is self-synchronizing.
-func (e *Engine) ObserveSeq(group string, seqNo uint64) {
-	e.seqr.Observe(group, seqNo)
 }
 
 // Groups returns the names of all registered groups.

@@ -57,15 +57,21 @@ func distEvent(seq uint64) wire.Event {
 	return wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("x")}
 }
 
+// distributeOne applies one coordinator-numbered event: a run of one.
+func distributeOne(e *Engine, group string, ev wire.Event) error {
+	_, err := e.ApplyDistributed(group, []DistEvent{{Event: ev, SenderInclusive: true}})
+	return err
+}
+
 func TestFanoutBackpressureBlocksAndResumes(t *testing.T) {
 	e := newFanoutTestEngine(t, 2)
 	ring := drainRing(t, e, 2)
 
 	done := make(chan error, 1)
-	go func() { done <- e.ApplyDistribute("g", distEvent(1), true, 0) }()
+	go func() { done <- distributeOne(e, "g", distEvent(1)) }()
 	select {
 	case err := <-done:
-		t.Fatalf("ApplyDistribute did not block on a full ring (err=%v)", err)
+		t.Fatalf("ApplyDistributed did not block on a full ring (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -76,7 +82,7 @@ func TestFanoutBackpressureBlocksAndResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ApplyDistribute still blocked after a credit freed")
+		t.Fatal("ApplyDistributed still blocked after a credit freed")
 	}
 	if e.mFanoutWaits.Load() == 0 {
 		t.Fatal("backpressure wait not recorded")
@@ -95,10 +101,10 @@ func TestFanoutBackpressureUnblockedByClose(t *testing.T) {
 	drainRing(t, e, 2)
 
 	done := make(chan error, 1)
-	go func() { done <- e.ApplyDistribute("g", distEvent(1), true, 0) }()
+	go func() { done <- distributeOne(e, "g", distEvent(1)) }()
 	select {
 	case err := <-done:
-		t.Fatalf("ApplyDistribute did not block (err=%v)", err)
+		t.Fatalf("ApplyDistributed did not block (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -111,7 +117,7 @@ func TestFanoutBackpressureUnblockedByClose(t *testing.T) {
 			t.Fatalf("err = %v, want ErrEngineClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ApplyDistribute still blocked after engine close")
+		t.Fatal("ApplyDistributed still blocked after engine close")
 	}
 }
 
@@ -120,10 +126,10 @@ func TestFanoutBackpressureUnblockedByGroupDelete(t *testing.T) {
 	drainRing(t, e, 2)
 
 	done := make(chan error, 1)
-	go func() { done <- e.ApplyDistribute("g", distEvent(1), true, 0) }()
+	go func() { done <- distributeOne(e, "g", distEvent(1)) }()
 	select {
 	case err := <-done:
-		t.Fatalf("ApplyDistribute did not block (err=%v)", err)
+		t.Fatalf("ApplyDistributed did not block (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -136,7 +142,7 @@ func TestFanoutBackpressureUnblockedByGroupDelete(t *testing.T) {
 			t.Fatalf("err = %v, want ErrNoSuchGroup", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ApplyDistribute still blocked after group delete")
+		t.Fatal("ApplyDistributed still blocked after group delete")
 	}
 }
 

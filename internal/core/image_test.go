@@ -81,7 +81,7 @@ func imageTestEvent(seq uint64) wire.Event {
 //
 // It also prints, without gating on it, what a multicast to "b" waited while
 // "a" (32 MiB) was being imaged: the engine.bcast_lock_wait_ns max the issue
-// asks for, and the max wall time of one ApplyDistribute call, which unlike
+// asks for, and the max wall time of one ApplyDistributed call, which unlike
 // that histogram includes the wait for the engine's read lock.
 func TestGroupImageConsistentUnderMulticast(t *testing.T) {
 	const aEvents, minImages = 600, 25
@@ -103,7 +103,7 @@ func TestGroupImageConsistentUnderMulticast(t *testing.T) {
 		defer wg.Done()
 		defer aDone.Store(true)
 		for seq := uint64(1); seq <= aEvents; seq++ {
-			if err := e.ApplyDistribute("a", imageTestEvent(seq), true, 0); err != nil {
+			if err := distributeOne(e, "a", imageTestEvent(seq)); err != nil {
 				t.Errorf("multicast a/%d: %v", seq, err)
 				return
 			}
@@ -120,7 +120,7 @@ func TestGroupImageConsistentUnderMulticast(t *testing.T) {
 			default:
 			}
 			start := time.Now()
-			err := e.ApplyDistribute("b", wire.Event{Seq: seq, Kind: wire.EventState, ObjectID: "o", Data: []byte("b")}, true, 0)
+			err := distributeOne(e, "b", wire.Event{Seq: seq, Kind: wire.EventState, ObjectID: "o", Data: []byte("b")})
 			bMaxCall = max(bMaxCall, time.Since(start))
 			if err != nil {
 				t.Errorf("multicast b/%d: %v", seq, err)

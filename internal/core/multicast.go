@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"corona/internal/membership"
@@ -19,9 +20,9 @@ import (
 // of one is a batch of one: there is no second path beside this one.
 
 // maxIngestBatch caps the events of one run: a session's read loop
-// coalesces at most this many Bcasts into one engine call, and a catch-up
-// suffix is applied in chunks of it. The cap bounds the group-mutex hold
-// and the size of a DeliverBatch frame.
+// coalesces at most this many Bcasts into one engine call, and a replica
+// applies coordinator-numbered events in chunks of it. The cap bounds the
+// group-mutex hold and the size of a DeliverBatch frame.
 const maxIngestBatch = 64
 
 // ErrSeqGap reports that a distributed event skipped ahead of the replica's
@@ -124,7 +125,8 @@ func (e *Engine) bcastRun(s *Session, msgs []*wire.Bcast) {
 	}
 }
 
-// DistEvent is one coordinator-sequenced event of a distributed run.
+// DistEvent is one coordinator-sequenced event of a distributed run. An
+// event of a caught-up suffix is SenderInclusive with a zero ReqID.
 type DistEvent struct {
 	Event           wire.Event
 	SenderInclusive bool
@@ -133,46 +135,34 @@ type DistEvent struct {
 	ReqID uint64
 }
 
-// ApplyDistribute applies one coordinator-sequenced event on a replica
-// server: ApplyDistributeBatch for a run of one.
-func (e *Engine) ApplyDistribute(group string, ev wire.Event, senderInclusive bool, reqID uint64) error {
-	one := [1]runEvent{{ev: ev, incl: senderInclusive, reqID: reqID}}
-	_, err := e.multicast(&run{group: group, events: one[:]})
-	return err
-}
+// distRuns recycles the scratch of distributed runs — the run's events and
+// its ack frames — so a replica's run allocates neither.
+var distRuns = sync.Pool{New: func() any { return &run{events: make([]runEvent, 0, maxIngestBatch)} }}
 
-// ApplyDistributeBatch applies a run of coordinator-sequenced same-group
-// events on a replica server and fans it out to local members. A local
-// sender's pending BcastAck (non-zero ReqID) completes here. Events at or
-// below the replica's high-water mark are duplicates: acknowledged and
-// skipped. The first sequence gap stops consumption and returns ErrSeqGap
-// along with the number of items consumed, leaving the remainder to the
-// caller's catch-up path.
-func (e *Engine) ApplyDistributeBatch(group string, items []DistEvent) (int, error) {
-	events := make([]runEvent, len(items))
-	for i, it := range items {
-		events[i] = runEvent{ev: it.Event, incl: it.SenderInclusive, reqID: it.ReqID}
-	}
-	return e.multicast(&run{group: group, events: events})
-}
-
-// ApplyEvents folds a caught-up event suffix into a replica (after an
-// ErrSeqGap fetch), one run per maxIngestBatch events. Events already
-// applied are skipped.
-func (e *Engine) ApplyEvents(group string, events []wire.Event) error {
-	chunk := make([]runEvent, 0, min(len(events), maxIngestBatch))
-	for len(events) > 0 {
-		n := min(len(events), maxIngestBatch)
-		chunk = chunk[:0]
-		for _, ev := range events[:n] {
-			chunk = append(chunk, runEvent{ev: ev, incl: true})
+// ApplyDistributed is the replica's one entrance for coordinator-numbered
+// events: the live stream and a caught-up suffix alike, as one run per
+// maxIngestBatch events. The events are applied and fanned out to local
+// members, and a local sender's pending BcastAck (non-zero ReqID) completes
+// here. Events at or below the replica's high-water mark are duplicates:
+// acknowledged and skipped. The first sequence gap stops the run with
+// ErrSeqGap; consumed counts the events before it, leaving the rest to the
+// caller's catch-up.
+func (e *Engine) ApplyDistributed(group string, items []DistEvent) (consumed int, err error) {
+	r := distRuns.Get().(*run)
+	r.group = group
+	for consumed < len(items) && err == nil {
+		r.events = r.events[:0]
+		for _, it := range items[consumed:min(len(items), consumed+maxIngestBatch)] {
+			r.events = append(r.events, runEvent{ev: it.Event, incl: it.SenderInclusive, reqID: it.ReqID})
 		}
-		if _, err := e.multicast(&run{group: group, events: chunk}); err != nil {
-			return err
-		}
-		events = events[n:]
+		var n int
+		n, err = e.multicast(r)
+		consumed += n
 	}
-	return nil
+	// Drop the payload references before the scratch goes back.
+	clear(r.events[:min(len(items), maxIngestBatch)])
+	distRuns.Put(r)
+	return consumed, err
 }
 
 // multicast drives one run through its group and reports how many of its
@@ -216,7 +206,7 @@ func (e *Engine) multicastLocked(r *run, credit *fanoutRing) (full *fanoutRing, 
 	}
 	if r.sess != nil && e.cfg.Hooks.Forward != nil {
 		// Replicated service: the coordinator sequences, and each ack is
-		// sent when the event returns via ApplyDistribute.
+		// sent when the event returns via ApplyDistributed.
 		e.releaseCredit(credit)
 		for i := range r.events {
 			re := &r.events[i]

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -171,8 +173,8 @@ func TestDistributedRunRecordsLockInstruments(t *testing.T) {
 	}
 	holdBefore := e.hLockHold.Snapshot().Count
 	waitBefore := e.hLockWait.Snapshot().Count
-	if n, err := e.ApplyDistributeBatch("g", items); err != nil || n != k {
-		t.Fatalf("ApplyDistributeBatch = %d, %v", n, err)
+	if n, err := e.ApplyDistributed("g", items); err != nil || n != k {
+		t.Fatalf("ApplyDistributed = %d, %v", n, err)
 	}
 	if got := e.hLockHold.Snapshot().Count - holdBefore; got != k {
 		t.Fatalf("lock-hold samples for a distributed run of %d = %d", k, got)
@@ -181,13 +183,61 @@ func TestDistributedRunRecordsLockInstruments(t *testing.T) {
 		t.Fatalf("lock-wait samples for one run = %d, want 1", got)
 	}
 
-	// A catch-up suffix is one run per chunk, charged the same way.
+	// A run longer than maxIngestBatch is one run per chunk, each charged
+	// the same way.
+	items = items[:0]
+	for seq := uint64(k + 1); seq <= k+maxIngestBatch+3; seq++ {
+		items = append(items, DistEvent{Event: distEvent(seq), SenderInclusive: true})
+	}
 	holdBefore = e.hLockHold.Snapshot().Count
-	if err := e.ApplyEvents("g", []wire.Event{distEvent(k + 1), distEvent(k + 2), distEvent(k + 3)}); err != nil {
+	waitBefore = e.hLockWait.Snapshot().Count
+	if n, err := e.ApplyDistributed("g", items); err != nil || n != len(items) {
+		t.Fatalf("ApplyDistributed = %d, %v", n, err)
+	}
+	if got := e.hLockHold.Snapshot().Count - holdBefore; got != uint64(len(items)) {
+		t.Fatalf("lock-hold samples for a caught-up run of %d = %d", len(items), got)
+	}
+	if got := e.hLockWait.Snapshot().Count - waitBefore; got != 2 {
+		t.Fatalf("lock-wait samples for a run of %d = %d, want 2 (one per chunk)", len(items), got)
+	}
+}
+
+// TestApplyDistributedAllocations is a replica's allocation budget for a run
+// of one distributed event to a group with one local member: the state's
+// copies of the event, the delivery frame and its encoding, and the pump's
+// share. The run's own scratch is recycled, so it adds nothing.
+func TestApplyDistributedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations blur the budget")
+	}
+	e, err := NewEngine(EngineConfig{Logger: quietTestLogger()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.hLockHold.Snapshot().Count - holdBefore; got != 3 {
-		t.Fatalf("lock-hold samples for a caught-up run of 3 = %d", got)
+	t.Cleanup(func() { e.Close() })
+	if err := e.CreateGroupDirect("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	c1, c2 := net.Pipe()
+	t.Cleanup(func() { c1.Close(); c2.Close() })
+	go io.Copy(io.Discard, c2)
+	sess, err := e.AddSession(transport.NewConn(c1), "member")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.HandleMessage(sess, &wire.Join{Group: "g", Policy: wire.TransferPolicy{Mode: wire.TransferNone}})
+	data := []byte("12345678")
+	run := make([]DistEvent, 1)
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		run[0] = DistEvent{Event: wire.Event{Seq: seq, Kind: wire.EventState, ObjectID: "o", Data: data, Sender: 1 << 41}, SenderInclusive: true}
+		if _, err := e.ApplyDistributed("g", run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("a distributed run of one allocates %.0f times, want ≤ 8", allocs)
 	}
 }
 
@@ -240,13 +290,18 @@ type equalityOutcome struct {
 	Acks   map[string]map[uint64]uint64
 	Nacks  map[string]map[uint64]wire.ErrorMsg
 	Digest uint64
+	// Consumed is the replica arm's total of ApplyDistributed's consumed
+	// counts.
+	Consumed int
 }
 
 // TestRunOfOneEqualsBatch feeds one seeded stream of Bcasts through the
 // engine twice — message by message through HandleMessage, and as coalesced
 // runs through dispatchBcasts — and requires identical per-receiver
 // (seq → payload) sequences, identical ack/nack sets, and identical state
-// digests, memory-only and persistent + SyncAlways.
+// digests, memory-only and persistent + SyncAlways. Its replica arm does the
+// same for a coordinator-numbered stream fed through ApplyDistributed, and
+// also compares the consumed counts.
 func TestRunOfOneEqualsBatch(t *testing.T) {
 	type step struct {
 		from int // index into the clients
@@ -389,22 +444,7 @@ func TestRunOfOneEqualsBatch(t *testing.T) {
 			}
 			single := feed(t, dirs[0], false)
 			runs := feed(t, dirs[1], true)
-
-			if single.Digest != runs.Digest {
-				t.Fatalf("state digests differ: %x vs %x", single.Digest, runs.Digest)
-			}
-			if !reflect.DeepEqual(single.Acks, runs.Acks) {
-				t.Fatalf("ack sets differ:\n single %v\n runs   %v", single.Acks, runs.Acks)
-			}
-			if !reflect.DeepEqual(single.Nacks, runs.Nacks) {
-				t.Fatalf("nack sets differ:\n single %v\n runs   %v", single.Nacks, runs.Nacks)
-			}
-			for name, evs := range single.Events {
-				if !reflect.DeepEqual(evs, runs.Events[name]) {
-					t.Fatalf("%s: delivered sequences differ (%d vs %d events)", name, len(evs), len(runs.Events[name]))
-				}
-				checkGapless(t, name, evs)
-			}
+			requireSameOutcome(t, single, runs)
 			// The stream's two refusals are refused, and only those.
 			if single.Nacks["alice"][138].Code != wire.CodeBadRequest && single.Nacks["bob"][138].Code != wire.CodeBadRequest {
 				t.Fatalf("invalid kind not refused: %v", single.Nacks)
@@ -416,7 +456,212 @@ func TestRunOfOneEqualsBatch(t *testing.T) {
 				t.Fatalf("%d requests refused, want 2", n)
 			}
 		})
+		// The replica arm: the coordinator-numbered stream a replica applies.
+		t.Run("replica-"+mode.name, func(t *testing.T) {
+			dirs := [2]string{}
+			if mode.durable {
+				dirs = [2]string{t.TempDir(), t.TempDir()}
+			}
+			single := feedReplica(t, dirs[0], false)
+			runs := feedReplica(t, dirs[1], true)
+			requireSameOutcome(t, single, runs)
+			if got := len(single.Events["carol"]); got != replicaStreamLen {
+				t.Fatalf("carol was delivered %d events, want %d", got, replicaStreamLen)
+			}
+			for id, seq := range single.Acks["alice"] {
+				if id != seq {
+					t.Fatalf("request %d acked at seq %d", id, seq)
+				}
+			}
+		})
 	}
+}
+
+// requireSameOutcome fails unless the two feeding modes agree on everything
+// equalityOutcome holds, and every receiver's deliveries are gapless.
+func requireSameOutcome(t *testing.T, single, runs equalityOutcome) {
+	t.Helper()
+	if single.Digest != runs.Digest {
+		t.Fatalf("state digests differ: %x vs %x", single.Digest, runs.Digest)
+	}
+	if single.Consumed != runs.Consumed {
+		t.Fatalf("consumed counts differ: %d vs %d", single.Consumed, runs.Consumed)
+	}
+	if !reflect.DeepEqual(single.Acks, runs.Acks) {
+		t.Fatalf("ack sets differ:\n single %v\n runs   %v", single.Acks, runs.Acks)
+	}
+	if !reflect.DeepEqual(single.Nacks, runs.Nacks) {
+		t.Fatalf("nack sets differ:\n single %v\n runs   %v", single.Nacks, runs.Nacks)
+	}
+	for name, evs := range single.Events {
+		if !reflect.DeepEqual(evs, runs.Events[name]) {
+			t.Fatalf("%s: delivered sequences differ (%d vs %d events)", name, len(evs), len(runs.Events[name]))
+		}
+		checkGapless(t, name, evs)
+	}
+}
+
+// replicaStreamLen is how many events the replica arm's coordinator numbers.
+const replicaStreamLen = 300
+
+// replicaStep is one arrival on a replica's coordinator link or, when
+// catchUp is set, the suffix the replica's gap catch-up brings back.
+type replicaStep struct {
+	ev      DistEvent
+	catchUp []DistEvent
+}
+
+// replicaStream is the replica arm's seeded stream. Alice, the local sender,
+// sent about half the events, some sender-exclusive, each with a pending
+// request; the rest come from a remote sender. Recent events are re-sent as
+// duplicates along the way. Seqs 101–180 are lost, so 181–190 hit the gap;
+// then the catch-up brings back 101–190, a suffix longer than one run. It
+// also returns the requests alice is acked and how many events she is
+// delivered.
+func replicaStream(alice uint64) (stream []replicaStep, acked []uint64, owedAlice int) {
+	const lostFrom, lostTo, heldTo = 101, 180, 190
+	rng := rand.New(rand.NewSource(36))
+	canon := make([]DistEvent, replicaStreamLen+1)
+	for seq := uint64(1); seq <= replicaStreamLen; seq++ {
+		ev := DistEvent{
+			Event: wire.Event{
+				Seq: seq, Kind: wire.EventUpdate, ObjectID: fmt.Sprintf("o%d", rng.Intn(3)),
+				Data: []byte(fmt.Sprintf("%d|", seq)), Sender: 2 << 40,
+			},
+			SenderInclusive: rng.Intn(2) == 0,
+		}
+		if rng.Intn(8) == 0 {
+			ev.Event.Kind = wire.EventState
+		}
+		if rng.Intn(2) == 0 {
+			ev.Event.Sender, ev.ReqID = alice, seq
+		}
+		canon[seq] = ev
+	}
+	var suffix []DistEvent
+	for seq := uint64(lostFrom); seq <= heldTo; seq++ {
+		ev := canon[seq]
+		ev.SenderInclusive, ev.ReqID = true, 0
+		suffix = append(suffix, ev)
+	}
+	lost := func(seq uint64) bool { return seq >= lostFrom && seq <= lostTo }
+	for seq := uint64(1); seq <= replicaStreamLen; seq++ {
+		applied := canon[seq]
+		if seq >= lostFrom && seq <= heldTo {
+			applied = suffix[seq-lostFrom]
+		}
+		if applied.SenderInclusive || applied.Event.Sender != alice {
+			owedAlice++
+		}
+		if lost(seq) {
+			continue
+		}
+		stream = append(stream, replicaStep{ev: canon[seq]})
+		if canon[seq].ReqID != 0 {
+			acked = append(acked, canon[seq].ReqID)
+		}
+		if dup := seq - uint64(rng.Intn(5)); rng.Intn(6) == 0 && dup >= 1 && !lost(dup) {
+			stream = append(stream, replicaStep{ev: canon[dup]})
+		}
+		if seq == heldTo {
+			stream = append(stream, replicaStep{catchUp: suffix})
+		}
+	}
+	return stream, acked, owedAlice
+}
+
+// feedReplica applies the replica stream through ApplyDistributed the way
+// the replicated frontend does: message by message, or as coalesced runs
+// of up to 100 events. The first gap parks the rest of the live stream
+// until the catch-up's suffix is applied, then the parked events follow —
+// each as one run when coalescing, as the frontend applies them.
+func feedReplica(t *testing.T, dir string, coalesce bool) equalityOutcome {
+	cfg := EngineConfig{Logger: quietTestLogger(), Dir: dir}
+	if dir != "" {
+		cfg.Sync = wal.SyncAlways
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.CreateGroupDirect("g", dir != "", nil); err != nil {
+		t.Fatal(err)
+	}
+	alice, carol := newRigClient(t, e, "alice"), newRigClient(t, e, "carol")
+	alice.join(t, e, "g", wire.RolePrincipal)
+	carol.join(t, e, "g", wire.RolePrincipal)
+	stream, acked, owedAlice := replicaStream(alice.sess.ID)
+
+	out := equalityOutcome{Acks: map[string]map[uint64]uint64{}, Nacks: map[string]map[uint64]wire.ErrorMsg{}, Events: map[string][]wire.Event{}}
+	chunks := rand.New(rand.NewSource(63))
+	var parked []DistEvent
+	gapped := false
+	apply := func(evs []DistEvent, whole bool) {
+		for len(evs) > 0 {
+			n := 1
+			if coalesce {
+				n = len(evs)
+				if !whole {
+					n = min(n, 1+chunks.Intn(100))
+				}
+			}
+			run := evs[:n]
+			evs = evs[n:]
+			if gapped {
+				parked = append(parked, run...)
+				continue
+			}
+			consumed, err := e.ApplyDistributed("g", run)
+			out.Consumed += consumed
+			switch {
+			case errors.Is(err, ErrSeqGap):
+				gapped = true
+				parked = append(parked, run[consumed:]...)
+			case err != nil:
+				t.Fatal(err)
+			}
+		}
+	}
+	var live []DistEvent
+	for _, st := range stream {
+		if st.catchUp == nil {
+			live = append(live, st.ev)
+			continue
+		}
+		apply(live, false)
+		live = nil
+		if !gapped {
+			t.Fatal("the lost events left no gap")
+		}
+		gapped = false
+		apply(st.catchUp, true)
+		held := parked
+		parked = nil
+		apply(held, true)
+	}
+	apply(live, false)
+
+	waitFor(t, "acks to alice", func() bool { return alice.replied(acked...) })
+	e.mu.RLock()
+	out.Digest = e.getState("g").Digest()
+	e.mu.RUnlock()
+	for name, c := range map[string]*rigClient{"alice": alice, "carol": carol} {
+		c := c
+		want := replicaStreamLen
+		if c == alice {
+			want = owedAlice
+		}
+		waitFor(t, "deliveries to "+name, func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return len(c.events) >= want
+		})
+		c.mu.Lock()
+		out.Events[name], out.Acks[name], out.Nacks[name] = c.events, c.acks, c.nacks
+		c.mu.Unlock()
+	}
+	return out
 }
 
 // checkGapless requires strictly increasing sequence numbers.

@@ -34,7 +34,7 @@ func applyLocal(t *testing.T, e *Engine, group string, n int, data string) {
 		next := e.getState(group).NextSeq()
 		e.mu.RUnlock()
 		ev := wire.Event{Seq: next, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(data)}
-		if err := e.ApplyDistribute(group, ev, true, 0); err != nil {
+		if err := distributeOne(e, group, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,10 +214,17 @@ func TestInstallGroupResetsSequencer(t *testing.T) {
 	}
 	applyLocal(t, e, "g", 9, "x")
 
-	// A rollback install must rewind the sequencer, not max with it.
+	// Without rewind, an image behind the replica is not installed.
 	cp := state.Checkpointed{NextSeq: 4}
-	if err := e.InstallGroup("g", false, cp); err != nil {
-		t.Fatal(err)
+	if installed, err := e.InstallGroup("g", false, cp, false); err != nil || installed {
+		t.Fatalf("install behind the replica: installed %v, err %v", installed, err)
+	}
+	if got := e.NextSeq("g"); got != 10 {
+		t.Fatalf("NextSeq after a refused install = %d, want 10", got)
+	}
+	// A rollback install must rewind the sequencer, not max with it.
+	if installed, err := e.InstallGroup("g", false, cp, true); err != nil || !installed {
+		t.Fatalf("rewinding install: installed %v, err %v", installed, err)
 	}
 	report := e.SeqReport()
 	if len(report) != 1 || report[0].NextSeq != 4 {
@@ -278,22 +285,22 @@ func TestApplyDistributeGapAndDuplicate(t *testing.T) {
 	ev := func(seq uint64) wire.Event {
 		return wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte{byte(seq)}}
 	}
-	if err := e.ApplyDistribute("g", ev(1), true, 0); err != nil {
+	if err := distributeOne(e, "g", ev(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate: dropped silently.
-	if err := e.ApplyDistribute("g", ev(1), true, 0); err != nil {
+	if err := distributeOne(e, "g", ev(1)); err != nil {
 		t.Fatalf("duplicate: %v", err)
 	}
 	// Gap: reported.
-	if err := e.ApplyDistribute("g", ev(5), true, 0); err == nil {
+	if err := distributeOne(e, "g", ev(5)); err == nil {
 		t.Fatal("gap accepted")
 	}
 	// Catch-up then the gap event applies.
-	if err := e.ApplyEvents("g", []wire.Event{ev(2), ev(3), ev(4)}); err != nil {
+	if _, err := e.ApplyDistributed("g", []DistEvent{{Event: ev(2), SenderInclusive: true}, {Event: ev(3), SenderInclusive: true}, {Event: ev(4), SenderInclusive: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyDistribute("g", ev(5), true, 0); err != nil {
+	if err := distributeOne(e, "g", ev(5)); err != nil {
 		t.Fatalf("after catch-up: %v", err)
 	}
 	_, cp, _ := e.GroupImage("g")

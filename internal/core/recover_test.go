@@ -58,7 +58,7 @@ func imagesOf(t *testing.T, e *Engine, skip string) recoverImages {
 func distribute(t *testing.T, e *Engine, group string, ev wire.Event) wire.Event {
 	t.Helper()
 	ev.Seq = e.NextSeq(group)
-	if err := e.ApplyDistribute(group, ev, true, 0); err != nil {
+	if err := distributeOne(e, group, ev); err != nil {
 		t.Fatal(err)
 	}
 	return ev

@@ -32,12 +32,13 @@ func NewHistogram() *Histogram {
 	return h
 }
 
-// Record adds one sample. Negative samples (clock skew) clamp to zero.
+// Record adds one sample. Negative samples (clock skew) clamp to zero. The
+// sample is counted last, so a Snapshot that counts it also sees it in Min
+// and Max.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bits.Len64(uint64(v))].Add(1)
 	h.sum.Add(uint64(v))
 	for {
 		old := h.sumSq.Load()
@@ -58,6 +59,7 @@ func (h *Histogram) Record(v int64) {
 			break
 		}
 	}
+	h.counts[bits.Len64(uint64(v))].Add(1)
 }
 
 // BucketCount is one occupied histogram bucket: Count samples were

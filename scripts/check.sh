@@ -56,10 +56,11 @@ echo "== allocation budgets (no race)"
 # A full join copies the state once per side: chunks are encoded straight
 # from the group's buffers, and the joiner's view adopts the reassembled
 # payload. An applied update allocates only the history's copy of it unless
-# the object must grow, and growth is geometric. The allocation guards skip
-# themselves under -race, so they run here uninstrumented, with the test that
-# streamed objects do not overlap.
-go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations' ./internal/client ./internal/state >/dev/null
+# the object must grow, and growth is geometric. A replica's distributed run
+# of one recycles its scratch. The allocation guards skip themselves under
+# -race, so they run here uninstrumented, with the test that streamed objects
+# do not overlap.
+go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyDistributedAllocations' ./internal/client ./internal/state ./internal/core >/dev/null
 
 echo "== fuzz smoke (3s per wire decode target)"
 for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
@@ -104,8 +105,9 @@ echo "== replica acquisition and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
 # crashes mid-churn; a join right after a create never gets an invented
-# image; a replica behind a log reduction heals. -count=1 defeats the
-# cache so the race detector really runs them on every gate.
-go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction' ./internal/cluster >/dev/null
+# image; a replica behind a log reduction heals; a burst behind one lost
+# event waits for one catch-up. -count=1 defeats the cache so the race
+# detector really runs them on every gate.
+go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap' ./internal/cluster >/dev/null
 
 echo "OK"
