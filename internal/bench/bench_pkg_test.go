@@ -159,7 +159,7 @@ func TestRunRelaxedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StrictData.Count == 0 || res.LocalFirstNoti.Count == 0 {
+	if res.StrictData.Count == 0 || res.MemberNotify.Count == 0 {
 		t.Fatalf("result = %+v", res)
 	}
 	var buf bytes.Buffer

@@ -276,9 +276,9 @@ func PrintLogReduction(w io.Writer, r LogReductionResult) {
 	}
 }
 
-// measureLocalNotify times the relaxed local-first path: a membership
-// change on a server reaching a subscriber on the same server (no
-// coordinator round trip required for the local delivery).
+// measureLocalNotify times a membership change on a server reaching a
+// subscriber on the same server: on a single server at once, in a cluster
+// once the coordinator has ordered the change.
 func measureLocalNotify(addr string, rounds int) (LatencyStats, error) {
 	const group = "relaxed"
 	notified := make(chan time.Time, 1)

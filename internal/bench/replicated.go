@@ -114,14 +114,14 @@ func PrintTable2(w io.Writer, rows []Table2Row, servers, msgSize int) {
 	}
 }
 
-// RelaxedResult reports the A3 ablation: the latency of the strict,
-// coordinator-sequenced data path vs. the relaxed local-first membership
-// path (§4.1: totally ordered semantics may be relaxed for membership and
-// parameter changes, which a server distributes locally before informing
-// the rest of the cluster).
+// RelaxedResult reports the A3 ablation: the latency of a data multicast
+// through the coordinator vs. a membership change reaching a subscriber on
+// the joiner's own server. §4.1 lets membership changes be delivered
+// locally first; here they are ordered through the coordinator like a
+// multicast, so the second path measures what that ordering costs.
 type RelaxedResult struct {
-	StrictData     LatencyStats
-	LocalFirstNoti LatencyStats
+	StrictData   LatencyStats
+	MemberNotify LatencyStats
 }
 
 // RunRelaxed measures both paths on a two-server cluster.
@@ -135,7 +135,7 @@ func RunRelaxed(messages int) (RelaxedResult, error) {
 	}
 	defer shutdown()
 
-	// Strict path: data RTT through the coordinator.
+	// Data RTT through the coordinator.
 	strict, err := runRTTProbe(addrs[0], RTTConfig{
 		Clients: 1, MsgSize: 1000, Messages: messages, Stateful: true,
 	}, []string{addrs[0], addrs[0]})
@@ -143,19 +143,18 @@ func RunRelaxed(messages int) (RelaxedResult, error) {
 		return RelaxedResult{}, err
 	}
 
-	// Relaxed path: a local membership change notifies a same-server
-	// subscriber without waiting for the coordinator round trip.
-	local, err := measureLocalNotify(addrs[0], messages)
+	// A join notifying a same-server subscriber once it is ordered.
+	notify, err := measureLocalNotify(addrs[0], messages)
 	if err != nil {
 		return RelaxedResult{}, err
 	}
-	return RelaxedResult{StrictData: strict, LocalFirstNoti: local}, nil
+	return RelaxedResult{StrictData: strict, MemberNotify: notify}, nil
 }
 
 // PrintRelaxed renders the A3 ablation.
 func PrintRelaxed(w io.Writer, r RelaxedResult) {
-	fmt.Fprintf(w, "Ablation A3: strict coordinator sequencing vs relaxed local-first delivery\n")
+	fmt.Fprintf(w, "Ablation A3: a multicast vs a membership change, both ordered by the coordinator\n")
 	fmt.Fprintf(w, "%-40s %-14s\n", "path", "mean (ms)")
-	fmt.Fprintf(w, "%-40s %-14s\n", "data multicast (strict, via coordinator)", Millis(r.StrictData.Mean))
-	fmt.Fprintf(w, "%-40s %-14s\n", "membership notify (local-first)", Millis(r.LocalFirstNoti.Mean))
+	fmt.Fprintf(w, "%-40s %-14s\n", "data multicast (via coordinator)", Millis(r.StrictData.Mean))
+	fmt.Fprintf(w, "%-40s %-14s\n", "membership notify (via coordinator)", Millis(r.MemberNotify.Mean))
 }

@@ -16,10 +16,12 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"corona/internal/obs"
 	"corona/internal/placement"
 	"corona/internal/seq"
 	"corona/internal/state"
@@ -112,11 +114,10 @@ type groupMeta struct {
 	noInitial bool
 	// interest maps server ID to that server's stake.
 	interest map[uint64]*interest
-	// members is the global membership, in join order.
+	// members is the global membership in the group's order. A member's
+	// hosting server is hostOf its client ID, so a server crash can fail
+	// its members.
 	members []wire.MemberInfo
-	// memberSrv maps client ID to the hosting server, so a server crash
-	// can fail its members.
-	memberSrv map[uint64]uint64
 	// sequenced records whether this coordinator sequenced any event for
 	// the group in its reign; only then can a server's seq report
 	// conflict rather than merely recover state.
@@ -128,11 +129,14 @@ type groupMeta struct {
 	authority uint64
 }
 
+// hostOf extracts the hosting server from a client ID, which the engine
+// composes as serverID<<40|counter (core.Engine.newClientID).
+func hostOf(clientID uint64) uint64 { return clientID >> 40 }
+
 func newGroupMeta(persistent bool) *groupMeta {
 	return &groupMeta{
 		persistent: persistent,
 		interest:   make(map[uint64]*interest),
-		memberSrv:  make(map[uint64]uint64),
 	}
 }
 
@@ -326,9 +330,19 @@ func (c *Coordinator) servePeer(conn *transport.Conn) {
 
 // ServeRegistration runs a server connection whose SHello has already been
 // read. A promoted cluster server routes registrations from its shared peer
-// listener here; the coordinator's own accept loop uses it too. The call
+// listener here; the coordinator's own accept loop uses it too. A server
+// speaking another protocol version is refused with one ErrorMsg. The call
 // blocks until the link drops.
 func (c *Coordinator) ServeRegistration(conn *transport.Conn, hello *wire.SHello) {
+	if hello.Proto != wire.ProtocolVersion {
+		clusterHellosRefused.Inc()
+		c.log.Warn("registration refused", "server", hello.ServerID, "proto", hello.Proto)
+		_ = conn.WriteMessage(&wire.ErrorMsg{
+			RequestID: hello.RequestID, Code: wire.CodeBadRequest,
+			Text: fmt.Sprintf("protocol %d unsupported, want %d", hello.Proto, wire.ProtocolVersion),
+		})
+		return
+	}
 	p := c.register(conn, hello)
 	if p == nil {
 		return
@@ -455,34 +469,29 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 		}
 	}
 
-	type lostMember struct {
-		group string
-		info  wire.MemberInfo
-	}
-	var lost []lostMember
 	var backupChecks []string
+	var failed []*peer
 	for name, meta := range c.groups {
 		if _, had := meta.interest[p.info.ID]; had {
 			delete(meta.interest, p.info.ID)
 			backupChecks = append(backupChecks, name)
 		}
-		kept := meta.members[:0]
+		var lost []wire.MemberInfo
 		for _, m := range meta.members {
-			if meta.memberSrv[m.ClientID] == p.info.ID {
-				delete(meta.memberSrv, m.ClientID)
-				lost = append(lost, lostMember{group: name, info: m})
-				continue
+			if hostOf(m.ClientID) == p.info.ID {
+				lost = append(lost, m)
 			}
-			kept = append(kept, m)
 		}
-		meta.members = kept
+		for _, m := range lost {
+			failed = c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m, failed)
+		}
 	}
 	c.mu.Unlock()
 
 	c.log.Warn("server lost", "server", p.info.ID, "reason", reason)
 	p.pump.Close()
-	for _, lm := range lost {
-		c.redistributeMemberUpdate(p.info.ID, lm.group, wire.MemberCrashed, lm.info)
+	for _, fp := range failed {
+		_ = fp.conn.Close() // read loop notices and deregisters
 	}
 	for _, g := range backupChecks {
 		c.ensureReplicas(g)
@@ -501,7 +510,7 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 	case *wire.SInterest:
 		c.handleInterest(p, m)
 	case *wire.SMemberUpdate:
-		c.handleMemberUpdate(m)
+		c.handleMemberUpdate(p, m)
 	case *wire.SGroupOp:
 		c.handleGroupOp(p, m)
 	case *wire.SStateRequest:
@@ -608,85 +617,76 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	c.ensureReplicas(m.Group)
 }
 
-// handleMemberUpdate maintains the global membership and redistributes the
-// change to the other interested servers.
-func (c *Coordinator) handleMemberUpdate(m *wire.SMemberUpdate) {
+// handleMemberUpdate orders one server's membership change. A change for a
+// group the coordinator does not know is refused back to its origin: a
+// membership report never creates a group.
+func (c *Coordinator) handleMemberUpdate(p *peer, m *wire.SMemberUpdate) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
-	if !ok {
-		meta = newGroupMeta(false)
-		c.groups[m.Group] = meta
-	}
-	switch m.Change {
-	case wire.MemberJoined:
-		// Reconnecting servers re-announce their members; dedupe.
-		duplicate := false
-		for _, mm := range meta.members {
-			if mm.ClientID == m.Member.ClientID {
-				duplicate = true
-				break
-			}
-		}
-		if !duplicate {
-			meta.members = append(meta.members, m.Member)
-		}
-		meta.memberSrv[m.Member.ClientID] = m.ServerID
-	default: // left or crashed
-		for i, mm := range meta.members {
-			if mm.ClientID == m.Member.ClientID {
-				meta.members = append(meta.members[:i], meta.members[i+1:]...)
-				break
-			}
-		}
-		delete(meta.memberSrv, m.Member.ClientID)
-	}
-	reap := !meta.persistent && len(meta.members) == 0 && m.Change != wire.MemberJoined
-	var reapTargets []*peer
-	if reap {
-		// The paper's transient rule, cluster-wide: "a transient group
-		// ceases to exist when it has no members, and its shared state
-		// is lost." Remove the registry entry and tell every server to
-		// drop leftover replicas (the creation-time standing backup).
-		delete(c.groups, m.Group)
-		c.seqr.Drop(m.Group)
-		reapTargets = c.peersLocked()
+	var failed []*peer
+	if ok {
+		failed = c.orderMemberLocked(m.Group, meta, m.ServerID, m.Change, m.Member, nil)
 	}
 	c.mu.Unlock()
-
-	if reap {
-		c.log.Info("transient group ceased to exist", "group", m.Group)
-		del := &wire.SGroupOp{Op: wire.GroupOpDelete, Group: m.Group}
-		for _, p := range reapTargets {
-			p.send(del)
-		}
-		return
+	if !ok {
+		p.send(&wire.SMemberUpdate{
+			ServerID: m.ServerID, Group: m.Group, Change: m.Change, Member: m.Member, Code: wire.CodeNoSuchGroup,
+		})
 	}
-	c.redistributeMemberUpdate(m.ServerID, m.Group, m.Change, m.Member)
+	for _, fp := range failed {
+		_ = fp.conn.Close() // read loop notices and deregisters
+	}
 }
 
-// redistributeMemberUpdate pushes a membership change to every interested
-// server except the originator (which already notified its local members).
-func (c *Coordinator) redistributeMemberUpdate(origin uint64, group string, change wire.MembershipChange, member wire.MemberInfo) {
-	c.mu.Lock()
-	meta, ok := c.groups[group]
-	if !ok {
-		c.mu.Unlock()
-		return
+// orderMemberLocked applies one membership change to the group's member list
+// and enqueues its ordered copy — the change and the list after it — on the
+// pump of every interested server and of the origin, under the c.mu hold
+// that numbers the group's multicasts (handleForward), so every link carries
+// the copy in its place among them. A change that changes nothing (a
+// re-announced member, one already failed) goes back to the origin alone.
+// The leave that empties a transient group ends the group here, as its copy
+// does on every replica: "a transient group ceases to exist when it has no
+// members, and its shared state is lost." A crash the coordinator detects
+// with the member's server (origin 0) ends no group: the group's backups
+// keep its state for whoever comes back (§4.1). Pumps that refused the copy
+// are appended to failed, for the caller to close once c.mu is released.
+// Caller holds c.mu.
+func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uint64, change wire.MembershipChange, member wire.MemberInfo, failed []*peer) []*peer {
+	i := slices.IndexFunc(meta.members, func(m wire.MemberInfo) bool { return m.ClientID == member.ClientID })
+	changed := true
+	switch {
+	case change == wire.MemberJoined && i < 0:
+		meta.members = append(meta.members, member)
+	case change != wire.MemberJoined && i >= 0:
+		meta.members = slices.Delete(meta.members, i, i+1)
+	default:
+		changed = false
 	}
-	var targets []*peer
+	f := transport.NewSharedFrame(&wire.SMemberUpdate{
+		ServerID: origin, Group: name, Change: change, Member: member, Members: meta.members,
+	})
+	targets := []uint64{origin}
 	for id := range meta.interest {
-		if id == origin {
-			continue
+		if changed && id != origin {
+			targets = append(targets, id)
 		}
+	}
+	for _, id := range targets {
 		if p, ok := c.peers[id]; ok {
-			targets = append(targets, p)
+			f.Retain()
+			if err := p.pump.SendShared(f, false); err != nil {
+				f.Release()
+				failed = append(failed, p)
+			}
 		}
 	}
-	msg := &wire.SMemberUpdate{ServerID: origin, Group: group, Change: change, Member: member}
-	c.mu.Unlock()
-	for _, p := range targets {
-		p.send(msg)
+	f.Release()
+	if changed && change != wire.MemberJoined && origin != 0 && len(meta.members) == 0 && !meta.persistent {
+		delete(c.groups, name)
+		c.seqr.Drop(name)
+		obs.Default.Event("cluster", fmt.Sprintf("transient group %q ceased to exist", name))
 	}
+	return failed
 }
 
 // handleGroupOp applies a create/delete, redistributes it to every server,

@@ -87,7 +87,7 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 	}
 	defer link.Close()
 	for _, m := range []wire.Message{
-		&wire.SHello{RequestID: 1, ServerID: 99, Addr: ln.Addr().String()},
+		&wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: 99, Addr: ln.Addr().String()},
 		&wire.SGroupOp{RequestID: 2, Origin: 99, Op: wire.GroupOpCreate, Group: "ghost", Initial: []wire.Object{{ID: "o", Data: []byte("x")}}},
 	} {
 		if err := link.WriteMessage(m); err != nil {

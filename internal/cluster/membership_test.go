@@ -1,0 +1,253 @@
+package cluster_test
+
+// Membership tests: a join, leave or crash takes effect through the group's
+// one order at the coordinator, and every replica's registry holds the
+// group's global member list. The two race tests hold one server's
+// coordinator link back with a fault proxy, so the order they pin down does
+// not depend on scheduling luck.
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"corona/internal/client"
+	"corona/internal/cluster"
+	"corona/internal/faultnet"
+	"corona/internal/obs"
+	"corona/internal/transport"
+	"corona/internal/wire"
+)
+
+// delayedPair starts a patient cluster of two servers, the first or the
+// second behind a fault proxy, and returns them in order with the proxy.
+func delayedPair(t *testing.T, delayFirst bool) (*testCluster, *cluster.Server, *cluster.Server, *faultnet.Proxy) {
+	t.Helper()
+	tc := startPatientCluster(t, cluster.PlacementConfig{})
+	proxy, err := faultnet.New("127.0.0.1:0", tc.coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	first, second := tc.coord.Addr(), tc.coord.Addr()
+	if delayFirst {
+		first = proxy.Addr()
+	} else {
+		second = proxy.Addr()
+	}
+	a := tc.startServerVia(t, first)
+	b := tc.startServerVia(t, second)
+	return tc, a, b, proxy
+}
+
+func memberNames(ms []wire.MemberInfo) []string {
+	names := make([]string, 0, len(ms))
+	for _, m := range ms {
+		names = append(names, m.Name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+func nextNotify(t *testing.T, ch chan wire.MembershipNotify) wire.MembershipNotify {
+	t.Helper()
+	select {
+	case n := <-ch:
+		return n
+	case <-time.After(5 * time.Second):
+		t.Fatal("no membership notification")
+		return wire.MembershipNotify{}
+	}
+}
+
+// TestJoinerSeesMembersAlreadyThere holds B's coordinator link back by
+// 150 ms each way, with B already a backup of g. Alice joins through A and is
+// acked; bob at once joins through B. Alice's join was ordered before bob's,
+// so bob's JoinAck must list her, however late her join's copy reaches B.
+func TestJoinerSeesMembersAlreadyThere(t *testing.T) {
+	tc, a, b, proxy := delayedPair(t, false)
+	alice := dialTo(t, a, "alice", nil)
+	bob := dialTo(t, b, "bob", nil)
+	if err := alice.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return b.Engine().HasGroup("g") && slices.Equal(tc.coord.Replicas("g"), []uint64{2, 3})
+	})
+	proxy.SetDelay(150 * time.Millisecond)
+
+	if _, err := alice.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := bob.Join("g", client.JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := memberNames(res.Members); !slices.Equal(got, []string{"alice", "bob"}) {
+		t.Fatalf("bob's JoinAck lists %v, want [alice bob]", got)
+	}
+}
+
+// TestNoReapUnderLiveMember holds A's coordinator link back. The watcher
+// joins g through A; a member then joins and leaves through B. The watcher's
+// join was ordered first, so the member's leave empties nothing: the
+// coordinator must not end the transient group under the watcher.
+func TestNoReapUnderLiveMember(t *testing.T) {
+	tc, a, b, proxy := delayedPair(t, true)
+	notifies := make(chan wire.MembershipNotify, 16)
+	watcher, err := client.Dial(client.Config{
+		Addr: a.ClientAddr(), Name: "watcher",
+		OnMembership: func(n wire.MembershipNotify) { notifies <- n },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { watcher.Close() })
+	if err := watcher.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return b.Engine().HasGroup("g") && slices.Equal(tc.coord.Replicas("g"), []uint64{2, 3})
+	})
+	proxy.SetDelay(150 * time.Millisecond)
+
+	if _, err := watcher.Join("g", client.JoinOptions{Notify: true}); err != nil {
+		t.Fatal(err)
+	}
+	member := dialTo(t, b, "member", nil)
+	if _, err := member.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := member.Leave("g"); err != nil {
+		t.Fatal(err)
+	}
+	// The query travels B's link behind the leave: the coordinator has
+	// ordered it by the time it answers.
+	groups, err := member.ListGroups()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(groups, "g") {
+		t.Fatalf("coordinator's groups after the member left = %v: g was ended under the watcher", groups)
+	}
+	for _, want := range []wire.MembershipChange{wire.MemberJoined, wire.MemberLeft} {
+		if n := nextNotify(t, notifies); n.Change != want || n.Member.Name != "member" {
+			t.Fatalf("watcher's notify = %+v, want member %s", n, want)
+		}
+	}
+	ms, err := watcher.Membership("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := memberNames(ms); !slices.Equal(got, []string{"watcher"}) {
+		t.Fatalf("membership after the member left = %v", got)
+	}
+}
+
+// TestNotifyCountIsGlobal: a MembershipNotify's Count is the group's size
+// across the cluster, whether the change happened on the subscriber's server
+// or on another.
+func TestNotifyCountIsGlobal(t *testing.T) {
+	tc := startCluster(t, 2)
+	notifies := make(chan wire.MembershipNotify, 16)
+	watcher, err := client.Dial(client.Config{
+		Addr: tc.servers[0].ClientAddr(), Name: "watcher",
+		OnMembership: func(n wire.MembershipNotify) { notifies <- n },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { watcher.Close() })
+	if err := watcher.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := watcher.Join("g", client.JoinOptions{Notify: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dialTo(t, tc.servers[1], "remote", nil).Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := nextNotify(t, notifies); n.Member.Name != "remote" || n.Count != 2 {
+		t.Fatalf("notify for the remote join = %+v, want count 2", n)
+	}
+	if _, err := dialTo(t, tc.servers[0], "local", nil).Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := nextNotify(t, notifies); n.Member.Name != "local" || n.Count != 3 {
+		t.Fatalf("notify for the local join = %+v, want count 3", n)
+	}
+}
+
+// TestBackupKeepsReplicaWhenLastLocalMemberLeaves: the creating server is a
+// standing backup of g. When its last local member leaves while bob still
+// uses g through B, the group is not empty, so A keeps its replica — and the
+// coordinator's replica set names exactly the servers that hold one.
+func TestBackupKeepsReplicaWhenLastLocalMemberLeaves(t *testing.T) {
+	tc := startCluster(t, 2)
+	a, b := tc.servers[0], tc.servers[1]
+	alice := dialTo(t, a, "alice", nil)
+	bob := dialTo(t, b, "bob", nil)
+	if err := alice.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Leave("g"); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Engine().HasGroup("g") {
+		t.Fatal("A dropped its backup replica of g while bob is still a member")
+	}
+	// Each query travels its server's link behind the interest reports.
+	for _, c := range []*client.Client{alice, bob} {
+		if _, err := c.ListGroups(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var holders []uint64
+	for i, s := range tc.servers {
+		if s.Engine().HasGroup("g") {
+			holders = append(holders, uint64(i+2)) // startCluster's IDs
+		}
+	}
+	if got := tc.coord.Replicas("g"); !slices.Equal(got, holders) {
+		t.Fatalf("coordinator's replicas of g = %v, servers holding it = %v", got, holders)
+	}
+}
+
+// TestRegistrationWithOldProtocolRefused: a server speaking another protocol
+// version gets one ErrorMsg instead of a registration, and is counted.
+func TestRegistrationWithOldProtocolRefused(t *testing.T) {
+	tc := startCluster(t, 0)
+	refused := func() uint64 { return obs.Default.Snapshot().Counters["cluster.hellos_refused"] }
+	before := refused()
+	conn, err := transport.Dial(tc.coord.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.WriteMessage(&wire.SHello{RequestID: 1, Proto: 1, ServerID: 9, Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := reply.(*wire.ErrorMsg); !ok || e.Code != wire.CodeBadRequest {
+		t.Fatalf("registration with protocol 1 answered with %#v", reply)
+	}
+	if _, err := conn.ReadMessage(); err == nil {
+		t.Fatal("refused registration's link still open")
+	}
+	if got := tc.coord.ServerCount(); got != 0 {
+		t.Fatalf("ServerCount = %d after a refused registration", got)
+	}
+	if got := refused() - before; got != 1 {
+		t.Fatalf("cluster.hellos_refused grew by %d, want 1", got)
+	}
+}

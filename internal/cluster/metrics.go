@@ -31,6 +31,9 @@ var (
 	// clusterServersLost counts server deregistrations for any reason
 	// (timeout or dropped link).
 	clusterServersLost = obs.Default.Counter("cluster.servers_lost")
+	// clusterHellosRefused counts registrations refused for speaking
+	// another protocol version.
+	clusterHellosRefused = obs.Default.Counter("cluster.hellos_refused")
 	// clusterBackupReassigns counts backup designations: the coordinator
 	// directing a server to acquire a replica it does not hold.
 	clusterBackupReassigns = obs.Default.Counter("cluster.backup_reassigns")

@@ -27,16 +27,12 @@ import (
 // small frame, and the puller asks again.
 func (s *Server) serveState(conn *transport.Conn, req *wire.SStateRequest) {
 	start := time.Now()
-	// Capture under the engine's locks, stream outside every lock. FromSeq
-	// 0 precedes every checkpoint base, so it always gets the image.
-	var cp state.Checkpointed
-	if events, nextSeq, ok := s.engine.EventsSince(req.Group, req.FromSeq); ok {
-		cp = state.Checkpointed{BaseSeq: req.FromSeq - 1, NextSeq: nextSeq, History: events}
-	} else if _, cp, ok = s.engine.GroupImage(req.Group); !ok {
+	// Capture under the engine's locks, stream outside every lock.
+	cp, members, ok := s.engine.ReplicaImage(req.Group, req.FromSeq)
+	if !ok {
 		_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeNoSuchGroup, Text: fmt.Sprintf("no replica of %q here", req.Group)})
 		return
 	}
-	members, _ := s.mirror.lookup(req.Group)
 	stream := wire.NewTransferStream(cp.Objects, cp.History)
 	err := conn.WriteMessage(&wire.SMigrateOffer{
 		BaseSeq: cp.BaseSeq, NextSeq: cp.NextSeq, Digest: cp.Digest, Total: stream.Total(), Members: members,
@@ -66,7 +62,7 @@ type pulled struct {
 	// History is the event suffix from there; otherwise this is the source's
 	// whole image.
 	state.Checkpointed
-	// members is the source's view of the group's global membership.
+	// members is the source registry's member list, read with the image.
 	members []wire.MemberInfo
 	// bytes is the payload size.
 	bytes uint64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,7 +75,6 @@ type Server struct {
 	engine   *core.Engine
 	frontend *core.Server
 	peerLn   *transport.Listener
-	mirror   *memberMirror
 
 	// coordChanged wakes the link loop when an election announced a new
 	// coordinator.
@@ -92,10 +92,11 @@ type Server struct {
 	pendingOps map[uint64]chan wire.Message
 	nextReq    uint64
 	backups    map[string]bool
-	// parked holds, per group with a gap catch-up in flight, the
-	// distributed events that arrived behind the gap, in arrival order; a
-	// group is a key exactly while its catch-up runs (healGap).
-	parked   map[string][]core.DistEvent
+	// parked holds, per group with a gap catch-up in flight, what arrived
+	// behind the gap — runs of distributed events and ordered membership
+	// changes — in arrival order; a group is a key exactly while its
+	// catch-up runs (healGap).
+	parked   map[string][]parkedItem
 	promoted *Coordinator
 	linkUp   bool
 	closed   bool
@@ -138,11 +139,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		log:          cfg.Logger.With("server", cfg.ID),
-		mirror:       newMemberMirror(),
 		coordAddr:    cfg.CoordinatorAddr,
 		pendingOps:   make(map[uint64]chan wire.Message),
 		backups:      make(map[string]bool),
-		parked:       make(map[string][]core.DistEvent),
+		parked:       make(map[string][]parkedItem),
 		coordChanged: make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 	}
@@ -152,8 +152,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	engCfg.Logger = s.log
 	engCfg.Hooks = core.Hooks{
 		Forward:            s.forward,
-		OnMembershipChange: s.onMembershipChange,
-		MembersOverride:    s.mirror.lookup,
+		OnMembershipChange: s.forwardMember,
 		Intercept:          s.intercept,
 	}
 	engine, err := core.NewEngine(engCfg)
@@ -303,7 +302,8 @@ func (s *Server) connectCoordinator(addr string) error {
 	s.mu.Lock()
 	epoch := s.epoch
 	s.mu.Unlock()
-	if err := conn.WriteMessage(&wire.SHello{RequestID: 1, ServerID: s.cfg.ID, Addr: s.PeerAddr(), Epoch: epoch}); err != nil {
+	hello := &wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: s.cfg.ID, Addr: s.PeerAddr(), Epoch: epoch}
+	if err := conn.WriteMessage(hello); err != nil {
 		conn.Close()
 		return err
 	}
@@ -317,6 +317,9 @@ func (s *Server) connectCoordinator(addr string) error {
 	ack, ok := msg.(*wire.SHelloAck)
 	if !ok {
 		conn.Close()
+		if refusal, is := msg.(*wire.ErrorMsg); is {
+			return fmt.Errorf("cluster: registration refused: %s", refusal.Text)
+		}
 		return fmt.Errorf("cluster: unexpected registration reply %s", msg.Kind())
 	}
 
@@ -372,13 +375,7 @@ func (s *Server) reRegisterState() {
 			Interested: true, Members: g.Members, Backup: backup,
 		})
 	}
-	for group, members := range s.mirror.localOf(s.cfg.ID) {
-		for _, m := range members {
-			s.sendToCoordinator(&wire.SMemberUpdate{
-				ServerID: s.cfg.ID, Group: group, Change: wire.MemberJoined, Member: m,
-			})
-		}
-	}
+	s.engine.Reannounce()
 	// Catch up every replica: events sequenced while this server was
 	// disconnected (e.g. during a coordinator failover) are fetched from
 	// the surviving replicas.
@@ -498,6 +495,26 @@ func (s *Server) readLink(link *transport.Conn) {
 	}
 }
 
+// parkedItem is one thing parked behind a group's gap: a run of distributed
+// events, or one ordered membership change.
+type parkedItem struct {
+	run    []core.DistEvent
+	member *wire.SMemberUpdate
+}
+
+// park queues item behind the group's gap catch-up when one is in flight,
+// copying its run (the caller's scratch), and reports whether it did.
+func (s *Server) park(group string, item parkedItem) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	parked, healing := s.parked[group]
+	if healing {
+		item.run = slices.Clone(item.run)
+		s.parked[group] = append(parked, item)
+	}
+	return healing
+}
+
 // distribute applies one drained run of a group's SDistributes. While the
 // group's gap catch-up is in flight the run is parked behind it instead, so
 // no run overtakes another; a run that stops at a gap parks its unconsumed
@@ -510,13 +527,7 @@ func (s *Server) distribute(group string, run []core.DistEvent) {
 			clusterDistributeNs.Record(d)
 		}
 	}
-	s.mu.Lock()
-	parked, healing := s.parked[group]
-	if healing {
-		s.parked[group] = append(parked, run...)
-	}
-	s.mu.Unlock()
-	if healing {
+	if s.park(group, parkedItem{run: run}) {
 		return
 	}
 	consumed, err := s.engine.ApplyDistributed(group, run)
@@ -526,7 +537,7 @@ func (s *Server) distribute(group string, run []core.DistEvent) {
 		clusterSeqGaps.Inc()
 		s.log.Warn("sequence gap; catching up", "group", group, "seq", run[consumed].Event.Seq)
 		s.mu.Lock()
-		s.parked[group] = append([]core.DistEvent(nil), run[consumed:]...)
+		s.parked[group] = []parkedItem{{run: slices.Clone(run[consumed:])}}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.healGap(group)
@@ -536,10 +547,10 @@ func (s *Server) distribute(group string, run []core.DistEvent) {
 }
 
 // healGap is a group's one gap catch-up. It brings the replica level with a
-// holder, then applies what the link parked meanwhile through the same
-// entrance, in arrival order; the duplicates among it are skipped there. A
-// further gap among the parked events is healed the same way. When a
-// catch-up fails, what is parked is dropped, as is a run whose group is
+// holder, then takes in what the link parked meanwhile through the same
+// entrances, in arrival order; the duplicate events among it are skipped
+// there. A further gap among the parked events is healed the same way. When
+// a catch-up fails, what is parked is dropped, as is a run whose group is
 // gone: the next distribute reveals the gap again and asks anew.
 func (s *Server) healGap(group string) {
 	defer s.wg.Done()
@@ -555,23 +566,29 @@ func (s *Server) healGap(group string) {
 		if len(parked) == 0 {
 			return
 		}
-		consumed, err := s.engine.ApplyDistributed(group, parked)
-		switch {
-		case err == nil:
-		case errors.Is(err, core.ErrSeqGap) && healed:
-			// Another event was lost further on: its successors stay
-			// parked, ahead of whatever arrived since.
-			clusterSeqGaps.Inc()
+		for i, item := range parked {
+			if item.member != nil {
+				s.applyMember(item.member)
+				continue
+			}
+			consumed, err := s.engine.ApplyDistributed(group, item.run)
+			if err == nil {
+				continue
+			}
 			s.mu.Lock()
-			s.parked[group] = append(parked[consumed:], s.parked[group]...)
-			s.mu.Unlock()
-			healed = s.catchUp(group)
-		default:
-			s.mu.Lock()
-			dropped := len(parked) - consumed + len(s.parked[group])
+			if errors.Is(err, core.ErrSeqGap) && healed {
+				// Another event was lost further on: its successors stay
+				// parked, ahead of whatever arrived since.
+				clusterSeqGaps.Inc()
+				parked[i].run = item.run[consumed:]
+				s.parked[group] = append(parked[i:], s.parked[group]...)
+				s.mu.Unlock()
+				healed = s.catchUp(group)
+				break
+			}
 			delete(s.parked, group)
 			s.mu.Unlock()
-			s.log.Warn("parked events dropped", "group", group, "events", dropped, "err", err)
+			s.log.Warn("parked changes dropped", "group", group, "err", err)
 			return
 		}
 	}
@@ -580,7 +597,9 @@ func (s *Server) healGap(group string) {
 func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.SMemberUpdate:
-		s.handleRemoteMemberUpdate(m)
+		if !s.park(m.Group, parkedItem{member: m}) {
+			s.applyMember(m)
+		}
 	case *wire.SGroupOp:
 		s.applyGroupOp(m)
 	case *wire.SGroupOpAck:
@@ -595,22 +614,6 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 		s.epoch = m.Epoch
 		s.coordID = m.CoordinatorID
 		s.mu.Unlock()
-		// Reconcile awareness: members hosted by servers that are gone
-		// (e.g. a server that died together with the old coordinator)
-		// have no one left to report them crashed.
-		live := map[uint64]bool{m.CoordinatorID: true, s.cfg.ID: true}
-		for _, info := range m.Servers {
-			live[info.ID] = true
-		}
-		for group, members := range s.mirror.purgeAbsent(live) {
-			for _, member := range members {
-				count := uint32(0)
-				if ms, ok := s.mirror.lookup(group); ok {
-					count = uint32(len(ms))
-				}
-				s.engine.NotifyMembership(group, wire.MemberCrashed, member, count)
-			}
-		}
 	case *wire.SHeartbeat:
 		// Echo the coordinator's timestamp so it can measure the round
 		// trip against its own clock, carrying this server's load report
@@ -665,11 +668,36 @@ func (s *Server) catchUp(group string) bool {
 	return true
 }
 
-// handleRemoteMemberUpdate folds a membership change from another server
-// into the mirror and notifies local subscribers.
-func (s *Server) handleRemoteMemberUpdate(m *wire.SMemberUpdate) {
-	count := s.mirror.apply(m.Group, m.ServerID, m.Change, m.Member)
-	s.engine.NotifyMembership(m.Group, m.Change, m.Member, count)
+// applyMember takes in one ordered membership change, or a refusal, through
+// the engine's entrance. When the member is this server's own, the server
+// then reports its stake in the group, and gives up a replica it no longer
+// needs: no member left here, and no backup duty.
+func (s *Server) applyMember(m *wire.SMemberUpdate) {
+	s.engine.ApplyMembership(m)
+	if m.Code != 0 || hostOf(m.Member.ClientID) != s.cfg.ID {
+		return
+	}
+	held := s.engine.HasGroup(m.Group)
+	s.mu.Lock()
+	backup := s.backups[m.Group]
+	if !held {
+		// The change emptied a transient group, which is gone everywhere.
+		delete(s.backups, m.Group)
+	}
+	s.mu.Unlock()
+	if !held {
+		return
+	}
+	local := s.engine.LocalMembers(m.Group)
+	s.sendToCoordinator(&wire.SInterest{
+		ServerID: s.cfg.ID, Group: m.Group,
+		Interested: local > 0 || backup, Members: uint64(local), Backup: backup,
+	})
+	if local == 0 && !backup {
+		if err := s.engine.DeleteGroupDirect(m.Group); err == nil {
+			s.log.Debug("replica released", "group", m.Group)
+		}
+	}
 }
 
 // applyGroupOp installs a coordinator-ordered group create/delete. Creates
@@ -686,12 +714,10 @@ func (s *Server) applyGroupOp(m *wire.SGroupOp) {
 		s.mu.Lock()
 		s.backups[m.Group] = true
 		s.mu.Unlock()
-		s.mirror.seed(m.Group, nil)
 		s.sendToCoordinator(&wire.SInterest{
 			ServerID: s.cfg.ID, Group: m.Group, Interested: true, Backup: true,
 		})
 	case wire.GroupOpDelete:
-		s.mirror.drop(m.Group)
 		s.mu.Lock()
 		delete(s.backups, m.Group)
 		s.mu.Unlock()
@@ -891,10 +917,7 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 	// Without rewind, an image at or behind a replica that a racing path
 	// (another join, a migration) already produced is not installed:
 	// rewinding it would re-deliver events to members.
-	installed, err := s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed, rewind)
-	if installed && (rewind || !held) {
-		s.mirror.seed(group, got.members)
-	}
+	_, err = s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed, got.members, rewind)
 	return got.bytes, err
 }
 
@@ -923,7 +946,6 @@ func (s *Server) releaseDirected(group string) {
 		})
 		return
 	}
-	s.mirror.drop(group)
 	if err := s.engine.DeleteGroupDirect(group); err != nil {
 		s.log.Debug("directed release skipped", "group", group, "err", err)
 	}
@@ -1002,10 +1024,9 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 			if err != nil {
 				s.log.Warn("fork create failed", "group", m.Group, "fork", m.ForkName, "err", err)
 			} else if ack.OK || ack.Code == wire.CodeGroupExists {
-				if _, err := s.engine.InstallGroup(m.ForkName, persistent, cp, true); err != nil {
+				if _, err := s.engine.InstallGroup(m.ForkName, persistent, cp, nil, true); err != nil {
 					s.log.Warn("fork install failed", "fork", m.ForkName, "err", err)
 				} else {
-					s.mirror.seed(m.ForkName, nil)
 					s.sendToCoordinator(&wire.SSeqReport{ServerID: s.cfg.ID, Groups: []wire.GroupSeq{{
 						Group: m.ForkName, NextSeq: cp.NextSeq, Digest: cp.Digest, Persistent: persistent,
 					}}})
@@ -1051,47 +1072,15 @@ func (s *Server) forward(group string, ev wire.Event, senderInclusive bool, reqI
 	return nil
 }
 
-// onMembershipChange reports a local membership change to the coordinator
-// and maintains the mirror (core.Hooks.OnMembershipChange; engine lock
-// held — must not block).
-func (s *Server) onMembershipChange(group string, change wire.MembershipChange, member wire.MemberInfo, localMembers int) {
-	s.mirror.apply(group, s.cfg.ID, change, member)
-	s.sendToCoordinator(&wire.SMemberUpdate{ServerID: s.cfg.ID, Group: group, Change: change, Member: member})
-
-	s.mu.Lock()
-	backup := s.backups[group]
-	s.mu.Unlock()
-	interested := localMembers > 0 || backup
-	s.sendToCoordinator(&wire.SInterest{
-		ServerID: s.cfg.ID, Group: group,
-		Interested: interested, Members: uint64(localMembers), Backup: backup,
-	})
-	if !interested {
-		// Last local member gone and not a backup: drop the replica
-		// asynchronously (the engine lock is held here).
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.releaseGroup(group)
-		}()
+// forwardMember routes a validated local join, leave or crash to the
+// coordinator to be ordered (core.Hooks.OnMembershipChange; called with the
+// engine lock held — must not block). Its ordered copy comes back on the
+// link to applyMember.
+func (s *Server) forwardMember(group string, change wire.MembershipChange, member wire.MemberInfo) error {
+	if !s.sendToCoordinator(&wire.SMemberUpdate{ServerID: s.cfg.ID, Group: group, Change: change, Member: member}) {
+		return ErrNoCoordinator
 	}
-}
-
-// releaseGroup drops a replica this server no longer needs.
-func (s *Server) releaseGroup(group string) {
-	if s.engine.LocalMembers(group) > 0 {
-		return // a client joined in the meantime
-	}
-	s.mu.Lock()
-	backup := s.backups[group]
-	s.mu.Unlock()
-	if backup {
-		return
-	}
-	s.mirror.drop(group)
-	if err := s.engine.DeleteGroupDirect(group); err == nil {
-		s.log.Debug("replica released", "group", group)
-	}
+	return nil
 }
 
 // intercept coordinates group ops and replica acquisition before the

@@ -240,11 +240,7 @@ func TestApplyDistributeBatchDupAndGap(t *testing.T) {
 	}
 	nextSeq := func() uint64 {
 		t.Helper()
-		_, next, ok := e.EventsSince("d", 1)
-		if !ok {
-			t.Fatal("group vanished")
-		}
-		return next
+		return e.NextSeq("d")
 	}
 
 	if n, err := apply(1, 2, 3, 4); n != 4 || err != nil {

@@ -117,12 +117,12 @@ type Hooks struct {
 	// sequencing instead of sequencing locally. The BcastAck to the
 	// sender is deferred until the event returns via ApplyDistributed.
 	Forward func(group string, ev wire.Event, senderInclusive bool, reqID uint64) error
-	// OnMembershipChange reports a local join/leave/crash so the
-	// coordinator can maintain the global view.
-	OnMembershipChange func(group string, change wire.MembershipChange, member wire.MemberInfo, localMembers int)
-	// MembersOverride supplies the global membership view of a group in
-	// a replicated service (local registry only sees local members).
-	MembersOverride func(group string) ([]wire.MemberInfo, bool)
+	// OnMembershipChange is Forward's membership twin: when set, a
+	// validated join, leave or session crash is routed to the coordinator
+	// to be ordered instead of taking effect here. The change takes effect
+	// — and the client's Join or Leave completes — when its ordered copy
+	// returns via ApplyMembership.
+	OnMembershipChange func(group string, change wire.MembershipChange, member wire.MemberInfo) error
 	// Intercept, when set, sees every client request before the engine.
 	// Returning true consumes the message. Unlike the other hooks it runs
 	// WITHOUT the engine lock (on the session's read goroutine) and may
@@ -175,13 +175,16 @@ type Engine struct {
 	cfg EngineConfig
 	log *slog.Logger
 
-	mu         sync.RWMutex
-	reg        *membership.Registry
-	states     map[string]*state.Group
-	groups     map[string]*groupRuntime
-	locks      *locks.Table
-	seqr       *seq.Sequencer
-	sessions   map[uint64]*Session
+	mu       sync.RWMutex
+	reg      *membership.Registry
+	states   map[string]*state.Group
+	groups   map[string]*groupRuntime
+	locks    *locks.Table
+	seqr     *seq.Sequencer
+	sessions map[uint64]*Session
+	// pending holds the joins and leaves of local members on their way
+	// through the coordinator's order (OnMembershipChange set).
+	pending    map[memberKey]pendingChange
 	wal        walLog // nil when Dir == "" or Stateless
 	nextClient uint64
 	closed     bool
@@ -266,6 +269,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		locks:    locks.NewTable(),
 		seqr:     seq.New(cfg.Now),
 		sessions: make(map[uint64]*Session),
+		pending:  make(map[memberKey]pendingChange),
 		stopped:  make(chan struct{}),
 		lowLSN:   make(map[string]uint64),
 
@@ -419,28 +423,36 @@ func (e *Engine) HasGroup(name string) bool {
 	return ok
 }
 
-// LocalMembers returns the number of members connected to this server for
-// the group.
+// LocalMembers returns the number of the group's members connected to this
+// server — its fanout's receivers — and of its joins on their way through
+// the coordinator's order. In a replicated service the registry holds the
+// group's global membership, members of other servers included.
 func (e *Engine) LocalMembers(name string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	g, ok := e.reg.Get(name)
-	if !ok {
-		return 0
+	n := 0
+	if grt := e.groups[name]; grt != nil {
+		n = grt.snap.size
 	}
-	return g.Size()
+	for key, op := range e.pending {
+		if key.group == name && op.change == wire.MemberJoined {
+			n++
+		}
+	}
+	return n
 }
 
 // InstallGroup is the replica's one entrance for a group image received
-// from a peer: it replaces the registration's state (existing local members
-// are kept) and resets the sequence counter to the image's. Without rewind
-// an image that does not advance the local replica — one at or behind it —
-// is not installed, so racing installers (a migration stream and a
-// concurrent join-driven acquisition) can both run to completion without
-// rewinding the replica, which would re-apply sequenced events and deliver
-// duplicates to local members. rewind installs the image whatever is held,
-// as a divergence rollback must. installed reports whether it was.
-func (e *Engine) InstallGroup(name string, persistent bool, cp state.Checkpointed, rewind bool) (installed bool, err error) {
+// from a peer: it replaces the registration's state, resets the sequence
+// counter to the image's and takes the image's member list (members
+// connected here are kept). Without rewind an image that does not advance
+// the local replica — one at or behind it — is not installed, so racing
+// installers (a migration stream and a concurrent join-driven acquisition)
+// can both run to completion without rewinding the replica, which would
+// re-apply sequenced events and deliver duplicates to local members. rewind
+// installs the image whatever is held, as a divergence rollback must.
+// installed reports whether it was.
+func (e *Engine) InstallGroup(name string, persistent bool, cp state.Checkpointed, members []wire.MemberInfo, rewind bool) (installed bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st := e.getState(name); !rewind && st != nil && st.NextSeq() >= cp.NextSeq {
@@ -449,7 +461,15 @@ func (e *Engine) InstallGroup(name string, persistent bool, cp state.Checkpointe
 	if err := e.installLocked(name, persistent, cp); err != nil {
 		return false, err
 	}
+	_, _ = e.reg.SetMembers(name, members, 0, e.hasSession)
+	e.rebuildFanoutLocked(name)
 	return true, nil
+}
+
+// hasSession reports whether a client is connected here. Caller holds e.mu.
+func (e *Engine) hasSession(clientID uint64) bool {
+	_, ok := e.sessions[clientID]
+	return ok
 }
 
 // installLocked is InstallGroup's install, under e.mu.
@@ -515,26 +535,32 @@ func (e *Engine) GroupImage(name string) (persistent bool, cp state.Checkpointed
 	return g.Persistent, st.Checkpoint(), true
 }
 
-// EventsSince exports the retained event suffix of a group from seq
-// onwards, for incremental replica catch-up: the shared view a resuming
-// client's join captures, under the same locks as GroupImage. A cursor past
-// the replica's own next sequence number yields an empty suffix. ok is false
-// when the suffix is no longer retained and a full image is required.
-func (e *Engine) EventsSince(name string, from uint64) (events []wire.Event, nextSeq uint64, ok bool) {
+// ReplicaImage is what a replica stream serves, read under one hold of the
+// image's locks (those of GroupImage): the retained events from `from` on
+// when the replica still has them all, its whole image otherwise — a `from`
+// of 0 precedes every checkpoint base, so it always gets the image — and
+// the group's member list. A cursor past the replica's own next sequence
+// number yields an empty suffix. ok reports whether the group exists.
+func (e *Engine) ReplicaImage(name string, from uint64) (cp state.Checkpointed, members []wire.MemberInfo, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	g, exists := e.reg.Get(name)
+	if !exists {
+		return state.Checkpointed{}, nil, false
+	}
+	members = g.Members()
 	st := e.getState(name)
 	if st == nil {
-		return nil, 0, false
+		return state.Checkpointed{NextSeq: e.seqr.Peek(name)}, members, true
 	}
 	grt := e.groups[name]
 	grt.mu.Lock()
 	defer grt.mu.Unlock()
 	tr, err := st.Capture(wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: min(from, st.NextSeq())})
 	if err != nil {
-		return nil, 0, false
+		return st.Checkpoint(), members, true
 	}
-	return tr.Events(), tr.NextSeq(), true
+	return state.Checkpointed{BaseSeq: tr.BaseSeq(), NextSeq: tr.NextSeq(), History: tr.Events()}, members, true
 }
 
 // NextSeq returns one group's sequencing high-water mark — the number its
@@ -570,7 +596,7 @@ func (e *Engine) SeqReport() []wire.GroupSeq {
 			Group:      name,
 			NextSeq:    e.seqr.Peek(name),
 			Persistent: g.Persistent,
-			Members:    uint64(g.Size()),
+			Members:    uint64(e.groups[name].snap.size),
 		}
 		if st := e.getState(name); st != nil {
 			gs.Digest = st.Digest()

@@ -154,78 +154,87 @@ const (
 	transferWindow = 4
 )
 
-// handleJoin runs the membership half of a join under the engine write lock
-// — registry mutation, hooks, state capture, JoinAck enqueue — and defers
-// the payload. The capture is O(#objects), not O(bytes) (state.Transfer
-// shares the live buffers copy-on-write), so the write-lock hold time, which
-// excludes every group's multicasts, no longer scales with state size.
-// Payloads up to inlineTransferMax are encoded into the ack while the lock
-// still protects the shared buffers; larger ones stream from streamTransfer
-// after unlock, concurrently with live deliveries.
-//
-// Ordering: the ack is enqueued on the pump's priority lane before the lock
-// is released, and fanouts are excluded while it is held — so the client
-// sees JoinAck before any Deliver at or past the captured NextSeq, and
-// before any TransferChunk (chunks ride the normal lane, enqueued later).
+// handleJoin is a join's first half, under the engine write lock: it
+// validates the join — the group, the session manager, a resume cursor — and
+// then, in a replicated service, forwards it to be ordered; on a single
+// server the second half (memberChangedLocked, completeJoinLocked) runs at
+// once, under the same hold. A resume cursor past the group's next sequence
+// number is malformed and refused here, before anything is ordered; NextSeq
+// only grows, so the capture the second half takes cannot fail.
 func (e *Engine) handleJoin(s *Session, m *wire.Join) {
 	start := time.Now()
 	role := m.Role
 	if !role.Valid() {
 		role = wire.RolePrincipal
 	}
+	op := pendingChange{sess: s, member: s.memberInfo(role), change: wire.MemberJoined,
+		reqID: m.RequestID, policy: m.Policy, notify: m.Notify, start: start}
+	if !op.policy.Mode.Valid() {
+		op.policy = wire.FullTransfer
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer func() { e.hJoinLockHold.Record(time.Since(start).Nanoseconds()) }()
 
+	next := uint64(1)
+	if st := e.getState(m.Group); st != nil {
+		next = st.NextSeq()
+	}
+	if op.policy.Mode == wire.TransferResume && op.policy.FromSeq > next {
+		s.sendErr(m.RequestID, wire.CodeBadRequest, fmt.Sprintf("resume from %d beyond next seq %d", op.policy.FromSeq, next))
+		return
+	}
+	forward := e.cfg.Hooks.OnMembershipChange
+	if forward != nil {
+		if _, err := e.reg.Admit(m.Group, op.member); err != nil {
+			s.sendErr(m.RequestID, errCode(err), err.Error())
+			return
+		}
+		if err := forward(m.Group, wire.MemberJoined, op.member); err != nil {
+			s.sendErr(m.RequestID, wire.CodeInternal, err.Error())
+			return
+		}
+		// A retry replaces a join whose copy was lost with a link.
+		e.pending[memberKey{m.Group, s.ID}] = op
+		return
+	}
 	if _, ok := e.reg.Get(m.Group); !ok && m.CreateIfMissing {
 		if err := e.createLocked(m.Group, false, nil, wire.MemberInfo{}); err != nil {
 			s.sendErr(m.RequestID, errCode(err), err.Error())
 			return
 		}
 	}
-	info := s.memberInfo(role)
-	g, err := e.reg.Join(m.Group, info, m.Notify)
+	g, err := e.reg.Join(m.Group, op.member, m.Notify)
 	if err != nil {
 		s.sendErr(m.RequestID, errCode(err), err.Error())
 		return
 	}
-	e.rebuildFanoutLocked(m.Group)
-	// The membership hook runs before the ack is built so the global
-	// view (mirror) already includes the joiner.
-	if e.cfg.Hooks.OnMembershipChange != nil {
-		e.cfg.Hooks.OnMembershipChange(m.Group, wire.MemberJoined, info, g.Size())
-	}
+	e.memberChangedLocked(g, wire.MemberJoined, op.member, &op, true)
+}
 
-	ack := &wire.JoinAck{RequestID: m.RequestID, Group: m.Group}
+// completeJoinLocked answers a join at the point the join took effect: the
+// transfer is captured there, JoinAck carries the member list there, and the
+// payload is deferred. The capture is O(#objects), not O(bytes)
+// (state.Transfer shares the live buffers copy-on-write), so the write-lock
+// hold time, which excludes every group's multicasts, does not scale with
+// state size. Payloads up to inlineTransferMax are encoded into the ack while
+// the lock still protects the shared buffers; larger ones stream from
+// streamTransfer after unlock, concurrently with live deliveries.
+//
+// Ordering: the ack is enqueued on the pump's priority lane before the lock
+// is released, and fanouts are excluded while it is held — so the client
+// sees JoinAck before any Deliver at or past the captured NextSeq, and
+// before any TransferChunk (chunks ride the normal lane, enqueued later).
+// Caller holds e.mu in write mode.
+func (e *Engine) completeJoinLocked(g *membership.Group, op *pendingChange) {
+	ack := &wire.JoinAck{RequestID: op.reqID, Group: g.Name}
 	var tr state.Transfer
-	st := e.getState(m.Group)
-	if st != nil {
-		policy := m.Policy
-		if !policy.Mode.Valid() {
-			policy = wire.FullTransfer
-		}
-		tr, err = st.Capture(policy)
-		if errors.Is(err, state.ErrSeqGap) {
-			// The requested suffix was reduced away; fall back to a
-			// full transfer (documented resume semantics).
-			tr, err = st.Capture(wire.FullTransfer)
-		}
-		if err != nil {
-			// Join succeeded but the transfer policy was malformed:
-			// roll the registry back, including the compensating
-			// membership hook (the MemberJoined above already reached
-			// the cluster mirror) and the transient-group rule.
-			if g2, empty, lerr := e.reg.Leave(m.Group, s.ID); lerr == nil {
-				e.rebuildFanoutLocked(m.Group)
-				if e.cfg.Hooks.OnMembershipChange != nil {
-					e.cfg.Hooks.OnMembershipChange(m.Group, wire.MemberLeft, info, g2.Size())
-				}
-				if empty && !g2.Persistent {
-					e.dropGroupLocked(m.Group)
-				}
-			}
-			s.sendErr(m.RequestID, wire.CodeBadRequest, err.Error())
-			return
+	if st := e.getState(g.Name); st != nil {
+		var err error
+		if tr, err = st.Capture(op.policy); err != nil {
+			// The requested suffix was reduced away: a full transfer
+			// (documented resume semantics).
+			tr, _ = st.Capture(wire.FullTransfer)
 		}
 		ack.BaseSeq = tr.BaseSeq()
 		ack.NextSeq = tr.NextSeq()
@@ -242,18 +251,15 @@ func (e *Engine) handleJoin(s *Session, m *wire.Join) {
 	} else {
 		// Stateless baseline: no transfer; deliveries start at the
 		// sequencer's next number.
-		ack.NextSeq = e.seqr.Peek(m.Group)
+		ack.NextSeq = e.seqr.Peek(g.Name)
 	}
-	ack.Members = e.membersLocked(m.Group, g)
-	e.hJoin.Record(time.Since(start).Nanoseconds())
+	ack.Members = g.Members()
+	e.hJoin.Record(time.Since(op.start).Nanoseconds())
 	// Priority lane: the joiner's ack is not head-of-line-blocked behind
 	// bulk traffic already queued for this client.
-	s.sendShared(transport.NewSharedFrame(ack), true)
-
-	e.notifySubscribersExceptLocked(g, wire.MemberJoined, info, s.ID)
-
+	op.sess.sendShared(transport.NewSharedFrame(ack), true)
 	if ack.Streaming {
-		go e.streamTransfer(s, m.RequestID, m.Group, tr)
+		go e.streamTransfer(op.sess, op.reqID, g.Name, tr)
 	}
 }
 
@@ -297,23 +303,6 @@ func (e *Engine) streamTransfer(s *Session, reqID uint64, group string, tr state
 	s.sendShared(transport.NewSharedFrame(&wire.TransferDone{RequestID: reqID, Group: group, Bytes: total}), false)
 }
 
-// membersLocked returns the membership view for a group: the global view in
-// a replicated service, the local registry otherwise. Caller holds e.mu.
-func (e *Engine) membersLocked(name string, g *membership.Group) []wire.MemberInfo {
-	if e.cfg.Hooks.MembersOverride != nil {
-		if ms, ok := e.cfg.Hooks.MembersOverride(name); ok {
-			return ms
-		}
-	}
-	return g.Members()
-}
-
-// notifySubscribersExceptLocked is notifySubscribersLocked minus one
-// recipient — the joiner already learns the membership from its JoinAck.
-func (e *Engine) notifySubscribersExceptLocked(g *membership.Group, change wire.MembershipChange, member wire.MemberInfo, except uint64) {
-	e.notifySubsLocked(g, change, member, except)
-}
-
 func (e *Engine) handleLeave(s *Session, m *wire.Leave) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -322,15 +311,15 @@ func (e *Engine) handleLeave(s *Session, m *wire.Leave) {
 		s.sendErr(m.RequestID, wire.CodeNoSuchGroup, "no such group")
 		return
 	}
-	if !g.Has(s.ID) {
+	info, member := g.Member(s.ID)
+	if !member {
 		s.sendErr(m.RequestID, wire.CodeNotMember, "not a member")
 		return
 	}
-	e.removeMemberLocked(m.Group, s.ID, wire.MemberLeft)
-	// The ack rides the delivery pipeline behind every Deliver already
-	// pushed for the leaver, so the client still observes no Deliver
-	// after LeaveAck with fanout running off-lock.
-	e.sendControlLocked(s, &wire.LeaveAck{RequestID: m.RequestID}, false)
+	op := pendingChange{sess: s, member: info, change: wire.MemberLeft, reqID: m.RequestID}
+	if err := e.leaveLocked(g, wire.MemberLeft, info, &op); err != nil {
+		s.sendErr(m.RequestID, wire.CodeInternal, err.Error())
+	}
 }
 
 func (e *Engine) handleGetMembership(s *Session, m *wire.GetMembership) {
@@ -341,7 +330,7 @@ func (e *Engine) handleGetMembership(s *Session, m *wire.GetMembership) {
 		s.sendErr(m.RequestID, wire.CodeNoSuchGroup, "no such group")
 		return
 	}
-	s.Send(&wire.MembershipInfo{RequestID: m.RequestID, Group: m.Group, Members: e.membersLocked(m.Group, g)})
+	s.Send(&wire.MembershipInfo{RequestID: m.RequestID, Group: m.Group, Members: g.Members()})
 }
 
 func (e *Engine) handleListGroups(s *Session, m *wire.ListGroups) {

@@ -216,14 +216,14 @@ func TestInstallGroupResetsSequencer(t *testing.T) {
 
 	// Without rewind, an image behind the replica is not installed.
 	cp := state.Checkpointed{NextSeq: 4}
-	if installed, err := e.InstallGroup("g", false, cp, false); err != nil || installed {
+	if installed, err := e.InstallGroup("g", false, cp, nil, false); err != nil || installed {
 		t.Fatalf("install behind the replica: installed %v, err %v", installed, err)
 	}
 	if got := e.NextSeq("g"); got != 10 {
 		t.Fatalf("NextSeq after a refused install = %d, want 10", got)
 	}
 	// A rollback install must rewind the sequencer, not max with it.
-	if installed, err := e.InstallGroup("g", false, cp, true); err != nil || !installed {
+	if installed, err := e.InstallGroup("g", false, cp, nil, true); err != nil || !installed {
 		t.Fatalf("rewinding install: installed %v, err %v", installed, err)
 	}
 	report := e.SeqReport()
@@ -257,16 +257,20 @@ func TestEventsSince(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyLocal(t, e, "g", 5, "d")
-	events, next, ok := e.EventsSince("g", 3)
-	if !ok || next != 6 || len(events) != 3 || events[0].Seq != 3 {
-		t.Fatalf("EventsSince = %v %d %v", events, next, ok)
+	cp, _, ok := e.ReplicaImage("g", 3)
+	if !ok || cp.BaseSeq != 2 || cp.NextSeq != 6 || len(cp.History) != 3 || cp.History[0].Seq != 3 || cp.Objects != nil {
+		t.Fatalf("ReplicaImage from 3 = %+v %v", cp, ok)
 	}
 	// A requester ahead of this replica gets an empty suffix, not a full image.
-	if events, next, ok := e.EventsSince("g", 99); !ok || next != 6 || len(events) != 0 {
-		t.Fatalf("EventsSince past the end = %v %d %v", events, next, ok)
+	if cp, _, ok := e.ReplicaImage("g", 99); !ok || cp.NextSeq != 6 || len(cp.History) != 0 || cp.Objects != nil {
+		t.Fatalf("ReplicaImage past the end = %+v %v", cp, ok)
 	}
-	if _, _, ok := e.EventsSince("missing", 1); ok {
-		t.Fatal("EventsSince found a missing group")
+	// From 0 precedes every checkpoint base: the whole image.
+	if cp, _, ok := e.ReplicaImage("g", 0); !ok || cp.BaseSeq != 0 || cp.NextSeq != 6 || len(cp.Objects) != 1 {
+		t.Fatalf("ReplicaImage from 0 = %+v %v", cp, ok)
+	}
+	if _, _, ok := e.ReplicaImage("missing", 1); ok {
+		t.Fatal("ReplicaImage found a missing group")
 	}
 	if got, none := e.NextSeq("g"), e.NextSeq("missing"); got != 6 || none != 1 {
 		t.Fatalf("NextSeq = %d (missing group: %d), want 6 (1)", got, none)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"sync"
+	"time"
 
 	"corona/internal/locks"
 	"corona/internal/membership"
@@ -72,8 +75,21 @@ func (e *Engine) DropSession(s *Session, crashed bool) {
 	delete(e.sessions, s.ID)
 	e.gSessions.Set(int64(len(e.sessions)))
 
+	for key, op := range e.pending {
+		if op.sess != s {
+			continue
+		}
+		delete(e.pending, key)
+		if op.change == wire.MemberJoined {
+			// The join is on its way to be ordered; the member leaves
+			// right behind it.
+			_ = e.cfg.Hooks.OnMembershipChange(key.group, change, op.member)
+		}
+	}
 	for _, name := range e.reg.GroupsOf(s.ID) {
-		e.removeMemberLocked(name, s.ID, change)
+		g, _ := e.reg.Get(name)
+		info, _ := g.Member(s.ID)
+		_ = e.leaveLocked(g, change, info, nil)
 	}
 	grants := e.locks.ReleaseAll(s.ID)
 	e.sendGrantsLocked(grants)
@@ -82,32 +98,127 @@ func (e *Engine) DropSession(s *Session, crashed bool) {
 	s.pump.Close()
 }
 
-// removeMemberLocked removes a member from one group, notifies subscribers,
-// reports the change to the cluster hook, and deletes an emptied transient
-// group. Caller holds e.mu.
-func (e *Engine) removeMemberLocked(name string, clientID uint64, change wire.MembershipChange) {
-	g, ok := e.reg.Get(name)
-	if !ok || !g.Has(clientID) {
+// memberKey names one member's pending change.
+type memberKey struct {
+	group  string
+	client uint64
+}
+
+// pendingChange is a local member's join or leave: the request it answers
+// where the change takes effect.
+type pendingChange struct {
+	sess   *Session
+	member wire.MemberInfo
+	change wire.MembershipChange
+	reqID  uint64
+	// policy, notify and start are a join's.
+	policy wire.TransferPolicy
+	notify bool
+	start  time.Time
+}
+
+// leaveLocked ends a leave's or crash's first half: forwarded to be ordered,
+// with op (nil for a dropped session) waiting for the ordered copy, or on a
+// single server the second half at once. Caller holds e.mu in write mode.
+func (e *Engine) leaveLocked(g *membership.Group, change wire.MembershipChange, info wire.MemberInfo, op *pendingChange) error {
+	if forward := e.cfg.Hooks.OnMembershipChange; forward != nil {
+		if err := forward(g.Name, change, info); err != nil {
+			return err
+		}
+		if op != nil {
+			e.pending[memberKey{g.Name, info.ClientID}] = *op
+		} else {
+			// A dropped session receives nothing more, though it stays
+			// in the member list until its crash is ordered.
+			e.rebuildFanoutLocked(g.Name)
+		}
+		return nil
+	}
+	g, empty, _ := e.reg.Leave(g.Name, info.ClientID)
+	e.memberChangedLocked(g, change, info, op, true)
+	if empty && !g.Persistent {
+		e.dropGroupLocked(g.Name)
+	}
+	return nil
+}
+
+// ApplyMembership is a replica's one entrance for an ordered membership
+// change, the coordinator's copy of an SMemberUpdate. The registry's member
+// list becomes the copy's — every replica holds the global membership; the
+// fanout skips members connected elsewhere — and the second half runs as on
+// a single server, notifying only news. A member connected here leaves the
+// list only by its own change, whatever a freshly elected coordinator's
+// incomplete list says. A refusal only answers its pending join or leave.
+func (e *Engine) ApplyMembership(u *wire.SMemberUpdate) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	key := memberKey{u.Group, u.Member.ClientID}
+	var op *pendingChange
+	if p, ok := e.pending[key]; ok && (p.change == wire.MemberJoined) == (u.Change == wire.MemberJoined) {
+		delete(e.pending, key)
+		op = &p
+	}
+	g, ok := e.reg.Get(u.Group)
+	if u.Code != 0 || !ok {
+		if op != nil {
+			code := cmp.Or(u.Code, wire.CodeNoSuchGroup)
+			op.sess.sendErr(op.reqID, code, fmt.Sprintf("%s of %q refused", u.Change, u.Group))
+		}
 		return
 	}
-	var info wire.MemberInfo
-	for _, m := range g.Members() {
-		if m.ClientID == clientID {
-			info = m
-			break
+	var subscriber uint64
+	if op != nil && op.notify {
+		subscriber = u.Member.ClientID
+	}
+	had := g.Has(u.Member.ClientID)
+	g, _ = e.reg.SetMembers(u.Group, u.Members, subscriber, func(id uint64) bool {
+		return id != u.Member.ClientID && e.hasSession(id)
+	})
+	e.memberChangedLocked(g, u.Change, u.Member, op, had != g.Has(u.Member.ClientID))
+	// The transient rule, on the ordered leave that emptied the list. A
+	// crash the coordinator detected with the member's server (origin zero)
+	// ends no group: its backups keep the state for whoever comes back.
+	if u.Change != wire.MemberJoined && u.ServerID != 0 && g.Size() == 0 && !g.Persistent {
+		e.dropGroupLocked(u.Group)
+	}
+}
+
+// memberChangedLocked is every membership change's second half, once g's
+// member list holds it: it rebuilds the fanout, answers op, the change's own
+// join or leave, and notifies the local subscribers; the caller applies the
+// transient rule. Caller holds e.mu in write mode.
+func (e *Engine) memberChangedLocked(g *membership.Group, change wire.MembershipChange, member wire.MemberInfo, op *pendingChange, notify bool) {
+	e.rebuildFanoutLocked(g.Name)
+	if op != nil {
+		if change == wire.MemberJoined {
+			e.completeJoinLocked(g, op)
+		} else {
+			// The ack rides the delivery pipeline behind every Deliver
+			// already pushed for the leaver, so the client observes no
+			// Deliver after LeaveAck with fanout running off-lock.
+			e.sendControlLocked(op.sess, &wire.LeaveAck{RequestID: op.reqID}, false)
 		}
 	}
-	g2, empty, err := e.reg.Leave(name, clientID)
-	if err != nil {
-		return
+	if notify {
+		// A joiner learns the membership from its JoinAck.
+		e.notifySubsLocked(g, change, member, member.ClientID)
 	}
-	e.rebuildFanoutLocked(name)
-	e.notifySubscribersLocked(g2, change, info)
-	if e.cfg.Hooks.OnMembershipChange != nil {
-		e.cfg.Hooks.OnMembershipChange(name, change, info, g2.Size())
-	}
-	if empty && !g2.Persistent {
-		e.dropGroupLocked(name)
+}
+
+// Reannounce forwards a join through OnMembershipChange, which must be set,
+// for every member connected here that is not leaving: what a server tells
+// a coordinator it registers with. A coordinator that lists the member
+// already changes nothing.
+func (e *Engine) Reannounce() {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, name := range e.reg.Names() {
+		g, _ := e.reg.Get(name)
+		for _, m := range g.Members() {
+			if _, leaving := e.pending[memberKey{name, m.ClientID}]; e.hasSession(m.ClientID) && !leaving {
+				_ = e.cfg.Hooks.OnMembershipChange(name, wire.MemberJoined, m)
+			}
+		}
 	}
 }
 
@@ -153,12 +264,6 @@ func (e *Engine) sendGrantsLocked(grants []locks.Grant) {
 	}
 }
 
-// notifySubscribersLocked pushes a membership change to every subscribed
-// local member. Caller holds e.mu.
-func (e *Engine) notifySubscribersLocked(g *membership.Group, change wire.MembershipChange, member wire.MemberInfo) {
-	e.notifySubsLocked(g, change, member, 0)
-}
-
 // notifySubsLocked routes a membership notify to every subscribed local
 // member except one (0: no exception). The notify rides the fanout shards
 // as a control entry: the caller holds e.mu in write mode, which excludes
@@ -198,27 +303,6 @@ func (e *Engine) notifySubsLocked(g *membership.Group, change wire.MembershipCha
 	for _, t := range targets {
 		frame.Retain()
 		t.sess.sendShared(frame, false)
-	}
-	frame.Release()
-}
-
-// NotifyMembership pushes a membership change originating on another server
-// of a replicated service to this server's local subscribers.
-func (e *Engine) NotifyMembership(group string, change wire.MembershipChange, member wire.MemberInfo, count uint32) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	g, ok := e.reg.Get(group)
-	if !ok {
-		return
-	}
-	frame := transport.NewSharedFrame(&wire.MembershipNotify{
-		Group: group, Change: change, Member: member, Count: count,
-	})
-	for _, id := range g.Subscribers() {
-		if s, ok := e.sessions[id]; ok {
-			frame.Retain()
-			s.sendShared(frame, false)
-		}
 	}
 	frame.Release()
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,35 +114,91 @@ func TestStreamingJoinLargeState(t *testing.T) {
 	}
 }
 
-// hookRecorder captures OnMembershipChange invocations.
+// hookRecorder stands in for a coordinator behind Hooks.OnMembershipChange:
+// it records every change the engine forwards and hands the ordered copy —
+// the change and the member list after it — back to the engine's entrance,
+// in order and off the engine's lock, as a cluster server's link does.
 type hookRecorder struct {
 	mu      sync.Mutex
-	changes []struct {
-		group  string
-		change wire.MembershipChange
-		client uint64
-	}
+	members map[string][]wire.MemberInfo
+	changes []recordedChange
+	copies  chan *wire.SMemberUpdate
+	done    chan struct{}
 }
 
-func (r *hookRecorder) record(group string, change wire.MembershipChange, member wire.MemberInfo, _ int) {
+type recordedChange struct {
+	group  string
+	change wire.MembershipChange
+	client uint64
+}
+
+// newHookRecorder returns a recorder; start it once its engine exists.
+// Register its cleanup before the server's, so it outlives the sessions'
+// crash reports at shutdown.
+func newHookRecorder(t *testing.T) *hookRecorder {
+	r := &hookRecorder{
+		members: make(map[string][]wire.MemberInfo),
+		// Room for every change a test makes: forward runs under the
+		// engine lock, which the applying goroutine needs.
+		copies: make(chan *wire.SMemberUpdate, 64),
+		done:   make(chan struct{}),
+	}
+	t.Cleanup(func() { close(r.done) })
+	return r
+}
+
+func (r *hookRecorder) start(e *core.Engine) {
+	go func() {
+		for {
+			select {
+			case u := <-r.copies:
+				e.ApplyMembership(u)
+			case <-r.done:
+				return
+			}
+		}
+	}()
+}
+
+func (r *hookRecorder) forward(group string, change wire.MembershipChange, member wire.MemberInfo) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.changes = append(r.changes, struct {
-		group  string
-		change wire.MembershipChange
-		client uint64
-	}{group, change, member.ClientID})
+	r.changes = append(r.changes, recordedChange{group, change, member.ClientID})
+	list := slices.DeleteFunc(slices.Clone(r.members[group]), func(m wire.MemberInfo) bool { return m.ClientID == member.ClientID })
+	if change == wire.MemberJoined {
+		list = append(list, member)
+	}
+	r.members[group] = list
+	select {
+	case r.copies <- &wire.SMemberUpdate{ServerID: 1, Group: group, Change: change, Member: member, Members: list}:
+	case <-r.done:
+	}
+	return nil
 }
 
-// TestJoinRollbackFiresCompensatingHook: when the transfer policy turns out
-// malformed after the registry mutation, the rollback must emit a MemberLeft
-// through the membership hook — otherwise a cluster mirror keeps a phantom
-// member — and apply the transient-group rule.
-func TestJoinRollbackFiresCompensatingHook(t *testing.T) {
-	rec := &hookRecorder{}
+func (r *hookRecorder) changesOf(client uint64) []wire.MembershipChange {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []wire.MembershipChange
+	for _, ch := range r.changes {
+		if ch.client == client {
+			out = append(out, ch.change)
+		}
+	}
+	return out
+}
+
+// TestMalformedJoinIsRefusedBeforeItIsOrdered: with the membership hook set,
+// a join takes effect only through its ordered copy, and a join whose
+// transfer policy is malformed is refused at the origin before anything is
+// forwarded, so no change needs undoing. Without the hook the same check
+// runs before a CreateIfMissing join creates anything.
+func TestMalformedJoinIsRefusedBeforeItIsOrdered(t *testing.T) {
+	rec := newHookRecorder(t)
 	srv := startServer(t, core.Config{Engine: core.EngineConfig{
-		Hooks: core.Hooks{OnMembershipChange: rec.record},
+		Hooks: core.Hooks{OnMembershipChange: rec.forward},
 	}})
+	rec.start(srv.Engine())
 	addr := srv.Addr().String()
 
 	a := dial(t, addr, "alice", nil)
@@ -163,43 +220,51 @@ func TestJoinRollbackFiresCompensatingHook(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
 		t.Fatalf("join with future resume cursor: err = %v, want CodeBadRequest", err)
 	}
-
+	if got := rec.changesOf(b.ID()); len(got) != 0 {
+		t.Fatalf("malformed join forwarded %v", got)
+	}
 	members, err := a.Membership("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(members) != 1 || members[0].ClientID != a.ID() {
-		t.Fatalf("membership after rollback = %+v", members)
+		t.Fatalf("membership after refused join = %+v", members)
 	}
 
-	rec.mu.Lock()
-	var bobChanges []wire.MembershipChange
-	for _, ch := range rec.changes {
-		if ch.group == "g" && ch.client == b.ID() {
-			bobChanges = append(bobChanges, ch.change)
-		}
+	// A well-formed join completes through its ordered copy, and so does a
+	// leave.
+	res, err := b.Join("g", client.JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec.mu.Unlock()
-	if len(bobChanges) != 2 || bobChanges[0] != wire.MemberJoined || bobChanges[1] != wire.MemberLeft {
-		t.Fatalf("hook changes for joiner = %v, want [MemberJoined MemberLeft]", bobChanges)
+	if len(res.Members) != 2 || len(res.Objects) != 1 {
+		t.Fatalf("ordered join: members %+v, objects %+v", res.Members, res.Objects)
+	}
+	if err := a.Leave("g"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.changesOf(a.ID()); !slices.Equal(got, []wire.MembershipChange{wire.MemberJoined, wire.MemberLeft}) {
+		t.Fatalf("alice's forwarded changes = %v", got)
+	}
+	if members, err = b.Membership("g"); err != nil || len(members) != 1 || members[0].ClientID != b.ID() {
+		t.Fatalf("membership after ordered leave = %+v, %v", members, err)
 	}
 
-	// CreateIfMissing variant: the rolled-back join leaves the implicitly
-	// created transient group empty, so it must be dropped.
-	_, err = b.Join("h", client.JoinOptions{
+	// Without the hook: the malformed CreateIfMissing join creates nothing.
+	plain := startServer(t, core.Config{})
+	c := dial(t, plain.Addr().String(), "carol", nil)
+	_, err = c.Join("h", client.JoinOptions{
 		Policy:          wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: 500},
 		CreateIfMissing: true,
 	})
 	if !errors.As(err, &se) || se.Code != wire.CodeBadRequest {
 		t.Fatalf("join 'h': err = %v, want CodeBadRequest", err)
 	}
-	groups, err := a.ListGroups()
+	groups, err := c.ListGroups()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range groups {
-		if g == "h" {
-			t.Fatalf("empty transient group survived rollback: %v", groups)
-		}
+	if len(groups) != 0 {
+		t.Fatalf("refused join left groups behind: %v", groups)
 	}
 }

@@ -211,8 +211,9 @@ func (r *Registry) Names() []string {
 // Len returns the number of groups.
 func (r *Registry) Len() int { return len(r.groups) }
 
-// Join adds a member to a group.
-func (r *Registry) Join(name string, info wire.MemberInfo, notify bool) (*Group, error) {
+// Admit checks that info may join the group without adding it: the group
+// exists, the session manager allows the join, and info is not a member yet.
+func (r *Registry) Admit(name string, info wire.MemberInfo) (*Group, error) {
 	if err := r.sm.Authorize(ActionJoin, info, name); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDenied, err)
 	}
@@ -223,9 +224,52 @@ func (r *Registry) Join(name string, info wire.MemberInfo, notify bool) (*Group,
 	if g.Has(info.ClientID) {
 		return nil, fmt.Errorf("%w: client %d in %q", ErrAlreadyMember, info.ClientID, name)
 	}
+	return g, nil
+}
+
+// Join adds a member to a group.
+func (r *Registry) Join(name string, info wire.MemberInfo, notify bool) (*Group, error) {
+	g, err := r.Admit(name, info)
+	if err != nil {
+		return nil, err
+	}
 	m := &Member{Info: info, Notify: notify}
 	g.members = append(g.members, m)
 	g.byID[info.ClientID] = m
+	g.rebuildIDs()
+	return g, nil
+}
+
+// SetMembers replaces a group's member list with members, in their order:
+// the list a replicated service's coordinator ordered. A member already
+// present keeps its notification subscription, and subscriber (when new)
+// is subscribed. A present member missing from members stays, in its old
+// order after the others, when keep reports true for it.
+func (r *Registry) SetMembers(name string, members []wire.MemberInfo, subscriber uint64, keep func(clientID uint64) bool) (*Group, error) {
+	g, ok := r.groups[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
+	}
+	list := make([]*Member, 0, len(members))
+	byID := make(map[uint64]*Member, len(members))
+	for _, info := range members {
+		if _, dup := byID[info.ClientID]; dup {
+			continue
+		}
+		m := &Member{Info: info, Notify: info.ClientID == subscriber}
+		if old, ok := g.byID[info.ClientID]; ok {
+			m.Notify = old.Notify
+		}
+		list = append(list, m)
+		byID[info.ClientID] = m
+	}
+	for _, old := range g.members {
+		if _, listed := byID[old.Info.ClientID]; !listed && keep(old.Info.ClientID) {
+			list = append(list, old)
+			byID[old.Info.ClientID] = old
+		}
+	}
+	g.members, g.byID = list, byID
 	g.rebuildIDs()
 	return g, nil
 }

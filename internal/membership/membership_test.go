@@ -212,3 +212,38 @@ func TestMemberIDsCopyOnWrite(t *testing.T) {
 		t.Fatalf("MemberIDs = %v, want %v", g.MemberIDs(), want)
 	}
 }
+
+// TestSetMembers: an ordered member list replaces the group's, keeping the
+// subscriptions of members already present, subscribing the named joiner,
+// and keeping an unlisted member only when keep says so.
+func TestSetMembers(t *testing.T) {
+	r := NewRegistry(nil)
+	if _, err := r.Create("g", false, wire.MemberInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		id     uint64
+		notify bool
+	}{{1, true}, {2, false}, {3, false}} {
+		if _, err := r.Join("g", info(m.id, fmt.Sprint(m.id)), m.notify); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(id uint64) bool { return id == 3 }
+	g, err := r.SetMembers("g", []wire.MemberInfo{info(4, "4"), info(1, "1"), info(4, "4")}, 4, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.MemberIDs(); !reflect.DeepEqual(got, []uint64{4, 1, 3}) {
+		t.Fatalf("members = %v, want [4 1 3]", got)
+	}
+	if got := g.Subscribers(); !reflect.DeepEqual(got, []uint64{4, 1}) {
+		t.Fatalf("subscribers = %v, want [4 1]", got)
+	}
+	if g.Has(2) {
+		t.Fatal("unlisted member 2 kept")
+	}
+	if _, err := r.SetMembers("missing", nil, 0, keep); !errors.Is(err, ErrNoSuchGroup) {
+		t.Fatalf("SetMembers on a missing group: %v", err)
+	}
+}

@@ -19,6 +19,9 @@ const (
 // SHello registers a server with the coordinator.
 type SHello struct {
 	RequestID uint64
+	// Proto is the server's protocol version; the coordinator refuses a
+	// server speaking another one.
+	Proto uint32
 	// ServerID is the registering server's stable identity.
 	ServerID uint64
 	// Addr is the address on which the server accepts peer connections.
@@ -34,6 +37,7 @@ func (*SHello) Kind() Kind { return KindSHello }
 // Encode implements Message.
 func (m *SHello) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
+	e.PutUint32(m.Proto)
 	e.PutUvarint(m.ServerID)
 	e.PutString(m.Addr)
 	e.PutUvarint(m.Epoch)
@@ -42,6 +46,7 @@ func (m *SHello) Encode(e *Encoder) {
 // Decode implements Message.
 func (m *SHello) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
+	m.Proto = d.Uint32()
 	m.ServerID = d.Uvarint()
 	m.Addr = d.String()
 	m.Epoch = d.Uvarint()
@@ -190,14 +195,23 @@ func (m *SInterest) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SMemberUpdate propagates a membership change to the coordinator, which
-// maintains global group membership and fans notifications out to
-// subscribed members on other servers.
+// SMemberUpdate is a membership change on its way through the group's one
+// order. A server sends the request — a join, leave or crash it validated —
+// to the coordinator, which orders it among the group's multicasts and sends
+// the ordered copy to every interested server, the origin included. The copy
+// carries the group's member list after the change. A change the coordinator
+// refuses (Code nonzero) goes back to the origin alone.
 type SMemberUpdate struct {
+	// ServerID is the origin: the server hosting Member, or zero for a
+	// crash the coordinator detected when that server was lost.
 	ServerID uint64
 	Group    string
 	Change   MembershipChange
 	Member   MemberInfo
+	// Members is the member list after the change (ordered copy only).
+	Members []MemberInfo
+	// Code is the refusal's reason (refusal only).
+	Code ErrCode
 }
 
 // Kind implements Message.
@@ -209,6 +223,8 @@ func (m *SMemberUpdate) Encode(e *Encoder) {
 	e.PutString(m.Group)
 	e.PutByte(byte(m.Change))
 	m.Member.encode(e)
+	encodeMembers(e, m.Members)
+	e.PutUvarint(uint64(m.Code))
 }
 
 // Decode implements Message.
@@ -217,6 +233,8 @@ func (m *SMemberUpdate) Decode(d *Decoder) error {
 	m.Group = d.String()
 	m.Change = MembershipChange(d.Byte())
 	m.Member = decodeMemberInfo(d)
+	m.Members = decodeMembers(d)
+	m.Code = ErrCode(d.Uvarint())
 	return d.Err()
 }
 

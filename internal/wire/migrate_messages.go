@@ -75,9 +75,9 @@ type SMigrateOffer struct {
 	Digest uint64
 	// Total is the transfer payload size in bytes.
 	Total uint64
-	// Members is the source's view of the group's global membership, which
-	// includes its own members as of the capture; the puller seeds its
-	// member mirror from it before serving joins.
+	// Members is the source registry's member list, read with the image:
+	// the group's global membership at the capture, which the puller's
+	// registry takes with the image.
 	Members []MemberInfo
 }
 

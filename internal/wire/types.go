@@ -2,9 +2,12 @@ package wire
 
 import "fmt"
 
-// ProtocolVersion is negotiated in the Hello exchange. A server rejects
-// clients speaking an unknown major version.
-const ProtocolVersion = 1
+// ProtocolVersion is negotiated in the Hello exchange, and carried in the
+// SHello a server registers with. A server rejects clients, and the
+// coordinator servers, speaking another version. Version 2: SMemberUpdate
+// carries the member list and a refusal code, and the history digest is
+// XXH64.
+const ProtocolVersion = 2
 
 // EventKind distinguishes the two multicast primitives of the paper:
 // bcastState overrides an object's state, bcastUpdate appends an incremental

@@ -93,7 +93,7 @@ func TestRoundTripClientMessages(t *testing.T) {
 }
 
 var clusterRoundTrips = []Message{
-	&SHello{RequestID: 1, ServerID: 2, Addr: "127.0.0.1:9000", Epoch: 3},
+	&SHello{RequestID: 1, Proto: ProtocolVersion, ServerID: 2, Addr: "127.0.0.1:9000", Epoch: 3},
 	&SHelloAck{
 		RequestID: 1, CoordinatorID: 1, Epoch: 3, BootOrder: 2,
 		Servers: []ServerInfo{{ID: 1, Addr: "a", BootOrder: 0}, {ID: 2, Addr: "b", BootOrder: 1}},
@@ -102,6 +102,11 @@ var clusterRoundTrips = []Message{
 	&SDistribute{Group: "g", Event: sampleEvent(8), SenderInclusive: false, Origin: 2, RequestID: 4},
 	&SInterest{ServerID: 2, Group: "g", Interested: true, Members: 5, Backup: true},
 	&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3, Name: "c", Role: RolePrincipal}},
+	&SMemberUpdate{
+		ServerID: 2, Group: "g", Change: MemberLeft, Member: MemberInfo{ClientID: 3, Name: "c"},
+		Members: []MemberInfo{{ClientID: 4, Name: "d", Role: RoleObserver}},
+	},
+	&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3}, Code: CodeNoSuchGroup},
 	&SHeartbeat{ServerID: 2, Epoch: 3, Time: 42, Load: LoadReport{Groups: 4, Sessions: 17, Bcasts: 8192}},
 	&SServerList{CoordinatorID: 1, Epoch: 3, Servers: []ServerInfo{{ID: 1, Addr: "a"}}},
 	&SElect{CandidateID: 2, Epoch: 4, Addr: "127.0.0.1:9001"},

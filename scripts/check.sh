@@ -101,13 +101,17 @@ echo "== cold recovery (race)"
 # not decoded. -count=1 so the race detector sees the workers every gate.
 go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded' ./internal/core >/dev/null
 
-echo "== replica acquisition and rebalance churn (race)"
+echo "== replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
 # crashes mid-churn; a join right after a create never gets an invented
 # image; a replica behind a log reduction heals; a burst behind one lost
-# event waits for one catch-up. -count=1 defeats the cache so the race
-# detector really runs them on every gate.
-go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap' ./internal/cluster >/dev/null
+# event waits for one catch-up. The membership-order tests: a joiner sees
+# the members ordered before it, and a transient group is not ended under a
+# member whose join is still on a delayed link; notify counts are global; a
+# backup keeps its replica while the group has members elsewhere; a server
+# speaking another protocol version is refused. -count=1 defeats the cache
+# so the race detector really runs them on every gate.
+go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused' ./internal/cluster >/dev/null
 
 echo "OK"
