@@ -542,10 +542,8 @@ func TestAcquisitionBesideTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		return len(replicaHolders(tc, "a")) == 2 && imagesConverged(tc, "a", 0, nil)
-	})
-	third := 3 - replicaHolders(tc, "a")[1]
+	_, third := backupAndSpare(t, tc, "a", 30*time.Second)
+	waitFor(t, 30*time.Second, func() bool { return imagesConverged(tc, "a", 0, nil) })
 
 	sk := newSink()
 	pub := dialTo(t, tc.servers[0], "pub", nil)
@@ -597,4 +595,72 @@ func TestAcquisitionBesideTraffic(t *testing.T) {
 	}
 	t.Logf("32 MiB replica acquired in %v; group b beside it: %d distributes, worst cluster.distribute_ns bucket <= %v",
 		acquired.Round(time.Millisecond), after.Count-before.Count, time.Duration(worst))
+}
+
+// TestReplicaPullIsFlowControlled: a replica pull is answered the way a
+// client's join is, so its chunks are counted and held to the join's window.
+// A third server pulls an 8 MiB group: the holders' engine.transfer_chunks
+// rise by exactly the pull's chunk count, and their
+// engine.transfer_inflight_bytes never exceeds the window of four chunks.
+func TestReplicaPullIsFlowControlled(t *testing.T) {
+	tc := startPlacementCluster(t, 3, cluster.PlacementConfig{Replicas: 2, RebalanceInterval: -1})
+	loader := dialTo(t, tc.servers[0], "loader", nil)
+	if err := loader.CreateGroup("a", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.Join("a", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 1<<20)
+	for i := 0; i < 8; i++ {
+		if _, err := loader.BcastState("a", fmt.Sprintf("blob-%d", i), blob, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backup, spare := backupAndSpare(t, tc, "a", 10*time.Second)
+	waitFor(t, 10*time.Second, func() bool { return imagesConverged(tc, "a", 0, nil) })
+	_, img, _ := tc.servers[0].Engine().GroupImage("a")
+	size := wire.NewTransferStream(img.Objects, img.History).Total()
+	want := (size + wire.TransferChunkSize - 1) / wire.TransferChunkSize
+
+	holders := []*cluster.Server{tc.servers[0], tc.servers[backup]}
+	chunks := func() (n uint64) {
+		for _, h := range holders {
+			n += h.Engine().Metrics().Counter("engine.transfer_chunks").Load()
+		}
+		return n
+	}
+	before := chunks()
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			for _, h := range holders {
+				if v := h.Engine().Metrics().Gauge("engine.transfer_inflight_bytes").Load(); v > peak.Load() {
+					peak.Store(v)
+				}
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	joiner := dialTo(t, tc.servers[spare], "joiner", nil)
+	_, err := joiner.Join("a", client.JoinOptions{Policy: wire.TransferPolicy{Mode: wire.TransferNone}})
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chunks() - before; got != want {
+		t.Fatalf("the holders' engine.transfer_chunks rose by %d for a %d-byte pull, want %d", got, size, want)
+	}
+	const window = 4 // core's transferWindow
+	if p := peak.Load(); p > window*wire.TransferChunkSize {
+		t.Fatalf("engine.transfer_inflight_bytes peaked at %d, above the window of %d", p, window*wire.TransferChunkSize)
+	}
+	t.Logf("%d-byte pull: %d chunks, in flight at most %d bytes", size, want, peak.Load())
 }

@@ -314,7 +314,7 @@ func (c *Coordinator) servePeer(conn *transport.Conn) {
 	if !ok {
 		// Possibly an election probe hitting a live coordinator: nack
 		// so the candidate knows the incumbent rules.
-		if el, isElect := msg.(*wire.SElect); isElect {
+		if el, isElect := msg.(*wire.SElect); isElect && !versionRefused(conn, 0, el.Proto) {
 			c.mu.Lock()
 			epoch := c.epoch
 			c.mu.Unlock()
@@ -334,13 +334,8 @@ func (c *Coordinator) servePeer(conn *transport.Conn) {
 // speaking another protocol version is refused with one ErrorMsg. The call
 // blocks until the link drops.
 func (c *Coordinator) ServeRegistration(conn *transport.Conn, hello *wire.SHello) {
-	if hello.Proto != wire.ProtocolVersion {
-		clusterHellosRefused.Inc()
+	if versionRefused(conn, hello.RequestID, hello.Proto) {
 		c.log.Warn("registration refused", "server", hello.ServerID, "proto", hello.Proto)
-		_ = conn.WriteMessage(&wire.ErrorMsg{
-			RequestID: hello.RequestID, Code: wire.CodeBadRequest,
-			Text: fmt.Sprintf("protocol %d unsupported, want %d", hello.Proto, wire.ProtocolVersion),
-		})
 		return
 	}
 	p := c.register(conn, hello)

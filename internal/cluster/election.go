@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"corona/internal/core"
 	"corona/internal/obs"
 	"corona/internal/transport"
 	"corona/internal/wire"
@@ -22,7 +23,9 @@ import (
 
 // peerAcceptLoop serves this server's peer listener: election probes from
 // candidates, replica pulls from servers acquiring a group this one holds,
-// and (after a promotion) registrations from the other servers.
+// and (after a promotion) registrations from the other servers. Each opening
+// frame carries the protocol version, and a peer speaking another one is
+// refused before anything else is read.
 func (s *Server) peerAcceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -58,12 +61,27 @@ func (s *Server) servePeerConn(conn *transport.Conn) {
 		_ = conn.SetReadDeadline(time.Time{})
 		coord.ServeRegistration(conn, m) // blocks for the link's life
 	case *wire.SElect:
-		s.handleElectionProbe(conn, m)
-	case *wire.SStateRequest:
-		s.serveState(conn, m)
+		if !versionRefused(conn, 0, m.Proto) {
+			s.handleElectionProbe(conn, m)
+		}
+	case *wire.Hello:
+		if !versionRefused(conn, m.RequestID, m.Proto) {
+			s.serveState(conn)
+		}
 	default:
 		s.log.Warn("unexpected peer-listener message", "kind", msg.Kind().String())
 	}
+}
+
+// versionRefused refuses a peer-listener opening of another protocol version
+// (core.CheckVersion's one Error{CodeBadVersion} frame), counts it in
+// cluster.hellos_refused, and reports whether it did.
+func versionRefused(conn *transport.Conn, reqID uint64, proto uint32) bool {
+	if core.CheckVersion(conn, reqID, proto) {
+		return false
+	}
+	clusterHellosRefused.Inc()
+	return true
 }
 
 // handleElectionProbe votes on a candidacy and, after an ack, waits for the
@@ -218,7 +236,7 @@ func (s *Server) runCandidacy() bool {
 	s.mu.Unlock()
 
 	s.log.Info("running for coordinator", "epoch", candidateEpoch, "voters", len(others))
-	probe := &wire.SElect{CandidateID: s.cfg.ID, Epoch: candidateEpoch, Addr: s.PeerAddr()}
+	probe := &wire.SElect{Proto: wire.ProtocolVersion, CandidateID: s.cfg.ID, Epoch: candidateEpoch, Addr: s.PeerAddr()}
 
 	type voter struct {
 		conn *transport.Conn

@@ -18,7 +18,7 @@ func TestElectionProbeNackCarriesIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.WriteMessage(&wire.SElect{CandidateID: 99, Epoch: 5, Addr: "127.0.0.1:1"}); err != nil {
+	if err := conn.WriteMessage(&wire.SElect{Proto: wire.ProtocolVersion, CandidateID: 99, Epoch: 5, Addr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -69,7 +69,7 @@ func TestIncumbentCoordinatorNacksElection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.WriteMessage(&wire.SElect{CandidateID: 99, Epoch: 7, Addr: "127.0.0.1:1"}); err != nil {
+	if err := conn.WriteMessage(&wire.SElect{Proto: wire.ProtocolVersion, CandidateID: 99, Epoch: 7, Addr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))

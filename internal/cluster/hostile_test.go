@@ -8,6 +8,7 @@ import (
 
 	"corona/internal/client"
 	"corona/internal/cluster"
+	"corona/internal/obs"
 	"corona/internal/transport"
 	"corona/internal/wire"
 )
@@ -36,13 +37,14 @@ func stillServing(t *testing.T, srv *cluster.Server, group string) {
 }
 
 // TestHostileSourceInstallsNothing: a server pulls a replica from whatever
-// address the coordinator names, and every field of the stream it reads is
+// address the coordinator names, and every field of the transfer it reads is
 // unvalidated input. A fake server registers, creates a group (so the
-// coordinator names it as the only source), and answers each pull with a
-// broken stream: an offer announcing 1<<62 bytes (sizing the reassembly
-// buffer from it used to panic with makeslice: cap out of range), a cutover
-// that contradicts the offer, a chunk that skips bytes. The pulling server
-// must install nothing, fail the joining client, and keep serving.
+// coordinator names it as the only source), and answers each pull's Hello and
+// Join with a broken transfer: a chunk announcing 1<<62 bytes (sizing the
+// reassembly buffer from it used to panic with makeslice: cap out of range),
+// a TransferDone whose size contradicts its chunks' total, a chunk that skips
+// bytes. The pulling server must install nothing, fail the joining client,
+// and keep serving.
 func TestHostileSourceInstallsNothing(t *testing.T) {
 	tc := startCluster(t, 1)
 	srv := tc.servers[0]
@@ -53,14 +55,16 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 	}
 	defer ln.Close()
 	payload := []byte("0123456789")
+	empty := []byte{0, 0} // a whole, empty image: no objects, no events
+	streaming := &wire.JoinAck{NextSeq: 1, Streaming: true}
 	streams := [][]wire.Message{
-		{&wire.SMigrateOffer{NextSeq: 1, Total: 1 << 62}, &wire.SMigrateCutover{NextSeq: 1}},
-		{&wire.SMigrateOffer{NextSeq: 5, Digest: 7}, &wire.SMigrateCutover{NextSeq: 5, Digest: 8}},
+		{streaming, &wire.TransferChunk{Total: 1 << 62, Data: payload}, &wire.TransferDone{Bytes: 1 << 62}},
+		{streaming, &wire.TransferChunk{Total: uint64(len(empty)) + 5, Data: empty}, &wire.TransferDone{Bytes: uint64(len(empty))}},
 		{
-			&wire.SMigrateOffer{NextSeq: 1, Total: 20},
-			&wire.SMigrateChunk{Offset: 0, Data: payload},
-			&wire.SMigrateChunk{Offset: 15, Data: payload[:5]},
-			&wire.SMigrateCutover{NextSeq: 1},
+			streaming,
+			&wire.TransferChunk{Offset: 0, Total: 20, Data: payload},
+			&wire.TransferChunk{Offset: 15, Total: 20, Data: payload[:5]},
+			&wire.TransferDone{Bytes: 20},
 		},
 	}
 	var pulls atomic.Int64
@@ -70,7 +74,7 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if _, err := conn.ReadMessage(); err == nil {
+			if readHelloJoin(conn) {
 				n := int(pulls.Add(1)) - 1
 				for _, m := range streams[n%len(streams)] {
 					_ = conn.WriteMessage(m)
@@ -120,11 +124,23 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 	stillServing(t, srv, "g")
 }
 
+// readHelloJoin reads a replica pull's opening, a Hello and a Join, and
+// reports whether both came.
+func readHelloJoin(conn *transport.Conn) bool {
+	for _, want := range []wire.Kind{wire.KindHello, wire.KindJoin} {
+		if msg, err := conn.ReadMessage(); err != nil || msg.Kind() != want {
+			return false
+		}
+	}
+	return true
+}
+
 // TestHostilePullerIsRefused: the peer listener takes frames from whoever
 // dials it. A pull of a group the server does not hold gets one refusal frame
-// and a closed connection — whatever else the puller sent; a peer that dials
-// and says nothing is dropped after RequestTimeout, so no goroutine stays
-// blocked on it.
+// and a closed connection — whatever else the puller sent; a Hello of another
+// protocol version gets one CodeBadVersion frame; a peer that dials and says
+// nothing, or says Hello and then nothing, is dropped after RequestTimeout, so
+// no goroutine stays blocked on it.
 func TestHostilePullerIsRefused(t *testing.T) {
 	tc := startCluster(t, 0)
 	srv, err := cluster.NewServer(cluster.ServerConfig{
@@ -139,18 +155,28 @@ func TestHostilePullerIsRefused(t *testing.T) {
 	}
 	tc.servers = append(tc.servers, srv)
 
-	pull := func(garbage bool) (wire.Message, error) {
+	hello := &wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion}
+	join := &wire.Join{RequestID: 2, Group: "ghost", Policy: wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: 1 << 62}}
+	// send dials the peer listener and writes msgs; a nil message is a
+	// garbage frame.
+	send := func(msgs ...wire.Message) *transport.Conn {
 		conn, err := transport.Dial(srv.PeerAddr(), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if err := conn.WriteMessage(&wire.SStateRequest{Group: "ghost", FromSeq: 1 << 62}); err != nil {
-			t.Fatal(err)
+		t.Cleanup(func() { conn.Close() })
+		for _, m := range msgs {
+			if m == nil {
+				_ = conn.WriteFrame([]byte("\xff garbage after the join"))
+			} else if err := conn.WriteMessage(m); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if garbage {
-			_ = conn.WriteFrame([]byte("\xff garbage after the first frame"))
-		}
+		return conn
+	}
+	// answer reads the one frame the server answers with, and checks that
+	// the connection is closed after it.
+	answer := func(conn *transport.Conn) (wire.Message, error) {
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		reply, err := conn.ReadMessage()
 		if err == nil {
@@ -160,33 +186,48 @@ func TestHostilePullerIsRefused(t *testing.T) {
 		}
 		return reply, err
 	}
-	reply, err := pull(false)
+	// dropped fails unless the server closes conn, sending nothing, after
+	// about RequestTimeout.
+	dropped := func(conn *transport.Conn, what string) {
+		start := time.Now()
+		_ = conn.SetReadDeadline(start.Add(5 * time.Second))
+		if _, err := conn.ReadMessage(); err == nil {
+			t.Fatalf("%s was sent a frame", what)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s held for %v, want about RequestTimeout (300ms)", what, d)
+		}
+	}
+
+	reply, err := answer(send(hello, join))
 	if err != nil {
 		t.Fatalf("pull of an unknown group: %v, want a refusal frame", err)
 	}
-	if refusal, ok := reply.(*wire.ErrorMsg); !ok || !strings.Contains(refusal.Text, "ghost") {
+	if refusal, ok := reply.(*wire.ErrorMsg); !ok || refusal.Code != wire.CodeNoSuchGroup || !strings.Contains(refusal.Text, "ghost") {
 		t.Fatalf("pull of an unknown group answered with %#v", reply)
 	}
 	// Unread garbage may turn the close into a reset that overtakes the
 	// refusal; either way the puller gets nothing else.
-	if reply, err := pull(true); err == nil {
+	if reply, err := answer(send(hello, join, nil)); err == nil {
 		if _, ok := reply.(*wire.ErrorMsg); !ok {
 			t.Fatalf("pull followed by garbage answered with %#v", reply)
 		}
 	}
 
-	silent, err := transport.Dial(srv.PeerAddr(), time.Second)
+	refused := func() uint64 { return obs.Default.Snapshot().Counters["cluster.hellos_refused"] }
+	before := refused()
+	reply, err = answer(send(&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion + 1}, join))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("pull of another protocol version: %v, want a refusal frame", err)
 	}
-	defer silent.Close()
-	start := time.Now()
-	_ = silent.SetReadDeadline(start.Add(5 * time.Second))
-	if _, err := silent.ReadMessage(); err == nil {
-		t.Fatal("silent peer was sent a frame")
+	if refusal, ok := reply.(*wire.ErrorMsg); !ok || refusal.Code != wire.CodeBadVersion {
+		t.Fatalf("pull of another protocol version answered with %#v", reply)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("silent peer held for %v, want about RequestTimeout (300ms)", d)
+	if got := refused() - before; got != 1 {
+		t.Fatalf("cluster.hellos_refused grew by %d, want 1", got)
 	}
+
+	dropped(send(hello), "a puller silent after its Hello")
+	dropped(send(), "a silent peer")
 	stillServing(t, srv, "g")
 }

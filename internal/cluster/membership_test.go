@@ -238,7 +238,7 @@ func TestRegistrationWithOldProtocolRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := reply.(*wire.ErrorMsg); !ok || e.Code != wire.CodeBadRequest {
+	if e, ok := reply.(*wire.ErrorMsg); !ok || e.Code != wire.CodeBadVersion {
 		t.Fatalf("registration with protocol 1 answered with %#v", reply)
 	}
 	if _, err := conn.ReadMessage(); err == nil {

@@ -31,8 +31,9 @@ var (
 	// clusterServersLost counts server deregistrations for any reason
 	// (timeout or dropped link).
 	clusterServersLost = obs.Default.Counter("cluster.servers_lost")
-	// clusterHellosRefused counts registrations refused for speaking
-	// another protocol version.
+	// clusterHellosRefused counts peer-listener openings — registrations,
+	// replica pulls, election probes — refused for speaking another
+	// protocol version.
 	clusterHellosRefused = obs.Default.Counter("cluster.hellos_refused")
 	// clusterBackupReassigns counts backup designations: the coordinator
 	// directing a server to acquire a replica it does not hold.
@@ -55,8 +56,8 @@ var (
 	// (SMigrate sent to SMigrated received).
 	clusterMigrationNs = obs.Default.Histogram("cluster.migration_ns")
 	// clusterMigrateOutNs / clusterMigrateInNs are the two ends of every
-	// replica stream, migration or not: capture to last write on the
-	// serving side, dial to verified cutover on the pulling side.
+	// replica pull, migration or not: Join read to last write on the
+	// serving side, dial to verified payload on the pulling side.
 	clusterMigrateOutNs = obs.Default.Histogram("cluster.migrate_out_ns")
 	clusterMigrateInNs  = obs.Default.Histogram("cluster.migrate_in_ns")
 	// clusterReplicasReleased counts directed releases of surplus

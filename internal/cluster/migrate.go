@@ -1,16 +1,20 @@
 package cluster
 
-// The replica stream: the one way a group's state crosses between servers.
-// The server that needs the state dials the peer listener of a server that
-// holds it and sends an SStateRequest; the holder captures a COW image of the
-// replica (O(1) in state bytes, so the group's apply path never stalls) — or
-// just the event suffix the requester is missing — and streams it back in
-// bounded chunks, so the bulk transfer never transits the coordinator. The
-// stream ends with a seq-numbered cutover record that the puller checks
-// against the offer before it installs anything. Join-driven acquisition,
-// backup designation, divergence rollback, catch-up and live migration
-// (acquire at the target, then release at the source) all pull this way; see
-// Server.acquire.
+// The replica pull: the one way a group's state crosses between servers. A
+// replica is a client of the service (paper §4): the server that needs the
+// state dials the peer listener of a server that holds it and joins the group
+// as a client does — Hello, then Join with a resume cursor — and the holder
+// answers with a client join's transfer: a JoinAck carrying the image's
+// bounds, digest and member list, its payload inline or streamed after it as
+// TransferChunks and a TransferDone, under the join's transfer window. The
+// holder captures a COW image of the replica (O(1) in state bytes, so the
+// group's apply path never stalls) — or just the event suffix the puller is
+// missing — and the bulk transfer never transits the coordinator. The puller
+// installs nothing unless every chunk arrived in order and the stream is
+// exactly the size its chunks and TransferDone announced. Join-driven
+// acquisition, backup designation, divergence rollback, catch-up and live
+// migration (acquire at the target, then release at the source) all pull
+// this way; see Server.acquire.
 
 import (
 	"fmt"
@@ -21,42 +25,28 @@ import (
 	"corona/internal/wire"
 )
 
-// serveState answers one pull on the peer listener: the events from
-// req.FromSeq on when the replica still retains them, its whole image
-// otherwise. A group this server does not hold (yet) is refused with one
-// small frame, and the puller asks again.
-func (s *Server) serveState(conn *transport.Conn, req *wire.SStateRequest) {
+// serveState answers one pull on the peer listener, whose Hello has been
+// read: it reads the puller's Join, under the connection's first-frame
+// deadline, and hands it to the engine, which writes the answer.
+func (s *Server) serveState(conn *transport.Conn) {
 	start := time.Now()
-	// Capture under the engine's locks, stream outside every lock.
-	cp, members, ok := s.engine.ReplicaImage(req.Group, req.FromSeq)
-	if !ok {
-		_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeNoSuchGroup, Text: fmt.Sprintf("no replica of %q here", req.Group)})
+	msg, err := conn.ReadMessage()
+	if err != nil {
 		return
 	}
-	stream := wire.NewTransferStream(cp.Objects, cp.History)
-	err := conn.WriteMessage(&wire.SMigrateOffer{
-		BaseSeq: cp.BaseSeq, NextSeq: cp.NextSeq, Digest: cp.Digest, Total: stream.Total(), Members: members,
-	})
-	for err == nil {
-		chunk, off := stream.Next(wire.TransferChunkSize)
-		if chunk == nil {
-			break
-		}
-		// The chunk's segments are the image's own buffers; encoding the
-		// frame is the one copy.
-		err = conn.WriteMessage(&wire.SMigrateChunk{Offset: off, Segments: chunk})
+	join, ok := msg.(*wire.Join)
+	if !ok {
+		s.log.Warn("replica pull without a Join", "kind", msg.Kind().String())
+		return
 	}
-	if err == nil {
-		err = conn.WriteMessage(&wire.SMigrateCutover{NextSeq: cp.NextSeq, Digest: cp.Digest})
-	}
-	if err != nil {
-		s.log.Warn("replica stream failed", "group", req.Group, "to", conn.RemoteAddr().String(), "err", err)
+	if err := s.engine.ServeReplica(conn, join); err != nil {
+		s.log.Warn("replica pull failed", "group", join.Group, "to", conn.RemoteAddr().String(), "err", err)
 		return
 	}
 	clusterMigrateOutNs.Record(time.Since(start).Nanoseconds())
 }
 
-// pulled is what one replica stream delivered.
+// pulled is what one replica pull delivered.
 type pulled struct {
 	// Checkpointed.BaseSeq tells what came: below the fromSeq asked for,
 	// History is the event suffix from there; otherwise this is the source's
@@ -70,7 +60,8 @@ type pulled struct {
 
 // pullState fetches group's state from the server at addr: the inverse of
 // serveState. The result is installable only as a whole — every chunk in
-// order, exactly the announced size, and a cutover equal to the offer.
+// order, and TransferDone's size equal to the chunks' announced total and to
+// the bytes that arrived.
 func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 	start := time.Now()
 	conn, err := transport.Dial(addr, s.peerDialTimeout())
@@ -78,8 +69,13 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 		return pulled{}, err
 	}
 	defer conn.Close()
-	if err := conn.WriteMessage(&wire.SStateRequest{Group: group, FromSeq: fromSeq}); err != nil {
-		return pulled{}, err
+	for _, m := range []wire.Message{
+		&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion},
+		&wire.Join{RequestID: 2, Group: group, Policy: wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: fromSeq}},
+	} {
+		if err := conn.WriteMessage(m); err != nil {
+			return pulled{}, err
+		}
 	}
 	read := func() (wire.Message, error) {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
@@ -89,42 +85,54 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 	if err != nil {
 		return pulled{}, err
 	}
-	offer, ok := msg.(*wire.SMigrateOffer)
+	ack, ok := msg.(*wire.JoinAck)
 	if !ok {
 		if refusal, is := msg.(*wire.ErrorMsg); is {
 			return pulled{}, fmt.Errorf("cluster: pull of %q refused: %s", group, refusal.Text)
 		}
-		return pulled{}, fmt.Errorf("cluster: replica stream opened with %s", msg.Kind())
+		return pulled{}, fmt.Errorf("cluster: replica pull answered with %s", msg.Kind())
+	}
+	got := pulled{
+		Checkpointed: state.Checkpointed{
+			BaseSeq: ack.BaseSeq, NextSeq: ack.NextSeq, Digest: ack.Digest,
+			Objects: ack.Objects, History: ack.Events,
+		},
+		members: ack.Members,
+	}
+	if !ack.Streaming {
+		got.bytes = wire.NewTransferStream(ack.Objects, ack.Events).Total()
+		clusterMigrateInNs.Record(time.Since(start).Nanoseconds())
+		return got, nil
 	}
 	var asm wire.TransferAssembler
+	var total uint64
 	for {
 		if msg, err = read(); err != nil {
 			return pulled{}, err
 		}
 		switch m := msg.(type) {
-		case *wire.SMigrateChunk:
-			if err := asm.Add(m.Offset, offer.Total, m.Data); err != nil {
+		case *wire.TransferChunk:
+			if m.Offset == 0 {
+				total = m.Total
+			}
+			if m.Total != total {
+				return pulled{}, fmt.Errorf("cluster: transfer chunk announces %d bytes, the first announced %d", m.Total, total)
+			}
+			if err := asm.Add(m.Offset, total, m.Data); err != nil {
 				return pulled{}, err
 			}
-		case *wire.SMigrateCutover:
-			if m.NextSeq != offer.NextSeq || m.Digest != offer.Digest {
-				return pulled{}, fmt.Errorf("cluster: cutover (seq %d, digest %x) does not match offer (seq %d, digest %x)",
-					m.NextSeq, m.Digest, offer.NextSeq, offer.Digest)
+		case *wire.TransferDone:
+			if m.Bytes != total {
+				return pulled{}, fmt.Errorf("cluster: transfer done at %d bytes, its chunks announced %d", m.Bytes, total)
 			}
-			objects, events, err := asm.Finish(offer.Total)
-			if err != nil {
+			if got.Objects, got.History, err = asm.Finish(total); err != nil {
 				return pulled{}, err
 			}
+			got.bytes = total
 			clusterMigrateInNs.Record(time.Since(start).Nanoseconds())
-			return pulled{
-				Checkpointed: state.Checkpointed{
-					BaseSeq: offer.BaseSeq, NextSeq: offer.NextSeq, Digest: offer.Digest,
-					Objects: objects, History: events,
-				},
-				members: offer.Members, bytes: offer.Total,
-			}, nil
+			return got, nil
 		default:
-			return pulled{}, fmt.Errorf("cluster: unexpected replica stream message %s", msg.Kind())
+			return pulled{}, fmt.Errorf("cluster: unexpected replica pull message %s", msg.Kind())
 		}
 	}
 }

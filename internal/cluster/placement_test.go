@@ -55,6 +55,22 @@ func replicaHolders(tc *testCluster, group string) []int {
 	return out
 }
 
+// backupAndSpare waits until the coordinator counts two replicas of the
+// group in a three-server cluster, the creating server 0's and a backup's,
+// and returns the backup's index and that of the server holding none. It asks
+// the coordinator, not the engines: a migration's source must be a replica
+// the coordinator knows of. Server IDs are indexes plus 2.
+func backupAndSpare(t *testing.T, tc *testCluster, group string, timeout time.Duration) (backup, spare int) {
+	t.Helper()
+	var ids []uint64
+	waitFor(t, timeout, func() bool {
+		ids = tc.coord.Replicas(group)
+		return len(ids) == 2 && ids[0] == 2
+	})
+	backup = int(ids[1]) - 2
+	return backup, 3 - backup
+}
+
 // imagesConverged reports whether every live replica of the group carries
 // the same digest and next sequence number as the reference server.
 func imagesConverged(tc *testCluster, group string, ref int, skip map[int]bool) bool {
@@ -226,23 +242,7 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 	if _, err := pub.BcastState("g", "blob", big, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(replicaHolders(tc, "g")) >= 2 })
-
-	holders := replicaHolders(tc, "g")
-	src, dst := -1, -1
-	for _, i := range holders {
-		if i != 0 {
-			src = i
-		}
-	}
-	for i := range tc.servers {
-		if i != 0 && i != src {
-			dst = i
-		}
-	}
-	if src < 0 || dst < 0 {
-		t.Fatalf("cannot pick migration endpoints from holders %v", holders)
-	}
+	src, dst := backupAndSpare(t, tc, "g", 5*time.Second)
 
 	const total = 120
 	errs := make(chan error, 1)
@@ -309,22 +309,10 @@ func TestMigrationRacesConcurrentJoin(t *testing.T) {
 	if _, err := pub.BcastState("g", "blob", big, false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(replicaHolders(tc, "g")) >= 2 })
+	src, dst := backupAndSpare(t, tc, "g", 5*time.Second)
 	// The migration must carry the blob: wait until the backup replica has
 	// converged on the member server's image before moving it.
 	waitFor(t, 5*time.Second, func() bool { return imagesConverged(tc, "g", 0, nil) })
-	holders := replicaHolders(tc, "g")
-	src, dst := -1, -1
-	for _, i := range holders {
-		if i != 0 {
-			src = i
-		}
-	}
-	for i := range tc.servers {
-		if i != 0 && i != src {
-			dst = i
-		}
-	}
 
 	// Race: migrate toward dst while a client joins through dst.
 	if err := tc.coord.MigrateGroup("g", uint64(src+2), uint64(dst+2)); err != nil {

@@ -56,8 +56,9 @@ type migrationRec struct {
 	started  time.Time
 }
 
-// Replicas returns the IDs of the live servers holding (or acquiring) a
-// replica of the group, sorted.
+// Replicas returns the IDs of the live servers holding a replica of the
+// group, sorted: a designated backup counts once it has confirmed its
+// replica, so each one can serve a pull or be a migration's source.
 func (c *Coordinator) Replicas(group string) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -66,8 +67,8 @@ func (c *Coordinator) Replicas(group string) []uint64 {
 		return nil
 	}
 	out := make([]uint64, 0, len(meta.interest))
-	for id := range meta.interest {
-		if _, live := c.peers[id]; live {
+	for id, in := range meta.interest {
+		if _, live := c.peers[id]; live && !in.pending {
 			out = append(out, id)
 		}
 	}

@@ -535,13 +535,14 @@ func (e *Engine) GroupImage(name string) (persistent bool, cp state.Checkpointed
 	return g.Persistent, st.Checkpoint(), true
 }
 
-// ReplicaImage is what a replica stream serves, read under one hold of the
-// image's locks (those of GroupImage): the retained events from `from` on
-// when the replica still has them all, its whole image otherwise — a `from`
-// of 0 precedes every checkpoint base, so it always gets the image — and
-// the group's member list. A cursor past the replica's own next sequence
-// number yields an empty suffix. ok reports whether the group exists.
-func (e *Engine) ReplicaImage(name string, from uint64) (cp state.Checkpointed, members []wire.MemberInfo, ok bool) {
+// replicaImage is what a replica pull is answered with (ServeReplica), read
+// under one hold of the image's locks (those of GroupImage): the retained
+// events from `from` on when the replica still has them all, its whole image
+// otherwise — a `from` of 0 precedes every checkpoint base, so it always gets
+// the image — and the group's member list. A cursor past the replica's own
+// next sequence number yields an empty suffix. ok reports whether the group
+// exists.
+func (e *Engine) replicaImage(name string, from uint64) (cp state.Checkpointed, members []wire.MemberInfo, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	g, exists := e.reg.Get(name)

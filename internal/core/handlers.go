@@ -238,16 +238,13 @@ func (e *Engine) completeJoinLocked(g *membership.Group, op *pendingChange) {
 		}
 		ack.BaseSeq = tr.BaseSeq()
 		ack.NextSeq = tr.NextSeq()
-		if tr.PayloadBytes() > inlineTransferMax {
-			ack.Streaming = true
-		} else {
+		if !e.streamsTransfer(ack, tr.PayloadBytes()) {
 			// Small transfer: inline. The ack is encoded under the
 			// write lock (sendShared marshals at frame construction),
 			// so sharing the live buffers here is race-free.
 			ack.Objects = tr.Objects()
 			ack.Events = tr.Events()
 		}
-		e.mTransferBytes.Add(tr.PayloadBytes())
 	} else {
 		// Stateless baseline: no transfer; deliveries start at the
 		// sequencer's next number.
@@ -259,21 +256,36 @@ func (e *Engine) completeJoinLocked(g *membership.Group, op *pendingChange) {
 	// bulk traffic already queued for this client.
 	op.sess.sendShared(transport.NewSharedFrame(ack), true)
 	if ack.Streaming {
-		go e.streamTransfer(op.sess, op.reqID, g.Name, tr)
+		go func() {
+			err := e.streamTransfer(op.sess.pump, op.reqID, g.Name, wire.NewTransferStream(tr.Objects(), tr.Events()))
+			if err != nil && !errors.Is(err, transport.ErrPumpClosed) {
+				e.failSession(op.sess, fmt.Errorf("state transfer: %w", err))
+			}
+		}()
 	}
 }
 
-// streamTransfer ships a captured transfer payload as TransferChunk frames
-// on the member's normal pump lane, then terminates it with TransferDone.
-// It runs on its own goroutine with no engine lock: the capture's buffers
-// are copy-on-write stable, so concurrent multicasts proceed untouched. A
-// window of transferWindow chunks is kept in flight, each slot returned by
-// the frame's final release (written or discarded by the pump), which
-// bounds both pump occupancy and transfer memory. Each chunk is encoded
-// straight from the capture's buffers into its pooled frame, the payload's
-// one copy on this side.
-func (e *Engine) streamTransfer(s *Session, reqID uint64, group string, tr state.Transfer) {
-	stream := wire.NewTransferStream(tr.Objects(), tr.Events())
+// streamsTransfer decides how a join's payload of size bytes travels: inline
+// in the ack up to inlineTransferMax, otherwise after it (streamTransfer),
+// which marks the ack Streaming. It counts the payload in
+// engine.transfer_bytes.
+func (e *Engine) streamsTransfer(ack *wire.JoinAck, size uint64) bool {
+	e.mTransferBytes.Add(size)
+	ack.Streaming = size > inlineTransferMax
+	return ack.Streaming
+}
+
+// streamTransfer ships a streamed join's payload on pump as TransferChunk
+// frames on the normal lane, then terminates it with TransferDone; the pump
+// is a client member's, or a replica pull's own. It runs with no engine
+// lock: the payload's buffers are copy-on-write stable, so concurrent
+// multicasts proceed untouched. A window of transferWindow chunks is kept in
+// flight, each slot returned by the frame's final release (written or
+// discarded by the pump), which bounds both pump occupancy and transfer
+// memory. Each chunk is encoded straight from the payload's buffers into its
+// pooled frame, the payload's one copy on this side. It returns the first
+// failed send's error.
+func (e *Engine) streamTransfer(pump *transport.Pump, reqID uint64, group string, stream *wire.TransferStream) error {
 	total := stream.Total()
 	window := make(chan struct{}, transferWindow)
 	for {
@@ -291,16 +303,51 @@ func (e *Engine) streamTransfer(s *Session, reqID uint64, group string, tr state
 				<-window
 			},
 		)
-		if err := s.pump.SendShared(f, false); err != nil {
+		if err := pump.SendShared(f, false); err != nil {
 			f.Release()
-			if !errors.Is(err, transport.ErrPumpClosed) {
-				e.failSession(s, fmt.Errorf("state transfer chunk: %w", err))
-			}
-			return
+			return err
 		}
 		e.mTransferChunks.Inc()
 	}
-	s.sendShared(transport.NewSharedFrame(&wire.TransferDone{RequestID: reqID, Group: group, Bytes: total}), false)
+	return pump.SendMessage(&wire.TransferDone{RequestID: reqID, Group: group, Bytes: total})
+}
+
+// ServeReplica answers a replica pull: a Join read on a replicated server's
+// peer listener, after a Hello that passed CheckVersion. The listener, not
+// the Join, makes it a pull, so a client can never ask for this: the answer
+// is replicaImage's for the join's resume cursor (no cursor, or 0, gets the
+// whole image), acked and streamed like a client join's transfer — a JoinAck
+// with the image's bounds, digest and member list, its payload inline up to
+// inlineTransferMax and otherwise streamed after it under the transfer window
+// — on a pump of its own over conn. A group not held here is refused with one
+// frame. It returns once every frame is written or the connection failed;
+// the caller closes conn.
+func (e *Engine) ServeReplica(conn *transport.Conn, m *wire.Join) error {
+	var from uint64
+	if m.Policy.Mode == wire.TransferResume {
+		from = m.Policy.FromSeq
+	}
+	cp, members, ok := e.replicaImage(m.Group, from)
+	if !ok {
+		return conn.WriteMessage(&wire.ErrorMsg{RequestID: m.RequestID, Code: wire.CodeNoSuchGroup,
+			Text: fmt.Sprintf("no replica of %q here", m.Group)})
+	}
+	ack := &wire.JoinAck{RequestID: m.RequestID, Group: m.Group, BaseSeq: cp.BaseSeq, NextSeq: cp.NextSeq,
+		Digest: cp.Digest, Members: members}
+	stream := wire.NewTransferStream(cp.Objects, cp.History)
+	if !e.streamsTransfer(ack, stream.Total()) {
+		ack.Objects, ack.Events = cp.Objects, cp.History
+	}
+	pump := transport.NewPump(conn, 0)
+	err := pump.SendMessage(ack)
+	if err == nil && ack.Streaming {
+		err = e.streamTransfer(pump, m.RequestID, m.Group, stream)
+	}
+	pump.Close()
+	if err == nil {
+		err = pump.Err()
+	}
+	return err
 }
 
 func (e *Engine) handleLeave(s *Session, m *wire.Leave) {

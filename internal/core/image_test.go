@@ -14,7 +14,7 @@ import (
 	"corona/internal/wire"
 )
 
-// These tests pin the engine's one image export: GroupImage and ReplicaImage
+// These tests pin the engine's one image export: GroupImage and replicaImage
 // are views taken like a multicast (read lock + group mutex), so they cost
 // nothing proportional to the state and every one is a consistent prefix of
 // the group's history even while the group is being written.
@@ -74,7 +74,7 @@ func imageTestEvent(seq uint64) wire.Event {
 }
 
 // TestGroupImageConsistentUnderMulticast (run under -race): GroupImage and
-// ReplicaImage of group "a" in a loop while "a" and a second group "b"
+// replicaImage of group "a" in a loop while "a" and a second group "b"
 // multicast. Every image must be a consistent prefix: the digest chain over
 // History reproduces cp.Digest, History is the whole prefix, and Objects
 // equal a sequential replay of it. The shared-buffer reads race nothing.
@@ -170,14 +170,14 @@ func TestGroupImageConsistentUnderMulticast(t *testing.T) {
 		}
 
 		from := 1 + uint64(rng.Int63n(int64(cp.NextSeq)))
-		suffix, _, ok := e.ReplicaImage("a", from)
+		suffix, _, ok := e.replicaImage("a", from)
 		events, next := suffix.History, suffix.NextSeq
 		if !ok || suffix.BaseSeq != from-1 || next < cp.NextSeq || from+uint64(len(events)) != next {
-			t.Fatalf("ReplicaImage(%d) = base %d, %d events, next %d, ok %v (image next %d)", from, suffix.BaseSeq, len(events), next, ok, cp.NextSeq)
+			t.Fatalf("replicaImage(%d) = base %d, %d events, next %d, ok %v (image next %d)", from, suffix.BaseSeq, len(events), next, ok, cp.NextSeq)
 		}
 		for i, ev := range events {
 			if want := imageTestEvent(from + uint64(i)); ev.Seq != want.Seq || !bytes.Equal(ev.Data, want.Data) {
-				t.Fatalf("ReplicaImage(%d)[%d] = %+v, want %+v", from, i, ev, want)
+				t.Fatalf("replicaImage(%d)[%d] = %+v, want %+v", from, i, ev, want)
 			}
 		}
 	}

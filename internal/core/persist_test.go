@@ -257,20 +257,20 @@ func TestEventsSince(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyLocal(t, e, "g", 5, "d")
-	cp, _, ok := e.ReplicaImage("g", 3)
+	cp, _, ok := e.replicaImage("g", 3)
 	if !ok || cp.BaseSeq != 2 || cp.NextSeq != 6 || len(cp.History) != 3 || cp.History[0].Seq != 3 || cp.Objects != nil {
-		t.Fatalf("ReplicaImage from 3 = %+v %v", cp, ok)
+		t.Fatalf("replicaImage from 3 = %+v %v", cp, ok)
 	}
 	// A requester ahead of this replica gets an empty suffix, not a full image.
-	if cp, _, ok := e.ReplicaImage("g", 99); !ok || cp.NextSeq != 6 || len(cp.History) != 0 || cp.Objects != nil {
-		t.Fatalf("ReplicaImage past the end = %+v %v", cp, ok)
+	if cp, _, ok := e.replicaImage("g", 99); !ok || cp.NextSeq != 6 || len(cp.History) != 0 || cp.Objects != nil {
+		t.Fatalf("replicaImage past the end = %+v %v", cp, ok)
 	}
 	// From 0 precedes every checkpoint base: the whole image.
-	if cp, _, ok := e.ReplicaImage("g", 0); !ok || cp.BaseSeq != 0 || cp.NextSeq != 6 || len(cp.Objects) != 1 {
-		t.Fatalf("ReplicaImage from 0 = %+v %v", cp, ok)
+	if cp, _, ok := e.replicaImage("g", 0); !ok || cp.BaseSeq != 0 || cp.NextSeq != 6 || len(cp.Objects) != 1 {
+		t.Fatalf("replicaImage from 0 = %+v %v", cp, ok)
 	}
-	if _, _, ok := e.ReplicaImage("missing", 1); ok {
-		t.Fatal("ReplicaImage found a missing group")
+	if _, _, ok := e.replicaImage("missing", 1); ok {
+		t.Fatal("replicaImage found a missing group")
 	}
 	if got, none := e.NextSeq("g"), e.NextSeq("missing"); got != 6 || none != 1 {
 		t.Fatalf("NextSeq = %d (missing group: %d), want 6 (1)", got, none)

@@ -147,12 +147,7 @@ func Handshake(e *Engine, conn *transport.Conn) (*Session, error) {
 		_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "expected Hello"})
 		return nil, fmt.Errorf("core: first message was %s", msg.Kind())
 	}
-	if hello.Proto != wire.ProtocolVersion {
-		_ = conn.WriteMessage(&wire.ErrorMsg{
-			RequestID: hello.RequestID,
-			Code:      wire.CodeBadVersion,
-			Text:      fmt.Sprintf("protocol %d unsupported", hello.Proto),
-		})
+	if !CheckVersion(conn, hello.RequestID, hello.Proto) {
 		return nil, fmt.Errorf("core: client protocol %d", hello.Proto)
 	}
 	sess, err := e.AddSession(conn, hello.Name)
@@ -162,6 +157,22 @@ func Handshake(e *Engine, conn *transport.Conn) (*Session, error) {
 	}
 	sess.Send(&wire.HelloAck{RequestID: hello.RequestID, ClientID: sess.ID, ServerID: e.ServerID()})
 	return sess, nil
+}
+
+// CheckVersion is the version check of every connection opening — a
+// client's Hello here, and a replicated server's SHello, pull Hello and SElect
+// — and reports whether proto is this build's ProtocolVersion. A peer
+// speaking another version is refused with one Error{CodeBadVersion} frame.
+func CheckVersion(conn *transport.Conn, reqID uint64, proto uint32) bool {
+	if proto == wire.ProtocolVersion {
+		return true
+	}
+	_ = conn.WriteMessage(&wire.ErrorMsg{
+		RequestID: reqID,
+		Code:      wire.CodeBadVersion,
+		Text:      fmt.Sprintf("protocol %d unsupported, want %d", proto, wire.ProtocolVersion),
+	})
+	return false
 }
 
 // ServeSession runs the request loop for a registered session until the

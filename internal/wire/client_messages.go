@@ -201,6 +201,10 @@ type JoinAck struct {
 	// BaseSeq is the sequence number the snapshot Objects incorporate
 	// (the group's checkpoint point; 0 if Objects reflect no events).
 	BaseSeq uint64
+	// Digest is the history digest at NextSeq-1 when the ack answers a
+	// replica pull with a whole image; zero on an event suffix and on a
+	// client's join, whose clients ignore it.
+	Digest  uint64
 	Objects []Object
 	Events  []Event
 	Members []MemberInfo
@@ -218,6 +222,7 @@ func (m *JoinAck) Encode(e *Encoder) {
 	e.PutString(m.Group)
 	e.PutUvarint(m.NextSeq)
 	e.PutUvarint(m.BaseSeq)
+	e.PutUint64(m.Digest)
 	EncodeObjects(e, m.Objects)
 	EncodeEvents(e, m.Events)
 	encodeMembers(e, m.Members)
@@ -230,6 +235,7 @@ func (m *JoinAck) Decode(d *Decoder) error {
 	m.Group = d.String()
 	m.NextSeq = d.Uvarint()
 	m.BaseSeq = d.Uvarint()
+	m.Digest = d.Uint64()
 	m.Objects = DecodeObjects(d)
 	m.Events = DecodeEvents(d)
 	m.Members = decodeMembers(d)
@@ -273,17 +279,11 @@ func (m *TransferChunk) Encode(e *Encoder) {
 	e.PutString(m.Group)
 	e.PutUvarint(m.Offset)
 	e.PutUvarint(m.Total)
-	putChunkData(e, m.Data, m.Segments)
-}
-
-// putChunkData writes a chunk body: segs when the writer framed the chunk
-// straight from a TransferStream, data otherwise.
-func putChunkData(e *Encoder, data []byte, segs Segments) {
-	if segs != nil {
-		e.PutSegments(segs)
+	if m.Segments != nil {
+		e.PutSegments(m.Segments)
 		return
 	}
-	e.PutBytes(data)
+	e.PutBytes(m.Data)
 }
 
 // Decode implements Message.

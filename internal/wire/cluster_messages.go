@@ -302,6 +302,9 @@ func (m *SServerList) Decode(d *Decoder) error {
 // previous coordinator is suspected down. The claim succeeds when a
 // majority of the remaining servers ack (paper §4.2).
 type SElect struct {
+	// Proto is the candidate's protocol version; a voter refuses a
+	// candidate speaking another one instead of voting.
+	Proto       uint32
 	CandidateID uint64
 	// Epoch is the new epoch the candidate will rule if elected; it must
 	// exceed every epoch the receiver has seen.
@@ -314,6 +317,7 @@ func (*SElect) Kind() Kind { return KindSElect }
 
 // Encode implements Message.
 func (m *SElect) Encode(e *Encoder) {
+	e.PutUint32(m.Proto)
 	e.PutUvarint(m.CandidateID)
 	e.PutUvarint(m.Epoch)
 	e.PutString(m.Addr)
@@ -321,6 +325,7 @@ func (m *SElect) Encode(e *Encoder) {
 
 // Decode implements Message.
 func (m *SElect) Decode(d *Decoder) error {
+	m.Proto = d.Uint32()
 	m.CandidateID = d.Uvarint()
 	m.Epoch = d.Uvarint()
 	m.Addr = d.String()
@@ -365,18 +370,12 @@ func (m *SElectReply) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SStateRequest asks for a group's state, in two steps. Sent to the
-// coordinator it asks only where the state lives, and is answered by an
-// SStateResponse. Sent to that server's peer listener it pulls the state
-// itself, and is answered by the replica stream (SMigrateOffer,
-// SMigrateChunk..., SMigrateCutover) or refused with an ErrorMsg.
+// SStateRequest asks the coordinator where a group's state lives, and is
+// answered by an SStateResponse. The state itself is pulled from the named
+// server's peer listener with a client's Hello and Join.
 type SStateRequest struct {
 	RequestID uint64
 	Group     string
-	// FromSeq asks a source for the events from FromSeq on, when the
-	// requester already holds the prefix; 0 asks for the whole image. The
-	// coordinator ignores it.
-	FromSeq uint64
 }
 
 // Kind implements Message.
@@ -386,14 +385,12 @@ func (*SStateRequest) Kind() Kind { return KindSStateRequest }
 func (m *SStateRequest) Encode(e *Encoder) {
 	e.PutUvarint(m.RequestID)
 	e.PutString(m.Group)
-	e.PutUvarint(m.FromSeq)
 }
 
 // Decode implements Message.
 func (m *SStateRequest) Decode(d *Decoder) error {
 	m.RequestID = d.Uvarint()
 	m.Group = d.String()
-	m.FromSeq = d.Uvarint()
 	return d.Err()
 }
 
@@ -510,30 +507,6 @@ func (m *SGroupOpAck) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SSeqQuery is sent by a newly elected coordinator to recover per-group
-// sequence counters: each server reports the highest sequence number it has
-// applied for each group it replicates.
-type SSeqQuery struct {
-	RequestID uint64
-	Epoch     uint64
-}
-
-// Kind implements Message.
-func (*SSeqQuery) Kind() Kind { return KindSSeqQuery }
-
-// Encode implements Message.
-func (m *SSeqQuery) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.Epoch)
-}
-
-// Decode implements Message.
-func (m *SSeqQuery) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	return d.Err()
-}
-
 // GroupSeq is one group's high-water mark in an SSeqReport.
 type GroupSeq struct {
 	Group string
@@ -626,11 +599,13 @@ func (m *SDivergence) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SSeqReport answers SSeqQuery.
+// SSeqReport is a server's per-group high-water marks and digests, pushed
+// unprompted to a coordinator it (re-)registers with, so a newly elected
+// coordinator recovers its sequencer and the post-partition divergence check
+// runs (paper §4.2); a fork is reported the same way.
 type SSeqReport struct {
-	RequestID uint64
-	ServerID  uint64
-	Groups    []GroupSeq
+	ServerID uint64
+	Groups   []GroupSeq
 }
 
 // Kind implements Message.
@@ -638,7 +613,6 @@ func (*SSeqReport) Kind() Kind { return KindSSeqReport }
 
 // Encode implements Message.
 func (m *SSeqReport) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
 	e.PutUvarint(m.ServerID)
 	e.PutUvarint(uint64(len(m.Groups)))
 	for i := range m.Groups {
@@ -648,7 +622,6 @@ func (m *SSeqReport) Encode(e *Encoder) {
 
 // Decode implements Message.
 func (m *SSeqReport) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
 	m.ServerID = d.Uvarint()
 	n := d.Uvarint()
 	if d.Err() != nil {

@@ -24,7 +24,6 @@ func encodePayload(t testing.TB, objects []Object, events []Event, chunk int) []
 		data := bytes.Join(c, nil)
 		sameFrame(t, &TransferChunk{Group: "g", Offset: off, Total: s.Total(), Segments: c},
 			&TransferChunk{Group: "g", Offset: off, Total: s.Total(), Data: data})
-		sameFrame(t, &SMigrateChunk{Offset: off, Segments: c}, &SMigrateChunk{Offset: off, Data: data})
 		out = append(out, data...)
 	}
 	if uint64(len(out)) != s.Total() {
@@ -178,7 +177,6 @@ func FuzzTransferChunk(f *testing.F) {
 		}
 		segs := splitAt(c.Data, cuts)
 		sameFrame(t, &TransferChunk{RequestID: c.RequestID, Group: c.Group, Offset: c.Offset, Total: c.Total, Segments: segs}, c)
-		sameFrame(t, &SMigrateChunk{Offset: c.Offset, Segments: segs}, &SMigrateChunk{Offset: c.Offset, Data: c.Data})
 		re := Marshal(nil, c)
 		msg2, err := Unmarshal(re)
 		if err != nil {

@@ -58,15 +58,11 @@ const (
 	KindSStateResponse
 	KindSGroupOp
 	KindSGroupOpAck
-	KindSSeqQuery
 	KindSSeqReport
 	KindSDivergence
 	KindSGroupsQuery
 	KindSGroupsReport
 	KindSMigrate
-	KindSMigrateOffer
-	KindSMigrateChunk
-	KindSMigrateCutover
 	KindSMigrated
 )
 
@@ -114,15 +110,11 @@ var kindNames = map[Kind]string{
 	KindSStateResponse:   "SStateResponse",
 	KindSGroupOp:         "SGroupOp",
 	KindSGroupOpAck:      "SGroupOpAck",
-	KindSSeqQuery:        "SSeqQuery",
 	KindSSeqReport:       "SSeqReport",
 	KindSDivergence:      "SDivergence",
 	KindSGroupsQuery:     "SGroupsQuery",
 	KindSGroupsReport:    "SGroupsReport",
 	KindSMigrate:         "SMigrate",
-	KindSMigrateOffer:    "SMigrateOffer",
-	KindSMigrateChunk:    "SMigrateChunk",
-	KindSMigrateCutover:  "SMigrateCutover",
 	KindSMigrated:        "SMigrated",
 }
 
@@ -189,15 +181,11 @@ var factories = map[Kind]func() Message{
 	KindSStateResponse:   func() Message { return new(SStateResponse) },
 	KindSGroupOp:         func() Message { return new(SGroupOp) },
 	KindSGroupOpAck:      func() Message { return new(SGroupOpAck) },
-	KindSSeqQuery:        func() Message { return new(SSeqQuery) },
 	KindSSeqReport:       func() Message { return new(SSeqReport) },
 	KindSDivergence:      func() Message { return new(SDivergence) },
 	KindSGroupsQuery:     func() Message { return new(SGroupsQuery) },
 	KindSGroupsReport:    func() Message { return new(SGroupsReport) },
 	KindSMigrate:         func() Message { return new(SMigrate) },
-	KindSMigrateOffer:    func() Message { return new(SMigrateOffer) },
-	KindSMigrateChunk:    func() Message { return new(SMigrateChunk) },
-	KindSMigrateCutover:  func() Message { return new(SMigrateCutover) },
 	KindSMigrated:        func() Message { return new(SMigrated) },
 }
 

@@ -112,8 +112,7 @@ func (s *TransferStream) Remaining() uint64 { return s.total - s.sent }
 // list of sub-slices of the stream's header buffer and of the caller's
 // shared Data buffers: Next copies no payload byte, and a chunk stays valid
 // after later Next calls for as long as those buffers do. Frame it with
-// TransferChunk.Segments or SMigrateChunk.Segments; encoding the frame is
-// the one copy.
+// TransferChunk.Segments; encoding the frame is the one copy.
 //
 // corona:zerocopy — a chunk buffer here would be a second copy of every
 // byte a join or a replica pull sends.

@@ -127,17 +127,12 @@ func TestTransferChunksOutliveNext(t *testing.T) {
 
 // TestChunkFramesFromSegmentsMatchGatheredBytes pins the wire bytes: a chunk
 // framed from a stream's segments encodes exactly as the same chunk with Data
-// set to their concatenation, for both chunk messages, and encoding twice
-// gives the same bytes.
+// set to their concatenation, and encoding twice gives the same bytes.
 func TestChunkFramesFromSegmentsMatchGatheredBytes(t *testing.T) {
 	if got, want := Marshal(nil, &TransferChunk{RequestID: 1, Group: "g", Offset: 2, Total: 3,
 		Segments: Segments{[]byte("ab"), nil, []byte("c")}}),
 		[]byte{byte(KindTransferChunk), 1, 1, 'g', 2, 3, 3, 'a', 'b', 'c'}; !bytes.Equal(got, want) {
 		t.Fatalf("TransferChunk frame = %x, want %x", got, want)
-	}
-	if got, want := Marshal(nil, &SMigrateChunk{Offset: 2, Segments: Segments{[]byte("ab"), []byte("c")}}),
-		[]byte{byte(KindSMigrateChunk), 2, 3, 'a', 'b', 'c'}; !bytes.Equal(got, want) {
-		t.Fatalf("SMigrateChunk frame = %x, want %x", got, want)
 	}
 
 	rng := rand.New(rand.NewSource(34))
@@ -175,7 +170,6 @@ func TestChunkFramesFromSegmentsMatchGatheredBytes(t *testing.T) {
 			}
 			sameFrame(t, &TransferChunk{RequestID: 11, Group: "g", Offset: off, Total: s.Total(), Segments: chunk},
 				&TransferChunk{RequestID: 11, Group: "g", Offset: off, Total: s.Total(), Data: data})
-			sameFrame(t, &SMigrateChunk{Offset: off, Segments: chunk}, &SMigrateChunk{Offset: off, Data: data})
 			got = append(got, data...)
 		}
 		if !bytes.Equal(got, want) {

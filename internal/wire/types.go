@@ -2,12 +2,20 @@ package wire
 
 import "fmt"
 
-// ProtocolVersion is negotiated in the Hello exchange, and carried in the
-// SHello a server registers with. A server rejects clients, and the
-// coordinator servers, speaking another version. Version 2: SMemberUpdate
-// carries the member list and a refusal code, and the history digest is
-// XXH64.
-const ProtocolVersion = 2
+// ProtocolVersion is carried by every frame that opens a connection: a
+// client's Hello, the Hello of a replica pull, a server's SHello and a
+// candidate's SElect. Whoever takes the connection refuses another version
+// with one Error{CodeBadVersion} frame. A change to a frame layout or to the
+// history digest's values bumps it; protocolPin, beside it, pins both
+// (TestProtocolVersionPin). Version 3: a replica pull is a client's Hello and
+// Join answered by the join transfer, JoinAck carries a digest, SElect the
+// version, and the three replica-stream kinds and the unsent sequence query
+// are gone.
+const ProtocolVersion = 3
+
+// protocolPin is TestProtocolVersionPin's hash of every round-trip sample's
+// frame and of the digest golden chain, as ProtocolVersion defines them.
+const protocolPin = 0x7ba9f95db80178b3
 
 // EventKind distinguishes the two multicast primitives of the paper:
 // bcastState overrides an object's state, bcastUpdate appends an incremental

@@ -59,7 +59,7 @@ var clientRoundTrips = []Message{
 		Members: []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
 	},
 	&JoinAck{
-		RequestID: 5, Group: "g", NextSeq: 100, BaseSeq: 99,
+		RequestID: 5, Group: "g", NextSeq: 100, BaseSeq: 99, Digest: 0xFEED,
 		Members:   []MemberInfo{{ClientID: 1, Name: "alice", Role: RolePrincipal}},
 		Streaming: true,
 	},
@@ -109,9 +109,9 @@ var clusterRoundTrips = []Message{
 	&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3}, Code: CodeNoSuchGroup},
 	&SHeartbeat{ServerID: 2, Epoch: 3, Time: 42, Load: LoadReport{Groups: 4, Sessions: 17, Bcasts: 8192}},
 	&SServerList{CoordinatorID: 1, Epoch: 3, Servers: []ServerInfo{{ID: 1, Addr: "a"}}},
-	&SElect{CandidateID: 2, Epoch: 4, Addr: "127.0.0.1:9001"},
+	&SElect{Proto: ProtocolVersion, CandidateID: 2, Epoch: 4, Addr: "127.0.0.1:9001"},
 	&SElectReply{VoterID: 3, CandidateID: 2, Epoch: 4, Ack: true},
-	&SStateRequest{RequestID: 5, Group: "g", FromSeq: 10},
+	&SStateRequest{RequestID: 5, Group: "g"},
 	&SStateResponse{
 		RequestID: 5, Group: "g", OK: true, Persistent: true,
 		NextSeq: 12, SourceID: 3, SourceAddr: "127.0.0.1:9002",
@@ -119,8 +119,7 @@ var clusterRoundTrips = []Message{
 	&SStateResponse{RequestID: 5, Group: "g", Code: CodeNoSuchGroup},
 	&SGroupOp{RequestID: 6, Origin: 2, Op: GroupOpCreate, Group: "g", Persistent: true, Initial: []Object{{ID: "o"}}},
 	&SGroupOpAck{RequestID: 6, OK: false, Code: CodeGroupExists, Text: "exists"},
-	&SSeqQuery{RequestID: 7, Epoch: 4},
-	&SSeqReport{RequestID: 7, ServerID: 2, Groups: []GroupSeq{{Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Members: 2}}},
+	&SSeqReport{ServerID: 2, Groups: []GroupSeq{{Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Members: 2}}},
 	&SDivergence{Group: "g", Resolution: ResolutionFork, ForkName: "g.fork-2"},
 	&SDivergence{Group: "g", Resolution: ResolutionRollback},
 	&SGroupsQuery{RequestID: 8},
@@ -129,12 +128,6 @@ var clusterRoundTrips = []Message{
 		Group: "g", OK: true, Persistent: true,
 		NextSeq: 12, SourceID: 3, SourceAddr: "127.0.0.1:9002",
 	}},
-	&SMigrateOffer{
-		BaseSeq: 5, NextSeq: 12, Digest: 0xFEED, Total: 4096,
-		Members: []MemberInfo{{ClientID: 9, Name: "m", Role: RolePrincipal}},
-	},
-	&SMigrateChunk{Offset: 256, Data: []byte("migratebytes")},
-	&SMigrateCutover{NextSeq: 12, Digest: 0xFEED},
 	&SMigrated{RequestID: 9, Group: "g", OK: true, Bytes: 4096},
 	&SMigrated{RequestID: 9, Group: "g", Text: "digest mismatch"},
 }
@@ -228,6 +221,7 @@ func TestDecoderHostileLengths(t *testing.T) {
 	e.PutString("g")                 // Group
 	e.PutUvarint(1)                  // NextSeq
 	e.PutUvarint(0)                  // BaseSeq
+	e.PutUint64(0)                   // Digest
 	e.PutUvarint(math.MaxUint32 + 1) // object count lie
 	if _, err := Unmarshal(e.Bytes()); err == nil {
 		t.Error("hostile object count: want error")
