@@ -183,55 +183,72 @@ func relayDropping(t *testing.T, target string, drop func(wire.Message) bool) st
 			return nil
 		}
 		return []wire.Message{m}
-	})
+	}, nil)
 }
 
 // relayEditing relays framed messages between a dialing server and target.
-// Each coordinator→server message is replaced by what edit returns for it,
-// written back to back in one write: nothing drops or holds the message
-// back, several release what was held.
-func relayEditing(t *testing.T, target string, edit func(wire.Message) []wire.Message) string {
+// Each message is replaced by what its direction's edit returns for it —
+// down for coordinator→server messages, up for server→coordinator ones, a
+// nil edit relaying every message as it is — written back to back in one
+// write: nothing drops or holds the message back, several release what was
+// held. An edit runs on its direction's pipe, so one that blocks holds back
+// what follows. A nil message among those an edit returns closes the
+// server's side of the link and leaves the coordinator's side open: the
+// server sees its link drop, the coordinator sees nothing.
+func relayEditing(t *testing.T, target string, down, up func(wire.Message) []wire.Message) string {
 	t.Helper()
 	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	pipe := func(from, to *transport.Conn, edit func(wire.Message) []wire.Message) {
-		defer from.Close()
-		defer to.Close()
-		var frames []byte
-		for {
-			msg, err := from.ReadMessage()
-			if err != nil {
-				return
-			}
-			out := []wire.Message{msg}
-			if edit != nil {
-				out = edit(msg)
-			}
-			frames = frames[:0]
-			for _, m := range out {
-				frames = transport.EncodeFrame(frames, m)
-			}
-			if len(frames) > 0 && to.WriteFrame(frames) != nil {
-				return
+	relay := func(server, coord *transport.Conn) {
+		var cut atomic.Bool
+		pipe := func(from, to *transport.Conn, edit func(wire.Message) []wire.Message) {
+			defer func() {
+				server.Close()
+				if !cut.Load() {
+					coord.Close()
+				}
+			}()
+			var frames []byte
+			for {
+				msg, err := from.ReadMessage()
+				if err != nil {
+					return
+				}
+				out := []wire.Message{msg}
+				if edit != nil {
+					out = edit(msg)
+				}
+				frames = frames[:0]
+				for _, m := range out {
+					if m == nil {
+						cut.Store(true)
+						return
+					}
+					frames = transport.EncodeFrame(frames, m)
+				}
+				if len(frames) > 0 && to.WriteFrame(frames) != nil {
+					return
+				}
 			}
 		}
+		go pipe(server, coord, up)
+		go pipe(coord, server, down)
 	}
 	go func() {
 		for {
-			down, err := ln.Accept()
+			server, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			up, err := transport.Dial(target, time.Second)
+			coord, err := transport.Dial(target, time.Second)
 			if err != nil {
-				down.Close()
+				server.Close()
 				continue
 			}
-			go pipe(down, up, nil)
-			go pipe(up, down, edit)
+			relay(server, coord)
 		}
 	}()
 	return ln.Addr().String()
@@ -339,7 +356,7 @@ func TestOneCatchUpPerGap(t *testing.T) {
 			}
 		}
 		return []wire.Message{m}
-	}))
+	}, nil))
 	counter := func(name string) uint64 { return obs.Default.Snapshot().Counters[name] }
 
 	warm := counter("cluster.catchups")
@@ -406,7 +423,7 @@ func TestDistributesArriveInSequenceOrder(t *testing.T) {
 			mu.Unlock()
 		}
 		return []wire.Message{m}
-	}))
+	}, nil))
 	sinkB := newSink()
 	senders := []*client.Client{dialTo(t, a, "a1", nil), dialTo(t, a, "a2", nil), dialTo(t, c, "c1", nil), dialTo(t, c, "c2", nil)}
 	if err := senders[0].CreateGroup("g", false, nil); err != nil {

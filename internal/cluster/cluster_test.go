@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -416,6 +417,20 @@ func TestCoordinatorFailover(t *testing.T) {
 	if string(evB[len(evB)-1].Data) != "after" {
 		t.Fatalf("post-failover delivery = %+v", evB)
 	}
+
+	// The new coordinator rebuilt its registry from the servers' reports:
+	// the servers holding g, and g's two members.
+	coord := promoted.Promoted()
+	waitFor(t, 5*time.Second, func() bool {
+		var holders []uint64
+		for i, s := range tc.servers {
+			if s.Engine().HasGroup("g") {
+				holders = append(holders, uint64(i+2)) // startCluster's IDs
+			}
+		}
+		return slices.Equal(coord.Replicas("g"), holders) &&
+			slices.Equal(memberNames(coord.Members("g")), []string{"a", "b"})
+	})
 }
 
 func TestManyGroupsSpreadAcrossServers(t *testing.T) {

@@ -97,10 +97,9 @@ func (p *peer) send(msg wire.Message) {
 	}
 }
 
-// interest records one server's stake in a group.
+// interest records that one server holds a replica of a group, and how.
 type interest struct {
-	members uint64
-	backup  bool
+	backup bool
 	// pending marks a backup designation the server has not confirmed
 	// yet: it cannot serve state requests until its replica exists.
 	pending bool
@@ -112,11 +111,11 @@ type groupMeta struct {
 	// noInitial records a create that carried no initial objects: until the
 	// first event is sequenced such a group provably has no state.
 	noInitial bool
-	// interest maps server ID to that server's stake.
+	// interest maps each server holding a replica to its stake.
 	interest map[uint64]*interest
 	// members is the global membership in the group's order. A member's
 	// hosting server is hostOf its client ID, so a server crash can fail
-	// its members.
+	// its members, and a server's member count is read off this list.
 	members []wire.MemberInfo
 	// sequenced records whether this coordinator sequenced any event for
 	// the group in its reign; only then can a server's seq report
@@ -132,6 +131,17 @@ type groupMeta struct {
 // hostOf extracts the hosting server from a client ID, which the engine
 // composes as serverID<<40|counter (core.Engine.newClientID).
 func hostOf(clientID uint64) uint64 { return clientID >> 40 }
+
+// hosted lists the group's members that server hosts, in the group's order.
+func (m *groupMeta) hosted(server uint64) []wire.MemberInfo {
+	var out []wire.MemberInfo
+	for _, mi := range m.members {
+		if hostOf(mi.ClientID) == server {
+			out = append(out, mi)
+		}
+	}
+	return out
+}
 
 func newGroupMeta(persistent bool) *groupMeta {
 	return &groupMeta{
@@ -471,13 +481,7 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 			delete(meta.interest, p.info.ID)
 			backupChecks = append(backupChecks, name)
 		}
-		var lost []wire.MemberInfo
-		for _, m := range meta.members {
-			if hostOf(m.ClientID) == p.info.ID {
-				lost = append(lost, m)
-			}
-		}
-		for _, m := range lost {
+		for _, m := range meta.hosted(p.info.ID) {
 			failed = c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m, failed)
 		}
 	}
@@ -547,15 +551,15 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 // under the same c.mu hold that numbers it, so each link carries a group's
 // events in sequence order: a replica's gap is then always a lost event,
 // never two forwards racing to their pumps, and it waits for one catch-up.
+// A forward for an unknown group is dropped: a server reports its groups
+// before it forwards, so the group ended while the forward was on its way.
 func (c *Coordinator) handleForward(m *wire.SForward) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
 	if !ok {
-		// Can happen briefly after a failover, before every server
-		// re-registered its groups. Create a placeholder; persistence
-		// is corrected by the owning server's seq report.
-		meta = newGroupMeta(false)
-		c.groups[m.Group] = meta
+		c.mu.Unlock()
+		c.log.Warn("forward for an unknown group dropped", "group", m.Group, "server", m.Origin)
+		return
 	}
 	ev := m.Event
 	ev.Seq, ev.Time = c.seqr.Next(m.Group)
@@ -604,7 +608,7 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 		return
 	}
 	if m.Interested {
-		meta.interest[m.ServerID] = &interest{members: m.Members, backup: m.Backup}
+		meta.interest[m.ServerID] = &interest{backup: m.Backup}
 	} else {
 		delete(meta.interest, m.ServerID)
 	}
@@ -637,8 +641,8 @@ func (c *Coordinator) handleMemberUpdate(p *peer, m *wire.SMemberUpdate) {
 // and enqueues its ordered copy — the change and the list after it — on the
 // pump of every interested server and of the origin, under the c.mu hold
 // that numbers the group's multicasts (handleForward), so every link carries
-// the copy in its place among them. A change that changes nothing (a
-// re-announced member, one already failed) goes back to the origin alone.
+// the copy in its place among them. A change that changes nothing (a member
+// reported again, one already failed) goes back to the origin alone.
 // The leave that empties a transient group ends the group here, as its copy
 // does on every replica: "a transient group ceases to exist when it has no
 // members, and its shared state is lost." A crash the coordinator detects
@@ -760,7 +764,7 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 		if !live || source == p {
 			source = nil
 			for id, in := range meta.interest {
-				if id == p.info.ID || in.pending || (in.members == 0 && !in.backup) {
+				if id == p.info.ID || in.pending || (!in.backup && len(meta.hosted(id)) == 0) {
 					continue
 				}
 				if sp, ok := c.peers[id]; ok {
@@ -785,11 +789,12 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 	p.send(resp)
 }
 
-// handleSeqReport folds a server's high-water marks into the sequencer —
-// the recovery step a freshly elected coordinator depends on — and checks
-// each reported group for post-partition divergence: a server whose
-// history cannot extend the history this coordinator sequenced must be
-// reconciled (paper §4.2).
+// handleSeqReport takes in a server's (re-)registration, all a freshly
+// elected coordinator rebuilds its registry from. The server holds each
+// reported group, and hosts exactly the members it lists: each is ordered as
+// a join, each other member listed on that server as a crash. Its high-water
+// marks are folded into the sequencer, and a server whose history cannot
+// extend the one this coordinator sequenced is reconciled (paper §4.2).
 func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	type pendingDivergence struct {
 		report     DivergenceReport
@@ -797,6 +802,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		others     []*peer
 	}
 	var diverged []pendingDivergence
+	var failed []*peer
 
 	c.mu.Lock()
 	for _, g := range m.Groups {
@@ -807,6 +813,15 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		}
 		if g.Persistent {
 			meta.persistent = true
+		}
+		meta.interest[m.ServerID] = &interest{backup: g.Backup}
+		for _, mi := range meta.hosted(m.ServerID) {
+			if !slices.ContainsFunc(g.Members, func(r wire.MemberInfo) bool { return r.ClientID == mi.ClientID }) {
+				failed = c.orderMemberLocked(g.Group, meta, 0, wire.MemberCrashed, mi, failed)
+			}
+		}
+		for _, mi := range g.Members {
+			failed = c.orderMemberLocked(g.Group, meta, m.ServerID, wire.MemberJoined, mi, failed)
 		}
 		coordNext := c.seqr.Peek(g.Group)
 		conflict := meta.sequenced && g.Digest != 0 &&
@@ -854,6 +869,9 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	}
 	c.mu.Unlock()
 
+	for _, fp := range failed {
+		_ = fp.conn.Close() // read loop notices and deregisters
+	}
 	for _, d := range diverged {
 		c.log.Warn("divergence detected",
 			"group", d.report.Group, "server", d.report.ServerID,
@@ -872,6 +890,9 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		default:
 			p.send(&wire.SDivergence{Group: d.report.Group, Resolution: wire.ResolutionRollback})
 		}
+	}
+	for _, g := range m.Groups {
+		c.ensureReplicas(g.Group)
 	}
 }
 

@@ -22,7 +22,10 @@ func TestElectionProbeOfAnotherVersionIsRefused(t *testing.T) {
 	go s.peerAcceptLoop()
 	defer s.Close()
 
-	probe := func(proto uint32) wire.Message {
+	// probe sends a candidacy and reads the answer; refused, it also waits for
+	// the voter to close the connection, which it does once it has counted
+	// the refusal.
+	probe := func(proto uint32, refused bool) wire.Message {
 		t.Helper()
 		conn, err := transport.Dial(s.PeerAddr(), time.Second)
 		if err != nil {
@@ -37,11 +40,16 @@ func TestElectionProbeOfAnotherVersionIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if refused {
+			if _, err := conn.ReadMessage(); err == nil {
+				t.Fatal("refused probe's connection still open")
+			}
+		}
 		return msg
 	}
 
 	before := clusterHellosRefused.Load()
-	if reply, ok := probe(wire.ProtocolVersion + 1).(*wire.ErrorMsg); !ok || reply.Code != wire.CodeBadVersion {
+	if reply, ok := probe(wire.ProtocolVersion+1, true).(*wire.ErrorMsg); !ok || reply.Code != wire.CodeBadVersion {
 		t.Fatalf("probe of another protocol version answered with %#v", reply)
 	}
 	if got := clusterHellosRefused.Load() - before; got != 1 {
@@ -53,7 +61,7 @@ func TestElectionProbeOfAnotherVersionIsRefused(t *testing.T) {
 	if voted != 0 {
 		t.Fatalf("votedEpoch = %d after a refused probe, want 0", voted)
 	}
-	if reply, ok := probe(wire.ProtocolVersion).(*wire.SElectReply); !ok || !reply.Ack {
+	if reply, ok := probe(wire.ProtocolVersion, false).(*wire.SElectReply); !ok || !reply.Ack {
 		t.Fatalf("probe of this version answered with %#v, want the vote the refused probe left free", reply)
 	}
 }

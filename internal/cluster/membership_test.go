@@ -8,6 +8,8 @@ package cluster_test
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,5 +251,191 @@ func TestRegistrationWithOldProtocolRefused(t *testing.T) {
 	}
 	if got := refused() - before; got != 1 {
 		t.Fatalf("cluster.hellos_refused grew by %d, want 1", got)
+	}
+}
+
+// TestForwardBeforeReportInventsNoGroup registers a server by hand that
+// forwards a multicast to g before any report names g. The coordinator must
+// not invent g for the forward, so the report that names g afterwards is
+// plain recovery, not a divergence.
+func TestForwardBeforeReportInventsNoGroup(t *testing.T) {
+	var diverged atomic.Int64
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		HeartbeatInterval: 50 * time.Millisecond, PeerTimeout: 5 * time.Second,
+		OnDivergence: func(cluster.DivergenceReport) wire.Resolution {
+			diverged.Add(1)
+			return wire.ResolutionRollback
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Start()
+	t.Cleanup(func() { coord.Close() })
+	conn, err := transport.Dial(coord.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(m wire.Message) {
+		t.Helper()
+		if err := conn.WriteMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// groups asks for the coordinator's registry behind everything sent
+	// before it.
+	groups := func(id uint64) []string {
+		t.Helper()
+		send(&wire.SGroupsQuery{RequestID: id})
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			msg, err := conn.ReadMessage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, ok := msg.(*wire.SGroupsReport); ok && r.RequestID == id {
+				return r.Groups
+			}
+		}
+	}
+	send(&wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: 9, Addr: "127.0.0.1:1"})
+	send(&wire.SForward{Origin: 9, Group: "g", RequestID: 1,
+		Event: wire.Event{Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("x")}})
+	if got := groups(2); len(got) != 0 {
+		t.Fatalf("coordinator's groups after a forward to an unknown g = %v", got)
+	}
+	send(&wire.SSeqReport{ServerID: 9, Groups: []wire.GroupSeq{{Group: "g", NextSeq: 10, Digest: 0xFEED}}})
+	if got := groups(3); !slices.Equal(got, []string{"g"}) {
+		t.Fatalf("coordinator's groups after the report = %v, want [g]", got)
+	}
+	if n := diverged.Load(); n != 0 {
+		t.Fatalf("the report of g was taken for a divergence %d time(s)", n)
+	}
+}
+
+// cutServerSide answers a relay's coordinator→server message with the cut
+// once cut is set: the server's link drops, and the coordinator does not
+// notice.
+func cutServerSide(cut *atomic.Bool) func(wire.Message) []wire.Message {
+	return func(m wire.Message) []wire.Message {
+		if cut.CompareAndSwap(true, false) {
+			return []wire.Message{nil}
+		}
+		return []wire.Message{m}
+	}
+}
+
+// TestReconnectCrashesMembersItNoLongerHosts: bob is a member of g through
+// B. B's link is cut on B's side only, so the coordinator does not notice,
+// and B's registration on a new link is held back while bob disconnects: B
+// can forward his crash to nobody, and the new link replaces the old one at
+// the coordinator without a server loss. B's report is the host's word and
+// leaves bob out, so the coordinator orders his crash, and no registry lists
+// him any more.
+func TestReconnectCrashesMembersItNoLongerHosts(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	var cut, hold atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	released := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(released)
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), cutServerSide(&cut), func(m wire.Message) []wire.Message {
+		if _, ok := m.(*wire.SHello); ok && hold.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+		return []wire.Message{m}
+	}))
+	alice := dialTo(t, a, "alice", nil)
+	bob := dialTo(t, b, "bob", nil)
+	carol := dialTo(t, b, "carol", nil) // reads B's registry
+	if err := alice.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*client.Client{alice, bob} {
+		if _, err := c.Join("g", client.JoinOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	hold.Store(true)
+	cut.Store(true)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("B never registered again")
+	}
+	bob.Close()
+	waitFor(t, 5*time.Second, func() bool { return b.Engine().Metrics().Gauge("engine.sessions").Load() == 1 })
+	released()
+
+	waitFor(t, 5*time.Second, func() bool {
+		return slices.Equal(memberNames(tc.coord.Members("g")), []string{"alice"})
+	})
+	// The crash's ordered copy reached both registries; B may have given its
+	// replica up with its last member.
+	waitFor(t, 5*time.Second, func() bool {
+		onA, errA := alice.Membership("g")
+		onB, errB := carol.Membership("g")
+		return errA == nil && slices.Equal(memberNames(onA), []string{"alice"}) &&
+			(errB != nil || !slices.Contains(memberNames(onB), "bob"))
+	})
+}
+
+// TestReRegistrationIsOneReport: a server holding three groups, each with two
+// members connected to it, re-registers in one frame, its SSeqReport. It
+// sends no interest report and no membership change before its catch-ups ask
+// where the groups live.
+func TestReRegistrationIsOneReport(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	var cut atomic.Bool
+	var mu sync.Mutex
+	var sent []wire.Message // B's messages to the coordinator, oldest first
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), cutServerSide(&cut), func(m wire.Message) []wire.Message {
+		mu.Lock()
+		sent = append(sent, m)
+		mu.Unlock()
+		return []wire.Message{m}
+	}))
+	owner := dialTo(t, a, "owner", nil)
+	members := []*client.Client{dialTo(t, b, "m1", nil), dialTo(t, b, "m2", nil)}
+	for _, g := range []string{"g1", "g2", "g3"} {
+		if err := owner.CreateGroup(g, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range members {
+			if _, err := c.Join(g, client.JoinOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	mu.Lock()
+	sent = nil
+	mu.Unlock()
+	cut.Store(true)
+	var registration []wire.Message // after the SHello, before the first SStateRequest
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		hello := slices.IndexFunc(sent, func(m wire.Message) bool { return m.Kind() == wire.KindSHello })
+		if hello < 0 {
+			return false
+		}
+		n := slices.IndexFunc(sent[hello:], func(m wire.Message) bool { return m.Kind() == wire.KindSStateRequest })
+		if n < 0 {
+			return false
+		}
+		registration = slices.Clone(sent[hello+1 : hello+n])
+		return true
+	})
+	kinds := make(map[wire.Kind]int)
+	for _, m := range registration {
+		kinds[m.Kind()]++
+	}
+	if kinds[wire.KindSSeqReport] != 1 || kinds[wire.KindSInterest] != 0 || kinds[wire.KindSMemberUpdate] != 0 {
+		t.Fatalf("B re-registered with %v, want one SSeqReport and no SInterest or SMemberUpdate", kinds)
 	}
 }

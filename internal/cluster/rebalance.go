@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,6 +75,16 @@ func (c *Coordinator) Replicas(group string) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Members returns the group's member list as this coordinator ordered it.
+func (c *Coordinator) Members(group string) []wire.MemberInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if meta, ok := c.groups[group]; ok {
+		return slices.Clone(meta.members)
+	}
+	return nil
 }
 
 // MigrateGroup triggers a live migration of the group's replica from one
@@ -275,8 +286,8 @@ func (c *Coordinator) rebalance() {
 			if _, live := c.peers[id]; !live {
 				continue
 			}
-			current[id] = placement.Replica{Members: in.members, Backup: in.backup, Pending: in.pending}
-			if in.members > 0 {
+			current[id] = placement.Replica{Members: uint64(len(meta.hosted(id))), Backup: in.backup, Pending: in.pending}
+			if current[id].Members > 0 {
 				pinned = append(pinned, id)
 			}
 		}

@@ -293,7 +293,8 @@ func (s *Server) voteReadTimeout() time.Duration { return 4 * s.cfg.ElectionBack
 // tally first (default 10s).
 func (s *Server) outcomeTimeout() time.Duration { return s.cfg.RequestTimeout }
 
-// connectCoordinator dials addr, registers, and installs the link.
+// connectCoordinator dials addr, registers, installs the link, and catches
+// every replica up.
 func (s *Server) connectCoordinator(addr string) error {
 	conn, err := transport.Dial(addr, s.peerDialTimeout())
 	if err != nil {
@@ -323,6 +324,7 @@ func (s *Server) connectCoordinator(addr string) error {
 		return fmt.Errorf("cluster: unexpected registration reply %s", msg.Kind())
 	}
 
+	report := s.engine.SeqReport() // before s.mu: the engine's hooks take s.mu
 	s.mu.Lock()
 	if cur := s.epoch; ack.Epoch < cur {
 		// A stale incumbent (e.g. the old coordinator back from a
@@ -344,7 +346,12 @@ func (s *Server) connectCoordinator(addr string) error {
 	s.epoch = ack.Epoch
 	s.bootOrder = ack.BootOrder
 	s.servers = ack.Servers
-	s.linkUp = true
+	// The registration is one report, the link's first frame: until it is
+	// enqueued the link is down to the engine's hooks, so nothing overtakes it.
+	for i := range report {
+		report[i].Backup = s.backups[report[i].Group]
+	}
+	s.linkUp = s.pump.SendMessage(&wire.SSeqReport{ServerID: s.cfg.ID, Groups: report}) == nil
 	s.mu.Unlock()
 
 	// Tear down the replaced link (pump drain) outside s.mu.
@@ -355,27 +362,6 @@ func (s *Server) connectCoordinator(addr string) error {
 		oldPump.Close()
 	}
 	s.log.Info("registered with coordinator", "addr", addr, "epoch", ack.Epoch, "boot", ack.BootOrder)
-	s.reRegisterState()
-	return nil
-}
-
-// reRegisterState pushes this server's groups, interests, and members to
-// the (possibly freshly elected) coordinator.
-func (s *Server) reRegisterState() {
-	report := s.engine.SeqReport()
-	if len(report) > 0 {
-		s.sendToCoordinator(&wire.SSeqReport{ServerID: s.cfg.ID, Groups: report})
-	}
-	for _, g := range report {
-		s.mu.Lock()
-		backup := s.backups[g.Group]
-		s.mu.Unlock()
-		s.sendToCoordinator(&wire.SInterest{
-			ServerID: s.cfg.ID, Group: g.Group,
-			Interested: true, Members: g.Members, Backup: backup,
-		})
-	}
-	s.engine.Reannounce()
 	// Catch up every replica: events sequenced while this server was
 	// disconnected (e.g. during a coordinator failover) are fetched from
 	// the surviving replicas.
@@ -387,6 +373,7 @@ func (s *Server) reRegisterState() {
 			s.catchUp(group)
 		}()
 	}
+	return nil
 }
 
 // sendToCoordinator enqueues a message on the coordinator link. It never
@@ -669,12 +656,12 @@ func (s *Server) catchUp(group string) bool {
 }
 
 // applyMember takes in one ordered membership change, or a refusal, through
-// the engine's entrance. When the member is this server's own, the server
-// then reports its stake in the group, and gives up a replica it no longer
-// needs: no member left here, and no backup duty.
+// the engine's entrance. When the change is the leave or crash of this
+// server's own member, the server gives up a replica it no longer needs: no
+// member left here, and no backup duty.
 func (s *Server) applyMember(m *wire.SMemberUpdate) {
 	s.engine.ApplyMembership(m)
-	if m.Code != 0 || hostOf(m.Member.ClientID) != s.cfg.ID {
+	if m.Code != 0 || m.Change == wire.MemberJoined || hostOf(m.Member.ClientID) != s.cfg.ID {
 		return
 	}
 	held := s.engine.HasGroup(m.Group)
@@ -685,18 +672,12 @@ func (s *Server) applyMember(m *wire.SMemberUpdate) {
 		delete(s.backups, m.Group)
 	}
 	s.mu.Unlock()
-	if !held {
+	if !held || backup || s.engine.LocalMembers(m.Group) > 0 {
 		return
 	}
-	local := s.engine.LocalMembers(m.Group)
-	s.sendToCoordinator(&wire.SInterest{
-		ServerID: s.cfg.ID, Group: m.Group,
-		Interested: local > 0 || backup, Members: uint64(local), Backup: backup,
-	})
-	if local == 0 && !backup {
-		if err := s.engine.DeleteGroupDirect(m.Group); err == nil {
-			s.log.Debug("replica released", "group", m.Group)
-		}
+	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: m.Group, Interested: false})
+	if err := s.engine.DeleteGroupDirect(m.Group); err == nil {
+		s.log.Debug("replica released", "group", m.Group)
 	}
 }
 
@@ -940,10 +921,8 @@ func (s *Server) releaseDirected(group string) {
 	s.mu.Lock()
 	delete(s.backups, group)
 	s.mu.Unlock()
-	if n := s.engine.LocalMembers(group); n > 0 {
-		s.sendToCoordinator(&wire.SInterest{
-			ServerID: s.cfg.ID, Group: group, Interested: true, Members: uint64(n),
-		})
+	if s.engine.LocalMembers(group) > 0 {
+		s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true})
 		return
 	}
 	if err := s.engine.DeleteGroupDirect(group); err != nil {
@@ -988,10 +967,7 @@ func (s *Server) becomeBackup(group string, mig *wire.SMigrate) {
 		s.mu.Unlock()
 		s.log.Warn("backup acquisition failed", "group", group, "err", err)
 	} else {
-		s.sendToCoordinator(&wire.SInterest{
-			ServerID: s.cfg.ID, Group: group, Interested: true,
-			Members: uint64(s.engine.LocalMembers(group)), Backup: true,
-		})
+		s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true, Backup: true})
 		// Heal the acquisition window: events sequenced between the image's
 		// capture and the interest registration above were neither in the
 		// image nor distributed here, and with no later traffic the gap
@@ -1028,11 +1004,8 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 					s.log.Warn("fork install failed", "fork", m.ForkName, "err", err)
 				} else {
 					s.sendToCoordinator(&wire.SSeqReport{ServerID: s.cfg.ID, Groups: []wire.GroupSeq{{
-						Group: m.ForkName, NextSeq: cp.NextSeq, Digest: cp.Digest, Persistent: persistent,
+						Group: m.ForkName, NextSeq: cp.NextSeq, Digest: cp.Digest, Persistent: persistent, Backup: true,
 					}}})
-					s.sendToCoordinator(&wire.SInterest{
-						ServerID: s.cfg.ID, Group: m.ForkName, Interested: true, Backup: true,
-					})
 					s.log.Info("diverged history preserved as fork", "group", m.Group, "fork", m.ForkName)
 				}
 			}

@@ -580,8 +580,8 @@ func (e *Engine) NextSeq(name string) uint64 {
 	return next
 }
 
-// SeqReport returns every group's sequencing high-water mark, used by a
-// newly elected coordinator to recover its counters.
+// SeqReport returns, per group, the sequencing high-water mark, digest and
+// members hosted here: what a server registers with a coordinator.
 func (e *Engine) SeqReport() []wire.GroupSeq {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -597,7 +597,7 @@ func (e *Engine) SeqReport() []wire.GroupSeq {
 			Group:      name,
 			NextSeq:    e.seqr.Peek(name),
 			Persistent: g.Persistent,
-			Members:    uint64(e.groups[name].snap.size),
+			Members:    e.hostedLocked(g),
 		}
 		if st := e.getState(name); st != nil {
 			gs.Digest = st.Digest()

@@ -205,21 +205,14 @@ func (e *Engine) memberChangedLocked(g *membership.Group, change wire.Membership
 	}
 }
 
-// Reannounce forwards a join through OnMembershipChange, which must be set,
-// for every member connected here that is not leaving: what a server tells
-// a coordinator it registers with. A coordinator that lists the member
-// already changes nothing.
-func (e *Engine) Reannounce() {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, name := range e.reg.Names() {
-		g, _ := e.reg.Get(name)
-		for _, m := range g.Members() {
-			if _, leaving := e.pending[memberKey{name, m.ClientID}]; e.hasSession(m.ClientID) && !leaving {
-				_ = e.cfg.Hooks.OnMembershipChange(name, wire.MemberJoined, m)
-			}
+// hostedLocked lists g's members connected here and not leaving (e.mu held).
+func (e *Engine) hostedLocked(g *membership.Group) (out []wire.MemberInfo) {
+	for _, m := range g.Members() {
+		if _, leaving := e.pending[memberKey{g.Name, m.ClientID}]; e.hasSession(m.ClientID) && !leaving {
+			out = append(out, m)
 		}
 	}
+	return out
 }
 
 // dropGroupLocked deletes a group and its shared state. Caller holds e.mu.

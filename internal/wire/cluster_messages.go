@@ -159,16 +159,14 @@ func (m *SDistribute) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SInterest tells the coordinator whether a server hosts members of a group
-// (or holds a backup replica), so broadcasts are routed only to interested
-// servers (paper §4: "Only the servers who have members in that particular
-// group will receive the broadcast message").
+// SInterest tells the coordinator whether a server holds a replica of a
+// group, so broadcasts are routed only to interested servers (paper §4: "Only
+// the servers who have members in that particular group will receive the
+// broadcast message"). A server sends it when what it holds changes.
 type SInterest struct {
 	ServerID   uint64
 	Group      string
 	Interested bool
-	// Members is the server's local member count for the group.
-	Members uint64
 	// Backup marks interest held purely as an elected hot-standby replica.
 	Backup bool
 }
@@ -181,7 +179,6 @@ func (m *SInterest) Encode(e *Encoder) {
 	e.PutUvarint(m.ServerID)
 	e.PutString(m.Group)
 	e.PutBool(m.Interested)
-	e.PutUvarint(m.Members)
 	e.PutBool(m.Backup)
 }
 
@@ -190,7 +187,6 @@ func (m *SInterest) Decode(d *Decoder) error {
 	m.ServerID = d.Uvarint()
 	m.Group = d.String()
 	m.Interested = d.Bool()
-	m.Members = d.Uvarint()
 	m.Backup = d.Bool()
 	return d.Err()
 }
@@ -507,7 +503,7 @@ func (m *SGroupOpAck) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// GroupSeq is one group's high-water mark in an SSeqReport.
+// GroupSeq is one group in an SSeqReport.
 type GroupSeq struct {
 	Group string
 	// NextSeq is the next sequence number the group expects (highest
@@ -519,8 +515,11 @@ type GroupSeq struct {
 	// Persistent mirrors the group's persistence flag so a recovering
 	// coordinator can rebuild its registry.
 	Persistent bool
-	// Members is the reporting server's local member count.
-	Members uint64
+	// Backup marks a replica the server holds as a designated backup.
+	Backup bool
+	// Members lists the group's members connected to the server and not
+	// leaving; the coordinator takes the list as the host's word.
+	Members []MemberInfo
 }
 
 func (g GroupSeq) encode(e *Encoder) {
@@ -528,7 +527,8 @@ func (g GroupSeq) encode(e *Encoder) {
 	e.PutUvarint(g.NextSeq)
 	e.PutUint64(g.Digest)
 	e.PutBool(g.Persistent)
-	e.PutUvarint(g.Members)
+	e.PutBool(g.Backup)
+	encodeMembers(e, g.Members)
 }
 
 func decodeGroupSeq(d *Decoder) GroupSeq {
@@ -537,7 +537,8 @@ func decodeGroupSeq(d *Decoder) GroupSeq {
 		NextSeq:    d.Uvarint(),
 		Digest:     d.Uint64(),
 		Persistent: d.Bool(),
-		Members:    d.Uvarint(),
+		Backup:     d.Bool(),
+		Members:    decodeMembers(d),
 	}
 }
 
@@ -599,10 +600,10 @@ func (m *SDivergence) Decode(d *Decoder) error {
 	return d.Err()
 }
 
-// SSeqReport is a server's per-group high-water marks and digests, pushed
-// unprompted to a coordinator it (re-)registers with, so a newly elected
-// coordinator recovers its sequencer and the post-partition divergence check
-// runs (paper §4.2); a fork is reported the same way.
+// SSeqReport is a server's (re-)registration, the link's first frame: per
+// group it holds, the high-water mark, digest, backup flag and hosted members.
+// A newly elected coordinator rebuilds its sequencer and registry from these
+// reports, and the post-partition divergence check runs (paper §4.2).
 type SSeqReport struct {
 	ServerID uint64
 	Groups   []GroupSeq

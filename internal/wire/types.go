@@ -7,15 +7,14 @@ import "fmt"
 // candidate's SElect. Whoever takes the connection refuses another version
 // with one Error{CodeBadVersion} frame. A change to a frame layout or to the
 // history digest's values bumps it; protocolPin, beside it, pins both
-// (TestProtocolVersionPin). Version 3: a replica pull is a client's Hello and
-// Join answered by the join transfer, JoinAck carries a digest, SElect the
-// version, and the three replica-stream kinds and the unsent sequence query
-// are gone.
-const ProtocolVersion = 3
+// (TestProtocolVersionPin). Version 4: SInterest carries no member count, and
+// GroupSeq carries the reporter's backup flag and hosted members in place of
+// its count.
+const ProtocolVersion = 4
 
 // protocolPin is TestProtocolVersionPin's hash of every round-trip sample's
 // frame and of the digest golden chain, as ProtocolVersion defines them.
-const protocolPin = 0x7ba9f95db80178b3
+const protocolPin = 0x119833f99e2e4ec6
 
 // EventKind distinguishes the two multicast primitives of the paper:
 // bcastState overrides an object's state, bcastUpdate appends an incremental

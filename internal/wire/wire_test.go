@@ -100,7 +100,7 @@ var clusterRoundTrips = []Message{
 	},
 	&SForward{Origin: 2, Group: "g", Event: sampleEvent(0), SenderInclusive: true, RequestID: 4},
 	&SDistribute{Group: "g", Event: sampleEvent(8), SenderInclusive: false, Origin: 2, RequestID: 4},
-	&SInterest{ServerID: 2, Group: "g", Interested: true, Members: 5, Backup: true},
+	&SInterest{ServerID: 2, Group: "g", Interested: true, Backup: true},
 	&SMemberUpdate{ServerID: 2, Group: "g", Change: MemberJoined, Member: MemberInfo{ClientID: 3, Name: "c", Role: RolePrincipal}},
 	&SMemberUpdate{
 		ServerID: 2, Group: "g", Change: MemberLeft, Member: MemberInfo{ClientID: 3, Name: "c"},
@@ -119,7 +119,13 @@ var clusterRoundTrips = []Message{
 	&SStateResponse{RequestID: 5, Group: "g", Code: CodeNoSuchGroup},
 	&SGroupOp{RequestID: 6, Origin: 2, Op: GroupOpCreate, Group: "g", Persistent: true, Initial: []Object{{ID: "o"}}},
 	&SGroupOpAck{RequestID: 6, OK: false, Code: CodeGroupExists, Text: "exists"},
-	&SSeqReport{ServerID: 2, Groups: []GroupSeq{{Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Members: 2}}},
+	&SSeqReport{ServerID: 2, Groups: []GroupSeq{
+		{
+			Group: "g", NextSeq: 12, Digest: 0xDEADBEEF, Persistent: true, Backup: true,
+			Members: []MemberInfo{{ClientID: 3, Name: "c", Role: RolePrincipal}, {ClientID: 4, Name: "d", Role: RoleObserver}},
+		},
+		{Group: "h", NextSeq: 1},
+	}},
 	&SDivergence{Group: "g", Resolution: ResolutionFork, ForkName: "g.fork-2"},
 	&SDivergence{Group: "g", Resolution: ResolutionRollback},
 	&SGroupsQuery{RequestID: 8},

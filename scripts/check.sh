@@ -111,10 +111,12 @@ echo "== replica acquisition, membership order and rebalance churn (race)"
 # member whose join is still on a delayed link; notify counts are global; a
 # backup keeps its replica while the group has members elsewhere; a server
 # speaking another protocol version is refused, as is a candidate. The
-# pull's own tests: it is held to the join's window and counted; a hostile
-# source installs nothing and a hostile puller gets one refusal or nothing.
-# -count=1 defeats the cache so the race detector really runs them on every
-# gate.
-go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused' ./internal/cluster >/dev/null
+# registration's: a server re-registers in one report, which is the host's
+# word (a member it no longer hosts is crashed), and a forward overtaking a
+# report invents no group. The pull's own tests: it is held to the join's
+# window and counted; a hostile source installs nothing and a hostile puller
+# gets one refusal or nothing. -count=1 defeats the cache so the race
+# detector really runs them on every gate.
+go test -race -count=1 -run 'TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReRegistrationIsOneReport|TestReconnectCrashesMembersItNoLongerHosts|TestForwardBeforeReportInventsNoGroup|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused' ./internal/cluster >/dev/null
 
 echo "OK"
