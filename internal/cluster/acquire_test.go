@@ -202,6 +202,18 @@ func relayEditing(t *testing.T, target string, down, up func(wire.Message) []wir
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	// The coordinator's side of a cut link is held open until the test ends:
+	// a connection nothing references is closed when it is collected, and the
+	// coordinator would see the link drop after all.
+	var mu sync.Mutex
+	var open []*transport.Conn
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range open {
+			c.Close()
+		}
+	})
 	relay := func(server, coord *transport.Conn) {
 		var cut atomic.Bool
 		pipe := func(from, to *transport.Conn, edit func(wire.Message) []wire.Message) {
@@ -209,7 +221,11 @@ func relayEditing(t *testing.T, target string, down, up func(wire.Message) []wir
 				server.Close()
 				if !cut.Load() {
 					coord.Close()
+					return
 				}
+				mu.Lock()
+				open = append(open, coord)
+				mu.Unlock()
 			}()
 			var frames []byte
 			for {
@@ -403,6 +419,73 @@ func TestOneCatchUpPerGap(t *testing.T) {
 	}
 	if got := len(sinkB.wait(t, 13)); got != 13 {
 		t.Fatalf("B's member was delivered %d events, want 13", got)
+	}
+}
+
+// TestJoinAcquisitionHealsItsWindow: bob's join is server B's first use of g,
+// so B acquires the group from A, and B's report that it holds g is held back
+// until alice, on A, has an update acked. The update is sequenced after A
+// captured B's image but before the coordinator knows B holds g: it is in
+// neither the image nor B's stream, and no traffic follows it to expose the
+// gap. The acquisition's own catch-up must bring it, so bob's transfer ends
+// at the group's next sequence number and includes it.
+func TestJoinAcquisitionHealsItsWindow(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	alice := dialTo(t, a, "alice", nil)
+	if err := alice.CreateGroup("g", false, []wire.Object{{ID: "doc", Data: []byte("v0")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// B registers after g's create, so no designation makes it g's backup.
+	var hold atomic.Bool
+	hold.Store(true)
+	held, release := make(chan struct{}), make(chan struct{})
+	released := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(released)
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), nil, func(m wire.Message) []wire.Message {
+		if in, ok := m.(*wire.SInterest); ok && in.Group == "g" && in.Interested && hold.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+		return []wire.Message{m}
+	}))
+
+	bob := dialTo(t, b, "bob", nil)
+	type joined struct {
+		res *client.JoinResult
+		err error
+	}
+	done := make(chan joined, 1)
+	go func() {
+		res, err := bob.Join("g", client.JoinOptions{})
+		done <- joined{res, err}
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("B never reported holding g")
+	}
+	if _, err := alice.BcastUpdate("g", "doc", []byte("+1"), false); err != nil {
+		t.Fatal(err)
+	}
+	released()
+	var j joined
+	select {
+	case j = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("bob's join never completed")
+	}
+	if j.err != nil {
+		t.Fatal(j.err)
+	}
+	if want := tc.coord.GroupSeq("g"); j.res.NextSeq != want {
+		t.Fatalf("bob's transfer ends before seq %d, the group's next is %d: the update in B's acquisition window is missing", j.res.NextSeq, want)
+	}
+	if len(j.res.Objects) != 1 || string(j.res.Objects[0].Data) != "v0+1" {
+		t.Fatalf("bob's transfer = %+v, want doc=v0+1", j.res.Objects)
 	}
 }
 

@@ -89,6 +89,9 @@ type peer struct {
 	conn     *transport.Conn
 	pump     *transport.Pump
 	lastSeen time.Time
+	// reported is set once the link's first SSeqReport, the server's
+	// registration, is taken in; a later one (a fork's) only adds groups.
+	reported bool
 }
 
 func (p *peer) send(msg wire.Message) {
@@ -163,15 +166,14 @@ type Coordinator struct {
 	place  *placement.Tracker
 	policy placement.Policy
 
-	mu            sync.Mutex
-	epoch         uint64
-	peers         map[uint64]*peer
-	nextBoot      uint64
-	groups        map[string]*groupMeta
-	seqr          *seq.Sequencer
-	migrations    map[string]*migrationRec
-	nextMigration uint64
-	closed        bool
+	mu         sync.Mutex
+	epoch      uint64
+	peers      map[uint64]*peer
+	nextBoot   uint64
+	groups     map[string]*groupMeta
+	seqr       *seq.Sequencer
+	migrations map[string]*migrationRec
+	closed     bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -526,8 +528,6 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 		c.place.Observe(p.info.ID, placement.Load{
 			Groups: m.Load.Groups, Sessions: m.Load.Sessions, Bcasts: m.Load.Bcasts,
 		})
-	case *wire.SMigrated:
-		c.handleMigrated(m)
 	case *wire.SSeqReport:
 		c.handleSeqReport(p, m)
 	case *wire.SGroupsQuery:
@@ -592,8 +592,13 @@ func (c *Coordinator) handleForward(m *wire.SForward) {
 	}
 }
 
-// handleInterest records a server's stake in a group and keeps the
-// at-least-two-replicas invariant.
+// handleInterest records a change in what a server holds and keeps the
+// at-least-two-replicas invariant. A server answers every designation here,
+// either way, so the answer of a migration's target retires the migration:
+// a target that holds the replica now has the source directed to release
+// its own (a source whose clients joined meanwhile refuses, and the
+// migration degrades to a copy); one that could not acquire it leaves the
+// source in place.
 func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
@@ -612,7 +617,29 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	} else {
 		delete(meta.interest, m.ServerID)
 	}
+	rec := c.migrations[m.Group]
+	migrated := rec != nil && rec.to == m.ServerID
+	var src *peer
+	if migrated {
+		delete(c.migrations, m.Group)
+		src = c.peers[rec.from]
+	}
 	c.mu.Unlock()
+
+	switch {
+	case !migrated:
+	case !m.Interested:
+		clusterMigrationsFailed.Inc()
+		c.log.Warn("migration failed", "group", m.Group, "from", rec.from, "to", rec.to)
+	default:
+		clusterMigrationsDone.Inc()
+		if d := c.cfg.Now().Sub(rec.started).Nanoseconds(); plausibleLatency(d) {
+			clusterMigrationNs.Record(d)
+		}
+		if src != nil {
+			src.send(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false})
+		}
+	}
 	c.ensureReplicas(m.Group)
 }
 
@@ -791,10 +818,12 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 
 // handleSeqReport takes in a server's (re-)registration, all a freshly
 // elected coordinator rebuilds its registry from. The server holds each
-// reported group, and hosts exactly the members it lists: each is ordered as
-// a join, each other member listed on that server as a crash. Its high-water
-// marks are folded into the sequencer, and a server whose history cannot
-// extend the one this coordinator sequenced is reconciled (paper §4.2).
+// reported group and no other — its interest in a group the registration
+// leaves out, a designation it has not answered included, is dropped — and
+// hosts exactly the members it lists: each is ordered as a join, each other
+// member listed on that server as a crash. Its high-water marks are folded
+// into the sequencer, and a server whose history cannot extend the one this
+// coordinator sequenced is reconciled (paper §4.2).
 func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	type pendingDivergence struct {
 		report     DivergenceReport
@@ -803,8 +832,22 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	}
 	var diverged []pendingDivergence
 	var failed []*peer
+	var dropped []string
 
 	c.mu.Lock()
+	if !p.reported {
+		p.reported = true
+		listed := make(map[string]bool, len(m.Groups))
+		for _, g := range m.Groups {
+			listed[g.Group] = true
+		}
+		for name, meta := range c.groups {
+			if _, had := meta.interest[m.ServerID]; had && !listed[name] {
+				delete(meta.interest, m.ServerID)
+				dropped = append(dropped, name)
+			}
+		}
+	}
 	for _, g := range m.Groups {
 		meta, ok := c.groups[g.Group]
 		if !ok {
@@ -893,6 +936,9 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	}
 	for _, g := range m.Groups {
 		c.ensureReplicas(g.Group)
+	}
+	for _, g := range dropped {
+		c.ensureReplicas(g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,31 +85,7 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 		}
 	}()
 
-	// The fake server's coordinator link: register, create "ghost".
-	link, err := transport.Dial(tc.coord.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	for _, m := range []wire.Message{
-		&wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: 99, Addr: ln.Addr().String()},
-		&wire.SGroupOp{RequestID: 2, Origin: 99, Op: wire.GroupOpCreate, Group: "ghost", Initial: []wire.Object{{ID: "o", Data: []byte("x")}}},
-	} {
-		if err := link.WriteMessage(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	go func() { // stay registered: drain the link, echo the heartbeats
-		for {
-			msg, err := link.ReadMessage()
-			if err != nil {
-				return
-			}
-			if hb, ok := msg.(*wire.SHeartbeat); ok {
-				_ = link.WriteMessage(&wire.SHeartbeat{ServerID: 99, Epoch: hb.Epoch, Time: hb.Time})
-			}
-		}
-	}()
+	registerGhost(t, tc, ln.Addr().String())
 	waitFor(t, 5*time.Second, func() bool { return tc.coord.HasGroup("ghost") })
 
 	victim := dialTo(t, srv, "victim", nil)
@@ -122,6 +99,85 @@ func TestHostileSourceInstallsNothing(t *testing.T) {
 		t.Fatal("a hostile stream installed a group")
 	}
 	stillServing(t, srv, "g")
+}
+
+// TestFailedDesignationIsRetried: a designated backup answers its designation
+// even when it cannot acquire the replica, so the coordinator designates
+// again instead of counting the failed designation as a replica forever. A
+// fake server registers, creates ghost with one object and reports holding
+// it, so the coordinator designates the real server; the fake's peer listener
+// closes the pulls of the whole first acquisition and serves a valid image
+// after that. The real server must end up holding ghost, counted by the
+// coordinator beside the fake.
+func TestFailedDesignationIsRetried(t *testing.T) {
+	tc := startCluster(t, 1)
+	srv := tc.servers[0]
+
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const refused = 5 // one acquisition's attempts (acquireAttempts)
+	var pulls atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if readHelloJoin(conn) && pulls.Add(1) > refused {
+				_ = conn.WriteMessage(&wire.JoinAck{RequestID: 2, Group: "ghost", NextSeq: 1,
+					Objects: []wire.Object{{ID: "o", Data: []byte("x")}}})
+			}
+			conn.Close()
+		}
+	}()
+
+	// The report that the fake holds ghost has the coordinator designate a
+	// second replica.
+	registerGhost(t, tc, ln.Addr().String(), &wire.SInterest{ServerID: 99, Group: "ghost", Interested: true, Backup: true})
+	waitFor(t, 10*time.Second, func() bool {
+		return slices.Equal(tc.coord.Replicas("ghost"), []uint64{2, 99}) && srv.Engine().HasGroup("ghost")
+	})
+	if n := pulls.Load(); n <= refused {
+		t.Fatalf("the replica landed after %d pulls, all of them refused", n)
+	}
+	if got := groupObject(t, srv, "ghost", "o"); got != "x" {
+		t.Fatalf("ghost's object = %q, want x", got)
+	}
+}
+
+// registerGhost registers a fake server 99 whose peer listener is at
+// peerAddr, creates ghost with one object through it, and then writes the
+// messages in then. The fake stays registered for the rest of the test: its
+// link is drained and the coordinator's heartbeats are echoed.
+func registerGhost(t *testing.T, tc *testCluster, peerAddr string, then ...wire.Message) {
+	t.Helper()
+	link, err := transport.Dial(tc.coord.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { link.Close() })
+	for _, m := range append([]wire.Message{
+		&wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: 99, Addr: peerAddr},
+		&wire.SGroupOp{RequestID: 2, Origin: 99, Op: wire.GroupOpCreate, Group: "ghost", Initial: []wire.Object{{ID: "o", Data: []byte("x")}}},
+	}, then...) {
+		if err := link.WriteMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() {
+		for {
+			msg, err := link.ReadMessage()
+			if err != nil {
+				return
+			}
+			if hb, ok := msg.(*wire.SHeartbeat); ok {
+				_ = link.WriteMessage(&wire.SHeartbeat{ServerID: 99, Epoch: hb.Epoch, Time: hb.Time})
+			}
+		}
+	}()
 }
 
 // readHelloJoin reads a replica pull's opening, a Hello and a Join, and

@@ -383,6 +383,55 @@ func TestReconnectCrashesMembersItNoLongerHosts(t *testing.T) {
 	})
 }
 
+// TestReportDropsStaleInterest: a registration is the server's whole word on
+// what it holds. g migrates from B to C and B releases its replica, but B's
+// report that it no longer holds g is lost on the way. B's link is then cut
+// on B's side and B registers again, its report leaving g out: the
+// coordinator must stop counting B as g's holder, and g keeps its two live
+// holders, A and C.
+func TestReportDropsStaleInterest(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	var cut, lost atomic.Bool
+	var hellos atomic.Int64
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), cutServerSide(&cut), func(m wire.Message) []wire.Message {
+		switch m := m.(type) {
+		case *wire.SHello:
+			hellos.Add(1)
+		case *wire.SInterest:
+			if m.Group == "g" && !m.Interested {
+				lost.Store(true)
+				return nil
+			}
+		}
+		return []wire.Message{m}
+	}))
+	alice := dialTo(t, a, "alice", nil)
+	if err := alice.CreateGroup("g", false, []wire.Object{{ID: "doc", Data: []byte("v0")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// With two servers up, B (ID 3) is g's designated backup; C (ID 4)
+	// registers after.
+	waitFor(t, 5*time.Second, func() bool { return slices.Equal(tc.coord.Replicas("g"), []uint64{2, 3}) })
+	c := tc.startServerVia(t, tc.coord.Addr())
+	if err := tc.coord.MigrateGroup("g", 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return lost.Load() && !b.Engine().HasGroup("g") && c.Engine().HasGroup("g")
+	})
+	if got := tc.coord.Replicas("g"); !slices.Equal(got, []uint64{2, 3, 4}) {
+		t.Fatalf("replicas of g after the lost release = %v, want [2 3 4]", got)
+	}
+
+	cut.Store(true)
+	waitFor(t, 10*time.Second, func() bool { return hellos.Load() == 2 })
+	waitFor(t, 5*time.Second, func() bool { return slices.Equal(tc.coord.Replicas("g"), []uint64{2, 4}) })
+}
+
 // TestReRegistrationIsOneReport: a server holding three groups, each with two
 // members connected to it, re-registers in one frame, its SSeqReport. It
 // sends no interest report and no membership change before its catch-ups ask

@@ -35,8 +35,9 @@ var (
 	// replica pulls, election probes — refused for speaking another
 	// protocol version.
 	clusterHellosRefused = obs.Default.Counter("cluster.hellos_refused")
-	// clusterBackupReassigns counts backup designations: the coordinator
-	// directing a server to acquire a replica it does not hold.
+	// clusterBackupReassigns counts backup designations, a migration's
+	// target's among them: the coordinator directing a server to acquire a
+	// replica it does not hold.
 	clusterBackupReassigns = obs.Default.Counter("cluster.backup_reassigns")
 	// clusterSeqGaps counts sequence gaps replicas detected on the
 	// distribute path (each triggers a catch-up pull).
@@ -49,11 +50,8 @@ var (
 	clusterMigrationsStarted = obs.Default.Counter("cluster.migrations_started")
 	clusterMigrationsDone    = obs.Default.Counter("cluster.migrations_done")
 	clusterMigrationsFailed  = obs.Default.Counter("cluster.migrations_failed")
-	// clusterMigrationBytes accumulates payload bytes moved by completed
-	// migrations.
-	clusterMigrationBytes = obs.Default.Gauge("cluster.migration_bytes")
 	// clusterMigrationNs is the coordinator-observed migration duration
-	// (SMigrate sent to SMigrated received).
+	// (the target's designation sent to its confirmation received).
 	clusterMigrationNs = obs.Default.Histogram("cluster.migration_ns")
 	// clusterMigrateOutNs / clusterMigrateInNs are the two ends of every
 	// replica pull, migration or not: Join read to last write on the

@@ -12,9 +12,8 @@ package cluster
 // missing — and the bulk transfer never transits the coordinator. The puller
 // installs nothing unless every chunk arrived in order and the stream is
 // exactly the size its chunks and TransferDone announced. Join-driven
-// acquisition, backup designation, divergence rollback, catch-up and live
-// migration (acquire at the target, then release at the source) all pull
-// this way; see Server.acquire.
+// acquisition, backup designation (a live migration's target among them),
+// divergence rollback and catch-up all pull this way; see Server.acquire.
 
 import (
 	"fmt"
@@ -54,8 +53,6 @@ type pulled struct {
 	state.Checkpointed
 	// members is the source registry's member list, read with the image.
 	members []wire.MemberInfo
-	// bytes is the payload size.
-	bytes uint64
 }
 
 // pullState fetches group's state from the server at addr: the inverse of
@@ -100,7 +97,6 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 		members: ack.Members,
 	}
 	if !ack.Streaming {
-		got.bytes = wire.NewTransferStream(ack.Objects, ack.Events).Total()
 		clusterMigrateInNs.Record(time.Since(start).Nanoseconds())
 		return got, nil
 	}
@@ -128,7 +124,6 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 			if got.Objects, got.History, err = asm.Finish(total); err != nil {
 				return pulled{}, err
 			}
-			got.bytes = total
 			clusterMigrateInNs.Record(time.Since(start).Nanoseconds())
 			return got, nil
 		default:

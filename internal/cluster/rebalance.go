@@ -4,9 +4,9 @@ package cluster
 // reports piggybacked on server heartbeats into a placement.Tracker, and on
 // every rebalance tick diffs each group's replica set against the
 // policy-desired set (internal/placement), executing the resulting actions:
-// designations through the ordinary backup path, migrations as an
-// acquisition at the target followed by a release at the source
-// (migrate.go), and releases as directed un-interest.
+// designations through the ordinary backup path, migrations as the
+// designation of the target followed, once it confirms, by the release of
+// the source, and releases as directed un-interest.
 
 import (
 	"fmt"
@@ -50,11 +50,26 @@ func (pc *PlacementConfig) applyDefaults(heartbeat time.Duration) {
 }
 
 // migrationRec is one in-flight migration, keyed by group (at most one per
-// group at a time).
+// group at a time). The target's answer to its designation retires it
+// (handleInterest).
 type migrationRec struct {
-	id       uint64
 	from, to uint64
 	started  time.Time
+}
+
+// order is a message for one server, built under c.mu and sent after it.
+type order struct {
+	p   *peer
+	msg wire.Message
+}
+
+// designateLocked records a backup designation of server for the group,
+// pending until the server answers with its SInterest either way, and
+// returns the designation to send it. Caller holds c.mu.
+func (c *Coordinator) designateLocked(group string, meta *groupMeta, server uint64) *wire.SInterest {
+	meta.interest[server] = &interest{backup: true, pending: true}
+	clusterBackupReassigns.Inc()
+	return &wire.SInterest{ServerID: server, Group: group, Interested: true, Backup: true}
 }
 
 // Replicas returns the IDs of the live servers holding a replica of the
@@ -88,8 +103,9 @@ func (c *Coordinator) Members(group string) []wire.MemberInfo {
 }
 
 // MigrateGroup triggers a live migration of the group's replica from one
-// server to another. It validates the endpoints and records the migration;
-// completion arrives asynchronously as an SMigrated.
+// server to another. It validates the endpoints, records the migration and
+// designates the target a backup; once the target confirms its replica, the
+// source is directed to release its own (handleInterest).
 func (c *Coordinator) MigrateGroup(group string, from, to uint64) error {
 	c.mu.Lock()
 	meta, ok := c.groups[group]
@@ -106,60 +122,20 @@ func (c *Coordinator) MigrateGroup(group string, from, to uint64) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: server %d holds no replica of %q", from, group)
 	}
-	src, srcLive := c.peers[from]
+	_, srcLive := c.peers[from]
 	dst, dstLive := c.peers[to]
 	if !srcLive || !dstLive {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: migration endpoints %d→%d not live", from, to)
 	}
-	req := c.startMigrationLocked(group, meta, src, dst)
+	c.migrations[group] = &migrationRec{from: from, to: to, started: c.cfg.Now()}
+	clusterMigrationsStarted.Inc()
+	designation := c.designateLocked(group, meta, to)
 	c.mu.Unlock()
 
 	c.log.Info("migration started", "group", group, "from", from, "to", to)
-	dst.send(req)
+	dst.send(designation)
 	return nil
-}
-
-// startMigrationLocked records an in-flight migration and builds the order
-// for its target: acquire the replica from src. Caller holds c.mu.
-func (c *Coordinator) startMigrationLocked(group string, meta *groupMeta, src, dst *peer) *wire.SMigrate {
-	c.nextMigration++
-	c.migrations[group] = &migrationRec{id: c.nextMigration, from: src.info.ID, to: dst.info.ID, started: c.cfg.Now()}
-	clusterMigrationsStarted.Inc()
-	return &wire.SMigrate{RequestID: c.nextMigration, Source: wire.SStateResponse{
-		Group: group, OK: true, Persistent: meta.persistent, NextSeq: c.seqr.Peek(group),
-		SourceID: src.info.ID, SourceAddr: src.info.Addr,
-	}}
-}
-
-// handleMigrated retires an in-flight migration record. The target holds
-// the replica now, so a successful migration ends with the directed release
-// of the source; a source whose clients joined meanwhile refuses it and the
-// migration degrades to a copy.
-func (c *Coordinator) handleMigrated(m *wire.SMigrated) {
-	c.mu.Lock()
-	rec, ok := c.migrations[m.Group]
-	if !ok || rec.id != m.RequestID {
-		c.mu.Unlock()
-		return // superseded or timed out; already accounted for
-	}
-	delete(c.migrations, m.Group)
-	src := c.peers[rec.from]
-	c.mu.Unlock()
-
-	if !m.OK {
-		clusterMigrationsFailed.Inc()
-		c.log.Warn("migration failed", "group", m.Group, "from", rec.from, "to", rec.to, "reason", m.Text)
-		return
-	}
-	clusterMigrationsDone.Inc()
-	clusterMigrationBytes.Add(int64(m.Bytes))
-	if d := c.cfg.Now().Sub(rec.started).Nanoseconds(); plausibleLatency(d) {
-		clusterMigrationNs.Record(d)
-	}
-	if src != nil {
-		src.send(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false})
-	}
 }
 
 // loadsLocked assembles the placement view of every live server: the
@@ -215,26 +191,20 @@ func (c *Coordinator) ensureReplicas(group string) {
 		return
 	}
 	sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
-	var chosen []*peer
+	var orders []order
 	for _, id := range c.policy.Desired(group, c.loadsLocked(), pinned) {
 		if _, holds := meta.interest[id]; holds {
 			continue
 		}
-		p, live := c.peers[id]
-		if !live {
-			continue
+		if p, live := c.peers[id]; live {
+			orders = append(orders, order{p, c.designateLocked(group, meta, id)})
 		}
-		// Record the designation optimistically so repeated interest
-		// updates do not re-elect; pending until the server confirms.
-		meta.interest[id] = &interest{backup: true, pending: true}
-		chosen = append(chosen, p)
 	}
 	c.mu.Unlock()
 
-	for _, p := range chosen {
-		clusterBackupReassigns.Inc()
-		c.log.Info("backup elected", "group", group, "server", p.info.ID)
-		p.send(&wire.SInterest{ServerID: p.info.ID, Group: group, Interested: true, Backup: true})
+	for _, o := range orders {
+		c.log.Info("backup elected", "group", group, "server", o.p.info.ID)
+		o.p.send(o.msg)
 	}
 }
 
@@ -242,17 +212,13 @@ func (c *Coordinator) ensureReplicas(group string) {
 // plan and execute actions for every group.
 func (c *Coordinator) rebalance() {
 	now := c.cfg.Now()
-	type sendCmd struct {
-		p   *peer
-		msg wire.Message
-	}
-	var sends []sendCmd
+	var sends []order
 	type migNote struct {
 		group    string
 		from, to uint64
 	}
 	var expired, launched []migNote
-	var reassigned, released int
+	var released int
 
 	c.mu.Lock()
 	if len(c.peers) == 0 {
@@ -296,25 +262,23 @@ func (c *Coordinator) rebalance() {
 		for _, act := range placement.PlanGroup(name, current, desired) {
 			switch act.Kind {
 			case placement.Designate:
-				p, live := c.peers[act.Server]
-				if !live {
-					continue
+				if p, live := c.peers[act.Server]; live {
+					sends = append(sends, order{p, c.designateLocked(name, meta, act.Server)})
 				}
-				meta.interest[act.Server] = &interest{backup: true, pending: true}
-				reassigned++
-				sends = append(sends, sendCmd{p, &wire.SInterest{ServerID: act.Server, Group: name, Interested: true, Backup: true}})
 			case placement.Migrate:
 				if budget <= 0 {
 					continue
 				}
-				src, srcLive := c.peers[act.From]
+				_, srcLive := c.peers[act.From]
 				dst, dstLive := c.peers[act.Server]
 				if !srcLive || !dstLive {
 					continue
 				}
 				budget--
+				c.migrations[name] = &migrationRec{from: act.From, to: act.Server, started: now}
+				clusterMigrationsStarted.Inc()
 				launched = append(launched, migNote{name, act.From, act.Server})
-				sends = append(sends, sendCmd{dst, c.startMigrationLocked(name, meta, src, dst)})
+				sends = append(sends, order{dst, c.designateLocked(name, meta, act.Server)})
 			case placement.Release:
 				p, live := c.peers[act.Server]
 				if !live {
@@ -324,7 +288,7 @@ func (c *Coordinator) rebalance() {
 				// drop with SInterest{Interested: false}; resending on
 				// later ticks is idempotent.
 				released++
-				sends = append(sends, sendCmd{p, &wire.SInterest{ServerID: act.Server, Group: name, Interested: false}})
+				sends = append(sends, order{p, &wire.SInterest{ServerID: act.Server, Group: name, Interested: false}})
 			}
 		}
 	}
@@ -335,9 +299,6 @@ func (c *Coordinator) rebalance() {
 	}
 	for _, m := range launched {
 		c.log.Info("migration started", "group", m.group, "from", m.from, "to", m.to)
-	}
-	if reassigned > 0 {
-		clusterBackupReassigns.Add(uint64(reassigned))
 	}
 	if released > 0 {
 		clusterReplicasReleased.Add(uint64(released))

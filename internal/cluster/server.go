@@ -609,13 +609,14 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 			ServerID: s.cfg.ID, Epoch: m.Epoch, Time: m.Time, Load: s.loadReport(),
 		})
 	case *wire.SInterest:
-		// Coordinator-to-server interest is a backup designation;
-		// un-interest is a directed release of a replica.
+		// Coordinator-to-server interest is a backup designation, a
+		// migration's target's included; un-interest is a directed release
+		// of a replica.
 		if m.Interested && m.Backup {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.becomeBackup(m.Group, nil)
+				_ = s.hold(m.Group, true)
 			}()
 		} else if !m.Interested {
 			s.wg.Add(1)
@@ -624,12 +625,6 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 				s.releaseDirected(m.Group)
 			}()
 		}
-	case *wire.SMigrate:
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.becomeBackup(m.Source.Group, m)
-		}()
 	case *wire.SDivergence:
 		s.wg.Add(1)
 		go func() {
@@ -647,7 +642,7 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 // call, so a gap in front of any event already received is closed. It
 // reports whether the catch-up succeeded.
 func (s *Server) catchUp(group string) bool {
-	if _, err := s.acquire(group, nil, false); err != nil {
+	if err := s.acquire(group, false); err != nil {
 		s.log.Warn("catch-up failed", "group", group, "err", err)
 		return false
 	}
@@ -817,51 +812,47 @@ func (s *Server) locate(group string) (*wire.SStateResponse, error) {
 const acquireAttempts = 5
 
 // acquire brings the local replica of a group level with a source replica:
-// ask the coordinator where the state lives (unless given already says — a
-// migration), pull what is missing from that server, install it. A server
-// without the group adopts the whole image; one that holds it applies the
-// events past its own high-water mark, or adopts the image when the source
-// has reduced those away; rewind installs the image over whatever is held
-// (divergence rollback). An acquisition installs nothing below the
-// sequencer's mark of the first answer: the replica ends up holding
-// everything sequenced before the acquisition began, some of which may
-// still have been in flight to the source when it captured. Transient
+// ask the coordinator where the state lives, pull what is missing from that
+// server, install it. A server without the group adopts the whole image; one
+// that holds it applies the events past its own high-water mark, or adopts
+// the image when the source has reduced those away; rewind installs the
+// image over whatever is held (divergence rollback). An acquisition installs
+// nothing below the sequencer's mark of the first answer: the replica ends up
+// holding everything sequenced before the acquisition began, some of which
+// may still have been in flight to the source when it captured. Transient
 // failures — no live holder, a source still acquiring the group itself or
 // behind the mark, a broken stream — are retried; an unknown group is final.
-// It returns the payload bytes of the pull that succeeded.
-func (s *Server) acquire(group string, given *wire.SStateResponse, rewind bool) (bytes uint64, err error) {
+func (s *Server) acquire(group string, rewind bool) error {
 	// A replica held at the outset is only ever brought forward: if it is
 	// given up meanwhile (a directed release, a delete), the acquisition
 	// ends rather than install the group again.
 	held := s.engine.HasGroup(group)
 	var mark uint64
+	var err error
 	for attempt := 0; attempt < acquireAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-s.stop:
-				return 0, ErrServerClosed
+				return ErrServerClosed
 			case <-time.After(time.Duration(attempt) * 100 * time.Millisecond):
 			}
 		}
-		loc := given
-		if loc == nil {
-			loc, err = s.locate(group)
-		}
-		if loc != nil {
+		var loc *wire.SStateResponse
+		if loc, err = s.locate(group); err == nil {
 			if mark == 0 {
 				mark = loc.NextSeq
 			}
-			bytes, err = s.pullFrom(loc, mark, held, rewind)
+			err = s.pullFrom(loc, mark, held, rewind)
 		}
 		if err == nil || errors.Is(err, errUnknownGroup) || errors.Is(err, ErrServerClosed) {
 			break
 		}
 	}
-	return bytes, err
+	return err
 }
 
 // pullFrom is one attempt of acquire against a located source.
-func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bool) (uint64, error) {
+func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bool) error {
 	group := loc.Group
 	var fromSeq uint64
 	if held && !rewind {
@@ -872,15 +863,15 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 	var err error
 	if loc.SourceID != 0 {
 		if got, err = s.pullState(loc.SourceAddr, group, fromSeq); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if got.NextSeq < mark {
-		return 0, fmt.Errorf("cluster: source %d of %q is at seq %d, behind the sequencer's mark %d", loc.SourceID, group, got.NextSeq, mark)
+		return fmt.Errorf("cluster: source %d of %q is at seq %d, behind the sequencer's mark %d", loc.SourceID, group, got.NextSeq, mark)
 	}
 	holds := s.engine.HasGroup(group)
 	if held && !holds {
-		return 0, fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group)
+		return fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group)
 	}
 	// What was pulled may continue what is held — the suffix asked for, or
 	// an image pulled while a racing acquisition installed the group. Unless
@@ -893,22 +884,51 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 			run[i] = core.DistEvent{Event: ev, SenderInclusive: true}
 		}
 		_, err = s.engine.ApplyDistributed(group, run)
-		return got.bytes, err
+		return err
 	}
 	// Without rewind, an image at or behind a replica that a racing path
 	// (another join, a migration) already produced is not installed:
 	// rewinding it would re-deliver events to members.
 	_, err = s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed, got.members, rewind)
-	return got.bytes, err
+	return err
 }
 
-// acquireGroup makes this server a replica of an existing group for a
-// joining client, and registers interest.
-func (s *Server) acquireGroup(group string) error {
-	if _, err := s.acquire(group, nil, false); err != nil {
+// hold makes this server a holder of an existing group's replica — for a
+// joining client, or as a designated backup (a migration's target among
+// them) — and answers the coordinator either way. It acquires the group
+// unless it is held already, reports its interest, and heals the
+// acquisition window: events sequenced between the image's capture and the
+// interest report were neither in the image nor distributed here, and with
+// no later traffic the gap check would never expose them. The report and
+// the catch-up's locate travel the same link in order, so everything
+// sequenced after the locator's mark is distributed here, and the catch-up
+// does not finish below the mark. An acquisition that fails reports the
+// group not held, so a designation never stays pending.
+func (s *Server) hold(group string, backup bool) error {
+	s.mu.Lock()
+	if backup {
+		s.backups[group] = true
+	}
+	backup = s.backups[group]
+	s.mu.Unlock()
+	var err error
+	if !s.engine.HasGroup(group) {
+		err = s.acquire(group, false)
+	}
+	if err != nil {
+		if backup {
+			s.log.Warn("backup acquisition failed", "group", group, "err", err)
+		}
+		if !s.engine.HasGroup(group) { // else a racing hold holds it
+			s.mu.Lock()
+			delete(s.backups, group)
+			s.mu.Unlock()
+			s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: false})
+		}
 		return err
 	}
-	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true})
+	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true, Backup: backup})
+	s.catchUp(group)
 	return nil
 }
 
@@ -941,49 +961,6 @@ func (s *Server) loadReport() wire.LoadReport {
 		Groups:   uint64(m.Gauges["engine.groups"]),
 		Sessions: uint64(m.Gauges["engine.sessions"]),
 		Bcasts:   m.Counters["engine.bcasts"],
-	}
-}
-
-// becomeBackup answers a coordinator designation: acquire the group (if
-// needed), confirm the backup interest, and heal the acquisition window. A
-// migration (mig non-nil) is the same designation with the source named by
-// the coordinator, and its outcome reported back.
-func (s *Server) becomeBackup(group string, mig *wire.SMigrate) {
-	s.mu.Lock()
-	s.backups[group] = true
-	s.mu.Unlock()
-	var loc *wire.SStateResponse
-	if mig != nil {
-		loc = &mig.Source
-	}
-	var bytes uint64
-	var err error
-	if !s.engine.HasGroup(group) {
-		bytes, err = s.acquire(group, loc, false)
-	}
-	if err != nil {
-		s.mu.Lock()
-		delete(s.backups, group)
-		s.mu.Unlock()
-		s.log.Warn("backup acquisition failed", "group", group, "err", err)
-	} else {
-		s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true, Backup: true})
-		// Heal the acquisition window: events sequenced between the image's
-		// capture and the interest registration above were neither in the
-		// image nor distributed here, and with no later traffic the gap
-		// check would never expose them. The registration and the catch-up's
-		// locate travel the same link in order, so everything sequenced
-		// after the locator's mark is distributed here, and the catch-up
-		// does not finish below the mark.
-		s.catchUp(group)
-		s.log.Info("backup replica installed", "group", group, "bytes", bytes)
-	}
-	if mig != nil {
-		res := &wire.SMigrated{RequestID: mig.RequestID, Group: group, OK: err == nil, Bytes: bytes}
-		if err != nil {
-			res.Text = err.Error()
-		}
-		s.sendToCoordinator(res)
 	}
 }
 
@@ -1023,7 +1000,7 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 // refresh their materialized copies (the paper leaves post-partition repair
 // "implemented in the client code").
 func (s *Server) rollbackGroup(group string) {
-	if _, err := s.acquire(group, nil, true); err != nil {
+	if err := s.acquire(group, true); err != nil {
 		s.log.Warn("rollback failed", "group", group, "err", err)
 		return
 	}
@@ -1117,7 +1094,7 @@ var errUnknownGroup = errors.New("cluster: no such group")
 // ensureGroup makes the group available locally, creating it via the
 // coordinator when permitted.
 func (s *Server) ensureGroup(group string, createIfMissing bool) error {
-	err := s.acquireGroup(group)
+	err := s.hold(group, false)
 	if !createIfMissing || !errors.Is(err, errUnknownGroup) {
 		return err
 	}
@@ -1129,7 +1106,7 @@ func (s *Server) ensureGroup(group string, createIfMissing bool) error {
 		return fmt.Errorf("cluster: create %q: %s", group, ack.Text)
 	}
 	if !s.engine.HasGroup(group) {
-		return s.acquireGroup(group)
+		return s.hold(group, false)
 	}
 	return nil
 }

@@ -26,10 +26,10 @@ type ActionKind uint8
 // Rebalance steps.
 const (
 	// Designate directs Server to acquire a fresh replica through the
-	// ordinary backup path (state fetch through the coordinator).
+	// ordinary backup path (state pulled from a holder).
 	Designate ActionKind = iota + 1
-	// Migrate streams the replica held by From directly to Server, then
-	// releases From.
+	// Migrate designates Server a backup and, once it confirms its
+	// replica, releases From.
 	Migrate
 	// Release directs Server to drop a surplus replica.
 	Release

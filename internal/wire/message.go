@@ -62,8 +62,6 @@ const (
 	KindSDivergence
 	KindSGroupsQuery
 	KindSGroupsReport
-	KindSMigrate
-	KindSMigrated
 )
 
 var kindNames = map[Kind]string{
@@ -114,8 +112,6 @@ var kindNames = map[Kind]string{
 	KindSDivergence:      "SDivergence",
 	KindSGroupsQuery:     "SGroupsQuery",
 	KindSGroupsReport:    "SGroupsReport",
-	KindSMigrate:         "SMigrate",
-	KindSMigrated:        "SMigrated",
 }
 
 func (k Kind) String() string {
@@ -185,8 +181,6 @@ var factories = map[Kind]func() Message{
 	KindSDivergence:      func() Message { return new(SDivergence) },
 	KindSGroupsQuery:     func() Message { return new(SGroupsQuery) },
 	KindSGroupsReport:    func() Message { return new(SGroupsReport) },
-	KindSMigrate:         func() Message { return new(SMigrate) },
-	KindSMigrated:        func() Message { return new(SMigrated) },
 }
 
 // Marshal encodes msg as a kind byte followed by the message body, appending

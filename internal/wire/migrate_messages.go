@@ -1,12 +1,13 @@
 package wire
 
-// This file defines the placement messages around the replica pull. A
-// group's state crosses between servers one way: the server that needs it
-// dials the peer listener of a server that holds it and joins the group like
-// a client — Hello, then Join — and reads the client's transfer: JoinAck,
-// then TransferChunk... and TransferDone when the image is streamed. A live
-// migration is the same pull, started at the target by the coordinator's
-// SMigrate and reported with SMigrated.
+// This file defines what the placement manager reads off the servers. A
+// placement decision moves no state itself: a group's state crosses between
+// servers one way, the server that needs it dialing the peer listener of a
+// server that holds it and joining the group like a client — Hello, then
+// Join — to read the client's transfer: JoinAck, then TransferChunk... and
+// TransferDone when the image is streamed. A live migration is a backup
+// designation of the target (SInterest), answered by the target's own
+// SInterest, and then the directed release of the source.
 
 // LoadReport is a server's lightweight load summary, piggybacked on every
 // server→coordinator SHeartbeat so the placement manager can weigh servers
@@ -35,63 +36,4 @@ func decodeLoadReport(d *Decoder) LoadReport {
 		Sessions: d.Uvarint(),
 		Bcasts:   d.Uvarint(),
 	}
-}
-
-// SMigrate directs a target server to acquire a replica from a named source
-// (coordinator → target). It carries a locator answer, so the target pulls
-// without asking where.
-type SMigrate struct {
-	RequestID uint64
-	// Source is what the coordinator would answer the target's own
-	// SStateRequest, with the source fixed to the migration's origin.
-	Source SStateResponse
-}
-
-// Kind implements Message.
-func (*SMigrate) Kind() Kind { return KindSMigrate }
-
-// Encode implements Message.
-func (m *SMigrate) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	m.Source.Encode(e)
-}
-
-// Decode implements Message.
-func (m *SMigrate) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return m.Source.Decode(d)
-}
-
-// SMigrated reports a finished migration to the coordinator (target →
-// coordinator), successful or not, so the placement manager can retire its
-// in-flight record and, on success, direct the source to release.
-type SMigrated struct {
-	RequestID uint64
-	Group     string
-	OK        bool
-	Text      string
-	// Bytes is the payload volume pulled from the source.
-	Bytes uint64
-}
-
-// Kind implements Message.
-func (*SMigrated) Kind() Kind { return KindSMigrated }
-
-// Encode implements Message.
-func (m *SMigrated) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutBool(m.OK)
-	e.PutString(m.Text)
-	e.PutUvarint(m.Bytes)
-}
-
-// Decode implements Message.
-func (m *SMigrated) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.OK = d.Bool()
-	m.Text = d.String()
-	m.Bytes = d.Uvarint()
-	return d.Err()
 }

@@ -130,12 +130,6 @@ var clusterRoundTrips = []Message{
 	&SDivergence{Group: "g", Resolution: ResolutionRollback},
 	&SGroupsQuery{RequestID: 8},
 	&SGroupsReport{RequestID: 8, Groups: []string{"a", "b"}},
-	&SMigrate{RequestID: 9, Source: SStateResponse{
-		Group: "g", OK: true, Persistent: true,
-		NextSeq: 12, SourceID: 3, SourceAddr: "127.0.0.1:9002",
-	}},
-	&SMigrated{RequestID: 9, Group: "g", OK: true, Bytes: 4096},
-	&SMigrated{RequestID: 9, Group: "g", Text: "digest mismatch"},
 }
 
 func TestRoundTripClusterMessages(t *testing.T) {
