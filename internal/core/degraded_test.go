@@ -206,3 +206,37 @@ func TestDegradedShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDegradedCloseAfterFailedReopen pins Close's contract for a degraded
+// engine: it reports nil. The reopen attempt here swaps in a fresh log
+// whose floor checkpoint fails on the dead disk, which seals and rolls that
+// log without failing it; whether the floor the commit callback schedules
+// behind it fails the log before Close drains it is up to the scheduler,
+// and a log that is not failed fsyncs the dead disk as it closes. The
+// backoff keeps the reopen loop asleep; the test makes the one attempt.
+func TestDegradedCloseAfterFailedReopen(t *testing.T) {
+	dir := t.TempDir()
+	fs := faultfs.New(9)
+	e, err := NewEngine(EngineConfig{
+		Dir: dir, Sync: wal.SyncAlways, WALFS: fs,
+		ReopenBackoff: time.Hour,
+		Logger:        quietTestLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := e.CreateGroupDirect("g", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	fs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: -1, Err: errors.New("dead disk")})
+	_ = applyDeferred(t, e, joinWriter(t, e), "x|")
+	waitFor(t, "degraded entry", e.Degraded)
+
+	if e.tryReopen() {
+		t.Fatal("a reopen over a dead disk cleared degraded")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close of a degraded engine = %v, want nil", err)
+	}
+}

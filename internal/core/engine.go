@@ -142,8 +142,6 @@ type walLog interface {
 	AppendAsync(payload []byte, done func(lsn uint64, err error)) error
 	// Barrier blocks until everything queued so far is durable.
 	Barrier() error
-	// Replay streams records at or after from, in LSN order.
-	Replay(from uint64, fn func(lsn uint64, payload []byte) error) error
 	// TruncateBefore drops whole segments strictly below lsn.
 	TruncateBefore(lsn uint64) error
 	// SegmentCount reports the live segment count (GC observability).
@@ -307,17 +305,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e.reporter = newErrReporter(e.log, e.mLogDrops)
 	e.fanout = newFanoutPool(e, fanoutWidth(cfg.FanoutShards))
 	if cfg.Dir != "" && !cfg.Stateless {
-		l, err := wal.Open(wal.Options{
+		err := e.recover(wal.Options{
 			Dir: cfg.Dir, Sync: cfg.Sync,
 			SyncEvery: cfg.SyncEvery, SegmentSize: cfg.SegmentSize,
 			FS: cfg.WALFS,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: open wal: %w", err)
-		}
-		e.wal = l
-		if err := e.recover(); err != nil {
-			l.Close()
 			return nil, fmt.Errorf("core: recover: %w", err)
 		}
 	}
@@ -362,7 +355,11 @@ func (e *Engine) syncGroupsGauge() {
 
 // Close shuts the engine down: senders blocked on fanout backpressure are
 // woken, every session is closed, the fanout pool drains and stops, and
-// the log is flushed. Safe to call more than once.
+// the log is flushed. Close of a degraded engine reports nil whatever its
+// log's close returns: the degradation was reported when it began (nacks,
+// engine.degraded, /healthz), and the log a failed reopen attempt left
+// behind makes no durability promise a final fsync could keep. Safe to
+// call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -388,10 +385,14 @@ func (e *Engine) Close() error {
 	e.mu.Lock()
 	l := e.wal
 	e.mu.Unlock()
-	if l != nil {
-		return l.Close()
+	if l == nil {
+		return nil
 	}
-	return nil
+	err := l.Close()
+	if e.degraded.Load() {
+		return nil
+	}
+	return err
 }
 
 // Stateless reports whether the engine runs in the sequencer-only baseline

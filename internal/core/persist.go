@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -68,49 +67,24 @@ func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
 	return e.Bytes()
 }
 
-// recover rebuilds the persistent groups from the stable-storage log, in
-// two steps. The log is a set of independent per-group streams interleaved
-// by LSN, and groups are independent ordering domains, so only the split
-// is serial: one wal.Replay pass sorts each record to its group, keeping
-// the group's last create or checkpoint and the events after it (a delete
-// drops the group). Then the groups are rebuilt concurrently, each by one
-// worker that sees only its own records, and installed in one write-lock
-// section. A record a later create, checkpoint or delete of its group
-// supersedes, or an event of a group with neither, never reaches the
-// recovered state and is not decoded; wal still checks its CRC. Called
-// from NewEngine before any session exists.
-func (e *Engine) recover() error {
-	e.mu.RLock()
-	l := e.wal
-	e.mu.RUnlock()
-	live := make(map[string]*groupLog)
-	replayErr := l.Replay(0, func(lsn uint64, payload []byte) error {
-		if len(payload) == 0 {
-			return errors.New("core: empty wal record")
-		}
-		d := wire.NewDecoder(payload[1:])
-		group := d.String()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("core: wal record %d: %w", lsn, err)
-		}
-		body := payload[len(payload)-d.Remaining():]
-		switch tag := payload[0]; tag {
-		case recCreate, recCheckpoint:
-			live[group] = &groupLog{name: group, baseLSN: lsn, baseTag: tag, base: append([]byte(nil), body...)}
-		case recDelete:
-			delete(live, group)
-		case recEvent:
-			if gl := live[group]; gl != nil {
-				gl.add(lsn, body)
-			}
-		default:
-			return fmt.Errorf("core: unknown wal record tag %d at %d", tag, lsn)
-		}
-		return nil
-	})
+// recover opens the stable-storage log and rebuilds the persistent groups
+// from it, in two steps. The log is a set of independent per-group streams
+// interleaved by LSN, and groups are independent ordering domains, so only
+// the split is serial: wal.Recover hands each record to split.record in the
+// same pass that reads and checks it, and the split keeps, per group, the
+// group's last create or checkpoint and the events after it (a delete drops
+// the group), as slices into wal's segment reads. Then the groups are
+// rebuilt concurrently, each by one worker that sees only its own records,
+// and installed with the log in one write-lock section. A record a later
+// create, checkpoint or delete of its group supersedes, or an event of a
+// group with neither, never reaches the recovered state and is not decoded;
+// wal still checks its CRC. Called from NewEngine before any session exists.
+func (e *Engine) recover(opts wal.Options) error {
+	sp := split{}
+	l, splitErr := wal.Recover(opts, sp.record)
 
-	groups := make([]*groupLog, 0, len(live))
-	for _, gl := range live {
+	groups := make([]*groupLog, 0, len(sp))
+	for _, gl := range sp {
 		groups = append(groups, gl)
 	}
 	buildGroups(groups)
@@ -124,14 +98,18 @@ func (e *Engine) recover() error {
 		}
 	}
 	if first != nil {
+		if l != nil {
+			l.Close()
+		}
 		return first.err
 	}
-	if replayErr != nil {
-		return replayErr
+	if splitErr != nil {
+		return splitErr
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.wal = l
 	for _, gl := range groups {
 		e.registerLocked(gl.name, true, gl.st)
 		// The base record is the oldest one the group needs.
@@ -142,11 +120,37 @@ func (e *Engine) recover() error {
 	return nil
 }
 
-// recoverChunk sizes the chunks a group's event records are copied into
-// during recovery's split: one allocation per 256 KiB of log instead of one
-// per record, and no re-copy as a stream grows, which one doubling slice
-// per group would pay.
-const recoverChunk = 256 << 10
+// split sorts recovery's records to the groups they rebuild. It copies no
+// record: the bodies it keeps point into the segment reads wal.Recover hands
+// over, which nothing writes again.
+type split map[string]*groupLog
+
+func (sp split) record(lsn uint64, payload []byte) error {
+	if len(payload) == 0 {
+		return errors.New("core: empty wal record")
+	}
+	d := wire.NewDecoder(payload[1:])
+	// The name stays bytes: a lookup by string(name) allocates nothing.
+	name := d.Bytes()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: wal record %d: %w", lsn, err)
+	}
+	body := payload[len(payload)-d.Remaining():]
+	switch tag := payload[0]; tag {
+	case recCreate, recCheckpoint:
+		group := string(name)
+		sp[group] = &groupLog{name: group, baseLSN: lsn, baseTag: tag, base: body}
+	case recDelete:
+		delete(sp, string(name))
+	case recEvent:
+		if gl := sp[string(name)]; gl != nil {
+			gl.events = append(gl.events, logRecord{lsn: lsn, body: body})
+		}
+	default:
+		return fmt.Errorf("core: unknown wal record tag %d at %d", tag, lsn)
+	}
+	return nil
+}
 
 // groupLog is one group's stream as recovery's split leaves it, and then
 // what its rebuild made of it.
@@ -155,26 +159,18 @@ type groupLog struct {
 	baseLSN uint64
 	baseTag byte   // recCreate or recCheckpoint
 	base    []byte // the base record's body, after tag and group name
-	// events holds the event records after the base, in LSN order, each
-	// packed as uvarint LSN, uvarint length, body.
-	events [][]byte
+	events  []logRecord
 
 	st     *state.Group
 	err    error
 	errLSN uint64 // the record err is about
 }
 
-// add copies one event record's body into the stream.
-func (gl *groupLog) add(lsn uint64, body []byte) {
-	need := 2*binary.MaxVarintLen64 + len(body)
-	n := len(gl.events)
-	if n == 0 || cap(gl.events[n-1])-len(gl.events[n-1]) < need {
-		gl.events = append(gl.events, make([]byte, 0, max(recoverChunk, need)))
-		n++
-	}
-	c := binary.AppendUvarint(gl.events[n-1], lsn)
-	c = binary.AppendUvarint(c, uint64(len(body)))
-	gl.events[n-1] = append(c, body...)
+// logRecord is one event record after a group's base: its LSN and its body,
+// after tag and group name.
+type logRecord struct {
+	lsn  uint64
+	body []byte
 }
 
 // buildGroups rebuilds every group on min(GOMAXPROCS, #groups) workers,
@@ -196,37 +192,30 @@ func buildGroups(groups []*groupLog) {
 }
 
 // build rebuilds the group: its base record's state, then each event record
-// in order, releasing the stream's chunks as it goes. It reports the LSN of
-// the record that failed, if one did.
+// in order. It reports the LSN of the record that failed, if one did.
 func (gl *groupLog) build() (*state.Group, uint64, error) {
 	st, err := gl.restoreBase()
-	gl.base = nil
 	if err != nil {
 		return nil, gl.baseLSN, err
 	}
-	for i, c := range gl.events {
-		gl.events[i] = nil
-		d := wire.NewDecoder(c)
-		for d.Remaining() > 0 {
-			lsn := d.Uvarint()
-			rec := wire.NewDecoder(d.Bytes())
-			// The event's Data aliases the chunk; Apply copies it.
-			ev := wire.DecodeEventAlias(rec)
-			if err := rec.Err(); err != nil {
-				return nil, lsn, fmt.Errorf("core: wal event %d: %w", lsn, err)
-			}
-			if ev.Seq != st.NextSeq() {
-				// Behind: already covered by the base checkpoint. Ahead: a
-				// failed batch burned the intervening LSNs, so this record
-				// cannot apply over the gap — it is restored instead by the
-				// floor checkpoint the engine enqueued behind the failure
-				// (its history covers every event sequenced before it, this
-				// one included), which is then this group's base.
-				continue
-			}
-			if err := st.Apply(ev); err != nil {
-				return nil, lsn, fmt.Errorf("core: wal event %d: %w", lsn, err)
-			}
+	for _, rec := range gl.events {
+		d := wire.NewDecoder(rec.body)
+		// The event's Data aliases the segment read; Apply copies it.
+		ev := wire.DecodeEventAlias(d)
+		if err := d.Err(); err != nil {
+			return nil, rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
+		}
+		if ev.Seq != st.NextSeq() {
+			// Behind: already covered by the base checkpoint. Ahead: a
+			// failed batch burned the intervening LSNs, so this record
+			// cannot apply over the gap — it is restored instead by the
+			// floor checkpoint the engine enqueued behind the failure
+			// (its history covers every event sequenced before it, this
+			// one included), which is then this group's base.
+			continue
+		}
+		if err := st.Apply(ev); err != nil {
+			return nil, rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
 		}
 	}
 	return st, 0, nil

@@ -3,11 +3,15 @@ package wal_test
 // Fault-injection coverage for the WAL failure policy, driven through the
 // wal.FS seam by internal/faultfs: torn tails mid-group-commit batch,
 // ENOSPC during roll, sticky-fsync transitions into the terminal failed
-// state, and Replay over a segment sealed by a failed batch.
+// state, Replay over a segment sealed by a failed batch, and an open that
+// cannot open or read a segment.
 
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"corona/internal/faultfs"
@@ -230,4 +234,67 @@ func TestFaultReplaySealedSegment(t *testing.T) {
 	if r.NextLSN() != post[len(post)-1]+1 {
 		t.Fatalf("NextLSN after reopen = %d, want %d", r.NextLSN(), post[len(post)-1]+1)
 	}
+}
+
+// TestFaultOpenReadErrorKeepsSegment and TestFaultReadErrorKeepsSegment
+// open a log whose segment cannot be opened for reading, or read, once. An
+// I/O error is not a torn record: the open must fail and leave the segment
+// byte-identical, and the next open on a healed disk must find every
+// acknowledged record.
+func TestFaultOpenReadErrorKeepsSegment(t *testing.T) {
+	testReadErrorKeepsSegment(t, faultfs.OpOpenRead)
+}
+
+func TestFaultReadErrorKeepsSegment(t *testing.T) {
+	testReadErrorKeepsSegment(t, faultfs.OpRead)
+}
+
+func testReadErrorKeepsSegment(t *testing.T, op faultfs.Op) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("acked-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := segmentFiles(t, dir)
+
+	fs := faultfs.New(13)
+	fs.Inject(faultfs.Rule{Op: op, Count: 1, Err: errors.New("EIO")})
+	if r, err := wal.Open(wal.Options{Dir: dir, FS: fs}); err == nil {
+		r.Close()
+		t.Fatalf("open succeeded over a failed %v", op)
+	}
+	if after := segmentFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a failed %v changed the log", op)
+	}
+
+	r := openFault(t, dir, faultfs.New(14), wal.Options{})
+	if got := replayAll(t, r); len(got) != 10 || got[9] != "acked-9" {
+		t.Fatalf("after a failed %v the healed open replays %v, want 10 acked records", op, got)
+	}
+}
+
+// segmentFiles reads every file of a log directory.
+func segmentFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = data
+	}
+	return out
 }

@@ -5,10 +5,14 @@
 //
 // The log is a sequence of records, each assigned a monotonically
 // increasing log sequence number (LSN), stored across size-bounded segment
-// files. Records carry a CRC-32C checksum; recovery scans segments and
-// truncates a torn tail (the paper accepts losing the latest unflushed
-// updates on a crash — §6). Log reduction drops whole segments whose
-// records precede a checkpoint (TruncateBefore).
+// files. Records carry a CRC-32C checksum; opening the log reads each
+// segment once, checks each record once, and truncates a torn tail (the
+// paper accepts losing the latest unflushed updates on a crash — §6).
+// A payload Recover hands over points into its segment's read, which the
+// log never writes and does not keep: it stays valid for as long as the
+// caller holds it, while Replay's lives only until its callback returns.
+// Log reduction drops whole segments whose records precede a checkpoint
+// (TruncateBefore).
 //
 // Storage faults follow the "fsyncgate" rule: after a failed fsync the
 // durability of the file's recent writes is unknown, and a later fsync of
@@ -28,6 +32,8 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,10 +168,19 @@ type pendingAppend struct {
 	done    func(lsn uint64, err error)
 }
 
-// Open opens (creating if necessary) the log in opts.Dir and recovers its
-// tail: each segment is scanned and truncated at the first torn or corrupt
-// record.
-func Open(opts Options) (*Log, error) {
+// Open is Recover(opts, nil): it opens the log and hands its records to no one.
+func Open(opts Options) (*Log, error) { return Recover(opts, nil) }
+
+// Recover opens (creating if necessary) the log in opts.Dir and, in the pass
+// that checks it, hands every intact record to fn in LSN order. Each segment
+// is read whole, in one read, and each record is checked once. Up to
+// GOMAXPROCS segments are read at once and at most that many are held, while
+// fn runs on the calling goroutine in segment order. fn's payload points
+// into its segment's read, which the log never writes again and does not
+// keep: fn may keep the payload, and the segment stays live while it does.
+// A torn or corrupt tail is cut only after fn has accepted every record, so
+// an I/O error or an error from fn fails the open and changes no file.
+func Recover(opts Options, fn func(lsn uint64, payload []byte) error) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -186,7 +201,7 @@ func Open(opts Options) (*Log, error) {
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	if err := l.load(); err != nil {
+	if err := l.load(fn); err != nil {
 		return nil, err
 	}
 	walSegments.Add(int64(len(l.segments)) + 1)
@@ -199,7 +214,7 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-func (l *Log) load() error {
+func (l *Log) load(fn func(lsn uint64, payload []byte) error) error {
 	names, err := l.fs.ReadDir(l.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -217,21 +232,30 @@ func (l *Log) load() error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 
-	// Count records in every segment and repair torn tails. Any segment
-	// can end torn, not just the last: a commit failure seals a segment at
-	// whatever prefix reached the disk, and a crash then tears whatever
-	// the failed fsync left behind. Replay tolerates the resulting LSN
-	// gaps between segments (the lost records were never acknowledged as
-	// durable).
+	// Any segment can end torn, not just the last: a commit failure seals a
+	// segment at whatever prefix reached the disk, and a crash then tears
+	// whatever the failed fsync left behind. The LSN gaps this leaves between
+	// segments are tolerated: the lost records were never acknowledged.
+	ends := make([]segRead, len(segs)) // each segment's intact prefix
+	err = readSegments(l.fs, segs, func(i int, r segRead) error {
+		segs[i].count, ends[i] = uint64(len(r.recs)), segRead{valid: r.valid, torn: r.torn}
+		for k := 0; fn != nil && k < len(r.recs); k++ {
+			if err := fn(segs[i].first+uint64(k), r.recs[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	for i := range segs {
-		count, validLen, err := scanSegment(l.fs, segs[i].path)
-		if err != nil {
-			if terr := l.fs.Truncate(segs[i].path, validLen); terr != nil {
-				return fmt.Errorf("wal: truncate torn tail: %w", terr)
+		if ends[i].torn {
+			if err := l.fs.Truncate(segs[i].path, ends[i].valid); err != nil {
+				return fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
 			walTornTruncations.Inc()
 		}
-		segs[i].count = count
 	}
 
 	if len(segs) == 0 {
@@ -247,57 +271,83 @@ func (l *Log) load() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	size, err := l.fs.Size(lastSeg.path)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
 	l.f = f
-	l.size = size
+	l.size = ends[len(segs)-1].valid
 	l.w = bufio.NewWriterSize(f, 256<<10)
 	return nil
 }
 
-// scanSegment counts intact records and returns the byte length of the
-// valid prefix. A non-nil error indicates the file ends in a torn or
-// corrupt record at offset validLen.
-func scanSegment(fs FS, path string) (count uint64, validLen int64, err error) {
+// segRead is one segment as readSegment read and checked it.
+type segRead struct {
+	recs  [][]byte // the intact records' payloads, pointing into the read
+	valid int64    // byte length of the intact prefix
+	torn  bool     // the file goes on past valid: a torn or corrupt record
+	err   error    // the file could not be read
+}
+
+// readSegment reads the segment at path whole, in one read sized by
+// FS.Size, and walks its records: it is the log's one record walker, and the
+// only code that checks a record's header, length and CRC. It stops at the
+// first torn or corrupt record. A payload points into the read with its
+// capacity clipped, so appending to it cannot write over the next record.
+func readSegment(fs FS, path string) (r segRead) {
 	f, err := fs.OpenRead(path)
 	if err != nil {
-		return 0, 0, err
+		return segRead{err: fmt.Errorf("wal: %w", err)}
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	var (
-		hdr [recHdr]byte
-		buf []byte
-		off int64
-	)
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return count, off, nil
-			}
-			return count, off, errBadRecord
-		}
-		crc := binary.BigEndian.Uint32(hdr[0:4])
-		n := binary.BigEndian.Uint32(hdr[4:8])
-		if n > MaxRecordSize {
-			return count, off, errBadRecord
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return count, off, errBadRecord
-		}
-		if crc32.Checksum(buf, crcTable) != crc {
-			return count, off, errBadRecord
-		}
-		count++
-		off += recHdr + int64(n)
+	size, err := fs.Size(path)
+	if err != nil {
+		return segRead{err: fmt.Errorf("wal: %w", err)}
 	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return segRead{err: fmt.Errorf("wal: read %s: %w", path, err)}
+	}
+	for size-r.valid >= recHdr {
+		rec := data[r.valid:]
+		crc := binary.BigEndian.Uint32(rec[0:4])
+		n := int64(binary.BigEndian.Uint32(rec[4:8]))
+		if n > MaxRecordSize || int64(len(rec))-recHdr < n {
+			break
+		}
+		payload := rec[recHdr : recHdr+n : recHdr+n]
+		if crc32.Checksum(payload, crcTable) != crc {
+			break
+		}
+		r.recs = append(r.recs, payload)
+		r.valid += recHdr + n
+	}
+	r.torn = r.valid < size
+	return r
+}
+
+// readSegments hands segs' reads to each in order, with up to GOMAXPROCS in
+// flight: a read starts once the one that many places before it was handed
+// over. The first read error or error from each stops it.
+func readSegments(fs FS, segs []segment, each func(i int, r segRead) error) error {
+	window := runtime.GOMAXPROCS(0)
+	reads := make([]chan segRead, len(segs))
+	start := func(i int) {
+		if i < len(segs) {
+			reads[i] = make(chan segRead, 1)
+			go func() { reads[i] <- readSegment(fs, segs[i].path) }()
+		}
+	}
+	for i := range window {
+		start(i)
+	}
+	for i := range segs {
+		r := <-reads[i]
+		if r.err != nil {
+			return r.err
+		}
+		if err := each(i, r); err != nil {
+			return err
+		}
+		start(i + window)
+	}
+	return nil
 }
 
 func segPath(dir string, first uint64) string {
@@ -317,7 +367,7 @@ func (l *Log) roll() error {
 		l.f, l.w = nil, nil
 		l.segments = append(l.segments, l.active)
 		// A real roll adds a segment; the initial roll during load is
-		// accounted by Open.
+		// accounted by Recover.
 		walRolls.Inc()
 		walSegments.Add(1)
 	}
@@ -379,9 +429,8 @@ func (l *Log) sealActiveLocked() {
 	_ = l.f.Close()
 	l.f, l.w = nil, nil
 	l.needSync = false
-	count, _, _ := scanSegment(l.fs, l.active.path)
 	sealed := l.active
-	sealed.count = count
+	sealed.count = uint64(len(readSegment(l.fs, l.active.path).recs))
 	l.segments = append(l.segments, sealed)
 	walSeals.Inc()
 }
@@ -649,30 +698,26 @@ func (l *Log) Size() int64 {
 	return total
 }
 
-// Replay calls fn for every record with LSN >= from, in order. The payload
-// slice is reused between calls; fn must copy it to retain it. Replay sees
-// only records appended before it starts. LSN gaps left by sealed segments
-// are skipped silently.
+// Replay calls fn for every record with LSN >= from, in order; fn must copy
+// a payload to retain it. Replay sees only records appended before it
+// starts. LSN gaps left by sealed segments are skipped silently.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	segs := make([]segment, 0, len(l.segments)+1)
-	segs = append(segs, l.segments...)
+	segs := append([]segment(nil), l.segments...)
 	if l.w != nil {
 		if l.failed {
 			// The tail's durability is unknown; expose whatever the disk
 			// actually holds.
 			_ = l.w.Flush()
-			count, _, _ := scanSegment(l.fs, l.active.path)
 			tail := l.active
-			tail.count = count
+			tail.count = uint64(len(readSegment(l.fs, l.active.path).recs))
 			segs = append(segs, tail)
 		} else {
-			// Flush so the active file content is visible to the reader
-			// below.
+			// Flush so the reader below sees the active file's content.
 			if err := l.w.Flush(); err != nil {
 				l.mu.Unlock()
 				return err
@@ -683,54 +728,20 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 	limit := l.nextLSN
 	l.mu.Unlock()
 
-	var buf []byte
-	for _, s := range segs {
-		if s.first+s.count <= from {
-			continue
+	segs = slices.DeleteFunc(segs, func(s segment) bool { return s.first+s.count <= from })
+	return readSegments(l.fs, segs, func(i int, r segRead) error {
+		s := segs[i]
+		want := min(s.count, limit-s.first)
+		if got := uint64(len(r.recs)); got < want {
+			return fmt.Errorf("wal: replay %s lsn %d: %w", s.path, s.first+got, errBadRecord)
 		}
-		err := replaySegment(l.fs, s, from, limit, &buf, fn)
-		if err != nil {
-			return err
+		for k := max(from, s.first) - s.first; k < want; k++ {
+			if err := fn(s.first+k, r.recs[k]); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
-}
-
-func replaySegment(fs FS, s segment, from, limit uint64, buf *[]byte, fn func(uint64, []byte) error) error {
-	f, err := fs.OpenRead(s.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	var hdr [recHdr]byte
-	for lsn := s.first; lsn < s.first+s.count && lsn < limit; lsn++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", s.path, err)
-		}
-		crc := binary.BigEndian.Uint32(hdr[0:4])
-		n := binary.BigEndian.Uint32(hdr[4:8])
-		if n > MaxRecordSize {
-			return fmt.Errorf("wal: replay %s: %w", s.path, errBadRecord)
-		}
-		if cap(*buf) < int(n) {
-			*buf = make([]byte, n)
-		}
-		b := (*buf)[:n]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", s.path, err)
-		}
-		if crc32.Checksum(b, crcTable) != crc {
-			return fmt.Errorf("wal: replay %s lsn %d: %w", s.path, lsn, errBadRecord)
-		}
-		if lsn < from {
-			continue
-		}
-		if err := fn(lsn, b); err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // TruncateBefore removes whole segments all of whose records have

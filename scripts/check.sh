@@ -98,8 +98,13 @@ echo "== cold recovery (race)"
 # re-create, a lost fsync batch) recovers to the writer's images at
 # GOMAXPROCS 1 and 4; opening writes nothing; a broken log is reported at
 # its lowest failing LSN whichever worker finds it; a superseded record is
-# not decoded. -count=1 so the race detector sees the workers every gate.
-go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded' ./internal/core >/dev/null
+# not decoded. The log's one read: wal.Recover hands over exactly the
+# records a later Replay yields, across a torn segment and an LSN gap, at
+# one reader and four, and the payloads it handed over stay valid; an error
+# from the consumer, or a segment that cannot be opened or read, fails the
+# open and changes no file. -count=1 so the race detector sees the workers
+# and the read-ahead every gate.
+go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment' ./internal/core ./internal/wal >/dev/null
 
 echo "== replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
