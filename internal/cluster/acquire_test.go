@@ -9,6 +9,7 @@ package cluster_test
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,9 +310,8 @@ func TestSequenceGapHealed(t *testing.T) {
 	if !lost.Load() {
 		t.Fatal("the relay never dropped seq 2: the gap path did not run")
 	}
-	// Whichever noticed first — the gap check on seq 3, or a catch-up B
-	// already owed as a fresh backup — a pull from a holder filled the hole.
-	// (The catch-up is counted once it returns, just after it delivers.)
+	// The gap check on seq 3 started a pull from a holder that filled the
+	// hole. (The catch-up is counted once it returns, just after it delivers.)
 	waitFor(t, 5*time.Second, func() bool {
 		return obs.Default.Snapshot().Counters["cluster.catchups"] > caught
 	})
@@ -375,7 +375,6 @@ func TestOneCatchUpPerGap(t *testing.T) {
 	}, nil))
 	counter := func(name string) uint64 { return obs.Default.Snapshot().Counters[name] }
 
-	warm := counter("cluster.catchups")
 	sinkB := newSink()
 	ca := dialTo(t, a, "a", nil)
 	cb := dialTo(t, b, "b", sinkB)
@@ -391,9 +390,9 @@ func TestOneCatchUpPerGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sinkB.wait(t, 1)
-	// Warm-up: B is the group's designated second replica, and its backup
-	// designation ends with a catch-up of its own.
-	waitFor(t, 10*time.Second, func() bool { return counter("cluster.catchups") > warm })
+	// Warm-up: B holds the group's second replica once the coordinator lists
+	// it, so no acquisition of B's own is still in flight.
+	waitFor(t, 10*time.Second, func() bool { return slices.Contains(tc.coord.Replicas("g"), 3) })
 
 	caught, gaps := counter("cluster.catchups"), counter("cluster.seq_gaps")
 	for i := 1; i < 13; i++ {
@@ -763,4 +762,85 @@ func TestReplicaPullIsFlowControlled(t *testing.T) {
 		t.Fatalf("engine.transfer_inflight_bytes peaked at %d, above the window of %d", p, window*wire.TransferChunkSize)
 	}
 	t.Logf("%d-byte pull: %d chunks, in flight at most %d bytes", size, want, peak.Load())
+}
+
+// TestOneLocatePerAcquisition: bob's join is server B's first use of g. B's
+// acquisition joins g's stream at the mark its locate reads, so the join
+// costs one locate: no second locate and pull heals a window after it.
+func TestOneLocatePerAcquisition(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	alice := dialTo(t, a, "alice", nil)
+	if err := alice.CreateGroup("g", false, []wire.Object{{ID: "doc", Data: []byte("v0")}}); err != nil {
+		t.Fatal(err)
+	}
+	// B registers after g's create, so no designation makes it g's backup.
+	var locates atomic.Int32
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), nil, func(m wire.Message) []wire.Message {
+		if r, ok := m.(*wire.SStateRequest); ok && r.Group == "g" {
+			locates.Add(1)
+		}
+		return []wire.Message{m}
+	}))
+
+	bob := dialTo(t, b, "bob", nil)
+	res, err := bob.Join("g", client.JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Objects) != 1 || string(res.Objects[0].Data) != "v0" {
+		t.Fatalf("bob's transfer = %+v, want doc=v0", res.Objects)
+	}
+	waitFor(t, 5*time.Second, func() bool { return slices.Contains(tc.coord.Replicas("g"), 3) })
+	if n := locates.Load(); n != 1 {
+		t.Fatalf("B located g %d times for its first join, want 1", n)
+	}
+}
+
+// TestBackupSeesMembersOrderedDuringItsPull: B is g's designated backup, and
+// its pull of g is slowed by a fault proxy in front of A's peer listener.
+// carol joins g on A after A has answered the pull and before B has the
+// image, so the image does not list her. B's stream starts at its locate:
+// carol's ordered join reaches B during the pull, waits behind it, and B's
+// registry lists her once B holds g.
+func TestBackupSeesMembersOrderedDuringItsPull(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	slow, err := faultnet.New("127.0.0.1:0", a.PeerAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { slow.Close() })
+	slow.SetDelay(250 * time.Millisecond)
+	b := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), func(m wire.Message) []wire.Message {
+		if r, ok := m.(*wire.SStateResponse); ok && r.Group == "g" && r.SourceID != 0 {
+			r.SourceAddr = slow.Addr()
+		}
+		return []wire.Message{m}
+	}, nil))
+
+	served := func() uint64 { return obs.Default.Snapshot().Histograms["cluster.migrate_out_ns"].Count }
+	before := served()
+	alice := dialTo(t, a, "alice", nil)
+	if err := alice.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A has written its answer to B's pull; the proxy holds it back.
+	waitFor(t, 10*time.Second, func() bool { return served() > before })
+	carol := dialTo(t, a, "carol", nil)
+	if _, err := carol.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if b.Engine().HasGroup("g") {
+		t.Fatal("B installed g before carol's join was ordered: the pull was not slowed")
+	}
+	waitFor(t, 10*time.Second, func() bool { return slices.Contains(tc.coord.Replicas("g"), 3) })
+	watcher := dialTo(t, b, "watcher", nil)
+	ms, err := watcher.Membership("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := memberNames(ms); !slices.Equal(got, []string{"carol"}) {
+		t.Fatalf("B's members of g = %v, want [carol]", got)
+	}
 }

@@ -103,8 +103,9 @@ func (p *peer) send(msg wire.Message) {
 // interest records that one server holds a replica of a group, and how.
 type interest struct {
 	backup bool
-	// pending marks a backup designation the server has not confirmed
-	// yet: it cannot serve state requests until its replica exists.
+	// pending marks a stake the server has not confirmed yet, a backup
+	// designation or the stream a locate started: it cannot serve state
+	// requests until its replica exists.
 	pending bool
 }
 
@@ -477,23 +478,19 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 	}
 
 	var backupChecks []string
-	var failed []*peer
 	for name, meta := range c.groups {
 		if _, had := meta.interest[p.info.ID]; had {
 			delete(meta.interest, p.info.ID)
 			backupChecks = append(backupChecks, name)
 		}
 		for _, m := range meta.hosted(p.info.ID) {
-			failed = c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m, failed)
+			c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m)
 		}
 	}
 	c.mu.Unlock()
 
 	c.log.Warn("server lost", "server", p.info.ID, "reason", reason)
 	p.pump.Close()
-	for _, fp := range failed {
-		_ = fp.conn.Close() // read loop notices and deregisters
-	}
 	for _, g := range backupChecks {
 		c.ensureReplicas(g)
 	}
@@ -565,31 +562,40 @@ func (c *Coordinator) handleForward(m *wire.SForward) {
 	ev.Seq, ev.Time = c.seqr.Next(m.Group)
 	meta.sequenced = true
 	meta.digest = state.DigestEvent(meta.digest, ev)
-	dist := &wire.SDistribute{
+	c.enqueueLocked(&wire.SDistribute{
 		Group:           m.Group,
 		Event:           ev,
 		SenderInclusive: m.SenderInclusive,
 		Origin:          m.Origin,
 		RequestID:       m.RequestID,
-	}
-	f := transport.NewSharedFrame(dist)
-	var failed []*peer
-	for id := range meta.interest {
-		p, ok := c.peers[id]
-		if !ok {
-			continue
-		}
+	}, 0, meta.interest)
+	c.mu.Unlock()
+}
+
+// enqueueLocked enqueues msg on the pump of server to, when it is registered,
+// and of every server in interested, under the caller's c.mu hold: each link
+// then carries msg in its place among the group's events and membership
+// changes, which are enqueued under c.mu too. A link whose pump refused it is
+// closed off this stack, and its read loop deregisters the server. Caller
+// holds c.mu.
+func (c *Coordinator) enqueueLocked(msg wire.Message, to uint64, interested map[uint64]*interest) {
+	f := transport.NewSharedFrame(msg)
+	send := func(p *peer) {
 		f.Retain()
 		if err := p.pump.SendShared(f, false); err != nil {
 			f.Release()
-			failed = append(failed, p)
+			go func() { _ = p.conn.Close() }()
 		}
 	}
-	c.mu.Unlock()
-	f.Release()
-	for _, p := range failed {
-		_ = p.conn.Close() // read loop notices and deregisters
+	if p, ok := c.peers[to]; ok {
+		send(p)
 	}
+	for id := range interested {
+		if p, ok := c.peers[id]; ok && id != to {
+			send(p)
+		}
+	}
+	f.Release()
 }
 
 // handleInterest records a change in what a server holds and keeps the
@@ -649,18 +655,14 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 func (c *Coordinator) handleMemberUpdate(p *peer, m *wire.SMemberUpdate) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
-	var failed []*peer
 	if ok {
-		failed = c.orderMemberLocked(m.Group, meta, m.ServerID, m.Change, m.Member, nil)
+		c.orderMemberLocked(m.Group, meta, m.ServerID, m.Change, m.Member)
 	}
 	c.mu.Unlock()
 	if !ok {
 		p.send(&wire.SMemberUpdate{
 			ServerID: m.ServerID, Group: m.Group, Change: m.Change, Member: m.Member, Code: wire.CodeNoSuchGroup,
 		})
-	}
-	for _, fp := range failed {
-		_ = fp.conn.Close() // read loop notices and deregisters
 	}
 }
 
@@ -674,10 +676,8 @@ func (c *Coordinator) handleMemberUpdate(p *peer, m *wire.SMemberUpdate) {
 // does on every replica: "a transient group ceases to exist when it has no
 // members, and its shared state is lost." A crash the coordinator detects
 // with the member's server (origin 0) ends no group: the group's backups
-// keep its state for whoever comes back (§4.1). Pumps that refused the copy
-// are appended to failed, for the caller to close once c.mu is released.
-// Caller holds c.mu.
-func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uint64, change wire.MembershipChange, member wire.MemberInfo, failed []*peer) []*peer {
+// keep its state for whoever comes back (§4.1). Caller holds c.mu.
+func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uint64, change wire.MembershipChange, member wire.MemberInfo) {
 	i := slices.IndexFunc(meta.members, func(m wire.MemberInfo) bool { return m.ClientID == member.ClientID })
 	changed := true
 	switch {
@@ -688,31 +688,18 @@ func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uin
 	default:
 		changed = false
 	}
-	f := transport.NewSharedFrame(&wire.SMemberUpdate{
+	var interested map[uint64]*interest
+	if changed {
+		interested = meta.interest
+	}
+	c.enqueueLocked(&wire.SMemberUpdate{
 		ServerID: origin, Group: name, Change: change, Member: member, Members: meta.members,
-	})
-	targets := []uint64{origin}
-	for id := range meta.interest {
-		if changed && id != origin {
-			targets = append(targets, id)
-		}
-	}
-	for _, id := range targets {
-		if p, ok := c.peers[id]; ok {
-			f.Retain()
-			if err := p.pump.SendShared(f, false); err != nil {
-				f.Release()
-				failed = append(failed, p)
-			}
-		}
-	}
-	f.Release()
+	}, origin, interested)
 	if changed && change != wire.MemberJoined && origin != 0 && len(meta.members) == 0 && !meta.persistent {
 		delete(c.groups, name)
 		c.seqr.Drop(name)
 		obs.Default.Event("cluster", fmt.Sprintf("transient group %q ceased to exist", name))
 	}
-	return failed
 }
 
 // handleGroupOp applies a create/delete, redistributes it to every server,
@@ -777,7 +764,12 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 
 // handleStateRequest tells a server where a group's state lives. The
 // coordinator never originates state: the requester pulls the image from the
-// named replica over a direct peer connection.
+// named replica over a direct peer connection. An OK answer starts the
+// requester's stream at the mark it reads (paper §3.2: the state, then the
+// live stream from the same point): a requester with no stake yet gets a
+// pending one, and the answer is enqueued in the same c.mu hold, so every
+// event and membership change ordered after the mark follows it on the link.
+// The requester's SInterest settles the stake either way.
 func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 	resp := &wire.SStateResponse{RequestID: m.RequestID, Group: m.Group, Code: wire.CodeNoSuchGroup}
 	c.mu.Lock()
@@ -811,9 +803,12 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 			// the requester asks again until a holder is back.
 			resp.OK = true
 		}
+		if _, ok := meta.interest[p.info.ID]; resp.OK && !ok {
+			meta.interest[p.info.ID] = &interest{pending: true}
+		}
 	}
+	c.enqueueLocked(resp, p.info.ID, nil)
 	c.mu.Unlock()
-	p.send(resp)
 }
 
 // handleSeqReport takes in a server's (re-)registration, all a freshly
@@ -831,7 +826,6 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		others     []*peer
 	}
 	var diverged []pendingDivergence
-	var failed []*peer
 	var dropped []string
 
 	c.mu.Lock()
@@ -860,11 +854,11 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		meta.interest[m.ServerID] = &interest{backup: g.Backup}
 		for _, mi := range meta.hosted(m.ServerID) {
 			if !slices.ContainsFunc(g.Members, func(r wire.MemberInfo) bool { return r.ClientID == mi.ClientID }) {
-				failed = c.orderMemberLocked(g.Group, meta, 0, wire.MemberCrashed, mi, failed)
+				c.orderMemberLocked(g.Group, meta, 0, wire.MemberCrashed, mi)
 			}
 		}
 		for _, mi := range g.Members {
-			failed = c.orderMemberLocked(g.Group, meta, m.ServerID, wire.MemberJoined, mi, failed)
+			c.orderMemberLocked(g.Group, meta, m.ServerID, wire.MemberJoined, mi)
 		}
 		coordNext := c.seqr.Peek(g.Group)
 		conflict := meta.sequenced && g.Digest != 0 &&
@@ -912,9 +906,6 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 	}
 	c.mu.Unlock()
 
-	for _, fp := range failed {
-		_ = fp.conn.Close() // read loop notices and deregisters
-	}
 	for _, d := range diverged {
 		c.log.Warn("divergence detected",
 			"group", d.report.Group, "server", d.report.ServerID,

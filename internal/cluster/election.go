@@ -33,11 +33,7 @@ func (s *Server) peerAcceptLoop() {
 		if err != nil {
 			return
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.servePeerConn(conn)
-		}()
+		s.spawn(func() { s.servePeerConn(conn) })
 	}
 }
 

@@ -40,10 +40,10 @@ var (
 	// replica it does not hold.
 	clusterBackupReassigns = obs.Default.Counter("cluster.backup_reassigns")
 	// clusterSeqGaps counts sequence gaps replicas detected on the
-	// distribute path (each triggers a catch-up pull).
+	// distribute path (each heals through an acquisition).
 	clusterSeqGaps = obs.Default.Counter("cluster.seq_gaps")
-	// clusterCatchups counts catch-ups that applied or installed what the
-	// replica was missing.
+	// clusterCatchups counts catch-ups: acquisitions that brought a replica
+	// already held forward, a gap heal's or a registration's.
 	clusterCatchups = obs.Default.Counter("cluster.catchups")
 
 	// Placement / live migration.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -92,14 +93,12 @@ type Server struct {
 	pendingOps map[uint64]chan wire.Message
 	nextReq    uint64
 	backups    map[string]bool
-	// parked holds, per group with a gap catch-up in flight, what arrived
-	// behind the gap — runs of distributed events and ordered membership
-	// changes — in arrival order; a group is a key exactly while its
-	// catch-up runs (healGap).
-	parked   map[string][]parkedItem
-	promoted *Coordinator
-	linkUp   bool
-	closed   bool
+	// acquiring holds each group's one acquisition in flight (acquire), from
+	// before its locate until what the link brought meanwhile is taken in.
+	acquiring map[string]*acquisition
+	promoted  *Coordinator
+	linkUp    bool
+	closed    bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -142,7 +141,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		coordAddr:    cfg.CoordinatorAddr,
 		pendingOps:   make(map[uint64]chan wire.Message),
 		backups:      make(map[string]bool),
-		parked:       make(map[string][]parkedItem),
+		acquiring:    make(map[string]*acquisition),
 		coordChanged: make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 	}
@@ -259,6 +258,15 @@ func (s *Server) Close() error {
 	return err
 }
 
+// spawn runs f on a goroutine of its own, which Close waits for.
+func (s *Server) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
 func (s *Server) failPendingLocked() {
 	for id, ch := range s.pendingOps {
 		close(ch)
@@ -366,12 +374,7 @@ func (s *Server) connectCoordinator(addr string) error {
 	// disconnected (e.g. during a coordinator failover) are fetched from
 	// the surviving replicas.
 	for _, g := range report {
-		group := g.Group
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.catchUp(group)
-		}()
+		s.spawn(func() { _ = s.acquire(g.Group, true, false) })
 	}
 	return nil
 }
@@ -482,30 +485,46 @@ func (s *Server) readLink(link *transport.Conn) {
 	}
 }
 
-// parkedItem is one thing parked behind a group's gap: a run of distributed
-// events, or one ordered membership change.
+// parkedItem is what the link brought for a group while its acquisition was
+// in flight: a run of distributed events, or one ordered membership change.
 type parkedItem struct {
 	run    []core.DistEvent
 	member *wire.SMemberUpdate
 }
 
-// park queues item behind the group's gap catch-up when one is in flight,
-// copying its run (the caller's scratch), and reports whether it did.
-func (s *Server) park(group string, item parkedItem) bool {
+// acquisition is a group's one acquisition in flight: parked is what the link
+// brought for the group meanwhile, in arrival order; done is closed when it
+// ends, with its result in err.
+type acquisition struct {
+	parked []parkedItem
+	done   chan struct{}
+	err    error
+}
+
+// park queues item behind the group's acquisition in flight, copying its run
+// (the caller's scratch); with start, a group with none gets one opened. It
+// returns the acquisition, nil when none is in flight and start is false,
+// and whether it opened it.
+func (s *Server) park(group string, item parkedItem, start bool) (a *acquisition, opened bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	parked, healing := s.parked[group]
-	if healing {
-		item.run = slices.Clone(item.run)
-		s.parked[group] = append(parked, item)
+	a = s.acquiring[group]
+	if a == nil && start {
+		a = &acquisition{done: make(chan struct{})}
+		s.acquiring[group] = a
+		opened = true
 	}
-	return healing
+	if a != nil && (item.run != nil || item.member != nil) {
+		item.run = slices.Clone(item.run)
+		a.parked = append(a.parked, item)
+	}
+	return a, opened
 }
 
 // distribute applies one drained run of a group's SDistributes. While the
-// group's gap catch-up is in flight the run is parked behind it instead, so
+// group's acquisition is in flight the run is parked behind it instead, so
 // no run overtakes another; a run that stops at a gap parks its unconsumed
-// suffix and starts the group's one catch-up. The run is the caller's
+// suffix and starts an acquisition to heal the gap. The run is the caller's
 // scratch: whatever is parked is copied.
 func (s *Server) distribute(group string, run []core.DistEvent) {
 	now := time.Now().UnixNano()
@@ -514,7 +533,7 @@ func (s *Server) distribute(group string, run []core.DistEvent) {
 			clusterDistributeNs.Record(d)
 		}
 	}
-	if s.park(group, parkedItem{run: run}) {
+	if a, _ := s.park(group, parkedItem{run: run}, false); a != nil {
 		return
 	}
 	consumed, err := s.engine.ApplyDistributed(group, run)
@@ -523,68 +542,18 @@ func (s *Server) distribute(group string, run []core.DistEvent) {
 	case errors.Is(err, core.ErrSeqGap):
 		clusterSeqGaps.Inc()
 		s.log.Warn("sequence gap; catching up", "group", group, "seq", run[consumed].Event.Seq)
-		s.mu.Lock()
-		s.parked[group] = []parkedItem{{run: slices.Clone(run[consumed:])}}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.healGap(group)
+		if a, opened := s.park(group, parkedItem{run: run[consumed:]}, true); opened {
+			s.spawn(func() { _ = s.run(a, group, true, false) })
+		}
 	default:
 		s.log.Warn("distribute failed", "group", group, "err", err)
-	}
-}
-
-// healGap is a group's one gap catch-up. It brings the replica level with a
-// holder, then takes in what the link parked meanwhile through the same
-// entrances, in arrival order; the duplicate events among it are skipped
-// there. A further gap among the parked events is healed the same way. When
-// a catch-up fails, what is parked is dropped, as is a run whose group is
-// gone: the next distribute reveals the gap again and asks anew.
-func (s *Server) healGap(group string) {
-	defer s.wg.Done()
-	healed := s.catchUp(group)
-	for {
-		s.mu.Lock()
-		parked := s.parked[group]
-		s.parked[group] = nil
-		if len(parked) == 0 {
-			delete(s.parked, group)
-		}
-		s.mu.Unlock()
-		if len(parked) == 0 {
-			return
-		}
-		for i, item := range parked {
-			if item.member != nil {
-				s.applyMember(item.member)
-				continue
-			}
-			consumed, err := s.engine.ApplyDistributed(group, item.run)
-			if err == nil {
-				continue
-			}
-			s.mu.Lock()
-			if errors.Is(err, core.ErrSeqGap) && healed {
-				// Another event was lost further on: its successors stay
-				// parked, ahead of whatever arrived since.
-				clusterSeqGaps.Inc()
-				parked[i].run = item.run[consumed:]
-				s.parked[group] = append(parked[i:], s.parked[group]...)
-				s.mu.Unlock()
-				healed = s.catchUp(group)
-				break
-			}
-			delete(s.parked, group)
-			s.mu.Unlock()
-			s.log.Warn("parked changes dropped", "group", group, "err", err)
-			return
-		}
 	}
 }
 
 func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.SMemberUpdate:
-		if !s.park(m.Group, parkedItem{member: m}) {
+		if a, _ := s.park(m.Group, parkedItem{member: m}, false); a == nil {
 			s.applyMember(m)
 		}
 	case *wire.SGroupOp:
@@ -613,41 +582,15 @@ func (s *Server) handleCoordinatorMessage(msg wire.Message) {
 		// migration's target's included; un-interest is a directed release
 		// of a replica.
 		if m.Interested && m.Backup {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				_ = s.hold(m.Group, true)
-			}()
+			s.spawn(func() { _ = s.hold(m.Group, true) })
 		} else if !m.Interested {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.releaseDirected(m.Group)
-			}()
+			s.spawn(func() { s.releaseDirected(m.Group) })
 		}
 	case *wire.SDivergence:
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.settleDivergence(m)
-		}()
+		s.spawn(func() { s.settleDivergence(m) })
 	default:
 		s.log.Warn("unexpected coordinator message", "kind", msg.Kind().String())
 	}
-}
-
-// catchUp brings a replica this server holds level with a source: the
-// events it missed, or the source's whole image when those were reduced
-// away meanwhile. The replica ends holding everything sequenced before the
-// call, so a gap in front of any event already received is closed. It
-// reports whether the catch-up succeeded.
-func (s *Server) catchUp(group string) bool {
-	if err := s.acquire(group, false); err != nil {
-		s.log.Warn("catch-up failed", "group", group, "err", err)
-		return false
-	}
-	clusterCatchups.Inc()
-	return true
 }
 
 // applyMember takes in one ordered membership change, or a refusal, through
@@ -807,26 +750,103 @@ func (s *Server) locate(group string) (*wire.SStateResponse, error) {
 	}
 }
 
-// acquireAttempts bounds acquire's locate-and-pull loop; the waits between
-// attempts grow by 100 ms, so a replica is given up on after about a second.
+// acquireAttempts bounds an acquisition's locate-and-pull loop; the waits
+// between attempts grow by 100 ms, so a source is given up on after about a
+// second.
 const acquireAttempts = 5
 
-// acquire brings the local replica of a group level with a source replica:
-// ask the coordinator where the state lives, pull what is missing from that
-// server, install it. A server without the group adopts the whole image; one
-// that holds it applies the events past its own high-water mark, or adopts
-// the image when the source has reduced those away; rewind installs the
-// image over whatever is held (divergence rollback). An acquisition installs
-// nothing below the sequencer's mark of the first answer: the replica ends up
-// holding everything sequenced before the acquisition began, some of which
-// may still have been in flight to the source when it captured. Transient
-// failures — no live holder, a source still acquiring the group itself or
-// behind the mark, a broken stream — are retried; an unknown group is final.
-func (s *Server) acquire(group string, rewind bool) error {
-	// A replica held at the outset is only ever brought forward: if it is
-	// given up meanwhile (a directed release, a delete), the acquisition
-	// ends rather than install the group again.
-	held := s.engine.HasGroup(group)
+// acquire is the one way a replica is brought level with a source: a first
+// acquisition, a backup designation, a gap heal, a registration's catch-up
+// and a divergence rollback (rewind) all run it; held says the caller holds
+// the replica. A group has one acquisition in flight at a time. A caller that
+// finds one waits for it: without the replica it takes that result, and with
+// it runs one of its own, whose mark is read after its call.
+func (s *Server) acquire(group string, held, rewind bool) error {
+	for {
+		a, opened := s.park(group, parkedItem{}, true)
+		if opened {
+			return s.run(a, group, held, rewind)
+		}
+		<-a.done
+		if !held {
+			return a.err
+		}
+	}
+}
+
+// run is the group's acquisition a, opened by park before its locate, whose
+// answer starts the group's stream here at the mark it reads. What the stream
+// brings is parked until level is done, then taken in through the link's own
+// entrances in arrival order, which skip what the image holds; a further gap
+// is healed the same way. After a failed level, what is parked is dropped at
+// its first gap. An acquisition that ends without the group tells the
+// coordinator so, clearing its locate's pending stake and its designation.
+func (s *Server) run(a *acquisition, group string, held, rewind bool) error {
+	err := s.level(group, held, rewind)
+	for {
+		holds := s.engine.HasGroup(group)
+		if !holds {
+			err = cmp.Or(err, fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group))
+			// Told before the acquisition closes, so it reaches the
+			// coordinator ahead of the next acquisition's locate.
+			s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: false})
+		}
+		s.mu.Lock()
+		parked := a.parked
+		a.parked = nil
+		if !holds || len(parked) == 0 {
+			if !holds {
+				delete(s.backups, group)
+			}
+			delete(s.acquiring, group)
+			s.mu.Unlock()
+			a.err = err
+			close(a.done)
+			return err
+		}
+		s.mu.Unlock()
+		for i, item := range parked {
+			if item.member != nil {
+				s.applyMember(item.member)
+				continue
+			}
+			consumed, aerr := s.engine.ApplyDistributed(group, item.run)
+			if aerr == nil {
+				continue
+			}
+			s.mu.Lock()
+			if errors.Is(aerr, core.ErrSeqGap) && err == nil {
+				// Another event was lost further on: its successors stay
+				// parked, ahead of whatever arrived since.
+				clusterSeqGaps.Inc()
+				parked[i].run = item.run[consumed:]
+				a.parked = append(parked[i:], a.parked...)
+				s.mu.Unlock()
+				err = s.level(group, true, false)
+				break
+			}
+			a.parked = nil
+			s.mu.Unlock()
+			s.log.Warn("parked changes dropped", "group", group, "err", aerr)
+			break
+		}
+	}
+}
+
+// level brings the local replica of a group level with a source: ask the
+// coordinator where the state lives, pull what is missing from that server,
+// install it. A server without the group adopts the whole image; one that
+// holds it applies the events past its own high-water mark, or adopts the
+// image when those were reduced away; rewind installs the image over what is
+// held (divergence rollback). Nothing is installed below the sequencer's mark
+// of the first answer, where the stream here starts, so image and stream hold
+// every event. Transient failures — no live holder, a source behind the mark,
+// a broken stream — are retried; an unknown group is final. A replica the
+// caller holds is only ever brought forward: if it is given up meanwhile (a
+// directed release, a delete), the acquisition ends rather than install the
+// group again. Bringing one forward without rewind is a catch-up, and
+// counted.
+func (s *Server) level(group string, held, rewind bool) error {
 	var mark uint64
 	var err error
 	for attempt := 0; attempt < acquireAttempts; attempt++ {
@@ -848,10 +868,17 @@ func (s *Server) acquire(group string, rewind bool) error {
 			break
 		}
 	}
+	if held && !rewind {
+		if err != nil {
+			s.log.Warn("catch-up failed", "group", group, "err", err)
+		} else {
+			clusterCatchups.Inc()
+		}
+	}
 	return err
 }
 
-// pullFrom is one attempt of acquire against a located source.
+// pullFrom is one attempt of level against a located source.
 func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bool) error {
 	group := loc.Group
 	var fromSeq uint64
@@ -869,16 +896,13 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 	if got.NextSeq < mark {
 		return fmt.Errorf("cluster: source %d of %q is at seq %d, behind the sequencer's mark %d", loc.SourceID, group, got.NextSeq, mark)
 	}
-	holds := s.engine.HasGroup(group)
-	if held && !holds {
+	if held && !s.engine.HasGroup(group) {
 		return fmt.Errorf("%w: %q was given up here meanwhile", errUnknownGroup, group)
 	}
-	// What was pulled may continue what is held — the suffix asked for, or
-	// an image pulled while a racing acquisition installed the group. Unless
-	// rewinding, it is then applied as a caught-up run, so local members are
-	// delivered every event; installing the image instead would silently
-	// skip them.
-	if !rewind && (got.BaseSeq < fromSeq || holds && got.BaseSeq < s.engine.NextSeq(group)) {
+	// The suffix asked for continues what is held: unless rewinding, it is
+	// applied as a caught-up run, so local members are delivered every
+	// event; installing the image instead would silently skip them.
+	if !rewind && got.BaseSeq < fromSeq {
 		run := make([]core.DistEvent, len(got.History))
 		for i, ev := range got.History {
 			run[i] = core.DistEvent{Event: ev, SenderInclusive: true}
@@ -886,24 +910,19 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 		_, err = s.engine.ApplyDistributed(group, run)
 		return err
 	}
-	// Without rewind, an image at or behind a replica that a racing path
-	// (another join, a migration) already produced is not installed:
-	// rewinding it would re-deliver events to members.
+	// Without rewind, an image at or behind the replica held is not
+	// installed: rewinding it would re-deliver events to members.
 	_, err = s.engine.InstallGroup(group, loc.Persistent, got.Checkpointed, got.members, rewind)
 	return err
 }
 
 // hold makes this server a holder of an existing group's replica — for a
 // joining client, or as a designated backup (a migration's target among
-// them) — and answers the coordinator either way. It acquires the group
-// unless it is held already, reports its interest, and heals the
-// acquisition window: events sequenced between the image's capture and the
-// interest report were neither in the image nor distributed here, and with
-// no later traffic the gap check would never expose them. The report and
-// the catch-up's locate travel the same link in order, so everything
-// sequenced after the locator's mark is distributed here, and the catch-up
-// does not finish below the mark. An acquisition that fails reports the
-// group not held, so a designation never stays pending.
+// them) — and answers the coordinator either way: it acquires the group
+// unless it is held already, then reports its interest. The acquisition's
+// stream started at its locate, so nothing sequenced in between is missing;
+// one that fails has told the coordinator the group is not held, so a
+// designation never stays pending.
 func (s *Server) hold(group string, backup bool) error {
 	s.mu.Lock()
 	if backup {
@@ -911,24 +930,15 @@ func (s *Server) hold(group string, backup bool) error {
 	}
 	backup = s.backups[group]
 	s.mu.Unlock()
-	var err error
 	if !s.engine.HasGroup(group) {
-		err = s.acquire(group, false)
-	}
-	if err != nil {
-		if backup {
-			s.log.Warn("backup acquisition failed", "group", group, "err", err)
+		if err := s.acquire(group, false, false); err != nil {
+			if backup {
+				s.log.Warn("backup acquisition failed", "group", group, "err", err)
+			}
+			return err
 		}
-		if !s.engine.HasGroup(group) { // else a racing hold holds it
-			s.mu.Lock()
-			delete(s.backups, group)
-			s.mu.Unlock()
-			s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: false})
-		}
-		return err
 	}
 	s.sendToCoordinator(&wire.SInterest{ServerID: s.cfg.ID, Group: group, Interested: true, Backup: backup})
-	s.catchUp(group)
 	return nil
 }
 
@@ -1000,7 +1010,7 @@ func (s *Server) settleDivergence(m *wire.SDivergence) {
 // refresh their materialized copies (the paper leaves post-partition repair
 // "implemented in the client code").
 func (s *Server) rollbackGroup(group string) {
-	if err := s.acquire(group, true); err != nil {
+	if err := s.acquire(group, true, true); err != nil {
 		s.log.Warn("rollback failed", "group", group, "err", err)
 		return
 	}

@@ -7,13 +7,13 @@ import "fmt"
 // candidate's SElect. Whoever takes the connection refuses another version
 // with one Error{CodeBadVersion} frame. A change to a frame layout or to the
 // history digest's values bumps it; protocolPin, beside it, pins both
-// (TestProtocolVersionPin). Version 5: the two migration kinds are gone; a
-// migration is a backup designation, answered by SInterest.
-const ProtocolVersion = 5
+// (TestProtocolVersionPin). Version 6: a server relies on the coordinator
+// starting its stream of a group at the answer to its locate.
+const ProtocolVersion = 6
 
 // protocolPin is TestProtocolVersionPin's hash of every round-trip sample's
 // frame and of the digest golden chain, as ProtocolVersion defines them.
-const protocolPin = 0x8460d1f0b2325303
+const protocolPin = 0x888c85508ad8c543
 
 // EventKind distinguishes the two multicast primitives of the paper:
 // bcastState overrides an object's state, bcastUpdate appends an incremental
