@@ -17,9 +17,9 @@
 //	                        callers retain ownership.
 //
 // Within a checked function body (packages core, cluster, transport) the
-// analyzer tracks each frame-typed local bound to a NewSharedFrame call
-// and each frame parameter, simulating Retain/Release/transfer along
-// every branch:
+// analyzer tracks each frame-typed local bound to a constructor call
+// (NewSharedFrame, NewChunkFrame) and each frame parameter, simulating
+// Retain/Release/transfer along every branch:
 //
 //   - a path that reaches an exit still holding references leaks;
 //   - Release past the last owned reference, or any use of a frame the
@@ -980,7 +980,8 @@ func (c *checker) intrinsicSend(pkg *analysis.Package, call *ast.CallExpr) (stri
 	return sel.Sel.Name, true
 }
 
-// isNewFrame matches transport.NewSharedFrame / NewSharedFrameFinal.
+// isNewFrame matches the frame constructors, transport.NewSharedFrame and
+// NewChunkFrame.
 func (c *checker) isNewFrame(pkg *analysis.Package, call *ast.CallExpr) bool {
 	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -992,7 +993,7 @@ func (c *checker) isNewFrame(pkg *analysis.Package, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "transport" {
 		return false
 	}
-	return fn.Name() == "NewSharedFrame" || fn.Name() == "NewSharedFrameFinal"
+	return fn.Name() == "NewSharedFrame" || fn.Name() == "NewChunkFrame"
 }
 
 func isFrame(t types.Type) bool {

@@ -64,6 +64,29 @@ func (s *Session) inlineNew(b []byte) {
 	}
 }
 
+// --- chunk frames ----------------------------------------------------------
+
+// chunkGood is the transfer streamer's shape: a chunk frame is a frame like
+// any other, released by the sender when the pump rejects it.
+func (s *Session) chunkGood(m *transport.TransferChunk, done func()) error {
+	f := transport.NewChunkFrame(m, done)
+	if err := s.pump.SendShared(f, false); err != nil {
+		f.Release()
+		return err
+	}
+	return nil
+}
+
+// chunkLeakOnReject drops a rejected chunk frame, so its completion never
+// runs and the transfer window never reopens.
+func (s *Session) chunkLeakOnReject(m *transport.TransferChunk, done func()) error {
+	f := transport.NewChunkFrame(m, done) // want `frame "f" can leak: a path reaches function exit still holding 1 reference\(s\)`
+	if err := s.pump.SendShared(f, false); err != nil {
+		return err
+	}
+	return nil
+}
+
 // --- refcount discipline -------------------------------------------------
 
 // useAfterRelease reads the buffer after dropping the last reference.

@@ -16,10 +16,10 @@ type SharedFrame struct {
 
 func NewSharedFrame(b []byte) *SharedFrame { return &SharedFrame{buf: b} }
 
-func NewSharedFrameFinal(b []byte, onFinal func()) *SharedFrame {
-	f := NewSharedFrame(b)
-	f.onFinal = onFinal
-	return f
+type TransferChunk struct{ Segments [][]byte }
+
+func NewChunkFrame(m *TransferChunk, onFinal func()) *SharedFrame {
+	return &SharedFrame{onFinal: onFinal}
 }
 
 func (f *SharedFrame) Retain()       {}

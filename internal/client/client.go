@@ -274,6 +274,7 @@ func (c *Client) failPendingLocked() {
 
 // readLoop dispatches inbound messages until the connection dies.
 func (c *Client) readLoop(conn *transport.Conn, gen int) {
+	conn.ReadChunksInto(c.reserveChunk(gen))
 	var readErr error
 	for {
 		msg, err := conn.ReadMessage()
@@ -413,26 +414,48 @@ func (c *Client) bufferDelivery(group string, ev wire.Event) bool {
 	return true
 }
 
-// transferChunk feeds one chunk to the group's assembler. Chunks arrive in
-// offset order on the connection; a gap means a protocol bug, and the join
-// fails rather than delivering corrupt state.
+// reserveChunk is the read loop's wire.ChunkReserve: it reserves a
+// chunk's body at the end of its group's assembler, and the connection reads
+// the body from the socket straight into the transfer's buffer. Chunks
+// arrive in offset order on the connection; one the assembler refuses (a
+// gap, or a body past the announced total) means a protocol bug, and the
+// join fails rather than delivering corrupt state. A chunk with no open
+// transfer, or a refused one, is discarded from the stream.
+func (c *Client) reserveChunk(gen int) wire.ChunkReserve {
+	return func(m *wire.TransferChunk, size int) ([]byte, error) {
+		c.mu.Lock()
+		t, ok := c.transfers[m.Group]
+		if !ok || gen != c.readGen {
+			c.mu.Unlock()
+			return nil, nil
+		}
+		body, err := t.asm.Reserve(m.Offset, m.Total, size)
+		if err != nil {
+			delete(c.transfers, m.Group)
+		}
+		c.mu.Unlock()
+		if err != nil {
+			c.completeRequest(&wire.ErrorMsg{RequestID: t.ack.RequestID, Code: wire.CodeInternal,
+				Text: fmt.Sprintf("transfer for %q: %v", m.Group, err)})
+		}
+		return body, nil
+	}
+}
+
+// transferChunk reports a chunk that reserveChunk took, now read, as
+// progress.
 func (c *Client) transferChunk(m *wire.TransferChunk) {
+	if c.cfg.OnTransferProgress == nil {
+		return
+	}
 	c.mu.Lock()
 	t, ok := c.transfers[m.Group]
-	if !ok {
-		c.mu.Unlock()
-		return
+	var received uint64
+	if ok {
+		received = t.asm.Received()
 	}
-	if err := t.asm.Add(m.Offset, m.Total, m.Data); err != nil {
-		delete(c.transfers, m.Group)
-		c.mu.Unlock()
-		c.completeRequest(&wire.ErrorMsg{RequestID: t.ack.RequestID, Code: wire.CodeInternal,
-			Text: fmt.Sprintf("transfer for %q: %v", m.Group, err)})
-		return
-	}
-	received := t.asm.Received()
 	c.mu.Unlock()
-	if c.cfg.OnTransferProgress != nil {
+	if ok {
 		c.cfg.OnTransferProgress(m.Group, received, m.Total)
 	}
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -410,5 +411,40 @@ func TestDeliveryAdvancesResumeCursor(t *testing.T) {
 			t.Fatalf("cursor = %d, want 3", last)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStreamedJoinRefusesHostileChunk: the read loop reserves each chunk's
+// body in its transfer's assembler. A chunk for a group with no transfer is
+// skipped whole; a chunk that leaves a gap or runs past the announced total
+// fails the join, and the connection keeps working.
+func TestStreamedJoinRefusesHostileChunk(t *testing.T) {
+	for _, bad := range []*wire.TransferChunk{
+		{Group: "g", Offset: 3, Total: 10, Data: []byte("abc")},
+		{Group: "g", Offset: 0, Total: 2, Data: []byte("0123456789")},
+	} {
+		fs := newFakeServer(t)
+		fs.setHandler(func(conn *transport.Conn, msg wire.Message) bool {
+			m, ok := msg.(*wire.Join)
+			if !ok {
+				return false
+			}
+			bad.RequestID = m.RequestID
+			for _, out := range []wire.Message{
+				&wire.JoinAck{RequestID: m.RequestID, Group: m.Group, NextSeq: 1, Streaming: true},
+				&wire.TransferChunk{Group: "other", Total: 100 << 10, Data: make([]byte, 100<<10)},
+				bad,
+			} {
+				_ = conn.WriteMessage(out)
+			}
+			return true
+		})
+		c := dialFake(t, fs, Config{Name: "x"})
+		if _, err := c.Join("g", JoinOptions{}); err == nil || !strings.Contains(err.Error(), "transfer for \"g\"") {
+			t.Fatalf("join with chunk at %d of %d = %v, want a transfer error", bad.Offset, bad.Total, err)
+		}
+		if _, err := c.Ping(); err != nil {
+			t.Fatalf("connection after a refused chunk: %v", err)
+		}
 	}
 }

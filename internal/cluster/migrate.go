@@ -100,23 +100,25 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 		clusterMigrateInNs.Record(time.Since(start).Nanoseconds())
 		return got, nil
 	}
+	// Each chunk's body is read from the socket straight into asm.
 	var asm wire.TransferAssembler
 	var total uint64
+	conn.ReadChunksInto(func(m *wire.TransferChunk, size int) ([]byte, error) {
+		if m.Offset == 0 {
+			total = m.Total
+		}
+		if m.Total != total {
+			return nil, fmt.Errorf("cluster: transfer chunk announces %d bytes, the first announced %d", m.Total, total)
+		}
+		return asm.Reserve(m.Offset, total, size)
+	})
 	for {
 		if msg, err = read(); err != nil {
 			return pulled{}, err
 		}
 		switch m := msg.(type) {
 		case *wire.TransferChunk:
-			if m.Offset == 0 {
-				total = m.Total
-			}
-			if m.Total != total {
-				return pulled{}, fmt.Errorf("cluster: transfer chunk announces %d bytes, the first announced %d", m.Total, total)
-			}
-			if err := asm.Add(m.Offset, total, m.Data); err != nil {
-				return pulled{}, err
-			}
+			// Its body is in asm already.
 		case *wire.TransferDone:
 			if m.Bytes != total {
 				return pulled{}, fmt.Errorf("cluster: transfer done at %d bytes, its chunks announced %d", m.Bytes, total)

@@ -282,8 +282,9 @@ func (e *Engine) streamsTransfer(ack *wire.JoinAck, size uint64) bool {
 // multicasts proceed untouched. A window of transferWindow chunks is kept in
 // flight, each slot returned by the frame's final release (written or
 // discarded by the pump), which bounds both pump occupancy and transfer
-// memory. Each chunk is encoded straight from the payload's buffers into its
-// pooled frame, the payload's one copy on this side. It returns the first
+// memory. Each chunk's frame is its header around the payload's segments
+// (transport.NewChunkFrame): the pump writes them with one writev, and the
+// payload is never copied in user space on this side. It returns the first
 // failed send's error.
 func (e *Engine) streamTransfer(pump *transport.Pump, reqID uint64, group string, stream *wire.TransferStream) error {
 	total := stream.Total()
@@ -296,7 +297,7 @@ func (e *Engine) streamTransfer(pump *transport.Pump, reqID uint64, group string
 		window <- struct{}{}
 		n := int64(chunk.Len())
 		e.gTransferInflight.Add(n)
-		f := transport.NewSharedFrameFinal(
+		f := transport.NewChunkFrame(
 			&wire.TransferChunk{RequestID: reqID, Group: group, Offset: off, Total: total, Segments: chunk},
 			func() {
 				e.gTransferInflight.Add(-n)

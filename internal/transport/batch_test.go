@@ -124,22 +124,22 @@ func TestReadBufferShrinksAfterJumboFrame(t *testing.T) {
 	// A jumbo frame grows the reusable read buffer past the retention
 	// bound; the next ordinary frame must drop it rather than pin the
 	// memory on the connection forever.
-	jumbo := make([]byte, maxPooledFrame+64<<10)
+	jumbo := make([]byte, maxRetainedRead+64<<10)
 	go func() {
 		_ = client.WriteMessage(&wire.Bcast{Group: "g", EvKind: wire.EventState, ObjectID: "big", Data: jumbo})
 	}()
 	if _, err := server.ReadMessage(); err != nil {
 		t.Fatal(err)
 	}
-	if cap(server.rbuf) <= maxPooledFrame {
-		t.Fatalf("jumbo read kept rbuf at %d, expected > %d", cap(server.rbuf), maxPooledFrame)
+	if cap(server.rbuf) <= maxRetainedRead {
+		t.Fatalf("jumbo read kept rbuf at %d, expected > %d", cap(server.rbuf), maxRetainedRead)
 	}
 
 	go func() { _ = client.WriteMessage(&wire.Ping{Nonce: 1}) }()
 	if _, err := server.ReadMessage(); err != nil {
 		t.Fatal(err)
 	}
-	if cap(server.rbuf) > maxPooledFrame {
-		t.Fatalf("rbuf still %d bytes after small frame, want <= %d", cap(server.rbuf), maxPooledFrame)
+	if cap(server.rbuf) > maxRetainedRead {
+		t.Fatalf("rbuf still %d bytes after small frame, want <= %d", cap(server.rbuf), maxRetainedRead)
 	}
 }

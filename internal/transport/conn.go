@@ -40,9 +40,13 @@ type Conn struct {
 	bw  *bufio.Writer
 	// wbuf is the reusable marshal buffer, guarded by wmu.
 	wbuf []byte
+	// wvec is the reusable iovec list of a vectored write, guarded by wmu.
+	wvec net.Buffers
 
 	// rbuf is the reusable read buffer, owned by the reading goroutine.
 	rbuf []byte
+	// reserve, when set, takes TransferChunk bodies in place (ReadChunksInto).
+	reserve wire.ChunkReserve
 }
 
 // NewConn wraps nc in a framed connection.
@@ -53,6 +57,13 @@ func NewConn(nc net.Conn) *Conn {
 		bw: bufio.NewWriterSize(nc, 64<<10),
 	}
 }
+
+// ReadChunksInto makes every later read of a TransferChunk, whatever its
+// size, read the body into the slice reserve returns rather than into the
+// connection's read buffer (wire.ReadTransferChunk): the returned chunk's
+// Data is that slice, and an error from reserve fails the read. Call it from
+// the reading goroutine.
+func (c *Conn) ReadChunksInto(reserve wire.ChunkReserve) { c.reserve = reserve }
 
 // Dial connects to addr with the given timeout and returns a framed
 // connection with TCP_NODELAY set (interactive latency matters more than
@@ -72,15 +83,18 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 // alias the connection's buffers. io.EOF is returned unwrapped on a clean
 // close between frames.
 func (c *Conn) ReadMessage() (wire.Message, error) {
-	frame, err := c.readFrame()
-	if err != nil {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, io.EOF
+		}
 		return nil, err
 	}
-	msg, err := wire.Unmarshal(frame)
-	if err != nil {
-		return nil, err
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > wire.MaxFrame {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	return msg, nil
+	return c.readFrame(n)
 }
 
 // ReadMessageBuffered decodes the next message only when a complete frame
@@ -108,46 +122,40 @@ func (c *Conn) ReadMessageBuffered() (wire.Message, error) {
 	if _, err := c.br.Discard(4); err != nil {
 		return nil, err
 	}
-	buf := c.frameBuf(n)
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, fmt.Errorf("transport: short frame: %w", err)
-	}
-	bytesIn.Add(uint64(4 + n))
 	readCoalesced.Inc()
-	return wire.Unmarshal(buf)
+	return c.readFrame(n)
 }
 
-// readFrame returns the next frame payload. The slice is valid until the
-// next call.
-func (c *Conn) readFrame() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.EOF
+// readFrame reads and decodes the frame of n bytes whose length prefix has
+// been consumed: a TransferChunk's body in place when a reserve is set, any
+// other frame through the reusable read buffer.
+func (c *Conn) readFrame(n uint32) (wire.Message, error) {
+	if c.reserve != nil && n > 0 {
+		if k, err := c.br.Peek(1); err == nil && wire.Kind(k[0]) == wire.KindTransferChunk {
+			m, err := wire.ReadTransferChunk(c.br, int(n), c.reserve)
+			if err != nil {
+				return nil, fmt.Errorf("transport: %w", err)
+			}
+			bytesIn.Add(uint64(4 + n))
+			return m, nil
 		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > wire.MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
 	buf := c.frameBuf(n)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return nil, fmt.Errorf("transport: short frame: %w", err)
 	}
 	bytesIn.Add(uint64(4 + n))
-	return buf, nil
+	return wire.Unmarshal(buf)
 }
 
 // frameBuf returns the reusable read buffer sized to n. A jumbo frame (up
 // to wire.MaxFrame) would otherwise pin its memory on the connection for
 // the rest of its life, so the buffer is dropped before reuse once the
-// demand falls back under the frame pool's retention bound — the same
-// policy SharedFrame applies on the write side. The previous call's slice
-// is dead by contract (valid only until the next read), so replacing the
-// backing array here is safe.
+// demand falls back under maxRetainedRead. The previous call's slice is dead
+// by contract (valid only until the next read), so replacing the backing
+// array here is safe.
 func (c *Conn) frameBuf(n uint32) []byte {
-	if cap(c.rbuf) > maxPooledFrame && int(n) <= maxPooledFrame {
+	if cap(c.rbuf) > maxRetainedRead && int(n) <= maxRetainedRead {
 		c.rbuf = nil
 	}
 	if cap(c.rbuf) < int(n) {
@@ -180,16 +188,35 @@ func (c *Conn) WriteFrame(frame []byte) error {
 	return c.bw.Flush()
 }
 
-// writeFrameNoFlush appends a frame to the write buffer without flushing.
-// Used by Pump to coalesce bursts.
-func (c *Conn) writeFrameNoFlush(frame []byte) error {
+// writeShared writes a pooled frame without flushing; it is the Pump's
+// writer. A frame of its own bytes goes into the write buffer, so a burst
+// shares one syscall. A vectored frame (NewChunkFrame) goes out with one
+// writev of its pieces, after what the buffer holds, so the kernel reads the
+// shared segments where they lie.
+func (c *Conn) writeShared(f *SharedFrame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err := c.bw.Write(frame)
-	if err == nil {
-		bytesOut.Add(uint64(len(frame)))
+	if len(f.vec) == 0 {
+		if _, err := c.bw.Write(f.buf); err != nil {
+			return err
+		}
+		bytesOut.Add(uint64(len(f.buf)))
+		return nil
 	}
-	return err
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	// WriteTo consumes the list it is given, so it gets a copy: the
+	// frame's own list may be shared by several pumps.
+	c.wvec = append(c.wvec[:0], f.vec...)
+	vec := c.wvec
+	_, err := vec.WriteTo(c.nc)
+	clear(c.wvec)
+	if err != nil {
+		return err
+	}
+	bytesOut.Add(4 + uint64(binary.BigEndian.Uint32(f.buf)))
+	return nil
 }
 
 func (c *Conn) flush() error {

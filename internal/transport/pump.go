@@ -186,7 +186,7 @@ func (p *Pump) run() {
 //
 //corona:owns f
 func (p *Pump) writeOne(f *SharedFrame) bool {
-	err := p.conn.writeFrameNoFlush(f.Bytes())
+	err := p.conn.writeShared(f)
 	f.Release()
 	if err != nil {
 		p.fail(err)

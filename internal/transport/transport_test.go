@@ -26,7 +26,7 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 
 // tcpPair returns two framed connections joined by a real loopback TCP
 // connection, exercising buffering behaviour net.Pipe cannot.
-func tcpPair(t *testing.T) (*Conn, *Conn) {
+func tcpPair(t testing.TB) (*Conn, *Conn) {
 	t.Helper()
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {

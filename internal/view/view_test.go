@@ -149,9 +149,11 @@ func packedResult(t *testing.T, objs []wire.Object, nextSeq uint64) *client.Join
 	wire.EncodeEvents(e, nil)
 	payload := e.Bytes()
 	var asm wire.TransferAssembler
-	if err := asm.Add(0, uint64(len(payload)), payload); err != nil {
+	body, err := asm.Reserve(0, uint64(len(payload)), len(payload))
+	if err != nil {
 		t.Fatal(err)
 	}
+	copy(body, payload)
 	got, _, err := asm.Finish(uint64(len(payload)))
 	if err != nil {
 		t.Fatal(err)

@@ -257,16 +257,17 @@ type TransferChunk struct {
 	// Total is the payload size in bytes, repeated in every chunk so
 	// progress can be reported from any of them.
 	Total uint64
-	// Data is the chunk's bytes as decoded. It aliases the decode buffer:
-	// it is valid only until the connection's next read. The receiver
-	// appends it to its reassembly buffer immediately, so a per-chunk
-	// defensive copy would only double the transfer's allocation volume.
+	// Data is the chunk's bytes as read. Decode aliases the decode buffer,
+	// valid only until the connection's next read; a receiver that takes
+	// chunks in place (ReadTransferChunk) gets the slice it reserved for
+	// the body, which the socket was read into.
 	Data []byte
 	// Segments, when non-nil, is encoded in place of Data: the chunk as a
-	// TransferStream produced it, pieces of the shared payload buffers that
-	// the frame gathers into one byte string (the sender's one copy). The
+	// TransferStream produced it, pieces of the shared payload buffers. The
 	// wire bytes are those of Data set to the concatenation; decoding
-	// always yields Data.
+	// always yields Data. A transfer frame points the socket write at the
+	// large pieces and never concatenates them (transport.NewChunkFrame);
+	// Encode gathers them, for a frame built from the message alone.
 	Segments Segments
 }
 
@@ -275,10 +276,7 @@ func (*TransferChunk) Kind() Kind { return KindTransferChunk }
 
 // Encode implements Message.
 func (m *TransferChunk) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.Offset)
-	e.PutUvarint(m.Total)
+	m.putHeader(e)
 	if m.Segments != nil {
 		e.PutSegments(m.Segments)
 		return
@@ -288,13 +286,25 @@ func (m *TransferChunk) Encode(e *Encoder) {
 
 // Decode implements Message.
 func (m *TransferChunk) Decode(d *Decoder) error {
+	m.decodeHeader(d)
+	//lint:allow aliasretain Data documents the aliasing contract: valid until the connection's next read
+	m.Data = d.Bytes()
+	return d.Err()
+}
+
+// putHeader and decodeHeader code every field before the body.
+func (m *TransferChunk) putHeader(e *Encoder) {
+	e.PutUvarint(m.RequestID)
+	e.PutString(m.Group)
+	e.PutUvarint(m.Offset)
+	e.PutUvarint(m.Total)
+}
+
+func (m *TransferChunk) decodeHeader(d *Decoder) {
 	m.RequestID = d.Uvarint()
 	m.Group = d.String()
 	m.Offset = d.Uvarint()
 	m.Total = d.Uvarint()
-	//lint:allow aliasretain Data documents the aliasing contract: valid until the next read, appended immediately
-	m.Data = d.Bytes()
-	return d.Err()
 }
 
 // TransferDone terminates a streamed state transfer: every chunk has been

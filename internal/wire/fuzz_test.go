@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
+	"testing/iotest"
 )
 
 // encodePayload drains a fresh TransferStream over the given payload into
@@ -160,21 +162,27 @@ func FuzzDeliverBatch(f *testing.F) {
 // message codec; frames that decode as TransferChunk must re-encode to a
 // frame that decodes identically. The fuzzer also picks how the chunk's
 // bytes split into segments (cuts), and the frames built from those
-// segments must be the frames of the gathered bytes.
+// segments must be the frames of the gathered bytes. Every input is also
+// read in place, one byte per read (ReadTransferChunk), which must take
+// exactly the chunks the plain decode takes.
 func FuzzTransferChunk(f *testing.F) {
 	seed := Marshal(nil, &TransferChunk{RequestID: 9, Group: "g", Offset: 128, Total: 4096, Data: []byte("chunkchunk")})
 	f.Add(seed, []byte{3, 0, 4})
 	f.Add(Marshal(nil, &TransferChunk{Group: ""}), []byte{})
 	f.Add([]byte{byte(KindTransferChunk), 0, 0, 0}, []byte{1})
+	f.Add(Marshal(nil, &TransferChunk{Offset: 0, Total: 3, Data: []byte("abc")}), []byte{2})
 	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		inPlace, inErr := readInPlace(data, func(_ *TransferChunk, n int) ([]byte, error) { return make([]byte, n), nil })
 		msg, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
 		c, ok := msg.(*TransferChunk)
-		if !ok {
+		if err != nil || !ok {
+			if inErr == nil {
+				t.Fatalf("in-place read took a frame the plain decode refuses: %+v", inPlace)
+			}
 			return
 		}
+		checkInPlace(t, data, c, inPlace, inErr)
+
 		segs := splitAt(c.Data, cuts)
 		sameFrame(t, &TransferChunk{RequestID: c.RequestID, Group: c.Group, Offset: c.Offset, Total: c.Total, Segments: segs}, c)
 		re := Marshal(nil, c)
@@ -188,6 +196,52 @@ func FuzzTransferChunk(f *testing.F) {
 			t.Fatalf("chunk round-trip mismatch: %+v != %+v", c, c2)
 		}
 	})
+}
+
+// inPlaceBuffer is the read buffer readInPlace uses: small, so long headers
+// and the peek's growth are reached.
+const inPlaceBuffer = 64
+
+// readInPlace reads data, a frame body, as a chunk taken in place over a
+// stream that yields one byte per read.
+func readInPlace(data []byte, reserve ChunkReserve) (*TransferChunk, error) {
+	r := bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), inPlaceBuffer)
+	return ReadTransferChunk(r, len(data), reserve)
+}
+
+// checkInPlace holds the in-place read of data to the plain decode c: the
+// same chunk, unless the frame carries bytes past the body (which the plain
+// decode ignores) or a header longer than the read buffer, and then an
+// error. Read into an assembler, the chunk is taken only where it opens the
+// payload within its announced total.
+func checkInPlace(t *testing.T, data []byte, c, got *TransferChunk, err error) {
+	t.Helper()
+	d := NewDecoder(data[1:])
+	new(TransferChunk).decodeHeader(d)
+	size := d.Uvarint()
+	hdr := 1 + d.off
+	if size != uint64(len(data)-hdr) || hdr > inPlaceBuffer {
+		if err == nil {
+			t.Fatalf("in-place read took a chunk with a %d-byte header and %d of %d body bytes", hdr, size, len(data)-hdr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("in-place read refused a chunk the plain decode takes: %v", err)
+	}
+	if got.RequestID != c.RequestID || got.Group != c.Group || got.Offset != c.Offset ||
+		got.Total != c.Total || !bytes.Equal(got.Data, c.Data) {
+		t.Fatalf("in-place read %+v, plain decode %+v", got, c)
+	}
+
+	var a TransferAssembler
+	got, err = readInPlace(data, func(m *TransferChunk, n int) ([]byte, error) { return a.Reserve(m.Offset, m.Total, n) })
+	if fits := c.Offset == 0 && uint64(len(c.Data)) <= c.Total; (err == nil) != fits {
+		t.Fatalf("assembler read of a chunk at %d of %d bytes with %d body bytes: %v", c.Offset, c.Total, len(c.Data), err)
+	}
+	if err == nil && (a.Received() != uint64(len(c.Data)) || !bytes.Equal(got.Data, c.Data)) {
+		t.Fatalf("assembler holds %d bytes after a %d-byte chunk", a.Received(), len(c.Data))
+	}
 }
 
 // FuzzTransferStream builds a structured payload from fuzzed inputs,

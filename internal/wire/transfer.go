@@ -1,6 +1,11 @@
 package wire
 
-import "fmt"
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"slices"
+)
 
 // TransferChunkSize is the default payload size of one TransferChunk. It is
 // small enough that a chunk never monopolizes a member's pump (live Delivers
@@ -9,9 +14,10 @@ import "fmt"
 const TransferChunkSize = 256 << 10
 
 // Segments is one byte string held as a list of slices, in order. On the
-// wire it is indistinguishable from the concatenation (Encoder.PutSegments),
-// so a writer can frame shared buffers without gathering them first. The
-// slices are read, never written.
+// wire it is indistinguishable from the concatenation, so a writer can send
+// shared buffers without gathering them first: a transfer frame hands the
+// large slices to the socket write as they lie (transport.NewChunkFrame).
+// The slices are read, never written.
 type Segments [][]byte
 
 // Len returns the length of the concatenation.
@@ -31,8 +37,8 @@ func (s Segments) Len() int {
 // private buffer, interleaved with the caller's data slices, which are
 // shared, not copied. Building a stream is therefore O(#objects + #events)
 // regardless of payload bytes, and draining it copies nothing either: the
-// frame a chunk is encoded into is the payload's one copy on the sending
-// side.
+// socket write reads a chunk's large pieces where they lie, so the kernel's
+// copy is the payload's only one on the sending side.
 //
 // The caller must not mutate the objects' or events' Data buffers while the
 // stream or any chunk it produced is live. A state.Transfer provides exactly
@@ -50,8 +56,8 @@ type TransferStream struct {
 // are dropped.
 //
 // corona:zerocopy — the stream interleaves the shared buffers into chunks
-// without cloning the payload (encoding a chunk into its frame is the only
-// copy); adding defensive copies here regresses the O(1) capture.
+// without cloning the payload (the socket write reads them in place);
+// adding defensive copies here regresses the O(1) capture.
 func NewTransferStream(objects []Object, events []Event) *TransferStream {
 	e := NewEncoder(nil)
 	// cuts[i] is the header-buffer offset at which shared[i] interleaves.
@@ -112,10 +118,11 @@ func (s *TransferStream) Remaining() uint64 { return s.total - s.sent }
 // list of sub-slices of the stream's header buffer and of the caller's
 // shared Data buffers: Next copies no payload byte, and a chunk stays valid
 // after later Next calls for as long as those buffers do. Frame it with
-// TransferChunk.Segments; encoding the frame is the one copy.
+// TransferChunk.Segments (transport.NewChunkFrame), which writes it without
+// a user-space copy.
 //
-// corona:zerocopy — a chunk buffer here would be a second copy of every
-// byte a join or a replica pull sends.
+// corona:zerocopy — a chunk buffer here would be a copy of every byte a
+// join or a replica pull sends.
 func (s *TransferStream) Next(max int) (chunk Segments, offset uint64) {
 	if max <= 0 || s.sent == s.total {
 		return nil, s.sent
@@ -150,26 +157,36 @@ func (s *TransferStream) Next(max int) (chunk Segments, offset uint64) {
 // of one streamed payload in offset order and decodes the reassembled bytes.
 // It hides the payload format and the allocation bound from the receivers
 // (a joining client, a server pulling a replica), which keep only their own
-// bookkeeping. The zero value is ready to use.
+// bookkeeping. A receiver reserves each chunk's room at the assembler's end
+// and the connection reads the body from the socket straight into it
+// (ReadTransferChunk), so the kernel's copy is the payload's only one on
+// the receiving side. The zero value is ready to use.
 type TransferAssembler struct {
 	buf []byte
 }
 
-// Add appends the chunk that starts at offset; a chunk that does not start
-// where the previous one ended is an error (chunks travel in order on one
-// connection, so a gap is a protocol fault, never reordering). total is the
-// sender's announced payload size. It only sizes the buffer up front, and
-// only while it is a size one frame could carry: a corrupt or hostile
-// announcement allocates nothing, and a larger payload grows by append.
-func (a *TransferAssembler) Add(offset, total uint64, data []byte) error {
-	if offset != uint64(len(a.buf)) {
-		return fmt.Errorf("wire: transfer chunk at offset %d, want %d", offset, len(a.buf))
+// Reserve extends the payload by the n bytes of the chunk that starts at
+// offset and returns them, for the caller to fill with the chunk's body. A
+// chunk that does not start where the previous one ended is an error (chunks
+// travel in order on one connection, so a gap is a protocol fault, never
+// reordering), and so is one that runs past total, the sender's announced
+// payload size. total also sizes the buffer on the first chunk, but only
+// while it is a size one frame could carry: a corrupt or hostile
+// announcement allocates nothing, and a larger payload grows as its chunks
+// arrive, each at most one frame.
+func (a *TransferAssembler) Reserve(offset, total uint64, n int) ([]byte, error) {
+	have := uint64(len(a.buf))
+	if offset != have {
+		return nil, fmt.Errorf("wire: transfer chunk at offset %d, want %d", offset, have)
+	}
+	if n < 0 || total < have || uint64(n) > total-have {
+		return nil, fmt.Errorf("wire: transfer chunk of %d bytes at %d runs past the announced %d", n, offset, total)
 	}
 	if a.buf == nil && total <= MaxFrame {
 		a.buf = make([]byte, 0, total)
 	}
-	a.buf = append(a.buf, data...)
-	return nil
+	a.buf = slices.Grow(a.buf, n)[:len(a.buf)+n]
+	return a.buf[have:len(a.buf):len(a.buf)], nil
 }
 
 // Received returns the payload bytes assembled so far.
@@ -177,10 +194,9 @@ func (a *TransferAssembler) Received() uint64 { return uint64(len(a.buf)) }
 
 // Finish checks that exactly total bytes arrived and decodes them. The
 // assembler's buffer belongs to this one transfer, and Finish hands its
-// ownership to the results: their Data slices share it, uncopied (Add's
-// copy is the payload's one copy on the receiving side), and the assembler
-// is spent. Each Data is capped at its own length, so appending to one
-// reallocates it rather than overwriting the next.
+// ownership to the results: their Data slices share it, uncopied, and the
+// assembler is spent. Each Data is capped at its own length, so appending to
+// one reallocates it rather than overwriting the next.
 func (a *TransferAssembler) Finish(total uint64) ([]Object, []Event, error) {
 	if uint64(len(a.buf)) != total {
 		return nil, nil, fmt.Errorf("wire: transfer truncated: %d of %d bytes", len(a.buf), total)
@@ -188,6 +204,86 @@ func (a *TransferAssembler) Finish(total uint64) ([]Object, []Event, error) {
 	buf := a.buf
 	a.buf = nil
 	return decodeTransferPayload(buf)
+}
+
+// AppendChunkHeader appends the bytes that precede a chunk's body in its
+// frame — the kind, every field of m but the body, and the body's length n —
+// to buf. These bytes followed by a body of n bytes are Marshal(m) with Data
+// set to that body; the transport frames a chunk this way around its
+// segments, without encoding them (transport.NewChunkFrame).
+func AppendChunkHeader(buf []byte, m *TransferChunk, n int) []byte {
+	e := Encoder{buf: append(buf, byte(KindTransferChunk))}
+	m.putHeader(&e)
+	e.PutUvarint(uint64(n))
+	return e.buf
+}
+
+// ChunkReserve returns the slice a TransferChunk's body of size bytes is to
+// be read into, normally a TransferAssembler's reservation. nil discards the
+// body from the stream; an error fails the read, leaving the stream
+// unusable.
+type ChunkReserve func(m *TransferChunk, size int) ([]byte, error)
+
+// ReadTransferChunk reads a TransferChunk frame of n bytes, its kind byte
+// included, from r without taking the body through a buffer of its own:
+// it decodes the header from r's buffered bytes (it must fit in r's
+// buffer), asks reserve for a slice of the body's length, and reads the body
+// into that slice. A body still in the socket is read straight into it by
+// the kernel. The body must end the frame exactly. reserve returning a nil
+// slice discards the body from the stream; an error from reserve is
+// returned, with the body left unread. The chunk's Data is the slice
+// reserve returned.
+func ReadTransferChunk(r *bufio.Reader, n int, reserve ChunkReserve) (*TransferChunk, error) {
+	if n < 1 {
+		return nil, ErrShortBuffer
+	}
+	m := new(TransferChunk)
+	var hdr int
+	var size uint64
+	// A header is tens of bytes; peek more only for a long group name.
+	for k := min(n, 64, r.Size()); ; k = min(2*k, n, r.Size()) {
+		b, err := r.Peek(k)
+		if err != nil {
+			return nil, fmt.Errorf("wire: short chunk frame: %w", err)
+		}
+		if Kind(b[0]) != KindTransferChunk {
+			return nil, fmt.Errorf("wire: %s frame read as a transfer chunk", Kind(b[0]))
+		}
+		d := NewDecoder(b[1:])
+		m.decodeHeader(d)
+		size = d.Uvarint()
+		if d.Err() == nil {
+			hdr = 1 + d.off
+			break
+		}
+		if k == n || k == r.Size() {
+			return nil, fmt.Errorf("wire: decode %s header: %w", KindTransferChunk, d.Err())
+		}
+	}
+	if size != uint64(n-hdr) {
+		return nil, fmt.Errorf("wire: transfer chunk body of %d bytes in a %d-byte frame after a %d-byte header", size, n, hdr)
+	}
+	if _, err := r.Discard(hdr); err != nil {
+		return nil, err
+	}
+	body, err := reserve(m, int(size))
+	if err != nil {
+		return nil, err
+	}
+	if body == nil {
+		if _, err := r.Discard(int(size)); err != nil {
+			return nil, fmt.Errorf("wire: short chunk frame: %w", err)
+		}
+		return m, nil
+	}
+	if len(body) != int(size) {
+		return nil, fmt.Errorf("wire: %d bytes reserved for a %d-byte chunk body", len(body), size)
+	}
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, fmt.Errorf("wire: short chunk frame: %w", err)
+	}
+	m.Data = body
+	return m, nil
 }
 
 // decodeTransferPayload decodes a reassembled transfer payload into its

@@ -178,6 +178,17 @@ func TestChunkFramesFromSegmentsMatchGatheredBytes(t *testing.T) {
 	}
 }
 
+// add reserves data's room in a and fills it, as a connection reading a
+// chunk in place does.
+func add(a *TransferAssembler, offset, total uint64, data []byte) error {
+	body, err := a.Reserve(offset, total, len(data))
+	if err != nil {
+		return err
+	}
+	copy(body, data)
+	return nil
+}
+
 // TestFinishClipsEachData: the decoded Data slices share the reassembled
 // buffer, so each must end its capacity at its own length.
 func TestFinishClipsEachData(t *testing.T) {
@@ -185,7 +196,7 @@ func TestFinishClipsEachData(t *testing.T) {
 	evs := []Event{{Seq: 1, Kind: EventUpdate, ObjectID: "a", Data: []byte("ev")}}
 	payload := referencePayload(objs, evs)
 	var a TransferAssembler
-	if err := a.Add(0, uint64(len(payload)), payload); err != nil {
+	if err := add(&a, 0, uint64(len(payload)), payload); err != nil {
 		t.Fatal(err)
 	}
 	gotObjs, gotEvs, err := a.Finish(uint64(len(payload)))
@@ -222,7 +233,7 @@ func TestTransferAssemblerInvertsStream(t *testing.T) {
 			if chunk == nil {
 				break
 			}
-			if err := a.Add(off, s.Total(), bytes.Join(chunk, nil)); err != nil {
+			if err := add(&a, off, s.Total(), bytes.Join(chunk, nil)); err != nil {
 				t.Fatalf("max %d: Add(%d): %v", max, off, err)
 			}
 		}
@@ -239,13 +250,13 @@ func TestTransferAssemblerInvertsStream(t *testing.T) {
 func TestTransferAssemblerRejectsGapAndTruncation(t *testing.T) {
 	payload := referencePayload([]Object{{ID: "o", Data: []byte("data")}}, nil)
 	var a TransferAssembler
-	if err := a.Add(3, uint64(len(payload)), payload[3:]); err == nil {
+	if err := add(&a, 3, uint64(len(payload)), payload[3:]); err == nil {
 		t.Error("chunk past a gap accepted")
 	}
-	if err := a.Add(0, uint64(len(payload)), payload[:4]); err != nil {
+	if err := add(&a, 0, uint64(len(payload)), payload[:4]); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(0, uint64(len(payload)), payload[:4]); err == nil {
+	if err := add(&a, 0, uint64(len(payload)), payload[:4]); err == nil {
 		t.Error("replayed chunk accepted")
 	}
 	if _, _, err := a.Finish(uint64(len(payload))); err == nil {
@@ -253,11 +264,29 @@ func TestTransferAssemblerRejectsGapAndTruncation(t *testing.T) {
 	}
 }
 
+// TestTransferAssemblerRejectsPastTotal: a chunk that would run past the
+// announced total reserves nothing.
+func TestTransferAssemblerRejectsPastTotal(t *testing.T) {
+	var a TransferAssembler
+	if _, err := a.Reserve(0, 4, 5); err == nil {
+		t.Error("chunk past the announced total reserved")
+	}
+	if _, err := a.Reserve(0, 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Reserve(4, 3, 0); err == nil {
+		t.Error("chunk under a shrunken total reserved")
+	}
+	if a.Received() != 4 {
+		t.Fatalf("Received = %d after refused chunks, want 4", a.Received())
+	}
+}
+
 // TestTransferAssemblerBoundsPreallocation: the announced total comes off the
 // wire unvalidated; one no frame could carry must not size an allocation.
 func TestTransferAssemblerBoundsPreallocation(t *testing.T) {
 	var a TransferAssembler
-	if err := a.Add(0, 1<<62, []byte("x")); err != nil {
+	if err := add(&a, 0, 1<<62, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if cap(a.buf) > 64 {

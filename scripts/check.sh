@@ -53,9 +53,9 @@ echo "== go test -race -short"
 go test -race -short ./...
 
 echo "== allocation budgets (no race)"
-# A full join copies the state once per side: chunks are encoded straight
-# from the group's buffers, and the joiner's view adopts the reassembled
-# payload. An applied update allocates only the history's copy of it unless
+# A full join allocates the state once: chunks are written from the group's
+# buffers and read into the joiner's one payload buffer, and the joiner's
+# view adopts it. An applied update allocates only the history's copy of it unless
 # the object must grow, and growth is geometric. A replica's distributed run
 # of one recycles its scratch. The allocation guards skip themselves under
 # -race, so they run here uninstrumented, with the test that streamed objects
