@@ -59,9 +59,11 @@ type groupRuntime struct {
 	mu   sync.Mutex
 	ring *fanoutRing
 	snap *fanoutSnap
-	// fanoutRun's scratch, guarded by mu: the run's applied events, the
-	// senders it excludes, and one excluded sender's filtered view.
+	// applyRun's and fanoutRun's scratch, guarded by mu: the run's
+	// sequenced (then applied) events and where applyRun found each in the
+	// run, the senders it excludes, and one excluded sender's filtered view.
 	evs  []wire.Event
+	at   []int
 	excl []uint64
 	own  []wire.Event
 	// floorPending dedupes the floor checkpoint a failed commit schedules
@@ -160,8 +162,8 @@ type specialFrame struct {
 
 // fanoutEntry is one unit of off-lock delivery work: a pre-encoded shared
 // frame plus the COW receiver snapshot it goes to (the frame is encoded
-// under the group mutex because event payloads alias the sender's
-// connection read buffer — see the aliasing notes on wire.Bcast). refs
+// under the group mutex, where the entry is pushed in sequence order; the
+// event payloads are decoded copies, not the sender's read buffer). refs
 // counts the shards still holding the entry; the last one to finish
 // finalizes it: latency recorded, frames released, ring credit returned,
 // entry pooled.

@@ -39,7 +39,7 @@ type runEvent struct {
 	reqID uint64
 	// applied is set once the event is folded into the group state; only
 	// applied events are delivered and persisted. A replica's duplicate and
-	// an event state.Apply rejected stay unapplied — and are still
+	// an event state.ApplyRun rejected stay unapplied — and are still
 	// acknowledged, so a sender never waits on either.
 	applied bool
 	// deferred reports that the ack was handed to the WAL group-commit
@@ -277,12 +277,13 @@ func (e *Engine) admitLocked(r *run) (*membership.Group, error) {
 }
 
 // applyRun is the group critical section: it numbers the run's events (or,
-// for a coordinator-sequenced run, checks their numbers against the
-// replica's high-water mark), folds them into the group state, hands the
-// applied ones to the delivery pipeline as one fanout entry, and queues
-// their records for group commit in sequence order. It reports how many
-// events were consumed — all of them unless a sequence gap stopped a
-// distributed run — and how many of those were new to the group.
+// for a coordinator-sequenced run, finds the window of them that continues
+// the replica's high-water mark), folds them into the group state with one
+// state.ApplyRun, hands the applied ones to the delivery pipeline as one
+// fanout entry, and queues their records for group commit in sequence order.
+// It reports how many events were consumed — all of them unless a sequence
+// gap stopped a distributed run — and how many of those were new to the
+// group.
 //
 // The fanout runs in parallel with disk logging (paper §6): receivers may
 // see an event whose record a crash then loses — the paper accepts losing
@@ -290,10 +291,12 @@ func (e *Engine) admitLocked(r *run) (*membership.Group, error) {
 // ack is handed to the WAL group-commit writer instead, which acknowledges
 // once the record is durable or nacks honestly when it is not.
 //
-// An event state.Apply rejects is a sequencing bug; the engine keeps
+// An event state.ApplyRun rejects is a sequencing bug; the engine keeps
 // serving. It is counted, traced and logged off-lock (blocking log I/O is
 // forbidden here — lockhold), acknowledged, and neither delivered nor
-// persisted.
+// persisted. The events after it are applied as a run of their own, unless
+// the failure left the state short of them: a distributed run then ends
+// there, as at a gap.
 //
 // Caller holds e.mu (read mode suffices) and the group's mutex, and has
 // acquired one credit of grt.ring; applyRun owns it from here — the pushed
@@ -302,41 +305,81 @@ func (e *Engine) admitLocked(r *run) (*membership.Group, error) {
 func (e *Engine) applyRun(r *run, g *membership.Group, grt *groupRuntime) (consumed, sequenced int) {
 	start := time.Now()
 	st := e.getState(r.group)
+	// The window: the sequenced events, and where each sits in r.events.
+	// A distributed window continues the replica's state: duplicates are
+	// consumed and skipped, and a gap ends it.
+	evs, at := grt.evs[:0], grt.at[:0]
+	var next uint64
+	if st != nil {
+		next = st.NextSeq()
+	}
 	for i := range r.events {
 		re := &r.events[i]
 		if r.sess != nil {
 			re.ev.Seq, re.ev.Time = e.seqr.Next(r.group)
-		} else {
-			if st != nil {
-				next := st.NextSeq()
-				if re.ev.Seq > next {
-					break
-				}
-				if re.ev.Seq < next {
-					consumed++
-					continue
-				}
+		} else if st != nil {
+			if re.ev.Seq > next {
+				break
 			}
-			e.seqr.Observe(r.group, re.ev.Seq)
-		}
-		consumed++
-		sequenced++
-		if st != nil {
-			if err := st.Apply(re.ev); err != nil {
-				e.mApplyErrors.Inc()
-				e.metrics.Event("core", fmt.Sprintf("apply failed: group=%s seq=%d: %v", r.group, re.ev.Seq, err))
-				e.reporter.report("apply failed", r.group, re.ev.Seq, err)
+			if re.ev.Seq < next {
+				consumed++
 				continue
 			}
+			next++
 		}
-		re.applied = true
+		consumed++
+		evs = append(evs, re.ev)
+		at = append(at, i)
+	}
+	failed := false
+	for k := 0; k < len(evs); {
+		n := len(evs) - k
+		var err error
+		if st != nil {
+			n, err = st.ApplyRun(evs[k:])
+		}
+		for _, i := range at[k : k+n] {
+			r.events[i].applied = true
+		}
+		if k += n; err == nil {
+			break
+		}
+		failed = true
+		e.mApplyErrors.Inc()
+		e.metrics.Event("core", fmt.Sprintf("apply failed: group=%s seq=%d: %v", r.group, evs[k].Seq, err))
+		e.reporter.report("apply failed", r.group, evs[k].Seq, err)
+		if k++; r.sess == nil && k < len(evs) && evs[k].Seq != st.NextSeq() {
+			// The rest of the window no longer continues the state: it
+			// ends at the gap the failure left, as at any gap.
+			clear(evs[k:])
+			consumed, evs, at = at[k], evs[:k], at[:k]
+		}
+	}
+	sequenced = len(evs)
+	if r.sess == nil {
+		for i := range evs {
+			e.seqr.Observe(r.group, evs[i].Seq)
+		}
+	}
+	if failed {
+		// Only the applied events are delivered.
+		kept := evs[:0]
+		for j := range evs {
+			if r.events[at[j]].applied {
+				kept = append(kept, evs[j])
+			}
+		}
+		clear(evs[len(kept):])
+		evs = kept
 	}
 	if sequenced == 0 {
 		grt.ring.release()
 		return consumed, 0
 	}
-
-	e.fanoutRun(r, grt)
+	e.fanoutRun(r, grt, evs)
+	// The frames copied the events; drop the scratch's payload references.
+	clear(evs)
+	grt.evs, grt.at = evs[:0], at[:0]
 
 	if st != nil {
 		deferAcks := r.sess != nil && e.wal != nil && g.Persistent && e.cfg.Sync == wal.SyncAlways
@@ -375,28 +418,25 @@ func (e *Engine) commitAck(s *Session, reqID, seq uint64) func(error) {
 	}
 }
 
-// fanoutRun hands a run's applied events to the delivery pipeline as one
-// entry: members owed the whole run share a single pooled frame encoded
+// fanoutRun hands a run's applied events, evs, to the delivery pipeline as
+// one entry: members owed the whole run share a single pooled frame encoded
 // once, while a local member that sent sender-exclusive events of the run
 // (almost always exactly the ingesting session) gets its own filtered frame
 // — or nothing, when the filter empties. When no local member is owed
 // anything (a lone sender-exclusive sender, a group with no local members)
 // nothing is encoded or pushed.
 //
-// All frames are encoded here, under the group mutex: event payloads may
-// alias the sender connection's read buffer, which is reused as soon as the
-// sender's next request is read (zero-copy ingest contract, DESIGN §4).
-// Caller holds e.mu (read) and the group's mutex and owns one ring credit,
-// which leaves with the pushed entry or is released.
-func (e *Engine) fanoutRun(r *run, grt *groupRuntime) {
-	evs, excl := grt.evs[:0], grt.excl[:0]
+// All frames are encoded here, under the group mutex, from the group's
+// scratch, which the mutex guards, and the entry is pushed under it, which
+// keeps the ring in sequence order. The payloads do not tie the encode to
+// the lock: they are the decoder's own copies (Bcast.Decode and
+// SDistribute.Decode copy Data), not the sender's read buffer. Caller holds
+// e.mu (read) and the group's mutex and owns one ring credit, which leaves
+// with the pushed entry or is released.
+func (e *Engine) fanoutRun(r *run, grt *groupRuntime, evs []wire.Event) {
+	excl := grt.excl[:0]
 	for i := range r.events {
-		re := &r.events[i]
-		if !re.applied {
-			continue
-		}
-		evs = append(evs, re.ev)
-		if !re.incl && !containsID(excl, re.ev.Sender) {
+		if re := &r.events[i]; re.applied && !re.incl && !containsID(excl, re.ev.Sender) {
 			excl = append(excl, re.ev.Sender)
 		}
 	}
@@ -430,9 +470,7 @@ func (e *Engine) fanoutRun(r *run, grt *groupRuntime) {
 			owed = true
 		}
 	}
-	// The frames copied the events; drop the scratch's payload references.
-	clear(evs)
-	grt.evs, grt.excl = evs[:0], excl[:0]
+	grt.excl = excl[:0]
 
 	if owed {
 		ent.snap, ent.ring = snap, grt.ring

@@ -241,6 +241,37 @@ func TestApplyDistributedAllocations(t *testing.T) {
 	}
 }
 
+// TestDistributedRunStopsAfterRejectedEvent: an event the state rejects
+// in the middle of a distributed run is consumed, counted and not applied;
+// the events after it no longer continue the state, so the run ends there
+// with a gap, as it does at any gap.
+func TestDistributedRunStopsAfterRejectedEvent(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Logger: quietTestLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := e.CreateGroupDirect("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	run := []DistEvent{
+		{Event: wire.Event{Seq: 1, Kind: wire.EventState, ObjectID: "o", Data: []byte("a")}},
+		{Event: wire.Event{Seq: 2, Kind: wire.EventKind(99), ObjectID: "o", Data: []byte("b")}},
+		{Event: wire.Event{Seq: 3, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("c")}},
+	}
+	consumed, err := e.ApplyDistributed("g", run)
+	if consumed != 2 || !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("ApplyDistributed = %d, %v; want 2, a gap", consumed, err)
+	}
+	if n := e.mApplyErrors.Load(); n != 1 {
+		t.Errorf("apply errors = %d, want 1", n)
+	}
+	st := e.getState("g")
+	if obj, _ := st.Object("o"); st.NextSeq() != 2 || string(obj) != "a" {
+		t.Errorf("state next %d, object %q; want 2, %q", st.NextSeq(), obj, "a")
+	}
+}
+
 // TestLoneExclusiveSenderPushesNothing: when no local member is owed a
 // delivery — the sole member multicasting sender-exclusive — the path must
 // not encode a frame or push a fanout entry, for a run of one and for a

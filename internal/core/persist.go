@@ -191,21 +191,30 @@ func buildGroups(groups []*groupLog) {
 	wg.Wait()
 }
 
-// build rebuilds the group: its base record's state, then each event record
-// in order. It reports the LSN of the record that failed, if one did.
+// build rebuilds the group: its base record's state, then the event records
+// after it as one state.ApplyRun. It reports the LSN of the record that
+// failed, if one did.
 func (gl *groupLog) build() (*state.Group, uint64, error) {
 	st, err := gl.restoreBase()
 	if err != nil {
 		return nil, gl.baseLSN, err
 	}
+	// The run's Data alias the segment reads; ApplyRun copies them. kept
+	// holds the records the run was made of, in place in gl.events, so the
+	// run's i-th event is kept[i]'s.
+	evs := make([]wire.Event, 0, len(gl.events))
+	kept := gl.events[:0]
+	next := st.NextSeq()
+	var decodeLSN uint64
+	var decodeErr error
 	for _, rec := range gl.events {
 		d := wire.NewDecoder(rec.body)
-		// The event's Data aliases the segment read; Apply copies it.
 		ev := wire.DecodeEventAlias(d)
 		if err := d.Err(); err != nil {
-			return nil, rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
+			decodeLSN, decodeErr = rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
+			break
 		}
-		if ev.Seq != st.NextSeq() {
+		if ev.Seq != next {
 			// Behind: already covered by the base checkpoint. Ahead: a
 			// failed batch burned the intervening LSNs, so this record
 			// cannot apply over the gap — it is restored instead by the
@@ -214,9 +223,17 @@ func (gl *groupLog) build() (*state.Group, uint64, error) {
 			// one included), which is then this group's base.
 			continue
 		}
-		if err := st.Apply(ev); err != nil {
-			return nil, rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
-		}
+		evs = append(evs, ev)
+		kept = append(kept, rec)
+		next++
+	}
+	// The run precedes the record that failed to decode, so its own
+	// failure is the lower LSN.
+	if n, err := st.ApplyRun(evs); err != nil {
+		return nil, kept[n].lsn, fmt.Errorf("core: wal event %d: %w", kept[n].lsn, err)
+	}
+	if decodeErr != nil {
+		return nil, decodeLSN, decodeErr
 	}
 	return st, 0, nil
 }

@@ -29,8 +29,8 @@ import (
 
 // Package errors.
 var (
-	// ErrStaleSeq is returned by Apply when an event's sequence number is
-	// not the next expected one.
+	// ErrStaleSeq is returned by Apply and ApplyRun when an event's
+	// sequence number is not the next expected one.
 	ErrStaleSeq = errors.New("state: event sequence out of order")
 	// ErrSeqGap is returned by a TransferResume capture when the requested
 	// suffix predates the group's checkpoint and can no longer be served
@@ -92,44 +92,121 @@ func (g *Group) HistoryLen() int { return len(g.history) }
 func (g *Group) ObjectCount() int { return len(g.objects) }
 
 // Apply folds one sequenced event into the state and retains it in the
-// history. The event must carry the next expected sequence number.
+// history: it is ApplyRun of a run of one. The event must carry the next
+// expected sequence number.
 func (g *Group) Apply(ev wire.Event) error {
-	if ev.Seq != g.nextSeq {
-		return fmt.Errorf("%w: got %d, want %d", ErrStaleSeq, ev.Seq, g.nextSeq)
+	_, err := g.ApplyRun([]wire.Event{ev})
+	return err
+}
+
+// ApplyRun folds a run of sequenced events into the state and retains them
+// in the history, with the result Apply gives applied one at a time. It
+// applies the run up to the first event that does not carry the next
+// expected sequence number or has an invalid kind, reports how many events
+// it applied, and returns that event's error.
+//
+// Each object the run touches is written once (see applyToObjects): an
+// update a later bcastState of the run replaces is never copied into the
+// object. Every applied event is still cloned into the history and folded
+// into the digest, in order.
+func (g *Group) ApplyRun(evs []wire.Event) (int, error) {
+	n, err := g.runLength(evs)
+	evs = evs[:n]
+	g.applyToObjects(evs)
+	if n > cap(g.history)-len(g.history) {
+		// The history grows once per run, into a fresh array: captured
+		// views keep the old one.
+		g.history = cloneGrowEvents(g.history, n)
 	}
-	if !ev.Kind.Valid() {
-		return fmt.Errorf("state: invalid event kind %d", ev.Kind)
+	for i := range evs {
+		g.history = append(g.history, cloneEvent(evs[i]))
+		g.digest = DigestEvent(g.digest, evs[i])
 	}
-	g.applyToObjects(ev)
-	g.history = append(g.history, cloneEvent(ev))
-	g.nextSeq++
-	g.digest = DigestEvent(g.digest, ev)
-	return nil
+	g.nextSeq += uint64(n)
+	return n, err
+}
+
+// runLength reports how many of evs, from the first, carry consecutive
+// sequence numbers from nextSeq and valid kinds, and the error of the event
+// that stops them, if one does.
+func (g *Group) runLength(evs []wire.Event) (int, error) {
+	for i := range evs {
+		if want := g.nextSeq + uint64(i); evs[i].Seq != want {
+			return i, fmt.Errorf("%w: got %d, want %d", ErrStaleSeq, evs[i].Seq, want)
+		}
+		if !evs[i].Kind.Valid() {
+			return i, fmt.Errorf("state: invalid event kind %d", evs[i].Kind)
+		}
+	}
+	return len(evs), nil
 }
 
 // Digest returns the running history digest (see DigestEvent).
 func (g *Group) Digest() uint64 { return g.digest }
 
-// applyToObjects folds one event into the materialized objects. It must
-// preserve the copy-on-write invariants documented on Transfer: a state
-// event installs a fresh buffer (never writes into the old one), and an
-// update only appends — bytes below any previously captured length are
-// never rewritten, so captured views stay stable without cloning.
+// applyToObjects folds a run of valid events into the materialized objects,
+// writing each object the run touches once. It must preserve the
+// copy-on-write invariants documented on Transfer: a state event installs a
+// fresh buffer (never writes into the old one), and an update only appends —
+// bytes below any previously captured length are never rewritten, so
+// captured views stay stable without cloning.
 //
-// An update that does not fit the object's capacity first moves the object
-// to a fresh buffer of capacity 2·len + len(update) (cloneGrow). An object
-// built by n appends is therefore copied O(log n) times, and its capacity
-// never exceeds 2·len + len(last update) plus the allocator's size-class
+// An object ends the run as its last bcastState of the run followed by the
+// updates after it, or, without one, as its old bytes followed by the run's
+// updates. Events before that bcastState are superseded and never copied. An
+// object the run resets gets one fresh buffer of its final length. An object
+// the run only appends to takes the run's bytes for it in place when they fit
+// its capacity; otherwise it first moves once to a fresh buffer of capacity
+// 2·len + the run's bytes for it (cloneGrow). An object built by n runs of
+// appends is therefore copied O(log n) times, and its capacity never exceeds
+// 2·len + the last run's bytes for it plus the allocator's size-class
 // rounding.
-func (g *Group) applyToObjects(ev wire.Event) {
-	switch ev.Kind {
-	case wire.EventState:
-		g.objects[ev.ObjectID] = cloneBytes(ev.Data)
-	case wire.EventUpdate:
-		if obj := g.objects[ev.ObjectID]; len(ev.Data) > cap(obj)-len(obj) {
-			g.objects[ev.ObjectID] = cloneGrow(obj, len(ev.Data))
+func (g *Group) applyToObjects(evs []wire.Event) {
+	// What the run does to each object it touches, in order of first
+	// touch: reset is the index in the run of the object's last bcastState
+	// (-1: none), and size the bytes the run leaves in it from there, or
+	// without a reset the bytes it appends. Both stay on the stack while
+	// the run touches few objects; the map is written only on an object's
+	// first touch, since a full small map grows on any write.
+	type runObject struct {
+		id          string
+		reset, size int
+	}
+	index := make(map[string]int)
+	objs := make([]runObject, 0, 8)
+	resets := false
+	for i := range evs {
+		id := evs[i].ObjectID
+		k, ok := index[id]
+		if !ok {
+			k = len(objs)
+			index[id] = k
+			objs = append(objs, runObject{id: id, reset: -1})
 		}
-		g.objects[ev.ObjectID] = append(g.objects[ev.ObjectID], ev.Data...)
+		o := &objs[k]
+		if evs[i].Kind == wire.EventState {
+			o.reset, o.size, resets = i, 0, true
+		}
+		o.size += len(evs[i].Data)
+	}
+	for _, o := range objs {
+		switch {
+		case o.reset >= 0 && o.size == 0:
+			g.objects[o.id] = nil
+		case o.reset >= 0:
+			g.objects[o.id] = make([]byte, 0, o.size)
+		default:
+			if obj := g.objects[o.id]; o.size > cap(obj)-len(obj) {
+				g.objects[o.id] = cloneGrow(obj, o.size)
+			}
+		}
+	}
+	// Every object now has room for what the run leaves in it, so no
+	// append below moves a buffer. Without a reset every event is live.
+	for i := range evs {
+		if id := evs[i].ObjectID; !resets || i >= objs[index[id]].reset {
+			g.objects[id] = append(g.objects[id], evs[i].Data...)
+		}
 	}
 }
 
@@ -372,6 +449,13 @@ func cloneBytes(b []byte) []byte {
 func cloneGrow(b []byte, n int) []byte {
 	// Clipped, so Grow must reallocate and sizes the buffer from len alone.
 	return slices.Grow(slices.Clip(b), len(b)+n)
+}
+
+// cloneGrowEvents returns a copy of h in a fresh array with room for n > 0
+// more events, sized as append sizes a full slice.
+func cloneGrowEvents(h []wire.Event, n int) []wire.Event {
+	// Clipped, so Grow must reallocate.
+	return slices.Grow(slices.Clip(h), n)
 }
 
 func cloneEvent(ev wire.Event) wire.Event {

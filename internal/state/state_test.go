@@ -621,6 +621,56 @@ func BenchmarkApplyUpdate1000(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyRun rebuilds a group the way cold recovery does, on the
+// recover_cold shape: 4000 events of 1000 B, each object taking fifteen
+// updates and then one state, over eight objects and over 250 (each then
+// touched by one cycle). "event" applies them one at a time, "run" as one
+// ApplyRun.
+func BenchmarkApplyRun(b *testing.B) {
+	const events, cycle, size = 4000, 16, 1000
+	data := make([]byte, size)
+	for _, objects := range []int{8, 250} {
+		evs := make([]wire.Event, events)
+		for i := range evs {
+			evs[i] = wire.Event{Seq: uint64(i + 1), Kind: wire.EventUpdate, ObjectID: fmt.Sprintf("obj-%04x", i/cycle%objects), Data: data}
+			if i%cycle == cycle-1 {
+				evs[i].Kind = wire.EventState
+			}
+		}
+		for _, bc := range []struct {
+			name  string
+			apply func(g *Group) error
+		}{
+			{"event", func(g *Group) error {
+				for _, e := range evs {
+					if err := g.Apply(e); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"run", func(g *Group) error {
+				_, err := g.ApplyRun(evs)
+				return err
+			}},
+		} {
+			b.Run(fmt.Sprintf("objects=%d/%s", objects, bc.name), func(b *testing.B) {
+				b.SetBytes(events * size)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < b.N; i++ {
+					if err := bc.apply(New()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*events), "allocs/event")
+			})
+		}
+	}
+}
+
 var digestSink uint64
 
 func BenchmarkDigestEvent(b *testing.B) {

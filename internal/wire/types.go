@@ -193,7 +193,7 @@ func decodeObjectsAlias(d *Decoder) []Object {
 
 // DecodeEventAlias is DecodeEvent with Data aliasing the decoder's buffer,
 // for callers that own the buffer outright: transfer reassembly, and log
-// recovery, whose state.Apply takes the one copy.
+// recovery, whose state.ApplyRun makes the copies the state keeps.
 //
 // corona:aliases-input — and corona:zerocopy: recovery and the join
 // transfer decode every event through it; a defensive copy here is a

@@ -56,11 +56,12 @@ echo "== allocation budgets (no race)"
 # A full join allocates the state once: chunks are written from the group's
 # buffers and read into the joiner's one payload buffer, and the joiner's
 # view adopts it. An applied update allocates only the history's copy of it unless
-# the object must grow, and growth is geometric. A replica's distributed run
+# the object must grow, and growth is geometric; a run allocates one buffer per
+# object it resets or grows. A replica's distributed run
 # of one recycles its scratch. The allocation guards skip themselves under
 # -race, so they run here uninstrumented, with the test that streamed objects
 # do not overlap.
-go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyDistributedAllocations' ./internal/client ./internal/state ./internal/core >/dev/null
+go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations' ./internal/client ./internal/state ./internal/core >/dev/null
 
 echo "== fuzz smoke (3s per wire decode target)"
 for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
@@ -96,15 +97,17 @@ go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
 echo "== cold recovery (race)"
 # The parallel-recovery acceptance tests: a seeded log (reduction, delete,
 # re-create, a lost fsync batch) recovers to the writer's images at
-# GOMAXPROCS 1 and 4; opening writes nothing; a broken log is reported at
-# its lowest failing LSN whichever worker finds it; a superseded record is
-# not decoded. The log's one read: wal.Recover hands over exactly the
+# GOMAXPROCS 1 and 4, each group rebuilt as one state run; a run folds to
+# exactly what its events give one at a time, however it is split, and the
+# views taken before it do not move; opening writes nothing; a broken log is
+# reported at its lowest failing LSN whichever worker finds it; a superseded
+# record is not decoded. The log's one read: wal.Recover hands over exactly the
 # records a later Replay yields, across a torn segment and an LSN gap, at
 # one reader and four, and the payloads it handed over stay valid; an error
 # from the consumer, or a segment that cannot be opened or read, fails the
 # open and changes no file. -count=1 so the race detector sees the workers
 # and the read-ahead every gate.
-go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment' ./internal/core ./internal/wal >/dev/null
+go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment' ./internal/core ./internal/state ./internal/wal >/dev/null
 
 echo "== replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
