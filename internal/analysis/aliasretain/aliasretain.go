@@ -2,7 +2,7 @@
 // both sides.
 //
 // Decode functions annotated //corona:aliases-input (Decoder.Bytes,
-// decodeObjectsAlias, decodeTransferPayload, …) return slices that alias
+// DecodeObjectsAlias, decodeTransferPayload, …) return slices that alias
 // the caller's input buffer. Callers therefore must treat the results as
 // borrowed: the analyzer flags
 //

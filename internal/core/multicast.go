@@ -89,8 +89,10 @@ func (e *Engine) dispatchBcasts(s *Session, msgs []*wire.Bcast) {
 // bcastRun is the client-facing entrance to the multicast path: one
 // session's same-group Bcasts become one run. Malformed requests are turned
 // away here, before the retry loop, so each is answered exactly once; a
-// run the group refuses as a whole is answered request by request. Runs on
-// the session's read goroutine, which owns s.run.
+// run the group refuses as a whole is answered request by request. The
+// group's history adopts each applied Bcast's Data (state.ApplyRun), as
+// Bcast.Decode's own copy: nothing may write it afterwards. Runs on the
+// session's read goroutine, which owns s.run.
 func (e *Engine) bcastRun(s *Session, msgs []*wire.Bcast) {
 	r := s.run
 	r.group, r.sess = msgs[0].Group, s
@@ -146,7 +148,8 @@ var distRuns = sync.Pool{New: func() any { return &run{events: make([]runEvent, 
 // here. Events at or below the replica's high-water mark are duplicates:
 // acknowledged and skipped. The first sequence gap stops the run with
 // ErrSeqGap; consumed counts the events before it, leaving the rest to the
-// caller's catch-up.
+// caller's catch-up. The group's history adopts each applied event's Data
+// (state.ApplyRun): the caller must not write it afterwards.
 func (e *Engine) ApplyDistributed(group string, items []DistEvent) (consumed int, err error) {
 	r := distRuns.Get().(*run)
 	r.group = group

@@ -199,9 +199,10 @@ func (gl *groupLog) build() (*state.Group, uint64, error) {
 	if err != nil {
 		return nil, gl.baseLSN, err
 	}
-	// The run's Data alias the segment reads; ApplyRun copies them. kept
-	// holds the records the run was made of, in place in gl.events, so the
-	// run's i-th event is kept[i]'s.
+	// The run's Data alias the segment reads, and ApplyRun adopts them: the
+	// group's history points into the reads, which nothing writes again and
+	// which stay live while it does. kept holds the records the run was made
+	// of, in place in gl.events, so the run's i-th event is kept[i]'s.
 	evs := make([]wire.Event, 0, len(gl.events))
 	kept := gl.events[:0]
 	next := st.NextSeq()
@@ -238,11 +239,13 @@ func (gl *groupLog) build() (*state.Group, uint64, error) {
 	return st, 0, nil
 }
 
-// restoreBase decodes the group's base record into a fresh state.
+// restoreBase decodes the group's base record into a fresh state. The
+// decode aliases the segment read: NewInitial and RestoreMaterialized clone
+// what they keep, and that clone is the one copy of the base.
 func (gl *groupLog) restoreBase() (*state.Group, error) {
 	d := wire.NewDecoder(gl.base)
 	if gl.baseTag == recCreate {
-		initial := wire.DecodeObjects(d)
+		initial := wire.DecodeObjectsAlias(d)
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("core: wal create %d: %w", gl.baseLSN, err)
 		}
@@ -250,7 +253,7 @@ func (gl *groupLog) restoreBase() (*state.Group, error) {
 	}
 	cp := state.Checkpointed{
 		BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64(),
-		Objects: wire.DecodeObjects(d), History: wire.DecodeEvents(d),
+		Objects: wire.DecodeObjectsAlias(d), History: wire.DecodeEventsAlias(d),
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: wal checkpoint %d: %w", gl.baseLSN, err)

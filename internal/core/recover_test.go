@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -441,5 +442,156 @@ func TestSupersededRecordIsNotDecoded(t *testing.T) {
 		Objects: []wire.Object{{ID: "o", Data: []byte("one|")}}, History: []wire.Event{ev1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered h\n %+v\nwant\n %+v", got, want)
+	}
+}
+
+// TestRecoveryDoesNotWriteTheLogRead: a recovered group's history adopts
+// its events' bytes straight from the log's segment reads, which hold every
+// other group's records beside them. Updates to every recovered object and
+// then one auto-reduction per group must leave each group equal to one built
+// from the same events without recovery — objects, history and digest — and
+// a second open of the log must agree.
+func TestRecoveryDoesNotWriteTheLogRead(t *testing.T) {
+	const groups, objects, events = 3, 3, 40
+	rng := rand.New(rand.NewSource(46))
+	dir := t.TempDir()
+	cfg := EngineConfig{Dir: dir, Sync: wal.SyncAlways, SegmentSize: 4 << 10, Logger: quietTestLogger()}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var names []string
+	want := map[string]*state.Group{}
+	for i := range groups {
+		name := fmt.Sprintf("g%d", i)
+		initial := []wire.Object{{ID: "o0", Data: []byte(name + "|")}}
+		if err := e.CreateGroupDirect(name, true, initial); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		want[name] = state.NewInitial(initial)
+	}
+	apply := func(e *Engine, name string, ev wire.Event) {
+		t.Helper()
+		if err := want[name].Apply(distribute(t, e, name, ev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		for _, name := range names {
+			_, got, ok := e.GroupImage(name)
+			if !ok {
+				t.Fatalf("%s: group %q lost", when, name)
+			}
+			if w := want[name].Checkpoint(); !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: group %q\n %+v\nwant\n %+v", when, name, got, w)
+			}
+		}
+	}
+	// The groups' records interleave, so each segment read holds all three.
+	// Every object ends on a state, whose record the next group's follows.
+	for k := range groups * (events - objects) {
+		ev := wire.Event{Kind: wire.EventUpdate, ObjectID: fmt.Sprintf("o%d", rng.Intn(objects)),
+			Data: bytes.Repeat([]byte{byte('a' + k%26)}, 1+rng.Intn(300)), Sender: uint64(k % 4), Time: int64(k)}
+		if rng.Intn(4) == 0 {
+			ev.Kind = wire.EventState
+		}
+		apply(e, names[k%groups], ev)
+	}
+	for o := range objects {
+		for _, name := range names {
+			apply(e, name, wire.Event{Kind: wire.EventState, ObjectID: fmt.Sprintf("o%d", o), Data: []byte(name + "=")})
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An update to every object fills each history to the threshold; one
+	// more reduces it.
+	cfg.AutoReduceThreshold = events + objects
+	r, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "recovered")
+	for _, name := range names {
+		for o := range objects {
+			apply(r, name, wire.Event{Kind: wire.EventUpdate, ObjectID: fmt.Sprintf("o%d", o), Data: bytes.Repeat([]byte(name), 32)})
+		}
+	}
+	check(r, "updated")
+	for _, name := range names {
+		apply(r, name, wire.Event{Kind: wire.EventUpdate, ObjectID: "o0", Data: []byte("!")})
+		want[name].Reduce(0)
+	}
+	for _, name := range names {
+		if _, cp, _ := r.GroupImage(name); len(cp.History) != 0 {
+			t.Fatalf("group %q kept %d history events: no auto-reduction", name, len(cp.History))
+		}
+	}
+	check(r, "reduced")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	check(again, "opened again")
+}
+
+// TestRestoreBaseCopiesOnce: a base record is decoded aliasing the segment
+// read, so restoring it allocates the state's one copy of the image and
+// little more — not a decode copy and then a clone of it.
+func TestRestoreBaseCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations blur the budget")
+	}
+	objs := make([]wire.Object, 16)
+	for i := range objs {
+		objs[i] = wire.Object{ID: fmt.Sprintf("o%d", i), Data: bytes.Repeat([]byte{byte(i)}, 64<<10)}
+	}
+	history := make([]wire.Event, 256)
+	for i := range history {
+		history[i] = wire.Event{Seq: uint64(i + 1), Kind: wire.EventUpdate, ObjectID: "o0", Data: bytes.Repeat([]byte{byte(i)}, 1000)}
+	}
+	cp := state.Checkpointed{NextSeq: uint64(len(history) + 1), Digest: 7, Objects: objs, History: history}
+	for _, tc := range []struct {
+		name   string
+		record []byte
+		image  int
+	}{
+		{"create", encodeCreateRecord("g", objs), 16 * 64 << 10},
+		{"checkpoint", encodeCheckpointRecord("g", cp), 16*64<<10 + 256*1000},
+	} {
+		sp := split{}
+		if err := sp.record(1, tc.record); err != nil {
+			t.Fatal(err)
+		}
+		gl := sp["g"]
+		// The least of three restores: another goroutine's allocation can
+		// only add to one.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := gl.restoreBase()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(st)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if ratio := float64(least) / float64(tc.image); ratio < 1 || ratio > 1.1 {
+			t.Errorf("restoring a %s record of a %d-byte image allocates %d bytes, %.2f× the image; want one copy (≤ 1.1×)",
+				tc.name, tc.image, least, ratio)
+		}
 	}
 }

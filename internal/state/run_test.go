@@ -291,8 +291,9 @@ func TestApplyRunAllocations(t *testing.T) {
 	add(wire.EventState, 2, 100) // resets o2 (its earlier updates are superseded)
 	add(wire.EventUpdate, 2, 8)
 	add(wire.EventUpdate, 5, 2000) // grows o5
-	add(wire.EventState, 7, 0)     // resets o7 to nothing: no buffer, no clone
-	const clones, buffers = 63, 2
+	add(wire.EventState, 7, 0)     // resets o7 to nothing: no buffer
+	// The history adopts every event's Data: no clone.
+	const clones, buffers = 0, 2
 
 	allocs := testing.AllocsPerRun(1, func() {
 		if n, err := groups[0].ApplyRun(run); n != len(run) || err != nil {

@@ -47,7 +47,9 @@ type Group struct {
 	// forbidden: install fresh buffers or append-to-self only.
 	objects map[string][]byte //corona:cow
 	// history holds events with Seq in (baseSeq, nextSeq), oldest first.
-	// Captured transfers alias its tail under the same COW contract.
+	// Captured transfers alias its tail under the same COW contract. Each
+	// event's Data is the slice ApplyRun adopted, or RestoreMaterialized's
+	// clone: read-only.
 	history []wire.Event //corona:cow
 	// baseSeq is the sequence number of the last checkpoint: every event
 	// with Seq <= baseSeq has been folded into objects and discarded.
@@ -92,9 +94,11 @@ func (g *Group) HistoryLen() int { return len(g.history) }
 func (g *Group) ObjectCount() int { return len(g.objects) }
 
 // Apply folds one sequenced event into the state and retains it in the
-// history: it is ApplyRun of a run of one. The event must carry the next
-// expected sequence number.
+// history: it is ApplyRun of a run of one, except that Apply does not take
+// ownership of ev.Data. It retains a copy, so the caller may reuse its
+// buffer. The event must carry the next expected sequence number.
 func (g *Group) Apply(ev wire.Event) error {
+	ev.Data = cloneBytes(ev.Data)
 	_, err := g.ApplyRun([]wire.Event{ev})
 	return err
 }
@@ -107,8 +111,16 @@ func (g *Group) Apply(ev wire.Event) error {
 //
 // Each object the run touches is written once (see applyToObjects): an
 // update a later bcastState of the run replaces is never copied into the
-// object. Every applied event is still cloned into the history and folded
-// into the digest, in order.
+// object. Every applied event is retained in the history and folded into
+// the digest, in order.
+//
+// ApplyRun takes ownership of each applied event's Data: the history keeps
+// the caller's slice, not a copy, and captured views and checkpoints share
+// it. The caller must not write through Data afterwards; the state never
+// writes through an adopted slice nor appends to it (objects copy from it).
+// A decode's fresh copy (wire.DecodeEvent, Bcast.Decode) qualifies, and so
+// does a slice aliasing a buffer nothing writes again, such as a log
+// segment read; a reused buffer does not — use Apply.
 func (g *Group) ApplyRun(evs []wire.Event) (int, error) {
 	n, err := g.runLength(evs)
 	evs = evs[:n]
@@ -119,8 +131,13 @@ func (g *Group) ApplyRun(evs []wire.Event) (int, error) {
 		g.history = cloneGrowEvents(g.history, n)
 	}
 	for i := range evs {
-		g.history = append(g.history, cloneEvent(evs[i]))
-		g.digest = DigestEvent(g.digest, evs[i])
+		ev := evs[i]
+		if len(ev.Data) == 0 {
+			// Kept as nil, as a copy or a decode keeps it.
+			ev.Data = nil
+		}
+		g.history = append(g.history, ev)
+		g.digest = DigestEvent(g.digest, ev)
 	}
 	g.nextSeq += uint64(n)
 	return n, err
@@ -256,6 +273,8 @@ func sortedView(m map[string][]byte) []wire.Object {
 //     buffer's length at capture time; a capture reads only below it.
 //   - history is append-only, and Reduce replaces the slice rather than
 //     mutating the retained prefix, so a captured subslice stays stable.
+//     An event's Data is the slice ApplyRun adopted, which neither the
+//     state nor its caller writes again.
 //
 // Anyone changing applyToObjects or Reduce must preserve these invariants.
 type Transfer struct {
@@ -458,18 +477,13 @@ func cloneGrowEvents(h []wire.Event, n int) []wire.Event {
 	return slices.Grow(slices.Clip(h), n)
 }
 
-func cloneEvent(ev wire.Event) wire.Event {
-	ev.Data = cloneBytes(ev.Data)
-	return ev
-}
-
 func cloneEvents(evs []wire.Event) []wire.Event {
 	if len(evs) == 0 {
 		return nil
 	}
-	out := make([]wire.Event, len(evs))
-	for i := range evs {
-		out[i] = cloneEvent(evs[i])
+	out := slices.Clone(evs)
+	for i := range out {
+		out[i].Data = cloneBytes(out[i].Data)
 	}
 	return out
 }

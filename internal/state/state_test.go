@@ -745,7 +745,25 @@ func TestApplyAllocations(t *testing.T) {
 		t.Fatalf("object grew from cap %d to %d: the updates did not fit", capBefore, cap(g.objects["o"]))
 	}
 	if allocs != 1 {
-		t.Errorf("an update that fits allocates %.0f times, want 1 (the history clone)", allocs)
+		t.Errorf("an update that fits allocates %.0f times, want 1 (Apply's copy for the history)", allocs)
+	}
+	// ApplyRun adopts the event's Data: the same update, to a second object
+	// set up the same way, allocates nothing.
+	mustApply(t, g, ev(g.NextSeq(), wire.EventState, "p", strings.Repeat("x", 1000)), ev(g.NextSeq()+1, wire.EventUpdate, "p", strings.Repeat("y", 1000)))
+	g.history = slices.Grow(g.history, 200)
+	capBefore = cap(g.objects["p"])
+	run := make([]wire.Event, 1)
+	allocs = testing.AllocsPerRun(100, func() {
+		run[0] = wire.Event{Seq: g.NextSeq(), Kind: wire.EventUpdate, ObjectID: "p", Data: small}
+		if n, err := g.ApplyRun(run); n != 1 || err != nil {
+			t.Fatalf("ApplyRun = %d, %v", n, err)
+		}
+	})
+	if cap(g.objects["p"]) != capBefore {
+		t.Fatalf("object grew from cap %d to %d: the updates did not fit", capBefore, cap(g.objects["p"]))
+	}
+	if allocs != 0 {
+		t.Errorf("a one-event ApplyRun update that fits allocates %.0f times, want 0", allocs)
 	}
 
 	// AllocsPerRun runs the stream once to warm up, then once measured.

@@ -292,8 +292,8 @@ func ReadTransferChunk(r *bufio.Reader, n int, reserve ChunkReserve) (*TransferC
 // corona:aliases-input — and corona:zerocopy on the decode path itself.
 func decodeTransferPayload(data []byte) ([]Object, []Event, error) {
 	d := NewDecoder(data)
-	objs := decodeObjectsAlias(d)
-	evs := decodeEventsAlias(d)
+	objs := DecodeObjectsAlias(d)
+	evs := DecodeEventsAlias(d)
 	if err := d.Err(); err != nil {
 		return nil, nil, fmt.Errorf("wire: decode transfer payload: %w", err)
 	}

@@ -170,12 +170,14 @@ func bytesAlias(d *Decoder) []byte {
 	return b[:len(b):len(b)]
 }
 
-// decodeObjectsAlias is decodeObjects with Data aliasing the decoder's
-// buffer; for callers that own the buffer outright (transfer reassembly).
+// DecodeObjectsAlias is DecodeObjects with Data aliasing the decoder's
+// buffer, for callers that own the buffer outright: transfer reassembly,
+// and log recovery, whose state.NewInitial and state.RestoreMaterialized
+// make the one copy the state keeps.
 //
 // corona:aliases-input — and corona:zerocopy: this is the join transfer
 // fast path; defensive copies here double the join's allocation volume.
-func decodeObjectsAlias(d *Decoder) []Object {
+func DecodeObjectsAlias(d *Decoder) []Object {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
 		return nil
@@ -193,7 +195,8 @@ func decodeObjectsAlias(d *Decoder) []Object {
 
 // DecodeEventAlias is DecodeEvent with Data aliasing the decoder's buffer,
 // for callers that own the buffer outright: transfer reassembly, and log
-// recovery, whose state.ApplyRun makes the copies the state keeps.
+// recovery, whose state.ApplyRun keeps Data as it is, pointing into the
+// segment read nothing writes again.
 //
 // corona:aliases-input — and corona:zerocopy: recovery and the join
 // transfer decode every event through it; a defensive copy here is a
@@ -209,12 +212,14 @@ func DecodeEventAlias(d *Decoder) Event {
 	}
 }
 
-// decodeEventsAlias is decodeEvents with Data aliasing the decoder's
-// buffer; for callers that own the buffer outright (transfer reassembly).
+// DecodeEventsAlias is DecodeEvents with Data aliasing the decoder's
+// buffer, for callers that own the buffer outright: transfer reassembly,
+// and log recovery, whose state.RestoreMaterialized makes the one copy the
+// state keeps.
 //
 // corona:aliases-input — and corona:zerocopy: this is the join transfer
 // fast path; defensive copies here double the join's allocation volume.
-func decodeEventsAlias(d *Decoder) []Event {
+func DecodeEventsAlias(d *Decoder) []Event {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
 		return nil

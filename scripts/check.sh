@@ -12,7 +12,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== gofmt -s"
+# Each line prints its wall time when the next one starts, and the gate
+# prints its total at the end, so a change can see which line it costs.
+ms() { echo $(($(date +%s%N) / 1000000)); }
+elapsed() {
+	d=$(($(ms) - $1))
+	printf '   %d.%d s\n' $((d / 1000)) $((d % 1000 / 100))
+}
+line_start=
+line() {
+	if [ -n "$line_start" ]; then
+		elapsed "$line_start"
+	fi
+	line_start=$(ms)
+	echo "== $1"
+}
+gate_start=$(ms)
+
+line "gofmt -s"
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt -s needed on:" >&2
@@ -20,13 +37,13 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go vet"
+line "go vet"
 go vet ./...
 
-echo "== go build"
+line "go build"
 go build ./...
 
-echo "== corona-lint"
+line "corona-lint"
 # The suite is whole-program: its verdict depends on every Go source in
 # the module, not just the analyzers. Cache the clean result keyed on a
 # hash of all of them (go.mod included, fixtures and all — they are the
@@ -44,34 +61,35 @@ else
 	printf '%s' "$lint_hash" >"$lint_stamp"
 fi
 
-echo "== analysis self-test (race, uncached)"
+line "analysis self-test (race, uncached)"
 # The analyzers guard the engine's invariants; their own golden fixtures
 # run fresh on every gate, race detector on.
 go test -race -count=1 ./internal/analysis/... >/dev/null
 
-echo "== go test -race -short"
+line "go test -race -short"
 go test -race -short ./...
 
-echo "== allocation budgets (no race)"
+line "allocation budgets (no race)"
 # A full join allocates the state once: chunks are written from the group's
 # buffers and read into the joiner's one payload buffer, and the joiner's
-# view adopts it. An applied update allocates only the history's copy of it unless
-# the object must grow, and growth is geometric; a run allocates one buffer per
-# object it resets or grows. A replica's distributed run
-# of one recycles its scratch. The allocation guards skip themselves under
-# -race, so they run here uninstrumented, with the test that streamed objects
-# do not overlap.
-go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations' ./internal/client ./internal/state ./internal/core >/dev/null
+# view adopts it. The history adopts an applied event's bytes, so an update
+# allocates nothing unless the object must grow, and growth is geometric; a
+# run allocates one buffer per object it resets or grows, and Apply one copy
+# for the history. A replica's distributed run of one recycles its scratch.
+# A recovered base record is copied once, by the restore. The allocation
+# guards skip themselves under -race, so they run here uninstrumented, with
+# the test that streamed objects do not overlap.
+go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core >/dev/null
 
-echo "== fuzz smoke (3s per wire decode target)"
+line "fuzz smoke (3s per wire decode target)"
 for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire >/dev/null
 done
 
-echo "== bench smoke (compile + one iteration)"
+line "bench smoke (compile + one iteration)"
 go test -run NONE -bench . -benchtime 1x ./... >/dev/null
 
-echo "== corona-bench smokes (one build, five experiments)"
+line "corona-bench smokes (one build, five experiments)"
 # One link instead of five `go run`s. table1: pipelined clients drive the
 # greedy drain, multi-event runs on the multicast path and the pooled
 # DeliverBatch fanout end to end. fanout: the off-lock sharded pipeline
@@ -88,13 +106,13 @@ for smoke in \
 	./.bin/corona-bench -experiment $smoke >/dev/null
 done
 
-echo "== chaos smoke (race)"
+line "chaos smoke (race)"
 # The storage-fault acceptance test: one seeded chaos arc — fsync fault,
 # degraded mode, recovery, power cut — with the durability-honesty,
 # ordering, and replay audits on. -count=1 defeats the cache.
 go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
 
-echo "== cold recovery (race)"
+line "cold recovery (race)"
 # The parallel-recovery acceptance tests: a seeded log (reduction, delete,
 # re-create, a lost fsync batch) recovers to the writer's images at
 # GOMAXPROCS 1 and 4, each group rebuilt as one state run; a run folds to
@@ -109,7 +127,7 @@ echo "== cold recovery (race)"
 # and the read-ahead every gate.
 go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment' ./internal/core ./internal/state ./internal/wal >/dev/null
 
-echo "== replica acquisition, membership order and rebalance churn (race)"
+line "replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
 # crashes mid-churn; a join right after a create never gets an invented
@@ -131,4 +149,7 @@ echo "== replica acquisition, membership order and rebalance churn (race)"
 # detector really runs them on every gate.
 go test -race -count=1 -run 'TestFailedDesignationIsRetried|TestJoinAcquisitionHealsItsWindow|TestReportDropsStaleInterest|TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReRegistrationIsOneReport|TestReconnectCrashesMembersItNoLongerHosts|TestForwardBeforeReportInventsNoGroup|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused|TestOneLocatePerAcquisition|TestBackupSeesMembersOrderedDuringItsPull' ./internal/cluster >/dev/null
 
+elapsed "$line_start"
+echo "== total"
+elapsed "$gate_start"
 echo "OK"
