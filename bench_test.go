@@ -80,6 +80,15 @@ func BenchmarkSizeSweep(b *testing.B) {
 	}
 }
 
+// benchWindow is how long each throughput run blasts: 500 ms, or 50 ms
+// under -short, where a run only shows that the harness works end to end.
+func benchWindow() time.Duration {
+	if testing.Short() {
+		return 50 * time.Millisecond
+	}
+	return 500 * time.Millisecond
+}
+
 // BenchmarkTable1Throughput reproduces Table 1: server throughput with 6
 // blasting clients at 1000- and 10000-byte messages. The paper's two rows
 // (two server hosts) map to the logging-policy axis available here:
@@ -105,7 +114,7 @@ func BenchmarkTable1Throughput(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := bench.RunThroughput(bench.ThroughputConfig{
 						Clients: 6, MsgSize: size,
-						Duration: 500 * time.Millisecond,
+						Duration: benchWindow(),
 						Dir:      dir, Sync: c.sync,
 					})
 					if err != nil {
@@ -131,7 +140,7 @@ func BenchmarkMultigroupScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				points, err := bench.RunMultigroup(bench.MultigroupConfig{
 					GroupCounts: []int{groups},
-					Duration:    500 * time.Millisecond,
+					Duration:    benchWindow(),
 				})
 				if err != nil {
 					b.Fatal(err)

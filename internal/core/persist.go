@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"corona/internal/state"
 	"corona/internal/wal"
@@ -68,31 +65,31 @@ func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
 }
 
 // recover opens the stable-storage log and rebuilds the persistent groups
-// from it, in two steps. The log is a set of independent per-group streams
-// interleaved by LSN, and groups are independent ordering domains, so only
-// the split is serial: wal.Recover hands each record to split.record in the
-// same pass that reads and checks it, and the split keeps, per group, the
-// group's last create or checkpoint and the events after it (a delete drops
-// the group), as slices into wal's segment reads. Then the groups are
-// rebuilt concurrently, each by one worker that sees only its own records,
-// and installed with the log in one write-lock section. A record a later
-// create, checkpoint or delete of its group supersedes, or an event of a
-// group with neither, never reaches the recovered state and is not decoded;
-// wal still checks its CRC. Called from NewEngine before any session exists.
+// from it in the one pass that reads and checks it. The log is a set of
+// independent per-group streams interleaved by LSN, each in its group's
+// order, so each record can be folded into its group as it arrives, while
+// it is still in cache: wal.Recover hands it to split.record right after its
+// check, and the split decodes an event by alias onto its group's pending
+// run and applies the run with one state.ApplyRun when it reaches
+// maxIngestBatch events, as the live path applies an ingest batch. A create
+// or checkpoint starts the group afresh and a delete drops it, with whatever
+// state, pending run or error its earlier records left: a superseded event
+// may have been decoded and applied, but nothing of it reaches the
+// recovered state; on a log of mostly superseded records that work costs
+// more than it saves (DESIGN §4, Cold recovery). A base is restored at its
+// group's first applied run, so one superseded before that is never
+// copied. At the end of the log every pending run is applied, and the
+// groups are installed with the log in one write-lock section. Called from
+// NewEngine before any session exists.
 func (e *Engine) recover(opts wal.Options) error {
 	sp := split{}
 	l, splitErr := wal.Recover(opts, sp.record)
 
-	groups := make([]*groupLog, 0, len(sp))
-	for _, gl := range sp {
-		groups = append(groups, gl)
-	}
-	buildGroups(groups)
-
-	// Every record a worker saw precedes the one the split stopped at, so
-	// the lowest failing LSN is a worker's when any worker failed.
+	// Every record a group saw precedes the one the split stopped at, so the
+	// lowest failing LSN is a group's when any group failed.
 	var first *groupLog
-	for _, gl := range groups {
+	for _, gl := range sp {
+		gl.apply()
 		if gl.err != nil && (first == nil || gl.errLSN < first.errLSN) {
 			first = gl
 		}
@@ -110,7 +107,7 @@ func (e *Engine) recover(opts wal.Options) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.wal = l
-	for _, gl := range groups {
+	for _, gl := range sp {
 		e.registerLocked(gl.name, true, gl.st)
 		// The base record is the oldest one the group needs.
 		e.lsnMu.Lock()
@@ -120,9 +117,9 @@ func (e *Engine) recover(opts wal.Options) error {
 	return nil
 }
 
-// split sorts recovery's records to the groups they rebuild. It copies no
-// record: the bodies it keeps point into the segment reads wal.Recover hands
-// over, which nothing writes again.
+// split sorts recovery's records to the groups they rebuild and folds them
+// in. It copies no record: the events and bases it keeps point into the
+// segment reads wal.Recover hands over, which nothing writes again.
 type split map[string]*groupLog
 
 func (sp split) record(lsn uint64, payload []byte) error {
@@ -143,8 +140,8 @@ func (sp split) record(lsn uint64, payload []byte) error {
 	case recDelete:
 		delete(sp, string(name))
 	case recEvent:
-		if gl := sp[string(name)]; gl != nil {
-			gl.events = append(gl.events, logRecord{lsn: lsn, body: body})
+		if gl := sp[string(name)]; gl != nil && gl.err == nil {
+			gl.event(lsn, body)
 		}
 	default:
 		return fmt.Errorf("core: unknown wal record tag %d at %d", tag, lsn)
@@ -152,69 +149,65 @@ func (sp split) record(lsn uint64, payload []byte) error {
 	return nil
 }
 
-// groupLog is one group's stream as recovery's split leaves it, and then
-// what its rebuild made of it.
+// groupLog is one group as recovery rebuilds it: its base record, the state
+// its applied runs built and the run still pending, or the error that
+// stopped it.
 type groupLog struct {
 	name    string
 	baseLSN uint64
 	baseTag byte   // recCreate or recCheckpoint
 	base    []byte // the base record's body, after tag and group name
-	events  []logRecord
 
-	st     *state.Group
+	st     *state.Group // nil until the first run is applied
+	run    []wire.Event // decoded events not yet applied, at most maxIngestBatch
+	runLSN []uint64     // run[i]'s record
 	err    error
 	errLSN uint64 // the record err is about
 }
 
-// logRecord is one event record after a group's base: its LSN and its body,
-// after tag and group name.
-type logRecord struct {
-	lsn  uint64
-	body []byte
-}
-
-// buildGroups rebuilds every group on min(GOMAXPROCS, #groups) workers,
-// which take the next unbuilt group from a shared index.
-func buildGroups(groups []*groupLog) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(groups)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(groups)); i = next.Add(1) - 1 {
-				gl := groups[i]
-				gl.st, gl.errLSN, gl.err = gl.build()
-			}
-		}()
+// event decodes one event record onto the pending run, and applies the run
+// once it is full.
+func (gl *groupLog) event(lsn uint64, body []byte) {
+	d := wire.NewDecoder(body)
+	ev := wire.DecodeEventAlias(d)
+	if err := d.Err(); err != nil {
+		// The run precedes the record that failed to decode, so its own
+		// failure is the lower LSN.
+		if gl.apply(); gl.err == nil {
+			gl.err, gl.errLSN = fmt.Errorf("core: wal event %d: %w", lsn, err), lsn
+		}
+		return
 	}
-	wg.Wait()
+	gl.run = append(gl.run, ev)
+	gl.runLSN = append(gl.runLSN, lsn)
+	if len(gl.run) == maxIngestBatch {
+		gl.apply()
+	}
 }
 
-// build rebuilds the group: its base record's state, then the event records
-// after it as one state.ApplyRun. It reports the LSN of the record that
-// failed, if one did.
-func (gl *groupLog) build() (*state.Group, uint64, error) {
-	st, err := gl.restoreBase()
-	if err != nil {
-		return nil, gl.baseLSN, err
+// apply restores the group's base if no run has yet, then applies the
+// pending run's events that continue the group's sequence as one
+// state.ApplyRun. A failure is kept with the LSN of the record it is about,
+// and a failed group applies nothing more.
+func (gl *groupLog) apply() {
+	if gl.err != nil {
+		return
+	}
+	if gl.st == nil {
+		st, err := gl.restoreBase()
+		if err != nil {
+			gl.err, gl.errLSN = err, gl.baseLSN
+			return
+		}
+		gl.st = st
 	}
 	// The run's Data alias the segment reads, and ApplyRun adopts them: the
 	// group's history points into the reads, which nothing writes again and
-	// which stay live while it does. kept holds the records the run was made
-	// of, in place in gl.events, so the run's i-th event is kept[i]'s.
-	evs := make([]wire.Event, 0, len(gl.events))
-	kept := gl.events[:0]
-	next := st.NextSeq()
-	var decodeLSN uint64
-	var decodeErr error
-	for _, rec := range gl.events {
-		d := wire.NewDecoder(rec.body)
-		ev := wire.DecodeEventAlias(d)
-		if err := d.Err(); err != nil {
-			decodeLSN, decodeErr = rec.lsn, fmt.Errorf("core: wal event %d: %w", rec.lsn, err)
-			break
-		}
+	// which stay live while it does. The kept events are compacted in place,
+	// with their LSNs, so the run's i-th event is lsns[i]'s.
+	evs, lsns := gl.run[:0], gl.runLSN[:0]
+	next := gl.st.NextSeq()
+	for i, ev := range gl.run {
 		if ev.Seq != next {
 			// Behind: already covered by the base checkpoint. Ahead: a
 			// failed batch burned the intervening LSNs, so this record
@@ -225,18 +218,13 @@ func (gl *groupLog) build() (*state.Group, uint64, error) {
 			continue
 		}
 		evs = append(evs, ev)
-		kept = append(kept, rec)
+		lsns = append(lsns, gl.runLSN[i])
 		next++
 	}
-	// The run precedes the record that failed to decode, so its own
-	// failure is the lower LSN.
-	if n, err := st.ApplyRun(evs); err != nil {
-		return nil, kept[n].lsn, fmt.Errorf("core: wal event %d: %w", kept[n].lsn, err)
+	if n, err := gl.st.ApplyRun(evs); err != nil {
+		gl.err, gl.errLSN = fmt.Errorf("core: wal event %d: %w", lsns[n], err), lsns[n]
 	}
-	if decodeErr != nil {
-		return nil, decodeLSN, decodeErr
-	}
-	return st, 0, nil
+	gl.run, gl.runLSN = gl.run[:0], gl.runLSN[:0]
 }
 
 // restoreBase decodes the group's base record into a fresh state. The

@@ -20,11 +20,11 @@ import (
 	"corona/internal/wire"
 )
 
-// These tests pin cold recovery: one pass splits the log by group, the
-// groups rebuild on parallel workers, and one write-lock section installs
-// them. Whatever the worker count, the recovered engine must equal the one
-// that wrote the log, opening must write nothing, and a broken log must be
-// reported at its lowest failing LSN.
+// These tests pin cold recovery: one pass reads the log, checks each record
+// and folds it into its group in runs, and one write-lock section installs
+// the groups. Whatever the processor count, the recovered engine must equal
+// the one that wrote the log, opening must write nothing, and a broken log
+// must be reported at its lowest failing LSN.
 
 // recoverImages is every group's image and the sequencer report of an
 // engine, keyed by group.
@@ -374,10 +374,10 @@ func writeLog(t *testing.T, dir string, records ...[]byte) {
 }
 
 // TestRecoveryErrorIsLowestLSN: two groups each hold a CRC-valid but
-// malformed event record — a truncated one at LSN 2 in a group whose
-// one-megabyte base takes long to restore, an invalid event kind at LSN 3
-// in a group that fails at once. On four workers the second failure is
-// found first in time; every open must still report LSN 2.
+// malformed event record — a truncated one at LSN 2 in a group with a
+// one-megabyte base, an invalid event kind at LSN 3 in a group with none.
+// The first fails as it is decoded, the second only when its run is applied
+// at the end of the log; every open must report LSN 2.
 func TestRecoveryErrorIsLowestLSN(t *testing.T) {
 	dir := t.TempDir()
 	truncated := encodeEventRecord("slow", wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("x")})
@@ -401,11 +401,11 @@ func TestRecoveryErrorIsLowestLSN(t *testing.T) {
 }
 
 // TestSupersededRecordIsNotDecoded: a record a later checkpoint of its
-// group supersedes never reaches the recovered state, so it is not decoded
-// — a malformed one opens to the checkpoint's state plus the events after
-// it. An event that does not continue its group's sequence (behind the
-// base, or ahead of a gap the lost records of a failed batch left) is
-// decoded and skipped.
+// group supersedes never reaches the recovered state — a malformed one
+// opens to the checkpoint's state plus the events after it, and its error
+// is dropped with the state it stopped. An event that does not continue its
+// group's sequence (behind the base, or ahead of a gap the lost records of
+// a failed batch left) is decoded and skipped.
 func TestSupersededRecordIsNotDecoded(t *testing.T) {
 	dir := t.TempDir()
 	bad := encodeEventRecord("g", wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("x")})
@@ -442,6 +442,129 @@ func TestSupersededRecordIsNotDecoded(t *testing.T) {
 		Objects: []wire.Object{{ID: "o", Data: []byte("one|")}}, History: []wire.Event{ev1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered h\n %+v\nwant\n %+v", got, want)
+	}
+}
+
+// TestRunFailureBelowDecodeError: group a's invalid event at LSN 3 waits in
+// its pending run while group b's event at LSN 4 fails to decode; a's run is
+// applied only at the end of the log — also when an unknown record stops
+// the walk at LSN 6 — and the open must report LSN 3, the lower. A group's
+// own decode error applies the run before it first, so an invalid event at
+// LSN 1 below it is the one reported.
+func TestRunFailureBelowDecodeError(t *testing.T) {
+	truncated := func(group string) []byte {
+		rec := encodeEventRecord(group, wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("x")})
+		return rec[:len(rec)-3]
+	}
+	badKind := func(group string, seq uint64) []byte {
+		return encodeEventRecord(group, wire.Event{Seq: seq, Kind: 7, ObjectID: "o", Data: []byte("bad kind")})
+	}
+	twoGroups := [][]byte{
+		encodeCreateRecord("a", nil),
+		encodeCreateRecord("b", nil),
+		encodeEventRecord("a", wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("ok")}),
+		badKind("a", 2),
+		truncated("b"),
+		encodeEventRecord("a", wire.Event{Seq: 3, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("after")}),
+	}
+	for _, tc := range []struct {
+		name    string
+		records [][]byte
+		lsn     int
+	}{
+		{"log ends", twoGroups, 3},
+		{"walk stops", append(twoGroups[:len(twoGroups):len(twoGroups)], []byte{9, 1, 'a'}), 3},
+		{"own decode error", [][]byte{encodeCreateRecord("a", nil), badKind("a", 1), truncated("a")}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLog(t, dir, tc.records...)
+			e, err := NewEngine(EngineConfig{Dir: dir, Logger: quietTestLogger()})
+			if err == nil {
+				e.Close()
+				t.Fatal("a log with malformed records opened")
+			}
+			if want := fmt.Sprintf("core: wal event %d:", tc.lsn); !strings.Contains(err.Error(), want) {
+				t.Fatalf("open: %v, want the error at LSN %d", err, tc.lsn)
+			}
+		})
+	}
+}
+
+// TestSupersededMalformedCheckpoint: a checkpoint record that cannot be
+// decoded, followed by a full run of its group's events — which restores
+// it and fails — is superseded by a later create: the log opens to the
+// create's state plus the event after it.
+func TestSupersededMalformedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cp := encodeCheckpointRecord("g", state.Checkpointed{NextSeq: 2, Objects: []wire.Object{{ID: "o", Data: []byte("old")}},
+		History: []wire.Event{{Seq: 1, Kind: wire.EventState, ObjectID: "o", Data: []byte("old")}}})
+	records := [][]byte{encodeCreateRecord("g", nil), cp[:len(cp)-2]}
+	for seq := uint64(2); seq < 2+maxIngestBatch+6; seq++ {
+		records = append(records, encodeEventRecord("g", wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("|lost")}))
+	}
+	initial := []wire.Object{{ID: "o", Data: []byte("new")}}
+	ev := wire.Event{Seq: 1, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("|kept")}
+	records = append(records, encodeCreateRecord("g", initial), encodeEventRecord("g", ev))
+	writeLog(t, dir, records...)
+
+	e := newDiskEngine(t, dir)
+	want := state.NewInitial(initial)
+	if err := want.Apply(ev); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, ok := e.GroupImage("g"); !ok || !reflect.DeepEqual(got, want.Checkpoint()) {
+		t.Fatalf("recovered g (present %v)\n %+v\nwant\n %+v", ok, got, want.Checkpoint())
+	}
+}
+
+// TestDeleteAndRecreateInOnePendingRun: a group deleted and created again
+// while its first events still wait in a pending run, beside another
+// group's, opens to the second create's state and the events after it; the
+// other group keeps every event.
+func TestDeleteAndRecreateInOnePendingRun(t *testing.T) {
+	dir := t.TempDir()
+	first := []wire.Object{{ID: "o", Data: []byte("first")}}
+	second := []wire.Object{{ID: "o", Data: []byte("second")}}
+	want := map[string]*state.Group{"g": state.NewInitial(second), "h": state.NewInitial(nil)}
+	records := [][]byte{encodeCreateRecord("g", first), encodeCreateRecord("h", nil)}
+	hseq := uint64(1)
+	hevent := func() {
+		ev := wire.Event{Seq: hseq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(fmt.Sprintf("h%d|", hseq))}
+		if err := want["h"].Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, encodeEventRecord("h", ev))
+		hseq++
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		records = append(records, encodeEventRecord("g", wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte("|gone")}))
+		hevent()
+	}
+	records = append(records, encodeDeleteRecord("g"))
+	hevent()
+	records = append(records, encodeCreateRecord("g", second))
+	for seq := uint64(1); seq <= 3; seq++ {
+		ev := wire.Event{Seq: seq, Kind: wire.EventUpdate, ObjectID: "o", Data: []byte(fmt.Sprintf("|g%d", seq))}
+		if err := want["g"].Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, encodeEventRecord("g", ev))
+		hevent()
+	}
+	writeLog(t, dir, records...)
+
+	e := newDiskEngine(t, dir)
+	for name, st := range want {
+		if _, got, ok := e.GroupImage(name); !ok || !reflect.DeepEqual(got, st.Checkpoint()) {
+			t.Fatalf("recovered %s (present %v)\n %+v\nwant\n %+v", name, ok, got, st.Checkpoint())
+		}
+	}
+	e.lsnMu.Lock()
+	low := e.lowLSN["g"]
+	e.lsnMu.Unlock()
+	if low != 14 {
+		t.Fatalf("g's low-water LSN = %d, want its second create's 14", low)
 	}
 }
 

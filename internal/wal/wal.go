@@ -32,7 +32,6 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -172,14 +171,17 @@ type pendingAppend struct {
 func Open(opts Options) (*Log, error) { return Recover(opts, nil) }
 
 // Recover opens (creating if necessary) the log in opts.Dir and, in the pass
-// that checks it, hands every intact record to fn in LSN order. Each segment
-// is read whole, in one read, and each record is checked once. Up to
-// GOMAXPROCS segments are read at once and at most that many are held, while
-// fn runs on the calling goroutine in segment order. fn's payload points
-// into its segment's read, which the log never writes again and does not
-// keep: fn may keep the payload, and the segment stays live while it does.
-// A torn or corrupt tail is cut only after fn has accepted every record, so
-// an I/O error or an error from fn fails the open and changes no file.
+// that checks it, hands every intact record to fn in LSN order. A read-ahead
+// goroutine reads each segment once, into one buffer, a piece at a time,
+// and checks the records each piece completes while they are in its cache;
+// fn runs on the calling goroutine and gets each record as soon as it is
+// checked, while its bytes are still in cache, so the caller can fold the
+// record in as it arrives. No record reaches fn before its check. fn's
+// payload points into its segment's buffer, which the log never writes
+// again and does not keep: fn may keep the payload, and the buffer stays
+// live while it does. A torn or corrupt tail is cut only after fn has
+// accepted every record, so an I/O error or an error from fn fails the open
+// and changes no file.
 func Recover(opts Options, fn func(lsn uint64, payload []byte) error) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
@@ -236,16 +238,22 @@ func (l *Log) load(fn func(lsn uint64, payload []byte) error) error {
 	// segment at whatever prefix reached the disk, and a crash then tears
 	// whatever the failed fsync left behind. The LSN gaps this leaves between
 	// segments are tolerated: the lost records were never acknowledged.
-	ends := make([]segRead, len(segs)) // each segment's intact prefix
-	err = readSegments(l.fs, segs, func(i int, r segRead) error {
-		segs[i].count, ends[i] = uint64(len(r.recs)), segRead{valid: r.valid, torn: r.torn}
-		for k := 0; fn != nil && k < len(r.recs); k++ {
-			if err := fn(segs[i].first+uint64(k), r.recs[k]); err != nil {
-				return err
+	ends := make([]segEnd, len(segs)) // each segment's intact prefix
+	rd := startReads(l.fs, segs)
+	for i := range segs {
+		first := segs[i].first
+		ends[i], err = rd.walk(func(k uint64, payload []byte) error {
+			if fn == nil {
+				return nil
 			}
+			return fn(first+k, payload)
+		})
+		if err != nil {
+			break
 		}
-		return nil
-	})
+		segs[i].count = ends[i].count
+	}
+	rd.close()
 	if err != nil {
 		return err
 	}
@@ -277,77 +285,183 @@ func (l *Log) load(fn func(lsn uint64, payload []byte) error) error {
 	return nil
 }
 
-// segRead is one segment as readSegment read and checked it.
-type segRead struct {
-	recs  [][]byte // the intact records' payloads, pointing into the read
-	valid int64    // byte length of the intact prefix
-	torn  bool     // the file goes on past valid: a torn or corrupt record
-	err   error    // the file could not be read
+// segEnd is a segment's intact prefix, as the walk found it.
+type segEnd struct {
+	valid int64  // byte length of the intact prefix
+	count uint64 // the intact records in it
+	torn  bool   // the file goes on past valid: a torn or corrupt record
 }
 
-// readSegment reads the segment at path whole, in one read sized by
-// FS.Size, and walks its records: it is the log's one record walker, and the
-// only code that checks a record's header, length and CRC. It stops at the
-// first torn or corrupt record. A payload points into the read with its
-// capacity clipped, so appending to it cannot write over the next record.
-func readSegment(fs FS, path string) (r segRead) {
+// readPiece is how much of a segment the read-ahead reads at a time, and
+// readAhead how many pieces it may report that the walk has not reached.
+// The read-ahead checks the records each piece completes while the piece is
+// in its cache, and the walk hands them over while the next one is read.
+// Four pieces keep the read ahead of the walk while it zeroes the next
+// segment's buffer; two or sixteen measured the same.
+const (
+	readPiece = 1 << 20
+	readAhead = 4
+)
+
+// piece is the read-ahead's report that more of a segment is read and
+// checked.
+type piece struct {
+	buf     []byte // the segment's one buffer, sized by FS.Size
+	checked int64  // buf[:checked] is whole records, read and checked
+	last    bool   // nothing past checked will be: the read reached the end or a torn record
+	err     error  // the segment could not be opened or read
+}
+
+// reads is a read-ahead goroutine over a list of segments, and the walk over
+// what it has read and checked.
+type reads struct {
+	pieces chan piece
+	stop   chan struct{}
+}
+
+// startReads reads segs, in order, each into one buffer in pieces of
+// readPiece bytes, ahead of the walk. It stops at the first error.
+func startReads(fs FS, segs []segment) *reads {
+	rd := &reads{pieces: make(chan piece, readAhead), stop: make(chan struct{})}
+	go func() {
+		defer close(rd.pieces)
+		for _, s := range segs {
+			if !rd.read(fs, s.path) {
+				return
+			}
+		}
+	}()
+	return rd
+}
+
+// read reads and checks one segment, reporting each piece, up to its end or
+// its first torn or corrupt record; it reports false if the reads are to go
+// no further. Once the walk has quit it opens, allocates and reads nothing
+// more: at most the piece being read when it quit is finished.
+func (rd *reads) read(fs FS, path string) bool {
+	if rd.stopped() {
+		return false
+	}
+	send := func(p piece) bool {
+		select {
+		case rd.pieces <- p:
+			return p.err == nil
+		case <-rd.stop:
+			return false
+		}
+	}
 	f, err := fs.OpenRead(path)
 	if err != nil {
-		return segRead{err: fmt.Errorf("wal: %w", err)}
+		return send(piece{err: fmt.Errorf("wal: %w", err)})
 	}
 	defer f.Close()
 	size, err := fs.Size(path)
 	if err != nil {
-		return segRead{err: fmt.Errorf("wal: %w", err)}
+		return send(piece{err: fmt.Errorf("wal: %w", err)})
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return segRead{err: fmt.Errorf("wal: read %s: %w", path, err)}
-	}
-	for size-r.valid >= recHdr {
-		rec := data[r.valid:]
-		crc := binary.BigEndian.Uint32(rec[0:4])
-		n := int64(binary.BigEndian.Uint32(rec[4:8]))
-		if n > MaxRecordSize || int64(len(rec))-recHdr < n {
-			break
+	buf := make([]byte, size)
+	var checked int64
+	for read := int64(0); ; {
+		if rd.stopped() {
+			return false
 		}
-		payload := rec[recHdr : recHdr+n : recHdr+n]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break
+		end := min(read+readPiece, size)
+		if _, err := io.ReadFull(f, buf[read:end]); err != nil {
+			return send(piece{err: fmt.Errorf("wal: read %s: %w", path, err)})
 		}
-		r.recs = append(r.recs, payload)
-		r.valid += recHdr + n
+		read = end
+		var torn bool
+		checked, torn = check(buf, checked, read)
+		last := torn || read == size
+		if !send(piece{buf: buf, checked: checked, last: last}) {
+			return false
+		}
+		if last {
+			return true
+		}
 	}
-	r.torn = r.valid < size
-	return r
 }
 
-// readSegments hands segs' reads to each in order, with up to GOMAXPROCS in
-// flight: a read starts once the one that many places before it was handed
-// over. The first read error or error from each stops it.
-func readSegments(fs FS, segs []segment, each func(i int, r segRead) error) error {
-	window := runtime.GOMAXPROCS(0)
-	reads := make([]chan segRead, len(segs))
-	start := func(i int) {
-		if i < len(segs) {
-			reads[i] = make(chan segRead, 1)
-			go func() { reads[i] <- readSegment(fs, segs[i].path) }()
+// stopped reports whether the walk has quit. Once close drains the pieces,
+// send's select may pick the send over the closed stop, so read checks
+// this before it opens a segment and before each piece.
+func (rd *reads) stopped() bool {
+	select {
+	case <-rd.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// check checks the records of a segment's buffer that start at from and
+// lie wholly in buf[:read]: it is the only code that checks a record's
+// header, length and CRC. It returns the end of the last intact one, and
+// whether the record there is torn or corrupt.
+func check(buf []byte, from, read int64) (checked int64, torn bool) {
+	for read-from >= recHdr {
+		rec := buf[from:read]
+		n := int64(binary.BigEndian.Uint32(rec[4:8]))
+		if n > MaxRecordSize || int64(len(buf))-from-recHdr < n {
+			return from, true
+		}
+		if int64(len(rec))-recHdr < n {
+			break // the rest of the record is in a later piece
+		}
+		if crc32.Checksum(rec[recHdr:recHdr+n], crcTable) != binary.BigEndian.Uint32(rec[0:4]) {
+			return from, true
+		}
+		from += recHdr + n
+	}
+	return from, false
+}
+
+// close stops the read-ahead and waits for it to finish.
+func (rd *reads) close() {
+	close(rd.stop)
+	for range rd.pieces {
+	}
+}
+
+// walk walks the next segment's records as the read-ahead checks them: it
+// hands each intact record's payload, with its index in the segment, to fn
+// (when fn is not nil) as soon as the record is checked, and returns at the
+// segment's end or its first torn or corrupt record, at a read error or at
+// an error from fn. A payload points into the segment's buffer, which
+// nothing writes again, with its capacity clipped, so appending to it
+// cannot write over the next record.
+func (rd *reads) walk(fn func(k uint64, payload []byte) error) (end segEnd, err error) {
+	for {
+		p, ok := <-rd.pieces
+		if !ok {
+			return end, errors.New("wal: read-ahead stopped")
+		}
+		if p.err != nil {
+			return end, p.err
+		}
+		for end.valid < p.checked {
+			at := end.valid + recHdr
+			n := int64(binary.BigEndian.Uint32(p.buf[end.valid+4 : at]))
+			if fn != nil {
+				if err := fn(end.count, p.buf[at:at+n:at+n]); err != nil {
+					return end, err
+				}
+			}
+			end.valid = at + n
+			end.count++
+		}
+		if p.last {
+			end.torn = end.valid < int64(len(p.buf))
+			return end, nil
 		}
 	}
-	for i := range window {
-		start(i)
-	}
-	for i := range segs {
-		r := <-reads[i]
-		if r.err != nil {
-			return r.err
-		}
-		if err := each(i, r); err != nil {
-			return err
-		}
-		start(i + window)
-	}
-	return nil
+}
+
+// scanSegment walks the segment at path alone and reports its intact prefix.
+func scanSegment(fs FS, path string) (segEnd, error) {
+	rd := startReads(fs, []segment{{path: path}})
+	defer rd.close()
+	return rd.walk(nil)
 }
 
 func segPath(dir string, first uint64) string {
@@ -430,7 +544,8 @@ func (l *Log) sealActiveLocked() {
 	l.f, l.w = nil, nil
 	l.needSync = false
 	sealed := l.active
-	sealed.count = uint64(len(readSegment(l.fs, l.active.path).recs))
+	end, _ := scanSegment(l.fs, l.active.path)
+	sealed.count = end.count
 	l.segments = append(l.segments, sealed)
 	walSeals.Inc()
 }
@@ -700,7 +815,9 @@ func (l *Log) Size() int64 {
 
 // Replay calls fn for every record with LSN >= from, in order; fn must copy
 // a payload to retain it. Replay sees only records appended before it
-// starts. LSN gaps left by sealed segments are skipped silently.
+// starts. LSN gaps left by sealed segments are skipped silently; a segment
+// that holds fewer intact records than the log counted fails the replay,
+// after fn has had the ones it holds.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -714,7 +831,8 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 			// actually holds.
 			_ = l.w.Flush()
 			tail := l.active
-			tail.count = uint64(len(readSegment(l.fs, l.active.path).recs))
+			end, _ := scanSegment(l.fs, l.active.path)
+			tail.count = end.count
 			segs = append(segs, tail)
 		} else {
 			// Flush so the reader below sees the active file's content.
@@ -729,19 +847,24 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 	l.mu.Unlock()
 
 	segs = slices.DeleteFunc(segs, func(s segment) bool { return s.first+s.count <= from })
-	return readSegments(l.fs, segs, func(i int, r segRead) error {
-		s := segs[i]
+	rd := startReads(l.fs, segs)
+	defer rd.close()
+	for _, s := range segs {
 		want := min(s.count, limit-s.first)
-		if got := uint64(len(r.recs)); got < want {
-			return fmt.Errorf("wal: replay %s lsn %d: %w", s.path, s.first+got, errBadRecord)
-		}
-		for k := max(from, s.first) - s.first; k < want; k++ {
-			if err := fn(s.first+k, r.recs[k]); err != nil {
-				return err
+		end, err := rd.walk(func(k uint64, payload []byte) error {
+			if lsn := s.first + k; lsn >= from && k < want {
+				return fn(lsn, payload)
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		if end.count < want {
+			return fmt.Errorf("wal: replay %s lsn %d: %w", s.path, s.first+end.count, errBadRecord)
+		}
+	}
+	return nil
 }
 
 // TruncateBefore removes whole segments all of whose records have

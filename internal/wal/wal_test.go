@@ -260,8 +260,8 @@ func TestSyncAlways(t *testing.T) {
 	// Without closing, the record must already be on disk: scan the file
 	// directly.
 	ents, _ := os.ReadDir(dir)
-	if r := readSegment(OSFS, filepath.Join(dir, ents[0].Name())); r.err != nil || r.torn || len(r.recs) != 1 {
-		t.Fatalf("on-disk records = %d (torn %v, err %v), want 1", len(r.recs), r.torn, r.err)
+	if end, err := scanSegment(OSFS, filepath.Join(dir, ents[0].Name())); err != nil || end.torn || end.count != 1 {
+		t.Fatalf("on-disk records = %d (torn %v, err %v), want 1", end.count, end.torn, err)
 	}
 	l.Close()
 }
@@ -279,7 +279,7 @@ func TestSyncInterval(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		ents, _ := os.ReadDir(dir)
-		if len(readSegment(OSFS, filepath.Join(dir, ents[0].Name())).recs) == 1 {
+		if end, _ := scanSegment(OSFS, filepath.Join(dir, ents[0].Name())); end.count == 1 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -86,8 +86,10 @@ for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliv
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire >/dev/null
 done
 
-line "bench smoke (compile + one iteration)"
-go test -run NONE -bench . -benchtime 1x ./... >/dev/null
+line "bench smoke (compile + one iteration, short windows)"
+# -short cuts the root throughput benches' windows from 500 ms to 50 ms: the
+# smoke shows the harness runs end to end, and benchmark/ measures.
+go test -short -run NONE -bench . -benchtime 1x ./... >/dev/null
 
 line "corona-bench smokes (one build, five experiments)"
 # One link instead of five `go run`s. table1: pipelined clients drive the
@@ -113,19 +115,24 @@ line "chaos smoke (race)"
 go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
 
 line "cold recovery (race)"
-# The parallel-recovery acceptance tests: a seeded log (reduction, delete,
+# The one-pass recovery acceptance tests: a seeded log (reduction, delete,
 # re-create, a lost fsync batch) recovers to the writer's images at
-# GOMAXPROCS 1 and 4, each group rebuilt as one state run; a run folds to
-# exactly what its events give one at a time, however it is split, and the
-# views taken before it do not move; opening writes nothing; a broken log is
-# reported at its lowest failing LSN whichever worker finds it; a superseded
-# record is not decoded. The log's one read: wal.Recover hands over exactly the
-# records a later Replay yields, across a torn segment and an LSN gap, at
-# one reader and four, and the payloads it handed over stay valid; an error
-# from the consumer, or a segment that cannot be opened or read, fails the
-# open and changes no file. -count=1 so the race detector sees the workers
-# and the read-ahead every gate.
-go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestSupersededRecordIsNotDecoded|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment' ./internal/core ./internal/state ./internal/wal >/dev/null
+# GOMAXPROCS 1 and 4; a run folds to exactly what its events give one at a
+# time, however it is split, and the views taken before it do not move;
+# opening writes nothing; a broken log is reported at its lowest failing LSN,
+# also when a pending run fails below a later decode error or an unknown
+# record; a superseded record, a malformed checkpoint among them, does not
+# reach the recovered state, nor does a group deleted and re-created inside
+# one pending run. The walk: wal.Recover hands over exactly the records a
+# later Replay yields, across a torn segment and an LSN gap, and the payloads
+# it handed over stay valid; over a slowed disk, a record reaches the
+# consumer only once every byte of it is read and checked — across piece
+# boundaries, at a segment of whole pieces, before a torn tail and a bad CRC;
+# an error from the consumer, or a segment that cannot be opened or read
+# (also at its second piece), fails the open and changes no file; once the
+# walk has quit, the read-ahead reads no piece it had not begun. -count=1
+# so the race detector sees the read-ahead and the walk every gate.
+go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestRunFailureBelowDecodeError|TestSupersededRecordIsNotDecoded|TestSupersededMalformedCheckpoint|TestDeleteAndRecreateInOnePendingRun|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment|TestWalk' ./internal/core ./internal/state ./internal/wal >/dev/null
 
 line "replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
