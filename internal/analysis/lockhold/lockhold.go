@@ -25,7 +25,7 @@
 // internal/analysis/callgraph).
 //
 // Nested sync.Mutex acquisition is deliberately not "blocking": short
-// nested critical sections (seq, obs, the WAL's pending queue) are part
+// nested critical sections (obs, the WAL's pending queue) are part
 // of the design, and lock-ordering is lockorder's job.
 package lockhold
 

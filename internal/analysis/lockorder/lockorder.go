@@ -22,8 +22,8 @@
 //     (same-mutex re-entry: sync.Mutex self-deadlocks, and a nested
 //     RLock deadlocks against a writer waiting between the two).
 //
-// Identities not in the table (the seq counters, the WAL's pending-queue
-// mutex, obs internals) impose no ordering; they are the sanctioned
+// Identities not in the table (the WAL's pending-queue mutex, obs
+// internals) impose no ordering; they are the sanctioned
 // short nested sections. Acquisitions inside spawned goroutines are the
 // spawned goroutine's business, not an edge under the caller's locks.
 package lockorder
@@ -65,7 +65,7 @@ var ranks = map[string]int{
 
 // scoped are the packages whose lock spans are walked. Summaries are
 // still computed for every analyzed package, so a span in core sees
-// acquisitions made by a callee in wal or seq.
+// acquisitions made by a callee in wal or obs.
 func scoped(name string) bool {
 	switch name {
 	case "core", "cluster", "transport", "placement":

@@ -14,9 +14,9 @@
 //     map access per call. Resolve the instrument once and store it.
 //
 // The obs package itself is exempt (its internals necessarily handle
-// names as values). Deliberate exceptions — e.g. seq's per-group
-// counters, which are unbounded by design and removed with the group —
-// carry a //lint:allow obshygiene annotation with the justification.
+// names as values). A deliberate exception — say, a per-group instrument,
+// unbounded by design and removed with the group — carries a
+// //lint:allow obshygiene annotation with the justification.
 package obshygiene
 
 import (

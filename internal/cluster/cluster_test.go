@@ -233,14 +233,22 @@ func TestDuplicateCreateRejectedClusterWide(t *testing.T) {
 
 func TestDeletePropagates(t *testing.T) {
 	tc := startCluster(t, 2)
+	sinkB := newSink()
 	a := dialTo(t, tc.servers[0], "a", nil)
-	b := dialTo(t, tc.servers[1], "b", nil)
+	b := dialTo(t, tc.servers[1], "b", sinkB)
 	if err := a.CreateGroup("g", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Join("g", client.JoinOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// Two events move the group's number off 1 before the delete.
+	for i := 0; i < 2; i++ {
+		if _, err := b.BcastUpdate("g", "o", []byte("old"), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sinkB.wait(t, 2)
 	if err := a.DeleteGroup("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +264,27 @@ func TestDeletePropagates(t *testing.T) {
 			t.Fatalf("join after delete: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	// The number died with the group: a re-created group starts at 1, at
+	// the coordinator and on both servers.
+	if err := a.CreateGroup("g", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.coord.GroupSeq("g"); got != 1 {
+		t.Fatalf("coordinator's next seq for the re-created group = %d, want 1", got)
+	}
+	if _, err := a.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := a.BcastUpdate("g", "o", []byte("new"), true); err != nil || seq != 1 {
+		t.Fatalf("first multicast to the re-created group acked at %d (%v), want 1", seq, err)
+	}
+	if ev := sinkB.wait(t, 3)[2]; ev.Seq != 1 || string(ev.Data) != "new" {
+		t.Fatalf("server 1 delivered %d %q first after the re-create, want 1 %q", ev.Seq, ev.Data, "new")
 	}
 }
 

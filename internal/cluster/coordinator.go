@@ -23,7 +23,6 @@ import (
 
 	"corona/internal/obs"
 	"corona/internal/placement"
-	"corona/internal/seq"
 	"corona/internal/state"
 	"corona/internal/transport"
 	"corona/internal/wire"
@@ -125,6 +124,8 @@ type groupMeta struct {
 	// the group in its reign; only then can a server's seq report
 	// conflict rather than merely recover state.
 	sequenced bool
+	// next is the sequence number the group's next event gets.
+	next uint64
 	// digest is the history digest of the authoritative event chain.
 	digest uint64
 	// authority, when nonzero, names the server whose replica state
@@ -151,6 +152,7 @@ func newGroupMeta(persistent bool) *groupMeta {
 	return &groupMeta{
 		persistent: persistent,
 		interest:   make(map[uint64]*interest),
+		next:       1,
 	}
 }
 
@@ -172,7 +174,6 @@ type Coordinator struct {
 	peers      map[uint64]*peer
 	nextBoot   uint64
 	groups     map[string]*groupMeta
-	seqr       *seq.Sequencer
 	migrations map[string]*migrationRec
 	closed     bool
 
@@ -217,7 +218,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		epoch:      cfg.Epoch,
 		peers:      make(map[uint64]*peer),
 		groups:     make(map[string]*groupMeta),
-		seqr:       seq.New(cfg.Now),
 		place:      placement.NewTracker(cfg.Now),
 		policy:     placement.Policy{Replicas: cfg.Placement.Replicas},
 		migrations: make(map[string]*migrationRec),
@@ -259,11 +259,15 @@ func (c *Coordinator) ServerCount() int {
 	return len(c.peers)
 }
 
-// GroupSeq returns the coordinator's next sequence number for a group.
+// GroupSeq returns the coordinator's next sequence number for a group, 1
+// for a group it does not know.
 func (c *Coordinator) GroupSeq(group string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seqr.Peek(group)
+	if meta, ok := c.groups[group]; ok {
+		return meta.next
+	}
+	return 1
 }
 
 // HasGroup reports whether the group is registered at the coordinator.
@@ -559,7 +563,8 @@ func (c *Coordinator) handleForward(m *wire.SForward) {
 		return
 	}
 	ev := m.Event
-	ev.Seq, ev.Time = c.seqr.Next(m.Group)
+	ev.Seq, ev.Time = meta.next, c.cfg.Now().UnixNano()
+	meta.next++
 	meta.sequenced = true
 	meta.digest = state.DigestEvent(meta.digest, ev)
 	c.enqueueLocked(&wire.SDistribute{
@@ -697,7 +702,6 @@ func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uin
 	}, origin, interested)
 	if changed && change != wire.MemberJoined && origin != 0 && len(meta.members) == 0 && !meta.persistent {
 		delete(c.groups, name)
-		c.seqr.Drop(name)
 		obs.Default.Event("cluster", fmt.Sprintf("transient group %q ceased to exist", name))
 	}
 }
@@ -730,7 +734,6 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 			ack.Text = fmt.Sprintf("no group %q", m.Group)
 		} else {
 			delete(c.groups, m.Group)
-			c.seqr.Drop(m.Group)
 		}
 	default:
 		ack.OK = false
@@ -776,7 +779,7 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 	if meta, ok := c.groups[m.Group]; ok {
 		resp.Code = wire.CodeUnknown
 		resp.Persistent = meta.persistent
-		resp.NextSeq = c.seqr.Peek(m.Group)
+		resp.NextSeq = meta.next
 		// Choose a source replica other than the requester, preferring the
 		// post-divergence authority when one is recorded.
 		source, live := c.peers[meta.authority]
@@ -860,14 +863,14 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		for _, mi := range g.Members {
 			c.orderMemberLocked(g.Group, meta, m.ServerID, wire.MemberJoined, mi)
 		}
-		coordNext := c.seqr.Peek(g.Group)
+		coordNext := meta.next
 		conflict := meta.sequenced && g.Digest != 0 &&
 			((g.NextSeq > coordNext) ||
 				(g.NextSeq == coordNext && meta.digest != 0 && g.Digest != meta.digest))
 		if !conflict {
 			// Plain recovery: fold the server's high-water mark in.
 			if g.NextSeq > coordNext {
-				c.seqr.Observe(g.Group, g.NextSeq-1)
+				meta.next = g.NextSeq
 				meta.digest = g.Digest
 			} else if g.NextSeq == coordNext && meta.digest == 0 {
 				meta.digest = g.Digest
@@ -896,7 +899,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		resolution := c.resolveDivergence(report)
 		switch resolution {
 		case wire.ResolutionAdopt:
-			c.seqr.Observe(g.Group, g.NextSeq-1)
+			meta.next = max(meta.next, g.NextSeq)
 			meta.digest = g.Digest
 			meta.authority = m.ServerID
 		case wire.ResolutionFork, wire.ResolutionRollback:

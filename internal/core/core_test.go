@@ -794,6 +794,14 @@ func TestDeleteGroupDisconnectsState(t *testing.T) {
 	if err := a.CreateGroup("g", true, nil); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := a.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.BcastUpdate("g", "o", []byte("old"), false); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := a.DeleteGroup("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -804,6 +812,23 @@ func TestDeleteGroupDisconnectsState(t *testing.T) {
 	}
 	if err := a.DeleteGroup("g"); !errors.As(err, &se) || se.Code != wire.CodeNoSuchGroup {
 		t.Fatalf("double delete: %v", err)
+	}
+
+	// The number died with the group: a re-created group numbers from 1,
+	// and NextSeq and SeqReport read the same record.
+	if err := a.CreateGroup("g", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := a.BcastUpdate("g", "o", []byte("new"), false); err != nil || seq != 1 {
+		t.Fatalf("first multicast to the re-created group acked at %d (%v), want 1", seq, err)
+	}
+	e := srv.Engine()
+	report := e.SeqReport()
+	if next := e.NextSeq("g"); next != 2 || len(report) != 1 || report[0].NextSeq != next {
+		t.Fatalf("NextSeq = %d, SeqReport = %+v; want both at 2", next, report)
 	}
 }
 

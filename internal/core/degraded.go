@@ -79,43 +79,32 @@ func (e *Engine) scheduleFloorCheckpoint(group string) {
 	if !ok || !g.Persistent {
 		return // deleted since; nothing to re-floor
 	}
-	st := e.states[group]
 	grt := e.groups[group]
-	if st == nil || grt == nil {
+	if grt == nil || grt.st == nil {
 		return
 	}
 	grt.mu.Lock()
 	defer grt.mu.Unlock()
-	if grt.floorPending {
+	if !grt.floorPending.CompareAndSwap(false, true) {
 		return
 	}
-	grt.floorPending = true
 	e.mFloorCheckpoints.Inc()
-	err := e.wal.AppendAsync(encodeCheckpointRecord(group, st.Checkpoint()), func(lsn uint64, err error) {
-		e.clearFloorPending(group)
+	// The callback acts on the record it was issued for: a group deleted
+	// and re-created meanwhile has a record of its own.
+	err := e.wal.AppendAsync(encodeCheckpointRecord(group, grt.st.Checkpoint()), func(lsn uint64, err error) {
+		grt.floorPending.Store(false)
 		if err != nil {
 			// A repeated failure without an intervening success is
 			// terminal at the log layer, so this recursion is bounded.
 			e.noteWALCommitError(group, "floor checkpoint", err)
 			return
 		}
-		if e.setLowLSN(group, lsn) {
-			e.gcWAL()
-		}
+		grt.lowLSN.Store(lsn)
+		e.gcWAL()
 	})
 	if err != nil {
-		grt.floorPending = false
+		grt.floorPending.Store(false)
 		e.walAppendFailed(group, "floor checkpoint", err)
-	}
-}
-
-func (e *Engine) clearFloorPending(group string) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if grt := e.groups[group]; grt != nil {
-		grt.mu.Lock()
-		grt.floorPending = false
-		grt.mu.Unlock()
 	}
 }
 
@@ -207,26 +196,19 @@ func (e *Engine) tryReopen() bool {
 		return true
 	}
 	e.wal = newLog
-	e.lsnMu.Lock()
-	e.lowLSN = make(map[string]uint64)
-	e.lsnMu.Unlock()
-	for name, st := range e.states {
+	for name, grt := range e.groups {
+		// Any in-flight floor died with the old log.
+		grt.floorPending.Store(false)
+		grt.lowLSN.Store(noFloor)
 		g, ok := e.reg.Get(name)
-		if !ok || !g.Persistent {
+		if grt.st == nil || !ok || !g.Persistent {
 			continue
-		}
-		if grt := e.groups[name]; grt != nil {
-			grt.mu.Lock()
-			grt.floorPending = false // any in-flight floor died with the old log
-			grt.mu.Unlock()
 		}
 		// Pin garbage collection until every group's floor is durable: a
 		// zero low-water mark keeps gcWAL from truncating segments the
 		// pending checkpoints have not yet superseded.
-		e.lsnMu.Lock()
-		e.lowLSN[name] = 0
-		e.lsnMu.Unlock()
-		e.persistCheckpoint(name, st)
+		grt.lowLSN.Store(0)
+		e.persistCheckpoint(grt, name)
 	}
 	e.mu.Unlock()
 

@@ -240,3 +240,83 @@ func TestDegradedCloseAfterFailedReopen(t *testing.T) {
 		t.Fatalf("Close of a degraded engine = %v, want nil", err)
 	}
 }
+
+// heldLog is a walLog whose commits wait for the test: AppendAsync numbers
+// each record from LSN 1 and keeps its callback until release runs it.
+// Everything runs on the test's goroutine.
+type heldLog struct {
+	done      []func(lsn uint64, err error)
+	released  int
+	truncated []uint64
+}
+
+func (l *heldLog) AppendAsync(_ []byte, done func(uint64, error)) error {
+	l.done = append(l.done, done)
+	return nil
+}
+
+// release commits the held records up to LSN upTo, in LSN order.
+func (l *heldLog) release(upTo int) {
+	for ; l.released < upTo; l.released++ {
+		l.done[l.released](uint64(l.released+1), nil)
+	}
+}
+
+func (l *heldLog) Barrier() error { return nil }
+func (l *heldLog) TruncateBefore(lsn uint64) error {
+	l.truncated = append(l.truncated, lsn)
+	return nil
+}
+func (l *heldLog) SegmentCount() int { return 1 }
+func (l *heldLog) Failed() bool      { return false }
+func (l *heldLog) Close() error      { return nil }
+
+// TestCommitCallbackActsOnItsGroup: a WAL commit callback acts on the group
+// it was issued for. Persistent group a's floor checkpoint commits after a
+// was deleted and re-created and while the new group's own floor is in
+// flight: the new group's floor stays deduplicated, and the old group's
+// floor does not govern garbage collection of the log.
+func TestCommitCallbackActsOnItsGroup(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Logger: quietTestLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	l := &heldLog{}
+	e.mu.Lock()
+	e.wal = l
+	e.mu.Unlock()
+
+	// LSN 1 creates a, 2 is its floor, 3 deletes it, 4 creates it again
+	// and 5 is the new group's floor.
+	if err := e.CreateGroupDirect("a", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.scheduleFloorCheckpoint("a")
+	if err := e.DeleteGroupDirect("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateGroupDirect("a", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.scheduleFloorCheckpoint("a")
+	if n := e.mFloorCheckpoints.Load(); n != 2 || len(l.done) != 5 {
+		t.Fatalf("%d floor checkpoints in %d records, want 2 in 5", n, len(l.done))
+	}
+
+	// The old group's create and floor commit.
+	l.release(2)
+	e.scheduleFloorCheckpoint("a")
+	if n := e.mFloorCheckpoints.Load(); n != 2 {
+		t.Fatalf("%d floor checkpoints: the old group's commit cleared the new group's pending floor", n)
+	}
+	if len(l.truncated) != 0 {
+		t.Fatalf("log truncated before %v while the live group's base is uncommitted", l.truncated)
+	}
+
+	// The rest commits: the new group's floor is the only one left.
+	l.release(5)
+	if len(l.truncated) != 1 || l.truncated[0] != 5 {
+		t.Fatalf("log truncated before %v, want [5]", l.truncated)
+	}
+}

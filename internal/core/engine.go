@@ -1,10 +1,10 @@
 // Package core implements the Corona stateful multicast server — the
 // paper's primary contribution. The Engine ties the substrates together:
 // per-group shared state (internal/state), membership (internal/membership),
-// locks (internal/locks), the sequencer (internal/seq), and the stable-
-// storage message log (internal/wal). Server (server.go) is the standalone
-// single-server frontend used by the paper's Figure 3 and Table 1
-// experiments; the replicated frontend lives in internal/cluster.
+// locks (internal/locks), and the stable-storage message log
+// (internal/wal). Server (server.go) is the standalone single-server
+// frontend used by the paper's Figure 3 and Table 1 experiments; the
+// replicated frontend lives in internal/cluster.
 //
 // The Engine shards its locking per group, because groups are independent
 // ordering domains (total order is per group, paper §4.1): an engine-level
@@ -37,7 +37,6 @@ import (
 	"corona/internal/locks"
 	"corona/internal/membership"
 	"corona/internal/obs"
-	"corona/internal/seq"
 	"corona/internal/state"
 	"corona/internal/transport"
 	"corona/internal/wal"
@@ -154,8 +153,8 @@ type walLog interface {
 
 // Engine is the stateful multicast service core.
 //
-// Locking protocol. e.mu guards the registries (reg, states, groups,
-// sessions, locks, nextClient, closed). Operations that mutate them — group
+// Locking protocol. e.mu guards the registries (reg, groups, sessions,
+// locks, nextClient, closed). Operations that mutate them — group
 // create/delete, join/leave, session add/drop, lock ops, log reduction —
 // take it in write mode. The multicast path (multicast.go) takes it in read
 // mode plus the target group's mutex from its groupRuntime, so multicasts
@@ -166,19 +165,18 @@ type walLog interface {
 // the read lock, and never more than one at a time. The group critical
 // section covers sequence+apply+persist-enqueue only: fanout is pushed as
 // a non-blocking ring entry and runs on the fanout pool's shards off-lock
-// (see fanout.go for the pipeline's own ordering argument). lowLSN has its
-// own little mutex (lsnMu) because WAL completion callbacks update it from
-// the committer goroutine.
+// (see fanout.go for the pipeline's own ordering argument). A group's log
+// floor (groupRuntime.lowLSN) is an atomic because WAL completion callbacks
+// update it from the committer goroutine.
 type Engine struct {
 	cfg EngineConfig
 	log *slog.Logger
 
-	mu       sync.RWMutex
-	reg      *membership.Registry
-	states   map[string]*state.Group
+	mu  sync.RWMutex
+	reg *membership.Registry
+	// groups is the engine's one record per group (groupRuntime).
 	groups   map[string]*groupRuntime
 	locks    *locks.Table
-	seqr     *seq.Sequencer
 	sessions map[uint64]*Session
 	// pending holds the joins and leaves of local members on their way
 	// through the coordinator's order (OnMembershipChange set).
@@ -200,9 +198,6 @@ type Engine struct {
 	// works on replacing the log. See degraded.go.
 	degraded atomic.Bool
 	bg       sync.WaitGroup
-
-	lsnMu  sync.Mutex
-	lowLSN map[string]uint64
 
 	// Instruments live outside e.mu: all counters are atomic, so the
 	// multicast hot path and metrics pollers never contend on the engine
@@ -262,14 +257,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg:      cfg,
 		log:      cfg.Logger,
 		reg:      membership.NewRegistry(cfg.SessionManager),
-		states:   make(map[string]*state.Group),
 		groups:   make(map[string]*groupRuntime),
 		locks:    locks.NewTable(),
-		seqr:     seq.New(cfg.Now),
 		sessions: make(map[uint64]*Session),
 		pending:  make(map[memberKey]pendingChange),
 		stopped:  make(chan struct{}),
-		lowLSN:   make(map[string]uint64),
 
 		metrics:           metrics,
 		mBcasts:           metrics.Counter("engine.bcasts"),
@@ -410,9 +402,12 @@ func (e *Engine) newClientID() uint64 {
 }
 
 // getState returns the group's shared state, which exists for every
-// registered group unless the engine is stateless.
+// registered group unless the engine is stateless. Caller holds e.mu.
 func (e *Engine) getState(group string) *state.Group {
-	return e.states[group]
+	if grt := e.groups[group]; grt != nil {
+		return grt.st
+	}
+	return nil
 }
 
 // HasGroup reports whether the group is registered. Used by the replicated
@@ -479,9 +474,9 @@ func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpoint
 	if err != nil {
 		return fmt.Errorf("core: install %q: %w", name, err)
 	}
-	e.registerLocked(name, persistent, st)
+	grt := e.registerLocked(name, persistent, st)
 	if persistent {
-		e.persistCheckpoint(name, st)
+		e.persistCheckpoint(grt, name)
 	}
 	return nil
 }
@@ -489,26 +484,26 @@ func (e *Engine) installLocked(name string, persistent bool, cp state.Checkpoint
 // registerLocked is the one way a group enters the engine, whether created
 // (createLocked), installed from a replica image (installLocked) or rebuilt
 // from the log (recover). It sets the registry entry (an existing one keeps
-// its members), the group's runtime and fanout snapshot, its shared state
-// (none in a stateless engine) and the sequencer's mark at st's next
-// sequence number, which rewinds a mark that is ahead. It logs nothing:
-// each caller persists what its path needs. Caller holds e.mu in write mode.
-func (e *Engine) registerLocked(name string, persistent bool, st *state.Group) {
+// its members), the group's record (an existing one keeps its log floor)
+// and fanout snapshot, and the record's state, whose next sequence number
+// becomes the group's — a stateless engine keeps only that number. It logs
+// nothing: each caller persists what its path needs, to the record it
+// returns. Caller holds e.mu in write mode.
+func (e *Engine) registerLocked(name string, persistent bool, st *state.Group) *groupRuntime {
 	if _, ok := e.reg.Get(name); !ok {
 		// Cannot fail: the name is free, and the zero creator bypasses
 		// the session manager.
 		_, _ = e.reg.Create(name, persistent, wire.MemberInfo{})
 	}
-	e.ensureGroupRuntime(name)
+	grt := e.ensureGroupRuntime(name)
 	e.rebuildFanoutLocked(name)
-	if !e.cfg.Stateless {
-		e.states[name] = st
-	}
-	e.seqr.Drop(name)
-	if next := st.NextSeq(); next > 1 {
-		e.seqr.Observe(name, next-1)
+	if e.cfg.Stateless {
+		grt.next = st.NextSeq()
+	} else {
+		grt.st = st
 	}
 	e.syncGroupsGauge()
+	return grt
 }
 
 // GroupImage exports a group's image — objects, retained history, digest —
@@ -526,14 +521,13 @@ func (e *Engine) GroupImage(name string) (persistent bool, cp state.Checkpointed
 	if !exists {
 		return false, state.Checkpointed{}, false
 	}
-	st := e.getState(name)
-	if st == nil {
-		return g.Persistent, state.Checkpointed{NextSeq: e.seqr.Peek(name)}, true
-	}
 	grt := e.groups[name]
 	grt.mu.Lock()
 	defer grt.mu.Unlock()
-	return g.Persistent, st.Checkpoint(), true
+	if grt.st == nil {
+		return g.Persistent, state.Checkpointed{NextSeq: grt.next}, true
+	}
+	return g.Persistent, grt.st.Checkpoint(), true
 }
 
 // replicaImage is what a replica pull is answered with (ServeReplica), read
@@ -551,13 +545,13 @@ func (e *Engine) replicaImage(name string, from uint64) (cp state.Checkpointed, 
 		return state.Checkpointed{}, nil, false
 	}
 	members = g.Members()
-	st := e.getState(name)
-	if st == nil {
-		return state.Checkpointed{NextSeq: e.seqr.Peek(name)}, members, true
-	}
 	grt := e.groups[name]
 	grt.mu.Lock()
 	defer grt.mu.Unlock()
+	st := grt.st
+	if st == nil {
+		return state.Checkpointed{NextSeq: grt.next}, members, true
+	}
 	tr, err := st.Capture(wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: min(from, st.NextSeq())})
 	if err != nil {
 		return st.Checkpoint(), members, true
@@ -571,14 +565,13 @@ func (e *Engine) replicaImage(name string, from uint64) (cp state.Checkpointed, 
 func (e *Engine) NextSeq(name string) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	next := e.seqr.Peek(name)
-	if st := e.getState(name); st != nil {
-		grt := e.groups[name]
-		grt.mu.Lock()
-		next = max(next, st.NextSeq())
-		grt.mu.Unlock()
+	grt := e.groups[name]
+	if grt == nil {
+		return 1
 	}
-	return next
+	grt.mu.Lock()
+	defer grt.mu.Unlock()
+	return grt.nextSeq()
 }
 
 // SeqReport returns, per group, the sequencing high-water mark, digest and
@@ -594,19 +587,15 @@ func (e *Engine) SeqReport() []wire.GroupSeq {
 		if !ok {
 			continue
 		}
+		grt := e.groups[name]
 		gs := wire.GroupSeq{
 			Group:      name,
-			NextSeq:    e.seqr.Peek(name),
+			NextSeq:    grt.nextSeq(),
 			Persistent: g.Persistent,
 			Members:    e.hostedLocked(g),
 		}
-		if st := e.getState(name); st != nil {
-			gs.Digest = st.Digest()
-			// The replica's state is the ground truth for the
-			// high-water mark.
-			if st.NextSeq() > gs.NextSeq {
-				gs.NextSeq = st.NextSeq()
-			}
+		if grt.st != nil {
+			gs.Digest = grt.st.Digest()
 		}
 		out = append(out, gs)
 	}
@@ -650,6 +639,7 @@ func (e *Engine) ensureGroupRuntime(name string) *groupRuntime {
 			ring: newFanoutRing(),
 			snap: &fanoutSnap{buckets: make([][]fanoutTarget, e.fanout.width())},
 		}
+		grt.lowLSN.Store(noFloor)
 		e.groups[name] = grt
 	}
 	return grt

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"corona/internal/state"
 	"corona/internal/transport"
 	"corona/internal/wire"
 )
@@ -48,17 +50,30 @@ var fanoutRingCap = 256
 // uint64, and delivery parallelism past the core count buys nothing.
 const maxFanoutShards = 32
 
-// groupRuntime is one group's concurrency state: the ordering mutex
-// serializing sequence+apply+persist-enqueue, the fanout ring bounding its
-// undelivered entries, and the COW receiver snapshot.
+// groupRuntime is the engine's one record of a group: its shared state and
+// sequence number, its log floor, the ordering mutex serializing
+// sequence+apply+persist-enqueue, the fanout ring bounding its undelivered
+// entries, and the COW receiver snapshot. A deleted group's record leaves
+// e.groups and a re-created one gets a fresh record, so whatever still holds
+// the old one — a WAL commit callback — acts on the group it was issued for.
 //
-// snap is read under e.mu (any mode) and replaced — never mutated — under
-// e.mu in write mode; shard workers only ever see it through an entry
-// pointer, and the pointed-to snapshot is immutable.
+// st and snap are read under e.mu (any mode) and replaced only under e.mu in
+// write mode. st changes in place under mu. snap is never mutated: shard
+// workers only ever see it through an entry pointer.
 type groupRuntime struct {
-	mu   sync.Mutex
-	ring *fanoutRing
-	snap *fanoutSnap
+	mu sync.Mutex
+	// st is the group's shared state; nil when the engine is stateless.
+	// Its NextSeq is the number the group's next event gets.
+	st *state.Group
+	// next is a stateless engine's next sequence number, guarded by mu (or
+	// e.mu in write mode); an engine with state numbers from st.
+	next uint64
+	// lowLSN is the oldest log record the group still needs, noFloor until
+	// its base record commits and for a group that is not logged. Written by
+	// WAL commit callbacks, read by gcWAL.
+	lowLSN atomic.Uint64
+	ring   *fanoutRing
+	snap   *fanoutSnap
 	// applyRun's and fanoutRun's scratch, guarded by mu: the run's
 	// sequenced (then applied) events and where applyRun found each in the
 	// run, the senders it excludes, and one excluded sender's filtered view.
@@ -68,7 +83,19 @@ type groupRuntime struct {
 	own  []wire.Event
 	// floorPending dedupes the floor checkpoint a failed commit schedules
 	// to re-establish the group's durability floor (degraded.go).
-	floorPending bool
+	floorPending atomic.Bool
+}
+
+// noFloor is the lowLSN of a group that pins no log record.
+const noFloor uint64 = math.MaxUint64
+
+// nextSeq is the number the group's next event gets. Caller holds grt.mu, or
+// e.mu in write mode.
+func (grt *groupRuntime) nextSeq() uint64 {
+	if grt.st != nil {
+		return grt.st.NextSeq()
+	}
+	return grt.next
 }
 
 // fanoutRing is a group's delivery credit semaphore. credits starts full;

@@ -93,8 +93,8 @@ func (e *Engine) createLocked(name string, persistent bool, initial []wire.Objec
 	if _, err := e.reg.Create(name, persistent, creator); err != nil {
 		return err
 	}
-	e.registerLocked(name, persistent, state.NewInitial(initial))
-	e.persistCreate(name, persistent, initial)
+	grt := e.registerLocked(name, persistent, state.NewInitial(initial))
+	e.persistCreate(grt, name, persistent, initial)
 	e.metrics.Event("core", fmt.Sprintf("group %q created (persistent=%v)", name, persistent))
 	return nil
 }
@@ -229,7 +229,8 @@ func (e *Engine) handleJoin(s *Session, m *wire.Join) {
 func (e *Engine) completeJoinLocked(g *membership.Group, op *pendingChange) {
 	ack := &wire.JoinAck{RequestID: op.reqID, Group: g.Name}
 	var tr state.Transfer
-	if st := e.getState(g.Name); st != nil {
+	grt := e.groups[g.Name]
+	if st := grt.st; st != nil {
 		var err error
 		if tr, err = st.Capture(op.policy); err != nil {
 			// The requested suffix was reduced away: a full transfer
@@ -247,8 +248,8 @@ func (e *Engine) completeJoinLocked(g *membership.Group, op *pendingChange) {
 		}
 	} else {
 		// Stateless baseline: no transfer; deliveries start at the
-		// sequencer's next number.
-		ack.NextSeq = e.seqr.Peek(g.Name)
+		// group's next number.
+		ack.NextSeq = grt.next
 	}
 	ack.Members = g.Members()
 	e.hJoin.Record(time.Since(op.start).Nanoseconds())
@@ -442,7 +443,7 @@ func (e *Engine) reduceLocked(name string, g *membership.Group, st *state.Group,
 		e.mReduced.Inc()
 		e.metrics.Event("core", fmt.Sprintf("group %q log reduced by %d events", name, trimmed))
 		if g.Persistent {
-			e.persistCheckpoint(name, st)
+			e.persistCheckpoint(e.groups[name], name)
 		}
 	}
 	return trimmed

@@ -242,7 +242,7 @@ func (e *Engine) multicastLocked(r *run, credit *fanoutRing) (full *fanoutRing, 
 	if consumed < len(r.events) {
 		// Read the high-water mark while the group mutex is held; after the
 		// Unlock a concurrent apply would race it.
-		want = e.getState(r.group).NextSeq()
+		want = grt.nextSeq()
 	}
 	grt.mu.Unlock()
 	e.recordLockHold(time.Since(holdStart).Nanoseconds(), sequenced)
@@ -279,9 +279,10 @@ func (e *Engine) admitLocked(r *run) (*membership.Group, error) {
 	return g, nil
 }
 
-// applyRun is the group critical section: it numbers the run's events (or,
-// for a coordinator-sequenced run, finds the window of them that continues
-// the replica's high-water mark), folds them into the group state with one
+// applyRun is the group critical section: it numbers the run's events from
+// the group's next sequence number, stamped with one server time (or, for a
+// coordinator-sequenced run, finds the window of them that continues the
+// replica's high-water mark), folds them into the group state with one
 // state.ApplyRun, hands the applied ones to the delivery pipeline as one
 // fanout entry, and queues their records for group commit in sequence order.
 // It reports how many events were consumed — all of them unless a sequence
@@ -307,20 +308,25 @@ func (e *Engine) admitLocked(r *run) (*membership.Group, error) {
 // outcome releases it.
 func (e *Engine) applyRun(r *run, g *membership.Group, grt *groupRuntime) (consumed, sequenced int) {
 	start := time.Now()
-	st := e.getState(r.group)
+	st := grt.st
 	// The window: the sequenced events, and where each sits in r.events.
 	// A distributed window continues the replica's state: duplicates are
-	// consumed and skipped, and a gap ends it.
+	// consumed and skipped, and a gap ends it. A stateless replica takes
+	// every distributed event and only follows its number.
 	evs, at := grt.evs[:0], grt.at[:0]
-	var next uint64
-	if st != nil {
-		next = st.NextSeq()
+	next := grt.nextSeq()
+	var now int64
+	if r.sess != nil {
+		now = e.cfg.Now().UnixNano()
 	}
 	for i := range r.events {
 		re := &r.events[i]
 		if r.sess != nil {
-			re.ev.Seq, re.ev.Time = e.seqr.Next(r.group)
-		} else if st != nil {
+			re.ev.Seq, re.ev.Time = next, now
+			next++
+		} else if st == nil {
+			next = max(next, re.ev.Seq+1)
+		} else {
 			if re.ev.Seq > next {
 				break
 			}
@@ -333,6 +339,9 @@ func (e *Engine) applyRun(r *run, g *membership.Group, grt *groupRuntime) (consu
 		consumed++
 		evs = append(evs, re.ev)
 		at = append(at, i)
+	}
+	if st == nil {
+		grt.next = next
 	}
 	failed := false
 	for k := 0; k < len(evs); {
@@ -359,11 +368,6 @@ func (e *Engine) applyRun(r *run, g *membership.Group, grt *groupRuntime) (consu
 		}
 	}
 	sequenced = len(evs)
-	if r.sess == nil {
-		for i := range evs {
-			e.seqr.Observe(r.group, evs[i].Seq)
-		}
-	}
 	if failed {
 		// Only the applied events are delivered.
 		kept := evs[:0]

@@ -108,11 +108,8 @@ func (e *Engine) recover(opts wal.Options) error {
 	defer e.mu.Unlock()
 	e.wal = l
 	for _, gl := range sp {
-		e.registerLocked(gl.name, true, gl.st)
 		// The base record is the oldest one the group needs.
-		e.lsnMu.Lock()
-		e.lowLSN[gl.name] = gl.baseLSN
-		e.lsnMu.Unlock()
+		e.registerLocked(gl.name, true, gl.st).lowLSN.Store(gl.baseLSN)
 	}
 	return nil
 }
@@ -316,11 +313,11 @@ func (e *Engine) persistEvent(group string, persistent bool, ev wire.Event, onCo
 	return deferAck
 }
 
-// persistCreate queues a persistent group's creation record. The group's
-// low-water LSN is set from the commit callback; callbacks fire in LSN
-// order, so it is in place before any later checkpoint of the group can
-// trigger garbage collection. Caller holds e.mu in write mode.
-func (e *Engine) persistCreate(group string, persistent bool, initial []wire.Object) {
+// persistCreate queues a persistent group's creation record. The commit
+// callback sets grt's low-water LSN; callbacks fire in LSN order, so it is in
+// place before any later checkpoint of the group can trigger garbage
+// collection. Caller holds e.mu in write mode.
+func (e *Engine) persistCreate(grt *groupRuntime, group string, persistent bool, initial []wire.Object) {
 	if e.wal == nil || !persistent {
 		return
 	}
@@ -329,7 +326,7 @@ func (e *Engine) persistCreate(group string, persistent bool, initial []wire.Obj
 			e.noteWALCommitError(group, "create", err)
 			return
 		}
-		e.setLowLSN(group, lsn)
+		grt.lowLSN.Store(lsn)
 	})
 	if err != nil {
 		e.walAppendFailed(group, "create", err)
@@ -355,70 +352,46 @@ func (e *Engine) persistDelete(group string) {
 	}
 }
 
-// persistCheckpoint queues a checkpoint image; the commit callback advances
-// the group's low-water LSN and garbage-collects log segments no group
-// needs anymore. The image is taken and encoded now, under the caller's
-// lock, so the record is consistent with the log position and is the only
-// copy made of the group's bytes. Caller holds the group's mutex (or e.mu in
-// write mode).
-func (e *Engine) persistCheckpoint(group string, st *state.Group) {
+// persistCheckpoint queues a checkpoint image of grt's state; the commit
+// callback advances grt's low-water LSN and garbage-collects log segments no
+// group needs anymore. The image is taken and encoded now, under the
+// caller's lock, so the record is consistent with the log position and is
+// the only copy made of the group's bytes. Caller holds the group's mutex
+// (or e.mu in write mode).
+func (e *Engine) persistCheckpoint(grt *groupRuntime, group string) {
 	if e.wal == nil {
 		return
 	}
-	err := e.wal.AppendAsync(encodeCheckpointRecord(group, st.Checkpoint()), func(lsn uint64, err error) {
+	err := e.wal.AppendAsync(encodeCheckpointRecord(group, grt.st.Checkpoint()), func(lsn uint64, err error) {
 		if err != nil {
 			e.noteWALCommitError(group, "checkpoint", err)
 			return
 		}
-		if e.setLowLSN(group, lsn) {
-			e.gcWAL()
-		}
+		grt.lowLSN.Store(lsn)
+		e.gcWAL()
 	})
 	if err != nil {
 		e.walAppendFailed(group, "checkpoint", err)
 	}
 }
 
-// setLowLSN records the oldest log record group still needs, unless the
-// group has been deleted in the meantime (a stale entry would pin garbage
-// collection forever). Runs on the WAL committer goroutine.
-func (e *Engine) setLowLSN(group string, lsn uint64) bool {
-	e.mu.RLock()
-	_, live := e.reg.Get(group)
-	e.mu.RUnlock()
-	if !live {
-		return false
-	}
-	e.lsnMu.Lock()
-	e.lowLSN[group] = lsn
-	e.lsnMu.Unlock()
-	return true
-}
-
-// gcWAL drops log segments below the oldest record any persistent group
-// still needs. Safe from any goroutine that holds no engine lock: the
-// log pointer is snapshotted under e.mu, lowLSN is guarded by lsnMu, and
-// the truncate itself runs off-lock.
+// gcWAL drops log segments below the oldest record any live group still
+// needs. A deleted group's record has left e.groups, so a floor its late
+// commit callback stores pins nothing. Safe from any goroutine that holds no
+// engine lock: the log pointer and the floors are read under e.mu, and the
+// truncate itself runs off-lock.
 func (e *Engine) gcWAL() {
 	e.mu.RLock()
 	l := e.wal
+	low := noFloor
+	for _, grt := range e.groups {
+		low = min(low, grt.lowLSN.Load())
+	}
 	e.mu.RUnlock()
-	if l == nil {
+	if l == nil || low == noFloor {
 		return
 	}
-	e.lsnMu.Lock()
-	var min uint64
-	first := true
-	for _, lsn := range e.lowLSN {
-		if first || lsn < min {
-			min, first = lsn, false
-		}
-	}
-	e.lsnMu.Unlock()
-	if first {
-		return
-	}
-	if err := l.TruncateBefore(min); err != nil {
+	if err := l.TruncateBefore(low); err != nil {
 		e.log.Error("wal truncate failed", "err", err)
 	}
 }

@@ -62,10 +62,15 @@ func TestRecoverEventsAndSequencer(t *testing.T) {
 	if string(cp.Objects[0].Data) != "base|u|u|u|" {
 		t.Fatalf("recovered object = %q", cp.Objects[0].Data)
 	}
-	// The sequencer continues, never reuses numbers.
-	e2.mu.Lock()
-	next, _ := e2.seqr.Next("g")
-	e2.mu.Unlock()
+	// Numbering continues, never reuses numbers: a member's first
+	// multicast after recovery is acked at 4.
+	c := newRigClient(t, e2, "m")
+	c.join(t, e2, "g", wire.RolePrincipal)
+	e2.HandleMessage(c.sess, &wire.Bcast{RequestID: 1, Group: "g", EvKind: wire.EventUpdate, ObjectID: "o", Data: []byte("u|")})
+	waitFor(t, "ack", func() bool { return c.replied(1) })
+	c.mu.Lock()
+	next := c.acks[1]
+	c.mu.Unlock()
 	if next != 4 {
 		t.Fatalf("next seq after recovery = %d", next)
 	}

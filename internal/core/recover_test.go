@@ -256,14 +256,12 @@ func TestRecoveryMatchesWriter(t *testing.T) {
 	// Each recovered group's low-water mark is its base record: reducing
 	// every group but the one with the oldest base keeps what that group
 	// needs, and reducing it too lets the log drop segments.
-	r.lsnMu.Lock()
 	pin := names[0]
 	for _, name := range names {
-		if r.lowLSN[name] < r.lowLSN[pin] {
+		if r.groups[name].lowLSN.Load() < r.groups[pin].lowLSN.Load() {
 			pin = name
 		}
 	}
-	r.lsnMu.Unlock()
 	for i, name := range names {
 		if name != pin {
 			r.HandleMessage(c.sess, &wire.ReduceLog{RequestID: uint64(100 + i), Group: name})
@@ -560,10 +558,7 @@ func TestDeleteAndRecreateInOnePendingRun(t *testing.T) {
 			t.Fatalf("recovered %s (present %v)\n %+v\nwant\n %+v", name, ok, got, st.Checkpoint())
 		}
 	}
-	e.lsnMu.Lock()
-	low := e.lowLSN["g"]
-	e.lsnMu.Unlock()
-	if low != 14 {
+	if low := e.groups["g"].lowLSN.Load(); low != 14 {
 		t.Fatalf("g's low-water LSN = %d, want its second create's 14", low)
 	}
 }

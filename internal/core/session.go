@@ -223,22 +223,17 @@ func (e *Engine) dropGroupLocked(name string) {
 	e.metrics.Event("core", "group "+name+" dropped")
 }
 
-// cleanupGroupLocked discards a group's state, mutex, sequence counter,
-// locks, and logs the deletion; the registry entry is already gone. Caller
-// holds e.mu in write mode, which excludes any multicast still holding the
-// group's mutex.
+// cleanupGroupLocked discards a group's record — state, sequence number,
+// log floor, mutex — and its locks, and logs the deletion; the registry
+// entry is already gone. Caller holds e.mu in write mode, which excludes any
+// multicast still holding the group's mutex.
 func (e *Engine) cleanupGroupLocked(name string) {
-	delete(e.states, name)
 	if grt := e.groups[name]; grt != nil {
 		// Wake senders blocked on the ring; they revalidate and observe
 		// the group gone.
 		grt.ring.close()
 		delete(e.groups, name)
 	}
-	e.lsnMu.Lock()
-	delete(e.lowLSN, name)
-	e.lsnMu.Unlock()
-	e.seqr.Drop(name)
 	orphans := e.locks.DropGroup(name)
 	for _, o := range orphans {
 		if s, ok := e.sessions[o.Client]; ok {

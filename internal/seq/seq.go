@@ -1,46 +1,23 @@
-// Package seq implements the per-group sequencer at the heart of Corona's
-// ordering guarantees (paper §4.1): every multicast is assigned a unique,
-// monotonically increasing sequence number within its group, imposing a
-// total order. Because all messages flow through one sequencer (the single
-// server, or the coordinator of a replicated service) the total order is
-// also causal, and per-sender FIFO follows from per-connection FIFO.
+// Package seq numbers events per group: the first event of a group gets
+// sequence 1, and each later one the next number (paper §4.1).
 //
-// The sequencer is self-synchronizing: the group table is guarded by a
-// short RWMutex and each group's counter is a single atomic word, so
-// disjoint groups assign sequence numbers in parallel without sharing a
-// lock. Callers that need assignment to be atomic with respect to applying
-// the event (the engine's per-group total order) serialize Next under their
-// own per-group lock; the sequencer's internal synchronization only makes
-// cross-group and recovery-path access safe.
+// The engine and the coordinator no longer use it: each keeps a group's
+// next number in that group's own record, so disjoint groups share nothing
+// on the path that orders them. Its one caller is the benchmark's layer
+// replay (benchmark/seam.go's sequencer), and the package goes with that
+// wrapper in a later change to the benchmark.
 package seq
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"corona/internal/obs"
 )
-
-// Sequencer throughput instruments: a process-wide assignment counter
-// plus one counter per live group (removed when the group is dropped),
-// so /metrics shows both aggregate and per-group sequencing rates.
-var seqAssigned = obs.Default.Counter("seq.assigned")
-
-type groupState struct {
-	// next is the sequence number the group's next event gets.
-	next atomic.Uint64
-	// assigned counts assignments for this group; the pointer is
-	// resolved once so Next stays a map lookup plus atomic adds.
-	assigned *obs.Counter
-}
 
 // Sequencer assigns sequence numbers and server timestamps per group.
 type Sequencer struct {
-	mu     sync.RWMutex
-	groups map[string]*groupState
-	now    func() time.Time
+	mu   sync.Mutex
+	next map[string]uint64
+	now  func() time.Time
 }
 
 // New returns a Sequencer using now for timestamps (nil means time.Now).
@@ -48,85 +25,15 @@ func New(now func() time.Time) *Sequencer {
 	if now == nil {
 		now = time.Now
 	}
-	return &Sequencer{groups: make(map[string]*groupState), now: now}
-}
-
-func groupCounterName(group string) string { return "seq.assigned." + group }
-
-func (s *Sequencer) state(group string) *groupState {
-	s.mu.RLock()
-	g := s.groups[group]
-	s.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g = s.groups[group]; g == nil {
-		// Per-group counter by design: created once per group lifetime
-		// (not per call) and dropped with the group in Drop, so the
-		// registry does not grow without bound.
-		//lint:allow obshygiene per-group instrument, registered once per group and removed by Drop
-		g = &groupState{assigned: obs.Default.Counter(groupCounterName(group))}
-		g.next.Store(1)
-		s.groups[group] = g
-	}
-	return g
+	return &Sequencer{next: make(map[string]uint64), now: now}
 }
 
 // Next assigns the next sequence number for group and a server timestamp
 // (Unix nanoseconds). The first event of a group gets sequence 1.
 func (s *Sequencer) Next(group string) (seqNo uint64, timestamp int64) {
-	g := s.state(group)
-	n := g.next.Add(1) - 1
-	g.assigned.Inc()
-	seqAssigned.Inc()
-	return n, s.now().UnixNano()
-}
-
-// Peek returns the sequence number the next event of group would get,
-// without consuming it.
-func (s *Sequencer) Peek(group string) uint64 {
-	s.mu.RLock()
-	g := s.groups[group]
-	s.mu.RUnlock()
-	if g != nil {
-		return g.next.Load()
-	}
-	return 1
-}
-
-// Observe raises the group's counter so the next assignment exceeds seqNo.
-// Recovery paths use it: replaying a log, or a newly elected coordinator
-// folding in the high-water marks reported by the surviving servers.
-func (s *Sequencer) Observe(group string, seqNo uint64) {
-	g := s.state(group)
-	for {
-		cur := g.next.Load()
-		if seqNo+1 <= cur || g.next.CompareAndSwap(cur, seqNo+1) {
-			return
-		}
-	}
-}
-
-// Drop forgets a deleted group's counter and unregisters its instrument.
-func (s *Sequencer) Drop(group string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.groups[group]; ok {
-		delete(s.groups, group)
-		obs.Default.Remove(groupCounterName(group))
-	}
-}
-
-// Groups returns the tracked group names, sorted.
-func (s *Sequencer) Groups() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.groups))
-	for g := range s.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
+	s.next[group]++
+	seqNo = s.next[group]
+	s.mu.Unlock()
+	return seqNo, s.now().UnixNano()
 }

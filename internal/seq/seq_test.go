@@ -1,7 +1,6 @@
 package seq
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,75 +25,20 @@ func TestNextMonotonicPerGroup(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	s := New(nil)
-	if s.Peek("g") != 1 {
-		t.Fatal("fresh Peek != 1")
-	}
-	s.Next("g")
-	if s.Peek("g") != 2 {
-		t.Fatalf("Peek = %d, want 2", s.Peek("g"))
-	}
-	if s.Peek("g") != 2 {
-		t.Fatal("Peek consumed")
-	}
-}
-
-func TestObserve(t *testing.T) {
-	s := New(nil)
-	s.Observe("g", 10)
-	if got, _ := s.Next("g"); got != 11 {
-		t.Fatalf("Next after Observe(10) = %d, want 11", got)
-	}
-	// Observing a lower value must not regress.
-	s.Observe("g", 3)
-	if got, _ := s.Next("g"); got != 12 {
-		t.Fatalf("Next after stale Observe = %d, want 12", got)
-	}
-}
-
-func TestDrop(t *testing.T) {
-	s := New(nil)
-	s.Next("g")
-	s.Drop("g")
-	if got, _ := s.Next("g"); got != 1 {
-		t.Fatalf("Next after Drop = %d, want 1", got)
-	}
-}
-
-func TestGroups(t *testing.T) {
-	s := New(nil)
-	s.Next("b")
-	s.Next("a")
-	s.Observe("c", 5)
-	if got := s.Groups(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Groups = %v", got)
-	}
-}
-
-// TestQuickMonotonic property-tests the core guarantee: across any mix of
-// Next and Observe calls, assigned sequence numbers per group are strictly
-// increasing.
+// TestQuickMonotonic property-tests the core guarantee: across any
+// interleaving of two groups' Next calls, each group's numbers are 1, 2, 3…
+// with no gap.
 func TestQuickMonotonic(t *testing.T) {
-	type op struct {
-		Observe bool
-		Val     uint16
-		Group   bool // two groups
-	}
-	f := func(ops []op) bool {
+	f := func(ops []bool) bool {
 		s := New(nil)
 		last := map[string]uint64{}
-		for _, o := range ops {
+		for _, second := range ops {
 			g := "a"
-			if o.Group {
+			if second {
 				g = "b"
 			}
-			if o.Observe {
-				s.Observe(g, uint64(o.Val))
-				continue
-			}
 			n, ts := s.Next(g)
-			if n <= last[g] || ts == 0 {
+			if n != last[g]+1 || ts == 0 {
 				return false
 			}
 			last[g] = n

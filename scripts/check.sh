@@ -29,6 +29,20 @@ line() {
 }
 gate_start=$(ms)
 
+# quiet runs one line's command with its output in .bin/<name>.log. When the
+# command fails, the gate prints the line's name and the log's tail and
+# stops; a passing line prints nothing but its time.
+mkdir -p .bin
+quiet() {
+	name=$1
+	shift
+	if ! "$@" >".bin/$name.log" 2>&1; then
+		echo "FAIL: $name; the last 60 lines of .bin/$name.log:" >&2
+		tail -n 60 ".bin/$name.log" >&2
+		exit 1
+	fi
+}
+
 line "gofmt -s"
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
@@ -49,7 +63,6 @@ line "corona-lint"
 # hash of all of them (go.mod included, fixtures and all — they are the
 # analyzers' own tests' inputs), and skip the multi-second run when
 # nothing changed. The -allows pass fails the gate on stale suppressions.
-mkdir -p .bin
 lint_hash=$( { find . -name '*.go' -not -path './.bin/*' -print0 | sort -z | xargs -0 sha256sum; sha256sum go.mod; } | sha256sum | cut -d' ' -f1)
 lint_stamp=.bin/corona-lint.stamp
 if [ -f "$lint_stamp" ] && [ "$(cat "$lint_stamp")" = "$lint_hash" ]; then
@@ -64,7 +77,7 @@ fi
 line "analysis self-test (race, uncached)"
 # The analyzers guard the engine's invariants; their own golden fixtures
 # run fresh on every gate, race detector on.
-go test -race -count=1 ./internal/analysis/... >/dev/null
+quiet analysis go test -race -count=1 ./internal/analysis/...
 
 line "go test -race -short"
 go test -race -short ./...
@@ -79,17 +92,20 @@ line "allocation budgets (no race)"
 # A recovered base record is copied once, by the restore. The allocation
 # guards skip themselves under -race, so they run here uninstrumented, with
 # the test that streamed objects do not overlap.
-go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core >/dev/null
+quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core
 
 line "fuzz smoke (3s per wire decode target)"
-for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire >/dev/null
-done
+fuzz_smoke() {
+	for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire || return
+	done
+}
+quiet fuzz fuzz_smoke
 
 line "bench smoke (compile + one iteration, short windows)"
 # -short cuts the root throughput benches' windows from 500 ms to 50 ms: the
 # smoke shows the harness runs end to end, and benchmark/ measures.
-go test -short -run NONE -bench . -benchtime 1x ./... >/dev/null
+quiet bench go test -short -run NONE -bench . -benchtime 1x ./...
 
 line "corona-bench smokes (one build, five experiments)"
 # One link instead of five `go run`s. table1: pipelined clients drive the
@@ -98,21 +114,24 @@ line "corona-bench smokes (one build, five experiments)"
 # delivers under a fanout wider than the shard count, so the credit
 # protocol, the COW snapshot and run delivery run end to end.
 go build -o .bin/corona-bench ./cmd/corona-bench
-for smoke in \
-	"table1 -duration 200ms" \
-	"multigroup -groups 1,2 -per-group 1 -duration 200ms" \
-	"fanout -fanout-members 8,32 -duration 200ms" \
-	"jointransfer -jt-sizes 1 -jt-joins 1 -duration 200ms" \
-	"placement -pl-state 1 -pl-groups 2"; do
-	# shellcheck disable=SC2086 # the experiment's flags are meant to split
-	./.bin/corona-bench -experiment $smoke >/dev/null
-done
+bench_smokes() {
+	for smoke in \
+		"table1 -duration 200ms" \
+		"multigroup -groups 1,2 -per-group 1 -duration 200ms" \
+		"fanout -fanout-members 8,32 -duration 200ms" \
+		"jointransfer -jt-sizes 1 -jt-joins 1 -duration 200ms" \
+		"placement -pl-state 1 -pl-groups 2"; do
+		# shellcheck disable=SC2086 # the experiment's flags are meant to split
+		./.bin/corona-bench -experiment $smoke || return
+	done
+}
+quiet corona-bench bench_smokes
 
 line "chaos smoke (race)"
 # The storage-fault acceptance test: one seeded chaos arc — fsync fault,
 # degraded mode, recovery, power cut — with the durability-honesty,
 # ordering, and replay audits on. -count=1 defeats the cache.
-go test -race -count=1 -run TestChaosSmoke ./internal/chaos >/dev/null
+quiet chaos go test -race -count=1 -run TestChaosSmoke ./internal/chaos
 
 line "cold recovery (race)"
 # The one-pass recovery acceptance tests: a seeded log (reduction, delete,
@@ -132,7 +151,7 @@ line "cold recovery (race)"
 # (also at its second piece), fails the open and changes no file; once the
 # walk has quit, the read-ahead reads no piece it had not begun. -count=1
 # so the race detector sees the read-ahead and the walk every gate.
-go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestRunFailureBelowDecodeError|TestSupersededRecordIsNotDecoded|TestSupersededMalformedCheckpoint|TestDeleteAndRecreateInOnePendingRun|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment|TestWalk' ./internal/core ./internal/state ./internal/wal >/dev/null
+quiet recovery go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestRunFailureBelowDecodeError|TestSupersededRecordIsNotDecoded|TestSupersededMalformedCheckpoint|TestDeleteAndRecreateInOnePendingRun|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment|TestWalk' ./internal/core ./internal/state ./internal/wal
 
 line "replica acquisition, membership order and rebalance churn (race)"
 # The replica-stream acceptance tests: gapless deliveries and identical
@@ -154,7 +173,7 @@ line "replica acquisition, membership order and rebalance churn (race)"
 # first join leaves no window and costs one locate, and a backup sees the
 # members ordered during its pull. -count=1 defeats the cache so the race
 # detector really runs them on every gate.
-go test -race -count=1 -run 'TestFailedDesignationIsRetried|TestJoinAcquisitionHealsItsWindow|TestReportDropsStaleInterest|TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReRegistrationIsOneReport|TestReconnectCrashesMembersItNoLongerHosts|TestForwardBeforeReportInventsNoGroup|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused|TestOneLocatePerAcquisition|TestBackupSeesMembersOrderedDuringItsPull' ./internal/cluster >/dev/null
+quiet cluster go test -race -count=1 -run 'TestFailedDesignationIsRetried|TestJoinAcquisitionHealsItsWindow|TestReportDropsStaleInterest|TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReRegistrationIsOneReport|TestReconnectCrashesMembersItNoLongerHosts|TestForwardBeforeReportInventsNoGroup|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused|TestOneLocatePerAcquisition|TestBackupSeesMembersOrderedDuringItsPull' ./internal/cluster
 
 elapsed "$line_start"
 echo "== total"
