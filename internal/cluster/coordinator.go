@@ -481,23 +481,23 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 		}
 	}
 
-	var backupChecks []string
+	var orders []order
+	loads := c.loadsLocked()
 	for name, meta := range c.groups {
-		if _, had := meta.interest[p.info.ID]; had {
-			delete(meta.interest, p.info.ID)
-			backupChecks = append(backupChecks, name)
-		}
+		_, had := meta.interest[p.info.ID]
+		delete(meta.interest, p.info.ID)
 		for _, m := range meta.hosted(p.info.ID) {
 			c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m)
+		}
+		if had {
+			orders = append(orders, c.planLocked(name, meta, loads, true)...)
 		}
 	}
 	c.mu.Unlock()
 
 	c.log.Warn("server lost", "server", p.info.ID, "reason", reason)
 	p.pump.Close()
-	for _, g := range backupChecks {
-		c.ensureReplicas(g)
-	}
+	c.sendOrders(orders)
 	c.broadcastServerList()
 }
 
@@ -626,6 +626,9 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	if m.Interested {
 		meta.interest[m.ServerID] = &interest{backup: m.Backup}
 	} else {
+		if in := meta.interest[m.ServerID]; in != nil && in.backup && in.pending {
+			clusterDesignationsFailed.Inc()
+		}
 		delete(meta.interest, m.ServerID)
 	}
 	rec := c.migrations[m.Group]
@@ -635,6 +638,7 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 		delete(c.migrations, m.Group)
 		src = c.peers[rec.from]
 	}
+	orders := c.planLocked(m.Group, meta, c.loadsLocked(), true)
 	c.mu.Unlock()
 
 	switch {
@@ -651,7 +655,7 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 			src.send(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false})
 		}
 	}
-	c.ensureReplicas(m.Group)
+	c.sendOrders(orders)
 }
 
 // handleMemberUpdate orders one server's membership change. A change for a
@@ -829,9 +833,10 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		others     []*peer
 	}
 	var diverged []pendingDivergence
-	var dropped []string
+	var orders []order
 
 	c.mu.Lock()
+	loads := c.loadsLocked()
 	if !p.reported {
 		p.reported = true
 		listed := make(map[string]bool, len(m.Groups))
@@ -841,7 +846,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		for name, meta := range c.groups {
 			if _, had := meta.interest[m.ServerID]; had && !listed[name] {
 				delete(meta.interest, m.ServerID)
-				dropped = append(dropped, name)
+				orders = append(orders, c.planLocked(name, meta, loads, true)...)
 			}
 		}
 	}
@@ -907,6 +912,9 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		}
 		diverged = append(diverged, pendingDivergence{report: report, resolution: resolution, others: others})
 	}
+	for _, g := range m.Groups {
+		orders = append(orders, c.planLocked(g.Group, c.groups[g.Group], loads, true)...)
+	}
 	c.mu.Unlock()
 
 	for _, d := range diverged {
@@ -928,12 +936,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 			p.send(&wire.SDivergence{Group: d.report.Group, Resolution: wire.ResolutionRollback})
 		}
 	}
-	for _, g := range m.Groups {
-		c.ensureReplicas(g.Group)
-	}
-	for _, g := range dropped {
-		c.ensureReplicas(g)
-	}
+	c.sendOrders(orders)
 }
 
 // resolveDivergence applies the configured (or default) resolution policy.

@@ -136,6 +136,7 @@ func TestFailedDesignationIsRetried(t *testing.T) {
 
 	// The report that the fake holds ghost has the coordinator designate a
 	// second replica.
+	failed := obs.Default.Snapshot().Counters["cluster.designations_failed"]
 	registerGhost(t, tc, ln.Addr().String(), &wire.SInterest{ServerID: 99, Group: "ghost", Interested: true, Backup: true})
 	waitFor(t, 10*time.Second, func() bool {
 		return slices.Equal(tc.coord.Replicas("ghost"), []uint64{2, 99}) && srv.Engine().HasGroup("ghost")
@@ -143,8 +144,83 @@ func TestFailedDesignationIsRetried(t *testing.T) {
 	if n := pulls.Load(); n <= refused {
 		t.Fatalf("the replica landed after %d pulls, all of them refused", n)
 	}
+	if obs.Default.Snapshot().Counters["cluster.designations_failed"] == failed {
+		t.Fatal("the failed designation was not counted in cluster.designations_failed")
+	}
 	if got := groupObject(t, srv, "ghost", "o"); got != "x" {
 		t.Fatalf("ghost's object = %q, want x", got)
+	}
+}
+
+// TestDesignationDuringFailingAcquisitionIsAnswered: a designation that
+// reaches a server while the server's previous acquisition of the group is
+// failing gets an answer of its own. The first acquisition's "not interested"
+// may reach the coordinator, and a second designation come back, before that
+// acquisition closes; the relay stretches that window. It hands the
+// coordinator the report while the first acquisition still runs, drops the
+// report the acquisition sends itself, and ends the acquisition with an
+// unknown group only at its second locate, 100 ms after the second
+// designation was sent. A designation that takes the failure it waited on
+// answers nothing, and the coordinator keeps it pending for good.
+func TestDesignationDuringFailingAcquisitionIsAnswered(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var pulls atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if readHelloJoin(conn) && pulls.Add(1) > 1 {
+				_ = conn.WriteMessage(&wire.JoinAck{RequestID: 2, Group: "ghost", NextSeq: 1,
+					Objects: []wire.Object{{ID: "o", Data: []byte("x")}}})
+			}
+			conn.Close()
+		}
+	}()
+
+	var answers, locates, reports atomic.Int64
+	srv := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), func(m wire.Message) []wire.Message {
+		if r, ok := m.(*wire.SStateResponse); ok && r.Group == "ghost" {
+			if answers.Add(1) == 2 {
+				return []wire.Message{&wire.SStateResponse{RequestID: r.RequestID, Group: "ghost", Code: wire.CodeNoSuchGroup}}
+			}
+		}
+		return []wire.Message{m}
+	}, func(m wire.Message) []wire.Message {
+		switch m := m.(type) {
+		case *wire.SStateRequest:
+			if m.Group == "ghost" {
+				if locates.Add(1) == 1 {
+					return []wire.Message{m, &wire.SInterest{ServerID: 2, Group: "ghost", Interested: false}}
+				}
+			}
+		case *wire.SInterest:
+			if m.Group == "ghost" && !m.Interested {
+				if reports.Add(1) == 1 {
+					return nil
+				}
+			}
+		}
+		return []wire.Message{m}
+	}))
+	// The coordinator answers a query on the server's link after it has taken
+	// in the server's registration, which ghost's designation must not overtake.
+	if _, err := dialTo(t, srv, "probe", nil).ListGroups(); err != nil {
+		t.Fatal(err)
+	}
+
+	registerGhost(t, tc, ln.Addr().String(), &wire.SInterest{ServerID: 99, Group: "ghost", Interested: true, Backup: true})
+	waitFor(t, 5*time.Second, func() bool {
+		return slices.Equal(tc.coord.Replicas("ghost"), []uint64{2, 99}) && srv.Engine().HasGroup("ghost")
+	})
+	if answers.Load() < 3 || reports.Load() != 1 {
+		t.Fatalf("%d locate answers and %d own reports: the first acquisition did not fail in the window", answers.Load(), reports.Load())
 	}
 }
 

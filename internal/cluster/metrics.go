@@ -39,6 +39,10 @@ var (
 	// target's among them: the coordinator directing a server to acquire a
 	// replica it does not hold.
 	clusterBackupReassigns = obs.Default.Counter("cluster.backup_reassigns")
+	// clusterDesignationsFailed counts designations a server answered "not
+	// interested": its acquisition of the replica failed, and the floor
+	// designates again.
+	clusterDesignationsFailed = obs.Default.Counter("cluster.designations_failed")
 	// clusterSeqGaps counts sequence gaps replicas detected on the
 	// distribute path (each heals through an acquisition).
 	clusterSeqGaps = obs.Default.Counter("cluster.seq_gaps")

@@ -1,12 +1,17 @@
 package cluster
 
-// Coordinator-side placement management. The coordinator folds the load
-// reports piggybacked on server heartbeats into a placement.Tracker, and on
-// every rebalance tick diffs each group's replica set against the
-// policy-desired set (internal/placement), executing the resulting actions:
-// designations through the ordinary backup path, migrations as the
-// designation of the target followed, once it confirms, by the release of
-// the source, and releases as directed un-interest.
+// Coordinator-side placement management. One planner (planLocked) decides
+// where every policy-driven replica goes: it diffs a group's replica set
+// against the policy-desired set (internal/placement) and returns the orders
+// that carry the diff out. It runs in two places, which differ only in what
+// they pin. The floor runs it for a group whenever the group's holders change
+// (an answer, a registration, a server lost) and pins every live holder, so
+// it can only designate; the rebalance tick runs it for every group, pinning
+// the servers that host members, and also migrates — a designation of the
+// target followed, once it confirms, by the release of the source — and
+// releases surplus replicas as directed un-interest. The coordinator folds
+// the load reports piggybacked on server heartbeats into a placement.Tracker,
+// which weighs both.
 
 import (
 	"fmt"
@@ -57,10 +62,12 @@ type migrationRec struct {
 	started  time.Time
 }
 
-// order is a message for one server, built under c.mu and sent after it.
+// order is a message for one server, built under c.mu and sent after it
+// (sendOrders). from names the source of the migration a designation starts.
 type order struct {
-	p   *peer
-	msg wire.Message
+	p    *peer
+	msg  wire.Message
+	from uint64
 }
 
 // designateLocked records a backup designation of server for the group,
@@ -70,6 +77,21 @@ func (c *Coordinator) designateLocked(group string, meta *groupMeta, server uint
 	meta.interest[server] = &interest{backup: true, pending: true}
 	clusterBackupReassigns.Inc()
 	return &wire.SInterest{ServerID: server, Group: group, Interested: true, Backup: true}
+}
+
+// sendOrders logs each designation and sends the orders, once c.mu is
+// released.
+func (c *Coordinator) sendOrders(orders []order) {
+	for _, o := range orders {
+		if in, ok := o.msg.(*wire.SInterest); ok && in.Interested {
+			if o.from != 0 {
+				c.log.Info("migration started", "group", in.Group, "from", o.from, "to", in.ServerID)
+			} else {
+				c.log.Info("backup elected", "group", in.Group, "server", in.ServerID)
+			}
+		}
+		o.p.send(o.msg)
+	}
 }
 
 // Replicas returns the IDs of the live servers holding a replica of the
@@ -130,11 +152,10 @@ func (c *Coordinator) MigrateGroup(group string, from, to uint64) error {
 	}
 	c.migrations[group] = &migrationRec{from: from, to: to, started: c.cfg.Now()}
 	clusterMigrationsStarted.Inc()
-	designation := c.designateLocked(group, meta, to)
+	designation := order{dst, c.designateLocked(group, meta, to), from}
 	c.mu.Unlock()
 
-	c.log.Info("migration started", "group", group, "from", from, "to", to)
-	dst.send(designation)
+	c.sendOrders([]order{designation})
 	return nil
 }
 
@@ -159,72 +180,66 @@ func (c *Coordinator) loadsLocked() []placement.ServerLoad {
 	return out
 }
 
-// ensureReplicas enforces the paper's availability rule as a floor: "At
-// least two copies of the state exist at any moment." Whenever a group's
-// replica count (live holders plus in-flight designations) drops below the
-// replication factor — a holder crashed, released, or two member-hosting
-// servers died inside one heartbeat window — enough fresh backups are
-// designated immediately, chosen by the placement policy. The rebalance
-// loop refines placement later; this path exists so coverage never waits
-// for a rebalance tick or a client-driven join.
-func (c *Coordinator) ensureReplicas(group string) {
-	c.mu.Lock()
-	meta, ok := c.groups[group]
-	if !ok || len(c.peers) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	want := c.cfg.Placement.Replicas
-	if want > len(c.peers) {
-		want = len(c.peers)
-	}
-	have := 0
-	pinned := make([]uint64, 0, len(meta.interest))
-	for id := range meta.interest {
-		if _, live := c.peers[id]; live {
-			have++
+// planLocked plans one group's replicas: it diffs the live holders against
+// the policy's desired set for loads and returns the orders that converge
+// them. Pinned servers are always desired. The rebalance tick pins the
+// servers hosting the group's members. The floor (pinHolders) pins every
+// live holder, a pending designation's included, so the plan only tops the
+// group up to min(Replicas, live servers) — the paper's "at least two copies
+// of the state exist at any moment" — and never moves or drops a replica. A
+// migration starts only while fewer than MaxMigrations are in flight.
+// Caller holds c.mu; loads come from the same hold.
+func (c *Coordinator) planLocked(name string, meta *groupMeta, loads []placement.ServerLoad, pinHolders bool) []order {
+	current := make(map[uint64]placement.Replica, len(meta.interest))
+	var pinned []uint64
+	for id, in := range meta.interest {
+		if _, live := c.peers[id]; !live {
+			continue
+		}
+		r := placement.Replica{Members: uint64(len(meta.hosted(id))), Backup: in.backup, Pending: in.pending}
+		current[id] = r
+		if pinHolders || r.Members > 0 {
 			pinned = append(pinned, id)
 		}
 	}
-	if have >= want {
-		c.mu.Unlock()
-		return
-	}
-	sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
+	slices.Sort(pinned)
+	// Every server in the plan is live: desired servers come from loads or
+	// pinned, and sources and releases from current.
 	var orders []order
-	for _, id := range c.policy.Desired(group, c.loadsLocked(), pinned) {
-		if _, holds := meta.interest[id]; holds {
-			continue
-		}
-		if p, live := c.peers[id]; live {
-			orders = append(orders, order{p, c.designateLocked(group, meta, id)})
+	for _, act := range placement.PlanGroup(name, current, c.policy.Desired(name, loads, pinned)) {
+		switch act.Kind {
+		case placement.Designate:
+			orders = append(orders, order{p: c.peers[act.Server], msg: c.designateLocked(name, meta, act.Server)})
+		case placement.Migrate:
+			if len(c.migrations) >= c.cfg.Placement.MaxMigrations {
+				continue
+			}
+			c.migrations[name] = &migrationRec{from: act.From, to: act.Server, started: c.cfg.Now()}
+			clusterMigrationsStarted.Inc()
+			orders = append(orders, order{c.peers[act.Server], c.designateLocked(name, meta, act.Server), act.From})
+		case placement.Release:
+			// The interest entry stays until the server confirms the drop
+			// with SInterest{Interested: false}; resending on later ticks
+			// is idempotent.
+			clusterReplicasReleased.Inc()
+			orders = append(orders, order{p: c.peers[act.Server], msg: &wire.SInterest{ServerID: act.Server, Group: name, Interested: false}})
 		}
 	}
-	c.mu.Unlock()
-
-	for _, o := range orders {
-		c.log.Info("backup elected", "group", group, "server", o.p.info.ID)
-		o.p.send(o.msg)
-	}
+	return orders
 }
 
-// rebalance runs one placement evaluation: expire stale migrations, then
-// plan and execute actions for every group.
+// rebalance runs one placement evaluation: expire stale migrations, then plan
+// every group without a migration in flight.
 func (c *Coordinator) rebalance() {
-	now := c.cfg.Now()
-	var sends []order
 	type migNote struct {
 		group    string
 		from, to uint64
 	}
-	var expired, launched []migNote
-	var released int
+	var expired []migNote
+	var orders []order
 
 	c.mu.Lock()
-	if len(c.peers) == 0 {
-		c.mu.Unlock()
-		return
-	}
+	now := c.cfg.Now()
 	for group, rec := range c.migrations {
 		if now.Sub(rec.started) > c.cfg.Placement.MigrationTimeout {
 			delete(c.migrations, group)
@@ -233,63 +248,14 @@ func (c *Coordinator) rebalance() {
 		}
 	}
 	loads := c.loadsLocked()
-	budget := c.cfg.Placement.MaxMigrations - len(c.migrations)
-
 	names := make([]string, 0, len(c.groups))
 	for name := range c.groups {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
 	for _, name := range names {
-		if _, busy := c.migrations[name]; busy {
-			continue
-		}
-		meta := c.groups[name]
-		current := make(map[uint64]placement.Replica, len(meta.interest))
-		var pinned []uint64
-		for id, in := range meta.interest {
-			if _, live := c.peers[id]; !live {
-				continue
-			}
-			current[id] = placement.Replica{Members: uint64(len(meta.hosted(id))), Backup: in.backup, Pending: in.pending}
-			if current[id].Members > 0 {
-				pinned = append(pinned, id)
-			}
-		}
-		sort.Slice(pinned, func(i, j int) bool { return pinned[i] < pinned[j] })
-		desired := c.policy.Desired(name, loads, pinned)
-		for _, act := range placement.PlanGroup(name, current, desired) {
-			switch act.Kind {
-			case placement.Designate:
-				if p, live := c.peers[act.Server]; live {
-					sends = append(sends, order{p, c.designateLocked(name, meta, act.Server)})
-				}
-			case placement.Migrate:
-				if budget <= 0 {
-					continue
-				}
-				_, srcLive := c.peers[act.From]
-				dst, dstLive := c.peers[act.Server]
-				if !srcLive || !dstLive {
-					continue
-				}
-				budget--
-				c.migrations[name] = &migrationRec{from: act.From, to: act.Server, started: now}
-				clusterMigrationsStarted.Inc()
-				launched = append(launched, migNote{name, act.From, act.Server})
-				sends = append(sends, order{dst, c.designateLocked(name, meta, act.Server)})
-			case placement.Release:
-				p, live := c.peers[act.Server]
-				if !live {
-					continue
-				}
-				// The interest entry stays until the server confirms the
-				// drop with SInterest{Interested: false}; resending on
-				// later ticks is idempotent.
-				released++
-				sends = append(sends, order{p, &wire.SInterest{ServerID: act.Server, Group: name, Interested: false}})
-			}
+		if _, busy := c.migrations[name]; !busy {
+			orders = append(orders, c.planLocked(name, c.groups[name], loads, false)...)
 		}
 	}
 	c.mu.Unlock()
@@ -297,13 +263,5 @@ func (c *Coordinator) rebalance() {
 	for _, m := range expired {
 		c.log.Warn("migration timed out", "group", m.group, "from", m.from, "to", m.to)
 	}
-	for _, m := range launched {
-		c.log.Info("migration started", "group", m.group, "from", m.from, "to", m.to)
-	}
-	if released > 0 {
-		clusterReplicasReleased.Add(uint64(released))
-	}
-	for _, s := range sends {
-		s.p.send(s.msg)
-	}
+	c.sendOrders(orders)
 }

@@ -759,8 +759,10 @@ const acquireAttempts = 5
 // acquisition, a backup designation, a gap heal, a registration's catch-up
 // and a divergence rollback (rewind) all run it; held says the caller holds
 // the replica. A group has one acquisition in flight at a time. A caller that
-// finds one waits for it: without the replica it takes that result, and with
-// it runs one of its own, whose mark is read after its call.
+// finds one waits for it: without the replica it takes a success, and
+// otherwise runs one of its own, whose mark is read after its call. A failed
+// acquisition's answer may have reached the coordinator before the caller's
+// designation was sent, so only the caller's own acquisition answers it.
 func (s *Server) acquire(group string, held, rewind bool) error {
 	for {
 		a, opened := s.park(group, parkedItem{}, true)
@@ -768,8 +770,8 @@ func (s *Server) acquire(group string, held, rewind bool) error {
 			return s.run(a, group, held, rewind)
 		}
 		<-a.done
-		if !held {
-			return a.err
+		if !held && a.err == nil {
+			return nil
 		}
 	}
 }
@@ -921,8 +923,8 @@ func (s *Server) pullFrom(loc *wire.SStateResponse, mark uint64, held, rewind bo
 // them) — and answers the coordinator either way: it acquires the group
 // unless it is held already, then reports its interest. The acquisition's
 // stream started at its locate, so nothing sequenced in between is missing;
-// one that fails has told the coordinator the group is not held, so a
-// designation never stays pending.
+// one that fails was run for this call (acquire) and has told the
+// coordinator the group is not held, so a designation never stays pending.
 func (s *Server) hold(group string, backup bool) error {
 	s.mu.Lock()
 	if backup {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -169,6 +170,44 @@ func TestPlanGroupReleaseWaitsForConfirmation(t *testing.T) {
 	want := []Action{{Kind: Release, Group: "g", Server: 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("PlanGroup = %v, want %v", got, want)
+	}
+}
+
+// TestFloorPlanOnlyDesignates: when every current holder is pinned, as the
+// cluster's replica floor pins them (pending ones included), the plan only
+// designates — it can neither move nor drop a replica — and its targets,
+// with the holders, make up min(factor, live servers) servers, or the
+// holders alone when they are more.
+func TestFloorPlanOnlyDesignates(t *testing.T) {
+	prop := func(group string, replicas, n uint8, held, pending, backup uint16, sessions, members [16]uint8) bool {
+		n = n%16 + 1
+		servers := make([]ServerLoad, n)
+		current := map[uint64]Replica{}
+		var holders []uint64
+		for i := range servers {
+			id := uint64(i + 2)
+			servers[i] = ServerLoad{ID: id, Load: Load{Sessions: uint64(sessions[i])}, BcastRate: float64(members[i]) * 40}
+			if held>>i&1 == 1 {
+				current[id] = Replica{Members: uint64(members[i] % 3), Backup: backup>>i&1 == 1, Pending: pending>>i&1 == 1}
+				holders = append(holders, id)
+			}
+		}
+		p := Policy{Replicas: int(replicas % 6)}
+		placed := make(map[uint64]bool, n)
+		for _, id := range holders {
+			placed[id] = true
+		}
+		for _, a := range PlanGroup(group, current, p.Desired(group, servers, holders)) {
+			if a.Kind != Designate || a.Group != group || placed[a.Server] || a.Server < 2 || a.Server > uint64(n)+1 {
+				t.Logf("n=%d factor=%d holders=%v: action %+v", n, p.Factor(), holders, a)
+				return false
+			}
+			placed[a.Server] = true
+		}
+		return len(placed) == max(len(holders), min(p.Factor(), int(n)))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -23,10 +23,15 @@ type Pump struct {
 	ch   chan *SharedFrame
 	// hi is the priority lane: the writer drains it before the normal
 	// lane, so traffic of high-priority groups overtakes queued bulk
-	// traffic on the same connection. Ordering within a lane is preserved;
-	// cross-lane ordering intentionally is not. This is the scheduling
-	// half of the paper's QoS-adaptive server (§5.3).
+	// traffic on the same connection. Ordering within a lane is preserved.
+	// Across lanes, a priority frame is written before every normal frame
+	// enqueued after it — a streamed join's JoinAck before its chunks —
+	// while a normal frame may be overtaken. This is the scheduling half
+	// of the paper's QoS-adaptive server (§5.3).
 	hi chan *SharedFrame
+	// waiting, when a test sets it, runs each time the writer has found
+	// the priority lane empty and is about to wait on both lanes.
+	waiting func()
 
 	mu     sync.Mutex
 	closed bool
@@ -38,6 +43,13 @@ type Pump struct {
 // NewPump starts a pump over conn with the given queue depth (0 means
 // DefaultPumpDepth).
 func NewPump(conn *Conn, depth int) *Pump {
+	p := newPump(conn, depth)
+	go p.run()
+	return p
+}
+
+// newPump builds a pump whose writer is not started yet.
+func newPump(conn *Conn, depth int) *Pump {
 	if depth <= 0 {
 		depth = DefaultPumpDepth
 	}
@@ -45,14 +57,12 @@ func NewPump(conn *Conn, depth int) *Pump {
 	if hiDepth < 16 {
 		hiDepth = 16
 	}
-	p := &Pump{
+	return &Pump{
 		conn: conn,
 		ch:   make(chan *SharedFrame, depth),
 		hi:   make(chan *SharedFrame, hiDepth),
 		done: make(chan struct{}),
 	}
-	go p.run()
-	return p
 }
 
 // SendShared enqueues a pooled frame on the normal lane, or on the
@@ -156,6 +166,9 @@ func (p *Pump) run() {
 			default:
 			}
 		}
+		if p.waiting != nil {
+			p.waiting()
+		}
 		select {
 		case f, ok := <-hi: // blocks forever once hi is nil
 			if !ok {
@@ -172,6 +185,15 @@ func (p *Pump) run() {
 				continue
 			}
 			pumpDepth.Add(-1)
+			// The select picks at random between ready lanes: priority
+			// frames that arrived since the look above still go first.
+			for len(hi) > 0 {
+				pumpDepth.Add(-1)
+				if !p.writeOne(<-hi) {
+					f.Release()
+					return
+				}
+			}
 			if !p.writeOne(f) {
 				return
 			}

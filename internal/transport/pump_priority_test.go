@@ -113,3 +113,47 @@ func TestPumpCloseDrainsBothLanes(t *testing.T) {
 		t.Fatalf("frames lost at close: %v", seen)
 	}
 }
+
+// TestPumpPriorityFrameGoesFirstWhenBothLanesFill: a priority frame is
+// written before a normal frame enqueued after it, also when both arrive
+// after the writer found the priority lane empty and before it waits on both
+// lanes, where its select picks between the two at random. The engine relies
+// on this: a streamed join's JoinAck (priority lane) must reach the client
+// before the transfer's first chunk (normal lane, enqueued after the ack),
+// or the client drops the chunk and fails the join. Each round fills both
+// empty lanes in that window, so a writer that ignores the order fails a
+// round with probability one half.
+func TestPumpPriorityFrameGoesFirstWhenBothLanesFill(t *testing.T) {
+	client, server := tcpPair(t)
+	const rounds = 64
+	pump := newPump(client, 0)
+	var filled int // touched only by the writer, which runs waiting
+	pump.waiting = func() {
+		if filled == rounds || len(pump.ch) > 0 {
+			return
+		}
+		filled++
+		if err := sendHigh(pump, &wire.Ping{Nonce: uint64(filled)}); err != nil {
+			t.Error(err)
+		}
+		if err := pump.SendMessage(&wire.Ping{Nonce: rounds + uint64(filled)}); err != nil {
+			t.Error(err)
+		}
+	}
+	go pump.run()
+	defer pump.Close()
+
+	at := make(map[uint64]int, 2*rounds)
+	for i := 0; i < 2*rounds; i++ {
+		msg, err := server.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at[msg.(*wire.Ping).Nonce] = i
+	}
+	for k := uint64(1); k <= rounds; k++ {
+		if at[k] > at[rounds+k] {
+			t.Fatalf("round %d: the normal frame was written at %d, ahead of the priority frame enqueued before it (%d)", k, at[rounds+k], at[k])
+		}
+	}
+}

@@ -154,7 +154,8 @@ line "cold recovery (race)"
 quiet recovery go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestRunFailureBelowDecodeError|TestSupersededRecordIsNotDecoded|TestSupersededMalformedCheckpoint|TestDeleteAndRecreateInOnePendingRun|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment|TestWalk' ./internal/core ./internal/state ./internal/wal
 
 line "replica acquisition, membership order and rebalance churn (race)"
-# The replica-stream acceptance tests: gapless deliveries and identical
+# The replica-stream acceptance tests, named in scripts/cluster-tests.txt
+# (scripts/stress.sh reruns the same list): gapless deliveries and identical
 # replica images while groups migrate under broadcast load and a server
 # crashes mid-churn; a join right after a create never gets an invented
 # image; a replica behind a log reduction heals; a burst behind one lost
@@ -167,13 +168,15 @@ line "replica acquisition, membership order and rebalance churn (race)"
 # word (a member it no longer hosts is crashed), and a forward overtaking a
 # report invents no group. The pull's own tests: it is held to the join's
 # window and counted; a hostile source installs nothing and a hostile puller
-# gets one refusal or nothing. The designation's: a failed one is answered
-# and designated again, and a registration drops interest in the groups its
-# report leaves out. The acquisition's: its stream starts at its locate, so a
-# first join leaves no window and costs one locate, and a backup sees the
-# members ordered during its pull. -count=1 defeats the cache so the race
-# detector really runs them on every gate.
-quiet cluster go test -race -count=1 -run 'TestFailedDesignationIsRetried|TestJoinAcquisitionHealsItsWindow|TestReportDropsStaleInterest|TestRebalanceUnderChurn|TestLiveMigrationUnderLoad|TestJoinRightAfterCreateOverDelayedLink|TestReplicaHealsAcrossLogReduction|TestOneCatchUpPerGap|TestJoinerSeesMembersAlreadyThere|TestNoReapUnderLiveMember|TestNotifyCountIsGlobal|TestBackupKeepsReplicaWhenLastLocalMemberLeaves|TestRegistrationWithOldProtocolRefused|TestElectionProbeOfAnotherVersionIsRefused|TestReRegistrationIsOneReport|TestReconnectCrashesMembersItNoLongerHosts|TestForwardBeforeReportInventsNoGroup|TestReplicaPullIsFlowControlled|TestHostileSourceInstallsNothing|TestHostilePullerIsRefused|TestOneLocatePerAcquisition|TestBackupSeesMembersOrderedDuringItsPull' ./internal/cluster
+# gets one refusal or nothing. The designation's: a failed one is answered,
+# counted and designated again, a designation that arrives while the
+# previous acquisition is failing gets an answer of its own, and a
+# registration drops interest in the groups its report leaves out. The
+# acquisition's: its stream starts at its locate, so a first join leaves no
+# window and costs one locate, and a backup sees the members ordered during
+# its pull. -count=1 defeats the cache so the race detector really runs them
+# on every gate.
+quiet cluster go test -race -count=1 -run "$(paste -sd'|' scripts/cluster-tests.txt)" ./internal/cluster
 
 elapsed "$line_start"
 echo "== total"
