@@ -13,6 +13,10 @@
 // every want by a diagnostic; //lint:allow suppression is applied before
 // matching, so fixtures can also prove that annotated exceptions are
 // honoured (a suppressed line simply carries no want).
+//
+// The analyzers guard the engine's invariants, so their fixtures are their
+// proof: a fixture edit changes a file the test reads, and go test re-runs
+// the analyzer's test for it rather than reporting a cached pass.
 package analysistest
 
 import (

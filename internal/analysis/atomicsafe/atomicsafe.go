@@ -21,7 +21,9 @@
 //
 // The analysis is type-based like lockorder's: the guard of one
 // groupRuntime covers every groupRuntime. Constructors (New*, init) are
-// exempt — pre-publication writes need no lock. Fields that are
+// exempt — pre-publication writes need no lock — but a literal a
+// constructor stores runs after publication and is checked like any other
+// root (lockid.Roots). Fields that are
 // themselves synchronization values (sync.Mutex, sync.WaitGroup, typed
 // atomics) carry their own discipline and are skipped.
 package atomicsafe
@@ -59,6 +61,7 @@ func run(pass *analysis.Pass) error {
 		pass:     pass,
 		atomics:  map[*types.Var]bool{},
 		atomArgs: map[*ast.SelectorExpr]bool{},
+		writes:   map[*ast.SelectorExpr]bool{},
 		accesses: map[*types.Var][]access{},
 		owners:   map[*types.Var]*types.Named{},
 	}
@@ -68,12 +71,13 @@ func run(pass *analysis.Pass) error {
 	for _, pkg := range pass.Pkgs {
 		c.collectAtomics(pkg)
 	}
-	for _, pkg := range pass.Pkgs {
-		if !scoped(pkg.Name) {
-			continue
+	lockid.Roots(pass.Pkgs, scoped, func(pkg *analysis.Package, fd *ast.FuncDecl) lockid.Visitor {
+		w := &walker{checker: c, pkg: pkg}
+		if fd != nil {
+			w.exempt, w.contract = isConstructor(fd), hasContract(fd)
 		}
-		c.collectAccesses(pkg)
-	}
+		return w
+	})
 	c.reportMixed()
 	c.reportUnguarded()
 	return nil
@@ -99,6 +103,9 @@ type checker struct {
 	// atomArgs marks the selector nodes that ARE atomic accesses, so the
 	// plain-access sweep can skip them.
 	atomArgs map[*ast.SelectorExpr]bool
+	// writes marks the selector nodes that are written: assignment and
+	// inc/dec targets, the field under an element write or a delete.
+	writes map[*ast.SelectorExpr]bool
 	// accesses records every field access in scoped packages.
 	accesses map[*types.Var][]access
 	owners   map[*types.Var]*types.Named
@@ -225,24 +232,6 @@ func (c *checker) reportUnguarded() {
 
 // ---- access collection ----------------------------------------------------
 
-// collectAccesses walks every function body tracking held guards and
-// records each field access with its protection context.
-func (c *checker) collectAccesses(pkg *analysis.Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if isConstructor(fd) {
-				continue // pre-publication writes carry no discipline
-			}
-			w := &walker{checker: c, pkg: pkg, contract: hasContract(fd)}
-			w.stmts(fd.Body.List, map[string]bool{})
-		}
-	}
-}
-
 // isConstructor matches functions whose writes precede publication.
 func isConstructor(fd *ast.FuncDecl) bool {
 	name := fd.Name.Name
@@ -259,198 +248,65 @@ func hasContract(fd *ast.FuncDecl) bool {
 	return fd.Doc != nil && strings.Contains(fd.Doc.Text(), "aller holds")
 }
 
-// walker records accesses within one function body, maintaining the set
-// of held lock identities exactly as lockorder does.
+// walker records the field accesses of one root with the guards held at
+// each. A constructor's own accesses are exempt (pre-publication); the
+// literals it stores run later, as roots of their own. A literal root
+// carries no contract: its caller's promises do not transfer.
 type walker struct {
 	*checker
 	pkg      *analysis.Package
+	exempt   bool
 	contract bool
 }
 
-func (w *walker) stmts(list []ast.Stmt, held map[string]bool) {
-	for _, s := range list {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if id, op, ok := lockid.Op(w.pkg, s.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[id] = true
-				case "Unlock", "RUnlock":
-					delete(held, id)
-				}
-				continue
-			}
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if lit, ok := call.Fun.(*ast.FuncLit); ok {
-					w.stmts(lit.Body.List, clone(held))
-					for _, a := range call.Args {
-						w.expr(a, held, false)
-					}
-					continue
-				}
-			}
-			w.expr(s.X, held, false)
-		case *ast.DeferStmt:
-			if _, op, ok := lockid.Op(w.pkg, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				continue
-			}
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, clone(held))
-			} else {
-				w.expr(s.Call, held, false)
-			}
-		case *ast.GoStmt:
-			// The goroutine body runs with no lock of this stack held.
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				w.goBody(lit, held)
-			}
-			for _, a := range s.Call.Args {
-				w.expr(a, held, false)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				w.writeTarget(lhs, held)
-			}
-			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
-				// Compound assignment also reads the target; the write
-				// record above covers the stricter requirement.
-			}
-			for _, rhs := range s.Rhs {
-				w.expr(rhs, held, false)
-			}
-		case *ast.IncDecStmt:
-			w.writeTarget(s.X, held)
-		case *ast.BlockStmt:
-			w.stmts(s.List, held)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init}, held)
-			}
-			w.expr(s.Cond, held, false)
-			w.stmts(s.Body.List, clone(held))
-			if s.Else != nil {
-				w.stmts([]ast.Stmt{s.Else}, clone(held))
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init}, held)
-			}
-			if s.Cond != nil {
-				w.expr(s.Cond, held, false)
-			}
-			inner := clone(held)
-			w.stmts(s.Body.List, inner)
-			if s.Post != nil {
-				w.stmts([]ast.Stmt{s.Post}, inner)
-			}
-		case *ast.RangeStmt:
-			w.expr(s.X, held, false)
-			w.stmts(s.Body.List, clone(held))
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init}, held)
-			}
-			if s.Tag != nil {
-				w.expr(s.Tag, held, false)
-			}
-			for _, cc := range s.Body.List {
-				w.stmts(cc.(*ast.CaseClause).Body, clone(held))
-			}
-		case *ast.TypeSwitchStmt:
-			if s.Init != nil {
-				w.stmts([]ast.Stmt{s.Init}, held)
-			}
-			for _, cc := range s.Body.List {
-				w.stmts(cc.(*ast.CaseClause).Body, clone(held))
-			}
-		case *ast.SelectStmt:
-			for _, cl := range s.Body.List {
-				w.stmts(cl.(*ast.CommClause).Body, clone(held))
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				w.expr(r, held, false)
-			}
-		case *ast.LabeledStmt:
-			w.stmts([]ast.Stmt{s.Stmt}, held)
-		case *ast.DeclStmt:
-			w.expr(s, held, false)
-		case *ast.SendStmt:
-			w.expr(s.Chan, held, false)
-			w.expr(s.Value, held, false)
-		}
+func (w *walker) Acquire(token.Pos, lockid.Lock, lockid.Held) {}
+
+func (w *walker) Node(n ast.Node, held lockid.Held) bool {
+	if w.exempt {
+		return true
 	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			w.markWrite(lhs)
+		}
+	case *ast.IncDecStmt:
+		w.markWrite(n.X)
+	case *ast.CallExpr:
+		// delete(x.f, k) mutates the map held by f.
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
+			_, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin)
+			if sel, ok := ast.Unparen(n.Args[0]).(*ast.SelectorExpr); ok && isBuiltin {
+				w.writes[sel] = true
+			}
+		}
+	case *ast.SelectorExpr:
+		if w.atomArgs[n] {
+			w.recordAtomic(n)
+			return false
+		}
+		w.record(n, held, w.writes[n])
+		// Keep walking: the base of x.f.g is itself an access.
+	}
+	return true
 }
 
-// goBody walks a spawned goroutine: its own stack, empty held set, and no
-// contract — the caller's promises do not transfer across the spawn.
-func (w *walker) goBody(lit *ast.FuncLit, held map[string]bool) {
-	inner := &walker{checker: w.checker, pkg: w.pkg}
-	inner.stmts(lit.Body.List, map[string]bool{})
-}
-
-// writeTarget records a write access for an assignment target. Mutating
-// an element of a field-held map or slice (x.f[k] = v, delete(x.f, k))
-// counts as a write to the field: the race is the same.
-func (w *walker) writeTarget(lhs ast.Expr, held map[string]bool) {
+// markWrite marks the field an assignment target writes. Mutating an
+// element of a field-held map or slice (x.f[k] = v) counts as a write to
+// the field: the race is the same.
+func (w *walker) markWrite(lhs ast.Expr) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		w.record(lhs, held, true)
-		w.expr(lhs.X, held, false)
+		w.writes[lhs] = true
 	case *ast.IndexExpr:
 		if sel, ok := ast.Unparen(lhs.X).(*ast.SelectorExpr); ok {
-			w.record(sel, held, true)
-			w.expr(sel.X, held, false)
-		} else {
-			w.expr(lhs.X, held, false)
+			w.writes[sel] = true
 		}
-		w.expr(lhs.Index, held, false)
-	case *ast.StarExpr:
-		w.expr(lhs.X, held, false)
-	default:
-		w.expr(lhs, held, false)
 	}
-}
-
-// expr records every field access in an expression subtree as reads,
-// except nodes handled elsewhere.
-func (w *walker) expr(n ast.Node, held map[string]bool, _ bool) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// Reached here only when stored or passed: runs later, on an
-			// unknown stack.
-			w.goBody(n, held)
-			return false
-		case *ast.CallExpr:
-			// delete(x.f, k) mutates the map held by f.
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
-				if _, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-					if sel, ok := ast.Unparen(n.Args[0]).(*ast.SelectorExpr); ok {
-						w.record(sel, held, true)
-						w.expr(sel.X, held, false)
-						w.expr(n.Args[1], held, false)
-						return false
-					}
-				}
-			}
-		case *ast.SelectorExpr:
-			if w.atomArgs[n] {
-				w.recordAtomic(n, held)
-				return false
-			}
-			w.record(n, held, false)
-			// Keep walking: the base of x.f.g is itself an access.
-		}
-		return true
-	})
 }
 
 // record notes one access of a struct field, if it is one worth tracking.
-func (w *walker) record(sel *ast.SelectorExpr, held map[string]bool, write bool) {
+func (w *walker) record(sel *ast.SelectorExpr, held lockid.Held, write bool) {
 	v, owner := w.trackedField(sel)
 	if v == nil {
 		return
@@ -466,7 +322,7 @@ func (w *walker) record(sel *ast.SelectorExpr, held map[string]bool, write bool)
 
 // recordAtomic notes a sanctioned atomic access, so mixed-discipline
 // reporting sees the field even when the plain sites are elsewhere.
-func (w *walker) recordAtomic(sel *ast.SelectorExpr, held map[string]bool) {
+func (w *walker) recordAtomic(sel *ast.SelectorExpr) {
 	v, owner := w.trackedField(sel)
 	if v == nil {
 		return
@@ -511,7 +367,7 @@ func selfSynced(t types.Type) bool {
 }
 
 // heldGuard returns the identity of an owner mutex field currently held.
-func heldGuard(owner *types.Named, held map[string]bool) string {
+func heldGuard(owner *types.Named, held lockid.Held) string {
 	st, ok := owner.Underlying().(*types.Struct)
 	if !ok {
 		return ""
@@ -521,17 +377,9 @@ func heldGuard(owner *types.Named, held map[string]bool) string {
 		if !lockid.IsMutex(f.Type()) {
 			continue
 		}
-		if id := lockid.FieldIdent(owner, f.Name()); held[id] {
+		if id := lockid.FieldIdent(owner, f.Name()); held.Holds(id) {
 			return id
 		}
 	}
 	return ""
-}
-
-func clone(held map[string]bool) map[string]bool {
-	c := map[string]bool{}
-	for k := range held {
-		c[k] = true
-	}
-	return c
 }

@@ -239,3 +239,47 @@ func FuncName(fn *types.Func) string {
 	}
 	return fn.Name()
 }
+
+// A Summary memoises one fold over the call graph: the value of each call
+// target is computed once, by Body from the body the program declares for
+// it, and by Leaf for a function with none (the zero value if Leaf is
+// nil). A target reached again while its own value is being computed
+// gives the zero value: a recursion cycle adds nothing that its first
+// visit does not find.
+type Summary[T any] struct {
+	Graph *Graph
+	Body  func(pkg *analysis.Package, body *ast.BlockStmt) T
+	Leaf  func(fn *types.Func) T
+	memo  map[Target]T
+	busy  map[Target]bool
+}
+
+// Of returns the summary of one call target.
+func (s *Summary[T]) Of(t Target) T {
+	if v, ok := s.memo[t]; ok {
+		return v
+	}
+	var v T
+	if s.busy[t] {
+		return v
+	}
+	if s.memo == nil {
+		s.memo, s.busy = map[Target]T{}, map[Target]bool{}
+	}
+	pkg, body := t.Pkg, (*ast.BlockStmt)(nil)
+	if t.Lit != nil {
+		body = t.Lit.Body
+	} else if b, ok := s.Graph.Bodies[t.Fn]; ok {
+		pkg, body = b.Pkg, b.Decl.Body
+	}
+	switch {
+	case body != nil:
+		s.busy[t] = true
+		v = s.Body(pkg, body)
+		delete(s.busy, t)
+	case s.Leaf != nil:
+		v = s.Leaf(t.Fn)
+	}
+	s.memo[t] = v
+	return v
+}

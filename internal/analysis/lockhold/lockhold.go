@@ -24,6 +24,11 @@
 // through plain func-typed locals remain the one acknowledged hole (see
 // internal/analysis/callgraph).
 //
+// The spans are walked by lockid.Roots, as lockorder and atomicsafe walk
+// theirs: every function, then every function literal not walked in place
+// (a goroutine body, a stored or returned callback) from an empty held
+// set, so a lock a literal takes itself covers what it does next.
+//
 // Nested sync.Mutex acquisition is deliberately not "blocking": short
 // nested critical sections (obs, the WAL's pending queue) are part
 // of the design, and lock-ordering is lockorder's job.
@@ -38,6 +43,7 @@ import (
 
 	"corona/internal/analysis"
 	"corona/internal/analysis/callgraph"
+	"corona/internal/analysis/lockid"
 )
 
 // Analyzer is the lockhold checker.
@@ -48,33 +54,21 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	c := newChecker(pass)
-	for _, pkg := range pass.Pkgs {
-		if pkg.Name != "core" && pkg.Name != "cluster" {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if ok && fd.Body != nil {
-					c.checkSpans(pkg, fd.Body.List, newLockEnv())
-				}
-			}
-		}
-	}
+	c := &checker{pass: pass, graph: callgraph.New(pass.Pkgs)}
+	c.reasons = callgraph.Summary[*reason]{Graph: c.graph, Body: c.bodyReason, Leaf: stdBlocking}
+	scoped := func(name string) bool { return name == "core" || name == "cluster" }
+	lockid.Roots(pass.Pkgs, scoped, func(pkg *analysis.Package, _ *ast.FuncDecl) lockid.Visitor {
+		return &span{checker: c, pkg: pkg}
+	})
 	return nil
 }
 
-// checker owns the whole-program call-graph state.
 type checker struct {
 	pass  *analysis.Pass
 	graph *callgraph.Graph
-	// reasons/litReasons memoize blocking classification per function and
-	// per stored function literal.
-	reasons    map[*types.Func]*reason
-	state      map[*types.Func]int // 0 unvisited, 1 visiting, 2 done
-	litReasons map[*ast.FuncLit]*reason
-	litState   map[*ast.FuncLit]int
+	// reasons classifies each call target: nil means it cannot be shown to
+	// block.
+	reasons callgraph.Summary[*reason]
 }
 
 // reason explains why a function (or operation) blocks. A nil *reason
@@ -91,267 +85,67 @@ func (r *reason) String() string {
 	return fmt.Sprintf("%s (via %s)", r.desc, strings.Join(r.chain, " → "))
 }
 
-func newChecker(pass *analysis.Pass) *checker {
-	return &checker{
-		pass:       pass,
-		graph:      callgraph.New(pass.Pkgs),
-		reasons:    map[*types.Func]*reason{},
-		state:      map[*types.Func]int{},
-		litReasons: map[*ast.FuncLit]*reason{},
-		litState:   map[*ast.FuncLit]int{},
-	}
+// span reports every blocking operation evaluated while a lock is held.
+type span struct {
+	*checker
+	pkg *analysis.Package
 }
 
-// ---- lock-span walking -------------------------------------------------
+func (s *span) Acquire(token.Pos, lockid.Lock, lockid.Held) {}
 
-// lockEnv tracks the mutexes held at a program point, keyed by the
-// canonical text of the receiver expression ("e.mu", "gmu").
-type lockEnv struct {
-	order []string
-	held  map[string]*heldLock
-}
-
-type heldLock struct {
-	name string
-	// deferredRelease is set once `defer x.Unlock()` has been seen: the
-	// lock is then held for the remainder of the function, and any defer
-	// registered afterwards runs before the release (LIFO), i.e. still
-	// under the lock.
-	deferredRelease bool
-}
-
-func newLockEnv() *lockEnv {
-	return &lockEnv{held: map[string]*heldLock{}}
-}
-
-func (e *lockEnv) clone() *lockEnv {
-	c := newLockEnv()
-	c.order = append(c.order, e.order...)
-	for k, v := range e.held {
-		cp := *v
-		c.held[k] = &cp
-	}
-	return c
-}
-
-func (e *lockEnv) acquire(key string) {
-	if _, ok := e.held[key]; !ok {
-		e.order = append(e.order, key)
-	}
-	e.held[key] = &heldLock{name: key}
-}
-
-func (e *lockEnv) release(key string) {
-	delete(e.held, key)
-	for i, k := range e.order {
-		if k == key {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (e *lockEnv) any() *heldLock {
-	for i := len(e.order) - 1; i >= 0; i-- {
-		if l, ok := e.held[e.order[i]]; ok {
-			return l
-		}
-	}
-	return nil
-}
-
-func (e *lockEnv) anyDeferredRelease() *heldLock {
-	for i := len(e.order) - 1; i >= 0; i-- {
-		if l, ok := e.held[e.order[i]]; ok && l.deferredRelease {
-			return l
-		}
-	}
-	return nil
-}
-
-// checkSpans walks a statement list, maintaining the set of held locks
-// and checking every expression evaluated while it is non-empty.
-func (c *checker) checkSpans(pkg *analysis.Package, stmts []ast.Stmt, env *lockEnv) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if key, op, ok := mutexOp(pkg.Info, s.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					env.acquire(key)
-				case "Unlock", "RUnlock":
-					env.release(key)
-				}
-				continue
-			}
-			c.checkExpr(pkg, s.X, env)
-		case *ast.DeferStmt:
-			if key, op, ok := mutexOp(pkg.Info, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				if l, held := env.held[key]; held {
-					l.deferredRelease = true
-				}
-				continue
-			}
-			// A defer registered after a deferred unlock runs before it
-			// (LIFO), i.e. with the lock still held.
-			if l := env.anyDeferredRelease(); l != nil {
-				c.checkDeferred(pkg, s.Call, l)
-			}
-		case *ast.AssignStmt, *ast.DeclStmt, *ast.ReturnStmt, *ast.IncDecStmt, *ast.SendStmt:
-			c.checkExpr(pkg, s, env)
-		case *ast.GoStmt:
-			// The goroutine body runs without the lock; only the call's
-			// arguments are evaluated here.
-			for _, a := range s.Call.Args {
-				c.checkExpr(pkg, a, env)
-			}
-		case *ast.BlockStmt:
-			c.checkSpans(pkg, s.List, env)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				c.checkExpr(pkg, s.Init, env)
-			}
-			c.checkExpr(pkg, s.Cond, env)
-			c.checkSpans(pkg, s.Body.List, env.clone())
-			if s.Else != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Else}, env.clone())
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				c.checkExpr(pkg, s.Init, env)
-			}
-			if s.Cond != nil {
-				c.checkExpr(pkg, s.Cond, env)
-			}
-			inner := env.clone()
-			c.checkSpans(pkg, s.Body.List, inner)
-			if s.Post != nil {
-				c.checkExpr(pkg, s.Post, inner)
-			}
-		case *ast.RangeStmt:
-			c.checkExpr(pkg, s.X, env)
-			if env.any() != nil && isChan(pkg.Info, s.X) {
-				c.report(s.X.Pos(), env.any(), &reason{desc: "range over channel"})
-			}
-			c.checkSpans(pkg, s.Body.List, env.clone())
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				c.checkExpr(pkg, s.Init, env)
-			}
-			if s.Tag != nil {
-				c.checkExpr(pkg, s.Tag, env)
-			}
-			for _, cc := range s.Body.List {
-				c.checkSpans(pkg, cc.(*ast.CaseClause).Body, env.clone())
-			}
-		case *ast.TypeSwitchStmt:
-			if s.Init != nil {
-				c.checkExpr(pkg, s.Init, env)
-			}
-			for _, cc := range s.Body.List {
-				c.checkSpans(pkg, cc.(*ast.CaseClause).Body, env.clone())
-			}
-		case *ast.SelectStmt:
-			if l := env.any(); l != nil && !hasDefault(s) {
-				c.report(s.Pos(), l, &reason{desc: "select without default"})
-			}
-			for _, cl := range s.Body.List {
-				c.checkSpans(pkg, cl.(*ast.CommClause).Body, env.clone())
-			}
-		case *ast.LabeledStmt:
-			c.checkSpans(pkg, []ast.Stmt{s.Stmt}, env)
-		default:
-			c.checkExpr(pkg, s, env)
-		}
-	}
-}
-
-// checkDeferred checks a call deferred while lock l is (and stays) held.
-func (c *checker) checkDeferred(pkg *analysis.Package, call *ast.CallExpr, l *heldLock) {
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		c.checkNode(pkg, lit.Body, l, "deferred while %q is held (runs before the deferred unlock)")
-		return
-	}
-	if r := c.callReason(pkg, call); r != nil {
-		c.reportf(call.Pos(), l, r, "deferred while %q is held (runs before the deferred unlock)")
-	}
-}
-
-// checkExpr reports blocking operations in the subtree rooted at n when a
-// lock is held.
-func (c *checker) checkExpr(pkg *analysis.Package, n ast.Node, env *lockEnv) {
-	l := env.any()
-	if l == nil {
-		return
-	}
-	c.checkNode(pkg, n, l, "while %q is held")
-}
-
-func (c *checker) checkNode(pkg *analysis.Package, n ast.Node, l *heldLock, format string) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			for _, a := range n.Call.Args {
-				c.checkNode(pkg, a, l, format)
-			}
-			return false
-		case *ast.FuncLit:
-			return false // not executed here unless immediately invoked (CallExpr case recurses)
-		case *ast.SelectStmt:
-			if !hasDefault(n) {
-				c.reportf(n.Pos(), l, &reason{desc: "select without default"}, format)
-			}
-			// Comm ops of a select with default never block; clause
-			// bodies run after a successful comm, still under the lock.
-			for _, cl := range n.Body.List {
-				for _, s := range cl.(*ast.CommClause).Body {
-					c.checkNode(pkg, s, l, format)
-				}
-			}
-			return false
-		case *ast.SendStmt:
-			c.reportf(n.Pos(), l, &reason{desc: "channel send"}, format)
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				c.reportf(n.Pos(), l, &reason{desc: "channel receive"}, format)
-			}
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				// Immediately invoked: the body runs here, under the lock.
-				c.checkNode(pkg, lit.Body, l, format)
-				for _, a := range n.Args {
-					c.checkNode(pkg, a, l, format)
-				}
-				return false
-			}
-			if r := c.callReason(pkg, n); r != nil {
-				c.reportf(n.Pos(), l, r, format)
-			}
-		}
+func (s *span) Node(n ast.Node, held lockid.Held) bool {
+	l, ok := blamed(held)
+	if !ok {
 		return true
-	})
-}
-
-func (c *checker) report(pos token.Pos, l *heldLock, r *reason) {
-	c.reportf(pos, l, r, "while %q is held")
-}
-
-func (c *checker) reportf(pos token.Pos, l *heldLock, r *reason, format string) {
-	c.pass.Reportf(pos, "%s "+format, r, l.name)
-}
-
-// ---- call resolution and blocking classification -----------------------
-
-// callReason classifies one call expression: nil means it cannot be shown
-// to block.
-func (c *checker) callReason(pkg *analysis.Package, call *ast.CallExpr) *reason {
-	// Conversions are not calls.
-	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		return nil
 	}
-	for _, callee := range c.graph.Callees(pkg, call) {
-		if r := c.targetReason(callee); r != nil {
-			return c.chained(callee, r)
+	if r := s.reasonAt(s.pkg, n); r != nil {
+		pos, format := n.Pos(), "while %q is held"
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			pos = rs.X.Pos()
+		}
+		if l.InDefer {
+			format = "deferred while %q is held (runs before the deferred unlock)"
+		}
+		s.pass.Reportf(pos, "%s "+format, r, l.Text)
+	}
+	return true
+}
+
+// blamed returns the innermost lock surely held: in a deferred call, a
+// lock counts only if its unlock is deferred too, since a plain unlock
+// may run before the call does.
+func blamed(held lockid.Held) (lockid.Lock, bool) {
+	for i := len(held) - 1; i >= 0; i-- {
+		if l := held[i]; !l.InDefer || l.DeferredUnlock {
+			return l, true
+		}
+	}
+	return lockid.Lock{}, false
+}
+
+// reasonAt classifies one node the walk reaches: nil means it cannot be
+// shown to block.
+func (c *checker) reasonAt(pkg *analysis.Package, n ast.Node) *reason {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return &reason{desc: "channel send"}
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return &reason{desc: "channel receive"}
+		}
+	case *ast.SelectStmt:
+		if !hasDefault(n) {
+			return &reason{desc: "select without default"}
+		}
+	case *ast.RangeStmt:
+		if isChan(pkg.Info, n.X) {
+			return &reason{desc: "range over channel"}
+		}
+	case *ast.CallExpr:
+		for _, callee := range c.graph.Callees(pkg, n) {
+			if r := c.reasons.Of(callee); r != nil {
+				return c.chained(callee, r)
+			}
 		}
 	}
 	return nil
@@ -369,129 +163,27 @@ func (c *checker) chained(callee callgraph.Target, r *reason) *reason {
 	return &reason{desc: r.desc, chain: append([]string{callee.Name()}, r.chain...)}
 }
 
-// targetReason classifies one call target: nil means not blocking.
-func (c *checker) targetReason(t callgraph.Target) *reason {
-	if t.Lit != nil {
-		return c.litReason(t.Lit, t.Pkg)
-	}
-	return c.funcReason(t.Fn)
-}
-
-// litReason classifies a stored function literal by its body.
-func (c *checker) litReason(lit *ast.FuncLit, pkg *analysis.Package) *reason {
-	if r, ok := c.litReasons[lit]; ok && c.litState[lit] == 2 {
-		return r
-	}
-	if c.litState[lit] == 1 {
-		return nil
-	}
-	c.litState[lit] = 1
-	r := c.bodyReason(pkg, lit.Body)
-	c.litReasons[lit], c.litState[lit] = r, 2
-	return r
-}
-
-// funcReason classifies one function: nil means not blocking. Analyzed
-// functions are classified by their bodies, recursively; everything else
-// by the stdlib blocklist.
-func (c *checker) funcReason(fn *types.Func) *reason {
-	if r, ok := c.reasons[fn]; ok && c.state[fn] == 2 {
-		return r
-	}
-	if c.state[fn] == 1 {
-		// Recursion cycle: assume the cycle itself does not block (any
-		// blocking op inside it is still found on the first visit).
-		return nil
-	}
-	body, analyzed := c.graph.Bodies[fn]
-	if !analyzed {
-		r := stdBlocking(fn)
-		c.reasons[fn], c.state[fn] = r, 2
-		return r
-	}
-	c.state[fn] = 1
-	r := c.bodyReason(body.Pkg, body.Decl.Body)
-	c.reasons[fn], c.state[fn] = r, 2
-	return r
-}
-
 // bodyReason finds the first blocking operation in an analyzed function
-// body. Goroutine launches and non-invoked function literals are skipped —
-// their bodies do not run on the caller's stack — with one exception: a
-// deferred closure runs on this stack before the function returns, so its
-// body is traversed like any other statement.
+// body, whatever it holds: the caller's locks are held throughout.
 func (c *checker) bodyReason(pkg *analysis.Package, body *ast.BlockStmt) *reason {
-	var found *reason
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			for _, a := range n.Call.Args {
-				ast.Inspect(a, walk)
-			}
-			return false
-		case *ast.DeferStmt:
-			// The deferred call runs before this function returns — on the
-			// caller's stack, under any lock the caller holds.
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, walk)
-				for _, a := range n.Call.Args {
-					ast.Inspect(a, walk)
-				}
-				return false
-			}
-			return true // plain deferred call: classified via its CallExpr
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			if !hasDefault(n) {
-				found = &reason{desc: "select without default"}
-				return false
-			}
-			for _, cl := range n.Body.List {
-				for _, s := range cl.(*ast.CommClause).Body {
-					ast.Inspect(s, walk)
-				}
-			}
-			return false
-		case *ast.SendStmt:
-			found = &reason{desc: "channel send"}
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = &reason{desc: "channel receive"}
-				return false
-			}
-		case *ast.RangeStmt:
-			if isChan(pkg.Info, n.X) {
-				found = &reason{desc: "range over channel"}
-				return false
-			}
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, walk)
-				for _, a := range n.Args {
-					ast.Inspect(a, walk)
-				}
-				return false
-			}
-			if tv, ok := pkg.Info.Types[n.Fun]; ok && tv.IsType() {
-				return true
-			}
-			for _, callee := range c.graph.Callees(pkg, n) {
-				if r := c.targetReason(callee); r != nil {
-					found = c.chained(callee, r)
-					return false
-				}
-			}
-		}
-		return true
+	f := &first{checker: c, pkg: pkg}
+	lockid.Walk(pkg, body, f)
+	return f.found
+}
+
+type first struct {
+	*checker
+	pkg   *analysis.Package
+	found *reason
+}
+
+func (f *first) Acquire(token.Pos, lockid.Lock, lockid.Held) {}
+
+func (f *first) Node(n ast.Node, _ lockid.Held) bool {
+	if f.found == nil {
+		f.found = f.reasonAt(f.pkg, n)
 	}
-	ast.Inspect(body, walk)
-	return found
+	return f.found == nil
 }
 
 // stdBlocking classifies functions with no analyzed body — the standard
@@ -568,41 +260,6 @@ func stdBlocking(fn *types.Func) *reason {
 		}
 	}
 	return nil
-}
-
-// ---- small helpers -----------------------------------------------------
-
-// mutexOp matches x.Lock / x.RLock / x.Unlock / x.RUnlock calls on
-// sync.Mutex or sync.RWMutex values and returns the canonical receiver
-// text as span key.
-func mutexOp(info *types.Info, e ast.Expr) (key, op string, ok bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return "", "", false
-	}
-	recv := callgraph.Deref(s.Recv())
-	n, ok := recv.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch n.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return types.ExprString(sel.X), sel.Sel.Name, true
-	}
-	return "", "", false
 }
 
 func isChan(info *types.Info, e ast.Expr) bool {

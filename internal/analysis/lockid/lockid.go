@@ -1,6 +1,9 @@
-// Package lockid names mutexes for the whole-program analyzers. lockorder
-// ranks the identities against the sanctioned hierarchy; atomicsafe uses
-// them to tie mutex-guarded fields to the guard that covers their writes.
+// Package lockid names mutexes and walks the spans they are held over, for
+// the whole-program analyzers. lockhold checks what the spans block on;
+// lockorder ranks the identities against the sanctioned hierarchy;
+// atomicsafe uses them to tie mutex-guarded fields to the guard that
+// covers their writes. All three walk with Roots and Walk, so they agree
+// on what runs on which stack under which locks.
 //
 // The identity is type-based, not instance-based: every groupRuntime's mu
 // is "core.groupRuntime.mu". That is exactly the granularity a lock
@@ -17,29 +20,26 @@ import (
 )
 
 // Op matches x.Lock / RLock / Unlock / RUnlock on a sync.Mutex or
-// sync.RWMutex and resolves the receiver to its identity.
-func Op(pkg *analysis.Package, e ast.Expr) (id, op string, ok bool) {
+// sync.RWMutex and resolves the receiver to its identity and text.
+func Op(pkg *analysis.Package, e ast.Expr) (l Lock, op string, ok bool) {
 	call, isCall := e.(*ast.CallExpr)
 	if !isCall {
-		return "", "", false
+		return Lock{}, "", false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return Lock{}, "", false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return Lock{}, "", false
 	}
 	s, isMethod := pkg.Info.Selections[sel]
-	if !isMethod {
-		return "", "", false
+	if !isMethod || !IsMutex(s.Recv()) {
+		return Lock{}, "", false
 	}
-	if !IsMutex(s.Recv()) {
-		return "", "", false
-	}
-	return Ident(pkg, sel.X), sel.Sel.Name, true
+	return Lock{ID: Ident(pkg, sel.X), Text: types.ExprString(sel.X)}, sel.Sel.Name, true
 }
 
 // IsMutex reports whether t (possibly behind a pointer) is sync.Mutex or

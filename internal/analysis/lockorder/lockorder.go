@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 
 	"corona/internal/analysis"
@@ -75,51 +74,11 @@ func scoped(name string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	c := &checker{
-		pass:      pass,
-		graph:     callgraph.New(pass.Pkgs),
-		summaries: map[*types.Func]map[string]*acq{},
-		state:     map[*types.Func]int{},
-		litSums:   map[*ast.FuncLit]map[string]*acq{},
-		litState:  map[*ast.FuncLit]int{},
-		inlined:   map[*ast.FuncLit]bool{},
-	}
-	for _, pkg := range pass.Pkgs {
-		if !scoped(pkg.Name) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					c.checkSpans(pkg, fd.Body.List, newHeld())
-				}
-			}
-		}
-	}
-	// Function literals not walked inline above (goroutine bodies, stored
-	// callbacks) are their own execution roots: walk each from an empty
-	// held set. Enclosing literals walk before nested ones, so a literal
-	// reached inline inside another root is marked before we get to it.
-	for _, pkg := range pass.Pkgs {
-		if !scoped(pkg.Name) {
-			continue
-		}
-		var lits []*ast.FuncLit
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					lits = append(lits, lit)
-				}
-				return true
-			})
-		}
-		for _, lit := range lits {
-			if !c.inlined[lit] {
-				c.inlined[lit] = true
-				c.checkSpans(pkg, lit.Body.List, newHeld())
-			}
-		}
-	}
+	c := &checker{pass: pass, graph: callgraph.New(pass.Pkgs)}
+	c.sums = callgraph.Summary[map[string]*acq]{Graph: c.graph, Body: c.bodySummary}
+	lockid.Roots(pass.Pkgs, scoped, func(pkg *analysis.Package, _ *ast.FuncDecl) lockid.Visitor {
+		return &span{checker: c, pkg: pkg}
+	})
 	return nil
 }
 
@@ -140,206 +99,50 @@ func (a *acq) String() string {
 type checker struct {
 	pass  *analysis.Pass
 	graph *callgraph.Graph
-	// summaries memoizes, per function, every lock identity the function
-	// may acquire directly or transitively.
-	summaries map[*types.Func]map[string]*acq
-	state     map[*types.Func]int // 0 unvisited, 1 visiting, 2 done
-	litSums   map[*ast.FuncLit]map[string]*acq
-	litState  map[*ast.FuncLit]int
-	// inlined marks literals already walked as part of an enclosing span
-	// (invoked, deferred, or spawned in place), so the root sweep skips them.
-	inlined map[*ast.FuncLit]bool
+	// sums holds, per call target, every lock identity it may acquire
+	// directly or transitively.
+	sums callgraph.Summary[map[string]*acq]
 }
 
-// ---- held-lock tracking -------------------------------------------------
-
-type held struct {
-	order []string
-	ids   map[string]bool
+// span checks every acquisition, direct or via a call, against the locks
+// held where it happens.
+type span struct {
+	*checker
+	pkg *analysis.Package
 }
 
-func newHeld() *held { return &held{ids: map[string]bool{}} }
-
-func (h *held) clone() *held {
-	c := newHeld()
-	c.order = append(c.order, h.order...)
-	for k := range h.ids {
-		c.ids[k] = true
-	}
-	return c
+func (s *span) Acquire(pos token.Pos, l lockid.Lock, held lockid.Held) {
+	s.check(pos, held, &acq{id: l.ID})
 }
 
-func (h *held) acquire(id string) {
-	if !h.ids[id] {
-		h.ids[id] = true
-		h.order = append(h.order, id)
-	}
-}
-
-func (h *held) release(id string) {
-	if !h.ids[id] {
-		return
-	}
-	delete(h.ids, id)
-	for i := len(h.order) - 1; i >= 0; i-- {
-		if h.order[i] == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// ---- span walking -------------------------------------------------------
-
-// checkSpans walks a statement list maintaining the held-lock set; every
-// acquisition (direct or via a call) is checked against it.
-func (c *checker) checkSpans(pkg *analysis.Package, stmts []ast.Stmt, h *held) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if id, op, ok := lockid.Op(pkg, s.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					c.checkAcquire(s.X.Pos(), h, &acq{id: id})
-					h.acquire(id)
-				case "Unlock", "RUnlock":
-					h.release(id)
-				}
-				continue
-			}
-			// An immediately-invoked literal runs on this stack under the
-			// current held set.
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if lit, ok := call.Fun.(*ast.FuncLit); ok {
-					c.inlined[lit] = true
-					c.checkSpans(pkg, lit.Body.List, h.clone())
-					for _, a := range call.Args {
-						c.checkExpr(pkg, a, h)
-					}
-					continue
-				}
-			}
-			c.checkExpr(pkg, s.X, h)
-		case *ast.DeferStmt:
-			if id, op, ok := lockid.Op(pkg, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				// The lock stays held to function exit; spans that follow
-				// are still under it, which the held set already records.
-				_ = id
-				continue
-			}
-			// Deferred work runs before any deferred unlock registered
-			// earlier, i.e. under the locks currently held.
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				c.inlined[lit] = true
-				c.checkSpans(pkg, lit.Body.List, h.clone())
-			} else {
-				c.checkExpr(pkg, s.Call, h)
-			}
-		case *ast.GoStmt:
-			// The spawned goroutine is its own execution root: its body's
-			// ordering is checked from an empty held set, and nothing it
-			// acquires counts as an edge under the caller's locks.
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				c.inlined[lit] = true
-				c.checkSpans(pkg, lit.Body.List, newHeld())
-			}
-			for _, a := range s.Call.Args {
-				c.checkExpr(pkg, a, h)
-			}
-		case *ast.BlockStmt:
-			c.checkSpans(pkg, s.List, h)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Init}, h)
-			}
-			c.checkExpr(pkg, s.Cond, h)
-			c.checkSpans(pkg, s.Body.List, h.clone())
-			if s.Else != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Else}, h.clone())
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Init}, h)
-			}
-			if s.Cond != nil {
-				c.checkExpr(pkg, s.Cond, h)
-			}
-			inner := h.clone()
-			c.checkSpans(pkg, s.Body.List, inner)
-			if s.Post != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Post}, inner)
-			}
-		case *ast.RangeStmt:
-			c.checkExpr(pkg, s.X, h)
-			c.checkSpans(pkg, s.Body.List, h.clone())
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Init}, h)
-			}
-			if s.Tag != nil {
-				c.checkExpr(pkg, s.Tag, h)
-			}
-			for _, cc := range s.Body.List {
-				c.checkSpans(pkg, cc.(*ast.CaseClause).Body, h.clone())
-			}
-		case *ast.TypeSwitchStmt:
-			if s.Init != nil {
-				c.checkSpans(pkg, []ast.Stmt{s.Init}, h)
-			}
-			for _, cc := range s.Body.List {
-				c.checkSpans(pkg, cc.(*ast.CaseClause).Body, h.clone())
-			}
-		case *ast.SelectStmt:
-			for _, cl := range s.Body.List {
-				c.checkSpans(pkg, cl.(*ast.CommClause).Body, h.clone())
-			}
-		case *ast.LabeledStmt:
-			c.checkSpans(pkg, []ast.Stmt{s.Stmt}, h)
-		default:
-			c.checkExpr(pkg, s, h)
-		}
-	}
-}
-
-// checkExpr checks every call in the subtree against the held set.
-func (c *checker) checkExpr(pkg *analysis.Package, n ast.Node, h *held) {
-	if n == nil || len(h.order) == 0 {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			for _, a := range n.Call.Args {
-				c.checkExpr(pkg, a, h)
-			}
-			return false
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				c.checkExpr(pkg, lit.Body, h)
-				for _, a := range n.Args {
-					c.checkExpr(pkg, a, h)
-				}
-				return false
-			}
-			if _, _, ok := lockid.Op(pkg, n); ok {
-				return false // handled at statement level
-			}
-			for _, callee := range c.graph.Callees(pkg, n) {
-				for _, a := range c.targetSummary(callee) {
-					c.checkAcquire(n.Pos(), h, withHop(callee, a))
-				}
-			}
-		}
+func (s *span) Node(n ast.Node, held lockid.Held) bool {
+	if len(held) == 0 {
 		return true
-	})
+	}
+	s.calls(s.pkg, n, func(a *acq) { s.check(n.Pos(), held, a) })
+	return true
 }
 
-// checkAcquire reports an acquisition that re-enters a held identity or
-// runs against the rank table.
-func (c *checker) checkAcquire(pos token.Pos, h *held, a *acq) {
-	if h.ids[a.id] {
+// calls hands f every acquisition a call node reaches through its callees.
+func (c *checker) calls(pkg *analysis.Package, n ast.Node, f func(*acq)) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	if _, _, ok := lockid.Op(pkg, call); ok {
+		return // a lock operation is the walk's, not a call's
+	}
+	for _, callee := range c.graph.Callees(pkg, call) {
+		for _, a := range c.sums.Of(callee) {
+			f(&acq{id: a.id, chain: append([]string{callee.Name()}, a.chain...)})
+		}
+	}
+}
+
+// check reports an acquisition that re-enters a held identity or runs
+// against the rank table.
+func (c *checker) check(pos token.Pos, held lockid.Held, a *acq) {
+	if held.Holds(a.id) {
 		c.pass.Reportf(pos, "%s re-enters %q, already held", a, a.id)
 		return
 	}
@@ -347,115 +150,45 @@ func (c *checker) checkAcquire(pos token.Pos, h *held, a *acq) {
 	if !ranked {
 		return
 	}
-	for i := len(h.order) - 1; i >= 0; i-- {
-		hr, ok := ranks[h.order[i]]
+	for i := len(held) - 1; i >= 0; i-- {
+		hr, ok := ranks[held[i].ID]
 		if !ok {
 			continue
 		}
 		if r <= hr {
 			c.pass.Reportf(pos, "%s acquired while %q is held: inverts the sanctioned order (rank %d ≤ %d)",
-				a, h.order[i], r, hr)
+				a, held[i].ID, r, hr)
 			return
 		}
 	}
 }
 
-func withHop(t callgraph.Target, a *acq) *acq {
-	return &acq{id: a.id, chain: append([]string{t.Name()}, a.chain...)}
-}
-
-// ---- transitive summaries -----------------------------------------------
-
-func (c *checker) targetSummary(t callgraph.Target) map[string]*acq {
-	if t.Lit != nil {
-		return c.litSummary(t.Lit, t.Pkg)
-	}
-	return c.funcSummary(t.Fn)
-}
-
-func (c *checker) litSummary(lit *ast.FuncLit, pkg *analysis.Package) map[string]*acq {
-	if c.litState[lit] == 2 {
-		return c.litSums[lit]
-	}
-	if c.litState[lit] == 1 {
-		return nil
-	}
-	c.litState[lit] = 1
-	sum := c.bodySummary(pkg, lit.Body)
-	c.litSums[lit], c.litState[lit] = sum, 2
-	return sum
-}
-
-// funcSummary returns every lock identity fn may acquire, transitively.
-func (c *checker) funcSummary(fn *types.Func) map[string]*acq {
-	if c.state[fn] == 2 {
-		return c.summaries[fn]
-	}
-	if c.state[fn] == 1 {
-		return nil // recursion cycle: first visit collects its locks
-	}
-	body, analyzed := c.graph.Bodies[fn]
-	if !analyzed {
-		c.summaries[fn], c.state[fn] = nil, 2
-		return nil
-	}
-	c.state[fn] = 1
-	sum := c.bodySummary(body.Pkg, body.Decl.Body)
-	c.summaries[fn], c.state[fn] = sum, 2
-	return sum
-}
-
-// bodySummary collects acquisitions in one body: direct Lock/RLock calls
-// plus the summaries of every callee, goroutine bodies excluded, deferred
-// closures included.
+// bodySummary collects the acquisitions of one body: its own Lock and
+// RLock calls and the summaries of its callees, goroutine bodies excluded,
+// deferred closures included.
 func (c *checker) bodySummary(pkg *analysis.Package, body *ast.BlockStmt) map[string]*acq {
-	sum := map[string]*acq{}
-	add := func(a *acq) {
-		if _, ok := sum[a.id]; !ok {
-			sum[a.id] = a
-		}
+	s := &summary{checker: c, pkg: pkg, sum: map[string]*acq{}}
+	lockid.Walk(pkg, body, s)
+	return s.sum
+}
+
+type summary struct {
+	*checker
+	pkg *analysis.Package
+	sum map[string]*acq
+}
+
+func (s *summary) add(a *acq) {
+	if _, ok := s.sum[a.id]; !ok {
+		s.sum[a.id] = a
 	}
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			for _, a := range n.Call.Args {
-				ast.Inspect(a, walk)
-			}
-			return false
-		case *ast.DeferStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, walk)
-				for _, a := range n.Call.Args {
-					ast.Inspect(a, walk)
-				}
-				return false
-			}
-			return true
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, walk)
-				for _, a := range n.Args {
-					ast.Inspect(a, walk)
-				}
-				return false
-			}
-			if id, op, ok := lockid.Op(pkg, n); ok {
-				if op == "Lock" || op == "RLock" {
-					add(&acq{id: id})
-				}
-				return false
-			}
-			for _, callee := range c.graph.Callees(pkg, n) {
-				for _, a := range c.targetSummary(callee) {
-					add(withHop(callee, a))
-				}
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return sum
+}
+
+func (s *summary) Acquire(_ token.Pos, l lockid.Lock, _ lockid.Held) {
+	s.add(&acq{id: l.ID})
+}
+
+func (s *summary) Node(n ast.Node, _ lockid.Held) bool {
+	s.calls(s.pkg, n, s.add)
+	return true
 }

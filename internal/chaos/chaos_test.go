@@ -49,8 +49,10 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
-// TestChaosSmoke is the check.sh gate: one small seeded arc, fast enough
-// for every pre-merge run.
+// TestChaosSmoke is the storage-fault acceptance test: one small seeded
+// arc — fsync fault, degraded mode, recovery, power cut — with the
+// durability-honesty, ordering and replay audits on, fast enough for every
+// pre-merge run (it is not skipped in -short).
 func TestChaosSmoke(t *testing.T) {
 	rep, err := Run(Config{
 		Seed:    3,

@@ -106,6 +106,10 @@ type interest struct {
 	// designation or the stream a locate started: it cannot serve state
 	// requests until its replica exists.
 	pending bool
+	// link is the peer link a designation was sent on. That link's first
+	// report may have left before the designation arrived, so the report
+	// does not drop it (handleSeqReport).
+	link *peer
 }
 
 // groupMeta is the coordinator's registry entry for one group.
@@ -821,7 +825,8 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 // handleSeqReport takes in a server's (re-)registration, all a freshly
 // elected coordinator rebuilds its registry from. The server holds each
 // reported group and no other — its interest in a group the registration
-// leaves out, a designation it has not answered included, is dropped — and
+// leaves out, a designation made before this link included, is dropped; a
+// designation sent on this link is newer than the report and kept — and
 // hosts exactly the members it lists: each is ordered as a join, each other
 // member listed on that server as a crash. Its high-water marks are folded
 // into the sequencer, and a server whose history cannot extend the one this
@@ -844,7 +849,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 			listed[g.Group] = true
 		}
 		for name, meta := range c.groups {
-			if _, had := meta.interest[m.ServerID]; had && !listed[name] {
+			if in, had := meta.interest[m.ServerID]; had && !listed[name] && in.link != p {
 				delete(meta.interest, m.ServerID)
 				orders = append(orders, c.planLocked(name, meta, loads, true)...)
 			}

@@ -432,6 +432,63 @@ func TestReportDropsStaleInterest(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return slices.Equal(tc.coord.Replicas("g"), []uint64{2, 4}) })
 }
 
+// TestReportKeepsNewerDesignation: a registration cannot list a designation
+// sent on its link after its SHello. C registers while g has its two
+// replicas, A and B, and C's report is held back until C's designation for
+// g has passed: killing B makes the floor designate C. The report leaves g
+// out, yet the designation is newer than it, so the coordinator must keep
+// it pending and not designate C a second time.
+func TestReportKeepsNewerDesignation(t *testing.T) {
+	tc := startPatientCluster(t, cluster.PlacementConfig{RebalanceInterval: -1})
+	a := tc.startServerVia(t, tc.coord.Addr())
+	b := tc.startServerVia(t, tc.coord.Addr())
+	alice := dialTo(t, a, "alice", nil)
+	if err := alice.CreateGroup("g", false, []wire.Object{{ID: "doc", Data: []byte("v0")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return slices.Equal(tc.coord.Replicas("g"), []uint64{2, 3}) })
+
+	designated := make(chan struct{})
+	var designations, updates atomic.Int64
+	var reported atomic.Bool
+	c := tc.startServerVia(t, relayEditing(t, tc.coord.Addr(), func(m wire.Message) []wire.Message {
+		switch m := m.(type) {
+		case *wire.SInterest:
+			if m.Group == "g" && m.Interested && designations.Add(1) == 1 {
+				close(designated)
+			}
+		case *wire.SMemberUpdate:
+			if m.Group == "g" && m.Member.Name == "bob" {
+				updates.Add(1)
+			}
+		}
+		return []wire.Message{m}
+	}, func(m wire.Message) []wire.Message {
+		if _, ok := m.(*wire.SSeqReport); ok && reported.CompareAndSwap(false, true) {
+			<-designated
+		}
+		return []wire.Message{m}
+	}))
+	waitFor(t, 5*time.Second, func() bool { return tc.coord.ServerCount() == 3 })
+	b.Close()
+	waitFor(t, 10*time.Second, func() bool {
+		return c.Engine().HasGroup("g") && slices.Equal(tc.coord.Replicas("g"), []uint64{2, 4})
+	})
+	// bob's join is ordered after C's report and after C's confirmation, so
+	// once its update has reached C every designation sent before it has too.
+	bob := dialTo(t, a, "bob", nil)
+	if _, err := bob.Join("g", client.JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return updates.Load() > 0 })
+	if n := designations.Load(); n != 1 {
+		t.Fatalf("C was designated for g %d times, want 1", n)
+	}
+}
+
 // TestReRegistrationIsOneReport: a server holding three groups, each with two
 // members connected to it, re-registers in one frame, its SSeqReport. It
 // sends no interest report and no membership change before its catch-ups ask

@@ -74,7 +74,7 @@ type order struct {
 // pending until the server answers with its SInterest either way, and
 // returns the designation to send it. Caller holds c.mu.
 func (c *Coordinator) designateLocked(group string, meta *groupMeta, server uint64) *wire.SInterest {
-	meta.interest[server] = &interest{backup: true, pending: true}
+	meta.interest[server] = &interest{backup: true, pending: true, link: c.peers[server]}
 	clusterBackupReassigns.Inc()
 	return &wire.SInterest{ServerID: server, Group: group, Interested: true, Backup: true}
 }

@@ -6,8 +6,14 @@
 # It fails on unformatted files, vet findings, corona-lint findings
 # (the invariant analyzers — see DESIGN.md §"Checked invariants"),
 # build errors, test failures (race detector on, short mode), or a
-# fuzz-smoke regression. Everything together stays under a minute on a
-# warm build cache.
+# fuzz-smoke regression. Each test runs once: `go test -race -short ./...`
+# runs every package's tests, the analyzers' golden fixtures, the seeded
+# chaos arc, the recovery tests and the cluster acceptance list
+# (scripts/cluster-tests.txt) among them, and go's test cache re-runs a
+# package whenever its code or a file its tests read changes. A test's doc
+# comment says what it proves; scripts/stress.sh reruns the cluster list to
+# expose flakes. Everything together stays under a minute on a warm build
+# cache.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -74,11 +80,6 @@ else
 	printf '%s' "$lint_hash" >"$lint_stamp"
 fi
 
-line "analysis self-test (race, uncached)"
-# The analyzers guard the engine's invariants; their own golden fixtures
-# run fresh on every gate, race detector on.
-quiet analysis go test -race -count=1 ./internal/analysis/...
-
 line "go test -race -short"
 go test -race -short ./...
 
@@ -94,9 +95,12 @@ line "allocation budgets (no race)"
 # the test that streamed objects do not overlap.
 quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core
 
-line "fuzz smoke (3s per wire decode target)"
+line "fuzz smoke (3s per target)"
+# FuzzMessage takes every kind of the wire registry through decode and
+# re-encode; FuzzTransferChunk also cuts a chunk into segments and reads it
+# in place. The other targets' seed corpora run with the tests.
 fuzz_smoke() {
-	for target in FuzzTransferPayload FuzzTransferChunk FuzzTransferStream FuzzDeliverBatch; do
+	for target in FuzzMessage FuzzTransferChunk; do
 		go test -run '^$' -fuzz "^${target}\$" -fuzztime 3s ./internal/wire || return
 	done
 }
@@ -126,57 +130,6 @@ bench_smokes() {
 	done
 }
 quiet corona-bench bench_smokes
-
-line "chaos smoke (race)"
-# The storage-fault acceptance test: one seeded chaos arc — fsync fault,
-# degraded mode, recovery, power cut — with the durability-honesty,
-# ordering, and replay audits on. -count=1 defeats the cache.
-quiet chaos go test -race -count=1 -run TestChaosSmoke ./internal/chaos
-
-line "cold recovery (race)"
-# The one-pass recovery acceptance tests: a seeded log (reduction, delete,
-# re-create, a lost fsync batch) recovers to the writer's images at
-# GOMAXPROCS 1 and 4; a run folds to exactly what its events give one at a
-# time, however it is split, and the views taken before it do not move;
-# opening writes nothing; a broken log is reported at its lowest failing LSN,
-# also when a pending run fails below a later decode error or an unknown
-# record; a superseded record, a malformed checkpoint among them, does not
-# reach the recovered state, nor does a group deleted and re-created inside
-# one pending run. The walk: wal.Recover hands over exactly the records a
-# later Replay yields, across a torn segment and an LSN gap, and the payloads
-# it handed over stay valid; over a slowed disk, a record reaches the
-# consumer only once every byte of it is read and checked — across piece
-# boundaries, at a segment of whole pieces, before a torn tail and a bad CRC;
-# an error from the consumer, or a segment that cannot be opened or read
-# (also at its second piece), fails the open and changes no file; once the
-# walk has quit, the read-ahead reads no piece it had not begun. -count=1
-# so the race detector sees the read-ahead and the walk every gate.
-quiet recovery go test -race -count=1 -run 'TestRecoveryMatchesWriter|TestQuickRunEqualsEvents|TestCaptureStableUnderRun|TestOpeningWritesNothing|TestRecoveryErrorIsLowestLSN|TestRunFailureBelowDecodeError|TestSupersededRecordIsNotDecoded|TestSupersededMalformedCheckpoint|TestDeleteAndRecreateInOnePendingRun|TestRecoverMatchesReplay|TestRecoverErrorLeavesLogUntouched|TestFaultOpenReadErrorKeepsSegment|TestFaultReadErrorKeepsSegment|TestWalk' ./internal/core ./internal/state ./internal/wal
-
-line "replica acquisition, membership order and rebalance churn (race)"
-# The replica-stream acceptance tests, named in scripts/cluster-tests.txt
-# (scripts/stress.sh reruns the same list): gapless deliveries and identical
-# replica images while groups migrate under broadcast load and a server
-# crashes mid-churn; a join right after a create never gets an invented
-# image; a replica behind a log reduction heals; a burst behind one lost
-# event waits for one catch-up. The membership-order tests: a joiner sees
-# the members ordered before it, and a transient group is not ended under a
-# member whose join is still on a delayed link; notify counts are global; a
-# backup keeps its replica while the group has members elsewhere; a server
-# speaking another protocol version is refused, as is a candidate. The
-# registration's: a server re-registers in one report, which is the host's
-# word (a member it no longer hosts is crashed), and a forward overtaking a
-# report invents no group. The pull's own tests: it is held to the join's
-# window and counted; a hostile source installs nothing and a hostile puller
-# gets one refusal or nothing. The designation's: a failed one is answered,
-# counted and designated again, a designation that arrives while the
-# previous acquisition is failing gets an answer of its own, and a
-# registration drops interest in the groups its report leaves out. The
-# acquisition's: its stream starts at its locate, so a first join leaves no
-# window and costs one locate, and a backup sees the members ordered during
-# its pull. -count=1 defeats the cache so the race detector really runs them
-# on every gate.
-quiet cluster go test -race -count=1 -run "$(paste -sd'|' scripts/cluster-tests.txt)" ./internal/cluster
 
 elapsed "$line_start"
 echo "== total"

@@ -6,8 +6,10 @@
 #
 # It builds the internal/cluster test binary once with the race detector,
 # runs three copies of it at once, each running every test named in
-# scripts/cluster-tests.txt (the list check.sh runs) count times (default
-# 100), and prints each test's runs and failures. pattern, a grep -E
+# scripts/cluster-tests.txt count times (default 100), and prints each
+# test's runs and failures. The list holds the cluster acceptance tests,
+# the ones whose outcome can depend on wall-clock timing; the gate runs
+# them once, with the rest of the package. pattern, a grep -E
 # expression, keeps only the matching names of the list. The copies' output
 # stays in .bin/stress/copy<N>.log. It exits 1 when any run failed.
 set -eu
