@@ -20,7 +20,8 @@
 // calls through stored func-typed fields (the engine's Hooks) resolve
 // against every function value the program assigns to the field, and
 // deferred closures are traversed — they run on the caller's stack before
-// the function returns, i.e. still under any lock the caller holds. Calls
+// the function returns, still under every lock whose unlock was deferred
+// before them (a plain unlock releases its lock first). Calls
 // through plain func-typed locals remain the one acknowledged hole (see
 // internal/analysis/callgraph).
 //
@@ -94,10 +95,10 @@ type span struct {
 func (s *span) Acquire(token.Pos, lockid.Lock, lockid.Held) {}
 
 func (s *span) Node(n ast.Node, held lockid.Held) bool {
-	l, ok := blamed(held)
-	if !ok {
+	if len(held) == 0 {
 		return true
 	}
+	l := held[len(held)-1]
 	if r := s.reasonAt(s.pkg, n); r != nil {
 		pos, format := n.Pos(), "while %q is held"
 		if rs, ok := n.(*ast.RangeStmt); ok {
@@ -109,18 +110,6 @@ func (s *span) Node(n ast.Node, held lockid.Held) bool {
 		s.pass.Reportf(pos, "%s "+format, r, l.Text)
 	}
 	return true
-}
-
-// blamed returns the innermost lock surely held: in a deferred call, a
-// lock counts only if its unlock is deferred too, since a plain unlock
-// may run before the call does.
-func blamed(held lockid.Held) (lockid.Lock, bool) {
-	for i := len(held) - 1; i >= 0; i-- {
-		if l := held[i]; !l.InDefer || l.DeferredUnlock {
-			return l, true
-		}
-	}
-	return lockid.Lock{}, false
 }
 
 // reasonAt classifies one node the walk reaches: nil means it cannot be

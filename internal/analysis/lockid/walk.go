@@ -14,9 +14,9 @@ type Lock struct {
 	// DeferredUnlock is set once `defer x.Unlock()` has been seen: the
 	// lock is held to the end of the function.
 	DeferredUnlock bool
-	// InDefer is set inside a call deferred while the lock was held. The
-	// call runs at function exit: still under the lock if its unlock is
-	// deferred too (LIFO), maybe after a plain unlock otherwise.
+	// InDefer is set inside a call deferred while the lock was held with
+	// its unlock deferred already: the call runs at function exit, before
+	// that unlock (LIFO).
 	InDefer bool
 }
 
@@ -177,10 +177,15 @@ func (w *walker) stmt(s ast.Stmt, h *Held) {
 	w.v.Node(s, *h)
 	switch s := s.(type) {
 	case *ast.DeferStmt:
-		// The operands are evaluated now; the call runs at function exit.
-		at := h.clone()
-		for i := range at {
-			at[i].InDefer = true
+		// The operands are evaluated now; the call runs at function exit,
+		// under the locks whose unlock was deferred before it. A plain
+		// unlock, or an unlock deferred after it, runs first.
+		var at Held
+		for _, l := range *h {
+			if l.DeferredUnlock {
+				l.InDefer = true
+				at = append(at, l)
+			}
 		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			w.lit(lit, at)

@@ -93,12 +93,6 @@ type peer struct {
 	reported bool
 }
 
-func (p *peer) send(msg wire.Message) {
-	if err := p.pump.SendMessage(msg); err != nil {
-		_ = p.conn.Close() // read loop notices and deregisters
-	}
-}
-
 // interest records that one server holds a replica of a group, and how.
 type interest struct {
 	backup bool
@@ -180,6 +174,10 @@ type Coordinator struct {
 	groups     map[string]*groupMeta
 	migrations map[string]*migrationRec
 	closed     bool
+
+	// afterRegister, when a test sets it, runs right after the hold that
+	// registers a server.
+	afterRegister func()
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -375,7 +373,9 @@ func (c *Coordinator) ServeRegistration(conn *transport.Conn, hello *wire.SHello
 	c.deregister(p, "link lost")
 }
 
-// register adds a server and distributes the updated server list.
+// register adds a server, acks it and distributes the updated server list,
+// all in the hold that makes the server visible: the ack is the link's first
+// frame, and every server receives the lists in the order the set changed.
 func (c *Coordinator) register(conn *transport.Conn, hello *wire.SHello) *peer {
 	c.mu.Lock()
 	if c.closed {
@@ -398,21 +398,23 @@ func (c *Coordinator) register(conn *transport.Conn, hello *wire.SHello) *peer {
 		lastSeen: c.cfg.Now(),
 	}
 	c.peers[p.info.ID] = p
-	ack := &wire.SHelloAck{
+	c.enqueueLocked(&wire.SHelloAck{
 		RequestID:     hello.RequestID,
 		CoordinatorID: c.cfg.ID,
 		Epoch:         c.epoch,
 		BootOrder:     boot,
 		Servers:       c.serverListLocked(),
-	}
+	}, p, nil)
+	c.broadcastServerListLocked()
 	c.mu.Unlock()
 
+	if c.afterRegister != nil {
+		c.afterRegister()
+	}
 	if stale != nil {
 		_ = stale.conn.Close()
 		stale.pump.Close()
 	}
-	p.send(ack)
-	c.broadcastServerList()
 	return p
 }
 
@@ -435,24 +437,13 @@ func sortServers(ss []wire.ServerInfo) {
 	}
 }
 
-// broadcastServerList pushes the membership of the server set itself.
-func (c *Coordinator) broadcastServerList() {
-	c.mu.Lock()
+// broadcastServerListLocked enqueues the server set as it stands in this
+// hold on every registered server's link. Caller holds c.mu.
+func (c *Coordinator) broadcastServerListLocked() {
 	list := &wire.SServerList{CoordinatorID: c.cfg.ID, Epoch: c.epoch, Servers: c.serverListLocked()}
-	peers := c.peersLocked()
-	c.mu.Unlock()
-	for _, p := range peers {
-		p.send(list)
-	}
-}
-
-// peersLocked snapshots the peer set. Caller holds c.mu.
-func (c *Coordinator) peersLocked() []*peer {
-	out := make([]*peer, 0, len(c.peers))
 	for _, p := range c.peers {
-		out = append(out, p)
+		c.enqueueLocked(list, p, nil)
 	}
-	return out
 }
 
 // deregister removes a dead server, fails its members group by group, and
@@ -485,7 +476,6 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 		}
 	}
 
-	var orders []order
 	loads := c.loadsLocked()
 	for name, meta := range c.groups {
 		_, had := meta.interest[p.info.ID]
@@ -494,15 +484,14 @@ func (c *Coordinator) deregister(p *peer, reason string) {
 			c.orderMemberLocked(name, meta, 0, wire.MemberCrashed, m)
 		}
 		if had {
-			orders = append(orders, c.planLocked(name, meta, loads, true)...)
+			c.planLocked(name, meta, loads, true)
 		}
 	}
+	c.broadcastServerListLocked()
 	c.mu.Unlock()
 
 	c.log.Warn("server lost", "server", p.info.ID, "reason", reason)
 	p.pump.Close()
-	c.sendOrders(orders)
-	c.broadcastServerList()
 }
 
 func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
@@ -541,9 +530,9 @@ func (c *Coordinator) handlePeerMessage(p *peer, msg wire.Message) {
 		for name := range c.groups {
 			groups = append(groups, name)
 		}
-		c.mu.Unlock()
 		sort.Strings(groups)
-		p.send(&wire.SGroupsReport{RequestID: m.RequestID, Groups: groups})
+		c.enqueueLocked(&wire.SGroupsReport{RequestID: m.RequestID, Groups: groups}, p, nil)
+		c.mu.Unlock()
 	case *wire.SElectReply:
 		// Stale election traffic; ignore.
 	default:
@@ -577,17 +566,19 @@ func (c *Coordinator) handleForward(m *wire.SForward) {
 		SenderInclusive: m.SenderInclusive,
 		Origin:          m.Origin,
 		RequestID:       m.RequestID,
-	}, 0, meta.interest)
+	}, nil, meta.interest)
 	c.mu.Unlock()
 }
 
-// enqueueLocked enqueues msg on the pump of server to, when it is registered,
-// and of every server in interested, under the caller's c.mu hold: each link
-// then carries msg in its place among the group's events and membership
-// changes, which are enqueued under c.mu too. A link whose pump refused it is
-// closed off this stack, and its read loop deregisters the server. Caller
-// holds c.mu.
-func (c *Coordinator) enqueueLocked(msg wire.Message, to uint64, interested map[uint64]*interest) {
+// enqueueLocked enqueues msg on the pump of to, when it is not nil, and of
+// every registered server in interested. It is the one way a frame leaves the
+// coordinator for a server, and it runs in the c.mu hold that decided the
+// frame, so each link carries its frames in the order they were decided: a
+// registration's ack before any server list, a group's events, membership
+// changes and designations in their places among each other. A link whose
+// pump refused msg is closed off this stack, and its read loop deregisters
+// the server. Caller holds c.mu.
+func (c *Coordinator) enqueueLocked(msg wire.Message, to *peer, interested map[uint64]*interest) {
 	f := transport.NewSharedFrame(msg)
 	send := func(p *peer) {
 		f.Retain()
@@ -596,11 +587,11 @@ func (c *Coordinator) enqueueLocked(msg wire.Message, to uint64, interested map[
 			go func() { _ = p.conn.Close() }()
 		}
 	}
-	if p, ok := c.peers[to]; ok {
-		send(p)
+	if to != nil {
+		send(to)
 	}
 	for id := range interested {
-		if p, ok := c.peers[id]; ok && id != to {
+		if p, ok := c.peers[id]; ok && p != to {
 			send(p)
 		}
 	}
@@ -618,13 +609,13 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	c.mu.Lock()
 	meta, ok := c.groups[m.Group]
 	if !ok {
-		c.mu.Unlock()
 		if m.Interested {
 			// The group was deleted (or reaped as an emptied transient
 			// group) while this server raced to acquire a replica: tell
 			// it to drop the zombie instead of resurrecting the group.
-			p.send(&wire.SGroupOp{Op: wire.GroupOpDelete, Group: m.Group})
+			c.enqueueLocked(&wire.SGroupOp{Op: wire.GroupOpDelete, Group: m.Group}, p, nil)
 		}
+		c.mu.Unlock()
 		return
 	}
 	if m.Interested {
@@ -637,12 +628,13 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 	}
 	rec := c.migrations[m.Group]
 	migrated := rec != nil && rec.to == m.ServerID
-	var src *peer
 	if migrated {
 		delete(c.migrations, m.Group)
-		src = c.peers[rec.from]
+		if m.Interested {
+			c.enqueueLocked(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false}, c.peers[rec.from], nil)
+		}
 	}
-	orders := c.planLocked(m.Group, meta, c.loadsLocked(), true)
+	c.planLocked(m.Group, meta, c.loadsLocked(), true)
 	c.mu.Unlock()
 
 	switch {
@@ -655,11 +647,7 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 		if d := c.cfg.Now().Sub(rec.started).Nanoseconds(); plausibleLatency(d) {
 			clusterMigrationNs.Record(d)
 		}
-		if src != nil {
-			src.send(&wire.SInterest{ServerID: rec.from, Group: m.Group, Interested: false})
-		}
 	}
-	c.sendOrders(orders)
 }
 
 // handleMemberUpdate orders one server's membership change. A change for a
@@ -667,16 +655,14 @@ func (c *Coordinator) handleInterest(p *peer, m *wire.SInterest) {
 // membership report never creates a group.
 func (c *Coordinator) handleMemberUpdate(p *peer, m *wire.SMemberUpdate) {
 	c.mu.Lock()
-	meta, ok := c.groups[m.Group]
-	if ok {
+	if meta, ok := c.groups[m.Group]; ok {
 		c.orderMemberLocked(m.Group, meta, m.ServerID, m.Change, m.Member)
+	} else {
+		c.enqueueLocked(&wire.SMemberUpdate{
+			ServerID: m.ServerID, Group: m.Group, Change: m.Change, Member: m.Member, Code: wire.CodeNoSuchGroup,
+		}, p, nil)
 	}
 	c.mu.Unlock()
-	if !ok {
-		p.send(&wire.SMemberUpdate{
-			ServerID: m.ServerID, Group: m.Group, Change: m.Change, Member: m.Member, Code: wire.CodeNoSuchGroup,
-		})
-	}
 }
 
 // orderMemberLocked applies one membership change to the group's member list
@@ -707,15 +693,16 @@ func (c *Coordinator) orderMemberLocked(name string, meta *groupMeta, origin uin
 	}
 	c.enqueueLocked(&wire.SMemberUpdate{
 		ServerID: origin, Group: name, Change: change, Member: member, Members: meta.members,
-	}, origin, interested)
+	}, c.peers[origin], interested)
 	if changed && change != wire.MemberJoined && origin != 0 && len(meta.members) == 0 && !meta.persistent {
 		delete(c.groups, name)
 		obs.Default.Event("cluster", fmt.Sprintf("transient group %q ceased to exist", name))
 	}
 }
 
-// handleGroupOp applies a create/delete, redistributes it to every server,
-// and acks the origin.
+// handleGroupOp applies a create/delete, redistributes it and acks the
+// origin. The redistribution comes before the ack on the origin's link, so
+// the origin installs the group before completing its client's request.
 func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 	c.mu.Lock()
 	ack := &wire.SGroupOpAck{RequestID: m.RequestID, OK: true}
@@ -734,6 +721,10 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 			meta.noInitial = len(m.Initial) == 0
 			meta.interest[p.info.ID] = &interest{backup: true}
 			c.groups[m.Group] = meta
+			// Only the origin installs the new group. Other servers
+			// acquire it on demand (first local join or backup
+			// designation).
+			c.enqueueLocked(m, c.peers[m.Origin], nil)
 		}
 	case wire.GroupOpDelete:
 		if _, exists := c.groups[m.Group]; !exists {
@@ -742,35 +733,18 @@ func (c *Coordinator) handleGroupOp(p *peer, m *wire.SGroupOp) {
 			ack.Text = fmt.Sprintf("no group %q", m.Group)
 		} else {
 			delete(c.groups, m.Group)
+			// Deletes reach every server so stale replicas die.
+			for _, t := range c.peers {
+				c.enqueueLocked(m, t, nil)
+			}
 		}
 	default:
 		ack.OK = false
 		ack.Code = wire.CodeBadRequest
 		ack.Text = "unknown group op"
 	}
-	var targets []*peer
-	if ack.OK {
-		switch m.Op {
-		case wire.GroupOpCreate:
-			// Only the origin installs the new group: it becomes the
-			// initial replica holder. Other servers acquire the group
-			// on demand (first local join or backup designation).
-			if origin, ok := c.peers[m.Origin]; ok {
-				targets = append(targets, origin)
-			}
-		default:
-			// Deletes reach every server so stale replicas die.
-			targets = c.peersLocked()
-		}
-	}
+	c.enqueueLocked(ack, p, nil)
 	c.mu.Unlock()
-
-	// Redistribute before acking: the origin's link is FIFO, so it
-	// installs the group before completing its client's request.
-	for _, t := range targets {
-		t.send(m)
-	}
-	p.send(ack)
 }
 
 // handleStateRequest tells a server where a group's state lives. The
@@ -818,7 +792,7 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 			meta.interest[p.info.ID] = &interest{pending: true}
 		}
 	}
-	c.enqueueLocked(resp, p.info.ID, nil)
+	c.enqueueLocked(resp, p, nil)
 	c.mu.Unlock()
 }
 
@@ -832,13 +806,11 @@ func (c *Coordinator) handleStateRequest(p *peer, m *wire.SStateRequest) {
 // into the sequencer, and a server whose history cannot extend the one this
 // coordinator sequenced is reconciled (paper §4.2).
 func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
-	type pendingDivergence struct {
+	type divergence struct {
 		report     DivergenceReport
 		resolution wire.Resolution
-		others     []*peer
 	}
-	var diverged []pendingDivergence
-	var orders []order
+	var diverged []divergence // for the log
 
 	c.mu.Lock()
 	loads := c.loadsLocked()
@@ -851,7 +823,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		for name, meta := range c.groups {
 			if in, had := meta.interest[m.ServerID]; had && !listed[name] && in.link != p {
 				delete(meta.interest, m.ServerID)
-				orders = append(orders, c.planLocked(name, meta, loads, true)...)
+				c.planLocked(name, meta, loads, true)
 			}
 		}
 	}
@@ -907,18 +879,26 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 		}
 		report.OtherReplicas = len(others)
 		resolution := c.resolveDivergence(report)
+		// The authoritative history stays as is, and the server rolls back
+		// to it or forks off it, unless the server's version wins: then
+		// every other replica rolls back to that.
+		div, to := &wire.SDivergence{Group: g.Group, Resolution: resolution}, []*peer{p}
 		switch resolution {
 		case wire.ResolutionAdopt:
 			meta.next = max(meta.next, g.NextSeq)
 			meta.digest = g.Digest
 			meta.authority = m.ServerID
-		case wire.ResolutionFork, wire.ResolutionRollback:
-			// The authoritative history stays as is.
+			div.Resolution, to = wire.ResolutionRollback, others
+		case wire.ResolutionFork:
+			div.ForkName = fmt.Sprintf("%s.fork-%d", g.Group, m.ServerID)
 		}
-		diverged = append(diverged, pendingDivergence{report: report, resolution: resolution, others: others})
+		for _, op := range to {
+			c.enqueueLocked(div, op, nil)
+		}
+		diverged = append(diverged, divergence{report, resolution})
 	}
 	for _, g := range m.Groups {
-		orders = append(orders, c.planLocked(g.Group, c.groups[g.Group], loads, true)...)
+		c.planLocked(g.Group, c.groups[g.Group], loads, true)
 	}
 	c.mu.Unlock()
 
@@ -927,21 +907,7 @@ func (c *Coordinator) handleSeqReport(p *peer, m *wire.SSeqReport) {
 			"group", d.report.Group, "server", d.report.ServerID,
 			"server-seq", d.report.ServerNextSeq, "coord-seq", d.report.CoordNextSeq,
 			"resolution", d.resolution.String())
-		switch d.resolution {
-		case wire.ResolutionAdopt:
-			// The rejoining server's version wins: every other replica
-			// rolls back to it.
-			for _, op := range d.others {
-				op.send(&wire.SDivergence{Group: d.report.Group, Resolution: wire.ResolutionRollback})
-			}
-		case wire.ResolutionFork:
-			fork := fmt.Sprintf("%s.fork-%d", d.report.Group, d.report.ServerID)
-			p.send(&wire.SDivergence{Group: d.report.Group, Resolution: wire.ResolutionFork, ForkName: fork})
-		default:
-			p.send(&wire.SDivergence{Group: d.report.Group, Resolution: wire.ResolutionRollback})
-		}
 	}
-	c.sendOrders(orders)
 }
 
 // resolveDivergence applies the configured (or default) resolution policy.
@@ -977,18 +943,15 @@ func (c *Coordinator) heartbeatLoop() {
 		c.mu.Lock()
 		now := c.cfg.Now()
 		hb := &wire.SHeartbeat{ServerID: c.cfg.ID, Epoch: c.epoch, Time: now.UnixNano()}
-		var alive, dead []*peer
+		var dead []*peer
 		for _, p := range c.peers {
 			if now.Sub(p.lastSeen) > c.cfg.PeerTimeout {
 				dead = append(dead, p)
 				continue
 			}
-			alive = append(alive, p)
+			c.enqueueLocked(hb, p, nil)
 		}
 		c.mu.Unlock()
-		for _, p := range alive {
-			p.send(hb)
-		}
 		for _, p := range dead {
 			clusterHeartbeatMisses.Inc()
 			_ = p.conn.Close() // the read loop deregisters

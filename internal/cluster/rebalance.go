@@ -2,9 +2,10 @@ package cluster
 
 // Coordinator-side placement management. One planner (planLocked) decides
 // where every policy-driven replica goes: it diffs a group's replica set
-// against the policy-desired set (internal/placement) and returns the orders
-// that carry the diff out. It runs in two places, which differ only in what
-// they pin. The floor runs it for a group whenever the group's holders change
+// against the policy-desired set (internal/placement) and enqueues the
+// designations and releases that carry the diff out, in the hold that
+// decided them. It runs in two places, which differ only in what they pin.
+// The floor runs it for a group whenever the group's holders change
 // (an answer, a registration, a server lost) and pins every live holder, so
 // it can only designate; the rebalance tick runs it for every group, pinning
 // the servers that host members, and also migrates — a designation of the
@@ -19,6 +20,7 @@ import (
 	"sort"
 	"time"
 
+	"corona/internal/obs"
 	"corona/internal/placement"
 	"corona/internal/wire"
 )
@@ -62,36 +64,23 @@ type migrationRec struct {
 	started  time.Time
 }
 
-// order is a message for one server, built under c.mu and sent after it
-// (sendOrders). from names the source of the migration a designation starts.
-type order struct {
-	p    *peer
-	msg  wire.Message
-	from uint64
-}
-
-// designateLocked records a backup designation of server for the group,
-// pending until the server answers with its SInterest either way, and
-// returns the designation to send it. Caller holds c.mu.
-func (c *Coordinator) designateLocked(group string, meta *groupMeta, server uint64) *wire.SInterest {
-	meta.interest[server] = &interest{backup: true, pending: true, link: c.peers[server]}
+// designateLocked designates server a backup of the group and enqueues the
+// designation on its link. The stake is pending until the server answers
+// with its SInterest either way. A nonzero from starts a live migration from
+// that server, which the target's answer retires (handleInterest). Caller
+// holds c.mu.
+func (c *Coordinator) designateLocked(group string, meta *groupMeta, server, from uint64) {
+	p := c.peers[server]
+	meta.interest[server] = &interest{backup: true, pending: true, link: p}
 	clusterBackupReassigns.Inc()
-	return &wire.SInterest{ServerID: server, Group: group, Interested: true, Backup: true}
-}
-
-// sendOrders logs each designation and sends the orders, once c.mu is
-// released.
-func (c *Coordinator) sendOrders(orders []order) {
-	for _, o := range orders {
-		if in, ok := o.msg.(*wire.SInterest); ok && in.Interested {
-			if o.from != 0 {
-				c.log.Info("migration started", "group", in.Group, "from", o.from, "to", in.ServerID)
-			} else {
-				c.log.Info("backup elected", "group", in.Group, "server", in.ServerID)
-			}
-		}
-		o.p.send(o.msg)
+	event := fmt.Sprintf("backup of %q elected: server %d", group, server)
+	if from != 0 {
+		c.migrations[group] = &migrationRec{from: from, to: server, started: c.cfg.Now()}
+		clusterMigrationsStarted.Inc()
+		event = fmt.Sprintf("migration of %q started: server %d to %d", group, from, server)
 	}
+	obs.Default.Event("cluster", event)
+	c.enqueueLocked(&wire.SInterest{ServerID: server, Group: group, Interested: true, Backup: true}, p, nil)
 }
 
 // Replicas returns the IDs of the live servers holding a replica of the
@@ -145,17 +134,13 @@ func (c *Coordinator) MigrateGroup(group string, from, to uint64) error {
 		return fmt.Errorf("cluster: server %d holds no replica of %q", from, group)
 	}
 	_, srcLive := c.peers[from]
-	dst, dstLive := c.peers[to]
+	_, dstLive := c.peers[to]
 	if !srcLive || !dstLive {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: migration endpoints %d→%d not live", from, to)
 	}
-	c.migrations[group] = &migrationRec{from: from, to: to, started: c.cfg.Now()}
-	clusterMigrationsStarted.Inc()
-	designation := order{dst, c.designateLocked(group, meta, to), from}
+	c.designateLocked(group, meta, to, from)
 	c.mu.Unlock()
-
-	c.sendOrders([]order{designation})
 	return nil
 }
 
@@ -181,15 +166,16 @@ func (c *Coordinator) loadsLocked() []placement.ServerLoad {
 }
 
 // planLocked plans one group's replicas: it diffs the live holders against
-// the policy's desired set for loads and returns the orders that converge
-// them. Pinned servers are always desired. The rebalance tick pins the
-// servers hosting the group's members. The floor (pinHolders) pins every
-// live holder, a pending designation's included, so the plan only tops the
-// group up to min(Replicas, live servers) — the paper's "at least two copies
-// of the state exist at any moment" — and never moves or drops a replica. A
-// migration starts only while fewer than MaxMigrations are in flight.
-// Caller holds c.mu; loads come from the same hold.
-func (c *Coordinator) planLocked(name string, meta *groupMeta, loads []placement.ServerLoad, pinHolders bool) []order {
+// the policy's desired set for loads and enqueues the designations and
+// releases that converge them. Pinned servers are always desired. The
+// rebalance tick pins the servers hosting the group's members. The floor
+// (pinHolders) pins every live holder, a pending designation's included, so
+// the plan only tops the group up to min(Replicas, live servers) — the
+// paper's "at least two copies of the state exist at any moment" — and never
+// moves or drops a replica. A migration starts only while fewer than
+// MaxMigrations are in flight. Caller holds c.mu; loads come from the same
+// hold.
+func (c *Coordinator) planLocked(name string, meta *groupMeta, loads []placement.ServerLoad, pinHolders bool) {
 	current := make(map[uint64]placement.Replica, len(meta.interest))
 	var pinned []uint64
 	for id, in := range meta.interest {
@@ -205,27 +191,22 @@ func (c *Coordinator) planLocked(name string, meta *groupMeta, loads []placement
 	slices.Sort(pinned)
 	// Every server in the plan is live: desired servers come from loads or
 	// pinned, and sources and releases from current.
-	var orders []order
 	for _, act := range placement.PlanGroup(name, current, c.policy.Desired(name, loads, pinned)) {
 		switch act.Kind {
 		case placement.Designate:
-			orders = append(orders, order{p: c.peers[act.Server], msg: c.designateLocked(name, meta, act.Server)})
+			c.designateLocked(name, meta, act.Server, 0)
 		case placement.Migrate:
-			if len(c.migrations) >= c.cfg.Placement.MaxMigrations {
-				continue
+			if len(c.migrations) < c.cfg.Placement.MaxMigrations {
+				c.designateLocked(name, meta, act.Server, act.From)
 			}
-			c.migrations[name] = &migrationRec{from: act.From, to: act.Server, started: c.cfg.Now()}
-			clusterMigrationsStarted.Inc()
-			orders = append(orders, order{c.peers[act.Server], c.designateLocked(name, meta, act.Server), act.From})
 		case placement.Release:
 			// The interest entry stays until the server confirms the drop
 			// with SInterest{Interested: false}; resending on later ticks
 			// is idempotent.
 			clusterReplicasReleased.Inc()
-			orders = append(orders, order{p: c.peers[act.Server], msg: &wire.SInterest{ServerID: act.Server, Group: name, Interested: false}})
+			c.enqueueLocked(&wire.SInterest{ServerID: act.Server, Group: name, Interested: false}, c.peers[act.Server], nil)
 		}
 	}
-	return orders
 }
 
 // rebalance runs one placement evaluation: expire stale migrations, then plan
@@ -236,7 +217,6 @@ func (c *Coordinator) rebalance() {
 		from, to uint64
 	}
 	var expired []migNote
-	var orders []order
 
 	c.mu.Lock()
 	now := c.cfg.Now()
@@ -255,7 +235,7 @@ func (c *Coordinator) rebalance() {
 	sort.Strings(names)
 	for _, name := range names {
 		if _, busy := c.migrations[name]; !busy {
-			orders = append(orders, c.planLocked(name, c.groups[name], loads, false)...)
+			c.planLocked(name, c.groups[name], loads, false)
 		}
 	}
 	c.mu.Unlock()
@@ -263,5 +243,4 @@ func (c *Coordinator) rebalance() {
 	for _, m := range expired {
 		c.log.Warn("migration timed out", "group", m.group, "from", m.from, "to", m.to)
 	}
-	c.sendOrders(orders)
 }

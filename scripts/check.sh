@@ -20,17 +20,30 @@ cd "$(dirname "$0")/.."
 
 # Each line prints its wall time when the next one starts, and the gate
 # prints its total at the end, so a change can see which line it costs.
+# A line's second word is its budget in whole seconds, about 1.5 times its
+# slowest of three warm runs on a 2-vCPU host (build cache hot, sources
+# unchanged; corona-lint's from a run its stamp missed). A line over its
+# budget prints a warning and the gate goes on: a shared host's timings are
+# no verdict. After an edit, `go test` re-runs the packages it touches and
+# warns with what that cost.
 ms() { echo $(($(date +%s%N) / 1000000)); }
+secs() { printf '%d.%d' $(($1 / 1000)) $(($1 % 1000 / 100)); }
 elapsed() {
 	d=$(($(ms) - $1))
-	printf '   %d.%d s\n' $((d / 1000)) $((d % 1000 / 100))
+	echo "   $(secs "$d") s"
 }
 line_start=
+end_line() {
+	elapsed "$line_start"
+	if [ "$d" -gt $((line_budget * 1000)) ]; then
+		echo "WARN: $line_name $(secs "$d") s > $line_budget s" >&2
+	fi
+}
 line() {
 	if [ -n "$line_start" ]; then
-		elapsed "$line_start"
+		end_line
 	fi
-	line_start=$(ms)
+	line_name=$1 line_budget=$2 line_start=$(ms)
 	echo "== $1"
 }
 gate_start=$(ms)
@@ -49,7 +62,7 @@ quiet() {
 	fi
 }
 
-line "gofmt -s"
+line "gofmt -s" 1
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt -s needed on:" >&2
@@ -57,13 +70,13 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-line "go vet"
+line "go vet" 3
 go vet ./...
 
-line "go build"
+line "go build" 6
 go build ./...
 
-line "corona-lint"
+line "corona-lint" 4
 # The suite is whole-program: its verdict depends on every Go source in
 # the module, not just the analyzers. Cache the clean result keyed on a
 # hash of all of them (go.mod included, fixtures and all — they are the
@@ -80,10 +93,10 @@ else
 	printf '%s' "$lint_hash" >"$lint_stamp"
 fi
 
-line "go test -race -short"
+line "go test -race -short" 3
 go test -race -short ./...
 
-line "allocation budgets (no race)"
+line "allocation budgets (no race)" 2
 # A full join allocates the state once: chunks are written from the group's
 # buffers and read into the joiner's one payload buffer, and the joiner's
 # view adopts it. The history adopts an applied event's bytes, so an update
@@ -95,7 +108,7 @@ line "allocation budgets (no race)"
 # the test that streamed objects do not overlap.
 quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core
 
-line "fuzz smoke (3s per target)"
+line "fuzz smoke (3s per target)" 14
 # FuzzMessage takes every kind of the wire registry through decode and
 # re-encode; FuzzTransferChunk also cuts a chunk into segments and reads it
 # in place. The other targets' seed corpora run with the tests.
@@ -106,12 +119,12 @@ fuzz_smoke() {
 }
 quiet fuzz fuzz_smoke
 
-line "bench smoke (compile + one iteration, short windows)"
+line "bench smoke (compile + one iteration, short windows)" 13
 # -short cuts the root throughput benches' windows from 500 ms to 50 ms: the
 # smoke shows the harness runs end to end, and benchmark/ measures.
 quiet bench go test -short -run NONE -bench . -benchtime 1x ./...
 
-line "corona-bench smokes (one build, five experiments)"
+line "corona-bench smokes (one build, five experiments)" 5
 # One link instead of five `go run`s. table1: pipelined clients drive the
 # greedy drain, multi-event runs on the multicast path and the pooled
 # DeliverBatch fanout end to end. fanout: the off-lock sharded pipeline
@@ -131,7 +144,7 @@ bench_smokes() {
 }
 quiet corona-bench bench_smokes
 
-elapsed "$line_start"
+end_line
 echo "== total"
 elapsed "$gate_start"
 echo "OK"
