@@ -303,6 +303,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			FS: cfg.WALFS,
 		})
 		if err != nil {
+			// The fanout pool and the error reporter are running: a failed
+			// open stops them, and leaves nothing running behind it.
+			e.Close()
 			return nil, fmt.Errorf("core: recover: %w", err)
 		}
 	}

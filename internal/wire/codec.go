@@ -120,6 +120,7 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	ids map[string]string // String's interned values; nil: String copies each
 }
 
 // NewDecoder returns a Decoder reading from buf. The Decoder does not copy
@@ -130,6 +131,12 @@ func NewDecoder(buf []byte) *Decoder {
 
 // Err returns the first decoding error, or nil.
 func (d *Decoder) Err() error { return d.err }
+
+// Intern makes String return the one copy of each value it has read before
+// into ids, and add each new value there. A lookup by string(bytes)
+// allocates nothing, so a caller that decodes the same few strings over and
+// over keeps one ids across its decoders and allocates each string once.
+func (d *Decoder) Intern(ids map[string]string) { d.ids = ids }
 
 // Remaining returns the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -246,7 +253,8 @@ func (d *Decoder) ByteCopy() []byte {
 	return out
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string: a fresh copy, or the interned
+// one after Intern.
 func (d *Decoder) String() string {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -260,7 +268,15 @@ func (d *Decoder) String() string {
 		d.fail(ErrShortBuffer)
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
+	if d.ids == nil {
+		return string(b)
+	}
+	if s, ok := d.ids[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.ids[s] = s
 	return s
 }

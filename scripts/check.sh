@@ -103,10 +103,12 @@ line "allocation budgets (no race)" 2
 # allocates nothing unless the object must grow, and growth is geometric; a
 # run allocates one buffer per object it resets or grows, and Apply one copy
 # for the history. A replica's distributed run of one recycles its scratch.
-# A recovered base record is copied once, by the restore. The allocation
-# guards skip themselves under -race, so they run here uninstrumented, with
-# the test that streamed objects do not overlap.
-quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce' ./internal/client ./internal/state ./internal/core
+# A recovered base record is copied once, by the restore, and a recovered
+# event allocates at most a quarter of an object: its bytes and object ID
+# are the log's and its group's, and its run reuses an applied run's
+# slices. The allocation guards skip themselves under -race, so they run
+# here uninstrumented, with the test that streamed objects do not overlap.
+quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce|TestRecoveryAllocations' ./internal/client ./internal/state ./internal/core
 
 line "fuzz smoke (3s per target)" 14
 # FuzzMessage takes every kind of the wire registry through decode and
