@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -67,7 +68,9 @@ type Config struct {
 	Name string
 	// OnEvent receives live group deliveries, in total order per group.
 	// It runs on the client's read loop: it must not block and must not
-	// call synchronous Client methods.
+	// call synchronous Client methods. Callbacks never run while the read
+	// loop has the connection corked, so a BcastUpdateNoWait made from one
+	// is on the wire before it returns.
 	OnEvent func(group string, ev wire.Event)
 	// OnMembership receives membership-change notifications for groups
 	// joined with Notify. Same constraints as OnEvent.
@@ -169,6 +172,15 @@ type Client struct {
 
 // Dial connects and performs the Hello exchange.
 func Dial(cfg Config) (*Client, error) {
+	c := newClient(cfg)
+	if err := c.connect(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newClient returns an unconnected client with cfg's defaults filled in.
+func newClient(cfg Config) *Client {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
@@ -178,25 +190,26 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	c := &Client{
+	return &Client{
 		cfg:       cfg,
 		log:       cfg.Logger,
 		pending:   make(map[uint64]chan wire.Message),
 		groups:    make(map[string]*joined),
 		transfers: make(map[string]*pendingTransfer),
 	}
-	if err := c.connect(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
-// connect dials and completes the handshake, then starts the read loop.
+// connect dials, then starts the connection.
 func (c *Client) connect() error {
 	conn, err := transport.Dial(c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
 		return err
 	}
+	return c.start(conn)
+}
+
+// start completes the handshake on conn, then starts its read loop.
+func (c *Client) start(conn *transport.Conn) error {
 	if err := conn.WriteMessage(&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion, Name: c.cfg.Name}); err != nil {
 		conn.Close()
 		return fmt.Errorf("client: hello: %w", err)
@@ -272,45 +285,42 @@ func (c *Client) failPendingLocked() {
 	}
 }
 
-// readLoop dispatches inbound messages until the connection dies.
+// readLoop dispatches inbound messages until the connection dies. After
+// every blocking read it drains the frames already buffered, the way the
+// server's session loop does, and hands the replies among them to their
+// waiters at the end of the burst. When a burst completes two or more
+// requests, their callers are about to send their next requests: the loop
+// corks the connection, wakes them and yields once, so those requests
+// leave in one socket write when it uncorks. A burst that completes fewer
+// never corks or yields, and no callback runs corked.
 func (c *Client) readLoop(conn *transport.Conn, gen int) {
 	conn.ReadChunksInto(c.reserveChunk(gen))
 	var readErr error
-	for {
+	var done []completion // the current burst's replies
+	wake := func() {
+		for _, d := range done {
+			d.ch <- d.reply
+		}
+		clear(done) // a large reply is not kept until the next burst
+	}
+	for readErr == nil {
+		done = done[:0]
 		msg, err := conn.ReadMessage()
-		if err != nil {
-			readErr = err
-			break
+		for ; msg != nil && err == nil; msg, err = conn.ReadMessageBuffered() {
+			if d, ok := c.dispatch(conn, msg); ok {
+				done = append(done, d)
+			}
 		}
-		switch m := msg.(type) {
-		case *wire.Deliver:
-			c.deliverOne(m.Group, m.Event)
-		case *wire.DeliverBatch:
-			// A batch is a run of consecutively sequenced events; feeding
-			// each through the single-delivery path keeps the ordering,
-			// transfer-buffering, and resume-cursor logic identical.
-			for _, ev := range m.Events {
-				c.deliverOne(m.Group, ev)
-			}
-		case *wire.MembershipNotify:
-			if c.cfg.OnMembership != nil {
-				c.cfg.OnMembership(*m)
-			}
-		case *wire.JoinAck:
-			if m.Streaming {
-				c.beginTransfer(m)
-			} else {
-				c.completeRequest(m)
-			}
-		case *wire.TransferChunk:
-			c.transferChunk(m)
-		case *wire.TransferDone:
-			c.transferDone(m)
-		case *wire.Ping:
-			_ = conn.WriteMessage(&wire.Pong{Nonce: m.Nonce})
-		default:
-			c.completeRequest(msg)
+		readErr = err
+		if readErr != nil || len(done) < 2 {
+			wake()
+			continue
 		}
+		// A failed flush is a dead connection, handled as a read error.
+		readErr = conn.Corked(func() {
+			wake()
+			runtime.Gosched()
+		})
 	}
 
 	c.mu.Lock()
@@ -332,6 +342,48 @@ func (c *Client) readLoop(conn *transport.Conn, gen int) {
 	if c.cfg.AutoReconnect {
 		go c.reconnectLoop()
 	}
+}
+
+// completion is a reply and the channel of the request waiting for it.
+type completion struct {
+	ch    chan wire.Message
+	reply wire.Message
+}
+
+// dispatch handles one inbound message. A reply to a waiting request is
+// returned, for the read loop to hand over, rather than handed over here.
+func (c *Client) dispatch(conn *transport.Conn, msg wire.Message) (completion, bool) {
+	switch m := msg.(type) {
+	case *wire.Deliver:
+		c.deliverOne(m.Group, m.Event)
+	case *wire.DeliverBatch:
+		// A batch is a run of consecutively sequenced events; feeding
+		// each through the single-delivery path keeps the ordering,
+		// transfer-buffering, and resume-cursor logic identical.
+		for _, ev := range m.Events {
+			c.deliverOne(m.Group, ev)
+		}
+	case *wire.MembershipNotify:
+		if c.cfg.OnMembership != nil {
+			c.cfg.OnMembership(*m)
+		}
+	case *wire.JoinAck:
+		if !m.Streaming {
+			ch, ok := c.takeWaiter(m)
+			return completion{ch, m}, ok
+		}
+		c.beginTransfer(m)
+	case *wire.TransferChunk:
+		c.transferChunk(m)
+	case *wire.TransferDone:
+		c.transferDone(m)
+	case *wire.Ping:
+		_ = conn.WriteMessage(&wire.Pong{Nonce: m.Nonce})
+	default:
+		ch, ok := c.takeWaiter(msg)
+		return completion{ch, msg}, ok
+	}
+	return completion{}, false
 }
 
 // reconnectLoop retries Reconnect with jittered exponential backoff until
@@ -538,10 +590,18 @@ func requestID(msg wire.Message) (uint64, bool) {
 // completeRequest hands a reply to its waiter, dropping replies nobody
 // waits for (e.g. acks of fire-and-forget broadcasts).
 func (c *Client) completeRequest(msg wire.Message) {
+	if ch, ok := c.takeWaiter(msg); ok {
+		ch <- msg
+	}
+}
+
+// takeWaiter removes and returns the reply channel of the request msg
+// answers, if one is waiting.
+func (c *Client) takeWaiter(msg wire.Message) (chan wire.Message, bool) {
 	id, ok := requestID(msg)
 	if !ok {
 		c.log.Debug("unexpected message", "kind", msg.Kind().String())
-		return
+		return nil, false
 	}
 	c.mu.Lock()
 	ch, ok := c.pending[id]
@@ -549,9 +609,7 @@ func (c *Client) completeRequest(msg wire.Message) {
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	if ok {
-		ch <- msg
-	}
+	return ch, ok
 }
 
 // newRequest allocates a request ID and its reply channel.

@@ -38,12 +38,17 @@ type Conn struct {
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
+	// corked holds WriteMessage's and WriteFrame's flushes (Corked),
+	// guarded by wmu.
+	corked bool
 	// wbuf is the reusable marshal buffer, guarded by wmu.
 	wbuf []byte
 	// wvec is the reusable iovec list of a vectored write, guarded by wmu.
 	wvec net.Buffers
 
-	// rbuf is the reusable read buffer, owned by the reading goroutine.
+	// hdr is the length prefix of a blocking read, and rbuf the reusable
+	// read buffer, both owned by the reading goroutine.
+	hdr  [4]byte
 	rbuf []byte
 	// reserve, when set, takes TransferChunk bodies in place (ReadChunksInto).
 	reserve wire.ChunkReserve
@@ -54,8 +59,17 @@ func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc: nc,
 		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
+		bw: bufio.NewWriterSize(socketWriter{nc}, 64<<10),
 	}
+}
+
+// socketWriter is the write buffer's way to the socket; it counts each
+// write the buffer issues.
+type socketWriter struct{ nc net.Conn }
+
+func (w socketWriter) Write(p []byte) (int, error) {
+	writes.Inc()
+	return w.nc.Write(p)
 }
 
 // ReadChunksInto makes every later read of a TransferChunk, whatever its
@@ -83,14 +97,13 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 // alias the connection's buffers. io.EOF is returned unwrapped on a clean
 // close between frames.
 func (c *Conn) ReadMessage() (wire.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.EOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.hdr[:])
 	if n > wire.MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
@@ -164,7 +177,8 @@ func (c *Conn) frameBuf(n uint32) []byte {
 	return c.rbuf[:n]
 }
 
-// WriteMessage encodes and writes one message, flushing immediately.
+// WriteMessage encodes and writes one message, flushing immediately unless
+// the connection is corked.
 func (c *Conn) WriteMessage(msg wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -173,11 +187,12 @@ func (c *Conn) WriteMessage(msg wire.Message) error {
 		return err
 	}
 	bytesOut.Add(uint64(len(c.wbuf)))
-	return c.bw.Flush()
+	return c.flushUncorked()
 }
 
 // WriteFrame writes a pre-encoded frame (as produced by EncodeFrame),
-// flushing immediately. Servers use it to marshal a fanout message once.
+// flushing immediately unless the connection is corked. Servers use it to
+// marshal a fanout message once.
 func (c *Conn) WriteFrame(frame []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -185,6 +200,33 @@ func (c *Conn) WriteFrame(frame []byte) error {
 		return err
 	}
 	bytesOut.Add(uint64(len(frame)))
+	return c.flushUncorked()
+}
+
+// Corked runs fn with the connection corked: every WriteMessage and
+// WriteFrame made meanwhile, by any goroutine, leaves its frame in the
+// 64 KiB write buffer, and when fn returns the buffer goes out in one
+// write. A frame that does not fit still writes what the buffer holds, so
+// a writer that outruns its peer keeps its backpressure. Corked returns the
+// closing flush's error; a failed flush fails every later write with the
+// same error. Calls must not overlap.
+func (c *Conn) Corked(fn func()) error {
+	c.wmu.Lock()
+	c.corked = true
+	c.wmu.Unlock()
+	fn()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.corked = false
+	return c.bw.Flush()
+}
+
+// flushUncorked flushes the write buffer unless the connection is corked.
+// Caller holds wmu.
+func (c *Conn) flushUncorked() error {
+	if c.corked {
+		return nil
+	}
 	return c.bw.Flush()
 }
 
@@ -210,6 +252,7 @@ func (c *Conn) writeShared(f *SharedFrame) error {
 	// frame's own list may be shared by several pumps.
 	c.wvec = append(c.wvec[:0], f.vec...)
 	vec := c.wvec
+	writes.Inc()
 	_, err := vec.WriteTo(c.nc)
 	clear(c.wvec)
 	if err != nil {

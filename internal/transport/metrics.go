@@ -20,9 +20,14 @@ var (
 	// length prefix) crossing every Conn in the process.
 	bytesIn  = obs.Default.Counter("transport.bytes_in")
 	bytesOut = obs.Default.Counter("transport.bytes_out")
+	// writes counts the write and writev calls every Conn issues to its
+	// socket; frames per write is what corking and the pumps' batching
+	// amortize.
+	writes = obs.Default.Counter("transport.writes")
 	// readCoalesced counts frames consumed by ReadMessageBuffered — i.e.
 	// frames that rode an already-buffered burst instead of paying a
-	// blocking socket read. The ratio to total frames shows how often the
-	// ingest batcher actually amortizes.
+	// blocking socket read. Every read loop drains that way (the server's
+	// ingest batcher, the client's read loop, a replica's link), so the
+	// ratio to total frames shows how often reads amortize.
 	readCoalesced = obs.Default.Counter("transport.read_coalesced_frames")
 )
