@@ -1,7 +1,7 @@
 // Package aliasretain polices the wire codec's zero-copy contract from
 // both sides.
 //
-// Decode functions annotated //corona:aliases-input (Decoder.Bytes,
+// Decode functions annotated //corona:aliases-input (Codec.BytesAlias,
 // DecodeObjectsAlias, decodeTransferPayload, …) return slices that alias
 // the caller's input buffer. Callers therefore must treat the results as
 // borrowed: the analyzer flags

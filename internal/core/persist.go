@@ -27,41 +27,49 @@ var ErrEngineClosed = errors.New("core: engine closed")
 // and an event list — the ones the transfer payload and the replica-state
 // messages use — so stable storage has no codec of its own to drift.
 
+// recordHeader writes what every record starts with: its tag and group.
+func recordHeader(c *wire.Codec, tag byte, group string) {
+	wire.Byte(c, &tag)
+	c.String(&group)
+}
+
 func encodeEventRecord(group string, ev wire.Event) []byte {
-	e := wire.NewEncoder(make([]byte, 0, 64+len(ev.Data)))
-	e.PutByte(recEvent)
-	e.PutString(group)
-	ev.Encode(e)
-	return e.Bytes()
+	c := wire.NewWriter(make([]byte, 0, 64+len(ev.Data)))
+	recordHeader(c, recEvent, group)
+	ev.Fields(c)
+	return c.Written()
 }
 
 func encodeCreateRecord(group string, initial []wire.Object) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(recCreate)
-	e.PutString(group)
-	wire.EncodeObjects(e, initial)
-	return e.Bytes()
+	c := wire.NewWriter(nil)
+	recordHeader(c, recCreate, group)
+	wire.List(c, &initial, (*wire.Object).Fields)
+	return c.Written()
 }
 
 func encodeDeleteRecord(group string) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(recDelete)
-	e.PutString(group)
-	return e.Bytes()
+	c := wire.NewWriter(nil)
+	recordHeader(c, recDelete, group)
+	return c.Written()
 }
 
 // encodeCheckpointRecord encodes straight from the image, which may be a
 // view sharing the live buffers: the record is the one copy of the payload.
 func encodeCheckpointRecord(group string, cp state.Checkpointed) []byte {
-	e := wire.NewEncoder(nil)
-	e.PutByte(recCheckpoint)
-	e.PutString(group)
-	e.PutUvarint(cp.BaseSeq)
-	e.PutUvarint(cp.NextSeq)
-	e.PutUint64(cp.Digest)
-	wire.EncodeObjects(e, cp.Objects)
-	wire.EncodeEvents(e, cp.History)
-	return e.Bytes()
+	c := wire.NewWriter(nil)
+	recordHeader(c, recCheckpoint, group)
+	checkpointHeader(c, &cp)
+	wire.List(c, &cp.Objects, (*wire.Object).Fields)
+	wire.List(c, &cp.History, (*wire.Event).Fields)
+	return c.Written()
+}
+
+// checkpointHeader codes the fields of a checkpoint record before its
+// objects and history.
+func checkpointHeader(c *wire.Codec, cp *state.Checkpointed) {
+	c.Uvarint(&cp.BaseSeq)
+	c.Uvarint(&cp.NextSeq)
+	c.Uint64(&cp.Digest)
 }
 
 // recover opens the stable-storage log and rebuilds the persistent groups
@@ -138,9 +146,9 @@ func (sp split) record(ap *applier, lsn uint64, payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("core: empty wal record")
 	}
-	d := wire.NewDecoder(payload[1:])
+	d := wire.NewReader(payload[1:])
 	// The name stays bytes: a lookup by string(name) allocates nothing.
-	name := d.Bytes()
+	name := d.BytesAlias()
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("core: wal record %d: %w", lsn, err)
 	}
@@ -186,7 +194,7 @@ type groupLog struct {
 // event decodes one event record onto the pending run, and hands the run
 // to ap once it is full.
 func (gl *groupLog) event(ap *applier, lsn uint64, body []byte) {
-	d := wire.NewDecoder(body)
+	d := wire.NewReader(body)
 	d.Intern(gl.ids)
 	ev := wire.DecodeEventAlias(d)
 	if err := d.Err(); err != nil {
@@ -333,7 +341,7 @@ func (gl *groupLog) apply(run []wire.Event, runLSN []uint64) {
 // decode aliases the segment read: NewInitial and RestoreMaterialized clone
 // what they keep, and that clone is the one copy of the base.
 func (gl *groupLog) restoreBase() (*state.Group, error) {
-	d := wire.NewDecoder(gl.base)
+	d := wire.NewReader(gl.base)
 	if gl.baseTag == recCreate {
 		initial := wire.DecodeObjectsAlias(d)
 		if err := d.Err(); err != nil {
@@ -341,8 +349,12 @@ func (gl *groupLog) restoreBase() (*state.Group, error) {
 		}
 		return state.NewInitial(initial), nil
 	}
+	// The aliased lists are handed over in the literal, where aliasretain
+	// takes them as the documented handoff.
+	var h state.Checkpointed
+	checkpointHeader(d, &h)
 	cp := state.Checkpointed{
-		BaseSeq: d.Uvarint(), NextSeq: d.Uvarint(), Digest: d.Uint64(),
+		BaseSeq: h.BaseSeq, NextSeq: h.NextSeq, Digest: h.Digest,
 		Objects: wire.DecodeObjectsAlias(d), History: wire.DecodeEventsAlias(d),
 	}
 	if err := d.Err(); err != nil {

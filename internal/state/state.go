@@ -118,9 +118,10 @@ func (g *Group) Apply(ev wire.Event) error {
 // the caller's slice, not a copy, and captured views and checkpoints share
 // it. The caller must not write through Data afterwards; the state never
 // writes through an adopted slice nor appends to it (objects copy from it).
-// A decode's fresh copy (wire.DecodeEvent, Bcast.Decode) qualifies, and so
-// does a slice aliasing a buffer nothing writes again, such as a log
-// segment read; a reused buffer does not — use Apply.
+// A decode's fresh copy (Event.Fields or Bcast.Fields run by a reading
+// wire.Codec) qualifies, and so does a slice aliasing a buffer nothing
+// writes again, such as a log segment read; a reused buffer does not — use
+// Apply.
 func (g *Group) ApplyRun(evs []wire.Event) (int, error) {
 	n, err := g.runLength(evs)
 	evs = evs[:n]

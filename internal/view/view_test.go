@@ -144,10 +144,11 @@ func TestGetReturnsCopy(t *testing.T) {
 // so every Data is a region of the same buffer.
 func packedResult(t *testing.T, objs []wire.Object, nextSeq uint64) *client.JoinResult {
 	t.Helper()
-	e := wire.NewEncoder(nil)
-	wire.EncodeObjects(e, objs)
-	wire.EncodeEvents(e, nil)
-	payload := e.Bytes()
+	var evs []wire.Event
+	c := wire.NewWriter(nil)
+	wire.List(c, &objs, (*wire.Object).Fields)
+	wire.List(c, &evs, (*wire.Event).Fields)
+	payload := c.Written()
 	var asm wire.TransferAssembler
 	body, err := asm.Reserve(0, uint64(len(payload)), len(payload))
 	if err != nil {

@@ -16,19 +16,11 @@ type Hello struct {
 // Kind implements Message.
 func (*Hello) Kind() Kind { return KindHello }
 
-// Encode implements Message.
-func (m *Hello) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUint32(m.Proto)
-	e.PutString(m.Name)
-}
-
-// Decode implements Message.
-func (m *Hello) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Proto = d.Uint32()
-	m.Name = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *Hello) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uint32(&m.Proto)
+	c.String(&m.Name)
 }
 
 // HelloAck completes session setup and assigns the client its ID.
@@ -43,19 +35,11 @@ type HelloAck struct {
 // Kind implements Message.
 func (*HelloAck) Kind() Kind { return KindHelloAck }
 
-// Encode implements Message.
-func (m *HelloAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.ClientID)
-	e.PutUvarint(m.ServerID)
-}
-
-// Decode implements Message.
-func (m *HelloAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.ClientID = d.Uvarint()
-	m.ServerID = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *HelloAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uvarint(&m.ClientID)
+	c.Uvarint(&m.ServerID)
 }
 
 // CreateGroup creates a group with an optional initial shared state.
@@ -70,21 +54,12 @@ type CreateGroup struct {
 // Kind implements Message.
 func (*CreateGroup) Kind() Kind { return KindCreateGroup }
 
-// Encode implements Message.
-func (m *CreateGroup) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutBool(m.Persistent)
-	EncodeObjects(e, m.Initial)
-}
-
-// Decode implements Message.
-func (m *CreateGroup) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Persistent = d.Bool()
-	m.Initial = DecodeObjects(d)
-	return d.Err()
+// Fields implements Message.
+func (m *CreateGroup) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Bool(&m.Persistent)
+	List(c, &m.Initial, (*Object).Fields)
 }
 
 // CreateGroupAck confirms group creation.
@@ -95,14 +70,8 @@ type CreateGroupAck struct {
 // Kind implements Message.
 func (*CreateGroupAck) Kind() Kind { return KindCreateGroupAck }
 
-// Encode implements Message.
-func (m *CreateGroupAck) Encode(e *Encoder) { e.PutUvarint(m.RequestID) }
-
-// Decode implements Message.
-func (m *CreateGroupAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *CreateGroupAck) Fields(c *Codec) { c.Uvarint(&m.RequestID) }
 
 // DeleteGroup deletes a group; its shared state is lost (paper §3.2: the
 // service deletes a group only in response to deleteGroup).
@@ -114,17 +83,10 @@ type DeleteGroup struct {
 // Kind implements Message.
 func (*DeleteGroup) Kind() Kind { return KindDeleteGroup }
 
-// Encode implements Message.
-func (m *DeleteGroup) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-}
-
-// Decode implements Message.
-func (m *DeleteGroup) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *DeleteGroup) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
 }
 
 // DeleteGroupAck confirms group deletion.
@@ -135,14 +97,8 @@ type DeleteGroupAck struct {
 // Kind implements Message.
 func (*DeleteGroupAck) Kind() Kind { return KindDeleteGroupAck }
 
-// Encode implements Message.
-func (m *DeleteGroupAck) Encode(e *Encoder) { e.PutUvarint(m.RequestID) }
-
-// Decode implements Message.
-func (m *DeleteGroupAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *DeleteGroupAck) Fields(c *Codec) { c.Uvarint(&m.RequestID) }
 
 // Join adds the client to a group and requests a state transfer. The join
 // protocol involves only the client and the server, never the existing
@@ -163,25 +119,14 @@ type Join struct {
 // Kind implements Message.
 func (*Join) Kind() Kind { return KindJoin }
 
-// Encode implements Message.
-func (m *Join) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	m.Policy.encode(e)
-	e.PutByte(byte(m.Role))
-	e.PutBool(m.Notify)
-	e.PutBool(m.CreateIfMissing)
-}
-
-// Decode implements Message.
-func (m *Join) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Policy = decodeTransferPolicy(d)
-	m.Role = Role(d.Byte())
-	m.Notify = d.Bool()
-	m.CreateIfMissing = d.Bool()
-	return d.Err()
+// Fields implements Message.
+func (m *Join) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	m.Policy.Fields(c)
+	Byte(c, &m.Role)
+	c.Bool(&m.Notify)
+	c.Bool(&m.CreateIfMissing)
 }
 
 // JoinAck carries the requested state transfer and the current membership.
@@ -216,31 +161,17 @@ type JoinAck struct {
 // Kind implements Message.
 func (*JoinAck) Kind() Kind { return KindJoinAck }
 
-// Encode implements Message.
-func (m *JoinAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.NextSeq)
-	e.PutUvarint(m.BaseSeq)
-	e.PutUint64(m.Digest)
-	EncodeObjects(e, m.Objects)
-	EncodeEvents(e, m.Events)
-	encodeMembers(e, m.Members)
-	e.PutBool(m.Streaming)
-}
-
-// Decode implements Message.
-func (m *JoinAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.NextSeq = d.Uvarint()
-	m.BaseSeq = d.Uvarint()
-	m.Digest = d.Uint64()
-	m.Objects = DecodeObjects(d)
-	m.Events = DecodeEvents(d)
-	m.Members = decodeMembers(d)
-	m.Streaming = d.Bool()
-	return d.Err()
+// Fields implements Message.
+func (m *JoinAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Uvarint(&m.NextSeq)
+	c.Uvarint(&m.BaseSeq)
+	c.Uint64(&m.Digest)
+	List(c, &m.Objects, (*Object).Fields)
+	List(c, &m.Events, (*Event).Fields)
+	List(c, &m.Members, (*MemberInfo).Fields)
+	c.Bool(&m.Streaming)
 }
 
 // TransferChunk carries one contiguous slice of a streamed state-transfer
@@ -257,7 +188,7 @@ type TransferChunk struct {
 	// Total is the payload size in bytes, repeated in every chunk so
 	// progress can be reported from any of them.
 	Total uint64
-	// Data is the chunk's bytes as read. Decode aliases the decode buffer,
+	// Data is the chunk's bytes as read. A read aliases the input buffer,
 	// valid only until the connection's next read; a receiver that takes
 	// chunks in place (ReadTransferChunk) gets the slice it reserved for
 	// the body, which the socket was read into.
@@ -267,44 +198,35 @@ type TransferChunk struct {
 	// wire bytes are those of Data set to the concatenation; decoding
 	// always yields Data. A transfer frame points the socket write at the
 	// large pieces and never concatenates them (transport.NewChunkFrame);
-	// Encode gathers them, for a frame built from the message alone.
+	// Fields gathers them, for a frame built from the message alone.
 	Segments Segments
 }
 
 // Kind implements Message.
 func (*TransferChunk) Kind() Kind { return KindTransferChunk }
 
-// Encode implements Message.
-func (m *TransferChunk) Encode(e *Encoder) {
-	m.putHeader(e)
-	if m.Segments != nil {
-		e.PutSegments(m.Segments)
-		return
+// Fields implements Message. A chunk keeps a hand-written half for each
+// direction past its header: a write gathers Segments when they are set, and
+// a read aliases Data to the input instead of copying it.
+func (m *TransferChunk) Fields(c *Codec) {
+	m.header(c)
+	switch {
+	case c.read:
+		//lint:allow aliasretain Data documents the aliasing contract: valid until the connection's next read
+		m.Data = c.BytesAlias()
+	case m.Segments != nil:
+		c.putSegments(m.Segments)
+	default:
+		c.ByteCopy(&m.Data)
 	}
-	e.PutBytes(m.Data)
 }
 
-// Decode implements Message.
-func (m *TransferChunk) Decode(d *Decoder) error {
-	m.decodeHeader(d)
-	//lint:allow aliasretain Data documents the aliasing contract: valid until the connection's next read
-	m.Data = d.Bytes()
-	return d.Err()
-}
-
-// putHeader and decodeHeader code every field before the body.
-func (m *TransferChunk) putHeader(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.Offset)
-	e.PutUvarint(m.Total)
-}
-
-func (m *TransferChunk) decodeHeader(d *Decoder) {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Offset = d.Uvarint()
-	m.Total = d.Uvarint()
+// header codes every field before the body.
+func (m *TransferChunk) header(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Uvarint(&m.Offset)
+	c.Uvarint(&m.Total)
 }
 
 // TransferDone terminates a streamed state transfer: every chunk has been
@@ -321,19 +243,11 @@ type TransferDone struct {
 // Kind implements Message.
 func (*TransferDone) Kind() Kind { return KindTransferDone }
 
-// Encode implements Message.
-func (m *TransferDone) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.Bytes)
-}
-
-// Decode implements Message.
-func (m *TransferDone) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Bytes = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *TransferDone) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Uvarint(&m.Bytes)
 }
 
 // Leave removes the client from a group.
@@ -345,17 +259,10 @@ type Leave struct {
 // Kind implements Message.
 func (*Leave) Kind() Kind { return KindLeave }
 
-// Encode implements Message.
-func (m *Leave) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-}
-
-// Decode implements Message.
-func (m *Leave) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *Leave) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
 }
 
 // LeaveAck confirms a leave.
@@ -366,14 +273,8 @@ type LeaveAck struct {
 // Kind implements Message.
 func (*LeaveAck) Kind() Kind { return KindLeaveAck }
 
-// Encode implements Message.
-func (m *LeaveAck) Encode(e *Encoder) { e.PutUvarint(m.RequestID) }
-
-// Decode implements Message.
-func (m *LeaveAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *LeaveAck) Fields(c *Codec) { c.Uvarint(&m.RequestID) }
 
 // GetMembership asks for the current membership of a group (paper §3.2: a
 // member may query the service for membership information at any time).
@@ -385,17 +286,10 @@ type GetMembership struct {
 // Kind implements Message.
 func (*GetMembership) Kind() Kind { return KindGetMembership }
 
-// Encode implements Message.
-func (m *GetMembership) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-}
-
-// Decode implements Message.
-func (m *GetMembership) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *GetMembership) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
 }
 
 // MembershipInfo answers GetMembership.
@@ -408,19 +302,11 @@ type MembershipInfo struct {
 // Kind implements Message.
 func (*MembershipInfo) Kind() Kind { return KindMembershipInfo }
 
-// Encode implements Message.
-func (m *MembershipInfo) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	encodeMembers(e, m.Members)
-}
-
-// Decode implements Message.
-func (m *MembershipInfo) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Members = decodeMembers(d)
-	return d.Err()
+// Fields implements Message.
+func (m *MembershipInfo) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	List(c, &m.Members, (*MemberInfo).Fields)
 }
 
 // MembershipNotify is pushed to subscribed members when a group's
@@ -436,21 +322,12 @@ type MembershipNotify struct {
 // Kind implements Message.
 func (*MembershipNotify) Kind() Kind { return KindMembershipNotify }
 
-// Encode implements Message.
-func (m *MembershipNotify) Encode(e *Encoder) {
-	e.PutString(m.Group)
-	e.PutByte(byte(m.Change))
-	m.Member.encode(e)
-	e.PutUint32(m.Count)
-}
-
-// Decode implements Message.
-func (m *MembershipNotify) Decode(d *Decoder) error {
-	m.Group = d.String()
-	m.Change = MembershipChange(d.Byte())
-	m.Member = decodeMemberInfo(d)
-	m.Count = d.Uint32()
-	return d.Err()
+// Fields implements Message.
+func (m *MembershipNotify) Fields(c *Codec) {
+	c.String(&m.Group)
+	Byte(c, &m.Change)
+	m.Member.Fields(c)
+	c.Uint32(&m.Count)
 }
 
 // Bcast submits a multicast to the group. Kind selects bcastState (replace
@@ -469,25 +346,14 @@ type Bcast struct {
 // Kind implements Message.
 func (*Bcast) Kind() Kind { return KindBcast }
 
-// Encode implements Message.
-func (m *Bcast) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutByte(byte(m.EvKind))
-	e.PutString(m.ObjectID)
-	e.PutBytes(m.Data)
-	e.PutBool(m.SenderInclusive)
-}
-
-// Decode implements Message.
-func (m *Bcast) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.EvKind = EventKind(d.Byte())
-	m.ObjectID = d.String()
-	m.Data = d.ByteCopy()
-	m.SenderInclusive = d.Bool()
-	return d.Err()
+// Fields implements Message.
+func (m *Bcast) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	Byte(c, &m.EvKind)
+	c.String(&m.ObjectID)
+	c.ByteCopy(&m.Data)
+	c.Bool(&m.SenderInclusive)
 }
 
 // BcastAck reports the sequence number assigned to a Bcast. It doubles as
@@ -500,17 +366,10 @@ type BcastAck struct {
 // Kind implements Message.
 func (*BcastAck) Kind() Kind { return KindBcastAck }
 
-// Encode implements Message.
-func (m *BcastAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.Seq)
-}
-
-// Decode implements Message.
-func (m *BcastAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Seq = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *BcastAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uvarint(&m.Seq)
 }
 
 // Deliver pushes one sequenced group event to a member.
@@ -522,17 +381,10 @@ type Deliver struct {
 // Kind implements Message.
 func (*Deliver) Kind() Kind { return KindDeliver }
 
-// Encode implements Message.
-func (m *Deliver) Encode(e *Encoder) {
-	e.PutString(m.Group)
-	m.Event.Encode(e)
-}
-
-// Decode implements Message.
-func (m *Deliver) Decode(d *Decoder) error {
-	m.Group = d.String()
-	m.Event = DecodeEvent(d)
-	return d.Err()
+// Fields implements Message.
+func (m *Deliver) Fields(c *Codec) {
+	c.String(&m.Group)
+	m.Event.Fields(c)
 }
 
 // DeliverBatch pushes a run of sequenced group events to a member in one
@@ -548,17 +400,10 @@ type DeliverBatch struct {
 // Kind implements Message.
 func (*DeliverBatch) Kind() Kind { return KindDeliverBatch }
 
-// Encode implements Message.
-func (m *DeliverBatch) Encode(e *Encoder) {
-	e.PutString(m.Group)
-	EncodeEvents(e, m.Events)
-}
-
-// Decode implements Message.
-func (m *DeliverBatch) Decode(d *Decoder) error {
-	m.Group = d.String()
-	m.Events = DecodeEvents(d)
-	return d.Err()
+// Fields implements Message.
+func (m *DeliverBatch) Fields(c *Codec) {
+	c.String(&m.Group)
+	List(c, &m.Events, (*Event).Fields)
 }
 
 // LockAcquire requests a named lock within a group (paper §3.2: interfaces
@@ -575,21 +420,12 @@ type LockAcquire struct {
 // Kind implements Message.
 func (*LockAcquire) Kind() Kind { return KindLockAcquire }
 
-// Encode implements Message.
-func (m *LockAcquire) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutString(m.Name)
-	e.PutBool(m.Wait)
-}
-
-// Decode implements Message.
-func (m *LockAcquire) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Name = d.String()
-	m.Wait = d.Bool()
-	return d.Err()
+// Fields implements Message.
+func (m *LockAcquire) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.String(&m.Name)
+	c.Bool(&m.Wait)
 }
 
 // LockRelease releases a held lock.
@@ -602,19 +438,11 @@ type LockRelease struct {
 // Kind implements Message.
 func (*LockRelease) Kind() Kind { return KindLockRelease }
 
-// Encode implements Message.
-func (m *LockRelease) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutString(m.Name)
-}
-
-// Decode implements Message.
-func (m *LockRelease) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.Name = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *LockRelease) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.String(&m.Name)
 }
 
 // LockReply answers LockAcquire (possibly after queuing) and LockRelease.
@@ -628,19 +456,11 @@ type LockReply struct {
 // Kind implements Message.
 func (*LockReply) Kind() Kind { return KindLockReply }
 
-// Encode implements Message.
-func (m *LockReply) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutBool(m.Granted)
-	e.PutUvarint(m.Holder)
-}
-
-// Decode implements Message.
-func (m *LockReply) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Granted = d.Bool()
-	m.Holder = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *LockReply) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Bool(&m.Granted)
+	c.Uvarint(&m.Holder)
 }
 
 // ReduceLog asks the service to trim the group's update history up to
@@ -655,19 +475,11 @@ type ReduceLog struct {
 // Kind implements Message.
 func (*ReduceLog) Kind() Kind { return KindReduceLog }
 
-// Encode implements Message.
-func (m *ReduceLog) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutUvarint(m.UpToSeq)
-}
-
-// Decode implements Message.
-func (m *ReduceLog) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.UpToSeq = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *ReduceLog) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Uvarint(&m.UpToSeq)
 }
 
 // ReduceLogAck reports the group's new checkpoint base.
@@ -682,19 +494,11 @@ type ReduceLogAck struct {
 // Kind implements Message.
 func (*ReduceLogAck) Kind() Kind { return KindReduceLogAck }
 
-// Encode implements Message.
-func (m *ReduceLogAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.BaseSeq)
-	e.PutUvarint(m.Trimmed)
-}
-
-// Decode implements Message.
-func (m *ReduceLogAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.BaseSeq = d.Uvarint()
-	m.Trimmed = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *ReduceLogAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uvarint(&m.BaseSeq)
+	c.Uvarint(&m.Trimmed)
 }
 
 // ListGroups asks for the names of all groups known to the service.
@@ -705,14 +509,8 @@ type ListGroups struct {
 // Kind implements Message.
 func (*ListGroups) Kind() Kind { return KindListGroups }
 
-// Encode implements Message.
-func (m *ListGroups) Encode(e *Encoder) { e.PutUvarint(m.RequestID) }
-
-// Decode implements Message.
-func (m *ListGroups) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *ListGroups) Fields(c *Codec) { c.Uvarint(&m.RequestID) }
 
 // GroupList answers ListGroups.
 type GroupList struct {
@@ -723,32 +521,10 @@ type GroupList struct {
 // Kind implements Message.
 func (*GroupList) Kind() Kind { return KindGroupList }
 
-// Encode implements Message.
-func (m *GroupList) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		e.PutString(g)
-	}
-}
-
-// Decode implements Message.
-func (m *GroupList) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > uint64(d.Remaining()) {
-		return ErrShortBuffer
-	}
-	if n > 0 {
-		m.Groups = make([]string, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.Groups = append(m.Groups, d.String())
-		}
-	}
-	return d.Err()
+// Fields implements Message.
+func (m *GroupList) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	List(c, &m.Groups, codeString)
 }
 
 // Ping is a liveness probe; either side may send it.
@@ -759,14 +535,8 @@ type Ping struct {
 // Kind implements Message.
 func (*Ping) Kind() Kind { return KindPing }
 
-// Encode implements Message.
-func (m *Ping) Encode(e *Encoder) { e.PutUvarint(m.Nonce) }
-
-// Decode implements Message.
-func (m *Ping) Decode(d *Decoder) error {
-	m.Nonce = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *Ping) Fields(c *Codec) { c.Uvarint(&m.Nonce) }
 
 // Pong answers Ping, echoing the nonce.
 type Pong struct {
@@ -776,14 +546,8 @@ type Pong struct {
 // Kind implements Message.
 func (*Pong) Kind() Kind { return KindPong }
 
-// Encode implements Message.
-func (m *Pong) Encode(e *Encoder) { e.PutUvarint(m.Nonce) }
-
-// Decode implements Message.
-func (m *Pong) Decode(d *Decoder) error {
-	m.Nonce = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *Pong) Fields(c *Codec) { c.Uvarint(&m.Nonce) }
 
 // ErrorMsg reports a request failure. RequestID of 0 marks a connection-
 // level error after which the peer will close.
@@ -796,17 +560,9 @@ type ErrorMsg struct {
 // Kind implements Message.
 func (*ErrorMsg) Kind() Kind { return KindError }
 
-// Encode implements Message.
-func (m *ErrorMsg) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(uint64(m.Code))
-	e.PutString(m.Text)
-}
-
-// Decode implements Message.
-func (m *ErrorMsg) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Code = ErrCode(d.Uvarint())
-	m.Text = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *ErrorMsg) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	Narrow(c, &m.Code)
+	c.String(&m.Text)
 }

@@ -34,23 +34,13 @@ type SHello struct {
 // Kind implements Message.
 func (*SHello) Kind() Kind { return KindSHello }
 
-// Encode implements Message.
-func (m *SHello) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUint32(m.Proto)
-	e.PutUvarint(m.ServerID)
-	e.PutString(m.Addr)
-	e.PutUvarint(m.Epoch)
-}
-
-// Decode implements Message.
-func (m *SHello) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Proto = d.Uint32()
-	m.ServerID = d.Uvarint()
-	m.Addr = d.String()
-	m.Epoch = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *SHello) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uint32(&m.Proto)
+	c.Uvarint(&m.ServerID)
+	c.String(&m.Addr)
+	c.Uvarint(&m.Epoch)
 }
 
 // SHelloAck completes server registration and distributes the current
@@ -67,23 +57,13 @@ type SHelloAck struct {
 // Kind implements Message.
 func (*SHelloAck) Kind() Kind { return KindSHelloAck }
 
-// Encode implements Message.
-func (m *SHelloAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.CoordinatorID)
-	e.PutUvarint(m.Epoch)
-	e.PutUvarint(m.BootOrder)
-	encodeServers(e, m.Servers)
-}
-
-// Decode implements Message.
-func (m *SHelloAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.CoordinatorID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	m.BootOrder = d.Uvarint()
-	m.Servers = decodeServers(d)
-	return d.Err()
+// Fields implements Message.
+func (m *SHelloAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uvarint(&m.CoordinatorID)
+	c.Uvarint(&m.Epoch)
+	c.Uvarint(&m.BootOrder)
+	List(c, &m.Servers, (*ServerInfo).Fields)
 }
 
 // SForward carries a client multicast from a member server to the
@@ -104,23 +84,13 @@ type SForward struct {
 // Kind implements Message.
 func (*SForward) Kind() Kind { return KindSForward }
 
-// Encode implements Message.
-func (m *SForward) Encode(e *Encoder) {
-	e.PutUvarint(m.Origin)
-	e.PutString(m.Group)
-	m.Event.Encode(e)
-	e.PutBool(m.SenderInclusive)
-	e.PutUvarint(m.RequestID)
-}
-
-// Decode implements Message.
-func (m *SForward) Decode(d *Decoder) error {
-	m.Origin = d.Uvarint()
-	m.Group = d.String()
-	m.Event = DecodeEvent(d)
-	m.SenderInclusive = d.Bool()
-	m.RequestID = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *SForward) Fields(c *Codec) {
+	c.Uvarint(&m.Origin)
+	c.String(&m.Group)
+	m.Event.Fields(c)
+	c.Bool(&m.SenderInclusive)
+	c.Uvarint(&m.RequestID)
 }
 
 // SDistribute carries a sequenced multicast from the coordinator to every
@@ -140,23 +110,13 @@ type SDistribute struct {
 // Kind implements Message.
 func (*SDistribute) Kind() Kind { return KindSDistribute }
 
-// Encode implements Message.
-func (m *SDistribute) Encode(e *Encoder) {
-	e.PutString(m.Group)
-	m.Event.Encode(e)
-	e.PutBool(m.SenderInclusive)
-	e.PutUvarint(m.Origin)
-	e.PutUvarint(m.RequestID)
-}
-
-// Decode implements Message.
-func (m *SDistribute) Decode(d *Decoder) error {
-	m.Group = d.String()
-	m.Event = DecodeEvent(d)
-	m.SenderInclusive = d.Bool()
-	m.Origin = d.Uvarint()
-	m.RequestID = d.Uvarint()
-	return d.Err()
+// Fields implements Message.
+func (m *SDistribute) Fields(c *Codec) {
+	c.String(&m.Group)
+	m.Event.Fields(c)
+	c.Bool(&m.SenderInclusive)
+	c.Uvarint(&m.Origin)
+	c.Uvarint(&m.RequestID)
 }
 
 // SInterest tells the coordinator whether a server holds a replica of a
@@ -174,21 +134,12 @@ type SInterest struct {
 // Kind implements Message.
 func (*SInterest) Kind() Kind { return KindSInterest }
 
-// Encode implements Message.
-func (m *SInterest) Encode(e *Encoder) {
-	e.PutUvarint(m.ServerID)
-	e.PutString(m.Group)
-	e.PutBool(m.Interested)
-	e.PutBool(m.Backup)
-}
-
-// Decode implements Message.
-func (m *SInterest) Decode(d *Decoder) error {
-	m.ServerID = d.Uvarint()
-	m.Group = d.String()
-	m.Interested = d.Bool()
-	m.Backup = d.Bool()
-	return d.Err()
+// Fields implements Message.
+func (m *SInterest) Fields(c *Codec) {
+	c.Uvarint(&m.ServerID)
+	c.String(&m.Group)
+	c.Bool(&m.Interested)
+	c.Bool(&m.Backup)
 }
 
 // SMemberUpdate is a membership change on its way through the group's one
@@ -213,25 +164,14 @@ type SMemberUpdate struct {
 // Kind implements Message.
 func (*SMemberUpdate) Kind() Kind { return KindSMemberUpdate }
 
-// Encode implements Message.
-func (m *SMemberUpdate) Encode(e *Encoder) {
-	e.PutUvarint(m.ServerID)
-	e.PutString(m.Group)
-	e.PutByte(byte(m.Change))
-	m.Member.encode(e)
-	encodeMembers(e, m.Members)
-	e.PutUvarint(uint64(m.Code))
-}
-
-// Decode implements Message.
-func (m *SMemberUpdate) Decode(d *Decoder) error {
-	m.ServerID = d.Uvarint()
-	m.Group = d.String()
-	m.Change = MembershipChange(d.Byte())
-	m.Member = decodeMemberInfo(d)
-	m.Members = decodeMembers(d)
-	m.Code = ErrCode(d.Uvarint())
-	return d.Err()
+// Fields implements Message.
+func (m *SMemberUpdate) Fields(c *Codec) {
+	c.Uvarint(&m.ServerID)
+	c.String(&m.Group)
+	Byte(c, &m.Change)
+	m.Member.Fields(c)
+	List(c, &m.Members, (*MemberInfo).Fields)
+	Narrow(c, &m.Code)
 }
 
 // SHeartbeat is exchanged between the coordinator and each server to detect
@@ -250,21 +190,12 @@ type SHeartbeat struct {
 // Kind implements Message.
 func (*SHeartbeat) Kind() Kind { return KindSHeartbeat }
 
-// Encode implements Message.
-func (m *SHeartbeat) Encode(e *Encoder) {
-	e.PutUvarint(m.ServerID)
-	e.PutUvarint(m.Epoch)
-	e.PutVarint(m.Time)
-	m.Load.encode(e)
-}
-
-// Decode implements Message.
-func (m *SHeartbeat) Decode(d *Decoder) error {
-	m.ServerID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	m.Time = d.Varint()
-	m.Load = decodeLoadReport(d)
-	return d.Err()
+// Fields implements Message.
+func (m *SHeartbeat) Fields(c *Codec) {
+	c.Uvarint(&m.ServerID)
+	c.Uvarint(&m.Epoch)
+	c.Varint(&m.Time)
+	m.Load.Fields(c)
 }
 
 // SServerList distributes the coordinator's view of the server set, sorted
@@ -279,19 +210,11 @@ type SServerList struct {
 // Kind implements Message.
 func (*SServerList) Kind() Kind { return KindSServerList }
 
-// Encode implements Message.
-func (m *SServerList) Encode(e *Encoder) {
-	e.PutUvarint(m.CoordinatorID)
-	e.PutUvarint(m.Epoch)
-	encodeServers(e, m.Servers)
-}
-
-// Decode implements Message.
-func (m *SServerList) Decode(d *Decoder) error {
-	m.CoordinatorID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	m.Servers = decodeServers(d)
-	return d.Err()
+// Fields implements Message.
+func (m *SServerList) Fields(c *Codec) {
+	c.Uvarint(&m.CoordinatorID)
+	c.Uvarint(&m.Epoch)
+	List(c, &m.Servers, (*ServerInfo).Fields)
 }
 
 // SElect announces a candidate's claim to the coordinator role after the
@@ -311,21 +234,12 @@ type SElect struct {
 // Kind implements Message.
 func (*SElect) Kind() Kind { return KindSElect }
 
-// Encode implements Message.
-func (m *SElect) Encode(e *Encoder) {
-	e.PutUint32(m.Proto)
-	e.PutUvarint(m.CandidateID)
-	e.PutUvarint(m.Epoch)
-	e.PutString(m.Addr)
-}
-
-// Decode implements Message.
-func (m *SElect) Decode(d *Decoder) error {
-	m.Proto = d.Uint32()
-	m.CandidateID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	m.Addr = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SElect) Fields(c *Codec) {
+	c.Uint32(&m.Proto)
+	c.Uvarint(&m.CandidateID)
+	c.Uvarint(&m.Epoch)
+	c.String(&m.Addr)
 }
 
 // SElectReply acks or nacks an SElect. A server nacks when it can still
@@ -347,23 +261,13 @@ type SElectReply struct {
 // Kind implements Message.
 func (*SElectReply) Kind() Kind { return KindSElectReply }
 
-// Encode implements Message.
-func (m *SElectReply) Encode(e *Encoder) {
-	e.PutUvarint(m.VoterID)
-	e.PutUvarint(m.CandidateID)
-	e.PutUvarint(m.Epoch)
-	e.PutBool(m.Ack)
-	e.PutString(m.CoordAddr)
-}
-
-// Decode implements Message.
-func (m *SElectReply) Decode(d *Decoder) error {
-	m.VoterID = d.Uvarint()
-	m.CandidateID = d.Uvarint()
-	m.Epoch = d.Uvarint()
-	m.Ack = d.Bool()
-	m.CoordAddr = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SElectReply) Fields(c *Codec) {
+	c.Uvarint(&m.VoterID)
+	c.Uvarint(&m.CandidateID)
+	c.Uvarint(&m.Epoch)
+	c.Bool(&m.Ack)
+	c.String(&m.CoordAddr)
 }
 
 // SStateRequest asks the coordinator where a group's state lives, and is
@@ -377,17 +281,10 @@ type SStateRequest struct {
 // Kind implements Message.
 func (*SStateRequest) Kind() Kind { return KindSStateRequest }
 
-// Encode implements Message.
-func (m *SStateRequest) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-}
-
-// Decode implements Message.
-func (m *SStateRequest) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SStateRequest) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
 }
 
 // SStateResponse is the coordinator's answer to SStateRequest: where a
@@ -415,29 +312,16 @@ type SStateResponse struct {
 // Kind implements Message.
 func (*SStateResponse) Kind() Kind { return KindSStateResponse }
 
-// Encode implements Message.
-func (m *SStateResponse) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutString(m.Group)
-	e.PutBool(m.OK)
-	e.PutUvarint(uint64(m.Code))
-	e.PutBool(m.Persistent)
-	e.PutUvarint(m.NextSeq)
-	e.PutUvarint(m.SourceID)
-	e.PutString(m.SourceAddr)
-}
-
-// Decode implements Message.
-func (m *SStateResponse) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Group = d.String()
-	m.OK = d.Bool()
-	m.Code = ErrCode(d.Uvarint())
-	m.Persistent = d.Bool()
-	m.NextSeq = d.Uvarint()
-	m.SourceID = d.Uvarint()
-	m.SourceAddr = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SStateResponse) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.String(&m.Group)
+	c.Bool(&m.OK)
+	Narrow(c, &m.Code)
+	c.Bool(&m.Persistent)
+	c.Uvarint(&m.NextSeq)
+	c.Uvarint(&m.SourceID)
+	c.String(&m.SourceAddr)
 }
 
 // SGroupOp propagates a group create/delete through the coordinator to all
@@ -454,25 +338,14 @@ type SGroupOp struct {
 // Kind implements Message.
 func (*SGroupOp) Kind() Kind { return KindSGroupOp }
 
-// Encode implements Message.
-func (m *SGroupOp) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(m.Origin)
-	e.PutByte(byte(m.Op))
-	e.PutString(m.Group)
-	e.PutBool(m.Persistent)
-	EncodeObjects(e, m.Initial)
-}
-
-// Decode implements Message.
-func (m *SGroupOp) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.Origin = d.Uvarint()
-	m.Op = GroupOpKind(d.Byte())
-	m.Group = d.String()
-	m.Persistent = d.Bool()
-	m.Initial = DecodeObjects(d)
-	return d.Err()
+// Fields implements Message.
+func (m *SGroupOp) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Uvarint(&m.Origin)
+	Byte(c, &m.Op)
+	c.String(&m.Group)
+	c.Bool(&m.Persistent)
+	List(c, &m.Initial, (*Object).Fields)
 }
 
 // SGroupOpAck confirms (or rejects) an SGroupOp back to the origin server.
@@ -486,21 +359,12 @@ type SGroupOpAck struct {
 // Kind implements Message.
 func (*SGroupOpAck) Kind() Kind { return KindSGroupOpAck }
 
-// Encode implements Message.
-func (m *SGroupOpAck) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutBool(m.OK)
-	e.PutUvarint(uint64(m.Code))
-	e.PutString(m.Text)
-}
-
-// Decode implements Message.
-func (m *SGroupOpAck) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	m.OK = d.Bool()
-	m.Code = ErrCode(d.Uvarint())
-	m.Text = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SGroupOpAck) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	c.Bool(&m.OK)
+	Narrow(c, &m.Code)
+	c.String(&m.Text)
 }
 
 // GroupSeq is one group in an SSeqReport.
@@ -522,24 +386,14 @@ type GroupSeq struct {
 	Members []MemberInfo
 }
 
-func (g GroupSeq) encode(e *Encoder) {
-	e.PutString(g.Group)
-	e.PutUvarint(g.NextSeq)
-	e.PutUint64(g.Digest)
-	e.PutBool(g.Persistent)
-	e.PutBool(g.Backup)
-	encodeMembers(e, g.Members)
-}
-
-func decodeGroupSeq(d *Decoder) GroupSeq {
-	return GroupSeq{
-		Group:      d.String(),
-		NextSeq:    d.Uvarint(),
-		Digest:     d.Uint64(),
-		Persistent: d.Bool(),
-		Backup:     d.Bool(),
-		Members:    decodeMembers(d),
-	}
+// Fields codes the group's fields.
+func (g *GroupSeq) Fields(c *Codec) {
+	c.String(&g.Group)
+	c.Uvarint(&g.NextSeq)
+	c.Uint64(&g.Digest)
+	c.Bool(&g.Persistent)
+	c.Bool(&g.Backup)
+	List(c, &g.Members, (*MemberInfo).Fields)
 }
 
 // Resolution selects how a post-partition divergence is settled (paper
@@ -585,19 +439,11 @@ type SDivergence struct {
 // Kind implements Message.
 func (*SDivergence) Kind() Kind { return KindSDivergence }
 
-// Encode implements Message.
-func (m *SDivergence) Encode(e *Encoder) {
-	e.PutString(m.Group)
-	e.PutByte(byte(m.Resolution))
-	e.PutString(m.ForkName)
-}
-
-// Decode implements Message.
-func (m *SDivergence) Decode(d *Decoder) error {
-	m.Group = d.String()
-	m.Resolution = Resolution(d.Byte())
-	m.ForkName = d.String()
-	return d.Err()
+// Fields implements Message.
+func (m *SDivergence) Fields(c *Codec) {
+	c.String(&m.Group)
+	Byte(c, &m.Resolution)
+	c.String(&m.ForkName)
 }
 
 // SSeqReport is a server's (re-)registration, the link's first frame: per
@@ -612,32 +458,10 @@ type SSeqReport struct {
 // Kind implements Message.
 func (*SSeqReport) Kind() Kind { return KindSSeqReport }
 
-// Encode implements Message.
-func (m *SSeqReport) Encode(e *Encoder) {
-	e.PutUvarint(m.ServerID)
-	e.PutUvarint(uint64(len(m.Groups)))
-	for i := range m.Groups {
-		m.Groups[i].encode(e)
-	}
-}
-
-// Decode implements Message.
-func (m *SSeqReport) Decode(d *Decoder) error {
-	m.ServerID = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > uint64(d.Remaining()) {
-		return ErrShortBuffer
-	}
-	if n > 0 {
-		m.Groups = make([]GroupSeq, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.Groups = append(m.Groups, decodeGroupSeq(d))
-		}
-	}
-	return d.Err()
+// Fields implements Message.
+func (m *SSeqReport) Fields(c *Codec) {
+	c.Uvarint(&m.ServerID)
+	List(c, &m.Groups, (*GroupSeq).Fields)
 }
 
 // SGroupsQuery asks the coordinator for the names of every group in the
@@ -650,14 +474,8 @@ type SGroupsQuery struct {
 // Kind implements Message.
 func (*SGroupsQuery) Kind() Kind { return KindSGroupsQuery }
 
-// Encode implements Message.
-func (m *SGroupsQuery) Encode(e *Encoder) { e.PutUvarint(m.RequestID) }
-
-// Decode implements Message.
-func (m *SGroupsQuery) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	return d.Err()
-}
+// Fields implements Message.
+func (m *SGroupsQuery) Fields(c *Codec) { c.Uvarint(&m.RequestID) }
 
 // SGroupsReport answers SGroupsQuery with the sorted group names.
 type SGroupsReport struct {
@@ -668,30 +486,8 @@ type SGroupsReport struct {
 // Kind implements Message.
 func (*SGroupsReport) Kind() Kind { return KindSGroupsReport }
 
-// Encode implements Message.
-func (m *SGroupsReport) Encode(e *Encoder) {
-	e.PutUvarint(m.RequestID)
-	e.PutUvarint(uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		e.PutString(g)
-	}
-}
-
-// Decode implements Message.
-func (m *SGroupsReport) Decode(d *Decoder) error {
-	m.RequestID = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > uint64(d.Remaining()) {
-		return ErrShortBuffer
-	}
-	if n > 0 {
-		m.Groups = make([]string, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			m.Groups = append(m.Groups, d.String())
-		}
-	}
-	return d.Err()
+// Fields implements Message.
+func (m *SGroupsReport) Fields(c *Codec) {
+	c.Uvarint(&m.RequestID)
+	List(c, &m.Groups, codeString)
 }

@@ -5,9 +5,13 @@
 // Every message is encoded as a one-byte Kind followed by the message body.
 // Bodies are built from a small set of primitives: unsigned varints,
 // length-prefixed byte strings, and fixed-width integers for values that are
-// hot on the decode path. The codec is hand-rolled (no reflection) so that
-// encoding cost stays negligible next to the network round trip, which is the
-// quantity the paper's evaluation measures.
+// hot on the decode path. Each kind lays its body out once, in its Fields
+// method, and a Codec runs that method in either direction: a writing Codec
+// appends each field to its buffer, a reading one fills each field from its
+// input. A field therefore cannot be written one way and read another. The
+// codec is hand-rolled (no reflection) so that encoding cost stays
+// negligible next to the network round trip, which is the quantity the
+// paper's evaluation measures.
 package wire
 
 import (
@@ -35,248 +39,309 @@ var (
 	ErrBadVarint   = errors.New("wire: malformed varint")
 )
 
-// Encoder appends protocol primitives to a byte slice. The zero value is
-// ready to use; Bytes returns the accumulated encoding.
-type Encoder struct {
-	buf []byte
+// Codec codes protocol fields in one direction. Each field method takes a
+// pointer to the field: a writing Codec appends the field's value to its
+// buffer, and a reading Codec sets the field from its input. A read records
+// the first error it meets, and every later read sets its field to zero, so
+// a caller codes a run of fields and checks Err once.
+type Codec struct {
+	buf  []byte // the bytes written, or the input read
+	off  int    // read position in buf
+	err  error
+	read bool
+	ids  map[string]string // String's interned values; nil: String copies each
 }
 
-// NewEncoder returns an Encoder that appends to buf (which may be nil).
+// NewWriter returns a Codec that appends to buf (which may be nil).
 // Existing contents of buf are preserved; pass buf[:0] to reuse its storage.
-func NewEncoder(buf []byte) *Encoder {
-	return &Encoder{buf: buf}
-}
+func NewWriter(buf []byte) *Codec { return &Codec{buf: buf} }
 
-// Bytes returns the encoded bytes. The slice aliases the Encoder's internal
-// buffer and is valid until the next Put call.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// NewReader returns a Codec reading buf. It does not copy buf; only
+// BytesAlias results alias it.
+func NewReader(buf []byte) *Codec { return &Codec{buf: buf, read: true} }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Written returns a writing Codec's bytes. The slice aliases its buffer and
+// is valid until the next write.
+func (c *Codec) Written() []byte { return c.buf }
 
-// Reset discards any encoded data, retaining the buffer.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Err returns the first read error, or nil.
+func (c *Codec) Err() error { return c.err }
 
-// PutByte appends a single byte.
-func (e *Encoder) PutByte(b byte) { e.buf = append(e.buf, b) }
-
-// PutBool appends a boolean as one byte (0 or 1).
-func (e *Encoder) PutBool(b bool) {
-	if b {
-		e.buf = append(e.buf, 1)
-		return
-	}
-	e.buf = append(e.buf, 0)
-}
-
-// PutUvarint appends an unsigned varint.
-func (e *Encoder) PutUvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-// PutVarint appends a signed varint (zig-zag).
-func (e *Encoder) PutVarint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-// PutUint32 appends a fixed-width big-endian uint32.
-func (e *Encoder) PutUint32(v uint32) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
-}
-
-// PutUint64 appends a fixed-width big-endian uint64.
-func (e *Encoder) PutUint64(v uint64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
-}
-
-// PutBytes appends a length-prefixed byte string.
-func (e *Encoder) PutBytes(b []byte) {
-	e.PutUvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// PutSegments appends segs as one length-prefixed byte string: the bytes
-// PutBytes writes for their concatenation, without concatenating them
-// first. The encoder's buffer is the one copy.
-func (e *Encoder) PutSegments(segs Segments) {
-	n := segs.Len()
-	e.PutUvarint(uint64(n))
-	e.buf = slices.Grow(e.buf, n)
-	for _, s := range segs {
-		e.buf = append(e.buf, s...)
-	}
-}
-
-// PutString appends a length-prefixed string.
-func (e *Encoder) PutString(s string) {
-	e.PutUvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Decoder consumes protocol primitives from a byte slice. Decoding methods
-// record the first error encountered; callers may batch several reads and
-// check Err once, which keeps per-field decode code terse.
-type Decoder struct {
-	buf []byte
-	off int
-	err error
-	ids map[string]string // String's interned values; nil: String copies each
-}
-
-// NewDecoder returns a Decoder reading from buf. The Decoder does not copy
-// buf; byte-string fields alias it unless decoded with ByteCopy.
-func NewDecoder(buf []byte) *Decoder {
-	return &Decoder{buf: buf}
-}
-
-// Err returns the first decoding error, or nil.
-func (d *Decoder) Err() error { return d.err }
+// Remaining returns the number of bytes a reading Codec has not consumed.
+func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
 // Intern makes String return the one copy of each value it has read before
 // into ids, and add each new value there. A lookup by string(bytes)
-// allocates nothing, so a caller that decodes the same few strings over and
-// over keeps one ids across its decoders and allocates each string once.
-func (d *Decoder) Intern(ids map[string]string) { d.ids = ids }
+// allocates nothing, so a caller that reads the same few strings over and
+// over keeps one ids across its Codecs and allocates each string once.
+func (c *Codec) Intern(ids map[string]string) { c.ids = ids }
 
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// Byte reads a single byte.
-func (d *Decoder) Byte() byte {
-	if d.err != nil {
-		return 0
+// Bool codes a boolean as one byte (0 or 1).
+func (c *Codec) Bool(v *bool) {
+	if c.read {
+		*v = c.byte() != 0
+		return
 	}
-	if d.off >= len(d.buf) {
-		d.fail(ErrShortBuffer)
-		return 0
+	var b byte
+	if *v {
+		b = 1
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b
+	c.buf = append(c.buf, b)
 }
 
-// Bool reads a one-byte boolean.
-func (d *Decoder) Bool() bool { return d.Byte() != 0 }
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// Uvarint codes an unsigned varint.
+func (c *Codec) Uvarint(v *uint64) {
+	if c.read {
+		*v = c.uvarint()
+		return
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(ErrBadVarint)
-		return 0
-	}
-	d.off += n
-	return v
+	c.putUvarint(*v)
 }
 
-// Varint reads a signed varint.
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+// Varint codes a signed (zig-zag) varint.
+func (c *Codec) Varint(v *int64) {
+	if c.read {
+		*v = c.varint()
+		return
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(ErrBadVarint)
-		return 0
-	}
-	d.off += n
-	return v
+	c.buf = binary.AppendVarint(c.buf, *v)
 }
 
-// Uint32 reads a fixed-width big-endian uint32.
-func (d *Decoder) Uint32() uint32 {
-	if d.err != nil {
-		return 0
+// Uint32 codes a fixed-width big-endian uint32.
+func (c *Codec) Uint32(v *uint32) {
+	if c.read {
+		*v = 0
+		if b := c.next(4); b != nil {
+			*v = binary.BigEndian.Uint32(b)
+		}
+		return
 	}
-	if d.off+4 > len(d.buf) {
-		d.fail(ErrShortBuffer)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
+	c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
 }
 
-// Uint64 reads a fixed-width big-endian uint64.
-func (d *Decoder) Uint64() uint64 {
-	if d.err != nil {
-		return 0
+// Uint64 codes a fixed-width big-endian uint64.
+func (c *Codec) Uint64(v *uint64) {
+	if c.read {
+		*v = 0
+		if b := c.next(8); b != nil {
+			*v = binary.BigEndian.Uint64(b)
+		}
+		return
 	}
-	if d.off+8 > len(d.buf) {
-		d.fail(ErrShortBuffer)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
+	c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
 }
 
-// Bytes reads a length-prefixed byte string. The returned slice aliases the
-// Decoder's buffer; use ByteCopy when the data must outlive the buffer.
+// String codes a length-prefixed string. A read is a fresh copy, or the
+// interned one after Intern.
+func (c *Codec) String(s *string) {
+	if c.read {
+		*s = c.str()
+		return
+	}
+	c.putUvarint(uint64(len(*s)))
+	c.buf = append(c.buf, *s...)
+}
+
+// ByteCopy codes a length-prefixed byte string, copying it either way: a
+// write copies *b into the buffer, and a read copies the string out of the
+// input into fresh memory, nil when it is empty.
+func (c *Codec) ByteCopy(b *[]byte) {
+	if c.read {
+		*b = nil
+		if v := c.BytesAlias(); v != nil {
+			*b = make([]byte, len(v))
+			copy(*b, v)
+		}
+		return
+	}
+	c.putUvarint(uint64(len(*b)))
+	c.buf = append(c.buf, *b...)
+}
+
+// BytesAlias reads a length-prefixed byte string aliasing the input,
+// normalized to nil when empty so alias and copy reads produce identical
+// values. Its capacity is clipped to its length: the strings of one buffer
+// sit back to back, and an append to one must reallocate, not write over
+// the next. Only a reading Codec reads it.
 //
 // corona:aliases-input — callers must not mutate the result or retain it
 // past the buffer's lifetime (enforced by the aliasretain analyzer).
-func (d *Decoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
+func (c *Codec) BytesAlias() []byte {
+	n := c.uvarint()
+	if c.err != nil {
 		return nil
 	}
-	if n > math.MaxInt32 || int(n) > d.Remaining() {
-		d.fail(ErrShortBuffer)
+	if n > math.MaxInt32 {
+		c.fail(ErrShortBuffer)
 		return nil
 	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-// ByteCopy reads a length-prefixed byte string into freshly allocated memory.
-func (d *Decoder) ByteCopy() []byte {
-	b := d.Bytes()
-	if d.err != nil {
-		return nil
-	}
+	b := c.next(int(n))
 	if len(b) == 0 {
 		return nil
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }
 
-// String reads a length-prefixed string: a fresh copy, or the interned
-// one after Intern.
-func (d *Decoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil {
+// putSegments writes segs as one length-prefixed byte string: the bytes
+// ByteCopy writes for their concatenation, without concatenating them
+// first. The buffer is the one copy.
+func (c *Codec) putSegments(segs Segments) {
+	n := segs.Len()
+	c.putUvarint(uint64(n))
+	c.buf = slices.Grow(c.buf, n)
+	for _, s := range segs {
+		c.buf = append(c.buf, s...)
+	}
+}
+
+// next consumes the next n bytes of the input, or fails with
+// ErrShortBuffer and returns nil.
+func (c *Codec) next(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > c.Remaining() {
+		c.fail(ErrShortBuffer)
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// putUvarint writes v: the count or length before a list or a byte string,
+// and a TransferStream's or a chunk frame's lengths, whose bytes follow
+// apart from the Codec.
+func (c *Codec) putUvarint(v uint64) { c.buf = binary.AppendUvarint(c.buf, v) }
+
+// The read halves, for the field methods and for the alias decoders, which
+// return what they read. After an error each returns a zero value.
+
+func (c *Codec) byte() byte {
+	if b := c.next(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *Codec) uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail(ErrBadVarint)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+func (c *Codec) varint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail(ErrBadVarint)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+func (c *Codec) str() string {
+	n := c.uvarint()
+	if c.err != nil {
 		return ""
 	}
 	if n > MaxStringLen {
-		d.fail(fmt.Errorf("%w: string of %d bytes", ErrFieldTooBig, n))
+		c.fail(fmt.Errorf("%w: string of %d bytes", ErrFieldTooBig, n))
 		return ""
 	}
-	if int(n) > d.Remaining() {
-		d.fail(ErrShortBuffer)
+	b := c.next(int(n))
+	if c.err != nil {
 		return ""
 	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	if d.ids == nil {
+	if c.ids == nil {
 		return string(b)
 	}
-	if s, ok := d.ids[string(b)]; ok {
+	if s, ok := c.ids[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	d.ids[s] = s
+	c.ids[s] = s
 	return s
 }
+
+// count reads a list's count, bounded by the bytes left since every
+// element takes at least one, so a hostile count allocates nothing. It is
+// zero after an error.
+func (c *Codec) count() int {
+	n := c.uvarint()
+	if c.err == nil && n > uint64(c.Remaining()) {
+		c.fail(ErrShortBuffer)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Byte codes a one-byte field: an enumeration such as an EventKind or a
+// Role, or a record's tag.
+func Byte[T ~uint8](c *Codec, v *T) {
+	if c.read {
+		*v = T(c.byte())
+		return
+	}
+	c.buf = append(c.buf, byte(*v))
+}
+
+// Narrow codes an integer narrower than 64 bits as a uvarint. A read
+// refuses a value that does not fit with ErrFieldTooBig rather than
+// truncating it to some other value.
+func Narrow[T ~uint16 | ~uint32](c *Codec, v *T) {
+	if c.read {
+		u := c.uvarint()
+		if *v = T(u); uint64(*v) != u {
+			*v = 0
+			c.fail(fmt.Errorf("%w: %d does not fit a %T", ErrFieldTooBig, u, *v))
+		}
+		return
+	}
+	c.putUvarint(uint64(*v))
+}
+
+// List codes a count-prefixed list, each element with code. A read gives
+// nil for an empty list.
+func List[T any](c *Codec, s *[]T, code func(*T, *Codec)) {
+	if c.read {
+		*s = nil
+		n := c.count()
+		if n == 0 {
+			return
+		}
+		out := make([]T, n)
+		for i := range out {
+			if code(&out[i], c); c.err != nil {
+				return
+			}
+		}
+		*s = out
+		return
+	}
+	c.putUvarint(uint64(len(*s)))
+	for i := range *s {
+		code(&(*s)[i], c)
+	}
+}
+
+// codeString is Codec.String in List's element form.
+func codeString(s *string, c *Codec) { c.String(s) }

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Kind identifies a message type on the wire. Kinds below 64 are
@@ -64,148 +65,126 @@ const (
 	KindSGroupsReport
 )
 
-var kindNames = map[Kind]string{
-	KindHello:            "Hello",
-	KindHelloAck:         "HelloAck",
-	KindCreateGroup:      "CreateGroup",
-	KindCreateGroupAck:   "CreateGroupAck",
-	KindDeleteGroup:      "DeleteGroup",
-	KindDeleteGroupAck:   "DeleteGroupAck",
-	KindJoin:             "Join",
-	KindJoinAck:          "JoinAck",
-	KindLeave:            "Leave",
-	KindLeaveAck:         "LeaveAck",
-	KindGetMembership:    "GetMembership",
-	KindMembershipInfo:   "MembershipInfo",
-	KindMembershipNotify: "MembershipNotify",
-	KindBcast:            "Bcast",
-	KindBcastAck:         "BcastAck",
-	KindDeliver:          "Deliver",
-	KindLockAcquire:      "LockAcquire",
-	KindLockRelease:      "LockRelease",
-	KindLockReply:        "LockReply",
-	KindReduceLog:        "ReduceLog",
-	KindReduceLogAck:     "ReduceLogAck",
-	KindListGroups:       "ListGroups",
-	KindGroupList:        "GroupList",
-	KindPing:             "Ping",
-	KindPong:             "Pong",
-	KindError:            "Error",
-	KindTransferChunk:    "TransferChunk",
-	KindTransferDone:     "TransferDone",
-	KindDeliverBatch:     "DeliverBatch",
-	KindSHello:           "SHello",
-	KindSHelloAck:        "SHelloAck",
-	KindSForward:         "SForward",
-	KindSDistribute:      "SDistribute",
-	KindSInterest:        "SInterest",
-	KindSMemberUpdate:    "SMemberUpdate",
-	KindSHeartbeat:       "SHeartbeat",
-	KindSServerList:      "SServerList",
-	KindSElect:           "SElect",
-	KindSElectReply:      "SElectReply",
-	KindSStateRequest:    "SStateRequest",
-	KindSStateResponse:   "SStateResponse",
-	KindSGroupOp:         "SGroupOp",
-	KindSGroupOpAck:      "SGroupOpAck",
-	KindSSeqReport:       "SSeqReport",
-	KindSDivergence:      "SDivergence",
-	KindSGroupsQuery:     "SGroupsQuery",
-	KindSGroupsReport:    "SGroupsReport",
+// kinds is the message registry, indexed by Kind: each kind's name and a
+// constructor of its zero message. A kind without a constructor is not on
+// the wire.
+var kinds = [...]struct {
+	name string
+	new  func() Message
+}{
+	KindHello:            {"Hello", newMessage[Hello]},
+	KindHelloAck:         {"HelloAck", newMessage[HelloAck]},
+	KindCreateGroup:      {"CreateGroup", newMessage[CreateGroup]},
+	KindCreateGroupAck:   {"CreateGroupAck", newMessage[CreateGroupAck]},
+	KindDeleteGroup:      {"DeleteGroup", newMessage[DeleteGroup]},
+	KindDeleteGroupAck:   {"DeleteGroupAck", newMessage[DeleteGroupAck]},
+	KindJoin:             {"Join", newMessage[Join]},
+	KindJoinAck:          {"JoinAck", newMessage[JoinAck]},
+	KindLeave:            {"Leave", newMessage[Leave]},
+	KindLeaveAck:         {"LeaveAck", newMessage[LeaveAck]},
+	KindGetMembership:    {"GetMembership", newMessage[GetMembership]},
+	KindMembershipInfo:   {"MembershipInfo", newMessage[MembershipInfo]},
+	KindMembershipNotify: {"MembershipNotify", newMessage[MembershipNotify]},
+	KindBcast:            {"Bcast", newMessage[Bcast]},
+	KindBcastAck:         {"BcastAck", newMessage[BcastAck]},
+	KindDeliver:          {"Deliver", newMessage[Deliver]},
+	KindLockAcquire:      {"LockAcquire", newMessage[LockAcquire]},
+	KindLockRelease:      {"LockRelease", newMessage[LockRelease]},
+	KindLockReply:        {"LockReply", newMessage[LockReply]},
+	KindReduceLog:        {"ReduceLog", newMessage[ReduceLog]},
+	KindReduceLogAck:     {"ReduceLogAck", newMessage[ReduceLogAck]},
+	KindListGroups:       {"ListGroups", newMessage[ListGroups]},
+	KindGroupList:        {"GroupList", newMessage[GroupList]},
+	KindPing:             {"Ping", newMessage[Ping]},
+	KindPong:             {"Pong", newMessage[Pong]},
+	KindError:            {"Error", newMessage[ErrorMsg]},
+	KindTransferChunk:    {"TransferChunk", newMessage[TransferChunk]},
+	KindTransferDone:     {"TransferDone", newMessage[TransferDone]},
+	KindDeliverBatch:     {"DeliverBatch", newMessage[DeliverBatch]},
+	KindSHello:           {"SHello", newMessage[SHello]},
+	KindSHelloAck:        {"SHelloAck", newMessage[SHelloAck]},
+	KindSForward:         {"SForward", newMessage[SForward]},
+	KindSDistribute:      {"SDistribute", newMessage[SDistribute]},
+	KindSInterest:        {"SInterest", newMessage[SInterest]},
+	KindSMemberUpdate:    {"SMemberUpdate", newMessage[SMemberUpdate]},
+	KindSHeartbeat:       {"SHeartbeat", newMessage[SHeartbeat]},
+	KindSServerList:      {"SServerList", newMessage[SServerList]},
+	KindSElect:           {"SElect", newMessage[SElect]},
+	KindSElectReply:      {"SElectReply", newMessage[SElectReply]},
+	KindSStateRequest:    {"SStateRequest", newMessage[SStateRequest]},
+	KindSStateResponse:   {"SStateResponse", newMessage[SStateResponse]},
+	KindSGroupOp:         {"SGroupOp", newMessage[SGroupOp]},
+	KindSGroupOpAck:      {"SGroupOpAck", newMessage[SGroupOpAck]},
+	KindSSeqReport:       {"SSeqReport", newMessage[SSeqReport]},
+	KindSDivergence:      {"SDivergence", newMessage[SDivergence]},
+	KindSGroupsQuery:     {"SGroupsQuery", newMessage[SGroupsQuery]},
+	KindSGroupsReport:    {"SGroupsReport", newMessage[SGroupsReport]},
+}
+
+// newMessage returns a new zero T as a Message.
+func newMessage[T any, P interface {
+	*T
+	Message
+}]() Message {
+	return P(new(T))
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kinds) && kinds[k].new != nil {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Message is any protocol message. Encode appends the body (without the
-// leading Kind byte); decode fills the receiver from a body.
+// Message is any protocol message. Fields codes the body — every field
+// after the leading Kind byte — in the Codec's direction.
 type Message interface {
 	Kind() Kind
-	Encode(e *Encoder)
-	Decode(d *Decoder) error
+	Fields(c *Codec)
 }
 
 // ErrUnknownKind is returned by Unmarshal for an unregistered kind byte.
 var ErrUnknownKind = errors.New("wire: unknown message kind")
 
-// factories maps each kind to a constructor of its zero message.
-var factories = map[Kind]func() Message{
-	KindHello:            func() Message { return new(Hello) },
-	KindHelloAck:         func() Message { return new(HelloAck) },
-	KindCreateGroup:      func() Message { return new(CreateGroup) },
-	KindCreateGroupAck:   func() Message { return new(CreateGroupAck) },
-	KindDeleteGroup:      func() Message { return new(DeleteGroup) },
-	KindDeleteGroupAck:   func() Message { return new(DeleteGroupAck) },
-	KindJoin:             func() Message { return new(Join) },
-	KindJoinAck:          func() Message { return new(JoinAck) },
-	KindLeave:            func() Message { return new(Leave) },
-	KindLeaveAck:         func() Message { return new(LeaveAck) },
-	KindGetMembership:    func() Message { return new(GetMembership) },
-	KindMembershipInfo:   func() Message { return new(MembershipInfo) },
-	KindMembershipNotify: func() Message { return new(MembershipNotify) },
-	KindBcast:            func() Message { return new(Bcast) },
-	KindBcastAck:         func() Message { return new(BcastAck) },
-	KindDeliver:          func() Message { return new(Deliver) },
-	KindLockAcquire:      func() Message { return new(LockAcquire) },
-	KindLockRelease:      func() Message { return new(LockRelease) },
-	KindLockReply:        func() Message { return new(LockReply) },
-	KindReduceLog:        func() Message { return new(ReduceLog) },
-	KindReduceLogAck:     func() Message { return new(ReduceLogAck) },
-	KindListGroups:       func() Message { return new(ListGroups) },
-	KindGroupList:        func() Message { return new(GroupList) },
-	KindPing:             func() Message { return new(Ping) },
-	KindPong:             func() Message { return new(Pong) },
-	KindError:            func() Message { return new(ErrorMsg) },
-	KindTransferChunk:    func() Message { return new(TransferChunk) },
-	KindTransferDone:     func() Message { return new(TransferDone) },
-	KindDeliverBatch:     func() Message { return new(DeliverBatch) },
-	KindSHello:           func() Message { return new(SHello) },
-	KindSHelloAck:        func() Message { return new(SHelloAck) },
-	KindSForward:         func() Message { return new(SForward) },
-	KindSDistribute:      func() Message { return new(SDistribute) },
-	KindSInterest:        func() Message { return new(SInterest) },
-	KindSMemberUpdate:    func() Message { return new(SMemberUpdate) },
-	KindSHeartbeat:       func() Message { return new(SHeartbeat) },
-	KindSServerList:      func() Message { return new(SServerList) },
-	KindSElect:           func() Message { return new(SElect) },
-	KindSElectReply:      func() Message { return new(SElectReply) },
-	KindSStateRequest:    func() Message { return new(SStateRequest) },
-	KindSStateResponse:   func() Message { return new(SStateResponse) },
-	KindSGroupOp:         func() Message { return new(SGroupOp) },
-	KindSGroupOpAck:      func() Message { return new(SGroupOpAck) },
-	KindSSeqReport:       func() Message { return new(SSeqReport) },
-	KindSDivergence:      func() Message { return new(SDivergence) },
-	KindSGroupsQuery:     func() Message { return new(SGroupsQuery) },
-	KindSGroupsReport:    func() Message { return new(SGroupsReport) },
-}
+// codecs recycles the Codecs Marshal and Unmarshal run a message's Fields
+// with. Passing one through the Message interface moves it to the heap, and
+// the pool costs less than an allocation per message.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
 // Marshal encodes msg as a kind byte followed by the message body, appending
 // to buf (which may be nil) and returning the result.
 func Marshal(buf []byte, msg Message) []byte {
-	e := NewEncoder(buf)
-	e.PutByte(byte(msg.Kind()))
-	msg.Encode(e)
-	return e.Bytes()
+	c := codecs.Get().(*Codec)
+	c.buf = append(buf, byte(msg.Kind()))
+	msg.Fields(c)
+	buf = c.buf
+	*c = Codec{}
+	codecs.Put(c)
+	return buf
 }
 
-// Unmarshal decodes one message from data. Byte-slice fields are copied, so
-// the result does not alias data.
+// Unmarshal decodes one message from data, which it must use up. Byte-slice
+// fields but a TransferChunk's Data are copied, so the result does not alias
+// data.
 func Unmarshal(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrShortBuffer
 	}
 	k := Kind(data[0])
-	mk, ok := factories[k]
-	if !ok {
+	if int(k) >= len(kinds) || kinds[k].new == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))
 	}
-	msg := mk()
-	d := NewDecoder(data[1:])
-	if err := msg.Decode(d); err != nil {
+	msg := kinds[k].new()
+	c := codecs.Get().(*Codec)
+	c.buf, c.read = data[1:], true
+	msg.Fields(c)
+	err := c.err
+	if err == nil && c.Remaining() != 0 {
+		err = fmt.Errorf("%d trailing bytes", c.Remaining())
+	}
+	*c = Codec{}
+	codecs.Put(c)
+	if err != nil {
 		return nil, fmt.Errorf("wire: decode %s: %w", k, err)
 	}
 	return msg, nil

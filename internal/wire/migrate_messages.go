@@ -24,16 +24,9 @@ type LoadReport struct {
 	Bcasts uint64
 }
 
-func (l LoadReport) encode(e *Encoder) {
-	e.PutUvarint(l.Groups)
-	e.PutUvarint(l.Sessions)
-	e.PutUvarint(l.Bcasts)
-}
-
-func decodeLoadReport(d *Decoder) LoadReport {
-	return LoadReport{
-		Groups:   d.Uvarint(),
-		Sessions: d.Uvarint(),
-		Bcasts:   d.Uvarint(),
-	}
+// Fields codes the report.
+func (l *LoadReport) Fields(c *Codec) {
+	c.Uvarint(&l.Groups)
+	c.Uvarint(&l.Sessions)
+	c.Uvarint(&l.Bcasts)
 }

@@ -59,44 +59,47 @@ type TransferStream struct {
 // without cloning the payload (the socket write reads them in place);
 // adding defensive copies here regresses the O(1) capture.
 func NewTransferStream(objects []Object, events []Event) *TransferStream {
-	e := NewEncoder(nil)
+	c := NewWriter(nil)
 	// cuts[i] is the header-buffer offset at which shared[i] interleaves.
 	cuts := make([]int, 0, len(objects)+len(events))
 	shared := make([][]byte, 0, len(objects)+len(events))
-
-	e.PutUvarint(uint64(len(objects)))
-	for i := range objects {
-		e.PutString(objects[i].ID)
-		e.PutUvarint(uint64(len(objects[i].Data)))
-		cuts = append(cuts, e.Len())
-		shared = append(shared, objects[i].Data)
+	// Every field but Data is written as Object.Fields and Event.Fields
+	// write it; Data leaves only its length in the header.
+	share := func(data []byte) {
+		c.putUvarint(uint64(len(data)))
+		cuts = append(cuts, len(c.buf))
+		shared = append(shared, data)
 	}
-	e.PutUvarint(uint64(len(events)))
+
+	c.putUvarint(uint64(len(objects)))
+	for i := range objects {
+		c.String(&objects[i].ID)
+		share(objects[i].Data)
+	}
+	c.putUvarint(uint64(len(events)))
 	for i := range events {
 		ev := &events[i]
-		e.PutUvarint(ev.Seq)
-		e.PutByte(byte(ev.Kind))
-		e.PutString(ev.ObjectID)
-		e.PutUvarint(uint64(len(ev.Data)))
-		cuts = append(cuts, e.Len())
-		shared = append(shared, ev.Data)
-		e.PutUvarint(ev.Sender)
-		e.PutVarint(ev.Time)
+		c.Uvarint(&ev.Seq)
+		Byte(c, &ev.Kind)
+		c.String(&ev.ObjectID)
+		share(ev.Data)
+		c.Uvarint(&ev.Sender)
+		c.Varint(&ev.Time)
 	}
 
 	// The header buffer is complete; only now is it safe to slice it
 	// (earlier appends could have reallocated it).
-	hdr := e.Bytes()
+	hdr := c.buf
 	s := &TransferStream{segs: make([][]byte, 0, 2*len(shared)+1)}
 	prev := 0
-	for i, c := range cuts {
-		if c > prev {
-			s.segs = append(s.segs, hdr[prev:c])
+	for i, cut := range cuts {
+		if cut > prev {
+			s.segs = append(s.segs, hdr[prev:cut])
 		}
 		if len(shared[i]) > 0 {
 			s.segs = append(s.segs, shared[i])
 		}
-		prev = c
+		prev = cut
 	}
 	if len(hdr) > prev {
 		s.segs = append(s.segs, hdr[prev:])
@@ -212,10 +215,10 @@ func (a *TransferAssembler) Finish(total uint64) ([]Object, []Event, error) {
 // set to that body; the transport frames a chunk this way around its
 // segments, without encoding them (transport.NewChunkFrame).
 func AppendChunkHeader(buf []byte, m *TransferChunk, n int) []byte {
-	e := Encoder{buf: append(buf, byte(KindTransferChunk))}
-	m.putHeader(&e)
-	e.PutUvarint(uint64(n))
-	return e.buf
+	c := NewWriter(append(buf, byte(KindTransferChunk)))
+	m.header(c)
+	c.putUvarint(uint64(n))
+	return c.buf
 }
 
 // ChunkReserve returns the slice a TransferChunk's body of size bytes is to
@@ -249,15 +252,15 @@ func ReadTransferChunk(r *bufio.Reader, n int, reserve ChunkReserve) (*TransferC
 		if Kind(b[0]) != KindTransferChunk {
 			return nil, fmt.Errorf("wire: %s frame read as a transfer chunk", Kind(b[0]))
 		}
-		d := NewDecoder(b[1:])
-		m.decodeHeader(d)
-		size = d.Uvarint()
-		if d.Err() == nil {
-			hdr = 1 + d.off
+		c := NewReader(b[1:])
+		m.header(c)
+		c.Uvarint(&size)
+		if c.err == nil {
+			hdr = 1 + c.off
 			break
 		}
 		if k == n || k == r.Size() {
-			return nil, fmt.Errorf("wire: decode %s header: %w", KindTransferChunk, d.Err())
+			return nil, fmt.Errorf("wire: decode %s header: %w", KindTransferChunk, c.err)
 		}
 	}
 	if size != uint64(n-hdr) {
@@ -291,14 +294,14 @@ func ReadTransferChunk(r *bufio.Reader, n int, reserve ChunkReserve) (*TransferC
 //
 // corona:aliases-input — and corona:zerocopy on the decode path itself.
 func decodeTransferPayload(data []byte) ([]Object, []Event, error) {
-	d := NewDecoder(data)
-	objs := DecodeObjectsAlias(d)
-	evs := DecodeEventsAlias(d)
-	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("wire: decode transfer payload: %w", err)
+	c := NewReader(data)
+	objs := DecodeObjectsAlias(c)
+	evs := DecodeEventsAlias(c)
+	if c.err != nil {
+		return nil, nil, fmt.Errorf("wire: decode transfer payload: %w", c.err)
 	}
-	if d.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("wire: transfer payload has %d trailing bytes", d.Remaining())
+	if c.Remaining() != 0 {
+		return nil, nil, fmt.Errorf("wire: transfer payload has %d trailing bytes", c.Remaining())
 	}
 	return objs, evs, nil
 }

@@ -10,10 +10,10 @@ import (
 // referencePayload is the non-streamed encoding the stream must reproduce
 // byte for byte: objects then events, standard framing.
 func referencePayload(objs []Object, evs []Event) []byte {
-	e := NewEncoder(nil)
-	EncodeObjects(e, objs)
-	EncodeEvents(e, evs)
-	return e.Bytes()
+	c := NewWriter(nil)
+	List(c, &objs, (*Object).Fields)
+	List(c, &evs, (*Event).Fields)
+	return c.Written()
 }
 
 func drain(t *testing.T, s *TransferStream, max int) []byte {

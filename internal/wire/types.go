@@ -64,53 +64,16 @@ type Event struct {
 	Time int64
 }
 
-// Encode appends the event's standard encoding — the one every message,
-// transfer payload and stable-storage record that carries an event uses.
-func (ev Event) Encode(e *Encoder) {
-	e.PutUvarint(ev.Seq)
-	e.PutByte(byte(ev.Kind))
-	e.PutString(ev.ObjectID)
-	e.PutBytes(ev.Data)
-	e.PutUvarint(ev.Sender)
-	e.PutVarint(ev.Time)
-}
-
-// DecodeEvent is the inverse of Event.Encode; Data is copied out of the
-// decoder's buffer.
-func DecodeEvent(d *Decoder) Event {
-	return Event{
-		Seq:      d.Uvarint(),
-		Kind:     EventKind(d.Byte()),
-		ObjectID: d.String(),
-		Data:     d.ByteCopy(),
-		Sender:   d.Uvarint(),
-		Time:     d.Varint(),
-	}
-}
-
-// EncodeEvents appends a count-prefixed event list.
-func EncodeEvents(e *Encoder, evs []Event) {
-	e.PutUvarint(uint64(len(evs)))
-	for i := range evs {
-		evs[i].Encode(e)
-	}
-}
-
-// DecodeEvents is the inverse of EncodeEvents (nil for an empty list).
-func DecodeEvents(d *Decoder) []Event {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) { // every event takes >= 1 byte
-		d.fail(ErrShortBuffer)
-		return nil
-	}
-	evs := make([]Event, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		evs = append(evs, DecodeEvent(d))
-	}
-	return evs
+// Fields codes the event's standard encoding — the one every message,
+// transfer payload and stable-storage record that carries an event uses. A
+// read copies Data out of the input.
+func (ev *Event) Fields(c *Codec) {
+	c.Uvarint(&ev.Seq)
+	Byte(c, &ev.Kind)
+	c.String(&ev.ObjectID)
+	c.ByteCopy(&ev.Data)
+	c.Uvarint(&ev.Sender)
+	c.Varint(&ev.Time)
 }
 
 // Object is one element of a group's shared state: an identifier and the
@@ -121,116 +84,68 @@ type Object struct {
 	Data []byte
 }
 
-func (o Object) encode(e *Encoder) {
-	e.PutString(o.ID)
-	e.PutBytes(o.Data)
+// Fields codes the object. A read copies Data out of the input.
+func (o *Object) Fields(c *Codec) {
+	c.String(&o.ID)
+	c.ByteCopy(&o.Data)
 }
 
-func decodeObject(d *Decoder) Object {
-	return Object{ID: d.String(), Data: d.ByteCopy()}
-}
-
-// EncodeObjects appends a count-prefixed object list.
-func EncodeObjects(e *Encoder, objs []Object) {
-	e.PutUvarint(uint64(len(objs)))
-	for i := range objs {
-		objs[i].encode(e)
-	}
-}
-
-// DecodeObjects is the inverse of EncodeObjects (nil for an empty list).
-func DecodeObjects(d *Decoder) []Object {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
-		return nil
-	}
-	objs := make([]Object, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		objs = append(objs, decodeObject(d))
-	}
-	return objs
-}
-
-// bytesAlias reads a length-prefixed byte string aliasing the decoder's
-// buffer, normalized to nil when empty so alias and copy decodes produce
-// identical values. Its capacity is clipped to its length: the strings of
-// one buffer sit back to back, and an append to one must reallocate, not
-// write over the next.
-//
-// corona:aliases-input
-func bytesAlias(d *Decoder) []byte {
-	b := d.Bytes()
-	if len(b) == 0 {
-		return nil
-	}
-	return b[:len(b):len(b)]
-}
-
-// DecodeObjectsAlias is DecodeObjects with Data aliasing the decoder's
-// buffer, for callers that own the buffer outright: transfer reassembly,
-// and log recovery, whose state.NewInitial and state.RestoreMaterialized
-// make the one copy the state keeps.
+// DecodeObjectsAlias reads an object list with Data aliasing the input,
+// for callers that own the buffer outright: transfer reassembly, and log
+// recovery, whose state.NewInitial and state.RestoreMaterialized make the
+// one copy the state keeps. It returns what it reads, so the aliasretain
+// analyzer follows its results; Object.Fields lays out the same bytes.
 //
 // corona:aliases-input — and corona:zerocopy: this is the join transfer
 // fast path; defensive copies here double the join's allocation volume.
-func DecodeObjectsAlias(d *Decoder) []Object {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
+func DecodeObjectsAlias(c *Codec) []Object {
+	n := c.count()
+	if n == 0 {
 		return nil
 	}
 	objs := make([]Object, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		objs = append(objs, Object{ID: d.String(), Data: bytesAlias(d)})
+	for ; n > 0 && c.err == nil; n-- {
+		objs = append(objs, Object{ID: c.str(), Data: c.BytesAlias()})
 	}
 	return objs
 }
 
-// DecodeEventAlias is DecodeEvent with Data aliasing the decoder's buffer,
-// for callers that own the buffer outright: transfer reassembly, and log
+// DecodeEventAlias reads an event with Data aliasing the input, for
+// callers that own the buffer outright: transfer reassembly, and log
 // recovery, whose state.ApplyRun keeps Data as it is, pointing into the
-// segment read nothing writes again.
+// segment read nothing writes again. It returns what it reads, so the
+// aliasretain analyzer follows its result; Event.Fields lays out the same
+// bytes.
 //
 // corona:aliases-input — and corona:zerocopy: recovery and the join
 // transfer decode every event through it; a defensive copy here is a
 // second copy of every byte they restore.
-func DecodeEventAlias(d *Decoder) Event {
+func DecodeEventAlias(c *Codec) Event {
 	return Event{
-		Seq:      d.Uvarint(),
-		Kind:     EventKind(d.Byte()),
-		ObjectID: d.String(),
-		Data:     bytesAlias(d),
-		Sender:   d.Uvarint(),
-		Time:     d.Varint(),
+		Seq:      c.uvarint(),
+		Kind:     EventKind(c.byte()),
+		ObjectID: c.str(),
+		Data:     c.BytesAlias(),
+		Sender:   c.uvarint(),
+		Time:     c.varint(),
 	}
 }
 
-// DecodeEventsAlias is DecodeEvents with Data aliasing the decoder's
-// buffer, for callers that own the buffer outright: transfer reassembly,
-// and log recovery, whose state.RestoreMaterialized makes the one copy the
-// state keeps.
+// DecodeEventsAlias reads an event list with Data aliasing the input, for
+// callers that own the buffer outright: transfer reassembly, and log
+// recovery, whose state.RestoreMaterialized makes the one copy the state
+// keeps.
 //
 // corona:aliases-input — and corona:zerocopy: this is the join transfer
 // fast path; defensive copies here double the join's allocation volume.
-func DecodeEventsAlias(d *Decoder) []Event {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
+func DecodeEventsAlias(c *Codec) []Event {
+	n := c.count()
+	if n == 0 {
 		return nil
 	}
 	evs := make([]Event, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		evs = append(evs, DecodeEventAlias(d))
+	for ; n > 0 && c.err == nil; n-- {
+		evs = append(evs, DecodeEventAlias(c))
 	}
 	return evs
 }
@@ -291,37 +206,12 @@ type TransferPolicy struct {
 // FullTransfer is the default policy: transfer the whole group state.
 var FullTransfer = TransferPolicy{Mode: TransferFull}
 
-func (p TransferPolicy) encode(e *Encoder) {
-	e.PutByte(byte(p.Mode))
-	e.PutUvarint(uint64(p.LastN))
-	e.PutUvarint(uint64(len(p.Objects)))
-	for _, id := range p.Objects {
-		e.PutString(id)
-	}
-	e.PutUvarint(p.FromSeq)
-}
-
-func decodeTransferPolicy(d *Decoder) TransferPolicy {
-	p := TransferPolicy{
-		Mode:  TransferMode(d.Byte()),
-		LastN: uint32(d.Uvarint()),
-	}
-	n := d.Uvarint()
-	if d.err != nil {
-		return p
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
-		return p
-	}
-	if n > 0 {
-		p.Objects = make([]string, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			p.Objects = append(p.Objects, d.String())
-		}
-	}
-	p.FromSeq = d.Uvarint()
-	return p
+// Fields codes the policy.
+func (p *TransferPolicy) Fields(c *Codec) {
+	Byte(c, &p.Mode)
+	Narrow(c, &p.LastN)
+	List(c, &p.Objects, codeString)
+	c.Uvarint(&p.FromSeq)
 }
 
 // Role is a member's relationship to the group (paper footnote 1: member
@@ -359,41 +249,11 @@ type MemberInfo struct {
 	Role     Role
 }
 
-func (m MemberInfo) encode(e *Encoder) {
-	e.PutUvarint(m.ClientID)
-	e.PutString(m.Name)
-	e.PutByte(byte(m.Role))
-}
-
-func decodeMemberInfo(d *Decoder) MemberInfo {
-	return MemberInfo{
-		ClientID: d.Uvarint(),
-		Name:     d.String(),
-		Role:     Role(d.Byte()),
-	}
-}
-
-func encodeMembers(e *Encoder, ms []MemberInfo) {
-	e.PutUvarint(uint64(len(ms)))
-	for i := range ms {
-		ms[i].encode(e)
-	}
-}
-
-func decodeMembers(d *Decoder) []MemberInfo {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
-		return nil
-	}
-	ms := make([]MemberInfo, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		ms = append(ms, decodeMemberInfo(d))
-	}
-	return ms
+// Fields codes the member.
+func (m *MemberInfo) Fields(c *Codec) {
+	c.Uvarint(&m.ClientID)
+	c.String(&m.Name)
+	Byte(c, &m.Role)
 }
 
 // MembershipChange is the cause of a membership notification.
@@ -430,41 +290,11 @@ type ServerInfo struct {
 	BootOrder uint64
 }
 
-func (s ServerInfo) encode(e *Encoder) {
-	e.PutUvarint(s.ID)
-	e.PutString(s.Addr)
-	e.PutUvarint(s.BootOrder)
-}
-
-func decodeServerInfo(d *Decoder) ServerInfo {
-	return ServerInfo{
-		ID:        d.Uvarint(),
-		Addr:      d.String(),
-		BootOrder: d.Uvarint(),
-	}
-}
-
-func encodeServers(e *Encoder, ss []ServerInfo) {
-	e.PutUvarint(uint64(len(ss)))
-	for i := range ss {
-		ss[i].encode(e)
-	}
-}
-
-func decodeServers(d *Decoder) []ServerInfo {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrShortBuffer)
-		return nil
-	}
-	ss := make([]ServerInfo, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		ss = append(ss, decodeServerInfo(d))
-	}
-	return ss
+// Fields codes the server.
+func (s *ServerInfo) Fields(c *Codec) {
+	c.Uvarint(&s.ID)
+	c.String(&s.Addr)
+	c.Uvarint(&s.BootOrder)
 }
 
 // ErrCode classifies protocol-level errors reported in an ErrorMsg.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"reflect"
@@ -139,7 +140,7 @@ func TestRoundTripClusterMessages(t *testing.T) {
 }
 
 // TestRoundTripTablesCoverEveryKind keeps the two tables honest: each holds
-// only its own range, and between them every kind in factories has a sample.
+// only its own range, and between them every registered kind has a sample.
 func TestRoundTripTablesCoverEveryKind(t *testing.T) {
 	sampled := make(map[Kind]bool)
 	for _, m := range clientRoundTrips {
@@ -154,13 +155,10 @@ func TestRoundTripTablesCoverEveryKind(t *testing.T) {
 		}
 		sampled[m.Kind()] = true
 	}
-	for k := range factories {
-		if !sampled[k] {
-			t.Errorf("kind %s has no round-trip sample", k)
+	for k, e := range kinds {
+		if e.new != nil && !sampled[Kind(k)] {
+			t.Errorf("kind %s has no round-trip sample", Kind(k))
 		}
-	}
-	if len(kindNames) != len(factories) {
-		t.Errorf("kindNames has %d entries, factories %d", len(kindNames), len(factories))
 	}
 }
 
@@ -171,9 +169,9 @@ func TestProtocolDocNamesEveryServerKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, name := range kindNames {
-		if k >= KindSHello && !regexp.MustCompile(`\b`+name+`\b`).Match(doc) {
-			t.Errorf("PROTOCOL.md never mentions %s", name)
+	for k, e := range kinds {
+		if e.new != nil && Kind(k) >= KindSHello && !regexp.MustCompile(`\b`+e.name+`\b`).Match(doc) {
+			t.Errorf("PROTOCOL.md never mentions %s", e.name)
 		}
 	}
 }
@@ -191,6 +189,21 @@ func TestUnmarshalErrors(t *testing.T) {
 		if _, err := Unmarshal(full[:i]); err == nil {
 			t.Errorf("Unmarshal(truncated to %d bytes): want error", i)
 		}
+	}
+	// A code wider than ErrCode's 16 bits is refused, not truncated to
+	// another code (65537 would read as CodeNoSuchGroup).
+	c := NewWriter([]byte{byte(KindError)})
+	id, code, text := uint64(1), uint64(65537), "x"
+	c.Uvarint(&id)
+	c.Uvarint(&code)
+	c.String(&text)
+	if m, err := Unmarshal(c.Written()); !errors.Is(err, ErrFieldTooBig) {
+		t.Errorf("Unmarshal(Error with code 65537) = %+v, %v; want ErrFieldTooBig", m, err)
+	}
+	// A frame must end where its message does.
+	deliver := Marshal(nil, &Deliver{Group: "g", Event: sampleEvent(1)})
+	if m, err := Unmarshal(append(deliver, 0, 0)); err == nil {
+		t.Errorf("Unmarshal(Deliver with 2 trailing bytes) = %+v; want error", m)
 	}
 }
 
@@ -215,75 +228,76 @@ func TestUnmarshalCopiesData(t *testing.T) {
 
 func TestDecoderHostileLengths(t *testing.T) {
 	// A huge element count with a tiny buffer must fail cleanly.
-	e := NewEncoder(nil)
-	e.PutByte(byte(KindJoinAck))
-	e.PutUvarint(1)                  // RequestID
-	e.PutString("g")                 // Group
-	e.PutUvarint(1)                  // NextSeq
-	e.PutUvarint(0)                  // BaseSeq
-	e.PutUint64(0)                   // Digest
-	e.PutUvarint(math.MaxUint32 + 1) // object count lie
-	if _, err := Unmarshal(e.Bytes()); err == nil {
+	c := NewWriter([]byte{byte(KindJoinAck)})
+	id, group, next, base, digest, lie := uint64(1), "g", uint64(1), uint64(0), uint64(0), uint64(math.MaxUint32+1)
+	c.Uvarint(&id)
+	c.String(&group)
+	c.Uvarint(&next)
+	c.Uvarint(&base)
+	c.Uint64(&digest)
+	c.Uvarint(&lie) // object count
+	if _, err := Unmarshal(c.Written()); err == nil {
 		t.Error("hostile object count: want error")
 	}
 }
 
 func TestEncoderPrimitivesRoundTrip(t *testing.T) {
-	e := NewEncoder(nil)
-	e.PutByte(7)
-	e.PutBool(true)
-	e.PutBool(false)
-	e.PutUvarint(1 << 40)
-	e.PutVarint(-12345)
-	e.PutUint32(0xDEADBEEF)
-	e.PutUint64(math.MaxUint64)
-	e.PutBytes([]byte("bytes"))
-	e.PutString("string")
+	type fields struct {
+		b    byte
+		t, f bool
+		u    uint64
+		v    int64
+		u32  uint32
+		u64  uint64
+		code ErrCode
+		bs   []byte
+		s    string
+		ss   []string
+	}
+	code := func(c *Codec, x *fields) {
+		Byte(c, &x.b)
+		c.Bool(&x.t)
+		c.Bool(&x.f)
+		c.Uvarint(&x.u)
+		c.Varint(&x.v)
+		c.Uint32(&x.u32)
+		c.Uint64(&x.u64)
+		Narrow(c, &x.code)
+		c.ByteCopy(&x.bs)
+		c.String(&x.s)
+		List(c, &x.ss, codeString)
+	}
+	in := fields{7, true, false, 1 << 40, -12345, 0xDEADBEEF, math.MaxUint64, CodeNotDurable, []byte("bytes"), "string", []string{"a", "bc"}}
+	w := NewWriter(nil)
+	code(w, &in)
 
-	d := NewDecoder(e.Bytes())
-	if got := d.Byte(); got != 7 {
-		t.Errorf("Byte = %d, want 7", got)
+	var out fields
+	r := NewReader(w.Written())
+	code(r, &out)
+	if r.Err() != nil {
+		t.Fatalf("Err = %v", r.Err())
 	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip failed")
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip:\n in  %+v\n out %+v", in, out)
 	}
-	if got := d.Uvarint(); got != 1<<40 {
-		t.Errorf("Uvarint = %d", got)
-	}
-	if got := d.Varint(); got != -12345 {
-		t.Errorf("Varint = %d", got)
-	}
-	if got := d.Uint32(); got != 0xDEADBEEF {
-		t.Errorf("Uint32 = %x", got)
-	}
-	if got := d.Uint64(); got != math.MaxUint64 {
-		t.Errorf("Uint64 = %x", got)
-	}
-	if got := d.Bytes(); string(got) != "bytes" {
-		t.Errorf("Bytes = %q", got)
-	}
-	if got := d.String(); got != "string" {
-		t.Errorf("String = %q", got)
-	}
-	if d.Err() != nil {
-		t.Errorf("Err = %v", d.Err())
-	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", d.Remaining())
+	if r.Remaining() != 0 {
+		t.Errorf("Remaining = %d, want 0", r.Remaining())
 	}
 }
 
 func TestDecoderStickyError(t *testing.T) {
-	d := NewDecoder(nil)
-	_ = d.Uint64() // fails
-	if d.Err() == nil {
+	c := NewReader(nil)
+	var u uint64
+	c.Uint64(&u) // fails
+	if c.Err() == nil {
 		t.Fatal("want error after reading past end")
 	}
-	first := d.Err()
-	_ = d.String()
-	_ = d.Uvarint()
-	if d.Err() != first {
-		t.Errorf("error not sticky: %v != %v", d.Err(), first)
+	first := c.Err()
+	var s string
+	c.String(&s)
+	c.Uvarint(&u)
+	if c.Err() != first {
+		t.Errorf("error not sticky: %v != %v", c.Err(), first)
 	}
 }
 
@@ -352,8 +366,8 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := range factories {
-		if s := k.String(); s == "" || s[0] == 'K' && s[1] == 'i' { // "Kind(n)" fallback
+	for k, e := range kinds {
+		if s := Kind(k).String(); e.new != nil && (s == "" || s[0] == 'K' && s[1] == 'i') { // "Kind(n)" fallback
 			t.Errorf("kind %d has no name", k)
 		}
 	}
@@ -403,6 +417,32 @@ func TestMarshalReusesBuffer(t *testing.T) {
 	out := Marshal(buf, msg)
 	if &out[0] != &buf[:1][0] {
 		t.Error("Marshal did not reuse the provided buffer")
+	}
+}
+
+// TestCodecAllocations pins the codec's allocations on the hot kinds, as
+// BenchmarkMarshalBcast1000 and BenchmarkUnmarshalDeliver1000 run them: a
+// Marshal into a buffer with room allocates nothing, and an Unmarshal of a
+// Deliver allocates the message, its group name and its data.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	bcast := &Bcast{RequestID: 1, Group: "bench", EvKind: EventUpdate, ObjectID: "o", Data: make([]byte, 1000)}
+	buf := make([]byte, 0, 2048)
+	if n := testing.AllocsPerRun(1000, func() { buf = Marshal(buf[:0], bcast) }); n > 0 {
+		t.Errorf("Marshal of a 1000 B Bcast allocates %.1f times, want 0", n)
+	}
+	deliver := Marshal(nil, &Deliver{Group: "bench", Event: Event{
+		Seq: 1, Kind: EventUpdate, ObjectID: "o", Data: make([]byte, 1000), Sender: 1, Time: 1,
+	}})
+	n := testing.AllocsPerRun(1000, func() {
+		if _, err := Unmarshal(deliver); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 3 {
+		t.Errorf("Unmarshal of a 1000 B Deliver allocates %.1f times, want at most 3", n)
 	}
 }
 

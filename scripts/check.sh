@@ -107,9 +107,10 @@ line "allocation budgets (no race)" 2
 # event allocates at most a quarter of an object: its bytes and object ID
 # are the log's and its group's, and its run reuses an applied run's
 # slices. A blocking frame read allocates only what decoding the frame
-# does. The allocation guards skip themselves under -race, so they run
-# here uninstrumented, with the test that streamed objects do not overlap.
-quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce|TestRecoveryAllocations|TestReadMessageAllocations' ./internal/client ./internal/state ./internal/core ./internal/transport
+# does, and the codec holds an absolute budget on the hot kinds. The
+# allocation guards skip themselves under -race, so they run here
+# uninstrumented, with the test that streamed objects do not overlap.
+quiet alloc go test -count=1 -run 'TestJoinCopiesOncePerSide|TestStreamedJoinObjectsDoNotOverlap|TestApplyAllocations|TestApplyRunAllocations|TestApplyDistributedAllocations|TestRestoreBaseCopiesOnce|TestRecoveryAllocations|TestReadMessageAllocations|TestCodecAllocations' ./internal/client ./internal/state ./internal/core ./internal/transport ./internal/wire
 
 line "fuzz smoke (3s per target)" 14
 # FuzzMessage takes every kind of the wire registry through decode and
