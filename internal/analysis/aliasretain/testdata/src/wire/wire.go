@@ -113,3 +113,35 @@ func StreamNextSlow(payload []byte, n int) []byte {
 	chunk = append([]byte(nil), chunk...) // want `needless copy on //corona:zerocopy path: append onto a fresh base`
 	return chunk
 }
+
+// --- shapes the shared taint walk closes ----------------------------------
+
+func retainThroughPointer(data []byte, out *[]byte) {
+	d := &Decoder{buf: data}
+	*out = d.Bytes(8) // want `aliasing the decode input \(from Bytes\) retained in \*out; copy before storing`
+}
+
+func handOffThroughPointer(data []byte, out *Frame) {
+	d := &Decoder{buf: data}
+	*out = Frame{payload: d.Bytes(8)} // composite-literal handoff: fine
+}
+
+func mutateVar(data []byte) {
+	d := &Decoder{buf: data}
+	var p = d.Bytes(8)
+	p[0] = 1 // want `write through slice aliasing the decode input \(from Bytes\)`
+}
+
+func mutateCommaOk(data []byte) {
+	objects, _, _ := DecodePayload(data)
+	if p, ok := objects["a"]; ok {
+		p[0] = 1 // want `write through slice aliasing the decode input \(from DecodePayload\)`
+	}
+}
+
+func scalarRead(data []byte) byte {
+	d := &Decoder{buf: data}
+	n := d.Bytes(1)[0]
+	n++ // a copy of one byte, not the buffer: fine
+	return n
+}

@@ -19,19 +19,22 @@
 //     Transfer.events). Inserting shared values is the whole point and is
 //     allowed; element writes through the view are forbidden.
 //
-// Taint is tracked intra-function through locals, indexing, re-slicing,
-// field access, and range statements, so `buf := g.objects[id]; buf[0]++`
-// is caught as surely as the direct write. The analyzer applies to every
-// package named "state".
+// The types cannot carry the discipline: a view shares the live group's
+// []byte buffers, so both sides hold the same slice type, and a
+// read-only slice is not a Go type. The taint walk follows the marked
+// fields through locals, indexing, re-slicing, field access, comma-ok
+// reads, var declarations and range statements, so `buf := g.objects[id];
+// buf[0]++` is caught as surely as the direct write. The analyzer applies
+// to every package named "state".
 package cowsafe
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
 	"corona/internal/analysis"
+	"corona/internal/analysis/taint"
 )
 
 // Analyzer is the cowsafe checker.
@@ -41,9 +44,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// The labels of the two kinds of marked field, as the messages name them.
 const (
-	markCOW  = "cow"      // live state; captures alias it
-	markView = "cow-view" // captured view; shares live buffers
+	live = "COW-shared"        // //corona:cow: live state; captures alias it
+	view = "captured COW view" // //corona:cow-view: shares live buffers
 )
 
 func run(pass *analysis.Pass) error {
@@ -55,39 +59,40 @@ func run(pass *analysis.Pass) error {
 		if len(fields) == 0 {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					w := &walker{pass: pass, pkg: pkg, fields: fields,
-						local:      map[types.Object]string{},
-						sanctioned: map[*ast.CallExpr]bool{}}
-					w.walk(fd.Body)
+		rules := &taint.Rules{
+			Source: func(w *taint.Walker, e ast.Expr) string {
+				if sel, ok := e.(*ast.SelectorExpr); ok {
+					return fields[w.Pkg.Info.Uses[sel.Sel]]
 				}
-			}
+				return ""
+			},
+			Store: func(w *taint.Walker, lhs, rhs ast.Expr, _ string) bool {
+				return install(w, fields, lhs, rhs)
+			},
+			Writes: [...]string{
+				taint.Assign: "write into %[1]s buffer %[2]s; captured views alias this memory",
+				taint.IncDec: "in-place mutation of %[1]s buffer %[2]s; captured views may alias it",
+				taint.Copy:   "copy into %[1]s buffer %[2]s; captured views may alias it",
+				taint.Append: "append to %[1]s buffer %[2]s escapes; install the result back into the same field or build on a fresh base",
+			},
 		}
+		taint.Funcs([]*analysis.Package{pkg}, func(pkg *analysis.Package, fd *ast.FuncDecl) {
+			taint.Walk(pass, pkg, fd.Body, rules)
+		})
 	}
 	return nil
 }
 
-// markedFields maps struct field objects to their marker ("cow" or
-// "cow-view"), collected from //corona:cow[-view] comments on the field
-// declarations.
+// markedFields maps struct field objects to their label, collected from
+// //corona:cow[-view] comments on the field declarations.
 func markedFields(pkg *analysis.Package) map[types.Object]string {
 	out := map[types.Object]string{}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				m := fieldMarker(field)
-				if m == "" {
-					continue
-				}
+			if field, ok := n.(*ast.Field); ok {
 				for _, name := range field.Names {
-					if obj := pkg.Info.Defs[name]; obj != nil {
-						out[obj] = m
+					if m := fieldLabel(field); m != "" && pkg.Info.Defs[name] != nil {
+						out[pkg.Info.Defs[name]] = m
 					}
 				}
 			}
@@ -97,277 +102,42 @@ func markedFields(pkg *analysis.Package) map[types.Object]string {
 	return out
 }
 
-func fieldMarker(field *ast.Field) string {
+func fieldLabel(field *ast.Field) string {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if cg == nil {
 			continue
 		}
 		for _, c := range cg.List {
-			if strings.Contains(c.Text, "corona:"+markView) {
-				return markView
+			if strings.Contains(c.Text, "corona:cow-view") {
+				return view
 			}
-			if strings.Contains(c.Text, "corona:"+markCOW) {
-				return markCOW
+			if strings.Contains(c.Text, "corona:cow") {
+				return live
 			}
 		}
 	}
 	return ""
 }
 
-// walker checks one function body.
-type walker struct {
-	pass   *analysis.Pass
-	pkg    *analysis.Package
-	fields map[types.Object]string // marked struct fields
-	local  map[types.Object]string // tainted locals → marker
-	// sanctioned records append calls already judged by the install rules
-	// (append-to-self or fresh-base), so the escape check skips them.
-	sanctioned map[*ast.CallExpr]bool
-}
-
-func (w *walker) walk(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			w.assign(n)
-		case *ast.RangeStmt:
-			if m := w.marker(n.X); m != "" {
-				for _, v := range []ast.Expr{n.Key, n.Value} {
-					if id, ok := v.(*ast.Ident); ok && id.Name != "_" {
-						if obj := w.pkg.Info.Defs[id]; obj != nil && !isBasic(obj) {
-							w.local[obj] = m
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if m := w.marker(n.X); m != "" {
-				w.pass.Reportf(n.Pos(), "in-place mutation of %s buffer %s; captured views may alias it",
-					describe(m), types.ExprString(n.X))
-			}
-		case *ast.CallExpr:
-			w.call(n)
-		}
-		return true
-	})
-}
-
-// assign handles writes: element writes, installs into marked fields, and
-// taint propagation into locals.
-func (w *walker) assign(a *ast.AssignStmt) {
-	// Only pairwise assignments propagate taint / get checked; the
-	// multi-return form cannot produce a tainted value here.
-	n := len(a.Lhs)
-	if len(a.Rhs) != n {
-		return
-	}
-	for i := 0; i < n; i++ {
-		lhs, rhs := a.Lhs[i], a.Rhs[i]
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			base := ast.Unparen(l.X)
-			m := w.marker(base)
-			if m == "" {
-				// Untracked base; still catch writes through a tainted
-				// index chain, e.g. g.objects[id][0] = b.
-				if inner := w.marker(l.X); inner != "" {
-					w.elementWrite(l.Pos(), inner, lhs)
-				}
-				continue
-			}
-			if isMap(w.pkg.Info, base) {
-				// Map insert: an install. Views may share freely; live
-				// COW state requires a fresh value.
-				if m == markCOW && !w.fresh(rhs, types.ExprString(lhs)) {
-					w.pass.Reportf(a.Pos(),
-						"install into COW field %s must be a fresh buffer (clone, make, literal, nil, or append-to-self); %s may be shared with captured views",
-						types.ExprString(base), types.ExprString(rhs))
-				}
-			} else {
-				w.elementWrite(l.Pos(), m, lhs)
-			}
-		case *ast.SelectorExpr:
-			if obj := w.pkg.Info.Uses[l.Sel]; obj != nil {
-				if m, marked := w.fields[obj]; marked {
-					if m == markCOW && !w.fresh(rhs, types.ExprString(lhs)) {
-						w.pass.Reportf(a.Pos(),
-							"install into COW field %s must be a fresh buffer (clone, make, literal, nil, or append-to-self); %s may be shared with captured views",
-							types.ExprString(lhs), types.ExprString(rhs))
-					}
-					continue
-				}
-			}
-			if m := w.marker(l.X); m != "" {
-				w.elementWrite(l.Pos(), m, lhs)
-			}
-		case *ast.Ident:
-			if obj := w.pkg.Info.Defs[l]; obj != nil || a.Tok == token.ASSIGN {
-				if obj == nil {
-					obj = w.pkg.Info.Uses[l]
-				}
-				if obj == nil {
-					continue
-				}
-				if m := w.marker(rhs); m != "" && !isBasic(obj) {
-					w.local[obj] = m
-					// x = append(x, ...) on a tainted local mirrors the
-					// sanctioned append-to-self field pattern.
-					if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isAppend(w.pkg.Info, call) &&
-						len(call.Args) > 0 && types.ExprString(ast.Unparen(call.Args[0])) == types.ExprString(l) {
-						w.sanctioned[call] = true
-					}
-				} else if a.Tok == token.ASSIGN {
-					delete(w.local, obj) // overwritten with untainted value
-				}
-			}
-		case *ast.StarExpr:
-			if m := w.marker(l.X); m != "" {
-				w.elementWrite(l.Pos(), m, lhs)
-			}
-		}
-	}
-}
-
-// call flags copy() into tainted destinations and appends whose result
-// escapes the COW discipline.
-func (w *walker) call(call *ast.CallExpr) {
-	if isBuiltin(w.pkg.Info, call, "copy") && len(call.Args) == 2 {
-		if m := w.marker(call.Args[0]); m != "" {
-			w.pass.Reportf(call.Pos(), "copy into %s buffer %s; captured views may alias it",
-				describe(m), types.ExprString(call.Args[0]))
-		}
-		return
-	}
-	if isAppend(w.pkg.Info, call) && len(call.Args) > 0 && !w.sanctioned[call] {
-		first := ast.Unparen(call.Args[0])
-		if m := w.marker(first); m != "" && !w.freshBase(first) {
-			w.pass.Reportf(call.Pos(),
-				"append to %s buffer %s escapes; install the result back into the same field or build on a fresh base",
-				describe(m), types.ExprString(first))
-		}
-	}
-}
-
-func (w *walker) elementWrite(pos token.Pos, marker string, lhs ast.Expr) {
-	w.pass.Reportf(pos, "write into %s buffer %s; captured views alias this memory",
-		describe(marker), types.ExprString(lhs))
-}
-
-// marker reports whether e reaches memory shared under a marked field:
-// "" (no), "cow", or "cow-view".
-func (w *walker) marker(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := w.pkg.Info.Uses[e]; obj != nil {
-			return w.local[obj]
-		}
+// install judges a store into a marked field or into a map reached from
+// one: a view takes any value, live state only a fresh one. Any other
+// store is left to the walk.
+func install(w *taint.Walker, fields map[types.Object]string, lhs, rhs ast.Expr) bool {
+	field, label := lhs, ""
+	switch l := lhs.(type) {
 	case *ast.SelectorExpr:
-		if obj := w.pkg.Info.Uses[e.Sel]; obj != nil {
-			if m, ok := w.fields[obj]; ok {
-				return m
-			}
-		}
-		return w.marker(e.X)
+		label = fields[w.Pkg.Info.Uses[l.Sel]]
 	case *ast.IndexExpr:
-		return w.marker(e.X)
-	case *ast.SliceExpr:
-		return w.marker(e.X)
-	case *ast.StarExpr:
-		return w.marker(e.X)
-	case *ast.UnaryExpr:
-		return w.marker(e.X)
-	}
-	return ""
-}
-
-// fresh reports whether rhs provably does not share backing memory with
-// any captured view when installed at lhsText.
-func (w *walker) fresh(rhs ast.Expr, lhsText string) bool {
-	rhs = ast.Unparen(rhs)
-	switch r := rhs.(type) {
-	case *ast.Ident:
-		return r.Name == "nil"
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		if tv, ok := w.pkg.Info.Types[r.Fun]; ok && tv.IsType() {
-			// Conversion: fresh iff its operand is ([]byte(nil) etc.).
-			return len(r.Args) == 1 && w.fresh(r.Args[0], lhsText)
-		}
-		if isAppend(w.pkg.Info, r) && len(r.Args) > 0 {
-			first := ast.Unparen(r.Args[0])
-			ok := types.ExprString(first) == lhsText || w.freshBase(first)
-			if ok {
-				w.sanctioned[r] = true
+		if t := w.Pkg.Info.TypeOf(l.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				field, label = l.X, w.Label(l.X)
 			}
-			return ok
-		}
-		switch fun := ast.Unparen(r.Fun).(type) {
-		case *ast.Ident:
-			return fun.Name == "make" || fun.Name == "new" || cloneName(fun.Name)
-		case *ast.SelectorExpr:
-			return cloneName(fun.Sel.Name)
 		}
 	}
-	return false
-}
-
-// freshBase reports whether an append base is itself fresh: nil, an empty
-// or literal slice, or a conversion of one.
-func (w *walker) freshBase(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name == "nil"
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		if tv, ok := w.pkg.Info.Types[e.Fun]; ok && tv.IsType() {
-			return len(e.Args) == 1 && w.freshBase(e.Args[0])
-		}
-		switch fun := ast.Unparen(e.Fun).(type) {
-		case *ast.Ident:
-			return fun.Name == "make" || cloneName(fun.Name)
-		case *ast.SelectorExpr:
-			return cloneName(fun.Sel.Name)
-		}
+	if label == live && !w.Install(lhs, rhs) {
+		w.Pass.Reportf(lhs.Pos(),
+			"install into COW field %s must be a fresh buffer (clone, make, literal, nil, or append-to-self); %s may be shared with captured views",
+			types.ExprString(field), types.ExprString(rhs))
 	}
-	return false
-}
-
-func cloneName(name string) bool {
-	return strings.HasPrefix(name, "clone") || strings.HasPrefix(name, "Clone")
-}
-
-func describe(marker string) string {
-	if marker == markView {
-		return "captured COW view"
-	}
-	return "COW-shared"
-}
-
-func isMap(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, ok = tv.Type.Underlying().(*types.Map)
-	return ok
-}
-
-func isBasic(obj types.Object) bool {
-	_, ok := obj.Type().Underlying().(*types.Basic)
-	return ok
-}
-
-func isAppend(info *types.Info, call *ast.CallExpr) bool {
-	return isBuiltin(info, call, "append")
-}
-
-func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
+	return label != ""
 }

@@ -163,3 +163,16 @@ func cloneBytes(b []byte) []byte {
 	copy(out, b)
 	return out
 }
+
+// --- shapes the shared taint walk closes ----------------------------------
+
+func (g *Group) patchCommaOk(id string) {
+	if buf, ok := g.objects[id]; ok {
+		buf[0] = 1 // want `write into COW-shared buffer buf\[0\]`
+	}
+}
+
+func (g *Group) patchVar(id string) {
+	var buf = g.objects[id]
+	buf[0] = 1 // want `write into COW-shared buffer buf\[0\]`
+}
