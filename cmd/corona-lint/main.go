@@ -1,7 +1,6 @@
 // Command corona-lint runs Corona's invariant analyzers — lockhold,
-// lockorder, atomicsafe, cowsafe, aliasretain, obshygiene, refsafe (see
-// DESIGN.md §"Checked invariants") — over the module and exits non-zero
-// on findings.
+// lockorder, atomicsafe, cowsafe, aliasretain, obshygiene (see DESIGN.md
+// §"Checked invariants") — over the module and exits non-zero on findings.
 //
 // Usage:
 //
@@ -28,7 +27,6 @@ import (
 	"corona/internal/analysis/lockhold"
 	"corona/internal/analysis/lockorder"
 	"corona/internal/analysis/obshygiene"
-	"corona/internal/analysis/refsafe"
 )
 
 var suite = []*analysis.Analyzer{
@@ -38,7 +36,6 @@ var suite = []*analysis.Analyzer{
 	cowsafe.Analyzer,
 	aliasretain.Analyzer,
 	obshygiene.Analyzer,
-	refsafe.Analyzer,
 }
 
 func main() {

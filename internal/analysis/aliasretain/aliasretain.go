@@ -9,8 +9,9 @@
 //   - mutation — element writes, copy-into, or appends building on an
 //     aliased slice, all of which can scribble on the shared buffer;
 //   - retention — storing an aliased slice into a struct field, a
-//     package-level variable or through a pointer (*out = alias), all of
-//     which outlive the decode call. Returning the value or placing it in
+//     package-level variable or through a pointer (*out = alias), or into a
+//     map or slice held by one of those, all of which outlive the decode
+//     call. Returning the value or placing it in
 //     a composite literal, *out = Object{Data: alias} included, is the
 //     documented handoff and stays legal: the alias contract travels with
 //     the function's own doc comment.
@@ -111,14 +112,22 @@ func source(pkg *analysis.Package, marked map[*types.Func]bool, e ast.Expr) stri
 }
 
 // retain flags an alias stored where it outlives the decode call: a field,
-// a package-level variable, or through a pointer. An element store is
-// left to the walk, which judges it by its container.
+// a package-level variable, through a pointer, or into a container held by
+// one of those. An element of a local container is left to the walk, which
+// labels the container.
 func retain(w *taint.Walker, lhs, _ ast.Expr, label string) bool {
-	if _, elem := lhs.(*ast.IndexExpr); elem || label == "" {
+	if label == "" {
 		return false
 	}
+	root := lhs
+	for ix, ok := root.(*ast.IndexExpr); ok; ix, ok = root.(*ast.IndexExpr) {
+		root = ast.Unparen(ix.X)
+	}
 	where := types.ExprString(lhs)
-	if _, global := lhs.(*ast.Ident); global {
+	if id, ok := root.(*ast.Ident); ok {
+		if w.Pkg.Info.ObjectOf(id).Parent() != w.Pkg.Types.Scope() {
+			return false
+		}
 		where = "package-level " + where
 	}
 	w.Pass.Reportf(lhs.Pos(), "slice aliasing the decode input (from %s) retained in %s; copy before storing", label, where)

@@ -145,3 +145,48 @@ func scalarRead(data []byte) byte {
 	n++ // a copy of one byte, not the buffer: fine
 	return n
 }
+
+// --- local copies and containers that outlive the call -------------------
+
+type Event struct {
+	Seq  uint64
+	Data []byte
+}
+
+// DecodeEventAlias decodes one event.
+//
+// corona:aliases-input — the event's Data aliases data.
+func DecodeEventAlias(data []byte) Event {
+	return Event{Seq: uint64(data[0]), Data: data[1:]}
+}
+
+func renumber(data []byte) Event {
+	ev := DecodeEventAlias(data)
+	ev.Seq = 7 // a field of the local copy, not of the input: fine
+	ev.Seq++   // likewise
+	return ev
+}
+
+func renumberThrough(data []byte) {
+	ev := DecodeEventAlias(data)
+	ev.Data[0] = 1 // want `write through slice aliasing the decode input \(from DecodeEventAlias\)`
+	p := &ev
+	p.Data[1] = 2 // want `write through slice aliasing the decode input \(from DecodeEventAlias\)`
+}
+
+type holder struct {
+	m map[string][]byte
+	s [][]byte
+}
+
+var registry = map[string][]byte{}
+
+func (h *holder) retainInContainers(data []byte) {
+	d := &Decoder{buf: data}
+	h.m["a"] = d.Bytes(4)      // want `aliasing the decode input \(from Bytes\) retained in h\.m\["a"\]`
+	h.s[0] = d.Bytes(4)        // want `aliasing the decode input \(from Bytes\) retained in h\.s\[0\]`
+	registry["a"] = d.Bytes(4) // want `aliasing the decode input \(from Bytes\) retained in package-level registry\["a"\]`
+	local := map[string][]byte{}
+	local["a"] = d.Bytes(4) // a local container: fine
+	local["a"][0] = 1       // want `write through slice aliasing the decode input \(from Bytes\)`
+}

@@ -35,8 +35,8 @@ var flagAnalyzer = &analysis.Analyzer{
 // TestMultiPackageFixture runs one golden pass over a fixture tree of two
 // packages where `second` imports `first`: expectations in both packages
 // must match, and the importing package must type-check against its
-// sibling — the property every cross-package analyzer fixture (refsafe's
-// core+transport, lockorder's core+cluster+transport) relies on.
+// sibling — the property every cross-package analyzer fixture (lockorder's
+// core+cluster+transport) relies on.
 func TestMultiPackageFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", flagAnalyzer)
 }

@@ -4,6 +4,7 @@
 package state
 
 type Event struct {
+	Seq      uint64
 	ObjectID string
 	Data     []byte
 }
@@ -175,4 +176,19 @@ func (g *Group) patchCommaOk(id string) {
 func (g *Group) patchVar(id string) {
 	var buf = g.objects[id]
 	buf[0] = 1 // want `write into COW-shared buffer buf\[0\]`
+}
+
+func (g *Group) renumberCopies() {
+	for _, ev := range g.history {
+		ev.Seq++ // a field of the range variable's copy: fine
+		ev.Seq = 0
+	}
+}
+
+func (g *Group) renumberInPlace() {
+	for i := range g.history {
+		p := &g.history[i]
+		p.Seq++   // want `in-place mutation of COW-shared buffer p\.Seq`
+		p.Seq = 0 // want `write into COW-shared buffer p\.Seq`
+	}
 }

@@ -170,7 +170,7 @@ func LoadFixture(root string) (*Program, error) {
 			return err
 		}
 		if fi.IsDir() && path != srcRoot {
-			if ok, _ := hasGoFiles(path); ok {
+			if names, _ := goFilesIn(path); len(names) > 0 {
 				dirs = append(dirs, path)
 			}
 		}
@@ -183,6 +183,7 @@ func LoadFixture(root string) (*Program, error) {
 
 	// Gather fixture packages and the set of external imports to resolve.
 	fixtures := map[string]sourcePkg{}
+	var paths []string
 	importsOf := map[string][]string{}
 	external := map[string]bool{}
 	fset := token.NewFileSet() // for import scanning only
@@ -191,15 +192,12 @@ func LoadFixture(root string) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		path := filepath.ToSlash(rel)
-		files, err := hasGoFiles(d)
-		if !files || err != nil {
-			continue
-		}
 		names, err := goFilesIn(d)
 		if err != nil {
 			return nil, err
 		}
+		path := filepath.ToSlash(rel)
+		paths = append(paths, path)
 		fixtures[path] = sourcePkg{path: path, dir: d, files: names}
 		for _, name := range names {
 			af, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
@@ -226,34 +224,23 @@ func LoadFixture(root string) (*Program, error) {
 	// Order fixture packages dependencies-first.
 	var order []sourcePkg
 	seen := map[string]bool{}
-	var visit func(path string) error
-	visit = func(path string) error {
+	var visit func(path string)
+	visit = func(path string) {
 		if seen[path] {
-			return nil
+			return
 		}
 		seen[path] = true
 		for _, ip := range importsOf[path] {
 			if _, ok := fixtures[ip]; ok {
-				if err := visit(ip); err != nil {
-					return err
-				}
+				visit(ip)
 			}
 		}
 		order = append(order, fixtures[path])
-		return nil
 	}
-	for _, d := range dirs {
-		rel, _ := filepath.Rel(srcRoot, d)
-		if err := visit(filepath.ToSlash(rel)); err != nil {
-			return nil, err
-		}
+	for _, path := range paths {
+		visit(path)
 	}
 	return check(order, exports)
-}
-
-func hasGoFiles(dir string) (bool, error) {
-	names, err := goFilesIn(dir)
-	return len(names) > 0, err
 }
 
 func goFilesIn(dir string) ([]string, error) {

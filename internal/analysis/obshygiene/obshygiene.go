@@ -94,24 +94,13 @@ func run(pass *analysis.Pass) error {
 		if len(group) < 2 {
 			continue
 		}
-		sort.Slice(group, func(i, j int) bool { return lessPos(pass.Fset, group[i].pos, group[j].pos) })
+		sort.Slice(group, func(i, j int) bool { return group[i].pos < group[j].pos })
 		first := pass.Fset.Position(group[0].pos)
 		for _, s := range group[1:] {
 			pass.Reportf(s.pos, "metric name %q already registered at %s; instrument names must be globally unique", s.name, first)
 		}
 	}
 	return nil
-}
-
-func lessPos(fset *token.FileSet, a, b token.Pos) bool {
-	pa, pb := fset.Position(a), fset.Position(b)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
-	}
-	return pa.Column < pb.Column
 }
 
 // setupContext classifies a function as a legitimate registration site.

@@ -15,7 +15,10 @@
 // basic type is a copy, and an error is not a buffer, so neither is ever
 // labelled. A write into labelled memory is reported: an element, field
 // or *p assignment, ++ and --, copy into it, and append onto it, except
-// an append a rule approved with Install.
+// an append a rule approved with Install. A field or array element of a
+// value the function holds itself (a local struct copy, not memory reached
+// through a pointer, slice or map) is the function's own storage, and a
+// write there is none.
 package taint
 
 import (
@@ -87,7 +90,9 @@ func Walk(pass *analysis.Pass, pkg *analysis.Package, body *ast.BlockStmt, rules
 				}
 			}
 		case *ast.IncDecStmt:
-			w.report(IncDec, n.Pos(), n.X, w.Label(n.X))
+			if !w.held(n.X) {
+				w.report(IncDec, n.Pos(), n.X, w.Label(n.X))
+			}
 		case *ast.CallExpr:
 			if len(n.Args) > 0 && !w.approved[n] {
 				if isBuiltin(pkg.Info, n, "copy") {
@@ -160,7 +165,9 @@ func (w *Walker) store(lhs, rhs ast.Expr, label string) {
 		return
 	}
 	if c := w.Label(cont); c != "" {
-		w.report(Assign, lhs.Pos(), lhs, c)
+		if !w.held(lhs) {
+			w.report(Assign, lhs.Pos(), lhs, c)
+		}
 	} else if id, ok := ast.Unparen(cont).(*ast.Ident); ok && label != "" {
 		// Shared memory inserted into a local container shares it.
 		w.labels[w.Pkg.Info.ObjectOf(id)] = label
@@ -171,6 +178,25 @@ func (w *Walker) report(k Kind, pos token.Pos, dst ast.Expr, label string) {
 	if label != "" {
 		w.Pass.Reportf(pos, w.rules.Writes[k], label, types.ExprString(ast.Unparen(dst)))
 	}
+}
+
+// held reports whether e is storage the function holds itself: a local
+// variable, or a field or array element of one reached without a pointer.
+func (w *Walker) held(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, ok := w.Pkg.Info.ObjectOf(e).(*types.Var)
+		return ok && v.Parent() != w.Pkg.Types.Scope()
+	case *ast.SelectorExpr:
+		sel := w.Pkg.Info.Selections[e]
+		return sel != nil && sel.Kind() == types.FieldVal && !sel.Indirect() && w.held(e.X)
+	case *ast.IndexExpr:
+		if t := w.Pkg.Info.TypeOf(e.X); t != nil {
+			_, array := t.Underlying().(*types.Array)
+			return array && w.held(e.X)
+		}
+	}
+	return false
 }
 
 // Label returns the label of the shared memory e reaches, or "".

@@ -582,8 +582,7 @@ func (c *Coordinator) enqueueLocked(msg wire.Message, to *peer, interested map[u
 	f := transport.NewSharedFrame(msg)
 	send := func(p *peer) {
 		f.Retain()
-		if err := p.pump.SendShared(f, false); err != nil {
-			f.Release()
+		if _, err := p.pump.SendSharedRun([]*transport.SharedFrame{f}, false); err != nil {
 			go func() { _ = p.conn.Close() }()
 		}
 	}

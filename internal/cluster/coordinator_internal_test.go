@@ -3,10 +3,12 @@ package cluster
 import (
 	"io"
 	"log/slog"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"corona/internal/obs"
 	"corona/internal/transport"
 	"corona/internal/wire"
 )
@@ -106,5 +108,44 @@ func TestConcurrentRegistrationsAckFirst(t *testing.T) {
 	}
 	if len(notAck) > 0 {
 		t.Fatalf("of %d registrations, first frames other than SHelloAck: %v", rounds*width, notAck)
+	}
+}
+
+// TestBroadcastRefusedFrameBalance: a broadcast whose frame one peer's pump
+// refuses still releases every frame it made, and the refusing link is
+// closed. The live peer's pump writes the frame; the closed one's releases
+// it inside the send.
+func TestBroadcastRefusedFrameBalance(t *testing.T) {
+	live := obs.Default.Gauge("transport.frames_live")
+	start := live.Load()
+
+	a, b := net.Pipe()
+	defer b.Close()
+	ca := transport.NewConn(a)
+	healthy := &peer{conn: ca, pump: transport.NewPump(ca, 0)}
+	read := make(chan error, 1)
+	go func() {
+		_, err := transport.NewConn(b).ReadMessage()
+		read <- err
+	}()
+	x, y := net.Pipe()
+	defer y.Close()
+	cx := transport.NewConn(x)
+	refusing := &peer{conn: cx, pump: transport.NewPump(cx, 0)}
+	refusing.pump.Close()
+
+	c := &Coordinator{peers: map[uint64]*peer{2: healthy, 3: refusing}}
+	c.enqueueLocked(&wire.SServerList{}, nil, map[uint64]*interest{2: {}, 3: {}})
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	healthy.pump.Close()
+	if n := live.Load() - start; n != 0 {
+		t.Fatalf("transport.frames_live is %+d from where it started", n)
+	}
+	// The refused link is closed off the sender's stack.
+	_ = y.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := y.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the refusing link: %v, want EOF", err)
 	}
 }

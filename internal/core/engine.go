@@ -744,12 +744,16 @@ func (e *Engine) sendControlLocked(s *Session, msg wire.Message, high bool) {
 	ent.frame = transport.NewSharedFrame(msg)
 	ent.targets = append(ent.targets, fanoutTarget{id: s.ID, sess: s})
 	ent.high = high
+	e.pushControlLocked(ent)
+}
+
+// pushControlLocked pushes a control entry, which has at least one target,
+// so push refuses it only once the pool is closed. Engine.Close closes the
+// pool after it marked the engine closed and closed every session's
+// connection, so a refused entry had no live receiver: it is recycled, its
+// frame with it. Caller holds e.mu in write mode.
+func (e *Engine) pushControlLocked(ent *fanoutEntry) {
 	if !e.fanout.push(ent) {
-		// Pool closing: deliver directly (the pump is closing too, so
-		// this degrades to a no-op rather than a lost ordering edge).
-		f := ent.frame
-		ent.frame = nil
 		recycleFanoutEntry(ent)
-		s.sendShared(f, high)
 	}
 }

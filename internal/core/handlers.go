@@ -305,8 +305,7 @@ func (e *Engine) streamTransfer(pump *transport.Pump, reqID uint64, group string
 				<-window
 			},
 		)
-		if err := pump.SendShared(f, false); err != nil {
-			f.Release()
+		if _, err := pump.SendSharedRun([]*transport.SharedFrame{f}, false); err != nil {
 			return err
 		}
 		e.mTransferChunks.Inc()

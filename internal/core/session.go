@@ -271,28 +271,15 @@ func (e *Engine) notifySubsLocked(g *membership.Group, change wire.MembershipCha
 	if len(targets) == 0 {
 		return
 	}
-	frame := transport.NewSharedFrame(&wire.MembershipNotify{
+	ent := newFanoutEntry()
+	ent.frame = transport.NewSharedFrame(&wire.MembershipNotify{
 		Group:  g.Name,
 		Change: change,
 		Member: member,
 		Count:  uint32(g.Size()),
 	})
-	ent := newFanoutEntry()
-	ent.frame = frame
 	ent.targets = targets
-	if e.fanout.push(ent) {
-		return
-	}
-	// Pool closing: fall through to direct sends (recycle without touching
-	// the frame or the caller's slice).
-	ent.frame = nil
-	ent.targets = nil
-	recycleFanoutEntry(ent)
-	for _, t := range targets {
-		frame.Retain()
-		t.sess.sendShared(frame, false)
-	}
-	frame.Release()
+	e.pushControlLocked(ent)
 }
 
 // Send marshals and enqueues one message for the client. Failures close
@@ -303,32 +290,23 @@ func (s *Session) Send(msg wire.Message) {
 	s.sendShared(f, false)
 }
 
-// sendShared enqueues a pooled frame, consuming one of its references even
-// on failure: sendSharedRun for a run of one.
-//
-//corona:owns f
+// sendShared enqueues a pooled frame, taking one of its references:
+// sendSharedRun for a run of one.
 func (s *Session) sendShared(f *transport.SharedFrame, high bool) {
 	s.sendSharedRun([]*transport.SharedFrame{f}, high)
 }
 
 // sendSharedRun enqueues an ordered run of pooled frames with one pump
-// mutex acquisition, consuming one reference per frame even on failure, and
-// reports how many the pump admitted. The pump keeps the prefix that fits
-// and an overflow fails the session off this goroutine, so the torn suffix
-// is never missed. A closed pump is a no-op: deferred WAL acknowledgements
-// and residual deliveries can race session teardown, and "client already
-// gone" is not a new failure.
-//
-//corona:owns fs
+// mutex acquisition, taking one reference per frame, and reports how many
+// the pump admitted. The pump keeps the prefix that fits and an overflow
+// fails the session off this goroutine, so the torn suffix is never missed.
+// A closed pump is a no-op: deferred WAL acknowledgements and residual
+// deliveries can race session teardown, and "client already gone" is not a
+// new failure.
 func (s *Session) sendSharedRun(fs []*transport.SharedFrame, high bool) int {
 	admitted, err := s.pump.SendSharedRun(fs, high)
-	if err != nil {
-		for k := admitted; k < len(fs); k++ {
-			fs[k].Release()
-		}
-		if !errors.Is(err, transport.ErrPumpClosed) {
-			go s.engine.failSession(s, err)
-		}
+	if err != nil && !errors.Is(err, transport.ErrPumpClosed) {
+		go s.engine.failSession(s, err)
 	}
 	return admitted
 }

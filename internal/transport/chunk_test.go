@@ -50,8 +50,7 @@ func TestChunkFrameWireBytes(t *testing.T) {
 			out := bytesOut.Load()
 			finals := make(chan struct{}, 1)
 			f := NewChunkFrame(m, func() { finals <- struct{}{} })
-			if err := pump.SendShared(f, false); err != nil {
-				f.Release()
+			if _, err := pump.SendSharedRun([]*SharedFrame{f}, false); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, len(want))
@@ -72,8 +71,7 @@ func TestChunkFrameWireBytes(t *testing.T) {
 			tcpPump := NewPump(client, 0)
 			defer tcpPump.Close()
 			f = NewChunkFrame(m, func() {})
-			if err := tcpPump.SendShared(f, false); err != nil {
-				f.Release()
+			if _, err := tcpPump.SendSharedRun([]*SharedFrame{f}, false); err != nil {
 				t.Fatal(err)
 			}
 			msg, err := server.ReadMessage()
@@ -308,8 +306,7 @@ func streamChunks(pump *Pump, stream *wire.TransferStream) error {
 		window <- struct{}{}
 		f := NewChunkFrame(&wire.TransferChunk{RequestID: 1, Group: "g", Offset: off, Total: stream.Total(), Segments: chunk},
 			func() { <-window })
-		if err := pump.SendShared(f, false); err != nil {
-			f.Release()
+		if _, err := pump.SendSharedRun([]*SharedFrame{f}, false); err != nil {
 			return err
 		}
 	}

@@ -41,11 +41,9 @@ var framePool = sync.Pool{New: func() any { return new(SharedFrame) }}
 // member's pump; the buffer returns to the pool when the last pump has
 // written (or discarded) it, so steady-state fanout allocates nothing.
 //
-// Ownership: NewSharedFrame returns a frame holding one reference. Each
-// successful Pump.SendShared transfers one reference to the pump (Retain
-// before enqueueing when sharing across pumps); the pump releases it after
-// the frame is written or dropped. Release the creator's reference when
-// done enqueueing. A released frame must not be touched again.
+// Ownership: a frame is made holding one reference. A send takes one
+// reference, whatever it returns; Retain before sending a frame you go on
+// using. transport.frames_live counts the frames not yet finally released.
 type SharedFrame struct {
 	buf []byte
 	// vec, when non-empty, is the whole frame as the pieces one writev
@@ -62,6 +60,7 @@ func NewSharedFrame(msg wire.Message) *SharedFrame {
 	f.buf = appendFrame(f.buf[:0], msg)
 	f.onFinal = nil
 	f.refs.Store(1)
+	framesLive.Add(1)
 	return f
 }
 
@@ -106,18 +105,20 @@ func NewChunkFrame(m *wire.TransferChunk, onFinal func()) *SharedFrame {
 	}
 	f.buf, f.vec, f.onFinal = buf, vec, onFinal
 	f.refs.Store(1)
+	framesLive.Add(1)
 	return f
 }
 
-// Retain adds one reference, one per additional pump the frame will be
-// enqueued on.
+// Retain adds one reference, for one more send of a frame the caller goes
+// on using.
 func (f *SharedFrame) Retain() { f.refs.Add(1) }
 
 // Release drops one reference, returning the frame to the pool when the
-// count reaches zero.
+// count reaches zero. Releasing a frame past its last reference panics.
 func (f *SharedFrame) Release() {
 	switch n := f.refs.Add(-1); {
 	case n == 0:
+		framesLive.Add(-1)
 		if fn := f.onFinal; fn != nil {
 			f.onFinal = nil
 			fn()

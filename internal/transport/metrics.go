@@ -16,6 +16,12 @@ var (
 	// pumpStalls counts sends rejected with ErrPumpOverflow — each one
 	// is a slow receiver at the moment the server gave up on it.
 	pumpStalls = obs.Default.Counter("transport.pump.stalls")
+	// framesLive is the number of pooled frames made (NewSharedFrame,
+	// NewChunkFrame) and not yet finally released. It returns to its
+	// level once every frame a piece of work made has been written or
+	// discarded, which the balance tests hold it to; a frame that leaks
+	// leaves it raised.
+	framesLive = obs.Default.Gauge("transport.frames_live")
 	// bytesIn/bytesOut count framed bytes (payload plus the 4-byte
 	// length prefix) crossing every Conn in the process.
 	bytesIn  = obs.Default.Counter("transport.bytes_in")

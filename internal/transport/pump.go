@@ -66,24 +66,37 @@ func newPump(conn *Conn, depth int) *Pump {
 }
 
 // SendShared enqueues a pooled frame on the normal lane, or on the
-// priority lane when high is set: SendSharedRun for a run of one. It never
-// blocks: if the lane is full it returns ErrPumpOverflow, and the caller
-// should treat the receiver as failed. On success the pump owns one of the
-// frame's references and releases it after the write; on error the caller
-// keeps its reference and must release it.
+// priority lane when high is set, and keeps the caller's reference when the
+// pump refuses it: on success the pump owns the caller's reference, on error
+// the caller still holds it and must release it. It never blocks; an error
+// is ErrPumpOverflow or the pump's closing error, and the caller should
+// treat the receiver as failed. It is SendSharedRun's admission without its
+// release of what was refused.
 func (p *Pump) SendShared(f *SharedFrame, high bool) error {
-	_, err := p.SendSharedRun([]*SharedFrame{f}, high)
+	_, err := p.enqueue([]*SharedFrame{f}, high)
 	return err
 }
 
 // SendSharedRun enqueues an ordered run of pooled frames on one lane under
-// a single mutex acquisition, admitting the longest prefix that fits. It
-// returns how many frames were admitted; the pump owns one reference per
-// admitted frame, the caller keeps its references to the rest. A run that
-// does not fit is torn at the overflow point, which is order-safe — the
-// admitted prefix is written in order — and the overflow fails the receiver
-// anyway.
+// a single mutex acquisition, admitting the longest prefix that fits, and
+// takes one reference of every frame in fs whatever it returns: the pump
+// writes the admitted prefix and releases it after the write, and releases
+// the refused suffix itself. It never blocks. A run that does not fit is
+// torn at the overflow point, which is order-safe — the admitted prefix is
+// written in order — and it returns how many frames were admitted with
+// ErrPumpOverflow; a closed pump admits none and returns its closing error.
+// An error tells the caller to fail the receiver, nothing else.
 func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
+	n, err := p.enqueue(fs, high)
+	for _, f := range fs[n:] {
+		f.Release()
+	}
+	return n, err
+}
+
+// enqueue admits the longest prefix of fs that fits in the lane and reports
+// its length, leaving the references of the rest to the caller.
+func (p *Pump) enqueue(fs []*SharedFrame, high bool) (int, error) {
 	// The enqueue happens under the mutex so it cannot race a concurrent
 	// close of the channel; the select never blocks, so the critical
 	// section stays short.
@@ -115,15 +128,11 @@ func (p *Pump) SendSharedRun(fs []*SharedFrame, high bool) (int, error) {
 }
 
 // SendMessage marshals msg into a pooled frame and enqueues it on the
-// normal lane. Use SendShared directly when writing the same message to
+// normal lane. Use SendSharedRun directly when writing the same message to
 // many pumps.
 func (p *Pump) SendMessage(msg wire.Message) error {
-	f := NewSharedFrame(msg)
-	if err := p.SendShared(f, false); err != nil {
-		f.Release()
-		return err
-	}
-	return nil
+	_, err := p.SendSharedRun([]*SharedFrame{NewSharedFrame(msg)}, false)
+	return err
 }
 
 // Err returns the write error that stopped the pump, if any.
@@ -205,8 +214,6 @@ func (p *Pump) run() {
 // writeOne writes a frame the pump owns and releases it, flushing when both
 // lanes have momentarily gone empty so bursts share one syscall. It reports
 // false after a write error.
-//
-//corona:owns f
 func (p *Pump) writeOne(f *SharedFrame) bool {
 	err := p.conn.writeShared(f)
 	f.Release()

@@ -8,14 +8,10 @@ import (
 )
 
 // sendHigh enqueues msg on the pump's priority lane, the way the engine
-// does: a pooled frame, released by the sender when the pump rejects it.
+// does: a pooled frame, which the send takes whether or not it admits it.
 func sendHigh(p *Pump, msg wire.Message) error {
-	f := NewSharedFrame(msg)
-	if err := p.SendShared(f, true); err != nil {
-		f.Release()
-		return err
-	}
-	return nil
+	_, err := p.SendSharedRun([]*SharedFrame{NewSharedFrame(msg)}, true)
+	return err
 }
 
 // TestPumpPriorityOvertakes verifies the QoS lane: a high-priority frame

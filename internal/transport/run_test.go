@@ -11,16 +11,17 @@ import (
 
 // TestSendSharedRunPartialAdmission pins the prefix-admission contract the
 // fanout pipeline depends on: against a full lane the run is torn at the
-// overflow point — the admitted prefix keeps its order, the caller keeps
-// ownership of the rest.
+// overflow point — the admitted prefix keeps its order, and the pump
+// releases the rest itself.
 func TestSendSharedRunPartialAdmission(t *testing.T) {
 	server, client := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
 	const depth = 4
 	p := NewPump(NewConn(server), depth)
+	// The pipes close first, so a failed check does not leave Close waiting
+	// on the wedged writer.
 	defer p.Close()
+	defer client.Close()
+	defer server.Close()
 
 	// Wedge the writer: a frame larger than the connection's write buffer
 	// blocks against the unread pipe, so nothing drains the normal lane.
@@ -45,6 +46,7 @@ func TestSendSharedRunPartialAdmission(t *testing.T) {
 	for i := range frames {
 		frames[i] = NewSharedFrame(&wire.Ping{Nonce: uint64(i)})
 	}
+	live := framesLive.Load()
 	admitted, err := p.SendSharedRun(frames, false)
 	if admitted != depth {
 		t.Fatalf("admitted = %d, want %d", admitted, depth)
@@ -52,21 +54,19 @@ func TestSendSharedRunPartialAdmission(t *testing.T) {
 	if !errors.Is(err, ErrPumpOverflow) {
 		t.Fatalf("err = %v, want ErrPumpOverflow", err)
 	}
-	// The caller keeps the unadmitted suffix.
-	for _, f := range frames[admitted:] {
-		f.Release()
+	// The pump released the unadmitted suffix.
+	if n := live - framesLive.Load(); n != int64(len(frames)-admitted) {
+		t.Fatalf("the tear released %d frames, want %d", n, len(frames)-admitted)
 	}
 
 	// A closed pump admits nothing.
 	server.Close()
 	client.Close()
 	p.Close()
-	extra := NewSharedFrame(&wire.Ping{Nonce: 99})
-	admitted, err = p.SendSharedRun([]*SharedFrame{extra}, false)
+	admitted, err = p.SendSharedRun([]*SharedFrame{NewSharedFrame(&wire.Ping{Nonce: 99})}, false)
 	if admitted != 0 || err == nil {
 		t.Fatalf("closed pump: admitted=%d err=%v", admitted, err)
 	}
-	extra.Release()
 }
 
 // TestSendSharedRunInOrder checks the happy path: a run that fits is
@@ -96,7 +96,7 @@ func TestSendSharedRunInOrder(t *testing.T) {
 }
 
 // TestSendSharedRunAfterClose: a cleanly closed pump admits nothing and
-// leaves every reference with the caller.
+// releases every frame of the run itself.
 func TestSendSharedRunAfterClose(t *testing.T) {
 	client, _ := tcpPair(t)
 	pump := NewPump(client, 4)
@@ -106,10 +106,11 @@ func TestSendSharedRunAfterClose(t *testing.T) {
 		NewSharedFrame(&wire.Ping{Nonce: 1}),
 		NewSharedFrame(&wire.Ping{Nonce: 2}),
 	}
+	live := framesLive.Load()
 	if admitted, err := pump.SendSharedRun(fs, false); admitted != 0 || !errors.Is(err, ErrPumpClosed) {
 		t.Fatalf("admitted=%d err=%v, want 0, ErrPumpClosed", admitted, err)
 	}
-	for _, f := range fs {
-		f.Release()
+	if n := live - framesLive.Load(); n != int64(len(fs)) {
+		t.Fatalf("the closed pump released %d frames, want %d", n, len(fs))
 	}
 }
