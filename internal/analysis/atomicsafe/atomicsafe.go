@@ -4,11 +4,11 @@
 // Two checks, one rule — a field's readers and writers must agree on how
 // the field is protected:
 //
-//  1. Mixed atomics. A field passed to the sync/atomic functions anywhere
-//     in the program must be accessed that way everywhere: a plain load
-//     or store of the same field races with the atomic operations, and
-//     the race detector only catches it when both sides actually collide
-//     under test. Every plain access of such a field is reported.
+//  1. Typed atomics only. A call of a sync/atomic function (AddInt64,
+//     LoadUint64, ...) is reported: a plain value handed to those
+//     functions can still be loaded or stored plainly elsewhere, and the
+//     race detector only catches that when both sides collide under test.
+//     A typed atomic (atomic.Int64, ...) admits no plain access at all.
 //
 //  2. Guarded fields left unguarded. A field whose writes all happen
 //     under its owner's mutex is a mutex-guarded field; reading it
@@ -42,7 +42,7 @@ import (
 // Analyzer is the atomicsafe checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicsafe",
-	Doc:  "flags fields mixing sync/atomic with plain access, and lock-free access to mutex-guarded fields",
+	Doc:  "flags sync/atomic function calls, and lock-free access to mutex-guarded fields",
 	Run:  run,
 }
 
@@ -59,17 +59,14 @@ func scoped(name string) bool {
 func run(pass *analysis.Pass) error {
 	c := &checker{
 		pass:     pass,
-		atomics:  map[*types.Var]bool{},
-		atomArgs: map[*ast.SelectorExpr]bool{},
 		writes:   map[*ast.SelectorExpr]bool{},
 		accesses: map[*types.Var][]access{},
 		owners:   map[*types.Var]*types.Named{},
 	}
-	// Atomic-field discovery runs over the whole program: a helper package
-	// touching a core field atomically pins the field's discipline even if
-	// the helper itself is out of scope.
 	for _, pkg := range pass.Pkgs {
-		c.collectAtomics(pkg)
+		if scoped(pkg.Name) {
+			reportAtomicCalls(pass, pkg)
+		}
 	}
 	lockid.Roots(pass.Pkgs, scoped, func(pkg *analysis.Package, fd *ast.FuncDecl) lockid.Visitor {
 		w := &walker{checker: c, pkg: pkg}
@@ -78,7 +75,6 @@ func run(pass *analysis.Pass) error {
 		}
 		return w
 	})
-	c.reportMixed()
 	c.reportUnguarded()
 	return nil
 }
@@ -92,17 +88,10 @@ type access struct {
 	// contract marks sites inside functions whose name or doc promises
 	// the caller holds the guard (FooLocked, "Caller holds ...").
 	contract bool
-	// plainOfAtomic marks a non-atomic access of an atomic field.
-	atomic bool
 }
 
 type checker struct {
 	pass *analysis.Pass
-	// atomics is every field passed by address to a sync/atomic function.
-	atomics map[*types.Var]bool
-	// atomArgs marks the selector nodes that ARE atomic accesses, so the
-	// plain-access sweep can skip them.
-	atomArgs map[*ast.SelectorExpr]bool
 	// writes marks the selector nodes that are written: assignment and
 	// inc/dec targets, the field under an element write or a delete.
 	writes map[*ast.SelectorExpr]bool
@@ -111,76 +100,27 @@ type checker struct {
 	owners   map[*types.Var]*types.Named
 }
 
-// ---- check 1: atomic fields ----------------------------------------------
+// ---- check 1: sync/atomic functions --------------------------------------
 
-// collectAtomics records fields whose address flows into sync/atomic
-// calls, and marks those argument positions as sanctioned.
-func (c *checker) collectAtomics(pkg *analysis.Package) {
+// reportAtomicCalls reports every call of a sync/atomic function in pkg;
+// the typed atomics' methods are the discipline itself.
+func reportAtomicCalls(pass *analysis.Pass, pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pkg, call) {
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if v := fieldOf(pkg, sel); v != nil {
-					c.atomics[v] = true
-					c.atomArgs[sel] = true
-				}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(), "sync/atomic.%s on a plain value: use a typed atomic", fn.Name())
 			}
 			return true
 		})
-	}
-}
-
-// fieldOf resolves a selector to the struct field it denotes, with no
-// scoping: an atomic access anywhere pins the field's discipline.
-func fieldOf(pkg *analysis.Package, sel *ast.SelectorExpr) *types.Var {
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok {
-		return nil
-	}
-	return v
-}
-
-// isAtomicCall reports whether call invokes a sync/atomic function.
-func isAtomicCall(pkg *analysis.Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-func (c *checker) reportMixed() {
-	for v, accs := range c.accesses {
-		if !c.atomics[v] {
-			continue
-		}
-		id := lockid.FieldIdent(c.owners[v], v.Name())
-		for _, a := range accs {
-			if a.atomic {
-				continue
-			}
-			kind := "load"
-			if a.write {
-				kind = "store"
-			}
-			c.pass.Reportf(a.pos, "plain %s of %q, which is accessed with sync/atomic elsewhere: the two race", kind, id)
-		}
 	}
 }
 
@@ -188,9 +128,6 @@ func (c *checker) reportMixed() {
 
 func (c *checker) reportUnguarded() {
 	for v, accs := range c.accesses {
-		if c.atomics[v] {
-			continue // discipline is atomics, handled above
-		}
 		// The discipline is pinned by direct evidence: at least one write
 		// under a held owner guard. All such writes must agree on one
 		// guard identity; if they don't, the field has no single guard
@@ -281,10 +218,6 @@ func (w *walker) Node(n ast.Node, held lockid.Held) bool {
 			}
 		}
 	case *ast.SelectorExpr:
-		if w.atomArgs[n] {
-			w.recordAtomic(n)
-			return false
-		}
 		w.record(n, held, w.writes[n])
 		// Keep walking: the base of x.f.g is itself an access.
 	}
@@ -318,17 +251,6 @@ func (w *walker) record(sel *ast.SelectorExpr, held lockid.Held, write bool) {
 		held:     heldGuard(owner, held),
 		contract: w.contract,
 	})
-}
-
-// recordAtomic notes a sanctioned atomic access, so mixed-discipline
-// reporting sees the field even when the plain sites are elsewhere.
-func (w *walker) recordAtomic(sel *ast.SelectorExpr) {
-	v, owner := w.trackedField(sel)
-	if v == nil {
-		return
-	}
-	w.owners[v] = owner
-	w.accesses[v] = append(w.accesses[v], access{pos: sel.Sel.Pos(), atomic: true})
 }
 
 // trackedField resolves a selector to a struct field of a named type,

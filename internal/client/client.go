@@ -39,8 +39,8 @@ var (
 const (
 	// DefaultTimeout bounds a synchronous request round trip.
 	DefaultTimeout = 10 * time.Second
-	// DefaultDialTimeout bounds connection establishment.
-	DefaultDialTimeout = 5 * time.Second
+	// DefaultDialTimeout bounds connection establishment, dial to HelloAck.
+	DefaultDialTimeout = transport.OpenTimeout
 )
 
 // Client errors.
@@ -94,7 +94,7 @@ type Config struct {
 	OnResync func(results map[string]*JoinResult)
 	// Timeout bounds synchronous requests (default DefaultTimeout).
 	Timeout time.Duration
-	// DialTimeout bounds connection establishment.
+	// DialTimeout bounds connection establishment, dial to HelloAck.
 	DialTimeout time.Duration
 	// Logger receives operational logs (nil: slog.Default).
 	Logger *slog.Logger
@@ -199,35 +199,26 @@ func newClient(cfg Config) *Client {
 	}
 }
 
-// connect dials, then starts the connection.
+// connect opens a connection with the Hello exchange, then starts it.
 func (c *Client) connect() error {
-	conn, err := transport.Dial(c.cfg.Addr, c.cfg.DialTimeout)
+	conn, reply, err := transport.Open(c.cfg.Addr, c.cfg.DialTimeout,
+		&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion, Name: c.cfg.Name})
 	if err != nil {
-		return err
-	}
-	return c.start(conn)
-}
-
-// start completes the handshake on conn, then starts its read loop.
-func (c *Client) start(conn *transport.Conn) error {
-	if err := conn.WriteMessage(&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion, Name: c.cfg.Name}); err != nil {
-		conn.Close()
 		return fmt.Errorf("client: hello: %w", err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("client: hello ack: %w", err)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	ack, ok := msg.(*wire.HelloAck)
+	return c.start(conn, reply)
+}
+
+// start takes conn, whose Hello was answered with reply, and starts its
+// read loop.
+func (c *Client) start(conn *transport.Conn, reply wire.Message) error {
+	ack, ok := reply.(*wire.HelloAck)
 	if !ok {
 		conn.Close()
-		if em, isErr := msg.(*wire.ErrorMsg); isErr {
+		if em, isErr := reply.(*wire.ErrorMsg); isErr {
 			return &ServerError{Code: em.Code, Text: em.Text}
 		}
-		return fmt.Errorf("client: unexpected handshake reply %s", msg.Kind())
+		return fmt.Errorf("client: unexpected handshake reply %s", reply.Kind())
 	}
 
 	c.mu.Lock()

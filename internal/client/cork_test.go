@@ -222,7 +222,15 @@ func TestUncorkFailureClosesConnection(t *testing.T) {
 	fc := &failingConn{Conn: nc}
 	disconnected := make(chan error, 1)
 	c := newClient(Config{Name: "x", Timeout: 2 * time.Second, OnDisconnect: func(err error) { disconnected <- err }})
-	if err := c.start(transport.NewConn(fc)); err != nil {
+	conn := transport.NewConn(fc)
+	if err := conn.WriteMessage(&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.start(conn, reply); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()

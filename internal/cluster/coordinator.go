@@ -231,8 +231,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // Start begins accepting servers and running the failure detector.
 func (c *Coordinator) Start() {
 	if c.listener != nil {
-		c.wg.Add(1)
-		go c.acceptLoop()
+		go c.listener.Serve(transport.OpenTimeout, c.servePeer)
 	}
 	c.wg.Add(1)
 	go c.heartbeatLoop()
@@ -295,45 +294,25 @@ func (c *Coordinator) Close() error {
 	c.mu.Unlock()
 
 	close(c.stop)
+	for _, p := range peers {
+		_ = p.conn.Close()
+	}
 	var err error
 	if c.listener != nil {
 		err = c.listener.Close()
-	}
-	for _, p := range peers {
-		_ = p.conn.Close()
 	}
 	c.wg.Wait()
 	return err
 }
 
-func (c *Coordinator) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.listener.Accept()
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.servePeer(conn)
-		}()
-	}
-}
-
-// servePeer runs one server connection: registration, then the forwarding
-// loop until the link drops.
-func (c *Coordinator) servePeer(conn *transport.Conn) {
-	defer conn.Close()
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		return
-	}
-	hello, ok := msg.(*wire.SHello)
+// servePeer runs one server connection whose opening frame is first:
+// registration, then the forwarding loop until the link drops.
+func (c *Coordinator) servePeer(conn *transport.Conn, first wire.Message) {
+	hello, ok := first.(*wire.SHello)
 	if !ok {
 		// Possibly an election probe hitting a live coordinator: nack
 		// so the candidate knows the incumbent rules.
-		if el, isElect := msg.(*wire.SElect); isElect && !versionRefused(conn, 0, el.Proto) {
+		if el, isElect := first.(*wire.SElect); isElect && !versionRefused(conn, 0, el.Proto) {
 			c.mu.Lock()
 			epoch := c.epoch
 			c.mu.Unlock()
@@ -349,7 +328,7 @@ func (c *Coordinator) servePeer(conn *transport.Conn) {
 
 // ServeRegistration runs a server connection whose SHello has already been
 // read. A promoted cluster server routes registrations from its shared peer
-// listener here; the coordinator's own accept loop uses it too. A server
+// listener here; the coordinator's own listener does too. A server
 // speaking another protocol version is refused with one ErrorMsg. The call
 // blocks until the link drops.
 func (c *Coordinator) ServeRegistration(conn *transport.Conn, hello *wire.SHello) {

@@ -21,31 +21,14 @@ import (
 // increasing timeout interval is allowed for each of the servers at the
 // top of the list" — so k+1 servers tolerate k simultaneous crashes.
 
-// peerAcceptLoop serves this server's peer listener: election probes from
-// candidates, replica pulls from servers acquiring a group this one holds,
-// and (after a promotion) registrations from the other servers. Each opening
-// frame carries the protocol version, and a peer speaking another one is
-// refused before anything else is read.
-func (s *Server) peerAcceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.peerLn.Accept()
-		if err != nil {
-			return
-		}
-		s.spawn(func() { s.servePeerConn(conn) })
-	}
-}
-
-func (s *Server) servePeerConn(conn *transport.Conn) {
-	defer conn.Close()
-	// Whoever dials must say what it wants within the request budget.
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		return
-	}
-	switch m := msg.(type) {
+// servePeerConn serves one connection to this server's peer listener, whose
+// opening frame is first: an election probe from a candidate, a replica pull
+// from a server acquiring a group this one holds, or (after a promotion) a
+// registration from another server. Each opening frame carries the protocol
+// version, and a peer speaking another one is refused before anything else
+// is read.
+func (s *Server) servePeerConn(conn *transport.Conn, first wire.Message) {
+	switch m := first.(type) {
 	case *wire.SHello:
 		s.mu.Lock()
 		coord := s.promoted
@@ -54,7 +37,6 @@ func (s *Server) servePeerConn(conn *transport.Conn) {
 			_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "not the coordinator"})
 			return
 		}
-		_ = conn.SetReadDeadline(time.Time{})
 		coord.ServeRegistration(conn, m) // blocks for the link's life
 	case *wire.SElect:
 		if !versionRefused(conn, 0, m.Proto) {
@@ -65,7 +47,7 @@ func (s *Server) servePeerConn(conn *transport.Conn) {
 			s.serveState(conn)
 		}
 	default:
-		s.log.Warn("unexpected peer-listener message", "kind", msg.Kind().String())
+		s.log.Warn("unexpected peer-listener message", "kind", first.Kind().String())
 	}
 }
 
@@ -103,8 +85,7 @@ func (s *Server) handleElectionProbe(conn *transport.Conn, m *wire.SElect) {
 		return
 	}
 	// The candidate announces the outcome (SServerList) if it wins.
-	_ = conn.SetReadDeadline(time.Now().Add(s.outcomeTimeout()))
-	outcome, err := conn.ReadMessage()
+	outcome, err := conn.ReadWithin(s.outcomeTimeout())
 	if err != nil {
 		return
 	}
@@ -242,24 +223,11 @@ func (s *Server) runCandidacy() bool {
 	votes := make(chan voter, len(others))
 	for _, info := range others {
 		go func(addr string) {
-			conn, err := transport.Dial(addr, s.voteDialTimeout())
+			conn, msg, err := transport.Open(addr, s.voteTimeout(), probe)
 			if err != nil {
 				votes <- voter{}
 				return
 			}
-			if err := conn.WriteMessage(probe); err != nil {
-				conn.Close()
-				votes <- voter{}
-				return
-			}
-			_ = conn.SetReadDeadline(time.Now().Add(s.voteReadTimeout()))
-			msg, err := conn.ReadMessage()
-			if err != nil {
-				conn.Close()
-				votes <- voter{}
-				return
-			}
-			_ = conn.SetReadDeadline(time.Time{})
 			reply, ok := msg.(*wire.SElectReply)
 			if !ok {
 				conn.Close()

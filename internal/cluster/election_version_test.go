@@ -18,8 +18,7 @@ func TestElectionProbeOfAnotherVersionIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.wg.Add(1)
-	go s.peerAcceptLoop()
+	go s.peerLn.Serve(s.cfg.RequestTimeout, s.servePeerConn)
 	defer s.Close()
 
 	// probe sends a candidacy and reads the answer; refused, it also waits for

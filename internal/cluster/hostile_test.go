@@ -363,3 +363,102 @@ func TestHostilePullerIsRefused(t *testing.T) {
 	dropped(send(), "a silent peer")
 	stillServing(t, srv, "g")
 }
+
+// TestCoordinatorCloseDoesNotWaitForSilentOpener: a connection to the
+// standalone coordinator that never sends its SHello is closed by Close,
+// which returns promptly instead of waiting for the SHello.
+func TestCoordinatorCloseDoesNotWaitForSilentOpener(t *testing.T) {
+	tc := startCluster(t, 0)
+	dial := func() *transport.Conn {
+		conn, err := transport.Dial(tc.coord.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	dial() // silent
+	// An election probe answered on a later connection shows the silent one
+	// was accepted.
+	probe := dial()
+	if err := probe.WriteMessage(&wire.SElect{Proto: wire.ProtocolVersion, CandidateID: 9, Epoch: 1, Addr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = probe.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if reply, err := probe.ReadMessage(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := reply.(*wire.SElectReply); !ok {
+		t.Fatalf("probe answered with %#v", reply)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- tc.coord.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting after 1 s on a connection that never sent SHello")
+	}
+}
+
+// TestPromotedCloseSendsNoShrinkingList: closing a promoted server drops the
+// registration links its peer listener holds, but as a shutdown, not as lost
+// servers: the servers still connected receive no shrinking server list, and
+// cluster.servers_lost does not move.
+func TestPromotedCloseSendsNoShrinkingList(t *testing.T) {
+	tc := startCluster(t, 1)
+	srv := tc.servers[0]
+	tc.coord.Close()
+	waitFor(t, 15*time.Second, srv.IsCoordinator)
+
+	// Two fake servers register with the promoted one; each is registered
+	// once its ack arrives. Each link records the size of the largest server
+	// list it received and whether a smaller one followed; it echoes
+	// heartbeats, so the coordinator keeps it.
+	type verdict struct{ largest, shrunk int }
+	verdicts := make(chan verdict, 2)
+	for id := uint64(90); id < 92; id++ {
+		link, first, err := transport.Open(srv.PeerAddr(), 2*time.Second,
+			&wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: id, Addr: "127.0.0.1:1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { link.Close() })
+		if _, ok := first.(*wire.SHelloAck); !ok {
+			t.Fatalf("registration of %d answered with %#v", id, first)
+		}
+		go func() {
+			var v verdict
+			for {
+				msg, err := link.ReadMessage()
+				if err != nil {
+					verdicts <- v
+					return
+				}
+				switch m := msg.(type) {
+				case *wire.SServerList:
+					if len(m.Servers) < v.largest {
+						v.shrunk = len(m.Servers)
+					}
+					v.largest = max(v.largest, len(m.Servers))
+				case *wire.SHeartbeat:
+					_ = link.WriteMessage(&wire.SHeartbeat{ServerID: id, Epoch: m.Epoch, Time: m.Time})
+				}
+			}
+		}()
+	}
+
+	lost := obs.Default.Counter("cluster.servers_lost").Load()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if v := <-verdicts; v.shrunk != 0 {
+			t.Errorf("a registered server received a list of %d servers after one of %d", v.shrunk, v.largest)
+		}
+	}
+	if got := obs.Default.Counter("cluster.servers_lost").Load(); got != lost {
+		t.Errorf("cluster.servers_lost moved by %d on shutdown", got-lost)
+	}
+}

@@ -25,11 +25,11 @@ import (
 )
 
 // serveState answers one pull on the peer listener, whose Hello has been
-// read: it reads the puller's Join, under the connection's first-frame
-// deadline, and hands it to the engine, which writes the answer.
+// read: it reads the puller's Join, within RequestTimeout, and hands it to
+// the engine, which writes the answer.
 func (s *Server) serveState(conn *transport.Conn) {
 	start := time.Now()
-	msg, err := conn.ReadMessage()
+	msg, err := conn.ReadWithin(s.cfg.RequestTimeout)
 	if err != nil {
 		return
 	}
@@ -61,27 +61,13 @@ type pulled struct {
 // the bytes that arrived.
 func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 	start := time.Now()
-	conn, err := transport.Dial(addr, s.peerDialTimeout())
+	conn, msg, err := transport.Open(addr, s.cfg.RequestTimeout,
+		&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion},
+		&wire.Join{RequestID: 2, Group: group, Policy: wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: fromSeq}})
 	if err != nil {
 		return pulled{}, err
 	}
 	defer conn.Close()
-	for _, m := range []wire.Message{
-		&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion},
-		&wire.Join{RequestID: 2, Group: group, Policy: wire.TransferPolicy{Mode: wire.TransferResume, FromSeq: fromSeq}},
-	} {
-		if err := conn.WriteMessage(m); err != nil {
-			return pulled{}, err
-		}
-	}
-	read := func() (wire.Message, error) {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
-		return conn.ReadMessage()
-	}
-	msg, err := read()
-	if err != nil {
-		return pulled{}, err
-	}
 	ack, ok := msg.(*wire.JoinAck)
 	if !ok {
 		if refusal, is := msg.(*wire.ErrorMsg); is {
@@ -113,7 +99,7 @@ func (s *Server) pullState(addr, group string, fromSeq uint64) (pulled, error) {
 		return asm.Reserve(m.Offset, total, size)
 	})
 	for {
-		if msg, err = read(); err != nil {
+		if msg, err = conn.ReadWithin(s.cfg.RequestTimeout); err != nil {
 			return pulled{}, err
 		}
 		switch m := msg.(type) {

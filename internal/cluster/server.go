@@ -191,8 +191,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // the background either way.
 func (s *Server) Start() error {
 	s.frontend.Start()
-	s.wg.Add(1)
-	go s.peerAcceptLoop()
+	go s.peerLn.Serve(s.cfg.RequestTimeout, s.servePeerConn)
 
 	err := s.connectCoordinator(s.cfg.CoordinatorAddr)
 	s.wg.Add(2)
@@ -246,14 +245,16 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	close(s.stop)
+	// The promoted coordinator closes first: the registration links the peer
+	// listener drops are then a shutdown, not lost servers.
+	if promoted != nil {
+		_ = promoted.Close()
+	}
 	_ = s.peerLn.Close()
 	if link != nil {
 		_ = link.Close()
 	}
 	err := s.frontend.Close()
-	if promoted != nil {
-		_ = promoted.Close()
-	}
 	s.wg.Wait()
 	return err
 }
@@ -281,20 +282,13 @@ func (s *Server) failPendingLocked() {
 // a fast test cluster or a WAN deployment scales every deadline
 // coherently. The defaults reproduce the old literals.
 
-// peerDialTimeout bounds dialing a coordinator, a registration target or
-// a replica source (default 2s).
-func (s *Server) peerDialTimeout() time.Duration { return 4 * s.cfg.ElectionBackoff }
-
-// registerTimeout bounds the wait for a registration ack (default 5s).
+// registerTimeout bounds a registration, dial to ack (default 5s).
 func (s *Server) registerTimeout() time.Duration { return s.cfg.RequestTimeout / 2 }
 
-// voteDialTimeout bounds a candidate's probe dial: shorter than
-// peerDialTimeout because a candidacy fans out to every voter and an
-// unreachable one should not stall the tally (default 1s).
-func (s *Server) voteDialTimeout() time.Duration { return 2 * s.cfg.ElectionBackoff }
-
-// voteReadTimeout bounds a candidate's wait for one vote (default 2s).
-func (s *Server) voteReadTimeout() time.Duration { return 4 * s.cfg.ElectionBackoff }
+// voteTimeout bounds a candidate's probe of one voter, dial to vote: short,
+// because a candidacy fans out to every voter and an unreachable one should
+// not stall the tally (default 2s).
+func (s *Server) voteTimeout() time.Duration { return 4 * s.cfg.ElectionBackoff }
 
 // outcomeTimeout bounds a voter's wait for the election result: the full
 // coordinated-operation budget, since the candidate must finish its whole
@@ -304,25 +298,14 @@ func (s *Server) outcomeTimeout() time.Duration { return s.cfg.RequestTimeout }
 // connectCoordinator dials addr, registers, installs the link, and catches
 // every replica up.
 func (s *Server) connectCoordinator(addr string) error {
-	conn, err := transport.Dial(addr, s.peerDialTimeout())
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	epoch := s.epoch
 	s.mu.Unlock()
 	hello := &wire.SHello{RequestID: 1, Proto: wire.ProtocolVersion, ServerID: s.cfg.ID, Addr: s.PeerAddr(), Epoch: epoch}
-	if err := conn.WriteMessage(hello); err != nil {
-		conn.Close()
-		return err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(s.registerTimeout()))
-	msg, err := conn.ReadMessage()
+	conn, msg, err := transport.Open(addr, s.registerTimeout(), hello)
 	if err != nil {
-		conn.Close()
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	ack, ok := msg.(*wire.SHelloAck)
 	if !ok {
 		conn.Close()

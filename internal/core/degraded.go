@@ -174,8 +174,7 @@ func (e *Engine) tryReopen() bool {
 	}
 	newLog, err := wal.Open(wal.Options{
 		Dir: e.cfg.Dir, Sync: e.cfg.Sync,
-		SyncEvery: e.cfg.SyncEvery, SegmentSize: e.cfg.SegmentSize,
-		FS: e.cfg.WALFS,
+		SegmentSize: e.cfg.SegmentSize, FS: e.cfg.WALFS,
 	})
 	if err != nil {
 		e.reporter.report("wal reopen failed", "", 0, err)

@@ -53,8 +53,6 @@ type EngineConfig struct {
 	Dir string
 	// Sync is the WAL durability policy.
 	Sync wal.SyncPolicy
-	// SyncEvery is the flush period for wal.SyncInterval.
-	SyncEvery time.Duration
 	// SegmentSize is the WAL segment roll-over threshold in bytes
 	// (0: wal.DefaultSegmentSize). Smaller segments let log reduction
 	// reclaim disk sooner at the cost of more files.
@@ -74,8 +72,6 @@ type EngineConfig struct {
 	Logger *slog.Logger
 	// PumpDepth bounds each client's outbound queue.
 	PumpDepth int
-	// Now supplies timestamps (nil: time.Now).
-	Now func() time.Time
 	// AutoReduceThreshold triggers state-log reduction when a group's
 	// retained history exceeds this many events (0 disables the policy).
 	AutoReduceThreshold int
@@ -246,9 +242,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	metrics := cfg.Metrics
 	if metrics == nil {
 		metrics = obs.NewRegistry()
@@ -299,8 +292,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Dir != "" && !cfg.Stateless {
 		err := e.recover(wal.Options{
 			Dir: cfg.Dir, Sync: cfg.Sync,
-			SyncEvery: cfg.SyncEvery, SegmentSize: cfg.SegmentSize,
-			FS: cfg.WALFS,
+			SegmentSize: cfg.SegmentSize, FS: cfg.WALFS,
 		})
 		if err != nil {
 			// The fanout pool and the error reporter are running: a failed

@@ -101,3 +101,31 @@ func TestUnknownRequestGetsErrorNotDisconnect(t *testing.T) {
 		t.Fatalf("reply = %#v", msg)
 	}
 }
+
+// TestCloseDoesNotWaitForSilentOpener: a connection that never sends its
+// Hello is closed by Close, which returns promptly instead of waiting for
+// the Hello.
+func TestCloseDoesNotWaitForSilentOpener(t *testing.T) {
+	srv := startServer(t, core.Config{})
+	rawDial(t, srv.Addr().String()) // silent
+	// A Hello answered on a later connection shows the silent one was
+	// accepted.
+	conn := rawDial(t, srv.Addr().String())
+	if err := conn.WriteMessage(&wire.Hello{RequestID: 1, Proto: wire.ProtocolVersion, Name: "probe"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.ReadMessage(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting after 1 s on a connection that never sent Hello")
+	}
+}

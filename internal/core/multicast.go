@@ -317,7 +317,7 @@ func (e *Engine) applyRun(r *run, g *membership.Group, grt *groupRuntime) (consu
 	next := grt.nextSeq()
 	var now int64
 	if r.sess != nil {
-		now = e.cfg.Now().UnixNano()
+		now = time.Now().UnixNano()
 	}
 	for i := range r.events {
 		re := &r.events[i]

@@ -18,11 +18,7 @@ import (
 type Server struct {
 	engine   *Engine
 	listener *transport.Listener
-
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	started bool
-	closed  bool
+	start    sync.Once
 }
 
 // Config configures a standalone Server. The zero value listens on an
@@ -41,15 +37,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	l, err := transport.Listen(cfg.Addr)
+	s, err := NewServerWithEngine(engine, cfg.Addr)
 	if err != nil {
 		engine.Close()
 		return nil, err
 	}
-	return &Server{engine: engine, listener: l}, nil
+	return s, nil
 }
 
 // NewServerWithEngine wraps an externally built engine (used by the
@@ -67,16 +60,7 @@ func NewServerWithEngine(engine *Engine, addr string) (*Server, error) {
 
 // Start begins accepting clients. It returns immediately.
 func (s *Server) Start() {
-	s.mu.Lock()
-	if s.started || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.start.Do(func() { go s.listener.Serve(transport.OpenTimeout, s.serveConn) })
 }
 
 // Engine exposes the underlying engine (stats, direct group management).
@@ -85,78 +69,43 @@ func (s *Server) Engine() *Engine { return s.engine }
 // Addr returns the listen address, e.g. to hand to clients in tests.
 func (s *Server) Addr() net.Addr { return s.listener.Addr() }
 
-// Close stops accepting, disconnects every client, and shuts the engine
-// down. It blocks until all connection goroutines have exited.
+// Close shuts the engine down, which disconnects every client, then stops
+// accepting. It blocks until every connection's goroutine has returned.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-
-	err := s.listener.Close()
 	engineErr := s.engine.Close()
-	s.wg.Wait()
-	if err != nil {
+	if err := s.listener.Close(); err != nil {
 		return err
 	}
 	return engineErr
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			if transport.IsClosed(err) {
-				return
-			}
-			s.engine.log.Warn("accept failed", "err", err)
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
+// serveConn runs one client connection whose opening frame is first: the
+// Hello exchange, then the request loop until the connection drops.
+func (s *Server) serveConn(conn *transport.Conn, first wire.Message) {
+	if sess := handshake(s.engine, conn, first); sess != nil {
+		serveSession(s.engine, sess, conn)
 	}
 }
 
-// serveConn runs one client connection: Hello exchange, then the request
-// loop until the connection drops.
-func (s *Server) serveConn(conn *transport.Conn) {
-	defer conn.Close()
-	sess, err := Handshake(s.engine, conn)
-	if err != nil {
-		return
-	}
-	ServeSession(s.engine, sess, conn)
-}
-
-// Handshake performs the server side of the Hello exchange and registers
-// the session. Shared with the replicated frontend.
-func Handshake(e *Engine, conn *transport.Conn) (*Session, error) {
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		return nil, err
-	}
-	hello, ok := msg.(*wire.Hello)
+// handshake performs the server side of the Hello exchange, whose Hello is
+// first, and registers the session. It returns nil when it refused the
+// connection.
+func handshake(e *Engine, conn *transport.Conn, first wire.Message) *Session {
+	hello, ok := first.(*wire.Hello)
 	if !ok {
 		_ = conn.WriteMessage(&wire.ErrorMsg{Code: wire.CodeBadRequest, Text: "expected Hello"})
-		return nil, fmt.Errorf("core: first message was %s", msg.Kind())
+		return nil
 	}
 	if !CheckVersion(conn, hello.RequestID, hello.Proto) {
-		return nil, fmt.Errorf("core: client protocol %d", hello.Proto)
+		return nil
 	}
 	sess, err := e.AddSession(conn, hello.Name)
 	if err != nil {
 		_ = conn.WriteMessage(&wire.ErrorMsg{RequestID: hello.RequestID, Code: wire.CodeShuttingDown, Text: err.Error()})
-		return nil, err
+		return nil
 	}
 	sess.Send(&wire.HelloAck{RequestID: hello.RequestID, ClientID: sess.ID, ServerID: e.ServerID()})
-	return sess, nil
+	return sess
 }
 
 // CheckVersion is the version check of every connection opening — a
@@ -175,16 +124,15 @@ func CheckVersion(conn *transport.Conn, reqID uint64, proto uint32) bool {
 	return false
 }
 
-// ServeSession runs the request loop for a registered session until the
-// connection drops, then tears the session down. Shared with the
-// replicated frontend.
+// serveSession runs the request loop for a registered session until the
+// connection drops, then tears the session down.
 //
 // After every blocking read the loop greedily drains whatever frames the
 // connection has already buffered (never touching the socket, so an idle
 // client keeps the single-message latency), collecting consecutive Bcasts
 // into a stretch that dispatchBcasts hands to the engine as same-group runs.
 // Any non-Bcast flushes the run first, preserving the exact arrival order.
-func ServeSession(e *Engine, sess *Session, conn *transport.Conn) {
+func serveSession(e *Engine, sess *Session, conn *transport.Conn) {
 	crashed := true
 	var pending []*wire.Bcast
 loop:

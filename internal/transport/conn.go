@@ -80,17 +80,47 @@ func (w socketWriter) Write(p []byte) (int, error) {
 func (c *Conn) ReadChunksInto(reserve wire.ChunkReserve) { c.reserve = reserve }
 
 // Dial connects to addr with the given timeout and returns a framed
-// connection with TCP_NODELAY set (interactive latency matters more than
-// byte efficiency for a collaboration service).
+// connection. Like every TCP connection Go makes, dialed or accepted, it has
+// TCP_NODELAY set: interactive latency matters more than byte efficiency
+// for a collaboration service.
 func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
 	return NewConn(nc), nil
+}
+
+// Open dials addr, writes the opening frames, and reads the first reply.
+// timeout bounds the whole exchange, dial included; the returned connection
+// has no read deadline. On error no connection is left open.
+func Open(addr string, timeout time.Duration, opening ...wire.Message) (*Conn, wire.Message, error) {
+	deadline := time.Now().Add(timeout)
+	c, err := Dial(addr, timeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, m := range opening {
+		if err = c.WriteMessage(m); err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+	}
+	reply, err := c.ReadWithin(time.Until(deadline))
+	if err != nil {
+		c.Close()
+		return nil, nil, err
+	}
+	return c, reply, nil
+}
+
+// ReadWithin reads one message, waiting at most d for it, and leaves the
+// connection without a read deadline.
+func (c *Conn) ReadWithin(d time.Duration) (wire.Message, error) {
+	_ = c.nc.SetReadDeadline(time.Now().Add(d))
+	msg, err := c.ReadMessage()
+	_ = c.nc.SetReadDeadline(time.Time{})
+	return msg, err
 }
 
 // ReadMessage reads and decodes one message. The returned message does not

@@ -22,6 +22,8 @@ var (
 	// discarded, which the balance tests hold it to; a frame that leaks
 	// leaves it raised.
 	framesLive = obs.Default.Gauge("transport.frames_live")
+	// acceptErrors counts the Accept errors Serve retried.
+	acceptErrors = obs.Default.Counter("transport.accept_errors")
 	// bytesIn/bytesOut count framed bytes (payload plus the 4-byte
 	// length prefix) crossing every Conn in the process.
 	bytesIn  = obs.Default.Counter("transport.bytes_in")
