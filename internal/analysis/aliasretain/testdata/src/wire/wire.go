@@ -87,10 +87,23 @@ func mutateViaPayload(data []byte) {
 	tail[1] = 2         // want `write through slice aliasing the decode input \(from DecodePayload\)`
 }
 
-func allowedRetain(data []byte, s *Session) {
+// Chunk mirrors wire.TransferChunk: a message whose decoder fills its own
+// receiver, header first, and whose Data aliases the input.
+type Chunk struct {
+	Offset uint64
+	Data   []byte
+}
+
+func (m *Chunk) decodeIntoField(data []byte) {
 	d := &Decoder{buf: data}
-	//lint:allow aliasretain scratch is reset before the next decode
-	s.scratch = d.Bytes(8)
+	m.Offset = uint64(d.Bytes(1)[0])
+	m.Data = d.Bytes(8) // want `aliasing the decode input \(from Bytes\) retained in m\.Data`
+}
+
+func (m *Chunk) decodeHandOff(data []byte) {
+	d := &Decoder{buf: data}
+	m.Offset = uint64(d.Bytes(1)[0])
+	*m = Chunk{Offset: m.Offset, Data: d.Bytes(8)} // the whole message handed off: fine
 }
 
 // --- zero-copy path ------------------------------------------------------

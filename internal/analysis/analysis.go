@@ -12,12 +12,8 @@
 // types.Object universe, so cross-package call-graph construction and
 // interface-implementation resolution need no fact serialization.
 //
-// Suppression: a finding is silenced by an auditable
-//
-//	//lint:allow <analyzer> <reason>
-//
-// comment on the flagged line, or on its own line directly above. The
-// reason is mandatory; a reason-less directive is itself a finding.
+// There is no suppression comment: a finding is fixed in the code, or its
+// analyzer's rule changes with a fixture case that pins the new shape.
 package analysis
 
 import (
@@ -30,8 +26,8 @@ import (
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in //lint:allow
-	// directives. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics and to corona-lint -only.
+	// Lower-case, no spaces.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -88,34 +84,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run executes the analyzers over the loaded program and returns every
-// finding, suppressions already applied and malformed suppression
-// directives added, sorted by position. The returned error reports
-// analyzer failures, not findings.
+// finding, sorted by position. The returned error reports analyzer
+// failures, not findings.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAudited(prog, analyzers)
-	return diags, err
-}
-
-// RunAudited is Run plus a suppression audit: it also returns the
-// //lint:allow directives that suppressed no finding during this run.
-// Staleness is only meaningful when analyzers is the full suite — under a
-// partial run, a directive for an analyzer that never executed shows up
-// unused without being stale.
-func RunAudited(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AllowSite, error) {
-	sup := collectSuppressions(prog)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Fset: prog.Fset, Pkgs: prog.Pkgs}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 		}
-		for _, d := range pass.diags {
-			if !sup.allows(a.Name, d.Pos) {
-				out = append(out, d)
-			}
-		}
+		out = append(out, pass.diags...)
 	}
-	out = append(out, sup.malformed...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -126,5 +105,5 @@ func RunAudited(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AllowSite
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, sup.stale(), nil
+	return out, nil
 }

@@ -10,9 +10,8 @@
 //
 // The quoted string is a regular expression matched against the
 // diagnostic message. Every diagnostic must be matched by a want and
-// every want by a diagnostic; //lint:allow suppression is applied before
-// matching, so fixtures can also prove that annotated exceptions are
-// honoured (a suppressed line simply carries no want).
+// every want by a diagnostic, so a line without a want proves the
+// analyzer stays silent on it.
 //
 // The analyzers guard the engine's invariants, so their fixtures are their
 // proof: a fixture edit changes a file the test reads, and go test re-runs
@@ -41,9 +40,8 @@ type want struct {
 	matched bool
 }
 
-// Run loads the fixture tree rooted at testdata, applies the analyzer
-// (suppressions included), and reports mismatches between findings and
-// // want expectations on t.
+// Run loads the fixture tree rooted at testdata, applies the analyzer,
+// and reports mismatches between findings and // want expectations on t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer) {
 	t.Helper()
 	prog, err := analysis.LoadFixture(testdata)

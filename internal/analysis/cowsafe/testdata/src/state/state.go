@@ -106,11 +106,6 @@ func (t *Transfer) mutateView(b byte, src []byte) {
 	copy(t.objects["x"], src) // want `copy into captured COW view buffer`
 }
 
-func (g *Group) allowedExample(id string, data []byte) {
-	//lint:allow cowsafe data is private to this group, proven by caller
-	g.objects[id] = data
-}
-
 // --- the checkpoint image (the one view every whole-group reader takes) ---
 
 type Object struct {

@@ -114,12 +114,10 @@ func (e *Engine) litInvoked() {
 	}()
 }
 
-func (e *Engine) allowed() {
+func (e *Engine) deferredSleep() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//lint:allow lockhold shutdown path, single-threaded by then
-	time.Sleep(time.Millisecond)
-	time.Sleep(time.Millisecond) //lint:allow lockhold same, inline form
+	time.Sleep(time.Millisecond) // want `time\.Sleep \[sleep\] while "e\.mu" is held`
 }
 
 // branch spans: the lock released in one branch stays held in the other.

@@ -14,9 +14,8 @@
 //     map access per call. Resolve the instrument once and store it.
 //
 // The obs package itself is exempt (its internals necessarily handle
-// names as values). A deliberate exception — say, a per-group instrument,
-// unbounded by design and removed with the group — carries a
-// //lint:allow obshygiene annotation with the justification.
+// names as values). There is no other exception: a per-group instrument,
+// unbounded and dynamically named, is a finding like any other.
 package obshygiene
 
 import (

@@ -24,12 +24,6 @@ type Table2Row struct {
 	Replicated LatencyStats
 }
 
-// StartReplicated boots a coordinator plus n member servers for
-// benchmarking and returns their client addresses plus a shutdown func.
-func StartReplicated(n int) (addrs []string, shutdown func(), err error) {
-	return replicatedCluster(n)
-}
-
 // replicatedCluster boots a coordinator plus n member servers for
 // benchmarking and returns the client addresses plus a shutdown func.
 func replicatedCluster(n int) (addrs []string, shutdown func(), err error) {

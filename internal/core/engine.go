@@ -382,10 +382,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Stateless reports whether the engine runs in the sequencer-only baseline
-// mode.
-func (e *Engine) Stateless() bool { return e.cfg.Stateless }
-
 // ServerID returns the engine's server identity.
 func (e *Engine) ServerID() uint64 { return e.cfg.ServerID }
 

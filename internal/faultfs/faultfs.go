@@ -173,13 +173,6 @@ func (f *FS) Crash() error {
 	return firstErr
 }
 
-// Crashed reports whether Crash has been called.
-func (f *FS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // check runs the fault schedule for one operation. It returns the injected
 // error, if any, and for short writes the number of bytes to write before
 // failing (-1 means write everything).

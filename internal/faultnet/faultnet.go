@@ -86,18 +86,11 @@ func (p *Proxy) Heal() {
 
 // Blackhole silently discards all traffic in both directions without
 // closing connections — peers see a hang, not an error, which is what a
-// heartbeat timeout must catch. Heal restores flow for NEW connections;
-// blackholed bytes are lost.
+// heartbeat timeout must catch. The blackhole lasts for the proxy's life
+// (Heal does not lift it); blackholed bytes are lost.
 func (p *Proxy) Blackhole() {
 	p.mu.Lock()
 	p.dropAll = true
-	p.mu.Unlock()
-}
-
-// Unblackhole stops discarding traffic for new reads.
-func (p *Proxy) Unblackhole() {
-	p.mu.Lock()
-	p.dropAll = false
 	p.mu.Unlock()
 }
 

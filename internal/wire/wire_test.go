@@ -226,6 +226,24 @@ func TestUnmarshalCopiesData(t *testing.T) {
 	}
 }
 
+// TestUnmarshalChunkAliasesData: TransferChunk is the one kind whose read
+// does not copy its body. A decoded chunk keeps its header fields, and its
+// Data is the input's own bytes.
+func TestUnmarshalChunkAliasesData(t *testing.T) {
+	sent := &TransferChunk{RequestID: 5, Group: "g", Offset: 512, Total: 4096, Data: []byte("chunkbytes")}
+	data := Marshal(nil, sent)
+	msg, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(msg, sent) {
+		t.Fatalf("got %#v, want %#v", msg, sent)
+	}
+	if got := msg.(*TransferChunk).Data; &got[0] != &data[len(data)-len(got)] {
+		t.Error("decoded Data is a copy; want it to alias the input buffer")
+	}
+}
+
 func TestDecoderHostileLengths(t *testing.T) {
 	// A huge element count with a tiny buffer must fail cleanly.
 	c := NewWriter([]byte{byte(KindJoinAck)})

@@ -81,7 +81,8 @@ line "corona-lint" 4
 # the module, not just the analyzers. Cache the clean result keyed on a
 # hash of all of them (go.mod included, fixtures and all — they are the
 # analyzers' own tests' inputs), and skip the multi-second run when
-# nothing changed. The -allows pass fails the gate on stale suppressions.
+# nothing changed. A finding cannot be silenced: it is fixed in the code,
+# or its analyzer's rule changes with a fixture case that pins the shape.
 lint_hash=$( { find . -name '*.go' -not -path './.bin/*' -print0 | sort -z | xargs -0 sha256sum; sha256sum go.mod; } | sha256sum | cut -d' ' -f1)
 lint_stamp=.bin/corona-lint.stamp
 if [ -f "$lint_stamp" ] && [ "$(cat "$lint_stamp")" = "$lint_hash" ]; then
@@ -89,7 +90,6 @@ if [ -f "$lint_stamp" ] && [ "$(cat "$lint_stamp")" = "$lint_hash" ]; then
 else
 	go build -o .bin/corona-lint ./cmd/corona-lint
 	./.bin/corona-lint ./...
-	./.bin/corona-lint -allows ./...
 	printf '%s' "$lint_hash" >"$lint_stamp"
 fi
 
@@ -123,10 +123,10 @@ fuzz_smoke() {
 }
 quiet fuzz fuzz_smoke
 
-line "bench smoke (compile + one iteration, short windows)" 13
-# -short cuts the root throughput benches' windows from 500 ms to 50 ms: the
-# smoke shows the harness runs end to end, and benchmark/ measures.
-quiet bench go test -short -run NONE -bench . -benchtime 1x ./...
+line "bench smoke (compile + one iteration)" 9
+# The packages' micro-benchmarks run once each: the smoke shows they still
+# run, and benchmark/ and corona-bench measure.
+quiet bench go test -run NONE -bench . -benchtime 1x ./...
 
 line "corona-bench smokes (one build, five experiments)" 5
 # One link instead of five `go run`s. table1: pipelined clients drive the
