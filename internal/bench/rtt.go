@@ -66,10 +66,10 @@ func (c *RTTConfig) setDefaults() {
 	}
 }
 
-// StartSingle boots a standalone server for benchmarking: stateful or the
+// startSingle boots a standalone server for benchmarking: stateful or the
 // sequencer-only baseline, with optional disk logging. It returns the
 // client address and a shutdown func.
-func StartSingle(stateful bool, dir string, sync wal.SyncPolicy) (addr string, shutdown func(), err error) {
+func startSingle(stateful bool, dir string, sync wal.SyncPolicy) (addr string, shutdown func(), err error) {
 	srv, err := core.NewServer(core.Config{Engine: core.EngineConfig{
 		Stateless: !stateful,
 		Dir:       dir,
@@ -87,7 +87,7 @@ func StartSingle(stateful bool, dir string, sync wal.SyncPolicy) (addr string, s
 // returns the latency statistics of the probe client.
 func RunSingleServerRTT(cfg RTTConfig) (LatencyStats, error) {
 	cfg.setDefaults()
-	addr, shutdown, err := StartSingle(cfg.Stateful, cfg.Dir, cfg.Sync)
+	addr, shutdown, err := startSingle(cfg.Stateful, cfg.Dir, cfg.Sync)
 	if err != nil {
 		return LatencyStats{}, err
 	}
@@ -109,10 +109,10 @@ type Probe struct {
 	received  atomic.Uint64
 }
 
-// NewProbe joins clients receivers (spread over addrs round-robin) and the
+// newProbe joins clients receivers (spread over addrs round-robin) and the
 // probe client (on the last address) to a fresh group. stateful controls
 // whether the benchmark group is persistent at a stateful server.
-func NewProbe(addrs []string, clients, msgSize int, stateful bool) (*Probe, error) {
+func newProbe(addrs []string, clients, msgSize int, stateful bool) (*Probe, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bench: no server addresses")
 	}
@@ -219,7 +219,7 @@ func runRTTProbe(addr string, cfg RTTConfig, addrs []string) (LatencyStats, erro
 	if len(addrs) == 0 {
 		addrs = []string{addr}
 	}
-	p, err := NewProbe(addrs, cfg.Clients, cfg.MsgSize, cfg.Stateful)
+	p, err := newProbe(addrs, cfg.Clients, cfg.MsgSize, cfg.Stateful)
 	if err != nil {
 		return LatencyStats{}, err
 	}

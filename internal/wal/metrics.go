@@ -20,6 +20,12 @@ var (
 	// appender was waiting — the fsync amortized over nothing).
 	walBatchCommits = obs.Default.Counter("wal.batch_commits")
 	walBatchRecords = obs.Default.Histogram("wal.batch_records")
+	// Under SyncAlways the committer may wait for the writers its last
+	// commit released before it commits the next batch (committer.wait):
+	// each wait's length, and the waits that ran out before the expected
+	// records came. wal.append_ns does not include the wait.
+	walCommitWaitNs     = obs.Default.Histogram("wal.commit_wait_ns")
+	walCommitWaitMisses = obs.Default.Counter("wal.commit_wait_misses")
 	// walAppendErrors counts records whose commit failed (write, fsync,
 	// or roll error, or a batch aborted by Close).
 	walAppendErrors = obs.Default.Counter("wal.append_errors")

@@ -131,6 +131,7 @@ type Log struct {
 	nextLSN  uint64
 	closed   bool
 	needSync bool
+	hdr      [recHdr]byte // the record header being written
 
 	// Failure policy state. sealedAfterError is set when a commit failure
 	// seals the active segment and rolls; if the fresh segment also fails
@@ -145,12 +146,23 @@ type Log struct {
 	// goroutine drains the queue, writes the whole batch under mu, fsyncs
 	// once (SyncAlways), and invokes the completion callbacks in LSN
 	// order. One fsync is amortized over every record that arrived while
-	// the previous batch was committing.
-	pendMu     sync.Mutex
-	pending    []pendingAppend
-	pendClosed bool
-	pendSig    chan struct{}
-	commitDone chan struct{}
+	// the previous batch was committing and, under SyncAlways, while the
+	// committer waited for the writers that batch released (see
+	// committer.wait). pendWant is the queue length whose append wakes a
+	// waiting committer, 0 when it is not waiting; pendBarrier is set
+	// while a Barrier is queued.
+	pendMu      sync.Mutex
+	pending     []pendingAppend
+	pendWant    int
+	pendBarrier bool
+	pendClosed  bool
+	pendSig     chan struct{}
+	commitDone  chan struct{}
+
+	// waitTimer, when a test sets it before the first append, stands in
+	// for the timer that ends a commit wait: it is called with the wait's
+	// limit and the wait runs out when its channel delivers.
+	waitTimer func(limit time.Duration) <-chan time.Time
 
 	closeOnce sync.Once
 	closeErr  error
@@ -165,6 +177,7 @@ type pendingAppend struct {
 	payload []byte
 	barrier bool
 	done    func(lsn uint64, err error)
+	lsn     uint64 // set by the commit that writes the record
 }
 
 // Open is Recover(opts, nil): it opens the log and hands its records to no one.
@@ -569,10 +582,10 @@ func (l *Log) failedError() error {
 // writeRecordLocked buffers one record and assigns its LSN. Caller holds
 // l.mu.
 func (l *Log) writeRecordLocked(payload []byte) (uint64, error) {
-	var hdr [recHdr]byte
+	hdr := l.hdr[:]
 	binary.BigEndian.PutUint32(hdr[0:4], crc32.Checksum(payload, crcTable))
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	if _, err := l.w.Write(hdr); err != nil {
 		return 0, err
 	}
 	if _, err := l.w.Write(payload); err != nil {
@@ -611,12 +624,24 @@ func (l *Log) AppendAsync(payload []byte, done func(lsn uint64, err error)) erro
 		return ErrClosed
 	}
 	l.pending = append(l.pending, pendingAppend{payload: payload, done: done})
+	n := len(l.pending)
+	wake := n == 1 || n == l.pendWant
 	l.pendMu.Unlock()
+	if wake {
+		l.wakeCommitter()
+	}
+	return nil
+}
+
+// wakeCommitter wakes the committer: the queue has its first entry, the
+// length a waiting committer wants, or a barrier. The committer takes the
+// whole queue once it wakes, so a later append's wakeup is never lost: it
+// finds the queue empty again.
+func (l *Log) wakeCommitter() {
 	select {
 	case l.pendSig <- struct{}{}:
 	default: // a wakeup is already queued
 	}
-	return nil
 }
 
 // Barrier blocks until every record queued by AppendAsync before the call
@@ -632,54 +657,174 @@ func (l *Log) Barrier() error {
 		return ErrClosed
 	}
 	l.pending = append(l.pending, pendingAppend{barrier: true, done: func(_ uint64, err error) { ch <- err }})
+	l.pendBarrier = true
 	l.pendMu.Unlock()
-	select {
-	case l.pendSig <- struct{}{}:
-	default:
-	}
+	l.wakeCommitter()
 	return <-ch
 }
 
-// takePending swaps out the queued batch.
-func (l *Log) takePending() []pendingAppend {
+// takePending swaps out the queued batch and leaves spare, which must be
+// empty, as the queue for the appends that follow.
+func (l *Log) takePending(spare []pendingAppend) []pendingAppend {
 	l.pendMu.Lock()
 	batch := l.pending
-	l.pending = nil
+	l.pending = spare
+	l.pendBarrier = false
 	l.pendMu.Unlock()
 	return batch
+}
+
+// The commit wait's backoff: a wait that runs out turns waiting off for
+// the next waitSkipMin commits, and each further miss without a wait that
+// met its expectation between doubles that span, up to waitSkipMax.
+const (
+	waitSkipMin = 8
+	waitSkipMax = 1024
+)
+
+// committer is the group-commit writer's state between batches.
+type committer struct {
+	// spare is the queue array the last batch used, emptied once its
+	// callbacks returned; the queue and it swap at each batch.
+	spare []pendingAppend
+
+	// The wait rule's inputs (SyncAlways only): the records the next batch
+	// is expected to hold, how long the last commit's write and fsync took,
+	// the commits left before waiting is tried again, and the span the
+	// next miss turns it off for.
+	expect     int
+	lastCommit time.Duration
+	skip       int
+	span       int
+	timer      *time.Timer
 }
 
 // commitLoop is the group-commit writer: it drains the pending queue and
 // commits each batch with one buffered write and at most one fsync.
 func (l *Log) commitLoop() {
 	defer close(l.commitDone)
+	c := committer{span: waitSkipMin, timer: time.NewTimer(time.Hour)}
+	c.timer.Stop()
 	for {
 		select {
 		case <-l.pendSig:
-			l.commitBatch(l.takePending())
+			if l.opts.Sync == SyncAlways {
+				c.wait(l)
+			}
+			c.commit(l)
 		case <-l.stop:
 			// Drain whatever arrived before the queue was closed.
-			l.commitBatch(l.takePending())
+			c.commit(l)
 			return
 		}
 	}
 }
 
-// commitBatch writes a batch under one lock acquisition, fsyncs once when
-// the policy demands durability, and completes every waiter in LSN order.
-// On the first error the remaining records are not written and every
-// waiter in the batch — including those already buffered — receives the
-// error, because the batch's durability is unknown as a whole. The failed
-// batch is never retried: its waiters were told it is not durable, and a
-// retry would fsync a file whose last fsync failed (fsyncgate).
-func (l *Log) commitBatch(batch []pendingAppend) {
-	if len(batch) == 0 {
+// wait holds a woken committer until the queue holds the records the next
+// batch is expected to: those the last commit released, whose writers
+// append again once acked, and those already queued when it ended.
+// Committing at once would split closed-loop writers into two groups that
+// take turns, each ack waiting out the other group's whole fsync. Waiting
+// w delays each held record by w and spares each expected one up to one
+// commit, so the wait is cut at the break-even lastCommit × r/(r+p), for r
+// records still expected and p held. It ends on the append that meets the
+// expectation, a Barrier or Close, or the limit: a miss, which commits at
+// once and turns waiting off for the next commits (the backoff above), so
+// a sequential or open-loop writer pays almost nothing.
+func (c *committer) wait(l *Log) {
+	if c.skip > 0 {
+		c.skip--
 		return
 	}
+	l.pendMu.Lock()
+	held := len(l.pending)
+	if held == 0 || held >= c.expect || l.pendBarrier || l.pendClosed || c.lastCommit <= 0 {
+		l.pendMu.Unlock()
+		return
+	}
+	l.pendWant = c.expect
+	l.pendMu.Unlock()
+
+	limit := c.lastCommit * time.Duration(c.expect-held) / time.Duration(c.expect)
 	start := time.Now()
-	lsns := make([]uint64, len(batch))
-	records := 0
-	var firstErr error
+	var expired <-chan time.Time
+	if l.waitTimer != nil {
+		expired = l.waitTimer(limit)
+	} else {
+		select { // a tick the last wait's limit left as the wait ended
+		case <-c.timer.C:
+		default:
+		}
+		c.timer.Reset(limit)
+		expired = c.timer.C
+	}
+	var met, ranOut bool
+	for !met && !ranOut {
+		select {
+		case <-l.pendSig:
+		case tick := <-expired:
+			// A tick from before this wait is the last wait's, sent
+			// after the drain above.
+			ranOut = !tick.Before(start)
+		case <-l.stop:
+		}
+		l.pendMu.Lock()
+		met = len(l.pending) >= c.expect || l.pendBarrier || l.pendClosed
+		if met || ranOut {
+			l.pendWant = 0
+		}
+		l.pendMu.Unlock()
+	}
+	c.timer.Stop()
+	took := time.Since(start)
+	walCommitWaitNs.Record(took.Nanoseconds())
+	// An idle process fires a sub-millisecond timer late, so a wait whose
+	// records came only after its limit missed too (a stand-in timer alone
+	// says when the limit passes).
+	if met && (took <= limit || l.waitTimer != nil) {
+		c.span = waitSkipMin
+		return
+	}
+	walCommitWaitMisses.Inc()
+	c.skip = c.span
+	c.span = min(2*c.span, waitSkipMax)
+}
+
+// commit takes the queue and commits it, then completes every waiter in
+// LSN order and keeps the batch's array for the batch after next.
+func (c *committer) commit(l *Log) {
+	batch := l.takePending(c.spare)
+	if len(batch) > 0 {
+		start := time.Now()
+		records, err := l.commitBatch(batch)
+		if records > 0 {
+			c.lastCommit = time.Since(start)
+		}
+		// The writers released now are expected back beside the records
+		// queued during the commit.
+		l.pendMu.Lock()
+		c.expect = records + len(l.pending)
+		l.pendMu.Unlock()
+		for _, p := range batch {
+			if p.done != nil {
+				p.done(p.lsn, err)
+			}
+		}
+	}
+	clear(batch)
+	c.spare = batch[:0]
+}
+
+// commitBatch writes a batch under one lock acquisition and fsyncs once
+// when the policy demands durability; it reports how many records it wrote
+// and the error every waiter in the batch gets. On the first error the
+// remaining records are not written and every waiter in the batch —
+// including those already buffered — receives the error, because the
+// batch's durability is unknown as a whole. The failed batch is never
+// retried: its waiters were told it is not durable, and a retry would
+// fsync a file whose last fsync failed (fsyncgate).
+func (l *Log) commitBatch(batch []pendingAppend) (records int, firstErr error) {
+	start := time.Now()
 	l.mu.Lock()
 	switch {
 	case l.closed:
@@ -687,7 +832,8 @@ func (l *Log) commitBatch(batch []pendingAppend) {
 	case l.failed:
 		firstErr = l.failErr
 	default:
-		for i, p := range batch {
+		for i := range batch {
+			p := &batch[i]
 			if p.barrier {
 				continue
 			}
@@ -696,7 +842,7 @@ func (l *Log) commitBatch(batch []pendingAppend) {
 				firstErr = err
 				break
 			}
-			lsns[i] = lsn
+			p.lsn = lsn
 			records++
 			if l.size >= l.opts.SegmentSize {
 				if err := l.roll(); err != nil {
@@ -721,11 +867,7 @@ func (l *Log) commitBatch(batch []pendingAppend) {
 		walBatchRecords.Record(int64(records))
 		walAppendNs.Record(time.Since(start).Nanoseconds())
 	}
-	for i, p := range batch {
-		if p.done != nil {
-			p.done(lsns[i], firstErr)
-		}
-	}
+	return records, firstErr
 }
 
 // Sync flushes buffered records and fsyncs the active segment.
@@ -777,24 +919,6 @@ func (l *Log) syncLoop() {
 			return
 		}
 	}
-}
-
-// NextLSN returns the LSN the next committed record will get.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
-// FirstLSN returns the LSN of the oldest retained record (equal to
-// NextLSN when the log is empty).
-func (l *Log) FirstLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.segments) > 0 {
-		return l.segments[0].first
-	}
-	return l.active.first
 }
 
 // Size returns the total on-disk byte size of all segments.
